@@ -189,7 +189,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ranks: procs,
         replication_factor: 1,
         delta_chain_max: 0,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     let _ = writeln!(

@@ -151,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ranks: cfg.ranks,
         replication_factor: 2,
         delta_chain_max: 4,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
@@ -283,7 +283,7 @@ fn run_nested(
         ranks: cfg.ranks,
         replication_factor: 2,
         delta_chain_max: 4,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     let _ = writeln!(json, "  \"seed\": {},", cfg.seed);

@@ -4,8 +4,7 @@
 //! **Rank sweep** (`BENCH_dataplane.json`): sweeps 1→28 ranks over the
 //! paper testbed, drives one real (bytes on functional devices)
 //! checkpoint+verify round per point through the sharded NVMf data plane,
-//! and reports the device-time makespan of that IO stream under the two
-//! [`workloads::DriveMode`]s:
+//! and reports the device-time makespan of that IO stream two ways:
 //!
 //! * **serial** — ranks issue one at a time, so every command and every
 //!   byte of every rank is serialized through a single outstanding queue.
@@ -31,11 +30,15 @@
 //! this host may be a single pinned core, where thread-level speedup is
 //! unobservable by construction.)
 //!
+//! Every point drives its ranks on the shard-per-core
+//! [`nvmecr::ReactorPool`], threaded, with the workload driver's chunked
+//! checkpoint machine ([`workloads::checkpoint_ranks`]).
+//!
 //! **Reactor mode** (`--mode reactor`): the same 28-rank QD=32 point
-//! driven through the shard-per-core [`nvmecr::ReactorPool`] instead of a
-//! thread per rank (its modeled throughput must stay within 5% of the
-//! rayon drive — the reactor refactor buys scale, not a different data
-//! plane), plus a simkit [`ShardModel`] sweep of 1k–10k *virtual* ranks
+//! driven through the deterministic (lockstep, one thread) and threaded
+//! reactor drives (their modeled throughputs must stay within 5% — the
+//! executor mode decides scheduling, not the data plane), plus a simkit
+//! [`ShardModel`] sweep of 1k–10k *virtual* ranks
 //! multiplexed on the paper testbed's 28 cores. Gates: flat per-rank
 //! makespan (≤1.2× the 28-rank per-rank cost) and sub-linear memory
 //! (reactor bookkeeping and process RSS both grow slower than ranks).
@@ -50,17 +53,13 @@ use std::fmt::Write as _;
 use cluster::{JobRequest, Scheduler, Topology};
 use fabric::{KernelCosts, NetConfig};
 use microfs::block::{BlockDevice, IoCounters};
-use microfs::MicroFs;
-use nvmecr::runtime::{NvmeCrRuntime, RuntimeError, StorageRack};
-use nvmecr::{
-    MachineStep, NvmfBlockDevice, RankMachine, ReactorConfig, ReactorMode, ReactorPool,
-    RuntimeConfig,
-};
+use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
+use nvmecr::{ReactorConfig, ReactorMode, ReactorPool, RuntimeConfig};
 use nvmecr_bench::stamp;
 use simkit::ShardModel;
 use ssd::SsdConfig;
 use telemetry::Telemetry;
-use workloads::CoMD;
+use workloads::{checkpoint_ranks, verify_ranks, CoMD};
 
 const CKPTS: u32 = 2;
 const BYTES_PER_RANK: u64 = 4 << 20;
@@ -77,83 +76,11 @@ const SMOKE_BYTES_PER_RANK: u64 = 1 << 20;
 /// entry is raised to `--ranks` when larger.
 const REACTOR_SWEEP: [usize; 4] = [28, 1024, 4096, 10_000];
 
-/// How `run_point` pushes ranks through the data plane.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Drive {
-    /// One rayon worker per rank (the PR 2 thread-per-rank path).
-    Rayon,
-    /// All ranks multiplexed onto the shard-per-core reactor pool.
-    Reactor,
-}
-
 /// Per-rank IO measured off the data plane, tagged with the SSD that
 /// serviced it.
 struct RankIo {
     ssd: (u32, u32),
     counters: IoCounters,
-}
-
-/// One rank's checkpoint as a reactor state machine: create the file,
-/// then write it one 1 MiB hugeblock-batch per step — the same chunking
-/// the rayon drive uses, so both drives issue identical IO streams.
-struct ChunkWriter {
-    comd: CoMD,
-    ckpt: u32,
-    bytes_per_rank: u64,
-    state: WriterState,
-}
-
-enum WriterState {
-    Start,
-    Writing {
-        fd: u32,
-        payload: Vec<u8>,
-        off: usize,
-    },
-}
-
-impl RankMachine<MicroFs<NvmfBlockDevice>> for ChunkWriter {
-    type Out = ();
-
-    fn step(
-        &mut self,
-        rank: u32,
-        fs: &mut MicroFs<NvmfBlockDevice>,
-    ) -> Result<MachineStep<()>, RuntimeError> {
-        match &mut self.state {
-            WriterState::Start => {
-                if self.ckpt == 0 {
-                    fs.mkdir("/comd", 0o755).ok();
-                }
-                fs.mkdir(&format!("/comd/ckpt_{:03}", self.ckpt), 0o755)?;
-                let payload =
-                    self.comd
-                        .checkpoint_payload(rank, self.ckpt, self.bytes_per_rank as usize);
-                let fd = fs.create(&CoMD::checkpoint_path(rank, self.ckpt), 0o644)?;
-                self.state = WriterState::Writing {
-                    fd,
-                    payload,
-                    off: 0,
-                };
-                Ok(MachineStep::Yield)
-            }
-            WriterState::Writing { fd, payload, off } => {
-                let end = (*off + (1 << 20)).min(payload.len());
-                fs.write(*fd, &payload[*off..end])?;
-                *off = end;
-                if *off < payload.len() {
-                    return Ok(MachineStep::Yield);
-                }
-                fs.fsync(*fd)?;
-                fs.close(*fd)?;
-                Ok(MachineStep::Done(()))
-            }
-        }
-    }
-
-    fn next_cost(&self) -> u64 {
-        1 << 20
-    }
 }
 
 /// Device service time in seconds for one rank's measured IO stream:
@@ -174,36 +101,10 @@ struct Point {
     lock_wait_ns: u64,
 }
 
-/// Read one rank's last checkpoint back and compare it byte-for-byte.
-fn verify_rank(
-    comd: &CoMD,
-    fs: &mut MicroFs<NvmfBlockDevice>,
-    rank: u32,
-    ckpt: u32,
-    bytes_per_rank: u64,
-) -> Result<bool, RuntimeError> {
-    let expect = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
-    let fd = fs.open(
-        &CoMD::checkpoint_path(rank, ckpt),
-        microfs::OpenFlags::RDONLY,
-        0,
-    )?;
-    let mut buf = vec![0u8; expect.len()];
-    let mut got = 0;
-    while got < buf.len() {
-        let n = fs.read(fd, &mut buf[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    fs.close(fd)?;
-    Ok(buf == expect)
-}
-
 /// Really drive `ranks` ranks through one checkpoint+verify round at the
-/// given block size and window depth, and measure the per-rank IO. The
-/// returned snapshot covers exactly this run (`fabric.submit_ns` etc.).
+/// given block size and window depth, on reactors in `mode`, and measure
+/// the per-rank IO. The returned snapshot covers exactly this run
+/// (`fabric.submit_ns` etc.).
 fn run_point(
     ranks: u32,
     ssd_config: &SsdConfig,
@@ -211,7 +112,7 @@ fn run_point(
     queue_depth: usize,
     bytes_per_rank: u64,
     recorder_on: bool,
-    drive: Drive,
+    mode: ReactorMode,
 ) -> Result<(Vec<RankIo>, telemetry::MetricsSnapshot), Box<dyn std::error::Error>> {
     let topo = Topology::paper_testbed();
     // Per-point registry: the copy/lock-wait/submit-latency numbers below
@@ -240,73 +141,29 @@ fn run_point(
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
     let comd = CoMD::weak_scaling();
 
-    let reactor_cfg = ReactorConfig {
-        mode: ReactorMode::Threaded,
+    let reactor = ReactorConfig {
+        mode,
         ..ReactorConfig::default()
     };
     for ckpt in 0..CKPTS {
-        match drive {
-            Drive::Rayon => rt.for_each_rank_par(|rank, fs| {
-                if ckpt == 0 {
-                    fs.mkdir("/comd", 0o755).ok();
-                }
-                fs.mkdir(&format!("/comd/ckpt_{ckpt:03}"), 0o755)?;
-                let payload = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
-                let fd = fs.create(&CoMD::checkpoint_path(rank, ckpt), 0o644)?;
-                for chunk in payload.chunks(1 << 20) {
-                    fs.write(fd, chunk)?;
-                }
-                fs.fsync(fd)?;
-                fs.close(fd)?;
-                Ok(())
-            })?,
-            Drive::Reactor => {
-                rt.drive_reactor(
-                    &reactor_cfg,
-                    |_| 0,
-                    |_| {
-                        Box::new(ChunkWriter {
-                            comd: comd.clone(),
-                            ckpt,
-                            bytes_per_rank,
-                            state: WriterState::Start,
-                        })
-                    },
-                )?;
-            }
-        }
+        checkpoint_ranks(&mut rt, &reactor, &comd, ckpt, bytes_per_rank)?;
     }
-    let last = CKPTS - 1;
-    let ok = match drive {
-        Drive::Rayon => {
-            rt.map_ranks_par(|rank, fs| verify_rank(&comd, fs, rank, last, bytes_per_rank))?
-        }
-        Drive::Reactor => {
-            let comd = comd.clone();
-            rt.map_ranks_reactor(&reactor_cfg, move |rank, fs| {
-                verify_rank(&comd, fs, rank, last, bytes_per_rank)
-            })?
-        }
-    };
-    if !ok.iter().all(|&v| v) {
+    let ok = verify_ranks(&mut rt, &reactor, &comd, CKPTS - 1, bytes_per_rank)?;
+    if !ok.iter().all(Option::is_some) {
         return Err("payload verification failed".into());
     }
 
     // Measure what each rank actually pushed through its device, and which
     // SSD serviced it.
     let per_rank = rt.placement().per_rank.clone();
-    let counters = rt.map_ranks_par(|_, fs| Ok(fs.device().counters()))?;
-    let io: Vec<RankIo> = per_rank
-        .iter()
-        .zip(&counters)
-        .map(|(p, &c)| {
-            let g = alloc.storage[p.grant];
-            RankIo {
-                ssd: (g.node.0, g.ssd),
-                counters: c,
-            }
-        })
-        .collect();
+    let mut io = Vec::with_capacity(per_rank.len());
+    for p in &per_rank {
+        let g = alloc.storage[p.grant];
+        io.push(RankIo {
+            ssd: (g.node.0, g.ssd),
+            counters: rt.rank_fs(p.rank)?.device().counters(),
+        });
+    }
     let snap = telemetry.snapshot();
     rt.finalize()?;
     Ok((io, snap))
@@ -322,7 +179,7 @@ fn rank_point(ranks: u32, ssd_config: &SsdConfig) -> Result<Point, Box<dyn std::
         RuntimeConfig::default().fabric.queue_depth,
         BYTES_PER_RANK,
         true,
-        Drive::Rayon,
+        ReactorMode::Threaded,
     )?;
     let serial_secs: f64 = io
         .iter()
@@ -424,7 +281,7 @@ fn qd_point(
     qd: usize,
     ssd_config: &SsdConfig,
     bytes_per_rank: u64,
-    drive: Drive,
+    mode: ReactorMode,
 ) -> Result<(QdPoint, telemetry::MetricsSnapshot), Box<dyn std::error::Error>> {
     let (io, snap) = run_point(
         QD_RANKS,
@@ -433,7 +290,7 @@ fn qd_point(
         qd,
         bytes_per_rank,
         true,
-        drive,
+        mode,
     )?;
     let net = NetConfig::default();
     let kern = KernelCosts::default();
@@ -476,10 +333,11 @@ fn rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// The 28-rank QD=32 point driven both ways through the real stack.
+/// The 28-rank QD=32 point driven in both reactor modes through the real
+/// stack; the event and loop counts are the threaded run's.
 struct ParityPoint {
-    rayon_gib_s: f64,
-    reactor_gib_s: f64,
+    threaded_gib_s: f64,
+    deterministic_gib_s: f64,
     reactor_events: u64,
     reactor_loops: u64,
 }
@@ -502,7 +360,7 @@ struct ReactorData {
     sweep: Vec<VirtualPoint>,
 }
 
-/// Drive the real 28-rank QD=32 point through both drives and sweep the
+/// Drive the real 28-rank QD=32 point in both reactor modes and sweep the
 /// shard model through the virtual rank counts.
 fn reactor_section(
     ssd_config: &SsdConfig,
@@ -510,17 +368,20 @@ fn reactor_section(
     rank_counts: &[usize],
 ) -> Result<ReactorData, Box<dyn std::error::Error>> {
     let qd = 32;
-    let (rayon_pt, _) = qd_point(qd, ssd_config, bytes_per_rank, Drive::Rayon)?;
-    let (reactor_pt, snap) = qd_point(qd, ssd_config, bytes_per_rank, Drive::Reactor)?;
+    let (threaded, snap) = qd_point(qd, ssd_config, bytes_per_rank, ReactorMode::Threaded)?;
+    let (deterministic, _) = qd_point(qd, ssd_config, bytes_per_rank, ReactorMode::Deterministic)?;
     let parity = ParityPoint {
-        rayon_gib_s: rayon_pt.write_gib_s,
-        reactor_gib_s: reactor_pt.write_gib_s,
+        threaded_gib_s: threaded.write_gib_s,
+        deterministic_gib_s: deterministic.write_gib_s,
         reactor_events: snap.counter("reactor.events"),
         reactor_loops: snap.counter("reactor.loops"),
     };
     println!(
-        "reactor parity: rayon={:.3}GiB/s  reactor={:.3}GiB/s  events={}  loops={}",
-        parity.rayon_gib_s, parity.reactor_gib_s, parity.reactor_events, parity.reactor_loops
+        "reactor parity: threaded={:.3}GiB/s  deterministic={:.3}GiB/s  events={}  loops={}",
+        parity.threaded_gib_s,
+        parity.deterministic_gib_s,
+        parity.reactor_events,
+        parity.reactor_loops
     );
 
     let model = ShardModel::default();
@@ -552,12 +413,12 @@ fn reactor_section(
 /// Self-validation of the reactor section; any violation fails the bench.
 fn gate_reactor(data: &ReactorData) -> Result<(), Box<dyn std::error::Error>> {
     let p = &data.parity;
-    let delta = (p.reactor_gib_s - p.rayon_gib_s).abs() / p.rayon_gib_s;
+    let delta = (p.deterministic_gib_s - p.threaded_gib_s).abs() / p.threaded_gib_s;
     if delta > 0.05 {
         return Err(format!(
-            "reactor drive {:.3} GiB/s vs rayon {:.3} GiB/s: {:.1}% apart (> 5%)",
-            p.reactor_gib_s,
-            p.rayon_gib_s,
+            "deterministic drive {:.3} GiB/s vs threaded {:.3} GiB/s: {:.1}% apart (> 5%)",
+            p.deterministic_gib_s,
+            p.threaded_gib_s,
             delta * 100.0
         )
         .into());
@@ -620,7 +481,7 @@ fn submit_ns_sum(
         qd,
         bytes_per_rank,
         recorder_on,
-        Drive::Rayon,
+        ReactorMode::Threaded,
     )?;
     Ok(snap
         .histogram("fabric.submit_ns")
@@ -661,24 +522,19 @@ fn write_dataplane_json(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"dataplane\",\n");
-    let (mode, reactors, max_ranks) = match reactor {
+    let (reactors, max_ranks) = match reactor {
         Some(r) => (
-            if points.is_empty() {
-                "reactor"
-            } else {
-                "rayon+reactor"
-            },
             r.reactors as u32,
             r.sweep.last().map_or(0, |p| p.ranks as u32),
         ),
-        None => ("rayon", 0, SWEEP[SWEEP.len() - 1]),
+        None => (0, SWEEP[SWEEP.len() - 1]),
     };
     json.push_str(&stamp::meta_line(&stamp::Fingerprint {
         queue_depth: RuntimeConfig::default().fabric.queue_depth,
         ranks: max_ranks.max(SWEEP[SWEEP.len() - 1]),
         replication_factor: 1,
         delta_chain_max: 0,
-        mode,
+        mode: "reactor",
         reactors,
     }));
     json.push_str(
@@ -726,9 +582,9 @@ fn write_dataplane_json(
         let _ = write!(
             json,
             ",\n  \"reactor\": {{\n    \"reactors\": {},\n    \"parity_qd32\": \
-             {{\"rayon_gib_s\": {:.3}, \"reactor_gib_s\": {:.3}, \"reactor_events\": {}, \
-             \"reactor_loops\": {}}},\n    \"virtual_sweep\": [\n",
-            r.reactors, p.rayon_gib_s, p.reactor_gib_s, p.reactor_events, p.reactor_loops
+             {{\"threaded_gib_s\": {:.3}, \"deterministic_gib_s\": {:.3}, \
+             \"reactor_events\": {}, \"reactor_loops\": {}}},\n    \"virtual_sweep\": [\n",
+            r.reactors, p.threaded_gib_s, p.deterministic_gib_s, p.reactor_events, p.reactor_loops
         );
         for (i, pt) in r.sweep.iter().enumerate() {
             let sep = if i + 1 == r.sweep.len() { "" } else { "," };
@@ -759,7 +615,7 @@ fn write_pipeline_json(
         ranks: QD_RANKS,
         replication_factor: 1,
         delta_chain_max: 0,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     json.push_str(
@@ -818,15 +674,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     return Err("--qd must be >= 1".into());
                 }
             }
-            "--mode" => {
-                reactor_only = match args.next().ok_or("--mode needs a value")?.as_str() {
-                    "reactor" => true,
-                    "rayon" => false,
-                    other => {
-                        return Err(format!("--mode must be rayon or reactor, got {other}").into())
-                    }
-                };
-            }
+            "--mode" => match args.next().ok_or("--mode needs a value")?.as_str() {
+                "reactor" => reactor_only = true,
+                other => return Err(format!("--mode takes only reactor, got {other}").into()),
+            },
             "--ranks" => {
                 ranks_arg = args
                     .next()
@@ -907,7 +758,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut qd_points = Vec::new();
     for &qd in &qds {
-        let (p, _) = qd_point(qd, &ssd_config, bytes_per_rank, Drive::Rayon)?;
+        let (p, _) = qd_point(qd, &ssd_config, bytes_per_rank, ReactorMode::Threaded)?;
         println!(
             "qd={:2}  write_makespan={:.3}ms  write={:.3}GiB/s  cmds={}  \
              submit_ns[n={} p50={} p99={}]",

@@ -156,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ranks,
         replication_factor: 2,
         delta_chain_max: DELTA_CHAIN_MAX,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     json.push_str(

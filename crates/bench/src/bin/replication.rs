@@ -31,11 +31,11 @@ use baselines::{LustreModel, Scenario, StorageModel};
 use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
 use cluster::{JobRequest, Scheduler, Topology};
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
-use nvmecr::RuntimeConfig;
+use nvmecr::{ReactorConfig, RuntimeConfig};
 use nvmecr_bench::stamp;
 use ssd::SsdConfig;
 use telemetry::Telemetry;
-use workloads::CoMD;
+use workloads::{checkpoint_ranks, CoMD};
 
 const CKPTS: u32 = 2;
 const RANKS: u32 = 28;
@@ -140,20 +140,13 @@ fn run_rep(
 
     let before = rack_io(&rack, &topo);
     for ckpt in 0..CKPTS {
-        rt.for_each_rank_par(|rank, fs| {
-            if ckpt == 0 {
-                fs.mkdir("/comd", 0o755).ok();
-            }
-            fs.mkdir(&format!("/comd/ckpt_{ckpt:03}"), 0o755)?;
-            let payload = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
-            let fd = fs.create(&CoMD::checkpoint_path(rank, ckpt), 0o644)?;
-            for chunk in payload.chunks(1 << 20) {
-                fs.write(fd, chunk)?;
-            }
-            fs.fsync(fd)?;
-            fs.close(fd)?;
-            Ok(())
-        })?;
+        checkpoint_ranks(
+            &mut rt,
+            &ReactorConfig::default(),
+            &comd,
+            ckpt,
+            bytes_per_rank,
+        )?;
         if rep >= 2 {
             // Seal the epoch each round: the measured stream carries the
             // full mirrored-commit cost (manifest, commit record, flush),
@@ -267,7 +260,7 @@ fn write_json(
         ranks,
         replication_factor: 2,
         delta_chain_max: 0,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     json.push_str(

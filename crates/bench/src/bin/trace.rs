@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use nvmecr_bench::stamp;
 use telemetry::json::{self, Value};
 use telemetry::HistogramSnapshot;
-use workloads::driver::run_functional_checkpoints;
+use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
 
 /// Layers the run must produce histograms for (the acceptance bar).
 const REQUIRED_LAYERS: [&str; 4] = ["driver", "fabric", "microfs", "ssd"];
@@ -58,7 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // capacitor flush lands in the trace, every counter/histogram in the
     // run's private registry (returned inside the report).
     let (report, trace) = telemetry::capture(|| {
-        run_functional_checkpoints(procs, ckpts, bytes_per_rank, &crash_ranks)
+        run_functional_checkpoints(
+            procs,
+            ckpts,
+            bytes_per_rank,
+            &crash_ranks,
+            &FunctionalTuning::default(),
+        )
     });
     let report = report?;
     let snap = &report.telemetry;
@@ -71,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ranks: procs,
         replication_factor: 1,
         delta_chain_max: 0,
-        mode: "rayon",
+        mode: "reactor",
         reactors: 0,
     }));
     let _ = writeln!(

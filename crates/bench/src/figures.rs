@@ -300,7 +300,13 @@ pub fn table1(functional: bool) -> TableReport {
         vec![0.0, to_mb(n.per_runtime_bytes), 0.0],
     );
     if functional {
-        if let Ok(rep) = workloads::driver::run_functional_checkpoints(56, 2, 2 << 20, &[]) {
+        if let Ok(rep) = workloads::driver::run_functional_checkpoints(
+            56,
+            2,
+            2 << 20,
+            &[],
+            &workloads::FunctionalTuning::default(),
+        ) {
             t.row(
                 "NVMe-CR (measured)",
                 vec![

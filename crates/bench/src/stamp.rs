@@ -12,7 +12,7 @@ use std::process::Command;
 
 /// Version of the `BENCH_*.json` artifact layout. Bump when a bench
 /// renames or removes keys (adding keys is backward compatible).
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The runtime knobs that shape a bench run's numbers.
 #[derive(Clone, Copy, Debug)]
@@ -25,10 +25,10 @@ pub struct Fingerprint {
     pub replication_factor: u32,
     /// Delta-chain length cap (0 = full manifests only).
     pub delta_chain_max: u32,
-    /// How ranks were driven: `"rayon"` (thread per rank), `"reactor"`
-    /// (shard-per-core multiplexing), or `"serial"`.
+    /// How ranks were driven: `"reactor"`, the runtime's shard-per-core
+    /// pool, for every bench.
     pub mode: &'static str,
-    /// Reactor cores for `"reactor"` runs (0 = not applicable).
+    /// Reactors driving the ranks (0 = one per available core).
     pub reactors: u32,
 }
 

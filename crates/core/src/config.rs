@@ -41,10 +41,13 @@ pub struct RuntimeConfig {
     /// to a full manifest after at most `n` deltas (clamped to the ring's
     /// [`microfs::manifest::MAX_DELTA_CHAIN`]).
     pub delta_chain_max: u32,
-    /// Reactors for the shard-per-core drive
-    /// ([`NvmeCrRuntime::drive_reactor`]): `0` (the default) sizes the
-    /// pool to the available cores. Rank count is independent of this —
-    /// each reactor multiplexes many rank state machines.
+    /// The runtime's thread budget: the reactor count of every pool it
+    /// starts — format, mount, recovery and epoch-commit fan-outs, and any
+    /// [`NvmeCrRuntime::drive_reactor`] whose own config leaves `reactors`
+    /// at 0. `0` (the default) sizes pools to the available cores; `1`
+    /// runs the runtime's own fan-outs on the calling thread. Rank count
+    /// is independent of this — each reactor multiplexes many rank state
+    /// machines.
     ///
     /// [`NvmeCrRuntime::drive_reactor`]: crate::runtime::NvmeCrRuntime::drive_reactor
     pub reactors: u32,

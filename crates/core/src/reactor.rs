@@ -1,28 +1,31 @@
 //! Shard-per-core reactor runtime: run-to-completion event loops that
-//! multiplex many rank state machines onto a fixed set of cores.
+//! multiplex many rank state machines onto a fixed set of cores. This is
+//! the runtime's only executor: every per-rank fan-out (format, mount,
+//! recovery, epoch commits, application drives) runs on a [`ReactorPool`].
 //!
-//! The rayon drive model (`for_each_rank_par`) pins one OS thread per
-//! in-flight rank, which caps every sweep at the node's core count. The
-//! reactor model decouples the two (ROADMAP item 2): N reactors — one per
-//! core — each own a **disjoint** set of ranks (their NVMf connections,
-//! QD>1 submission windows, and SSD shard queues travel with the rank's
-//! `MicroFs`), and each rank is a [`RankMachine`] advanced by bounded
-//! steps instead of a blocked thread. Cross-shard work moves through
+//! N reactors — one per core — each own a **disjoint** set of ranks
+//! (their NVMf connections, QD>1 submission windows, and SSD shard queues
+//! travel with the rank's `MicroFs`), and each rank is a [`RankMachine`]
+//! advanced by bounded steps instead of a blocked thread, so rank count
+//! is independent of thread count. Cross-shard work moves through
 //! single-producer/single-consumer message rings ([`SpscRing`]) — task
 //! hand-off in, retired results out, work-stealing migration between —
 //! never through shared locks.
 //!
 //! Two execution modes ([`ReactorMode`]):
 //!
+//! * **Threaded** (the default) — one scoped OS thread per reactor that
+//!   received work (`std::thread::scope`), each running its shard to
+//!   completion independently while the caller waits, so a pool never
+//!   starts more threads than it has tasks. Ranks never share a lock
+//!   because ownership is disjoint by construction.
 //! * **Deterministic** — every reactor is advanced in lockstep rounds on
 //!   the calling thread. Same tasks + same config ⇒ identical step order,
 //!   identical flight-recorder event sequence, identical QoS and steal
-//!   decisions. This is the mode the driver, the determinism tests, and
-//!   the 1k–10k virtual-rank sweeps use.
-//! * **Threaded** — one OS thread per reactor (`std::thread::scope`),
-//!   each running its shard to completion independently. This is the
-//!   28-rank real-thread configuration; ranks still never share a lock
-//!   because ownership is disjoint by construction.
+//!   decisions. This is the mode the determinism tests and the 1k–10k
+//!   virtual-rank sweeps use, and how a one-reactor thread budget runs the
+//!   runtime's own fan-outs: on the calling thread, so a run nested inside
+//!   another drive's step adds no threads.
 //!
 //! Admission control runs at reactor ingress: each reactor holds a
 //! per-tenant token-bucket shard ([`QosConfig`]) sized to `quota / N`,
@@ -208,10 +211,9 @@ pub trait RankMachine<F>: Send {
     }
 }
 
-/// One-shot adapter: runs a closure to completion in a single step — the
-/// reactor-mode analogue of the closure `map_ranks_par` takes. Multiplexed
-/// drives should implement [`RankMachine`] with real per-chunk steps
-/// instead.
+/// One-shot adapter: runs a closure to completion in a single step — how
+/// whole-rank operations ride the pool. Multiplexed drives should
+/// implement [`RankMachine`] with real per-chunk steps instead.
 pub struct FnMachine<G>(Option<G>);
 
 impl<G> FnMachine<G> {
@@ -236,8 +238,9 @@ where
 
 /// A rank queued for a reactor drive: the rank id, its QoS tenant, the
 /// owned resource (connection + window + filesystem travel as one unit),
-/// and the machine that advances it.
-pub struct RankTask<F, R> {
+/// and the machine that advances it. The machine may borrow from the
+/// caller for `'a`: a drive returns before anything it borrowed can go.
+pub struct RankTask<'a, F, R> {
     /// Global rank.
     pub rank: u32,
     /// QoS tenant the rank bills against.
@@ -245,7 +248,7 @@ pub struct RankTask<F, R> {
     /// The rank's owned resource.
     pub fs: F,
     /// The state machine driving the rank.
-    pub machine: Box<dyn RankMachine<F, Out = R>>,
+    pub machine: Box<dyn RankMachine<F, Out = R> + 'a>,
 }
 
 // ---------------------------------------------------------------------------
@@ -319,16 +322,18 @@ pub enum ReactorMode {
     /// All reactors advanced in lockstep rounds on the calling thread:
     /// fully deterministic step order, QoS, and stealing. Rank count is
     /// bounded by memory, not threads.
-    #[default]
     Deterministic,
-    /// One OS thread per reactor; shards run independently to completion.
+    /// One OS thread per reactor with work, so at most one per task;
+    /// shards run independently to completion.
+    #[default]
     Threaded,
 }
 
 /// Reactor pool configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorConfig {
-    /// Number of reactors. `0` sizes the pool to the available cores.
+    /// Number of reactors. `0` sizes the pool to the available cores
+    /// (inside the runtime: to [`crate::RuntimeConfig::reactors`]).
     pub reactors: usize,
     /// Execution mode.
     pub mode: ReactorMode,
@@ -392,26 +397,26 @@ pub struct ReactorPool {
 }
 
 /// One rank resident on a reactor.
-struct Active<F, R> {
+struct Active<'a, F, R> {
     rank: u32,
     tenant: u32,
     fs: F,
-    machine: Box<dyn RankMachine<F, Out = R>>,
+    machine: Box<dyn RankMachine<F, Out = R> + 'a>,
 }
 
 /// One reactor's core-local state. Everything here is owned: the only
 /// shared structures a shard touches are its two ring endpoints.
-struct Shard<F, R> {
-    inbox: RingConsumer<RankTask<F, R>>,
+struct Shard<'a, F, R> {
+    inbox: RingConsumer<RankTask<'a, F, R>>,
     outbox: RingProducer<TaskResult<F, R>>,
-    active: VecDeque<Active<F, R>>,
+    active: VecDeque<Active<'a, F, R>>,
     /// Tenant bucket shards, created on first sight of a tenant.
     buckets: Vec<(u32, TokenBucket)>,
     stats: DriveStats,
     error: Option<RuntimeError>,
 }
 
-impl<F: Send, R: Send> Shard<F, R> {
+impl<'a, F: Send, R: Send> Shard<'a, F, R> {
     fn drain_inbox(&mut self) {
         while let Some(t) = self.inbox.pop() {
             self.active.push_back(Active {
@@ -437,7 +442,7 @@ impl<F: Send, R: Send> Shard<F, R> {
         bucket.admit(cost)
     }
 
-    fn retire(&mut self, a: Active<F, R>, result: Option<R>, round: u64) {
+    fn retire(&mut self, a: Active<'a, F, R>, result: Option<R>, round: u64) {
         let done = TaskResult {
             rank: a.rank,
             tenant: a.tenant,
@@ -478,8 +483,7 @@ impl<F: Send, R: Send> Shard<F, R> {
             progressed = true;
             let a = &mut self.active[i];
             // Rank trace context: flight-recorder events below this frame
-            // are stamped with the rank being stepped, exactly as in the
-            // rayon drive.
+            // are stamped with the rank being stepped.
             let step = {
                 let _rank = telemetry::context::with_rank(u64::from(a.rank));
                 a.machine.step(a.rank, &mut a.fs)
@@ -501,15 +505,29 @@ impl<F: Send, R: Send> Shard<F, R> {
         }
         progressed
     }
+
+    /// Threaded mode: run rounds until every resident rank retired.
+    fn run_to_completion(&mut self, qos: Option<&QosConfig>, reactors: usize) {
+        self.drain_inbox();
+        let mut round: u64 = 0;
+        while !self.active.is_empty() {
+            round += 1;
+            if !self.run_round(qos, reactors, round) {
+                // Everything resident is throttled: the shard is idle
+                // until the next refill.
+                let t = Instant::now();
+                std::thread::yield_now();
+                self.stats.idle_ns += t.elapsed().as_nanos() as u64;
+            }
+        }
+    }
 }
 
 impl ReactorPool {
     /// A pool configured by `config`, publishing counters to `telemetry`.
     pub fn new(config: &ReactorConfig, telemetry: &Telemetry) -> Self {
         let n = if config.reactors == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            available_cores()
         } else {
             config.reactors
         };
@@ -541,8 +559,33 @@ impl ReactorPool {
         reactors as u64 * REACTOR_FIXED + ranks * PER_TASK
     }
 
+    /// Run `f` once for each of `ranks` as one-shot machines on tenant 0
+    /// and hand back each result (in rank order) with the first error —
+    /// the pool's closure fan-out for whole-rank work.
+    pub fn map<R: Send>(
+        &self,
+        ranks: impl IntoIterator<Item = u32>,
+        f: impl Fn(u32) -> Result<R, RuntimeError> + Sync,
+    ) -> DriveOutcome<(), R> {
+        let f = &f;
+        self.drive(
+            ranks
+                .into_iter()
+                .map(|rank| RankTask {
+                    rank,
+                    tenant: 0,
+                    fs: (),
+                    machine: Box::new(FnMachine::new(move |rank, _: &mut ()| f(rank))),
+                })
+                .collect(),
+        )
+    }
+
     /// Drive `tasks` to completion and hand every resource back.
-    pub fn drive<F: Send, R: Send>(&self, tasks: Vec<RankTask<F, R>>) -> DriveOutcome<F, R> {
+    pub fn drive<'a, F: Send, R: Send>(
+        &self,
+        tasks: Vec<RankTask<'a, F, R>>,
+    ) -> DriveOutcome<F, R> {
         let n_tasks = tasks.len();
         let cap = n_tasks + 1;
         // One inbox and one outbox ring per reactor, so every ring has
@@ -550,11 +593,11 @@ impl ReactorPool {
         // tasks into inboxes (initial distribution and steal migration
         // both go through them) and consumes results from outboxes; the
         // reactor is the other end of both.
-        let mut inboxes: Vec<RingProducer<RankTask<F, R>>> = Vec::with_capacity(self.n);
+        let mut inboxes: Vec<RingProducer<RankTask<'a, F, R>>> = Vec::with_capacity(self.n);
         let mut outboxes: Vec<RingConsumer<TaskResult<F, R>>> = Vec::with_capacity(self.n);
-        let mut shards: Vec<Shard<F, R>> = Vec::with_capacity(self.n);
+        let mut shards: Vec<Shard<'a, F, R>> = Vec::with_capacity(self.n);
         for _ in 0..self.n {
-            let (tx, rx) = spsc_ring::<RankTask<F, R>>(cap);
+            let (tx, rx) = spsc_ring::<RankTask<'a, F, R>>(cap);
             let (otx, orx) = spsc_ring::<TaskResult<F, R>>(cap);
             inboxes.push(tx);
             outboxes.push(orx);
@@ -618,10 +661,10 @@ impl ReactorPool {
     /// round, drained reactors steal from the most loaded one — through
     /// the victim's inbox ring, so the migration path is the same SPSC
     /// protocol as the initial distribution.
-    fn run_deterministic<F: Send, R: Send>(
+    fn run_deterministic<'a, F: Send, R: Send>(
         &self,
-        shards: &mut [Shard<F, R>],
-        inboxes: &mut [RingProducer<RankTask<F, R>>],
+        shards: &mut [Shard<'a, F, R>],
+        inboxes: &mut [RingProducer<RankTask<'a, F, R>>],
     ) {
         let qos = self.qos.as_ref();
         let mut round: u64 = 0;
@@ -646,10 +689,10 @@ impl ReactorPool {
     /// Migrate one task per idle reactor from the most loaded shard. The
     /// choice is a pure function of shard loads, so deterministic runs
     /// steal identically.
-    fn steal_pass<F: Send, R: Send>(
+    fn steal_pass<'a, F: Send, R: Send>(
         &self,
-        shards: &mut [Shard<F, R>],
-        inboxes: &mut [RingProducer<RankTask<F, R>>],
+        shards: &mut [Shard<'a, F, R>],
+        inboxes: &mut [RingProducer<RankTask<'a, F, R>>],
     ) {
         for thief in 0..shards.len() {
             if !shards[thief].active.is_empty() || !inboxes[thief].is_empty() {
@@ -677,32 +720,28 @@ impl ReactorPool {
         }
     }
 
-    /// One scoped OS thread per reactor; each runs its shard to
-    /// completion. No cross-shard stealing here — disjoint ownership
-    /// means no shared state to guard, and the skew the deterministic
-    /// mode steals away is bounded by the round-robin distribution.
-    fn run_threaded<F: Send, R: Send>(&self, shards: &mut [Shard<F, R>]) {
+    /// One scoped OS thread per reactor that received tasks, each running
+    /// its shard to completion. No cross-shard stealing here — disjoint
+    /// ownership means no shared state to guard, and the skew the
+    /// deterministic mode steals away is bounded by the round-robin
+    /// distribution.
+    fn run_threaded<F: Send, R: Send>(&self, shards: &mut [Shard<'_, F, R>]) {
         let qos = self.qos.as_ref();
         let n = self.n;
         std::thread::scope(|scope| {
-            for shard in shards.iter_mut() {
-                scope.spawn(move || {
-                    shard.drain_inbox();
-                    let mut round: u64 = 0;
-                    while !shard.active.is_empty() {
-                        round += 1;
-                        if !shard.run_round(qos, n, round) {
-                            // Everything resident is throttled: the shard
-                            // is idle until the next refill.
-                            let t = Instant::now();
-                            std::thread::yield_now();
-                            shard.stats.idle_ns += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                });
+            for shard in shards.iter_mut().filter(|s| !s.inbox.is_empty()) {
+                scope.spawn(move || shard.run_to_completion(qos, n));
             }
         });
     }
+}
+
+/// Cores this process may run on (its affinity mask), at least one: what
+/// a reactor count of 0 means.
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -734,7 +773,7 @@ mod tests {
         }
     }
 
-    fn counter_tasks(spec: &[(u32, u32, u64)]) -> Vec<RankTask<u64, u64>> {
+    fn counter_tasks(spec: &[(u32, u32, u64)]) -> Vec<RankTask<'static, u64, u64>> {
         spec.iter()
             .map(|&(rank, steps, cost)| RankTask {
                 rank,
@@ -810,6 +849,7 @@ mod tests {
         let pool = ReactorPool::new(
             &ReactorConfig {
                 reactors: 3,
+                mode: ReactorMode::Deterministic,
                 ..ReactorConfig::default()
             },
             &t,
@@ -855,12 +895,71 @@ mod tests {
         assert_eq!(t.snapshot().counter("reactor.events"), 64 * 3);
     }
 
+    /// A one-shot machine noting which thread stepped it.
+    fn thread_probe<'a>(
+        rank: u32,
+        seen: &'a std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    ) -> RankTask<'a, (), ()> {
+        RankTask {
+            rank,
+            tenant: 0,
+            fs: (),
+            machine: Box::new(FnMachine::new(move |_, _: &mut ()| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                std::thread::yield_now();
+                Ok(())
+            })),
+        }
+    }
+
+    #[test]
+    fn threaded_pool_never_outgrows_its_tasks_or_reactors() {
+        use std::collections::HashSet;
+        let t = Telemetry::new();
+        let caller = std::thread::current().id();
+        let threads_used = |mode: ReactorMode, reactors: usize, tasks: u32| {
+            let pool = ReactorPool::new(
+                &ReactorConfig {
+                    reactors,
+                    mode,
+                    qos: None,
+                },
+                &t,
+            );
+            let seen = std::sync::Mutex::new(Vec::new());
+            let out = pool.drive((0..tasks).map(|r| thread_probe(r, &seen)).collect());
+            assert!(out.error.is_none());
+            assert_eq!(out.results.len(), tasks as usize);
+            seen.into_inner()
+                .unwrap()
+                .into_iter()
+                .collect::<HashSet<_>>()
+        };
+        // Deterministic: every step on the caller, whatever the width.
+        assert_eq!(
+            threads_used(ReactorMode::Deterministic, 4, 8),
+            HashSet::from([caller])
+        );
+        // Threaded: one worker per reactor that got tasks — one reactor or
+        // one task is one thread — while the caller only waits.
+        for (reactors, tasks) in [(1, 8), (4, 1), (4, 2), (3, 16), (2, 5)] {
+            let used = threads_used(ReactorMode::Threaded, reactors, tasks);
+            assert!(!used.contains(&caller));
+            assert_eq!(
+                used.len(),
+                reactors.min(tasks as usize),
+                "{reactors} reactors, {tasks} tasks"
+            );
+        }
+    }
+
     #[test]
     fn idle_reactor_steals_from_loaded_shard() {
         let t = Telemetry::new();
         let pool = ReactorPool::new(
             &ReactorConfig {
                 reactors: 2,
+                mode: ReactorMode::Deterministic,
                 ..ReactorConfig::default()
             },
             &t,

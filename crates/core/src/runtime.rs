@@ -8,12 +8,9 @@
 //! tears down. `crash_rank`/`recover_rank` exercise the paper's recovery
 //! story over real bytes.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use cluster::{FailureDomains, JobAllocation, NodeId, NodeKind, Topology};
 use fabric::{Initiator, NvmfTarget};
@@ -25,52 +22,36 @@ use telemetry::Telemetry;
 use crate::balancer::{BalanceError, Placement, StorageBalancer};
 use crate::config::RuntimeConfig;
 use crate::dataplane::NvmfBlockDevice;
-use crate::reactor::{FnMachine, RankMachine, RankTask, ReactorConfig, ReactorPool};
+use crate::reactor::{
+    available_cores, FnMachine, RankMachine, RankTask, ReactorConfig, ReactorMode, ReactorPool,
+};
 use crate::replication::{self, Mirror, ReplicationError, ScrubReport};
 
 /// Smallest per-rank segment we accept (microfs needs room for its log,
 /// snapshot slots, and data region).
 pub const MIN_SEGMENT: u64 = 16 << 20;
 
-thread_local! {
-    /// Set while this thread is a worker inside a parallel rank drive.
-    /// Nested drives — recovery or failover running inside a parallel
-    /// closure — used to open a second rayon scope from each worker,
-    /// multiplying threads; with the guard they run inline on the worker
-    /// that is already part of the one sized pool.
-    static IN_PAR_DRIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` over `items` on the shared sized worker pool. If the calling
-/// thread is itself a drive worker (a nested call), the items run inline
-/// sequentially instead of fanning out — one pool's worth of threads,
-/// regardless of nesting depth.
-pub(crate) fn par_ranks<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if IN_PAR_DRIVE.with(Cell::get) {
-        return items.into_iter().map(f).collect();
+/// How the runtime's own fan-outs (format, mount, recovery, epoch
+/// commits) run: on the thread budget's reactors, threaded — or, when the
+/// budget is one reactor, in lockstep on the calling thread rather than
+/// on a single worker it would only wait for, which also keeps a runtime
+/// nested inside another drive's step (a crash universe) from adding
+/// threads.
+fn own_fan_out(config: &RuntimeConfig) -> ReactorConfig {
+    let reactors = match config.reactors {
+        0 => available_cores(),
+        n => n as usize,
+    };
+    let mode = if reactors == 1 {
+        ReactorMode::Deterministic
+    } else {
+        ReactorMode::Threaded
+    };
+    ReactorConfig {
+        reactors,
+        mode,
+        qos: None,
     }
-    items
-        .into_par_iter()
-        .map(|t| {
-            /// Clears the worker flag even if `f` panics (the pool's
-            /// threads outlive one drive only in tests, but a stale flag
-            /// would serialize every later drive on that thread).
-            struct Reset;
-            impl Drop for Reset {
-                fn drop(&mut self) {
-                    IN_PAR_DRIVE.with(|c| c.set(false));
-                }
-            }
-            IN_PAR_DRIVE.with(|c| c.set(true));
-            let _reset = Reset;
-            f(t)
-        })
-        .collect()
 }
 
 /// Runtime failures.
@@ -453,24 +434,25 @@ impl NvmeCrRuntime {
         }
         // Per-rank: connect an initiator and format the segment. Ranks
         // are fully independent (own connection, own namespace shard, own
-        // filesystem), so format in parallel.
+        // filesystem), so format them on the pool.
         let init_rank_ns = config.telemetry.histogram("driver.init_rank_ns");
-        let ranks = par_ranks(placement.per_rank.clone(), |p| {
-            let _span = telemetry::span("driver", "init_rank").arg("rank", u64::from(p.rank));
-            let _rank = telemetry::context::with_rank(u64::from(p.rank));
-            let _t = init_rank_ns.time();
-            let route = &routes[p.rank as usize];
-            let dev = rank_device(
-                route,
-                &format!("nqn.2026-07.io.nvmecr:rank{}", p.rank),
-                &config,
-            )?;
-            MicroFs::format(dev, config.fs_config())
-                .map(Some)
-                .map_err(RuntimeError::from)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, RuntimeError>>()?;
+        let formatted = ReactorPool::new(&own_fan_out(&config), &config.telemetry).map(
+            placement.per_rank.iter().map(|p| p.rank),
+            |rank| {
+                let _span = telemetry::span("driver", "init_rank").arg("rank", u64::from(rank));
+                let _t = init_rank_ns.time();
+                let dev = rank_device(
+                    &routes[rank as usize],
+                    &format!("nqn.2026-07.io.nvmecr:rank{rank}"),
+                    &config,
+                )?;
+                MicroFs::format(dev, config.fs_config()).map_err(RuntimeError::from)
+            },
+        );
+        if let Some(e) = formatted.error {
+            return Err(e);
+        }
+        let ranks = formatted.results.into_iter().map(|r| r.result).collect();
         Ok(NvmeCrRuntime {
             placement,
             grants,
@@ -500,63 +482,23 @@ impl NvmeCrRuntime {
             .ok_or(RuntimeError::BadRank(rank))
     }
 
-    /// Run `f` against every *mounted* rank's filesystem in parallel,
-    /// collecting the results in rank order (crashed ranks are skipped).
-    ///
+    /// Drive every *mounted* rank through the shard-per-core reactor pool
+    /// (DESIGN.md §14): rank count decouples from thread count — each
+    /// reactor multiplexes many rank state machines, advancing each by
+    /// completion-sized steps instead of parking one OS thread per rank.
     /// Each rank's `MicroFs` owns its own NVMf connection to its own
     /// namespace shard, so rank driving shares no lock: this is the
     /// runtime-side analogue of the paper's per-process microfs instances
     /// on dedicated hardware queues.
-    pub fn map_ranks_par<R, F>(&mut self, f: F) -> Result<Vec<R>, RuntimeError>
-    where
-        R: Send,
-        F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<R, RuntimeError> + Sync,
-    {
-        let slots: Vec<(usize, &mut Option<MicroFs<NvmfBlockDevice>>)> =
-            self.ranks.iter_mut().enumerate().collect();
-        let results: Vec<Result<Option<R>, RuntimeError>> =
-            par_ranks(slots, |(rank, slot)| match slot.as_mut() {
-                Some(fs) => {
-                    // Rank trace context: every flight-recorder event below
-                    // this frame (fabric, ssd, microfs, replication) is
-                    // stamped with the driving rank.
-                    let _rank = telemetry::context::with_rank(rank as u64);
-                    f(rank as u32, fs).map(Some)
-                }
-                None => Ok(None),
-            });
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            if let Some(v) = r? {
-                out.push(v);
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`map_ranks_par`](NvmeCrRuntime::map_ranks_par) without results.
-    pub fn for_each_rank_par<F>(&mut self, f: F) -> Result<(), RuntimeError>
-    where
-        F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<(), RuntimeError> + Sync,
-    {
-        self.map_ranks_par(f).map(|_| ())
-    }
-
-    /// Drive every *mounted* rank through the shard-per-core reactor pool
-    /// (§"Reactor execution model", DESIGN.md §14): rank count decouples
-    /// from thread count — each reactor multiplexes many rank state
-    /// machines, advancing each by completion-sized steps instead of
-    /// parking one OS thread per rank.
     ///
     /// `tenant_of` maps a rank to its tenant id for QoS admission (ignored
     /// unless [`ReactorConfig::qos`] is set); `build` constructs the state
-    /// machine driven against that rank's filesystem. Every filesystem is
-    /// returned to its slot when the drive ends, whether its machine
-    /// completed or failed — matching [`map_ranks_par`] semantics where
-    /// ranks stay mounted on error.
-    ///
-    /// [`map_ranks_par`]: NvmeCrRuntime::map_ranks_par
-    pub fn drive_reactor<R, B>(
+    /// machine driven against that rank's filesystem, which may borrow
+    /// from the caller. Results come back in rank order, crashed ranks
+    /// skipped. Every filesystem is returned to its slot when the drive
+    /// ends, whether its machine completed or failed: ranks stay mounted
+    /// on error.
+    pub fn drive_reactor<'a, R, B>(
         &mut self,
         reactor: &ReactorConfig,
         tenant_of: impl Fn(u32) -> u32,
@@ -564,8 +506,9 @@ impl NvmeCrRuntime {
     ) -> Result<Vec<R>, RuntimeError>
     where
         R: Send,
-        B: Fn(u32) -> Box<dyn RankMachine<MicroFs<NvmfBlockDevice>, Out = R>>,
+        B: Fn(u32) -> Box<dyn RankMachine<MicroFs<NvmfBlockDevice>, Out = R> + 'a>,
     {
+        // An unset reactor count comes from the runtime's thread budget.
         let mut cfg = reactor.clone();
         if cfg.reactors == 0 {
             cfg.reactors = self.config.reactors as usize;
@@ -587,7 +530,7 @@ impl NvmeCrRuntime {
         let mut out = Vec::new();
         for r in outcome.results {
             // Reinstall unconditionally: a failed machine leaves its rank
-            // mounted, exactly like an Err from a rayon-driven closure.
+            // mounted.
             self.ranks[r.rank as usize] = Some(r.fs);
             if let Some(v) = r.result {
                 out.push(v);
@@ -599,28 +542,24 @@ impl NvmeCrRuntime {
         }
     }
 
-    /// [`map_ranks_par`](NvmeCrRuntime::map_ranks_par) on the reactor
-    /// pool: each rank's closure runs as a one-shot state machine (a
-    /// single `step` to completion), so existing whole-rank operations can
-    /// ride the reactor data plane unchanged.
+    /// [`drive_reactor`](NvmeCrRuntime::drive_reactor) for whole-rank
+    /// operations: each rank's closure runs as a one-shot state machine (a
+    /// single `step` to completion). The first error is returned after
+    /// every mounted rank ran.
     pub fn map_ranks_reactor<R, F>(
         &mut self,
         reactor: &ReactorConfig,
         f: F,
     ) -> Result<Vec<R>, RuntimeError>
     where
-        R: Send + 'static,
-        F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<R, RuntimeError>
-            + Send
-            + Sync
-            + 'static,
+        R: Send,
+        F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<R, RuntimeError> + Sync,
     {
-        let f = std::sync::Arc::new(f);
+        let f = &f;
         self.drive_reactor(
             reactor,
             |_| 0,
-            move |_| {
-                let f = std::sync::Arc::clone(&f);
+            |_| {
                 Box::new(FnMachine::new(
                     move |rank, fs: &mut MicroFs<NvmfBlockDevice>| f(rank, fs),
                 ))
@@ -682,8 +621,9 @@ impl NvmeCrRuntime {
     }
 
     /// Recover several crashed ranks at once, mounting (snapshot + log
-    /// replay) in parallel. All listed ranks must currently be crashed;
-    /// ranks that mounted before an error is hit stay mounted.
+    /// replay) on the runtime's pool. All listed ranks must currently be
+    /// crashed; every rank that mounts stays mounted even when another
+    /// fails, and the first error is returned.
     pub fn recover_ranks(&mut self, ranks: &[u32]) -> Result<(), RuntimeError> {
         let mut seen = std::collections::HashSet::new();
         for &rank in ranks {
@@ -696,37 +636,31 @@ impl NvmeCrRuntime {
                 return Err(RuntimeError::BadRank(rank));
             }
         }
-        let jobs: Vec<_> = ranks
-            .iter()
-            .map(|&rank| (rank, self.routes[rank as usize].clone()))
-            .collect();
-        let config = &self.config;
+        let (routes, config) = (&self.routes, &self.config);
         let recover_rank_ns = config.telemetry.histogram("driver.recover_rank_ns");
-        let mounted: Vec<(u32, Result<MicroFs<NvmfBlockDevice>, RuntimeError>)> =
-            par_ranks(jobs, |(rank, route)| {
+        let mounted = ReactorPool::new(&own_fan_out(config), &config.telemetry).map(
+            ranks.iter().copied(),
+            |rank| {
                 let _span = telemetry::span("driver", "recover_rank").arg("rank", u64::from(rank));
-                let _rank = telemetry::context::with_rank(u64::from(rank));
                 let _t = recover_rank_ns.time();
                 // The typestate chain: reconnect, replay the log, verify
                 // manifests + rebuild the mirror, and only then serve.
-                let fs = crate::recovery::Crashed::new(
-                    route,
+                crate::recovery::Crashed::new(
+                    routes[rank as usize].clone(),
                     format!("nqn.2026-07.io.nvmecr:rank{rank}-r"),
                     config.clone(),
                 )
                 .begin_replay()
                 .and_then(crate::recovery::Replaying::replay_all)
-                .map(crate::recovery::Verified::serve);
-                (rank, fs)
-            });
-        let mut first_err = None;
-        for (rank, fs) in mounted {
-            match fs {
-                Ok(fs) => self.ranks[rank as usize] = Some(fs),
-                Err(e) => first_err = first_err.or(Some(e)),
+                .map(crate::recovery::Verified::serve)
+            },
+        );
+        for r in mounted.results {
+            if let Some(fs) = r.result {
+                self.ranks[r.rank as usize] = Some(fs);
             }
         }
-        match first_err {
+        match mounted.error {
             None => Ok(()),
             Some(e) => Err(e),
         }
@@ -758,7 +692,7 @@ impl NvmeCrRuntime {
     /// commit record to both copies. Returns the committed epochs; empty
     /// when replication is off.
     pub fn commit_epochs(&mut self) -> Result<Vec<u64>, RuntimeError> {
-        self.map_ranks_par(|_rank, fs| {
+        self.map_ranks_reactor(&own_fan_out(&self.config), |_rank, fs| {
             let sealed = fs
                 .device_mut()
                 .commit_epoch()
@@ -1039,27 +973,30 @@ impl NvmeCrRuntime {
     pub fn attach(handle: JobHandle) -> Result<Self, RuntimeError> {
         // Every rank mounts (snapshot + log replay) independently — via its
         // *route*, so ranks failed over to a replacement namespace reattach
-        // to the replacement, not the dead shard. Do it in parallel, same as
-        // init-time formatting.
+        // to the replacement, not the dead shard. Mount them on the pool,
+        // same as init-time formatting.
         let restart_rank_ns = handle.config.telemetry.histogram("driver.restart_rank_ns");
-        let jobs: Vec<(usize, RankRoute)> = handle.routes.iter().cloned().enumerate().collect();
-        let ranks = par_ranks(jobs, |(rank, route)| {
-            let _span = telemetry::span("driver", "restart_rank").arg("rank", rank as u64);
-            let _rank = telemetry::context::with_rank(rank as u64);
-            let _t = restart_rank_ns.time();
-            // Same typestate chain as recover_ranks: the restart must
-            // not serve reads before replay + manifest verification.
-            crate::recovery::Crashed::new(
-                route,
-                format!("nqn.2026-07.io.nvmecr:rank{rank}-restart"),
-                handle.config.clone(),
-            )
-            .begin_replay()
-            .and_then(crate::recovery::Replaying::replay_all)
-            .map(|v| Some(v.serve()))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, RuntimeError>>()?;
+        let mounted = ReactorPool::new(&own_fan_out(&handle.config), &handle.config.telemetry).map(
+            0..handle.routes.len() as u32,
+            |rank| {
+                let _span = telemetry::span("driver", "restart_rank").arg("rank", u64::from(rank));
+                let _t = restart_rank_ns.time();
+                // Same typestate chain as recover_ranks: the restart must
+                // not serve reads before replay + manifest verification.
+                crate::recovery::Crashed::new(
+                    handle.routes[rank as usize].clone(),
+                    format!("nqn.2026-07.io.nvmecr:rank{rank}-restart"),
+                    handle.config.clone(),
+                )
+                .begin_replay()
+                .and_then(crate::recovery::Replaying::replay_all)
+                .map(crate::recovery::Verified::serve)
+            },
+        );
+        if let Some(e) = mounted.error {
+            return Err(e);
+        }
+        let ranks = mounted.results.into_iter().map(|r| r.result).collect();
         Ok(NvmeCrRuntime {
             placement: handle.placement,
             grants: handle.grants,
@@ -1278,7 +1215,7 @@ mod tests {
         let (rack, topo, alloc, config) = small_setup(56);
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
         // Checkpoint every rank in parallel.
-        rt.for_each_rank_par(|rank, fs| {
+        rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
             let fd = fs.create("/par.dat", 0o644)?;
             fs.write(fd, &vec![rank as u8; 48 << 10])?;
             fs.fsync(fd)?;
@@ -1288,7 +1225,7 @@ mod tests {
         .unwrap();
         // Verify every rank in parallel, collecting byte counts.
         let verified = rt
-            .map_ranks_par(|rank, fs| {
+            .map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
                 let fd = fs.open("/par.dat", OpenFlags::RDONLY, 0)?;
                 let mut buf = vec![0u8; 48 << 10];
                 let mut got = 0;
@@ -1323,7 +1260,7 @@ mod tests {
     fn recover_ranks_in_parallel_after_multi_rank_crash() {
         let (rack, topo, alloc, config) = small_setup(56);
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
-        rt.for_each_rank_par(|rank, fs| {
+        rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
             let fd = fs.create("/multi.dat", 0o644)?;
             fs.write(fd, &vec![!(rank as u8); 32 << 10])?;
             fs.close(fd)?;
@@ -1441,7 +1378,7 @@ mod tests {
             );
         }
         // A checkpoint round commits one epoch per rank on both copies.
-        rt.for_each_rank_par(|rank, fs| {
+        rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
             let fd = fs.create("/e1.dat", 0o644)?;
             fs.write(fd, &vec![rank as u8; 64 << 10])?;
             fs.close(fd)?;
@@ -1575,7 +1512,7 @@ mod tests {
     fn replicated_job_survives_detach_attach() {
         let (rack, topo, alloc, config) = replicated_setup(8);
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
-        rt.for_each_rank_par(|rank, fs| {
+        rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
             let fd = fs.create("/restart.dat", 0o644)?;
             fs.write(fd, &vec![rank as u8 ^ 0x40; 40 << 10])?;
             fs.close(fd)?;
@@ -1620,33 +1557,6 @@ mod tests {
                 .free_bytes()
         };
         assert_eq!(free_before, free_after);
-    }
-
-    #[test]
-    fn nested_par_ranks_shares_one_pool() {
-        // Satellite fix: recovery running inside a parallel drive must not
-        // stack a second rayon wave on top of the first. The inner
-        // par_ranks call below runs inline on the already-pooled worker,
-        // so the innermost units in flight never exceed the pool width.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cap = rayon::current_num_threads();
-        let active = AtomicUsize::new(0);
-        let high = AtomicUsize::new(0);
-        let outer: Vec<u32> = (0..16).collect();
-        par_ranks(outer, |_| {
-            let inner: Vec<u32> = (0..16).collect();
-            par_ranks(inner, |_| {
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                high.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        });
-        let high = high.load(Ordering::SeqCst);
-        assert!(
-            high <= cap,
-            "nested par_ranks oversubscribed: {high} concurrent units > {cap} pool threads"
-        );
     }
 
     #[test]

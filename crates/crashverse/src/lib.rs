@@ -47,8 +47,7 @@ use chaos::{ChaosHandle, CrashOp, RecoveryOp, CRASH_OP_KINDS, RECOVERY_OP_KINDS}
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
-use nvmecr::{RecoveryPolicy, RecoverySupervisor, RuntimeConfig};
-use rayon::prelude::*;
+use nvmecr::{ReactorConfig, ReactorPool, RecoveryPolicy, RecoverySupervisor, RuntimeConfig};
 use simkit::rng::{derive_seed, pattern_fill};
 use ssd::SsdConfig;
 use telemetry::{FlightKind, Telemetry};
@@ -311,6 +310,10 @@ fn build_stack(
         delta_chain_max: 4,
         telemetry: telemetry.clone(),
         chaos: chaos.clone(),
+        // One reactor: every fan-out of the universe (format, mount,
+        // recovery) runs on the thread driving it, in rank order — one
+        // global op order, and no threads beyond the explorer's own pool.
+        reactors: 1,
         ..RuntimeConfig::default()
     };
     let rt =
@@ -754,6 +757,28 @@ fn verify(
     Ok(())
 }
 
+/// Run `f` over `items` on a reactor pool with one reactor per available
+/// core, results in item order: how the explorer fans independent
+/// universes out. Each universe's own stack runs on one reactor, so
+/// nesting adds no threads.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    telemetry: &Telemetry,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    ReactorPool::new(&ReactorConfig::default(), telemetry)
+        .map(0..items.len() as u32, |i| {
+            // Item `i` is a universe, not rank `i`: its flight events
+            // carry only the ranks its own stack stamps.
+            let _no_rank = telemetry::context::with_rank(telemetry::context::UNSET);
+            Ok(f(&items[i as usize]))
+        })
+        .results
+        .into_iter()
+        .filter_map(|r| r.result)
+        .collect()
+}
+
 /// Enumerate the universe and execute every crash point (stride-sampled
 /// down to `max_points` if the universe is larger), shrinking each
 /// failure to its minimal failing index. `telemetry` receives the
@@ -783,7 +808,7 @@ pub fn explore(cfg: &UniverseConfig, telemetry: &Telemetry) -> Result<UniverseRe
     // per-point deterministic, and the report is assembled in ascending
     // index order, so parallel execution changes nothing observable.
     let indices: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    let points: Vec<PointVerdict> = indices.par_iter().map(|&k| run_point(cfg, k)).collect();
+    let points = fan_out(&indices, telemetry, |&k| run_point(cfg, k));
     for (i, v) in points.iter().enumerate() {
         report.points_run += 1;
         points_counter.inc();
@@ -1067,9 +1092,8 @@ pub fn explore_nested(
     // stack), so the grid fans out across threads per outer index; each
     // inner scan stays serial for the deterministic nested op order.
     type Column = (Option<String>, [u64; RECOVERY_OP_KINDS], Vec<NestedVerdict>);
-    let columns: Vec<Column> = outer_ks
-        .par_iter()
-        .map(|&k| match count_recovery_universe(cfg, k) {
+    let columns: Vec<Column> = fan_out(&outer_ks, telemetry, |&k| {
+        match count_recovery_universe(cfg, k) {
             Err(e) => (Some(e), [0; RECOVERY_OP_KINDS], Vec::new()),
             Ok((None, _)) => (None, [0; RECOVERY_OP_KINDS], Vec::new()),
             Ok((Some(_), rec)) => {
@@ -1081,8 +1105,8 @@ pub fn explore_nested(
                     .collect();
                 (None, rec.per_kind, verdicts)
             }
-        })
-        .collect();
+        }
+    });
     for (i, (err, per_kind, verdicts)) in columns.into_iter().enumerate() {
         if let Some(e) = err {
             return Err(format!("outer {} column failed: {e}", outer_ks[i]));

@@ -1,9 +1,9 @@
 //! Causal trace context: the rank and checkpoint epoch a thread is
 //! currently working on behalf of.
 //!
-//! The runtime drives ranks with rayon closures and every layer below the
-//! driver (initiator, target poll, ssd shard, microfs WAL, replication
-//! mirror) runs inline on the same worker thread, so a thread-local pair
+//! The runtime steps each rank on one reactor thread at a time, and every
+//! layer below the driver (initiator, target poll, ssd shard, microfs WAL,
+//! replication mirror) runs inline on that thread, so a thread-local pair
 //! of cells is enough to propagate the (rank, epoch) half of a command's
 //! trace identity end to end. The fabric layer supplies the other half
 //! (CID, retry generation) explicitly. The flight recorder stamps every

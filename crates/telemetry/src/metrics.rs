@@ -1,7 +1,7 @@
 //! Metric primitives: sharded counters, gauges with peak tracking, and
 //! log2-bucketed latency histograms.
 //!
-//! All three are designed for the hot path of a rayon-driven rank fan-out:
+//! All three are designed for the hot path of a multi-threaded rank fan-out:
 //! writers touch a per-thread shard (cache-line padded) with relaxed
 //! atomics, so concurrent ranks never contend on a shared line. Readers
 //! (`get` / `snapshot`) sum across shards; they are approximate only in

@@ -1,8 +1,8 @@
-//! Span tracing under concurrent rayon rank driving: every thread's spans
-//! nest correctly (parent links and temporal containment), buffers don't
-//! interleave across threads, and the Chrome export is valid JSON.
+//! Span tracing under concurrent rank driving, one thread per rank: every
+//! thread's spans nest correctly (parent links and temporal containment),
+//! buffers don't interleave across threads, and the Chrome export is valid
+//! JSON.
 
-use rayon::prelude::*;
 use std::collections::HashMap;
 use telemetry::trace::{self, EventKind};
 
@@ -12,11 +12,15 @@ const OPS_PER_RANK: u64 = 8;
 #[test]
 fn nested_spans_survive_concurrent_rank_driving() {
     let ((), tr) = trace::capture(|| {
-        (0..RANKS).into_par_iter().for_each(|rank| {
-            let _ckpt = trace::span("driver", "checkpoint_rank").arg("rank", rank);
-            for op in 0..OPS_PER_RANK {
-                let _io = trace::span("fabric", "submit").arg("op", op);
-                trace::instant("ssd", "drain", &[("rank", rank)]);
+        std::thread::scope(|scope| {
+            for rank in 0..RANKS {
+                scope.spawn(move || {
+                    let _ckpt = trace::span("driver", "checkpoint_rank").arg("rank", rank);
+                    for op in 0..OPS_PER_RANK {
+                        let _io = trace::span("fabric", "submit").arg("op", op);
+                        trace::instant("ssd", "drain", &[("rank", rank)]);
+                    }
+                });
             }
         });
     });

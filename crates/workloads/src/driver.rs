@@ -9,7 +9,10 @@
 //!   testbed (scheduler → balancer → NVMf → SSDs), run a CoMD-like
 //!   N-N checkpoint sequence with *real bytes*, crash ranks, recover, and
 //!   verify payloads byte-for-byte. Used by integration tests, examples,
-//!   and the metadata-overhead (Table I) harness.
+//!   and the metadata-overhead (Table I) harness. Every per-rank phase
+//!   runs on the runtime's reactor pool; [`checkpoint_ranks`] and
+//!   [`verify_ranks`] are the same phases for benches that build their
+//!   own runtime.
 
 use std::sync::Mutex;
 
@@ -18,9 +21,10 @@ use baselines::scenario::Scenario;
 use baselines::LustreModel;
 use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
 use cluster::{JobRequest, Scheduler, Topology};
+use microfs::MicroFs;
 use nvmecr::multilevel::{CheckpointLevel, MultiLevelPolicy};
-use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
-use nvmecr::{metrics, RuntimeConfig};
+use nvmecr::runtime::{NvmeCrRuntime, RuntimeError, StorageRack};
+use nvmecr::{metrics, MachineStep, NvmfBlockDevice, RankMachine, ReactorConfig, RuntimeConfig};
 use simkit::SimTime;
 use ssd::SsdConfig;
 use telemetry::Telemetry;
@@ -163,59 +167,15 @@ impl FunctionalReport {
     }
 }
 
-/// How the per-rank phases of a functional run are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveMode {
-    /// One rank at a time, in rank order.
-    Serial,
-    /// All ranks concurrently on a rayon pool (each rank owns its
-    /// filesystem, connection, and namespace shard, so this shares no
-    /// data-plane lock across ranks).
-    Parallel,
-    /// All ranks multiplexed onto the shard-per-core reactor pool
-    /// ([`nvmecr::ReactorPool`]): each rank is a state machine advanced
-    /// one submission-window chunk per step, so rank count decouples from
-    /// thread count. Storage semantics are identical to `Parallel` — the
-    /// chaos parity test holds the two modes byte-for-byte equal.
-    Reactor,
-}
-
-/// Write rank `rank`'s checkpoint `ckpt` into its filesystem. Payload
-/// generation happens here so parallel driving parallelises it too.
-fn checkpoint_rank(
-    comd: &CoMD,
-    fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
-    rank: u32,
+/// One rank's CoMD checkpoint as a reactor state machine: mkdirs,
+/// create, then one 1 MiB write per step, fsync, close — cut at write
+/// boundaries so a reactor advances many ranks' checkpoints concurrently
+/// on one core.
+struct CkptMachine<'a> {
+    comd: &'a CoMD,
     ckpt: u32,
     bytes_per_rank: u64,
-) -> Result<(), nvmecr::runtime::RuntimeError> {
-    let write_size = 1usize << 20;
-    if ckpt == 0 {
-        // Per-rank private namespaces: same paths, no coordination.
-        fs.mkdir("/comd", 0o755).ok();
-    }
-    fs.mkdir(&format!("/comd/ckpt_{ckpt:03}"), 0o755)?;
-    let payload = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
-    let path = CoMD::checkpoint_path(rank, ckpt);
-    let fd = fs.create(&path, 0o644)?;
-    for chunk in payload.chunks(write_size) {
-        fs.write(fd, chunk)?;
-    }
-    fs.fsync(fd)?;
-    fs.close(fd)?;
-    Ok(())
-}
-
-/// One rank's checkpoint as a reactor state machine: the exact operation
-/// sequence of [`checkpoint_rank`] — mkdirs, create, 1 MiB writes, fsync,
-/// close — cut at write-chunk boundaries so a reactor advances many ranks'
-/// checkpoints concurrently on one core. Byte-for-byte the same storage
-/// traffic as the blocking path.
-struct CkptMachine {
-    comd: CoMD,
-    ckpt: u32,
-    bytes_per_rank: u64,
-    ckpt_rank_ns: std::sync::Arc<telemetry::Histogram>,
+    ckpt_rank_ns: &'a telemetry::Histogram,
     state: CkptState,
 }
 
@@ -229,34 +189,40 @@ enum CkptState {
     },
 }
 
-impl nvmecr::RankMachine<microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>> for CkptMachine {
+impl RankMachine<MicroFs<NvmfBlockDevice>> for CkptMachine<'_> {
     type Out = ();
 
     fn step(
         &mut self,
         rank: u32,
-        fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
-    ) -> Result<nvmecr::MachineStep<()>, nvmecr::runtime::RuntimeError> {
+        fs: &mut MicroFs<NvmfBlockDevice>,
+    ) -> Result<MachineStep<()>, RuntimeError> {
         let write_size = 1usize << 20;
+        // One span per step: a rank's checkpoint interleaves with the
+        // other ranks of its reactor.
+        let _span = telemetry::span("driver", "checkpoint_rank")
+            .arg("rank", u64::from(rank))
+            .arg("ckpt", u64::from(self.ckpt));
         match &mut self.state {
             CkptState::Start => {
                 let started = std::time::Instant::now();
                 if self.ckpt == 0 {
+                    // Per-rank private namespaces: same paths, no
+                    // coordination.
                     fs.mkdir("/comd", 0o755).ok();
                 }
                 fs.mkdir(&format!("/comd/ckpt_{:03}", self.ckpt), 0o755)?;
                 let payload =
                     self.comd
                         .checkpoint_payload(rank, self.ckpt, self.bytes_per_rank as usize);
-                let path = CoMD::checkpoint_path(rank, self.ckpt);
-                let fd = fs.create(&path, 0o644)?;
+                let fd = fs.create(&CoMD::checkpoint_path(rank, self.ckpt), 0o644)?;
                 self.state = CkptState::Writing {
                     fd,
                     payload,
                     off: 0,
                     started,
                 };
-                Ok(nvmecr::MachineStep::Yield)
+                Ok(MachineStep::Yield)
             }
             CkptState::Writing {
                 fd,
@@ -268,63 +234,80 @@ impl nvmecr::RankMachine<microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>> f
                 fs.write(*fd, &payload[*off..end])?;
                 *off = end;
                 if *off < payload.len() {
-                    return Ok(nvmecr::MachineStep::Yield);
+                    return Ok(MachineStep::Yield);
                 }
                 fs.fsync(*fd)?;
                 fs.close(*fd)?;
                 self.ckpt_rank_ns
                     .record(started.elapsed().as_nanos() as u64);
-                Ok(nvmecr::MachineStep::Done(()))
+                Ok(MachineStep::Done(()))
             }
         }
     }
 }
 
-/// Read back rank `rank`'s checkpoint `ckpt` and compare byte-for-byte.
-/// Returns the verified byte count, or `Ok(None)` on a mismatch (the
-/// caller turns that into an error — [`nvmecr::runtime::RuntimeError`]
-/// has no corruption variant and shouldn't grow one for a workload).
-fn verify_rank(
+/// Write CoMD checkpoint `ckpt` (`bytes_per_rank` bytes) on every mounted
+/// rank, one chunked state machine per rank on the pool `reactor`
+/// configures. Payload generation happens inside the drive, so it runs on
+/// the reactors too.
+pub fn checkpoint_ranks(
+    rt: &mut NvmeCrRuntime,
+    reactor: &ReactorConfig,
     comd: &CoMD,
-    fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
-    rank: u32,
     ckpt: u32,
     bytes_per_rank: u64,
-) -> Result<Option<u64>, nvmecr::runtime::RuntimeError> {
-    let expect = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
-    let path = CoMD::checkpoint_path(rank, ckpt);
-    let fd = fs.open(&path, microfs::OpenFlags::RDONLY, 0)?;
-    let mut buf = vec![0u8; expect.len()];
-    let mut got = 0;
-    while got < buf.len() {
-        let n = fs.read(fd, &mut buf[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    fs.close(fd)?;
-    Ok((buf == expect).then_some(expect.len() as u64))
+) -> Result<(), RuntimeError> {
+    let ckpt_rank_ns = rt.telemetry().histogram("driver.checkpoint_rank_ns");
+    rt.drive_reactor(
+        reactor,
+        |_| 0,
+        |_| {
+            Box::new(CkptMachine {
+                comd,
+                ckpt,
+                bytes_per_rank,
+                ckpt_rank_ns: &ckpt_rank_ns,
+                state: CkptState::Start,
+            })
+        },
+    )
+    .map(|_| ())
 }
 
-/// Drive the full functional stack: schedule a job on the paper testbed,
-/// run `ckpts` N-N checkpoint rounds of `bytes_per_rank` each (CoMD-style
-/// payloads), crash `crash_ranks`, recover them, and verify every byte of
-/// the newest checkpoint. Drives ranks in parallel; use
-/// [`run_functional_checkpoints_with`] to pick the mode explicitly.
-pub fn run_functional_checkpoints(
-    procs: u32,
-    ckpts: u32,
+/// Read CoMD checkpoint `ckpt` back on every mounted rank, on the pool
+/// `reactor` configures, and compare it byte for byte: the verified bytes
+/// per rank in rank order, `None` where the bytes differ (the caller turns
+/// that into an error — [`RuntimeError`] has no corruption variant and
+/// shouldn't grow one for a workload).
+pub fn verify_ranks(
+    rt: &mut NvmeCrRuntime,
+    reactor: &ReactorConfig,
+    comd: &CoMD,
+    ckpt: u32,
     bytes_per_rank: u64,
-    crash_ranks: &[u32],
-) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
-    run_functional_checkpoints_with(
-        DriveMode::Parallel,
-        procs,
-        ckpts,
-        bytes_per_rank,
-        crash_ranks,
-    )
+) -> Result<Vec<Option<u64>>, RuntimeError> {
+    let verify_rank_ns = rt.telemetry().histogram("driver.verify_rank_ns");
+    rt.map_ranks_reactor(reactor, |rank, fs| {
+        let _span = telemetry::span("driver", "verify_rank").arg("rank", u64::from(rank));
+        let _t = verify_rank_ns.time();
+        let expect = comd.checkpoint_payload(rank, ckpt, bytes_per_rank as usize);
+        let fd = fs.open(
+            &CoMD::checkpoint_path(rank, ckpt),
+            microfs::OpenFlags::RDONLY,
+            0,
+        )?;
+        let mut buf = vec![0u8; expect.len()];
+        let mut got = 0;
+        while got < buf.len() {
+            let n = fs.read(fd, &mut buf[got..])?;
+            if n == 0 {
+                break;
+            }
+            got += n;
+        }
+        fs.close(fd)?;
+        Ok((buf == expect).then_some(expect.len() as u64))
+    })
 }
 
 /// Data-plane tunables for a functional run. Defaults match
@@ -345,8 +328,8 @@ pub struct FunctionalTuning {
     /// full-manifest commit path; `n > 0` seals sparse delta manifests
     /// and compacts after at most `n` deltas.
     pub delta_chain_max: u32,
-    /// Reactors for [`DriveMode::Reactor`] (0 = one per available core).
-    /// Ignored by the other modes.
+    /// The run's thread budget ([`RuntimeConfig::reactors`]): reactors of
+    /// every pool the run drives ranks on (0 = one per available core).
     pub reactors: u32,
 }
 
@@ -363,36 +346,37 @@ impl Default for FunctionalTuning {
     }
 }
 
-/// [`run_functional_checkpoints`] with an explicit [`DriveMode`] — the
-/// serial mode exists so benches can measure the parallel speedup against
-/// an identical-work baseline.
-pub fn run_functional_checkpoints_with(
-    mode: DriveMode,
+/// Drive the full functional stack: schedule a job on the paper testbed,
+/// run `ckpts` N-N checkpoint rounds of `bytes_per_rank` each (CoMD-style
+/// payloads), crash `crash_ranks`, recover them, and verify every byte of
+/// the newest checkpoint. Every per-rank phase runs on the runtime's
+/// reactor pool, sized by `tuning.reactors`.
+pub fn run_functional_checkpoints(
     procs: u32,
     ckpts: u32,
     bytes_per_rank: u64,
     crash_ranks: &[u32],
+    tuning: &FunctionalTuning,
 ) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
-    run_functional_checkpoints_tuned(
-        mode,
+    run_functional(
         procs,
         ckpts,
         bytes_per_rank,
         crash_ranks,
-        FunctionalTuning::default(),
+        tuning,
+        &ReactorConfig::default(),
     )
 }
 
-/// [`run_functional_checkpoints_with`] plus explicit data-plane tuning —
-/// the QD-sweep bench drives the same real-bytes stack at each window
-/// depth and reads `fabric.submit_ns` out of the report's telemetry.
-pub fn run_functional_checkpoints_tuned(
-    mode: DriveMode,
+/// [`run_functional_checkpoints`] with the checkpoint and verify drives on
+/// the pool `reactor` configures.
+fn run_functional(
     procs: u32,
     ckpts: u32,
     bytes_per_rank: u64,
     crash_ranks: &[u32],
-    tuning: FunctionalTuning,
+    tuning: &FunctionalTuning,
+    reactor: &ReactorConfig,
 ) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
     let topo = Topology::paper_testbed();
     // Each run reports into its own registry so the report's snapshot
@@ -419,48 +403,13 @@ pub fn run_functional_checkpoints_tuned(
     };
     config.fabric.queue_depth = tuning.queue_depth;
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
-    let reactor_cfg = nvmecr::ReactorConfig::default();
     let comd = CoMD::weak_scaling();
-    let ckpt_rank_ns = telemetry.histogram("driver.checkpoint_rank_ns");
-    let verify_rank_ns = telemetry.histogram("driver.verify_rank_ns");
 
     // Checkpoint phases. Each rank owns its filesystem, NVMf connection,
     // and (via the balancer) a disjoint region of a namespace shard, so
     // ranks can be driven concurrently without sharing a data-plane lock.
     for ckpt in 0..ckpts {
-        let do_ckpt = |rank: u32,
-                       fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>|
-         -> Result<(), nvmecr::runtime::RuntimeError> {
-            let _span = telemetry::span("driver", "checkpoint_rank")
-                .arg("rank", u64::from(rank))
-                .arg("ckpt", u64::from(ckpt));
-            let _t = ckpt_rank_ns.time();
-            checkpoint_rank(&comd, fs, rank, ckpt, bytes_per_rank)
-        };
-        match mode {
-            DriveMode::Parallel => rt.for_each_rank_par(do_ckpt)?,
-            DriveMode::Serial => {
-                for rank in 0..procs {
-                    let fs = rt.rank_fs(rank)?;
-                    do_ckpt(rank, fs)?;
-                }
-            }
-            DriveMode::Reactor => {
-                rt.drive_reactor(
-                    &reactor_cfg,
-                    |_| 0,
-                    |_| {
-                        Box::new(CkptMachine {
-                            comd: comd.clone(),
-                            ckpt,
-                            bytes_per_rank,
-                            ckpt_rank_ns: ckpt_rank_ns.clone(),
-                            state: CkptState::Start,
-                        })
-                    },
-                )?;
-            }
-        }
+        checkpoint_ranks(&mut rt, reactor, &comd, ckpt, bytes_per_rank)?;
         // Replicated runs seal one epoch per checkpoint round: manifests
         // land on both copies, so a failover restores this round exactly.
         if tuning.replication_factor >= 2 {
@@ -468,19 +417,12 @@ pub fn run_functional_checkpoints_tuned(
         }
     }
 
-    // Crash, then recover — batched in parallel mode (recovery mounts
-    // replay WALs independently per rank), one at a time in serial mode.
+    // Crash, then recover as one batch (recovery mounts replay WALs
+    // independently per rank).
     for &rank in crash_ranks {
         rt.crash_rank(rank)?;
     }
-    match mode {
-        DriveMode::Parallel | DriveMode::Reactor => rt.recover_ranks(crash_ranks)?,
-        DriveMode::Serial => {
-            for &rank in crash_ranks {
-                rt.recover_rank(rank)?;
-            }
-        }
-    }
+    rt.recover_ranks(crash_ranks)?;
     let mut replayed = 0;
     for &rank in crash_ranks {
         replayed += rt.rank_fs(rank)?.stats().replayed_records;
@@ -488,33 +430,7 @@ pub fn run_functional_checkpoints_tuned(
 
     // Verify the newest checkpoint everywhere (and recovered ranks fully).
     let last = ckpts - 1;
-    let do_verify = |rank: u32,
-                     fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>|
-     -> Result<Option<u64>, nvmecr::runtime::RuntimeError> {
-        let _span = telemetry::span("driver", "verify_rank").arg("rank", u64::from(rank));
-        let _t = verify_rank_ns.time();
-        verify_rank(&comd, fs, rank, last, bytes_per_rank)
-    };
-    let verified: Vec<Option<u64>> = match mode {
-        DriveMode::Parallel => rt.map_ranks_par(do_verify)?,
-        DriveMode::Serial => {
-            let mut out = Vec::with_capacity(procs as usize);
-            for rank in 0..procs {
-                let fs = rt.rank_fs(rank)?;
-                out.push(do_verify(rank, fs)?);
-            }
-            out
-        }
-        DriveMode::Reactor => {
-            let comd = comd.clone();
-            let verify_rank_ns = verify_rank_ns.clone();
-            rt.map_ranks_reactor(&reactor_cfg, move |rank, fs| {
-                let _span = telemetry::span("driver", "verify_rank").arg("rank", u64::from(rank));
-                let _t = verify_rank_ns.time();
-                verify_rank(&comd, fs, rank, last, bytes_per_rank)
-            })?
-        }
-    };
+    let verified = verify_ranks(&mut rt, reactor, &comd, last, bytes_per_rank)?;
     let mut bytes_verified = 0u64;
     for (rank, v) in verified.iter().enumerate() {
         match v {
@@ -715,12 +631,12 @@ fn rack_write_bytes(rack: &StorageRack, topo: &Topology) -> u64 {
 /// `pwrite` the image's bytes over `spans` into `path` (created on the
 /// first round), fsync, and return the bytes written.
 fn write_image_spans(
-    fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
+    fs: &mut MicroFs<NvmfBlockDevice>,
     path: &str,
     image: &[u8],
     spans: &[(u64, u64)],
     first: bool,
-) -> Result<u64, nvmecr::runtime::RuntimeError> {
+) -> Result<u64, RuntimeError> {
     let fd = if first {
         fs.create(path, 0o644)?
     } else {
@@ -746,7 +662,7 @@ fn write_image_spans(
     Ok(written)
 }
 
-/// Per-rank state the rounds thread through the parallel drive.
+/// Per-rank state the rounds thread through the reactor drives.
 struct IncrementalRank {
     image: IncrementalImage,
     hasher: IncrementalCheckpointer,
@@ -813,7 +729,7 @@ pub fn run_incremental_checkpoints(
     let after_init = rack_write_bytes(&rack, &topo);
     let mut after_first = after_init;
     for round in 0..spec.rounds {
-        rt.for_each_rank_par(|rank, fs| {
+        rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
             let mut state = ranks[rank as usize].lock().expect("rank state");
             let state = &mut *state;
             if round == 0 {
@@ -840,7 +756,7 @@ pub fn run_incremental_checkpoints(
                     let report = state
                         .hasher
                         .checkpoint(fs, path, state.image.data())
-                        .map_err(nvmecr::runtime::RuntimeError::Fs)?;
+                        .map_err(RuntimeError::Fs)?;
                     report.record(&telemetry);
                     report.bytes_written
                 }
@@ -862,7 +778,7 @@ pub fn run_incremental_checkpoints(
         - spec.procs as u64 * spec.bytes_per_rank;
 
     // Every rank's final image must read back byte-identical.
-    let verified: Vec<bool> = rt.map_ranks_par(|rank, fs| {
+    let verified: Vec<bool> = rt.map_ranks_reactor(&ReactorConfig::default(), |rank, fs| {
         let state = ranks[rank as usize].lock().expect("rank state");
         verify_image(fs, path, state.image.data())
     })?;
@@ -922,10 +838,10 @@ pub fn run_incremental_checkpoints(
 
 /// Read `path` fully and compare against `expect`.
 fn verify_image(
-    fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
+    fs: &mut MicroFs<NvmfBlockDevice>,
     path: &str,
     expect: &[u8],
-) -> Result<bool, nvmecr::runtime::RuntimeError> {
+) -> Result<bool, RuntimeError> {
     let fd = fs.open(path, microfs::OpenFlags::RDONLY, 0)?;
     let mut buf = vec![0u8; expect.len()];
     let mut got = 0;
@@ -982,7 +898,9 @@ mod tests {
 
     #[test]
     fn functional_small_run_verifies_bytes() {
-        let report = run_functional_checkpoints(56, 2, 256 << 10, &[3, 17]).unwrap();
+        let report =
+            run_functional_checkpoints(56, 2, 256 << 10, &[3, 17], &FunctionalTuning::default())
+                .unwrap();
         assert_eq!(report.procs, 56);
         assert_eq!(report.bytes_verified, 56 * (256 << 10));
         assert_eq!(report.recovered_ranks, 2);
@@ -1014,9 +932,16 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_modes_agree() {
-        let par =
-            run_functional_checkpoints_with(DriveMode::Parallel, 8, 1, 64 << 10, &[2]).unwrap();
-        let ser = run_functional_checkpoints_with(DriveMode::Serial, 8, 1, 64 << 10, &[2]).unwrap();
+        // One reactor steps the ranks one after another on one thread;
+        // four run them on four threads.
+        let run = |reactors| {
+            let tuning = FunctionalTuning {
+                reactors,
+                ..FunctionalTuning::default()
+            };
+            run_functional_checkpoints(8, 1, 64 << 10, &[2], &tuning).unwrap()
+        };
+        let (ser, par) = (run(1), run(4));
         assert_eq!(par.bytes_verified, ser.bytes_verified);
         assert_eq!(par.replayed_records, ser.replayed_records);
         assert_eq!(par.metadata_bytes, ser.metadata_bytes);
@@ -1026,40 +951,46 @@ mod tests {
 
     #[test]
     fn reactor_mode_agrees_with_parallel_and_multiplexes_ranks() {
-        // 8 ranks on 2 reactors: 4x more ranks than threads, yet the
-        // storage outcome is bit-equal to the thread-per-rank drive.
+        // 8 ranks on 2 reactors: 4x more ranks than threads. The lockstep
+        // deterministic drive and the threaded one must agree bit for bit.
         let tuning = FunctionalTuning {
             reactors: 2,
             ..FunctionalTuning::default()
         };
-        let rea = run_functional_checkpoints_tuned(
-            DriveMode::Reactor,
+        let det = run_functional(
             8,
             2,
             256 << 10,
             &[1, 5],
-            tuning.clone(),
+            &tuning,
+            &ReactorConfig {
+                mode: nvmecr::ReactorMode::Deterministic,
+                ..ReactorConfig::default()
+            },
         )
         .unwrap();
-        let par =
-            run_functional_checkpoints_tuned(DriveMode::Parallel, 8, 2, 256 << 10, &[1, 5], tuning)
+        let thr = run_functional_checkpoints(8, 2, 256 << 10, &[1, 5], &tuning).unwrap();
+        assert_eq!(det.state_hash(), thr.state_hash());
+        assert_eq!(det.bytes_verified, 8 * (256 << 10));
+        assert_eq!(det.replayed_records, thr.replayed_records);
+        for run in [&det, &thr] {
+            // The reactor pool actually ran: multiplexed events and loops.
+            // 256 KiB in 1 MiB chunks is one write step + the open step,
+            // so each rank machine yields at least once per checkpoint.
+            assert!(run.telemetry.counter("reactor.events") >= 8 * 2 * 2);
+            assert!(run.telemetry.counter("reactor.loops") > 0);
+            // Per-rank checkpoint latency is recorded in both modes alike.
+            let h = run
+                .telemetry
+                .histogram("driver.checkpoint_rank_ns")
                 .unwrap();
-        assert_eq!(rea.state_hash(), par.state_hash());
-        assert_eq!(rea.bytes_verified, 8 * (256 << 10));
-        assert_eq!(rea.replayed_records, par.replayed_records);
-        // The reactor pool actually ran: multiplexed events and loops.
-        assert!(rea.telemetry.counter("reactor.events") > 0);
-        assert!(rea.telemetry.counter("reactor.loops") > 0);
-        assert_eq!(par.telemetry.counter("reactor.events"), 0);
-        // 256 KiB in 1 MiB chunks is one write step + the open step, so
-        // each rank machine yields at least once per checkpoint.
-        assert!(rea.telemetry.counter("reactor.events") >= 8 * 2 * 2);
-        // Per-rank checkpoint latency is recorded in both modes alike.
-        let h = rea
-            .telemetry
-            .histogram("driver.checkpoint_rank_ns")
-            .unwrap();
-        assert_eq!(h.count, 8 * 2);
+            assert_eq!(h.count, 8 * 2);
+        }
+        // Same machines, same steps: only their interleaving differs.
+        assert_eq!(
+            det.telemetry.counter("reactor.events"),
+            thr.telemetry.counter("reactor.events")
+        );
     }
 
     #[test]

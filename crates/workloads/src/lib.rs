@@ -33,10 +33,10 @@ pub mod trace;
 pub use apps::PhasedApp;
 pub use comd::CoMD;
 pub use driver::{
-    multilevel_eval, run_functional_checkpoints, run_functional_checkpoints_tuned,
-    run_functional_checkpoints_with, run_incremental_checkpoints, scaling_sweep, DriveMode,
-    FunctionalReport, FunctionalTuning, IncrementalImage, IncrementalRunReport, IncrementalSpec,
-    IncrementalStrategy, MultiLevelResult, ScalingPoint, INCREMENTAL_CHUNK,
+    checkpoint_ranks, multilevel_eval, run_functional_checkpoints, run_incremental_checkpoints,
+    scaling_sweep, verify_ranks, FunctionalReport, FunctionalTuning, IncrementalImage,
+    IncrementalRunReport, IncrementalSpec, IncrementalStrategy, MultiLevelResult, ScalingPoint,
+    INCREMENTAL_CHUNK,
 };
 pub use incremental::{IncrementalCheckpointer, IncrementalReport};
 pub use interval::{best_efficiency, daly_interval, young_interval};

@@ -7,7 +7,7 @@ use nvmecr::intercept::PosixLayer;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::RuntimeConfig;
 use ssd::SsdConfig;
-use workloads::driver::run_functional_checkpoints;
+use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
 use workloads::{CheckpointPattern, CoMD};
 
 fn testbed(procs: u32) -> (StorageRack, Topology, cluster::JobAllocation, RuntimeConfig) {
@@ -30,7 +30,9 @@ fn testbed(procs: u32) -> (StorageRack, Topology, cluster::JobAllocation, Runtim
 
 #[test]
 fn full_stack_checkpoint_restart_with_verification() {
-    let report = run_functional_checkpoints(56, 3, 512 << 10, &[0, 11, 55]).unwrap();
+    let report =
+        run_functional_checkpoints(56, 3, 512 << 10, &[0, 11, 55], &FunctionalTuning::default())
+            .unwrap();
     assert_eq!(report.procs, 56);
     assert_eq!(report.ckpts, 3);
     assert_eq!(report.bytes_verified, 56 * (512 << 10));
@@ -257,7 +259,14 @@ fn full_scale_448_ranks_functional() {
     // The paper's headline scale, functionally: every one of 448 ranks
     // writes and verifies a (small) checkpoint through the whole stack,
     // with a handful of crash-recoveries sprinkled in.
-    let report = run_functional_checkpoints(448, 1, 64 << 10, &[0, 111, 223, 447]).unwrap();
+    let report = run_functional_checkpoints(
+        448,
+        1,
+        64 << 10,
+        &[0, 111, 223, 447],
+        &FunctionalTuning::default(),
+    )
+    .unwrap();
     assert_eq!(report.procs, 448);
     assert_eq!(report.bytes_verified, 448 * (64 << 10));
     assert_eq!(report.recovered_ranks, 4);

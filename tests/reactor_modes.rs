@@ -1,5 +1,6 @@
-//! Reactor execution-model guarantees: determinism, chaos parity with the
-//! thread-per-rank drive, and QoS isolation between tenants.
+//! Reactor execution-model guarantees: determinism, chaos parity between
+//! the deterministic and threaded modes, and QoS isolation between
+//! tenants.
 //!
 //! The shard-per-core refactor is only safe if it is *unobservable* from
 //! the storage layer down: same bytes, same recovery, same flight-recorder
@@ -18,7 +19,7 @@ use nvmecr::{
 };
 use ssd::SsdConfig;
 use telemetry::Telemetry;
-use workloads::driver::{run_functional_checkpoints_tuned, DriveMode, FunctionalTuning};
+use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
 
 fn testbed(
     procs: u32,
@@ -61,17 +62,16 @@ fn pattern(rank: u32, len: usize) -> Vec<u8> {
 /// timestamp dropped and the `Complete` latency field masked.
 type EventTuple = (u64, u64, u64, u64, u64, u64, u64);
 
-/// One deterministic reactor drive: init with the recorder muted (rayon
-/// init interleaving is not deterministic), then checkpoint every rank
-/// through the single-threaded lockstep reactor with the recorder live.
-/// Returns the recorder's event tuples (timestamps excluded) and the
-/// telemetry counters the drive published.
+/// One deterministic job: init on a one-reactor budget (every rank formats
+/// on the calling thread, in rank order), then checkpoint every rank
+/// through the single-threaded lockstep reactor, the recorder live
+/// throughout. Returns the recorder's event tuples (timestamps excluded)
+/// and the telemetry counters the drives published.
 fn recorded_reactor_run(procs: u32, payload: usize) -> (Vec<EventTuple>, u64) {
-    let (rack, topo, alloc, config, telemetry) = testbed(procs, ChaosHandle::default());
+    let (rack, topo, alloc, mut config, telemetry) = testbed(procs, ChaosHandle::default());
+    config.reactors = 1;
     let recorder = telemetry.recorder();
-    recorder.set_enabled(false);
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
-    recorder.set_enabled(true);
     let reactor = ReactorConfig {
         reactors: 1,
         mode: ReactorMode::Deterministic,
@@ -126,20 +126,18 @@ fn reactor_functional_reports_hash_identically_across_runs() {
         reactors: 2,
         ..FunctionalTuning::default()
     };
-    let a =
-        run_functional_checkpoints_tuned(DriveMode::Reactor, 8, 2, 128 << 10, &[3], tuning.clone())
-            .unwrap();
-    let b = run_functional_checkpoints_tuned(DriveMode::Reactor, 8, 2, 128 << 10, &[3], tuning)
-        .unwrap();
+    let a = run_functional_checkpoints(8, 2, 128 << 10, &[3], &tuning).unwrap();
+    let b = run_functional_checkpoints(8, 2, 128 << 10, &[3], &tuning).unwrap();
     assert_eq!(a.state_hash(), b.state_hash());
     assert_eq!(a.bytes_verified, b.bytes_verified);
 }
 
-/// Chaos parity: under the same corruption + reset plan, the reactor drive
-/// must recover exactly the bytes the thread-per-rank drive recovers. Runs
-/// the identical workload through both drives against separately-seeded
-/// but identically-planned fault injectors, crashes ranks, recovers, and
-/// compares every recovered payload byte-for-byte.
+/// Chaos parity: under the same corruption + reset plan, the deterministic
+/// (lockstep) reactor drive must recover exactly the bytes the threaded
+/// (parallel) drive recovers. Runs the identical workload through both
+/// modes against separately-seeded but identically-planned fault
+/// injectors, crashes ranks, recovers, and compares every recovered
+/// payload byte-for-byte.
 #[test]
 fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
     let plan = || {
@@ -152,30 +150,24 @@ fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
     let payload = 128usize << 10;
     let crash: Vec<u32> = vec![2, 9, 13];
 
-    let run = |reactor: bool| -> Vec<Vec<u8>> {
+    let run = |mode: ReactorMode| -> Vec<Vec<u8>> {
         let chaos = ChaosHandle::new();
         let (rack, topo, alloc, config, telemetry) = testbed(procs, chaos.clone());
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
         chaos.arm(plan(), &telemetry);
-        let write = move |rank: u32,
-                          fs: &mut microfs::MicroFs<nvmecr::NvmfBlockDevice>|
-              -> Result<(), nvmecr::runtime::RuntimeError> {
+        let cfg = ReactorConfig {
+            reactors: 2,
+            mode,
+            ..ReactorConfig::default()
+        };
+        rt.map_ranks_reactor(&cfg, |rank, fs| {
             let fd = fs.create("/chaos.dat", 0o644)?;
             fs.write(fd, &pattern(rank, payload))?;
             fs.fsync(fd)?;
             fs.close(fd)?;
             Ok(())
-        };
-        if reactor {
-            let cfg = ReactorConfig {
-                reactors: 2,
-                ..ReactorConfig::default()
-            };
-            rt.map_ranks_reactor(&cfg, move |rank, fs| write(rank, fs))
-                .unwrap();
-        } else {
-            rt.for_each_rank_par(write).unwrap();
-        }
+        })
+        .unwrap();
         chaos.disarm();
         for &r in &crash {
             rt.crash_rank(r).unwrap();
@@ -198,20 +190,20 @@ fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
             .collect()
     };
 
-    let parallel = run(false);
-    let reactor = run(true);
+    let parallel = run(ReactorMode::Threaded);
+    let lockstep = run(ReactorMode::Deterministic);
     for rank in 0..procs as usize {
         let expect = pattern(rank as u32, payload);
         assert_eq!(
             parallel[rank], expect,
-            "parallel drive lost rank {rank} under chaos"
+            "threaded drive lost rank {rank} under chaos"
         );
         assert_eq!(
-            reactor[rank], expect,
-            "reactor drive lost rank {rank} under chaos"
+            lockstep[rank], expect,
+            "deterministic drive lost rank {rank} under chaos"
         );
     }
-    assert_eq!(parallel, reactor);
+    assert_eq!(parallel, lockstep);
 }
 
 /// A synthetic rank machine: `steps` QoS-costed units, counting every
