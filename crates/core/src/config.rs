@@ -1,8 +1,11 @@
 //! Runtime configuration and the drilldown ablation ladder.
 
+use std::sync::Arc;
+
 use chaos::ChaosHandle;
-use fabric::FabricConfig;
+use fabric::{FabricConfig, Initiator, NvmfConnection, NvmfTarget};
 use microfs::FsConfig;
+use ssd::NsId;
 use telemetry::Telemetry;
 
 /// Configuration of one NVMe-CR job runtime.
@@ -36,9 +39,10 @@ pub struct RuntimeConfig {
     /// back to the parallel filesystem.
     pub replication_factor: u32,
     /// Copy-on-write delta epochs (replicated ranks only): `0` (the
-    /// default) keeps today's full-manifest path bit-for-bit; `n > 0`
-    /// seals sparse delta manifests linked by `parent_epoch` and compacts
-    /// to a full manifest after at most `n` deltas (clamped to the ring's
+    /// default) seals every epoch as a full manifest in the manifest ring;
+    /// `n > 0` seals sparse delta manifests linked by `parent_epoch` into
+    /// the same ring and compacts to a full manifest after at most `n`
+    /// deltas (clamped to the ring's
     /// [`microfs::manifest::MAX_DELTA_CHAIN`]).
     pub delta_chain_max: u32,
     /// The runtime's thread budget: the reactor count of every pool it
@@ -83,6 +87,24 @@ impl RuntimeConfig {
             cow_epochs: self.delta_chain_max > 0 && self.replication_factor > 1,
             ..FsConfig::default()
         }
+    }
+
+    /// Connect an initiator named `nqn` to namespace `ns` behind `target`,
+    /// reporting to this job's telemetry under its chaos hook and fabric
+    /// tuning.
+    pub(crate) fn connect(
+        &self,
+        nqn: String,
+        target: &Arc<NvmfTarget>,
+        ns: NsId,
+    ) -> NvmfConnection {
+        Initiator::with_config(
+            nqn,
+            self.telemetry.clone(),
+            self.chaos.clone(),
+            self.fabric.clone(),
+        )
+        .connect(Arc::clone(target), ns)
     }
 }
 

@@ -407,8 +407,8 @@ mod tests {
 
     #[test]
     fn mirrored_device_replicates_microfs_byte_for_byte() {
-        use crate::replication::Mirror;
-        use microfs::{FsConfig, MicroFs};
+        use crate::RuntimeConfig;
+        use microfs::{ExtentMap, FsConfig, MicroFs};
         let t = telemetry::Telemetry::new();
         let mk = |name: &str| {
             let ssd = Ssd::with_telemetry(
@@ -424,7 +424,11 @@ mod tests {
         };
         let fs_size = 16u64 << 20;
         let mut d = NvmfBlockDevice::new(mk("nqn.prim"), 4 << 20, fs_size);
-        d.attach_mirror(Mirror::new(mk("nqn.repl"), &t));
+        let config = RuntimeConfig {
+            telemetry: t.clone(),
+            ..RuntimeConfig::default()
+        };
+        d.attach_mirror(Mirror::new(mk("nqn.repl"), ExtentMap::new(), 0, &config));
         // Format + data run entirely through the mirrored write paths.
         let mut fs = MicroFs::format(d, FsConfig::default()).unwrap();
         let fd = fs.create("/ckpt", 0o644).unwrap();

@@ -35,10 +35,6 @@
 //! and [`NvmeCrRuntime::attach`](crate::runtime::NvmeCrRuntime::attach)
 //! drive this chain end to end.
 
-use std::sync::Arc;
-
-use fabric::Initiator;
-use microfs::manifest::ManifestLayout;
 use microfs::{ExtentMap, MicroFs};
 
 use crate::config::RuntimeConfig;
@@ -64,13 +60,9 @@ impl Crashed {
     /// Reconnect the rank's primary over the fabric and load its snapshot
     /// and log. Nothing is applied and no replica is attached yet.
     pub fn begin_replay(self) -> Result<Replaying, RuntimeError> {
-        let initiator = Initiator::with_config(
-            self.nqn.clone(),
-            self.config.telemetry.clone(),
-            self.config.chaos.clone(),
-            self.config.fabric.clone(),
-        );
-        let conn = initiator.connect(Arc::clone(&self.route.target), self.route.ns);
+        let conn = self
+            .config
+            .connect(self.nqn.clone(), &self.route.target, self.route.ns);
         let mut dev = NvmfBlockDevice::new(conn, self.route.base, self.route.fs_size());
         dev.set_chaos(self.config.chaos.clone());
         let fs = microfs::recovery::Crashed::new(dev, self.config.fs_config())
@@ -111,11 +103,6 @@ impl Replaying {
         let mut fs = self.fs.replay_all().map_err(RuntimeError::Fs)?.serve();
         if let Some(rr) = &self.route.replica {
             let fs_size = self.route.fs_size();
-            let layout = if self.config.delta_chain_max > 0 {
-                ManifestLayout::chained()
-            } else {
-                ManifestLayout::standard()
-            };
             if self
                 .config
                 .chaos
@@ -126,30 +113,24 @@ impl Replaying {
                         .into(),
                 ));
             }
-            let epoch = replication::read_latest_epoch(
-                fs.device_mut().conn_mut(),
-                self.route.base + fs_size,
-                layout,
-            )
-            .map_err(|e| RuntimeError::Replication(e.into()))?
-            .unwrap_or(0);
-            let ri = Initiator::with_config(
-                format!("{}-mirror", self.nqn),
-                self.config.telemetry.clone(),
-                self.config.chaos.clone(),
-                self.config.fabric.clone(),
-            );
-            let rconn = ri.connect(Arc::clone(&rr.target), rr.ns);
-            let mut mirror =
-                Mirror::with_state(rconn, ExtentMap::new(), epoch, &self.config.telemetry);
-            mirror.set_chaos(self.config.chaos.clone());
-            if self.config.delta_chain_max > 0 {
-                // The first commit after a reconnect is always full: rescan
-                // tiles the image differently from pre-restart manifests,
-                // and a delta chain must never span a restart boundary.
-                mirror.enable_delta_chain(self.config.delta_chain_max);
-            }
-            fs.device_mut().attach_mirror(mirror);
+            let epoch =
+                replication::read_manifests(fs.device_mut().conn_mut(), self.route.base + fs_size)
+                    .map_err(|e| RuntimeError::Replication(e.into()))?
+                    .iter()
+                    .map(|m| m.epoch)
+                    .max()
+                    .unwrap_or(0);
+            let rconn = self
+                .config
+                .connect(format!("{}-mirror", self.nqn), &rr.target, rr.ns);
+            // The first commit after a reconnect is always full: rescan
+            // tiles the image differently from pre-restart manifests.
+            fs.device_mut().attach_mirror(Mirror::new(
+                rconn,
+                ExtentMap::new(),
+                epoch,
+                &self.config,
+            ));
             fs.device_mut().rescan_mirror()?;
         }
         Ok(Verified { fs })

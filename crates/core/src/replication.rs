@@ -7,12 +7,14 @@
 //! concurrently (`fabric::write_mirrored_bytes` alternates window passes,
 //! so the two copies overlap rather than serialize), records the extent's
 //! CRC32 in an in-memory [`ExtentMap`], and the runtime seals an
-//! [`EpochManifest`] per checkpoint round into a ping-pong slot pair at
-//! the tail of both copies. Recovery (`fail_over_rank`) then re-homes the
-//! rank and replays the surviving replica extent-by-extent, verifying
-//! every committed extent against its CRC before the rank is declared
-//! healthy; a scrub pass walks both copies and read-repairs latent bit
-//! rot from whichever copy still matches the manifest.
+//! [`EpochManifest`] per checkpoint round into the manifest ring at the
+//! tail of both copies ([`crate::RuntimeConfig::delta_chain_max`] `= 0`:
+//! every epoch is a full manifest in that ring; `n > 0`: up to `n` sparse
+//! deltas chain onto each full one). Recovery (`fail_over_rank`) then
+//! re-homes the rank and replays the surviving replica extent-by-extent,
+//! verifying every committed extent against its CRC before the rank is
+//! declared healthy; a scrub pass walks both copies and read-repairs
+//! latent bit rot from whichever copy still matches the manifest.
 //!
 //! Degraded mode: a replica-side IO error never fails the application
 //! write — the mirror flips to degraded, queues the stale spans, and the
@@ -27,13 +29,15 @@ use fabric::{write_mirrored_bytes, InitiatorError, MirroredWrite, NvmfConnection
 use microfs::cow::IntervalSet;
 use microfs::crc::{crc32, crc32_update};
 use microfs::manifest::{
-    EpochManifest, ExtentMap, ManifestError, ManifestExtent, ManifestLayout, COMMIT_RECORD_BYTES,
-    MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
+    slot_offset, EpochManifest, ExtentMap, ManifestError, ManifestExtent, CHAIN_SLOTS,
+    COMMIT_RECORD_BYTES, MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
 };
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use telemetry::{Counter, FlightKind, FlightRecorder, Gauge, Histogram, Telemetry};
+
+use crate::config::RuntimeConfig;
 
 /// Chunk size for scrub/restore/resync streaming reads — bounds peak
 /// memory regardless of how large merged extents grow.
@@ -170,10 +174,8 @@ pub struct Mirror {
     /// from the primary at the next epoch commit.
     pending_resync: Vec<(u64, u64)>,
     metrics: ReplicationMetrics,
-    /// Manifest region geometry: standard ping-pong pair, or the delta
-    /// chain ring once [`Mirror::enable_delta_chain`] is called.
-    layout: ManifestLayout,
-    /// Deltas allowed since the last full manifest before a compaction.
+    /// Deltas allowed since the last full manifest before a compaction;
+    /// `0` seals every epoch as a full manifest.
     delta_chain_max: u32,
     /// Deltas sealed since the last full manifest.
     deltas_since_full: u32,
@@ -189,57 +191,34 @@ pub struct Mirror {
 }
 
 impl Mirror {
-    /// A fresh mirror over an empty replica namespace.
-    pub fn new(conn: NvmfConnection, t: &Telemetry) -> Self {
-        Self::with_state(conn, ExtentMap::new(), 0, t)
-    }
-
-    /// Rebuild a mirror from recovered state (manifest decode or a
-    /// surviving in-memory map).
-    pub fn with_state(conn: NvmfConnection, map: ExtentMap, epoch: u64, t: &Telemetry) -> Self {
+    /// A mirror over replica connection `conn` resuming from `(map, epoch)`
+    /// (empty and 0 over a fresh replica), under `config`'s chaos hook,
+    /// telemetry and delta-chain policy (`delta_chain_max`, clamped to
+    /// [`MAX_DELTA_CHAIN`]). Its first commit is always a full manifest: a
+    /// lineage never spans a restart or failover.
+    pub fn new(
+        conn: NvmfConnection,
+        mut map: ExtentMap,
+        epoch: u64,
+        config: &RuntimeConfig,
+    ) -> Self {
+        let delta_chain_max = config.delta_chain_max.min(MAX_DELTA_CHAIN);
+        if delta_chain_max > 0 {
+            map.set_merge_limit(CHAIN_MERGE_LIMIT);
+        }
         Mirror {
             conn,
             map,
             epoch,
             degraded: false,
             pending_resync: Vec::new(),
-            metrics: ReplicationMetrics::new(t),
-            layout: ManifestLayout::standard(),
-            delta_chain_max: 0,
+            metrics: ReplicationMetrics::new(&config.telemetry),
+            delta_chain_max,
             deltas_since_full: 0,
             last_entries: None,
             pending_whiteouts: Vec::new(),
-            chaos: ChaosHandle::new(),
+            chaos: config.chaos.clone(),
         }
-    }
-
-    /// Thread the runtime's chaos handle through, so the crash-universe
-    /// mode can count and kill mirrored writes and epoch commits.
-    pub fn set_chaos(&mut self, chaos: ChaosHandle) {
-        self.chaos = chaos;
-    }
-
-    /// Switch this mirror to the delta-chain manifest ring: commits seal
-    /// sparse delta manifests (changed extents + whiteouts) linked by
-    /// `parent_epoch`, with a full compaction every `max` deltas. The next
-    /// commit is always full — it anchors the new chain. Also caps extent
-    /// merging so the tuple diff stays near write granularity.
-    pub fn enable_delta_chain(&mut self, max: u32) {
-        self.layout = ManifestLayout::chained();
-        self.delta_chain_max = max.clamp(1, MAX_DELTA_CHAIN);
-        self.deltas_since_full = 0;
-        self.last_entries = None;
-        self.map.set_merge_limit(CHAIN_MERGE_LIMIT);
-    }
-
-    /// The manifest region geometry in effect.
-    pub fn layout(&self) -> ManifestLayout {
-        self.layout
-    }
-
-    /// Deltas sealed since the last full manifest.
-    pub fn chain_len(&self) -> u32 {
-        self.deltas_since_full
     }
 
     pub fn epoch(&self) -> u64 {
@@ -365,15 +344,15 @@ impl Mirror {
 
     /// Drop `[offset, offset+len)` from the mirrored image: the span's
     /// file was deleted or truncated away. The extent map forgets it and,
-    /// while the delta chain is enabled, the next delta manifest records
-    /// it as a whiteout so chain materialization stops resurrecting
-    /// ancestor bytes beneath it.
+    /// when deltas are sealed, the next delta manifest records it as a
+    /// whiteout so chain materialization stops resurrecting ancestor bytes
+    /// beneath it.
     pub fn discard(&mut self, offset: u64, len: u64) {
         if len == 0 {
             return;
         }
         self.map.remove(offset, len);
-        if self.layout.is_chained() {
+        if self.delta_chain_max > 0 {
             self.pending_whiteouts.push((offset, len));
         }
     }
@@ -446,11 +425,11 @@ impl Mirror {
 
     /// Seal the current extent map as epoch `self.epoch + 1` on both
     /// copies: body first, fully retired, then the commit record — so a
-    /// torn commit is detectable and restore falls back to the previous
-    /// slot. With the delta chain enabled the sealed manifest is a sparse
-    /// delta (changed extent tuples + whiteouts, `parent_epoch` linked)
-    /// unless the compaction policy — or a chain anchor being absent —
-    /// requires a full one. Returns the committed epoch.
+    /// torn commit is detectable and restore falls back to an older slot.
+    /// The sealed manifest is a full one unless deltas are on, a diff base
+    /// exists and the compaction policy allows another: then it is a
+    /// sparse delta (changed extent tuples + whiteouts, `parent_epoch`
+    /// linked). Returns the committed epoch.
     pub fn commit_epoch(
         &mut self,
         primary: &mut NvmfConnection,
@@ -461,19 +440,15 @@ impl Mirror {
         // Extents fragmented by overlapping writes lost their CRCs;
         // re-read them from the primary before sealing.
         for (offset, len) in self.map.dirty_fragments() {
-            let crc = extent_crc(primary, primary_base + offset, len)?;
+            let crc = stream_extent(primary, primary_base + offset, len, |_, _| Ok(()))?;
             self.map.set_crc(offset, len, crc);
         }
         self.try_resync(primary, primary_base);
 
         let epoch = self.epoch + 1;
-        let chained = self.layout.is_chained();
-        let mut full = !chained
-            || self.last_entries.is_none()
-            || self.deltas_since_full >= self.delta_chain_max;
-        let mut sealed: Option<(EpochManifest, Vec<u8>)> = None;
-        if !full {
-            if let Some(last) = self.last_entries.as_ref() {
+        let chained = self.delta_chain_max > 0;
+        let delta = match &self.last_entries {
+            Some(last) if self.deltas_since_full < self.delta_chain_max => {
                 let mut extents = Vec::new();
                 for (offset, len, crc) in self.map.entries() {
                     let crc = crc.ok_or(ManifestError::Dirty { offset })?;
@@ -487,34 +462,24 @@ impl Mirror {
                     extents,
                     whiteouts: self.pending_whiteouts.clone(),
                 };
-                match m.encode_body() {
-                    // An oversized delta (pathological churn) compacts instead.
-                    Ok(b) if b.len() <= self.layout.body_capacity() => sealed = Some((m, b)),
-                    _ => full = true,
-                }
-            } else {
-                // No diff base (should be unreachable given the `full`
-                // computation above): anchor a fresh chain instead.
-                full = true;
+                // An oversized delta (pathological churn) compacts instead.
+                m.encode_body().ok().map(|b| (m, b))
             }
-        }
+            _ => None,
+        };
+        let full = delta.is_none();
         let compaction_timer = (chained && full).then(|| self.metrics.compaction_ns.time());
-        let (manifest, body) = match sealed {
+        let (manifest, body) = match delta {
             Some(pair) => pair,
             None => {
                 let m = self.map.to_manifest(epoch)?;
                 let b = m.encode_body()?;
-                if b.len() > self.layout.body_capacity() {
-                    return Err(ReplicationError::Manifest(ManifestError::TooLarge {
-                        extents: m.extents.len(),
-                    }));
-                }
                 (m, b)
             }
         };
         let body = Bytes::from(body);
         let record = Bytes::copy_from_slice(&manifest.encode_commit(&body));
-        let slot = fs_size + self.layout.slot_offset(epoch);
+        let slot = fs_size + slot_offset(epoch);
         let body_off = slot + COMMIT_RECORD_BYTES;
         let record_off = slot;
         let body_crc = crc32(&body);
@@ -598,14 +563,13 @@ impl Mirror {
         if chained {
             if full {
                 self.deltas_since_full = 0;
-                self.pending_whiteouts.clear();
             } else {
                 self.deltas_since_full += 1;
-                self.pending_whiteouts.clear();
                 self.metrics
                     .delta_extents
                     .add(manifest.extents.len() as u64);
             }
+            self.pending_whiteouts.clear();
             self.last_entries = Some(
                 self.map
                     .entries()
@@ -638,11 +602,10 @@ impl Mirror {
                 continue;
             };
             report.extents_checked += 1;
-            let primary_ok = extent_crc(primary, primary_base + offset, len)? == crc;
-            let replica_ok = match extent_crc(&mut self.conn, offset, len) {
-                Ok(c) => c == crc,
-                Err(_) => false,
-            };
+            let primary_ok =
+                stream_extent(primary, primary_base + offset, len, |_, _| Ok(()))? == crc;
+            let replica_ok =
+                stream_extent(&mut self.conn, offset, len, |_, _| Ok(())).is_ok_and(|c| c == crc);
             match (primary_ok, replica_ok) {
                 (true, true) => {}
                 (false, true) => {
@@ -668,15 +631,24 @@ impl Mirror {
     }
 }
 
-/// Streaming CRC32 of `[offset, offset + len)` on `conn`, chunked so a
-/// merged multi-hundred-MiB extent never needs a single allocation.
-fn extent_crc(conn: &mut NvmfConnection, offset: u64, len: u64) -> Result<u32, InitiatorError> {
+/// Stream `[offset, offset + len)` off `conn` in bounded chunks — a merged
+/// multi-hundred-MiB extent never needs a single allocation — handing each
+/// chunk and its offset to `sink`, and return the CRC-32 of the whole
+/// span. Commit-time CRC resolution, scrub, verified restore and degraded
+/// serving all read extents through here.
+pub fn stream_extent(
+    conn: &mut NvmfConnection,
+    offset: u64,
+    len: u64,
+    mut sink: impl FnMut(u64, Bytes) -> Result<(), InitiatorError>,
+) -> Result<u32, InitiatorError> {
     let mut state = 0xFFFF_FFFFu32;
     let mut done = 0u64;
     while done < len {
         let chunk = COPY_CHUNK.min((len - done) as usize);
         let data = conn.read_bytes(offset + done, chunk)?;
         state = crc32_update(state, &data);
+        sink(offset + done, data)?;
         done += chunk as u64;
     }
     Ok(state ^ 0xFFFF_FFFF)
@@ -701,38 +673,15 @@ fn copy_extent(
     Ok(())
 }
 
-/// Read both manifest slots at `region_base` on `conn` and return the
-/// decodable one with the highest epoch, if any. A torn or never-written
-/// slot simply loses.
-pub fn read_latest_manifest(
-    conn: &mut NvmfConnection,
-    region_base: u64,
-) -> Result<Option<EpochManifest>, InitiatorError> {
-    let mut best: Option<EpochManifest> = None;
-    for slot in 0..2u64 {
-        let bytes = conn.read_bytes(region_base + slot * SLOT_BYTES, SLOT_BYTES as usize)?;
-        if let Ok(m) = EpochManifest::decode_slot(&bytes) {
-            if best.as_ref().is_none_or(|b| m.epoch > b.epoch) {
-                best = Some(m);
-            }
-        }
-    }
-    Ok(best)
-}
-
-/// Read every decodable manifest in the region at `region_base`, one per
-/// slot under `layout`. Torn or never-written slots are skipped.
+/// Read every decodable manifest in the ring at `region_base`. Torn or
+/// never-written slots are skipped.
 pub fn read_manifests(
     conn: &mut NvmfConnection,
     region_base: u64,
-    layout: ManifestLayout,
 ) -> Result<Vec<EpochManifest>, InitiatorError> {
     let mut out = Vec::new();
-    for slot in 0..layout.slots {
-        let bytes = conn.read_bytes(
-            region_base + slot * layout.slot_bytes,
-            layout.slot_bytes as usize,
-        )?;
+    for slot in 0..CHAIN_SLOTS {
+        let bytes = conn.read_bytes(region_base + slot * SLOT_BYTES, SLOT_BYTES as usize)?;
         if let Ok(m) = EpochManifest::decode_slot(&bytes) {
             out.push(m);
         }
@@ -740,46 +689,37 @@ pub fn read_manifests(
     Ok(out)
 }
 
-/// Highest committed epoch anywhere in the region, if any.
-pub fn read_latest_epoch(
-    conn: &mut NvmfConnection,
-    region_base: u64,
-    layout: ManifestLayout,
-) -> Result<Option<u64>, InitiatorError> {
-    Ok(read_manifests(conn, region_base, layout)?
-        .into_iter()
-        .map(|m| m.epoch)
-        .max())
+/// The newest complete lineage of a manifest ring, materialized.
+#[derive(Debug)]
+pub struct Chain {
+    /// Disjoint extents of the image, in offset order.
+    pub extents: Vec<ManifestExtent>,
+    /// Epoch of the lineage's head.
+    pub epoch: u64,
+    /// Committed epochs in the ring newer than `epoch` — heads whose
+    /// lineage has a hole, left behind by an abandoned future.
+    pub newer: Vec<u64>,
 }
 
-/// Materialize the newest complete lineage in a delta-chain ring:
-/// candidate heads are tried in descending epoch order, and a head counts
-/// only when every `parent_epoch` link down to a full manifest is present
-/// (degraded-mode commits can leave replica-side holes). Extents resolve
-/// newest-first — an ancestor extent fully covered by younger extents or
-/// whiteouts is skipped whole; partial shadowing is impossible by
-/// construction (re-tiling replaces whole tuples) and reported loudly if
-/// it ever appears. Returns the disjoint extents plus the head epoch.
+/// Materialize the newest complete lineage in the manifest ring at
+/// `region_base`: candidate heads are tried in descending epoch order, and
+/// a head counts only when every `parent_epoch` link down to a full
+/// manifest is present (degraded-mode commits can leave replica-side
+/// holes); a full manifest is a complete lineage of one link. Extents
+/// resolve newest-first — an ancestor extent fully covered by younger
+/// extents or whiteouts is skipped whole; partial shadowing is impossible
+/// by construction (re-tiling replaces whole tuples) and reported loudly
+/// if it ever appears. Each chain link resolved consumes one nested
+/// [`chaos::RecoveryOp::ChainMaterialize`] index of `chaos`, so the nested
+/// crash plane can kill materialization mid-walk.
 pub fn materialize_chain(
     conn: &mut NvmfConnection,
     region_base: u64,
-    layout: ManifestLayout,
-) -> Result<Option<(Vec<ManifestExtent>, u64)>, ReplicationError> {
-    materialize_chain_with(conn, region_base, layout, &ChaosHandle::default())
-}
-
-/// [`materialize_chain`] with a chaos handle: each chain link resolved
-/// consumes one nested [`chaos::RecoveryOp::ChainMaterialize`] index, so
-/// the nested crash plane can kill chain materialization mid-walk.
-pub fn materialize_chain_with(
-    conn: &mut NvmfConnection,
-    region_base: u64,
-    layout: ManifestLayout,
     chaos: &ChaosHandle,
-) -> Result<Option<(Vec<ManifestExtent>, u64)>, ReplicationError> {
-    let mut manifests = read_manifests(conn, region_base, layout)?;
+) -> Result<Option<Chain>, ReplicationError> {
+    let mut manifests = read_manifests(conn, region_base)?;
     manifests.sort_by_key(|m| std::cmp::Reverse(m.epoch));
-    for head in 0..manifests.len() {
+    'heads: for head in 0..manifests.len() {
         let mut chain: Vec<&EpochManifest> = Vec::new();
         let mut cur = &manifests[head];
         loop {
@@ -798,14 +738,9 @@ pub fn materialize_chain_with(
                 .find(|m| m.epoch == cur.parent_epoch && m.epoch < cur.epoch)
             {
                 Some(p) => cur = p,
-                None => {
-                    chain.clear();
-                    break;
-                }
+                // A hole in the lineage: try the next older head.
+                None => continue 'heads,
             }
-        }
-        if chain.is_empty() {
-            continue;
         }
         let mut covered = IntervalSet::new();
         let mut out: Vec<ManifestExtent> = Vec::new();
@@ -829,35 +764,31 @@ pub fn materialize_chain_with(
             }
         }
         out.sort_by_key(|e| e.offset);
-        return Ok(Some((out, manifests[head].epoch)));
+        return Ok(Some(Chain {
+            extents: out,
+            epoch: manifests[head].epoch,
+            newer: manifests[..head].iter().map(|m| m.epoch).collect(),
+        }));
     }
     Ok(None)
 }
 
-/// Zero the commit record of any slot holding an epoch newer than
-/// `epoch`. After a rollback restore, such slots are stale heads of an
-/// abandoned lineage — a later commit would otherwise let them chain onto
-/// fresh manifests and poison a future restore.
-fn invalidate_future_slots(
+/// Zero the commit record of the ring slot holding each of `epochs` (every
+/// epoch seals into [`slot_offset`] of itself), then flush.
+fn invalidate_slots(
     conn: &mut NvmfConnection,
-    base: u64,
     region_base: u64,
-    layout: ManifestLayout,
-    epoch: u64,
-) -> Result<(), ReplicationError> {
-    for slot in 0..layout.slots {
-        let off = region_base + slot * layout.slot_bytes;
-        let bytes = conn.read_bytes(base + off, layout.slot_bytes as usize)?;
-        if let Ok(m) = EpochManifest::decode_slot(&bytes) {
-            if m.epoch > epoch {
-                let zeros = Bytes::from(vec![0u8; COMMIT_RECORD_BYTES as usize]);
-                let crc = crc32(&zeros);
-                conn.write_vectored_bytes_precrc(vec![(base + off, zeros, crc)])?;
-            }
-        }
-    }
-    conn.flush()?;
-    Ok(())
+    epochs: &[u64],
+) -> Result<(), InitiatorError> {
+    let zeros = Bytes::from(vec![0u8; COMMIT_RECORD_BYTES as usize]);
+    let crc = crc32(&zeros);
+    conn.write_vectored_bytes_precrc(
+        epochs
+            .iter()
+            .map(|&e| (region_base + slot_offset(e), zeros.clone(), crc))
+            .collect(),
+    )?;
+    conn.flush()
 }
 
 /// What a replica-based restore recovered.
@@ -878,53 +809,38 @@ pub struct RestoreOutcome {
 /// mid-epoch extents are copied as-is — the restored image is
 /// byte-identical to the moment of the failure. If verification fails,
 /// or no live map survived, the restore rolls back to the replica's last
-/// *complete* epoch: under the standard layout that is the newest sealed
-/// manifest; under the chained layout the newest complete delta lineage,
-/// materialized newest-backward. Either way only manifest extents are
-/// copied, each strictly verified. Epochs lost in the rollback are
-/// counted in `replication.lag_epochs`; any fallback counts a degraded
-/// restore.
+/// *complete* epoch: the newest complete lineage in its manifest ring,
+/// materialized newest-backward, with only manifest extents copied, each
+/// strictly verified. Committed slots newer than that epoch are
+/// invalidated on both copies. Each extent copied back (and each chain
+/// link resolved) consumes one nested [`chaos::RecoveryOp`] index of
+/// `chaos`, so the nested crash plane can kill the restore mid-copy.
+/// Epochs lost in the rollback are counted in `replication.lag_epochs`;
+/// any fallback counts a degraded restore.
 pub fn restore_from_replica(
     replica: &mut NvmfConnection,
     live: Option<(ExtentMap, u64)>,
     primary: &mut NvmfConnection,
     primary_base: u64,
     fs_size: u64,
-    layout: ManifestLayout,
-    t: &Telemetry,
-) -> Result<RestoreOutcome, ReplicationError> {
-    restore_from_replica_with(
-        replica,
-        live,
-        primary,
-        primary_base,
-        fs_size,
-        layout,
-        t,
-        &ChaosHandle::default(),
-    )
-}
-
-/// [`restore_from_replica`] with a chaos handle: each extent copied back
-/// consumes one nested [`chaos::RecoveryOp::RestoreExtent`] index, so the
-/// nested crash plane can kill the restore mid-copy.
-#[allow(clippy::too_many_arguments)]
-pub fn restore_from_replica_with(
-    replica: &mut NvmfConnection,
-    live: Option<(ExtentMap, u64)>,
-    primary: &mut NvmfConnection,
-    primary_base: u64,
-    fs_size: u64,
-    layout: ManifestLayout,
     t: &Telemetry,
     chaos: &ChaosHandle,
 ) -> Result<RestoreOutcome, ReplicationError> {
     let metrics = ReplicationMetrics::new(t);
     let live_epoch = live.as_ref().map(|(_, e)| *e);
     if let Some((map, epoch)) = live {
-        match restore_extents(replica, map.entries(), primary, primary_base, false, chaos) {
+        match restore_extents(replica, map.entries(), primary, primary_base, chaos) {
             Ok(()) => {
-                copy_manifest_region(replica, primary, primary_base, fs_size)?;
+                // Carry the whole manifest ring over so the new primary
+                // can serve future restores and scrubs without the old
+                // replica.
+                copy_extent(
+                    replica,
+                    fs_size,
+                    primary,
+                    primary_base + fs_size,
+                    REGION_BYTES,
+                )?;
                 return Ok(RestoreOutcome {
                     map,
                     epoch,
@@ -943,26 +859,27 @@ pub fn restore_from_replica_with(
         metrics.degraded_restores.inc();
     }
 
-    let (map, epoch) = if layout.is_chained() {
-        let (extents, epoch) = materialize_chain_with(replica, fs_size, layout, chaos)?
-            .ok_or(ReplicationError::NoCompleteEpoch)?;
-        (ExtentMap::from_extents(&extents), epoch)
-    } else {
-        let manifest =
-            read_latest_manifest(replica, fs_size)?.ok_or(ReplicationError::NoCompleteEpoch)?;
-        let map = ExtentMap::from_manifest(&manifest);
-        (map, manifest.epoch)
-    };
-    // Manifest extents always carry CRCs; verify strictly — a mismatch
-    // here means the data is gone on both copies.
-    restore_extents(replica, map.entries(), primary, primary_base, true, chaos)?;
-    copy_manifest_region(replica, primary, primary_base, fs_size)?;
-    if layout.is_chained() {
+    let chain =
+        materialize_chain(replica, fs_size, chaos)?.ok_or(ReplicationError::NoCompleteEpoch)?;
+    let map = ExtentMap::from_extents(&chain.extents);
+    let epoch = chain.epoch;
+    // Manifest extents always carry CRCs, so every one is verified — a
+    // mismatch here means the data is gone on both copies.
+    restore_extents(replica, map.entries(), primary, primary_base, chaos)?;
+    copy_extent(
+        replica,
+        fs_size,
+        primary,
+        primary_base + fs_size,
+        REGION_BYTES,
+    )?;
+    if !chain.newer.is_empty() {
         // Slots newer than the restored epoch are stale heads of an
-        // abandoned lineage; neuter them on both copies so they can never
+        // abandoned lineage; neuter them on both copies (the primary's
+        // region is now a byte copy of the replica's) so they can never
         // chain onto post-restore manifests.
-        invalidate_future_slots(primary, primary_base, fs_size, layout, epoch)?;
-        invalidate_future_slots(replica, 0, fs_size, layout, epoch)?;
+        invalidate_slots(primary, primary_base + fs_size, &chain.newer)?;
+        invalidate_slots(replica, fs_size, &chain.newer)?;
     }
     let lag = live_epoch.map_or(0, |le| le.saturating_sub(epoch));
     if live_epoch.is_some() {
@@ -981,15 +898,13 @@ pub fn restore_from_replica_with(
 }
 
 /// Copy `entries` from the replica onto the new primary, verifying the
-/// streamed bytes against each recorded CRC. `strict` fails on extents
-/// without a CRC (manifest path); otherwise they are copied unverified
-/// (mid-epoch writes in a live map).
+/// streamed bytes against each recorded CRC. Extents without one
+/// (mid-epoch writes in a live map) are copied unverified.
 fn restore_extents(
     replica: &mut NvmfConnection,
     entries: Vec<(u64, u64, Option<u32>)>,
     primary: &mut NvmfConnection,
     primary_base: u64,
-    strict: bool,
     chaos: &ChaosHandle,
 ) -> Result<(), ReplicationError> {
     for (offset, len, crc) in entries {
@@ -1000,47 +915,18 @@ fn restore_extents(
         }
         match crc {
             Some(expected) => {
-                let mut state = 0xFFFF_FFFFu32;
-                let mut done = 0u64;
-                while done < len {
-                    let chunk = COPY_CHUNK.min((len - done) as usize);
-                    let data = replica.read_bytes(offset + done, chunk)?;
-                    state = crc32_update(state, &data);
-                    let chunk_crc = crc32(&data);
-                    primary.write_vectored_bytes_precrc(vec![(
-                        primary_base + offset + done,
-                        data,
-                        chunk_crc,
-                    )])?;
-                    done += chunk as u64;
-                }
-                if state ^ 0xFFFF_FFFF != expected {
+                let got = stream_extent(replica, offset, len, |at, data| {
+                    let crc = crc32(&data);
+                    primary.write_vectored_bytes_precrc(vec![(primary_base + at, data, crc)])
+                })?;
+                if got != expected {
                     return Err(ReplicationError::Unrecoverable { offset, len });
                 }
             }
-            None if strict => return Err(ReplicationError::Unrecoverable { offset, len }),
             None => copy_extent(replica, offset, primary, primary_base + offset, len)?,
         }
     }
     Ok(())
-}
-
-/// Carry the whole manifest region over so the new primary can serve
-/// future restores and scrubs without the old replica. The region is the
-/// same [`REGION_BYTES`] under either layout.
-fn copy_manifest_region(
-    replica: &mut NvmfConnection,
-    primary: &mut NvmfConnection,
-    primary_base: u64,
-    fs_size: u64,
-) -> Result<(), InitiatorError> {
-    copy_extent(
-        replica,
-        fs_size,
-        primary,
-        primary_base + fs_size,
-        REGION_BYTES,
-    )
 }
 
 #[cfg(test)]
@@ -1068,10 +954,44 @@ mod tests {
 
     const FS: u64 = 32 << 20;
 
+    fn config(t: &Telemetry, delta_chain_max: u32) -> RuntimeConfig {
+        RuntimeConfig {
+            telemetry: t.clone(),
+            delta_chain_max,
+            ..RuntimeConfig::default()
+        }
+    }
+
+    /// A primary plus a fresh mirror (empty map, epoch 0) over its replica.
+    fn mirror_pair(delta_chain_max: u32) -> (NvmfConnection, Mirror, Telemetry) {
+        let (p, r, t) = conn_pair();
+        let m = Mirror::new(r, ExtentMap::new(), 0, &config(&t, delta_chain_max));
+        (p, m, t)
+    }
+
+    /// Restore from `replica` onto a fresh primary, which is returned too.
+    fn restore(
+        replica: &mut NvmfConnection,
+        live: Option<(ExtentMap, u64)>,
+        t: &Telemetry,
+    ) -> (Result<RestoreOutcome, ReplicationError>, NvmfConnection) {
+        let (mut fresh, _, _) = conn_pair();
+        let none = ChaosHandle::default();
+        let out = restore_from_replica(replica, live, &mut fresh, 0, FS, t, &none);
+        (out, fresh)
+    }
+
+    /// The newest complete lineage in `conn`'s ring: `(extents, head)`.
+    fn materialize(conn: &mut NvmfConnection) -> (Vec<ManifestExtent>, u64) {
+        let chain = materialize_chain(conn, FS, &ChaosHandle::default())
+            .unwrap()
+            .unwrap();
+        (chain.extents, chain.epoch)
+    }
+
     #[test]
     fn write_through_lands_on_both_and_commit_survives_roundtrip() {
-        let (mut p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
+        let (mut p, mut m, t) = mirror_pair(0);
         let data = Bytes::from(vec![0xABu8; 64 << 10]);
         m.write_through(
             &mut p,
@@ -1086,12 +1006,11 @@ mod tests {
         let (mut r, map, epoch, _) = m.into_parts();
         assert_eq!(&r.read_bytes(4096, 64 << 10).unwrap()[..], &data[..]);
         assert_eq!(&p.read_bytes(1 << 20, 64 << 10).unwrap()[..], &data[..]);
-        let from_replica = read_latest_manifest(&mut r, FS).unwrap().unwrap();
-        let from_primary = read_latest_manifest(&mut p, FS).unwrap().unwrap();
-        assert_eq!(from_replica.epoch, 1);
-        assert_eq!(from_primary.epoch, 1);
+        let (from_replica, replica_epoch) = materialize(&mut r);
+        assert_eq!(replica_epoch, 1);
+        assert_eq!(materialize(&mut p).1, 1);
         assert_eq!(
-            ExtentMap::from_manifest(&from_replica).entries(),
+            ExtentMap::from_extents(&from_replica).entries(),
             map.entries()
         );
         assert_eq!(epoch, 1);
@@ -1101,8 +1020,7 @@ mod tests {
 
     #[test]
     fn scrub_repairs_single_copy_corruption_and_reports_double() {
-        let (mut p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
+        let (mut p, mut m, t) = mirror_pair(0);
         m.write_through(&mut p, 0, vec![(0, Bytes::from(vec![0x11u8; 8192]))])
             .unwrap();
         m.write_through(&mut p, 0, vec![(1 << 20, Bytes::from(vec![0x22u8; 8192]))])
@@ -1120,10 +1038,9 @@ mod tests {
         // Corrupt the same extent on both copies: unrecoverable.
         p.write_bytes(100, Bytes::from_static(b"rot")).unwrap();
         {
-            let (r, map, epoch, _) = m.into_parts();
-            let mut r = r;
+            let (mut r, map, epoch, _) = m.into_parts();
             r.write_bytes(100, Bytes::from_static(b"rot")).unwrap();
-            m = Mirror::with_state(r, map, epoch, &t);
+            m = Mirror::new(r, map, epoch, &config(&t, 0));
         }
         let rep = m.scrub(&mut p, 0).unwrap();
         assert_eq!(rep.unrecoverable, 1);
@@ -1132,8 +1049,7 @@ mod tests {
 
     #[test]
     fn restore_from_live_map_is_byte_identical() {
-        let (mut p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
+        let (mut p, mut m, t) = mirror_pair(0);
         let a = Bytes::from(
             (0..16384u32)
                 .flat_map(|i| (i as u8).to_le_bytes())
@@ -1147,32 +1063,19 @@ mod tests {
             .unwrap();
 
         let (mut replica, map, epoch, _) = m.into_parts();
-        let (mut fresh, _unused_replica, _) = conn_pair();
-        let out = restore_from_replica(
-            &mut replica,
-            Some((map, epoch)),
-            &mut fresh,
-            0,
-            FS,
-            ManifestLayout::standard(),
-            &t,
-        )
-        .unwrap();
+        let (out, mut fresh) = restore(&mut replica, Some((map, epoch)), &t);
+        let out = out.unwrap();
         assert!(!out.rolled_back);
         assert_eq!(out.epoch, 1);
         assert_eq!(&fresh.read_bytes(0, a.len()).unwrap()[..], &a[..]);
         assert_eq!(&fresh.read_bytes(2 << 20, 4096).unwrap()[..], &b[..]);
         // Manifest region carried over.
-        assert_eq!(
-            read_latest_manifest(&mut fresh, FS).unwrap().unwrap().epoch,
-            1
-        );
+        assert_eq!(materialize(&mut fresh).1, 1);
     }
 
     #[test]
     fn restore_without_live_map_rolls_back_to_last_complete_epoch() {
-        let (mut p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
+        let (mut p, mut m, t) = mirror_pair(0);
         let a = Bytes::from(vec![0x31u8; 8192]);
         m.write_through(&mut p, 0, vec![(0, a.clone())]).unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap();
@@ -1180,17 +1083,8 @@ mod tests {
         m.write_through(&mut p, 0, vec![(1 << 20, Bytes::from(vec![0x99u8; 4096]))])
             .unwrap();
         let (mut replica, _, _, _) = m.into_parts();
-        let (mut fresh, _u, _) = conn_pair();
-        let out = restore_from_replica(
-            &mut replica,
-            None,
-            &mut fresh,
-            0,
-            FS,
-            ManifestLayout::standard(),
-            &t,
-        )
-        .unwrap();
+        let (out, mut fresh) = restore(&mut replica, None, &t);
+        let out = out.unwrap();
         assert!(out.rolled_back);
         assert_eq!(out.epoch, 1);
         assert_eq!(&fresh.read_bytes(0, 8192).unwrap()[..], &a[..]);
@@ -1200,31 +1094,21 @@ mod tests {
     #[test]
     fn restore_with_no_manifest_is_no_complete_epoch() {
         let (_p, mut r, t) = conn_pair();
-        let (mut fresh, _u, _) = conn_pair();
         assert!(matches!(
-            restore_from_replica(
-                &mut r,
-                None,
-                &mut fresh,
-                0,
-                FS,
-                ManifestLayout::standard(),
-                &t
-            ),
+            restore(&mut r, None, &t).0,
             Err(ReplicationError::NoCompleteEpoch)
         ));
     }
 
     #[test]
     fn rescan_rebuilds_a_committable_map() {
-        let (mut p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
+        let (mut p, mut m, t) = mirror_pair(0);
         m.write_through(&mut p, 0, vec![(4096, Bytes::from(vec![0x42u8; 12288]))])
             .unwrap();
         // Simulate losing the in-memory map: fresh mirror over the same
         // replica, rescan from the primary.
         let (r, _, _, _) = m.into_parts();
-        let mut m = Mirror::with_state(r, ExtentMap::new(), 0, &t);
+        let mut m = Mirror::new(r, ExtentMap::new(), 0, &config(&t, 0));
         m.rescan(&mut p, 0, FS).unwrap();
         // Whole-partition chunks merge into one extent.
         assert_eq!(m.map().len(), 1);
@@ -1235,17 +1119,9 @@ mod tests {
         assert_eq!(rep.repaired, 0);
     }
 
-    /// Build a chained mirror over a fresh conn pair.
-    fn chained_mirror(max: u32) -> (NvmfConnection, Mirror, Telemetry) {
-        let (p, r, t) = conn_pair();
-        let mut m = Mirror::new(r, &t);
-        m.enable_delta_chain(max);
-        (p, m, t)
-    }
-
     #[test]
     fn delta_chain_seals_sparse_manifests_and_materializes() {
-        let (mut p, mut m, t) = chained_mirror(4);
+        let (mut p, mut m, t) = mirror_pair(4);
         // Tile the base image at the chain merge granularity so a later
         // single-tile overwrite re-seals exactly one tuple.
         let tile = Bytes::from(vec![0xA0u8; 64 << 10]);
@@ -1260,8 +1136,7 @@ mod tests {
             .unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap();
 
-        let layout = ManifestLayout::chained();
-        let manifests = read_manifests(&mut p, FS, layout).unwrap();
+        let manifests = read_manifests(&mut p, FS).unwrap();
         let e1 = manifests.iter().find(|m| m.epoch == 1).unwrap();
         let e2 = manifests.iter().find(|m| m.epoch == 2).unwrap();
         assert!(!e1.is_delta(), "first commit anchors the chain");
@@ -1271,7 +1146,7 @@ mod tests {
         assert_eq!(e2.extents[0].offset, 64 << 10);
 
         // The materialized chain tiles the whole image, newest-first.
-        let (extents, head) = materialize_chain(&mut p, FS, layout).unwrap().unwrap();
+        let (extents, head) = materialize(&mut p);
         assert_eq!(head, 2);
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, 256 << 10);
@@ -1281,7 +1156,7 @@ mod tests {
 
     #[test]
     fn compaction_policy_reseals_full_after_max_deltas() {
-        let (mut p, mut m, t) = chained_mirror(2);
+        let (mut p, mut m, t) = mirror_pair(2);
         m.write_through(&mut p, 0, vec![(0, Bytes::from(vec![0x10u8; 128 << 10]))])
             .unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap(); // epoch 1: full (anchor)
@@ -1292,13 +1167,12 @@ mod tests {
         }
         // Epochs 2 and 3 are deltas; epoch 4 hits delta_chain_max=2 and
         // compacts back to a full manifest.
-        let manifests = read_manifests(&mut p, FS, ManifestLayout::chained()).unwrap();
+        let manifests = read_manifests(&mut p, FS).unwrap();
         let is_delta = |e: u64| manifests.iter().find(|m| m.epoch == e).unwrap().is_delta();
         assert!(!is_delta(1));
         assert!(is_delta(2));
         assert!(is_delta(3));
         assert!(!is_delta(4), "chain compacts after delta_chain_max deltas");
-        assert_eq!(m.chain_len(), 0);
         assert_eq!(t.snapshot().gauge("cow.chain_len").value, 1);
         assert!(t
             .snapshot()
@@ -1308,7 +1182,7 @@ mod tests {
 
     #[test]
     fn whiteouts_shadow_ancestor_extents_in_materialization() {
-        let (mut p, mut m, _t) = chained_mirror(4);
+        let (mut p, mut m, _t) = mirror_pair(4);
         m.write_through(&mut p, 0, vec![(0, Bytes::from(vec![0x55u8; 192 << 10]))])
             .unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap();
@@ -1316,14 +1190,13 @@ mod tests {
         m.discard(64 << 10, 64 << 10);
         m.commit_epoch(&mut p, 0, FS).unwrap();
 
-        let layout = ManifestLayout::chained();
-        let e2 = read_manifests(&mut p, FS, layout)
+        let e2 = read_manifests(&mut p, FS)
             .unwrap()
             .into_iter()
             .find(|m| m.epoch == 2)
             .unwrap();
         assert_eq!(e2.whiteouts, vec![(64 << 10, 64 << 10)]);
-        let (extents, head) = materialize_chain(&mut p, FS, layout).unwrap().unwrap();
+        let (extents, head) = materialize(&mut p);
         assert_eq!(head, 2);
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, 128 << 10, "whiteout tile is not materialized");
@@ -1334,7 +1207,7 @@ mod tests {
 
     #[test]
     fn chained_restore_materializes_through_the_delta_chain() {
-        let (mut p, mut m, t) = chained_mirror(6);
+        let (mut p, mut m, t) = mirror_pair(6);
         let a = Bytes::from(vec![0xAAu8; 256 << 10]);
         let b = Bytes::from(vec![0xBBu8; 64 << 10]);
         let c = Bytes::from(vec![0xCCu8; 64 << 10]);
@@ -1348,9 +1221,8 @@ mod tests {
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 3: delta
 
         let (mut replica, _, _, _) = m.into_parts();
-        let (mut fresh, _u, _) = conn_pair();
-        let layout = ManifestLayout::chained();
-        let out = restore_from_replica(&mut replica, None, &mut fresh, 0, FS, layout, &t).unwrap();
+        let (out, mut fresh) = restore(&mut replica, None, &t);
+        let out = out.unwrap();
         assert!(out.rolled_back);
         assert_eq!(out.epoch, 3);
         assert_eq!(&fresh.read_bytes(0, 64 << 10).unwrap()[..], &a[..64 << 10]);
@@ -1368,7 +1240,7 @@ mod tests {
         // keeps both its old data AND its old manifests, so a later
         // replica-side materialization sees a hole in the newest lineage
         // and must fall back to the newest head whose chain is complete.
-        let (mut p, mut m, _t) = chained_mirror(6);
+        let (mut p, mut m, _t) = mirror_pair(6);
         m.write_through(&mut p, 0, vec![(0, Bytes::from(vec![0x11u8; 128 << 10]))])
             .unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 1: full
@@ -1385,28 +1257,65 @@ mod tests {
 
         // Zero epoch 2's commit record on the primary — the shape its
         // region takes when that commit only ever reached the replica.
-        let layout = ManifestLayout::chained();
-        let hole = FS + layout.slot_offset(2);
-        let zeros = Bytes::from(vec![0u8; COMMIT_RECORD_BYTES as usize]);
-        let crc = crc32(&zeros);
-        p.write_vectored_bytes_precrc(vec![(hole, zeros, crc)])
-            .unwrap();
-        p.flush().unwrap();
+        invalidate_slots(&mut p, FS, &[2]).unwrap();
 
         // Epoch 3's parent link dangles; the walk skips it and lands on
         // the complete epoch-1 anchor.
-        let (extents, head) = materialize_chain(&mut p, FS, layout).unwrap().unwrap();
+        let (extents, head) = materialize(&mut p);
         assert_eq!(head, 1, "incomplete lineages are skipped");
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, 128 << 10);
     }
 
+    #[test]
+    fn rollback_past_a_dangling_head_invalidates_it_on_both_copies() {
+        // The chain-hole shape on the replica, with epochs 2 and 3 writing
+        // fresh ranges so epoch 1's bytes survive there to be restored.
+        let (mut p, mut m, t) = mirror_pair(6);
+        let a = Bytes::from(vec![0x11u8; 128 << 10]);
+        m.write_through(&mut p, 0, vec![(0, a.clone())]).unwrap();
+        m.commit_epoch(&mut p, 0, FS).unwrap(); // 1: full
+        for (i, fill) in [(2u64, 0x22u8), (3, 0x33)] {
+            let at = (i * 64) << 10;
+            m.write_through(&mut p, 0, vec![(at, Bytes::from(vec![fill; 64 << 10]))])
+                .unwrap();
+            m.commit_epoch(&mut p, 0, FS).unwrap(); // 2, 3: deltas
+        }
+        let (mut replica, _, _, _) = m.into_parts();
+        invalidate_slots(&mut replica, FS, &[2]).unwrap();
+
+        let (out, mut fresh) = restore(&mut replica, None, &t);
+        let out = out.unwrap();
+        assert!(out.rolled_back);
+        assert_eq!(out.epoch, 1, "the dangling head 3 is skipped");
+        assert_eq!(&fresh.read_bytes(0, 128 << 10).unwrap()[..], &a[..]);
+        // The stale head's commit record is zeroed on both copies.
+        let record = |conn: &mut NvmfConnection| {
+            conn.read_bytes(FS + slot_offset(3), COMMIT_RECORD_BYTES as usize)
+                .unwrap()
+        };
+        assert!(record(&mut fresh).iter().all(|&b| b == 0));
+        assert!(record(&mut replica).iter().all(|&b| b == 0));
+
+        // The next commit seals epoch 2 as a full manifest; the stale
+        // epoch-3 delta (parent 2) can no longer chain onto it.
+        let mut m = Mirror::new(replica, out.map, out.epoch, &config(&t, 6));
+        assert_eq!(m.commit_epoch(&mut fresh, 0, FS).unwrap(), 2);
+        let manifests = read_manifests(&mut fresh, FS).unwrap();
+        assert!(manifests.iter().any(|m| m.epoch == 2 && !m.is_delta()));
+        let (extents, head) = materialize(&mut fresh);
+        assert_eq!(head, 2);
+        assert_eq!(extents.iter().map(|e| e.len).sum::<u64>(), 128 << 10);
+        let (mut replica, _, _, _) = m.into_parts();
+        assert_eq!(materialize(&mut replica).1, 2);
+    }
+
     /// Simulate a crash between a commit's two phases: the body landed in
-    /// the slot but the commit record never did. Returns the slot offset.
-    fn write_torn_slot(conn: &mut NvmfConnection, m: &EpochManifest, layout: ManifestLayout) {
+    /// the slot but the commit record never did.
+    fn write_torn_slot(conn: &mut NvmfConnection, m: &EpochManifest) {
         let body = Bytes::from(m.encode_body().unwrap());
         let crc = crc32(&body);
-        let slot = FS + layout.slot_offset(m.epoch);
+        let slot = FS + slot_offset(m.epoch);
         conn.write_vectored_bytes_precrc(vec![(slot + COMMIT_RECORD_BYTES, body, crc)])
             .unwrap();
         conn.flush().unwrap();
@@ -1414,7 +1323,7 @@ mod tests {
 
     #[test]
     fn torn_delta_commit_rolls_back_to_last_complete_epoch() {
-        let (mut p, mut m, _t) = chained_mirror(6);
+        let (mut p, mut m, _t) = mirror_pair(6);
         let a = Bytes::from(vec![0x61u8; 128 << 10]);
         m.write_through(&mut p, 0, vec![(0, a.clone())]).unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 1: full
@@ -1423,7 +1332,6 @@ mod tests {
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 2: delta
                                                 // Epoch 3's delta body reaches both slots, but the crash lands
                                                 // before either commit record: the chain head stays at 2.
-        let layout = ManifestLayout::chained();
         let torn = EpochManifest {
             epoch: 3,
             parent_epoch: 2,
@@ -1434,18 +1342,16 @@ mod tests {
             }],
             whiteouts: Vec::new(),
         };
-        write_torn_slot(&mut p, &torn, layout);
+        write_torn_slot(&mut p, &torn);
         let (mut replica, _, _, _) = m.into_parts();
-        write_torn_slot(&mut replica, &torn, layout);
-        let (_, head) = materialize_chain(&mut replica, FS, layout)
-            .unwrap()
-            .unwrap();
+        write_torn_slot(&mut replica, &torn);
+        let (_, head) = materialize(&mut replica);
         assert_eq!(head, 2, "the torn delta must stay invisible");
     }
 
     #[test]
     fn torn_compaction_commit_rolls_back_to_the_sealed_chain() {
-        let (mut p, mut m, _t) = chained_mirror(6);
+        let (mut p, mut m, _t) = mirror_pair(6);
         m.write_through(&mut p, 0, vec![(0, Bytes::from(vec![0x71u8; 128 << 10]))])
             .unwrap();
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 1: full
@@ -1458,14 +1364,11 @@ mod tests {
         m.commit_epoch(&mut p, 0, FS).unwrap(); // 2: delta
                                                 // A compaction (full manifest) for epoch 3 is torn mid-commit:
                                                 // restore still materializes the sealed 1 <- 2 lineage.
-        let layout = ManifestLayout::chained();
         let full = m.map().to_manifest(3).unwrap();
-        write_torn_slot(&mut p, &full, layout);
+        write_torn_slot(&mut p, &full);
         let (mut replica, _, _, _) = m.into_parts();
-        write_torn_slot(&mut replica, &full, layout);
-        let (extents, head) = materialize_chain(&mut replica, FS, layout)
-            .unwrap()
-            .unwrap();
+        write_torn_slot(&mut replica, &full);
+        let (extents, head) = materialize(&mut replica);
         assert_eq!(head, 2);
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, 128 << 10);
@@ -1480,7 +1383,7 @@ mod tests {
         /// of the equivalent full rewrite (the mirror's final extent map).
         #[test]
         fn prop_chain_materializes_byte_identical(
-            chain_max in 1u32..5,
+            chain_max in 0u32..5,
             epochs in proptest::collection::vec(
                 (
                     proptest::collection::vec((0u64..60, 1u64..5, any::<u8>()), 1..6),
@@ -1490,9 +1393,7 @@ mod tests {
             ),
         ) {
             const BS: u64 = 4096;
-            let (mut p, r, t) = conn_pair();
-            let mut m = Mirror::new(r, &t);
-            m.enable_delta_chain(chain_max);
+            let (mut p, mut m, _t) = mirror_pair(chain_max);
             let mut shadow = vec![0u8; (64 * BS) as usize];
             for (writes, whiteouts) in &epochs {
                 for &(blk, blocks, fill) in writes {
@@ -1513,13 +1414,13 @@ mod tests {
                 .map(|(o, l, _)| (o, l))
                 .collect();
             let (mut replica, _, _, _) = m.into_parts();
-            let layout = ManifestLayout::chained();
-            let materialized = materialize_chain(&mut replica, FS, layout).unwrap();
+            let materialized =
+                materialize_chain(&mut replica, FS, &ChaosHandle::default()).unwrap();
             prop_assert!(
                 materialized.is_some(),
                 "committed chains always materialize"
             );
-            let (extents, _) = materialized.unwrap();
+            let extents = materialized.unwrap().extents;
             // Same byte set as the equivalent full rewrite...
             let mut got = IntervalSet::new();
             for e in &extents {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cluster::{FailureDomains, JobAllocation, NodeId, NodeKind, Topology};
 use fabric::{Initiator, NvmfTarget};
-use microfs::manifest::{ManifestLayout, REGION_BYTES};
+use microfs::manifest::REGION_BYTES;
 use microfs::{ExtentMap, FsError, FsStats, MicroFs};
 use ssd::{NsId, Ssd, SsdConfig, SsdError};
 use telemetry::Telemetry;
@@ -228,36 +228,13 @@ fn rank_device(
     nqn: &str,
     config: &RuntimeConfig,
 ) -> Result<NvmfBlockDevice, RuntimeError> {
-    let initiator = Initiator::with_config(
-        nqn.to_string(),
-        config.telemetry.clone(),
-        config.chaos.clone(),
-        config.fabric.clone(),
-    );
-    let conn = initiator.connect(Arc::clone(&route.target), route.ns);
-    let fs_size = route.fs_size();
-    let Some(rr) = &route.replica else {
-        let mut dev = NvmfBlockDevice::new(conn, route.base, fs_size);
-        dev.set_chaos(config.chaos.clone());
-        return Ok(dev);
-    };
-    let ri = Initiator::with_config(
-        format!("{nqn}-mirror"),
-        config.telemetry.clone(),
-        config.chaos.clone(),
-        config.fabric.clone(),
-    );
-    let rconn = ri.connect(Arc::clone(&rr.target), rr.ns);
-    let mut dev = NvmfBlockDevice::new(conn, route.base, fs_size);
+    let conn = config.connect(nqn.to_string(), &route.target, route.ns);
+    let mut dev = NvmfBlockDevice::new(conn, route.base, route.fs_size());
     dev.set_chaos(config.chaos.clone());
-    let mut mirror = Mirror::with_state(rconn, ExtentMap::new(), 0, &config.telemetry);
-    mirror.set_chaos(config.chaos.clone());
-    if config.delta_chain_max > 0 {
-        // A fresh mirror anchors the delta lineage at its first (full)
-        // commit; a chain must never span a restart boundary.
-        mirror.enable_delta_chain(config.delta_chain_max);
+    if let Some(rr) = &route.replica {
+        let rconn = config.connect(format!("{nqn}-mirror"), &rr.target, rr.ns);
+        dev.attach_mirror(Mirror::new(rconn, ExtentMap::new(), 0, config));
     }
-    dev.attach_mirror(mirror);
     Ok(dev)
 }
 
@@ -811,13 +788,11 @@ impl NvmeCrRuntime {
                 rank,
             }))?;
         let ns = target.device().create_namespace(size)?;
-        let initiator = Initiator::with_config(
+        let mut conn = self.config.connect(
             format!("nqn.2026-07.io.nvmecr:rank{rank}-failover"),
-            self.config.telemetry.clone(),
-            self.config.chaos.clone(),
-            self.config.fabric.clone(),
+            &target,
+            ns,
         );
-        let mut conn = initiator.connect(Arc::clone(&target), ns);
         let fs = if let Some(rr) = &route.replica {
             let fs_size = size - REGION_BYTES;
             // Reuse the live mirror (replica connection + extent map) if
@@ -830,41 +805,22 @@ impl NvmeCrRuntime {
             let (mut rconn, state) = match live {
                 Some((rconn, map, epoch, _degraded)) => (rconn, Some((map, epoch))),
                 None => {
-                    let ri = Initiator::with_config(
-                        format!("nqn.2026-07.io.nvmecr:rank{rank}-restore"),
-                        self.config.telemetry.clone(),
-                        self.config.chaos.clone(),
-                        self.config.fabric.clone(),
-                    );
-                    (ri.connect(Arc::clone(&rr.target), rr.ns), None)
+                    let nqn = format!("nqn.2026-07.io.nvmecr:rank{rank}-restore");
+                    (self.config.connect(nqn, &rr.target, rr.ns), None)
                 }
             };
-            let layout = if self.config.delta_chain_max > 0 {
-                ManifestLayout::chained()
-            } else {
-                ManifestLayout::standard()
-            };
-            let outcome = replication::restore_from_replica_with(
+            let outcome = replication::restore_from_replica(
                 &mut rconn,
                 state,
                 &mut conn,
                 0,
                 fs_size,
-                layout,
                 &self.config.telemetry,
                 &self.config.chaos,
             )?;
             let mut dev = NvmfBlockDevice::new(conn, 0, fs_size);
             dev.set_chaos(self.config.chaos.clone());
-            let mut mirror =
-                Mirror::with_state(rconn, outcome.map, outcome.epoch, &self.config.telemetry);
-            mirror.set_chaos(self.config.chaos.clone());
-            if self.config.delta_chain_max > 0 {
-                // Restart the lineage: the first post-failover commit is a
-                // full manifest anchoring a fresh chain.
-                mirror.enable_delta_chain(self.config.delta_chain_max);
-            }
-            dev.attach_mirror(mirror);
+            dev.attach_mirror(Mirror::new(rconn, outcome.map, outcome.epoch, &self.config));
             // Mount, not format: the restored image is the rank's own
             // filesystem, byte-verified against the manifest. The mirror
             // state came from the restore itself, so only the microfs-level

@@ -43,15 +43,11 @@
 //! plane was armed — i.e. replay re-entries proven idempotent by chaos).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chaos::ChaosHandle;
 use cluster::Topology;
-use fabric::{Initiator, NvmfConnection};
-use microfs::crc::crc32_update;
 use microfs::fs::FileStat;
-use microfs::manifest::ManifestLayout;
 use microfs::{FsError, MemDevice, MicroFs, OpenFlags};
 use telemetry::FlightKind;
 
@@ -330,60 +326,47 @@ fn degraded_serve(rt: &NvmeCrRuntime, rank: u32) -> Result<DegradedRank, Runtime
         .ok_or(RuntimeError::Replication(ReplicationError::NoCompleteEpoch))?;
     let config = rt.runtime_config();
     let fs_size = route.fs_size();
-    let initiator = Initiator::with_config(
+    let mut conn = config.connect(
         format!("nqn.2026-07.io.nvmecr:rank{rank}-degraded"),
-        config.telemetry.clone(),
-        config.chaos.clone(),
-        config.fabric.clone(),
+        &rr.target,
+        rr.ns,
     );
-    let mut conn = initiator.connect(Arc::clone(&rr.target), rr.ns);
-    let (extents, epoch) = if config.delta_chain_max > 0 {
-        replication::materialize_chain(&mut conn, fs_size, ManifestLayout::chained())?
-            .ok_or(RuntimeError::Replication(ReplicationError::NoCompleteEpoch))?
-    } else {
-        let m = replication::read_latest_manifest(&mut conn, fs_size)
-            .map_err(|e| RuntimeError::Replication(e.into()))?
-            .ok_or(RuntimeError::Replication(ReplicationError::NoCompleteEpoch))?;
-        (m.extents, m.epoch)
-    };
+    // The degraded image is a volatile reconstruction, not the supervised
+    // recovery path: it is read and mounted on a disarmed chaos handle so
+    // nested crash points aim only at real recovery.
+    let disarmed = ChaosHandle::default();
+    let chain = replication::materialize_chain(&mut conn, fs_size, &disarmed)?
+        .ok_or(ReplicationError::NoCompleteEpoch)?;
     let mut image = vec![0u8; fs_size as usize];
-    for e in &extents {
-        copy_extent_verified(&mut conn, e, &mut image)?;
+    for e in &chain.extents {
+        // An extent outside the image it describes is a corrupt manifest.
+        let fits = e
+            .offset
+            .checked_add(e.len)
+            .is_some_and(|end| end <= fs_size);
+        let crc = fits
+            .then(|| {
+                replication::stream_extent(&mut conn, e.offset, e.len, |at, data| {
+                    image[at as usize..][..data.len()].copy_from_slice(&data);
+                    Ok(())
+                })
+            })
+            .transpose()
+            .map_err(ReplicationError::from)?;
+        if crc != Some(e.crc) {
+            return Err(ReplicationError::Unrecoverable {
+                offset: e.offset,
+                len: e.len,
+            }
+            .into());
+        }
     }
-    // The degraded mount is a volatile reconstruction, not the supervised
-    // recovery path: it runs on a disarmed chaos handle so nested crash
-    // points aim only at real recovery.
     let mut fs_config = config.fs_config();
-    fs_config.chaos = ChaosHandle::default();
+    fs_config.chaos = disarmed;
     let fs = MicroFs::mount(MemDevice::from_raw(image), fs_config).map_err(RuntimeError::Fs)?;
-    Ok(DegradedRank { rank, epoch, fs })
-}
-
-/// Stream one manifest extent from the replica into `image`, verifying
-/// the streaming CRC against the manifest entry.
-fn copy_extent_verified(
-    conn: &mut NvmfConnection,
-    e: &microfs::ManifestExtent,
-    image: &mut [u8],
-) -> Result<(), RuntimeError> {
-    const CHUNK: usize = 4 << 20;
-    let mut state = 0xFFFF_FFFFu32;
-    let mut done = 0u64;
-    while done < e.len {
-        let chunk = CHUNK.min((e.len - done) as usize);
-        let data = conn
-            .read_bytes(e.offset + done, chunk)
-            .map_err(|err| RuntimeError::Replication(err.into()))?;
-        state = crc32_update(state, &data);
-        let at = (e.offset + done) as usize;
-        image[at..at + chunk].copy_from_slice(&data);
-        done += chunk as u64;
-    }
-    if state ^ 0xFFFF_FFFF != e.crc {
-        return Err(RuntimeError::Replication(ReplicationError::Unrecoverable {
-            offset: e.offset,
-            len: e.len,
-        }));
-    }
-    Ok(())
+    Ok(DegradedRank {
+        rank,
+        epoch: chain.epoch,
+        fs,
+    })
 }

@@ -89,15 +89,17 @@ impl BlockPool {
         }
         let total = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
         let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let need = 16 + n * 8;
-        if bytes.len() < need {
-            return Err(FsError::Io("block pool free list truncated".into()));
-        }
-        let mut free = VecDeque::with_capacity(n);
-        for i in 0..n {
-            let s = 16 + i * 8;
-            free.push_back(u64::from_le_bytes(bytes[s..s + 8].try_into().unwrap()));
-        }
+        // The count comes off the device: size the list by the bytes
+        // actually present, never by the count alone.
+        let need = n
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(16))
+            .filter(|&need| need <= bytes.len())
+            .ok_or_else(|| FsError::Io("block pool free list truncated".into()))?;
+        let free: VecDeque<u64> = bytes[16..need]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
         Ok((BlockPool { free, total }, need))
     }
 }
@@ -161,6 +163,16 @@ mod tests {
         let bytes = p.encode();
         assert!(BlockPool::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(BlockPool::decode(&bytes[..8]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_count_larger_than_the_payload() {
+        // A CRC-clean payload can still carry a count whose byte size
+        // wraps `usize`: it must be an error, not an overflow panic.
+        let mut bytes = 4u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(u64::MAX / 8 + 1).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 8]);
+        assert!(BlockPool::decode(&bytes).is_err());
     }
 
     proptest! {

@@ -83,12 +83,9 @@ impl Inode {
 
     /// Parse from `bytes[pos..]`, advancing `pos`.
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Inode, FsError> {
-        let need = |p: usize, n: usize| {
-            if bytes.len() < p + n {
-                Err(FsError::Io("inode truncated".into()))
-            } else {
-                Ok(())
-            }
+        let need = |p: usize, n: usize| match p.checked_add(n) {
+            Some(end) if end <= bytes.len() => Ok(()),
+            _ => Err(FsError::Io("inode truncated".into())),
         };
         need(*pos, 1 + 8 + 4 + 4 + 8 + 8)?;
         let kind = match bytes[*pos] {
@@ -112,7 +109,7 @@ impl Inode {
         let uid = rd32(pos);
         let mtime_op = rd64(pos);
         let nblocks = rd64(pos) as usize;
-        need(*pos, nblocks * 8)?;
+        need(*pos, nblocks.saturating_mul(8))?;
         let mut blocks = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
             blocks.push(rd64(pos));
@@ -240,7 +237,9 @@ impl InodeTable {
         }
         let n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
         let mut pos = 8;
-        let mut slots = Vec::with_capacity(n);
+        // Every slot takes at least its tag byte: the bytes present bound
+        // the preallocation, whatever count the device claims.
+        let mut slots = Vec::with_capacity(n.min(bytes.len() - pos));
         let mut live = 0;
         for _ in 0..n {
             if bytes.len() < pos + 1 {
@@ -262,15 +261,16 @@ impl InodeTable {
         }
         let nf = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
         pos += 8;
-        if bytes.len() < pos + nf * 8 {
-            return Err(FsError::Io("inode free list truncated".into()));
-        }
-        let mut free = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            free.push(u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()));
-            pos += 8;
-        }
-        Ok((InodeTable { slots, free, live }, pos))
+        let end = nf
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(pos))
+            .filter(|&end| end <= bytes.len())
+            .ok_or_else(|| FsError::Io("inode free list truncated".into()))?;
+        let free = bytes[pos..end]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        Ok((InodeTable { slots, free, live }, end))
     }
 }
 
@@ -329,6 +329,29 @@ mod tests {
         let j = Inode::decode(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(i, j);
+    }
+
+    #[test]
+    fn decode_rejects_counts_larger_than_the_payload() {
+        // CRC-clean payloads whose counts wrap `usize` once scaled must be
+        // errors, not capacity or overflow panics.
+        let huge = (u64::MAX / 8 + 1).to_le_bytes();
+        // Slot count.
+        let mut slots = huge.to_vec();
+        slots.push(0);
+        assert!(InodeTable::decode(&slots).is_err());
+        // Free-list count after an empty slot array.
+        let mut free = 0u64.to_le_bytes().to_vec();
+        free.extend_from_slice(&huge);
+        free.extend_from_slice(&[0u8; 8]);
+        assert!(InodeTable::decode(&free).is_err());
+        // An inode's block count.
+        let mut inode = Vec::new();
+        Inode::new_file(0o644, 0, 0).encode(&mut inode);
+        let at = inode.len() - 8;
+        inode[at..].copy_from_slice(&huge);
+        inode.extend_from_slice(&[0u8; 8]);
+        assert!(Inode::decode(&inode, &mut 0).is_err());
     }
 
     #[test]

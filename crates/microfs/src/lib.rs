@@ -65,4 +65,4 @@ pub use error::{FsError, OpenFlags};
 pub use fs::{FsConfig, FsStats, MicroFs};
 pub use fsck::{check as fsck, FsckIssue, FsckReport};
 pub use layout::Layout;
-pub use manifest::{EpochManifest, ExtentMap, ManifestError, ManifestExtent, ManifestLayout};
+pub use manifest::{EpochManifest, ExtentMap, ManifestError, ManifestExtent};

@@ -2,14 +2,15 @@
 //! replicated checkpoint path.
 //!
 //! Every replicated rank reserves a small manifest region at the tail of
-//! its segment (on both copies). A checkpoint epoch commits in two
-//! phases into one of two ping-pong slots (`epoch % 2`): first the
-//! **body** — epoch sequence number plus one `(offset, len, crc32)`
-//! entry per live extent of the filesystem image — then a CRC-sealed
-//! **commit record** at the slot head. A slot whose record is missing,
-//! torn, or corrupt is simply not committed, so restore can always
-//! identify the latest *complete* epoch on either copy: the other slot
-//! still holds the previous one.
+//! its segment (on both copies), cut into a ring of [`CHAIN_SLOTS`]
+//! slots. A checkpoint epoch commits in two phases into slot
+//! `epoch % CHAIN_SLOTS`: first the **body** — epoch sequence number plus
+//! one `(offset, len, crc32)` entry per extent, either of the whole image
+//! (a full manifest) or of what changed since the parent epoch (a delta)
+//! — then a CRC-sealed **commit record** at the slot head. A slot whose
+//! record is missing, torn, or corrupt is simply not committed, so
+//! restore can always identify the latest *complete* epoch on either
+//! copy: the other slots still hold the previous ones.
 //!
 //! [`ExtentMap`] is the in-memory side: a cumulative map of every byte
 //! ever mirrored, with per-extent CRCs maintained incrementally —
@@ -22,17 +23,17 @@ use std::fmt;
 
 use crate::crc::{crc32, crc32_concat};
 
+/// Bytes of the manifest region at the tail of every replicated segment.
+pub const REGION_BYTES: u64 = 1 << 20;
+/// Slots in the manifest ring: epoch `e` seals into slot `e % CHAIN_SLOTS`,
+/// so a full manifest and the delta epochs chained onto it stay
+/// addressable side by side.
+pub const CHAIN_SLOTS: u64 = 8;
 /// Bytes reserved per manifest slot.
-pub const SLOT_BYTES: u64 = 512 << 10;
-/// Bytes of the whole manifest region (two ping-pong slots).
-pub const REGION_BYTES: u64 = 2 * SLOT_BYTES;
+pub const SLOT_BYTES: u64 = REGION_BYTES / CHAIN_SLOTS;
 /// Bytes of the sealed commit record at the head of a slot.
 pub const COMMIT_RECORD_BYTES: u64 = 32;
-/// Slots in the chained layout: the same [`REGION_BYTES`] region divided
-/// into a ring of smaller slots so a lineage of delta epochs (plus the
-/// full epoch anchoring it) stays addressable.
-pub const CHAIN_SLOTS: u64 = 8;
-/// Longest delta lineage the chained ring supports: a complete chain is
+/// Longest delta lineage the ring supports: a complete chain is
 /// `full + MAX_DELTA_CHAIN` deltas, and one more slot stays free for the
 /// in-progress commit that will overwrite the oldest entry.
 pub const MAX_DELTA_CHAIN: u32 = (CHAIN_SLOTS - 2) as u32;
@@ -44,71 +45,21 @@ const BODY_HEADER: usize = 16; // magic u32 | epoch u64 | count u32
 const DELTA_EXTRA: usize = 12; // parent_epoch u64 | whiteout count u32
 const EXTENT_BYTES: usize = 20; // offset u64 | len u64 | crc u32
 const WHITEOUT_BYTES: usize = 16; // offset u64 | len u64
+/// Most body bytes one slot can carry.
+const BODY_CAPACITY: usize = (SLOT_BYTES - COMMIT_RECORD_BYTES) as usize;
 
 /// Slot offset (within the manifest region) for `epoch`.
 pub fn slot_offset(epoch: u64) -> u64 {
-    (epoch % 2) * SLOT_BYTES
+    (epoch % CHAIN_SLOTS) * SLOT_BYTES
 }
 
-/// Most extents a slot body can hold.
+/// Most extents a full manifest body can hold in one slot.
 pub fn max_extents() -> usize {
-    (SLOT_BYTES as usize - COMMIT_RECORD_BYTES as usize - BODY_HEADER) / EXTENT_BYTES
-}
-
-/// Geometry of the manifest region: how [`REGION_BYTES`] is divided into
-/// slots. The standard layout is the two-slot ping-pong pair (bit-for-bit
-/// today's format); the chained layout divides the same region into
-/// [`CHAIN_SLOTS`] smaller slots so delta epochs keep their ancestors
-/// addressable until the next compaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManifestLayout {
-    /// Slots in the ring.
-    pub slots: u64,
-    /// Bytes per slot (`slots * slot_bytes == REGION_BYTES`).
-    pub slot_bytes: u64,
-}
-
-impl ManifestLayout {
-    /// The two-slot ping-pong layout of full epoch manifests.
-    pub fn standard() -> Self {
-        ManifestLayout {
-            slots: 2,
-            slot_bytes: SLOT_BYTES,
-        }
-    }
-
-    /// The delta-chain ring: more, smaller slots in the same region.
-    pub fn chained() -> Self {
-        ManifestLayout {
-            slots: CHAIN_SLOTS,
-            slot_bytes: REGION_BYTES / CHAIN_SLOTS,
-        }
-    }
-
-    /// True when this is the delta-chain ring.
-    pub fn is_chained(&self) -> bool {
-        self.slots > 2
-    }
-
-    /// Slot offset (within the manifest region) for `epoch`.
-    pub fn slot_offset(&self, epoch: u64) -> u64 {
-        (epoch % self.slots) * self.slot_bytes
-    }
-
-    /// Most body bytes one slot can carry.
-    pub fn body_capacity(&self) -> usize {
-        (self.slot_bytes - COMMIT_RECORD_BYTES) as usize
-    }
-}
-
-impl Default for ManifestLayout {
-    fn default() -> Self {
-        ManifestLayout::standard()
-    }
+    (BODY_CAPACITY - BODY_HEADER) / EXTENT_BYTES
 }
 
 /// Manifest encode/decode failures. Decode errors all mean "this slot
-/// holds no complete epoch" — the caller falls back to the other slot.
+/// holds no complete epoch" — the caller falls back to an older slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManifestError {
     /// The slot is shorter than its framing claims (torn write).
@@ -184,8 +135,7 @@ pub struct EpochManifest {
 }
 
 impl EpochManifest {
-    /// A full (self-contained) manifest — the only kind the standard
-    /// two-slot layout ever writes.
+    /// A full (self-contained) manifest: a chain of one link.
     pub fn full(epoch: u64, extents: Vec<ManifestExtent>) -> Self {
         EpochManifest {
             epoch,
@@ -204,18 +154,19 @@ impl EpochManifest {
     /// *before* the commit record so a crash between the phases leaves the
     /// slot uncommitted rather than half-sealed. Full manifests keep the
     /// v1 encoding bit-for-bit; deltas use the extended header carrying
-    /// `parent_epoch` and the whiteout list.
+    /// `parent_epoch` and the whiteout list. A body that would not fit one
+    /// ring slot is [`ManifestError::TooLarge`].
     pub fn encode_body(&self) -> Result<Vec<u8>, ManifestError> {
-        if self.extents.len() > max_extents() {
-            return Err(ManifestError::TooLarge {
-                extents: self.extents.len(),
-            });
-        }
         let delta = self.is_delta() || !self.whiteouts.is_empty();
         let cap = BODY_HEADER
             + if delta { DELTA_EXTRA } else { 0 }
             + self.extents.len() * EXTENT_BYTES
             + self.whiteouts.len() * WHITEOUT_BYTES;
+        if cap > BODY_CAPACITY {
+            return Err(ManifestError::TooLarge {
+                extents: self.extents.len(),
+            });
+        }
         let mut out = Vec::with_capacity(cap);
         let magic = if delta { DELTA_MAGIC } else { BODY_MAGIC };
         out.extend_from_slice(&magic.to_le_bytes());
@@ -377,11 +328,6 @@ impl ExtentMap {
     /// An empty map.
     pub fn new() -> Self {
         ExtentMap::default()
-    }
-
-    /// Rebuild a map from a committed manifest (restart path).
-    pub fn from_manifest(m: &EpochManifest) -> Self {
-        Self::from_extents(&m.extents)
     }
 
     /// Rebuild a map from disjoint extents (chain materialization).
@@ -654,10 +600,31 @@ mod tests {
     }
 
     #[test]
-    fn slot_alternates_by_epoch() {
+    fn ring_slots_tile_the_region_and_bound_the_body() {
+        assert_eq!(CHAIN_SLOTS * SLOT_BYTES, REGION_BYTES);
         assert_eq!(slot_offset(1), SLOT_BYTES);
-        assert_eq!(slot_offset(2), 0);
-        assert_eq!(slot_offset(3), SLOT_BYTES);
+        assert_eq!(slot_offset(CHAIN_SLOTS), 0);
+        assert!(u64::from(MAX_DELTA_CHAIN) + 2 <= CHAIN_SLOTS);
+        // A full manifest of max_extents() fits one slot; one more is
+        // rejected at encode time.
+        assert_eq!(max_extents(), 6551);
+        let extent = |i: u64| ManifestExtent {
+            offset: i * 4096,
+            len: 4096,
+            crc: i as u32,
+        };
+        let n = max_extents() as u64;
+        let fits = EpochManifest::full(1, (0..n).map(extent).collect());
+        assert!(
+            fits.encode_body().unwrap().len() + COMMIT_RECORD_BYTES as usize <= SLOT_BYTES as usize
+        );
+        let over = EpochManifest::full(1, (0..=n).map(extent).collect());
+        assert_eq!(
+            over.encode_body(),
+            Err(ManifestError::TooLarge {
+                extents: max_extents() + 1
+            })
+        );
     }
 
     #[test]
@@ -708,7 +675,7 @@ mod tests {
         map.record(0, 64, 11);
         map.record(128, 32, 22);
         let m = map.to_manifest(3).unwrap();
-        let rebuilt = ExtentMap::from_manifest(&m);
+        let rebuilt = ExtentMap::from_extents(&m.extents);
         assert_eq!(rebuilt.entries(), map.entries());
     }
 
@@ -735,22 +702,6 @@ mod tests {
         assert!(!EpochManifest::decode_slot(&roundtrip(&full))
             .unwrap()
             .is_delta());
-    }
-
-    #[test]
-    fn chained_layout_divides_the_same_region() {
-        let std_l = ManifestLayout::standard();
-        let chain = ManifestLayout::chained();
-        assert_eq!(std_l.slots * std_l.slot_bytes, REGION_BYTES);
-        assert_eq!(chain.slots * chain.slot_bytes, REGION_BYTES);
-        assert!(!std_l.is_chained() && chain.is_chained());
-        // Standard layout matches the free function bit-for-bit.
-        for e in 0..10u64 {
-            assert_eq!(std_l.slot_offset(e), slot_offset(e));
-        }
-        assert_eq!(chain.slot_offset(CHAIN_SLOTS), 0);
-        assert_eq!(chain.slot_offset(1), chain.slot_bytes);
-        assert!(u64::from(MAX_DELTA_CHAIN) + 2 <= chain.slots);
     }
 
     #[test]

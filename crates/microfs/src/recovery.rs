@@ -68,8 +68,8 @@ use crate::fs::{FsConfig, MicroFs};
 use crate::wal::LogRecord;
 
 /// A partition that just lost its process: a device full of durable bytes
-/// and no in-memory state. The only move is [`begin_replay`]
-/// (`Self::begin_replay`).
+/// and no in-memory state. The only move is
+/// [`begin_replay`](Self::begin_replay).
 pub struct Crashed<D: BlockDevice> {
     dev: D,
     config: FsConfig,

@@ -62,18 +62,19 @@ impl FsState {
             }
             let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
             let start = pos + 8;
-            if bytes.len() < start + len {
-                return Err(FsError::Io("snapshot section truncated".into()));
-            }
-            pos = start + len;
-            Ok((start, len))
+            let end = start
+                .checked_add(len)
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| FsError::Io("snapshot section truncated".into()))?;
+            pos = end;
+            Ok((start, end))
         };
-        let (is, il) = section(bytes)?;
-        let (ps, pl) = section(bytes)?;
-        let (bs, bl) = section(bytes)?;
-        let (inodes, _) = InodeTable::decode(&bytes[is..is + il])?;
-        let (pool, _) = BlockPool::decode(&bytes[ps..ps + pl])?;
-        let (btree, _) = BTree::decode(&bytes[bs..bs + bl])?;
+        let inodes = section(bytes)?;
+        let pool = section(bytes)?;
+        let btree = section(bytes)?;
+        let (inodes, _) = InodeTable::decode(&bytes[inodes.0..inodes.1])?;
+        let (pool, _) = BlockPool::decode(&bytes[pool.0..pool.1])?;
+        let (btree, _) = BTree::decode(&bytes[btree.0..btree.1])?;
         Ok(FsState {
             inodes,
             pool,
@@ -167,6 +168,18 @@ mod tests {
         let layout = Layout::compute(64 << 20, 32 << 10).unwrap();
         let dev = MemDevice::new(64 << 20);
         (layout, dev)
+    }
+
+    #[test]
+    fn decode_rejects_section_lengths_past_the_payload() {
+        // A section length that overruns — or wraps `usize` once added to
+        // its start — must be an error, not an overflow panic.
+        for len in [u64::MAX / 8 + 1, u64::MAX] {
+            let mut bytes = 7u64.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 8]);
+            assert!(FsState::decode(&bytes).is_err(), "section len {len}");
+        }
     }
 
     fn sample_state(n_files: u64) -> FsState {

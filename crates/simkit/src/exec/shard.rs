@@ -19,6 +19,8 @@
 //! reactor-smoke CI gate asserts on the emitted sweep.
 //!
 //! [`ReactorPool::drive`]: ../../nvmecr/reactor/struct.ReactorPool.html
+//! [`ResId`]: crate::exec::ResId
+//! [`PipeId`]: crate::exec::PipeId
 
 use crate::exec::{Dag, RunResult, SimError, Stage};
 use crate::time::{Rate, SimTime};
