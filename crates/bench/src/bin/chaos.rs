@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
@@ -91,11 +91,11 @@ fn run_at_rate(rate: f64, procs: u32, rounds: u32, bytes_per_rank: usize) -> Swe
         // layer must absorb, each at the sweep rate.
         chaos.arm(
             FaultPlan::new(0xC4A0_5EED)
-                .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, rate)
-                .with_rate(FaultSite::CapsuleTx, FaultAction::DropCapsule, rate)
-                .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, rate)
-                .with_rate(FaultSite::ConnReset, FaultAction::ResetConnection, rate)
-                .with_rate(FaultSite::ShardIo, FaultAction::ShardBusy, rate),
+                .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, rate)
+                .with_rate(Site::CapsuleTx, FaultAction::DropCapsule, rate)
+                .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, rate)
+                .with_rate(Site::ConnReset, FaultAction::ResetConnection, rate)
+                .with_rate(Site::ShardIo, FaultAction::ShardBusy, rate),
             &telemetry,
         );
     }

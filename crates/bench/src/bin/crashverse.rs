@@ -27,6 +27,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use chaos::{Plane, Site, SITES};
 use crashverse::{explore, quarantine_cycle, run_nested_point, run_point, UniverseConfig};
 use nvmecr_bench::stamp;
 use telemetry::Telemetry;
@@ -42,6 +43,22 @@ const NESTED_MIN_POINTS: u64 = 200;
 const NESTED_OUTER_POINTS: u64 = 25;
 /// Nested recovery indices sampled per outer index.
 const NESTED_PER_OUTER: u64 = 10;
+
+/// `(name, ops)` for every site of `plane`, in table order.
+fn census(per_site: &[u64; SITES], plane: Plane) -> Vec<(&'static str, u64)> {
+    Site::in_plane(plane)
+        .map(|s| (s.name(), per_site[s as usize]))
+        .collect()
+}
+
+/// The census as the body of a JSON object.
+fn census_json(census: &[(&str, u64)]) -> String {
+    census
+        .iter()
+        .map(|(name, ops)| format!("\"{name}\": {ops}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
 
 fn parse_u64(flag: &str, v: Option<String>) -> Result<u64, String> {
     v.ok_or_else(|| format!("{flag} needs a value"))?
@@ -126,9 +143,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "universe: {} ops ({} points run, {} shrink steps), fingerprint {:#018x}",
         report.total_ops, report.points_run, report.shrink_steps, report.fingerprint
     );
+    let kinds = census(&report.per_site, Plane::Durability);
     println!("{:>15}  {:>8}", "op kind", "ops");
-    for (i, op) in chaos::CrashOp::ALL.iter().enumerate() {
-        println!("{:>15}  {:>8}", op.name(), report.per_kind[i]);
+    for (name, ops) in &kinds {
+        println!("{name:>15}  {ops:>8}");
     }
     for f in &report.failures {
         println!(
@@ -172,14 +190,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  \"shrink_steps\": {},",
         snap.counter("crashverse.shrink_steps")
     );
-    let mut per_kind = String::new();
-    for (i, op) in chaos::CrashOp::ALL.iter().enumerate() {
-        if i > 0 {
-            per_kind.push_str(", ");
-        }
-        let _ = write!(per_kind, "\"{}\": {}", op.name(), report.per_kind[i]);
-    }
-    let _ = writeln!(json, "  \"per_kind\": {{{per_kind}}},");
+    let _ = writeln!(json, "  \"per_kind\": {{{}}},", census_json(&kinds));
     let _ = writeln!(
         json,
         "  \"gate\": {{\"min_universe\": {MIN_UNIVERSE}, \"all_points_pass\": true}}\n}}"
@@ -251,9 +262,10 @@ fn run_nested(
         report.restarts,
         report.fingerprint
     );
+    let kinds = census(&report.per_site, Plane::Recovery);
     println!("{:>18}  {:>8}", "recovery op kind", "ops");
-    for (i, op) in chaos::RecoveryOp::ALL.iter().enumerate() {
-        println!("{:>18}  {:>8}", op.name(), report.per_kind[i]);
+    for (name, ops) in &kinds {
+        println!("{name:>18}  {ops:>8}");
     }
     for f in &report.failures {
         println!(
@@ -310,14 +322,7 @@ fn run_nested(
         "  \"restarts\": {},",
         snap.counter("crashverse.nested_restarts")
     );
-    let mut per_kind = String::new();
-    for (i, op) in chaos::RecoveryOp::ALL.iter().enumerate() {
-        if i > 0 {
-            per_kind.push_str(", ");
-        }
-        let _ = write!(per_kind, "\"{}\": {}", op.name(), report.per_kind[i]);
-    }
-    let _ = writeln!(json, "  \"per_kind\": {{{per_kind}}},");
+    let _ = writeln!(json, "  \"per_kind\": {{{}}},", census_json(&kinds));
     let _ = writeln!(
         json,
         "  \"quarantine_cycle\": {{\"quarantined\": {}, \"degraded_reads\": {}, \

@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 
 use baselines::{LustreModel, Scenario, StorageModel};
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::{ReactorConfig, RuntimeConfig};
@@ -181,7 +181,7 @@ fn run_rep(
     let victim = 0u32;
     rt.crash_rank(victim)?;
     ssd_chaos.arm(
-        FaultPlan::new(1).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+        FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::KillShard, 0),
         &telemetry,
     );
     // All ranks share the grant namespace, so any rank's IO strikes the

@@ -375,17 +375,11 @@ pub fn analyze(dump: &Dump) -> Report {
         })
         .map(|e| {
             let kind = e.kind.expect("filtered on Some");
-            let decode_site = |code: u64| match chaos::FaultSite::from_code(code) {
-                Some(s) => s.name().to_string(),
-                None => format!("unknown site {code}"),
-            };
-            let decode_crash_op = |code: u64| match chaos::CrashOp::from_code(code) {
-                Some(op) => op.name().to_string(),
-                None => format!("unknown op kind {code}"),
-            };
-            let decode_recovery_op = |code: u64| match chaos::RecoveryOp::from_code(code) {
-                Some(op) => op.name().to_string(),
-                None => format!("unknown recovery op kind {code}"),
+            // The site an injection or crash event names: its kind picks
+            // the plane, `a` the site.
+            let site_of = |ev: &DumpEvent| {
+                let site = ev.kind.and_then(|k| chaos::Site::from_flight(k, ev.a));
+                site.map_or_else(|| format!("unknown site {}", ev.a), |s| s.name().into())
             };
             // Attribute the anomaly to its root cause: the nearest fault
             // injection or crash-universe kill at or before it, when one
@@ -397,12 +391,10 @@ pub fn analyze(dump: &Dump) -> Report {
                 ) && (i.ts_ns, i.seq) <= (e.ts_ns, e.seq)
             });
             let site = match (kind, injection) {
-                (FlightKind::FaultInjected, _) => Some(decode_site(e.a)),
-                (FlightKind::CrashPoint, _) => {
-                    Some(format!("{} op #{}", decode_crash_op(e.a), e.b))
-                }
+                (FlightKind::FaultInjected, _) => Some(site_of(e)),
+                (FlightKind::CrashPoint, _) => Some(format!("{} op #{}", site_of(e), e.b)),
                 (FlightKind::RecoveryCrashPoint, _) => {
-                    Some(format!("{} recovery op #{}", decode_recovery_op(e.a), e.b))
+                    Some(format!("{} recovery op #{}", site_of(e), e.b))
                 }
                 (FlightKind::RecoveryQuarantine, None) => {
                     Some(format!("rank {} after {} failed attempts", e.a, e.b))
@@ -413,7 +405,7 @@ pub fn analyze(dump: &Dump) -> Report {
                 (_, Some(c)) if c.kind == Some(FlightKind::CrashPoint) => {
                     Some(format!("crash_at_op({})", c.b))
                 }
-                (_, Some(inj)) => Some(decode_site(inj.a)),
+                (_, Some(inj)) => Some(site_of(inj)),
                 (FlightKind::ShardKill | FlightKind::ShardDead, None) => {
                     Some(format!("ns {}", e.a))
                 }
@@ -441,7 +433,7 @@ pub fn analyze(dump: &Dump) -> Report {
                          attempt after crash_at_op({}) died on a {} op (t={:.3}ms)",
                         e.b,
                         c.b,
-                        decode_crash_op(c.a),
+                        site_of(c),
                         c.ts_ns as f64 / 1e6
                     )
                 }
@@ -451,12 +443,12 @@ pub fn analyze(dump: &Dump) -> Report {
                 (_, Some(c)) if c.kind == Some(FlightKind::CrashPoint) => format!(
                     "; root cause: crash_at_op({}) killed a {} op (t={:.3}ms)",
                     c.b,
-                    decode_crash_op(c.a),
+                    site_of(c),
                     c.ts_ns as f64 / 1e6
                 ),
                 (_, Some(inj)) => format!(
                     "; root cause: injected fault at {} (t={:.3}ms)",
-                    decode_site(inj.a),
+                    site_of(inj),
                     inj.ts_ns as f64 / 1e6
                 ),
             };

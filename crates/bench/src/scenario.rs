@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
@@ -139,7 +139,7 @@ pub fn run_seeded(dump_path: &Path) -> Result<SeededOutcome, String> {
     // It runs disjoint from the kill rounds so the kill's deterministic
     // op placement is unperturbed.
     chaos.arm(
-        FaultPlan::new(SEED ^ 0xD80).at_op(FaultSite::CapsuleTx, FaultAction::DropCapsule, 1),
+        FaultPlan::new(SEED ^ 0xD80).at_op(Site::CapsuleTx, FaultAction::DropCapsule, 1),
         &telemetry,
     );
     {
@@ -157,11 +157,7 @@ pub fn run_seeded(dump_path: &Path) -> Result<SeededOutcome, String> {
     let mut rounds = 0u64;
     while faulted.is_none() && rounds < MAX_ROUNDS {
         chaos.arm(
-            FaultPlan::new(SEED + rounds).at_op(
-                FaultSite::ShardIo,
-                FaultAction::KillShard,
-                2 + rounds,
-            ),
+            FaultPlan::new(SEED + rounds).at_op(Site::ShardIo, FaultAction::KillShard, 2 + rounds),
             &telemetry,
         );
         for rank in 0..RANKS {

@@ -1,97 +1,196 @@
-//! Deterministic data-path fault injection.
+//! Deterministic fault injection: one gate, one plan.
 //!
-//! The chaos subsystem lets tests and benchmarks inject faults at the *real*
-//! byte path — NVMf capsules on the wire, SSD shard I/O, capacitor-backed
-//! drains, WAL appends — instead of simulating failures out-of-band. The
-//! design mirrors the telemetry layer:
+//! The chaos subsystem injects faults at the *real* byte path — NVMf
+//! capsules, SSD shard I/O, capacitor-backed drains, WAL appends — and
+//! kills the stack at exact durability or recovery operations. Every hook
+//! is one call, [`ChaosHandle::fire`], naming a [`Site`]:
 //!
 //! - A [`ChaosHandle`] is threaded through configs (fabric, ssd, microfs,
 //!   core). Cloning is cheap (one `Arc`).
-//! - When no plan is armed, [`ChaosHandle::decide`] is a single relaxed
-//!   atomic load returning `None` — the production path pays essentially
-//!   nothing.
-//! - When a [`FaultPlan`] is armed, every decision is a pure function of
-//!   `(plan seed, fault site, per-site operation index)`, so a run with the
-//!   same seed and same operation order injects exactly the same faults.
-//!   There is no global RNG state to race on.
+//! - Disarmed, `fire` is a single relaxed atomic load returning `None`.
+//! - Armed with a [`FaultPlan`], every call consumes one op index and
+//!   every decision is a pure function of `(seed, rule, site, op index,
+//!   attempt)`: the same plan over the same operation order injects
+//!   exactly the same faults, with no global RNG state to race on.
+//!
+//! A site's [`Plane`] fixes the op index it advances. A fault site keeps
+//! its own; the six durability sites share one (the crash universe: "crash
+//! at op k" names one point whatever mix of ops precedes it), and so do
+//! the seven recovery sites (the nested universe inside recovery). A plan
+//! is a seed plus rules — a site or a whole plane, a trigger (rate, exact
+//! index, dead-from-index, optionally first attempt only), and the
+//! [`FaultAction`] to apply. A crash is an action like any other.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::mem::discriminant;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use telemetry::{Counter, FlightKind, FlightRecorder, Telemetry};
 
-/// A location in the data path where a fault can be injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FaultSite {
+/// The family a [`Site`] belongs to: which op index it advances and which
+/// flight event a firing records (`a` = site code, `b` = op index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Plane {
+    /// Data-path faults. Each site has its own op index; a hit counts on
+    /// `chaos.injected` and records [`FlightKind::FaultInjected`].
+    Fault,
+    /// Durability ops of the running workload, on one shared index; a
+    /// firing records [`FlightKind::CrashPoint`].
+    Durability,
+    /// Replay/rescan ops of recovery itself, on one shared index; a firing
+    /// records [`FlightKind::RecoveryCrashPoint`].
+    Recovery,
+}
+
+impl Plane {
+    fn flight_kind(self) -> FlightKind {
+        match self {
+            Plane::Fault => FlightKind::FaultInjected,
+            Plane::Durability => FlightKind::CrashPoint,
+            Plane::Recovery => FlightKind::RecoveryCrashPoint,
+        }
+    }
+}
+
+/// One row of the site table: the plane, the wire code (unique within the
+/// plane), the name used in dumps, and the actions the site's hook applies.
+struct SiteInfo {
+    plane: Plane,
+    code: u64,
+    name: &'static str,
+    actions: &'static [FaultAction],
+}
+
+/// Declare [`Site`], [`Site::ALL`] and the site table from one listing:
+/// `Variant = plane code "name" [actions];`.
+macro_rules! sites {
+    ($($(#[$doc:meta])* $site:ident = $plane:ident $code:literal $name:literal
+        [$($action:ident $({$field:ident})?),*];)*) => {
+        /// A location where the gate can fire. Each site has a plane, a
+        /// stable wire code and name, and the actions its hook applies.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum Site {
+            $($(#[$doc])* $site,)*
+        }
+
+        impl Site {
+            /// Every site, in table order.
+            pub const ALL: [Site; SITES] = [$(Site::$site,)*];
+        }
+
+        /// The site table, indexed by `Site as usize`.
+        const TABLE: [SiteInfo; SITES] = [$(SiteInfo {
+            plane: Plane::$plane,
+            code: $code,
+            name: $name,
+            actions: &[$(FaultAction::$action $({ $field: 0 })?),*],
+        },)*];
+    };
+}
+
+sites! {
     /// Command capsule leaving the initiator (before `post_send`).
-    CapsuleTx,
+    CapsuleTx = Fault 0x01 "capsule_tx" [DropCapsule, DuplicateCapsule, CorruptPayload];
     /// Response capsule arriving at the initiator (after `poll_cq`).
-    CapsuleRx,
+    CapsuleRx = Fault 0x02 "capsule_rx" [DropCapsule, CorruptPayload];
     /// Connection-level failure observed by the initiator for one command.
-    ConnReset,
+    ConnReset = Fault 0x03 "conn_reset" [ResetConnection];
     /// SSD shard servicing a read/write.
-    ShardIo,
+    ShardIo = Fault 0x04 "shard_io" [ShardBusy, KillShard];
     /// Capacitor-backed flush during a simulated power failure.
-    CapacitorFlush,
-    /// microfs WAL appending a freshly encoded record.
-    WalAppend,
-    /// Latent media corruption surfacing on an SSD shard read (bit rot on a
-    /// checkpoint copy; exercises the scrub/read-repair path).
-    ReplicaBitRot,
+    CapacitorFlush = Fault 0x05 "capacitor_flush" [PowerCut {drain_writes}];
+    /// microfs WAL appending a freshly encoded record (torn-write fault).
+    WalAppend = Fault 0x06 "wal_append" [TornWrite {keep_bytes}];
+    /// Latent bit rot surfacing on an SSD shard read (exercises scrub).
+    ReplicaBitRot = Fault 0x07 "replica_bit_rot" [CorruptPayload];
+    /// microfs WAL appending a freshly encoded record, as a durability op.
+    WalRecord = Durability 1 "wal_append" [Crash];
+    /// One block-device write element reaching the NVMf data plane.
+    BlockWrite = Durability 2 "block_write" [Crash];
+    /// One mirrored write element (primary + replica copies).
+    MirrorWrite = Durability 3 "mirror_write" [Crash];
+    /// Epoch manifest body landing in the manifest region.
+    ManifestBody = Durability 4 "manifest_body" [Crash];
+    /// Epoch commit record landing: the point of no return for an epoch.
+    CommitRecord = Durability 5 "commit_record" [Crash];
+    /// Discard/trim of freed blocks on the mirror.
+    Discard = Durability 6 "discard" [Crash];
+    /// microfs mount: superblock decode + latest-snapshot load.
+    SnapshotLoad = Recovery 1 "snapshot_load" [Crash];
+    /// microfs mount: WAL region scan (CRC-framed record walk).
+    LogScan = Recovery 2 "log_scan" [Crash];
+    /// microfs replay: one WAL record applied to the in-memory tree.
+    ReplayApply = Recovery 3 "replay_apply" [Crash];
+    /// nvmecr recovery: manifest-slot scan of the replica tail region.
+    ManifestScan = Recovery 4 "manifest_scan" [Crash];
+    /// `Mirror::rescan`: one chunk of the primary re-read for CRC audit.
+    RescanChunk = Recovery 5 "rescan_chunk" [Crash];
+    /// `materialize_chain`: one delta-epoch chain step resolved.
+    ChainMaterialize = Recovery 6 "chain_materialize" [Crash];
+    /// Replica restore: one CRC-verified extent copied back.
+    RestoreExtent = Recovery 7 "restore_extent" [Crash];
 }
 
-impl FaultSite {
-    /// Stable per-site stream id mixed into the decision hash so two sites
-    /// with the same op index never share a decision.
-    fn stream(self) -> u64 {
-        match self {
-            FaultSite::CapsuleTx => 0x01,
-            FaultSite::CapsuleRx => 0x02,
-            FaultSite::ConnReset => 0x03,
-            FaultSite::ShardIo => 0x04,
-            FaultSite::CapacitorFlush => 0x05,
-            FaultSite::WalAppend => 0x06,
-            FaultSite::ReplicaBitRot => 0x07,
-        }
+/// Number of [`Site`]s (the index space of [`Report::per_site`]).
+pub const SITES: usize = 20;
+
+/// Op indices: one per fault site, then one shared by the durability
+/// plane and one shared by the recovery plane.
+const COUNTERS: usize = 9;
+
+impl Site {
+    fn info(self) -> &'static SiteInfo {
+        &TABLE[self as usize]
     }
 
+    /// The plane this site belongs to.
+    pub fn plane(self) -> Plane {
+        self.info().plane
+    }
+
+    /// Snake-case name used in dumps and reports.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::CapsuleTx => "capsule_tx",
-            FaultSite::CapsuleRx => "capsule_rx",
-            FaultSite::ConnReset => "conn_reset",
-            FaultSite::ShardIo => "shard_io",
-            FaultSite::CapacitorFlush => "capacitor_flush",
-            FaultSite::WalAppend => "wal_append",
-            FaultSite::ReplicaBitRot => "replica_bit_rot",
-        }
+        self.info().name
     }
 
-    /// Stable wire code carried in flight-recorder events, so a dump can
-    /// name the injected site without re-running the plan.
+    /// Stable wire code carried in flight-recorder events (`a`), unique
+    /// within the site's plane.
     pub fn code(self) -> u64 {
-        self.stream()
+        self.info().code
     }
 
-    /// Decode a wire code back into a site.
-    pub fn from_code(code: u64) -> Option<FaultSite> {
-        Some(match code {
-            0x01 => FaultSite::CapsuleTx,
-            0x02 => FaultSite::CapsuleRx,
-            0x03 => FaultSite::ConnReset,
-            0x04 => FaultSite::ShardIo,
-            0x05 => FaultSite::CapacitorFlush,
-            0x06 => FaultSite::WalAppend,
-            0x07 => FaultSite::ReplicaBitRot,
-            _ => return None,
-        })
+    /// Whether the hook at this site applies `action`.
+    fn applies(self, action: FaultAction) -> bool {
+        let d = discriminant(&action);
+        self.info().actions.iter().any(|a| discriminant(a) == d)
+    }
+
+    /// The sites of `plane`, in table order.
+    pub fn in_plane(plane: Plane) -> impl Iterator<Item = Site> {
+        Site::ALL.into_iter().filter(move |s| s.plane() == plane)
+    }
+
+    /// Decode a flight event back into its site: the event kind names the
+    /// plane, `code` (the event's `a`) the site within it.
+    pub fn from_flight(kind: FlightKind, code: u64) -> Option<Site> {
+        let same = |s: &Site| s.plane().flight_kind() == kind && s.code() == code;
+        Site::ALL.into_iter().find(same)
+    }
+
+    /// The op index this site advances: its own on the fault plane, the
+    /// plane's shared one on the durability and recovery planes.
+    fn counter(self) -> usize {
+        match self.plane() {
+            Plane::Fault => self as usize,
+            Plane::Durability => COUNTERS - 2,
+            Plane::Recovery => COUNTERS - 1,
+        }
     }
 }
 
-/// What to do when a fault fires at a site.
+/// What to do when a rule fires at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Drop the capsule: it never reaches the peer (command or response lost).
@@ -112,228 +211,149 @@ pub enum FaultAction {
     /// Torn WAL append: only the first `keep_bytes` of the record hit the
     /// device before the failure (exercises CRC-framed scan truncation).
     TornWrite { keep_bytes: u32 },
+    /// The process dies at this op: the op fails before any byte lands.
+    Crash,
 }
 
-/// A durability-relevant operation counted by the crash-universe mode.
-///
-/// Unlike [`FaultSite`] (which keys *independent per-site* decision
-/// streams), crash ops share **one global, cross-site counter** so that
-/// "crash at op *k*" names a unique point in the execution, whatever mix
-/// of WAL appends, block writes and manifest commits precedes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CrashOp {
-    /// microfs WAL appending a freshly encoded record.
-    WalAppend,
-    /// One block-device write element reaching the NVMf data plane.
-    BlockWrite,
-    /// One mirrored write element (primary + replica copies).
-    MirrorWrite,
-    /// Epoch manifest body landing in the manifest region.
-    ManifestBody,
-    /// Epoch commit record landing in the manifest region (the point of
-    /// no return for an epoch).
-    CommitRecord,
-    /// Discard/trim of freed blocks on the mirror.
-    Discard,
+/// When a rule fires, as a function of its site's op index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Trigger {
+    /// With probability `p` per op, deterministically hashed per index.
+    Rate(f64),
+    /// At exactly op index `n`.
+    At(u64),
+    /// At op index `n` and every later one: after a crash nothing
+    /// persists, the universe is dead. Only op `n` records and trips.
+    DeadFrom(u64),
 }
 
-/// Number of distinct [`CrashOp`] kinds (array index space).
-pub const CRASH_OP_KINDS: usize = 6;
-
-impl CrashOp {
-    /// All kinds, in stable code order.
-    pub const ALL: [CrashOp; CRASH_OP_KINDS] = [
-        CrashOp::WalAppend,
-        CrashOp::BlockWrite,
-        CrashOp::MirrorWrite,
-        CrashOp::ManifestBody,
-        CrashOp::CommitRecord,
-        CrashOp::Discard,
-    ];
-
-    /// Stable wire code carried in flight-recorder events (1-based).
-    pub fn code(self) -> u64 {
-        match self {
-            CrashOp::WalAppend => 1,
-            CrashOp::BlockWrite => 2,
-            CrashOp::MirrorWrite => 3,
-            CrashOp::ManifestBody => 4,
-            CrashOp::CommitRecord => 5,
-            CrashOp::Discard => 6,
-        }
-    }
-
-    /// Decode a wire code back into an op kind.
-    pub fn from_code(code: u64) -> Option<CrashOp> {
-        Some(match code {
-            1 => CrashOp::WalAppend,
-            2 => CrashOp::BlockWrite,
-            3 => CrashOp::MirrorWrite,
-            4 => CrashOp::ManifestBody,
-            5 => CrashOp::CommitRecord,
-            6 => CrashOp::Discard,
-            _ => return None,
-        })
-    }
-
-    /// Snake-case name used in dumps and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CrashOp::WalAppend => "wal_append",
-            CrashOp::BlockWrite => "block_write",
-            CrashOp::MirrorWrite => "mirror_write",
-            CrashOp::ManifestBody => "manifest_body",
-            CrashOp::CommitRecord => "commit_record",
-            CrashOp::Discard => "discard",
-        }
-    }
-
-    fn index(self) -> usize {
-        (self.code() - 1) as usize
-    }
-}
-
-/// A recovery-path operation counted by the **nested** crash plane.
-///
-/// Where [`CrashOp`] enumerates the durability ops of the *running*
-/// workload, `RecoveryOp` enumerates the replay/rescan ops of *recovery
-/// itself*: after an outer `crash_at_op(k)` kills the stack and recovery
-/// begins, `crash_in_recovery(j)` kills the j-th of these — proving the
-/// recovery paths are themselves restartable. Like crash ops, recovery
-/// ops share one global cross-site counter so "crash recovery at op j"
-/// names a unique point whatever mix of scans and replays precedes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RecoveryOp {
-    /// microfs mount: superblock decode + latest-snapshot load.
-    SnapshotLoad,
-    /// microfs mount: WAL region scan (CRC-framed record walk).
-    LogScan,
-    /// microfs replay: one WAL record applied to the in-memory tree.
-    ReplayApply,
-    /// nvmecr recovery: manifest-slot scan of the replica tail region.
-    ManifestScan,
-    /// `Mirror::rescan`: one chunk of the primary re-read for CRC audit.
-    RescanChunk,
-    /// `materialize_chain`: one delta-epoch chain step resolved.
-    ChainMaterialize,
-    /// Replica restore: one CRC-verified extent copied back.
-    RestoreExtent,
-}
-
-/// Number of distinct [`RecoveryOp`] kinds (array index space).
-pub const RECOVERY_OP_KINDS: usize = 7;
-
-impl RecoveryOp {
-    /// All kinds, in stable code order.
-    pub const ALL: [RecoveryOp; RECOVERY_OP_KINDS] = [
-        RecoveryOp::SnapshotLoad,
-        RecoveryOp::LogScan,
-        RecoveryOp::ReplayApply,
-        RecoveryOp::ManifestScan,
-        RecoveryOp::RescanChunk,
-        RecoveryOp::ChainMaterialize,
-        RecoveryOp::RestoreExtent,
-    ];
-
-    /// Stable wire code carried in flight-recorder events (1-based).
-    pub fn code(self) -> u64 {
-        match self {
-            RecoveryOp::SnapshotLoad => 1,
-            RecoveryOp::LogScan => 2,
-            RecoveryOp::ReplayApply => 3,
-            RecoveryOp::ManifestScan => 4,
-            RecoveryOp::RescanChunk => 5,
-            RecoveryOp::ChainMaterialize => 6,
-            RecoveryOp::RestoreExtent => 7,
-        }
-    }
-
-    /// Decode a wire code back into an op kind.
-    pub fn from_code(code: u64) -> Option<RecoveryOp> {
-        Some(match code {
-            1 => RecoveryOp::SnapshotLoad,
-            2 => RecoveryOp::LogScan,
-            3 => RecoveryOp::ReplayApply,
-            4 => RecoveryOp::ManifestScan,
-            5 => RecoveryOp::RescanChunk,
-            6 => RecoveryOp::ChainMaterialize,
-            7 => RecoveryOp::RestoreExtent,
-            _ => return None,
-        })
-    }
-
-    /// Snake-case name used in dumps and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryOp::SnapshotLoad => "snapshot_load",
-            RecoveryOp::LogScan => "log_scan",
-            RecoveryOp::ReplayApply => "replay_apply",
-            RecoveryOp::ManifestScan => "manifest_scan",
-            RecoveryOp::RescanChunk => "rescan_chunk",
-            RecoveryOp::ChainMaterialize => "chain_materialize",
-            RecoveryOp::RestoreExtent => "restore_extent",
-        }
-    }
-
-    fn index(self) -> usize {
-        (self.code() - 1) as usize
-    }
-}
-
-/// One injection rule: a site, an action, and when it fires.
-///
-/// `rate` fires probabilistically (deterministically hashed per op index);
-/// `at_ops` fires at exact per-site operation indices. Both may be set.
+/// One rule of a plan: the sites it covers (one site, or every site of a
+/// plane), when it fires, and what it does.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    pub site: FaultSite,
-    pub action: FaultAction,
-    pub rate: f64,
-    pub at_ops: Vec<u64>,
+struct Rule {
+    plane: Plane,
+    site: Option<Site>,
+    trigger: Trigger,
+    action: FaultAction,
+    /// Inert once [`ChaosHandle::begin_attempt`] starts attempt 2, so a
+    /// supervisor's restart after the kill runs clean.
+    first_attempt_only: bool,
 }
 
-/// A seeded, declarative schedule of faults.
+impl Rule {
+    fn at(site: Site, trigger: Trigger, action: FaultAction) -> Rule {
+        Rule {
+            plane: site.plane(),
+            site: Some(site),
+            trigger,
+            action,
+            first_attempt_only: false,
+        }
+    }
+
+    /// Every op of `plane` from index `k` on dies.
+    fn crash(plane: Plane, k: u64, first_attempt_only: bool) -> Rule {
+        Rule {
+            plane,
+            site: None,
+            trigger: Trigger::DeadFrom(k),
+            action: FaultAction::Crash,
+            first_attempt_only,
+        }
+    }
+
+    fn covers(&self, site: Site) -> bool {
+        site.plane() == self.plane && (self.site.is_none() || self.site == Some(site))
+    }
+}
+
+/// A seeded, declarative schedule of faults and crashes.
 ///
-/// Two plans with the same seed and specs make identical decisions for the
-/// same sequence of per-site operations.
-#[derive(Debug, Clone, PartialEq)]
+/// Two plans with the same seed and rules make identical decisions for the
+/// same sequence of operations. A plan without rules fires nothing but
+/// still counts every op, which is how a universe is enumerated.
+///
+/// Every builder panics when a site it covers cannot apply its action:
+/// the hook would ignore it while the gate counted a phantom injection.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    pub seed: u64,
-    pub specs: Vec<FaultSpec>,
+    seed: u64,
+    rules: Vec<Rule>,
 }
 
 impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            specs: Vec::new(),
+            rules: Vec::new(),
         }
     }
 
-    /// Fire `action` at `site` with probability `rate` per operation.
-    pub fn with_rate(mut self, site: FaultSite, action: FaultAction, rate: f64) -> Self {
-        self.specs.push(FaultSpec {
-            site,
-            action,
-            rate,
-            at_ops: Vec::new(),
-        });
+    fn rule(mut self, rule: Rule) -> Self {
+        let refused = Site::ALL
+            .into_iter()
+            .find(|&s| rule.covers(s) && !s.applies(rule.action));
+        if let Some(site) = refused {
+            panic!(
+                "fault action {:?} cannot be applied at site {}",
+                rule.action,
+                site.name()
+            );
+        }
+        self.rules.push(rule);
         self
+    }
+
+    /// Fire `action` at `site` with probability `rate` per operation.
+    pub fn with_rate(self, site: Site, action: FaultAction, rate: f64) -> Self {
+        self.rule(Rule::at(site, Trigger::Rate(rate), action))
     }
 
     /// Fire `action` exactly at per-site operation index `op`.
-    pub fn at_op(mut self, site: FaultSite, action: FaultAction, op: u64) -> Self {
-        self.specs.push(FaultSpec {
-            site,
-            action,
-            rate: 0.0,
-            at_ops: vec![op],
-        });
-        self
+    pub fn at_op(self, site: Site, action: FaultAction, op: u64) -> Self {
+        self.rule(Rule::at(site, Trigger::At(op), action))
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+    /// Kill the stack at exactly durability-op index `k`: that op records a
+    /// [`FlightKind::CrashPoint`] event, trips the flight recorder, and
+    /// fails; every durability op after it fails too.
+    pub fn crash_at_op(self, k: u64) -> Self {
+        self.rule(Rule::crash(Plane::Durability, k, false))
+    }
+
+    /// Kill the **first** recovery attempt at exactly recovery-op index
+    /// `j`: that op records a [`FlightKind::RecoveryCrashPoint`] event,
+    /// trips the flight recorder, and fails, and so does every recovery op
+    /// after it in the same attempt. Later attempts run clean.
+    pub fn crash_in_recovery(self, j: u64) -> Self {
+        self.rule(Rule::crash(Plane::Recovery, j, true))
+    }
+
+    /// The first rule that fires for op `n` at `site` during `attempt`:
+    /// its action, and whether this op is the firing's onset (the one op
+    /// that records and trips).
+    fn decide(&self, site: Site, n: u64, attempt: u64) -> Option<(FaultAction, bool)> {
+        self.rules.iter().enumerate().find_map(|(idx, rule)| {
+            if !rule.covers(site) || (rule.first_attempt_only && attempt > 1) {
+                return None;
+            }
+            let onset = match rule.trigger {
+                Trigger::At(k) => (n == k).then_some(true),
+                Trigger::DeadFrom(k) => (n >= k).then_some(n == k),
+                Trigger::Rate(p) => {
+                    // Site stream (the wire code on the fault plane) and rule
+                    // index keep every (site, rule) coin independent.
+                    let h = splitmix64(
+                        self.seed
+                            ^ (site as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            ^ (idx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
+                            ^ n.wrapping_mul(0xCA5A_8268_85B6_B2D1),
+                    );
+                    (unit(h) < p).then_some(true)
+                }
+            };
+            onset.map(|onset| (rule.action, onset))
+        })
     }
 }
 
@@ -352,162 +372,61 @@ fn unit(hash: u64) -> f64 {
     (hash >> 11) as f64 / (1u64 << 53) as f64
 }
 
-struct ArmedState {
-    plan: Option<FaultPlan>,
-    /// Per-site operation counters; reset on every `arm`.
-    counters: HashMap<FaultSite, u64>,
-    injected: Option<Arc<Counter>>,
-    /// Flight recorder of the armed telemetry registry: every injected
-    /// fault records a `fault_injected` event and trips the recorder.
-    recorder: Option<Arc<FlightRecorder>>,
-}
-
-/// How the crash-universe counter treats each durability op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashMode {
-    /// Enumerate: count every op, never fire.
-    Count,
-    /// Fire at exactly global op index `k`; every op at index >= `k`
-    /// fails too ("dead universe" — after the crash nothing persists).
-    CrashAt(u64),
-}
-
-struct CrashState {
-    mode: CrashMode,
-    /// Next global op index to hand out (also the running total).
-    next_op: u64,
-    /// Ops seen per [`CrashOp`] kind, indexed by `code() - 1`.
-    per_kind: [u64; CRASH_OP_KINDS],
-    /// Global op index at which the crash fired (`CrashAt` only).
-    fired: Option<u64>,
-    /// Flight recorder of the armed telemetry registry: the crash point
-    /// records a `crash_point` event and trips the recorder.
-    recorder: Option<Arc<FlightRecorder>>,
-}
-
-/// Snapshot of the crash-universe counters, taken by [`ChaosHandle::crash_report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashReport {
-    /// Total durability ops counted (the size of the crash universe).
-    pub total: u64,
-    /// Ops per [`CrashOp`] kind, indexed by `code() - 1`.
-    pub per_kind: [u64; CRASH_OP_KINDS],
-    /// Global op index at which the crash fired, if it did.
-    pub fired: Option<u64>,
-}
-
-impl CrashReport {
-    /// Ops counted for one kind.
-    pub fn kind(&self, op: CrashOp) -> u64 {
-        self.per_kind[op.index()]
-    }
-}
-
-/// How the nested recovery plane treats each recovery op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecoveryMode {
-    /// Enumerate: count every op, never fire.
-    Count,
-    /// Fire at exactly nested op index `j` — but only during the *first*
-    /// recovery attempt. Ops at index >= `j` in attempt 1 fail too (the
-    /// recovery process is dead); attempts 2+ run clean, modelling the
-    /// supervisor restarting recovery after its crash.
-    CrashAt(u64),
-}
-
-struct RecoveryState {
-    mode: RecoveryMode,
-    /// Next nested op index to hand out (also the running total).
-    next_op: u64,
-    /// Ops seen per [`RecoveryOp`] kind, indexed by `code() - 1`.
-    per_kind: [u64; RECOVERY_OP_KINDS],
-    /// Nested op index at which the crash fired (`CrashAt` only).
-    fired: Option<u64>,
-    /// Recovery attempt in progress (1-based; bumped by
-    /// [`ChaosHandle::begin_recovery_attempt`]).
-    attempt: u64,
-    /// Flight recorder of the armed telemetry registry: the nested crash
-    /// records a `recovery_crash_point` event and trips the recorder.
-    recorder: Option<Arc<FlightRecorder>>,
-}
-
-/// Snapshot of the nested recovery-plane counters, taken by
-/// [`ChaosHandle::recovery_report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Total recovery ops counted (the size of the nested universe).
-    pub total: u64,
-    /// Ops per [`RecoveryOp`] kind, indexed by `code() - 1`.
-    pub per_kind: [u64; RECOVERY_OP_KINDS],
-    /// Nested op index at which the crash fired, if it did.
-    pub fired: Option<u64>,
-    /// Recovery attempts begun since arming.
+/// Snapshot of the gate's counters since the last [`ChaosHandle::arm`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Report {
+    /// Ops seen per site, indexed by `Site as usize`.
+    pub per_site: [u64; SITES],
+    /// Site and op index of the first firing, if any rule fired.
+    pub fired: Option<(Site, u64)>,
+    /// Attempts begun since arming (1-based).
     pub attempts: u64,
 }
 
-impl RecoveryReport {
-    /// Ops counted for one kind.
-    pub fn kind(&self, op: RecoveryOp) -> u64 {
-        self.per_kind[op.index()]
+impl Report {
+    /// Ops counted at one site.
+    pub fn count(&self, site: Site) -> u64 {
+        self.per_site[site as usize]
+    }
+
+    /// Ops counted across a plane (on a crash plane: the universe size).
+    pub fn total(&self, plane: Plane) -> u64 {
+        Site::in_plane(plane).map(|s| self.count(s)).sum()
     }
 }
 
+#[derive(Default)]
+struct State {
+    plan: FaultPlan,
+    /// Next op index per counter (see [`Site::counter`]).
+    next: [u64; COUNTERS],
+    per_site: [u64; SITES],
+    fired: Option<(Site, u64)>,
+    attempt: u64,
+    injected: Option<Arc<Counter>>,
+    recorder: Option<Arc<FlightRecorder>>,
+}
+
+#[derive(Default)]
 struct Inner {
     armed: AtomicBool,
-    state: Mutex<ArmedState>,
-    crash_armed: AtomicBool,
-    crash: Mutex<CrashState>,
-    recovery_armed: AtomicBool,
-    recovery: Mutex<RecoveryState>,
+    state: Mutex<State>,
 }
 
 /// Cheap, cloneable hook handle threaded through layer configs.
 ///
-/// Disabled (the default): `decide` is one relaxed atomic load. Armed: each
-/// call takes a short lock to bump the per-site op counter and evaluates the
-/// plan deterministically.
-#[derive(Clone)]
+/// Disabled (the default): `fire` is one relaxed atomic load. Armed: each
+/// call takes a short lock to bump its op counter and evaluates the plan
+/// deterministically.
+#[derive(Clone, Default)]
 pub struct ChaosHandle {
     inner: Arc<Inner>,
-}
-
-impl Default for ChaosHandle {
-    fn default() -> Self {
-        ChaosHandle {
-            inner: Arc::new(Inner {
-                armed: AtomicBool::new(false),
-                state: Mutex::new(ArmedState {
-                    plan: None,
-                    counters: HashMap::new(),
-                    injected: None,
-                    recorder: None,
-                }),
-                crash_armed: AtomicBool::new(false),
-                crash: Mutex::new(CrashState {
-                    mode: CrashMode::Count,
-                    next_op: 0,
-                    per_kind: [0; CRASH_OP_KINDS],
-                    fired: None,
-                    recorder: None,
-                }),
-                recovery_armed: AtomicBool::new(false),
-                recovery: Mutex::new(RecoveryState {
-                    mode: RecoveryMode::Count,
-                    next_op: 0,
-                    per_kind: [0; RECOVERY_OP_KINDS],
-                    fired: None,
-                    attempt: 1,
-                    recorder: None,
-                }),
-            }),
-        }
-    }
 }
 
 impl fmt::Debug for ChaosHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ChaosHandle")
-            .field("armed", &self.inner.armed.load(Ordering::Relaxed))
+            .field("armed", &self.is_armed())
             .finish()
     }
 }
@@ -517,279 +436,96 @@ impl ChaosHandle {
         Self::default()
     }
 
-    /// Arm `plan`. Per-site op counters restart from zero, so arming the same
-    /// plan twice replays the same fault sequence. Injected faults are counted
-    /// on `telemetry`'s `chaos.injected` counter.
+    /// Arm `plan`. Every op counter restarts from zero and the attempt
+    /// number from 1, so arming the same plan twice replays the same
+    /// sequence. Injected faults are counted on `telemetry`'s
+    /// `chaos.injected` counter; firings record into its flight recorder.
     pub fn arm(&self, plan: FaultPlan, telemetry: &Telemetry) {
-        let mut st = self.inner.state.lock();
-        st.counters.clear();
-        st.injected = Some(telemetry.counter("chaos.injected"));
-        st.recorder = Some(telemetry.recorder());
-        st.plan = Some(plan);
+        *self.inner.state.lock() = State {
+            plan,
+            attempt: 1,
+            injected: Some(telemetry.counter("chaos.injected")),
+            recorder: Some(telemetry.recorder()),
+            ..State::default()
+        };
         self.inner.armed.store(true, Ordering::Release);
     }
 
-    /// Disarm: subsequent `decide` calls return `None` after one atomic load.
+    /// Disarm: subsequent `fire` calls return `None` after one atomic
+    /// load. The counters stay readable via [`ChaosHandle::report`] until
+    /// the next arm.
     pub fn disarm(&self) {
         self.inner.armed.store(false, Ordering::Release);
-        let mut st = self.inner.state.lock();
-        st.plan = None;
-        st.counters.clear();
-        st.injected = None;
-        st.recorder = None;
     }
 
     pub fn is_armed(&self) -> bool {
         self.inner.armed.load(Ordering::Relaxed)
     }
 
-    /// Ask whether a fault fires for the next operation at `site`.
-    ///
-    /// Every call while armed consumes one per-site op index, whether or not
-    /// a fault fires, which is what makes runs reproducible: the decision for
-    /// op `n` does not depend on how many faults fired before it.
-    pub fn decide(&self, site: FaultSite) -> Option<FaultAction> {
+    /// Consume the next op index of `site`'s counter and report what, if
+    /// anything, happens to this op. Every call while armed consumes one
+    /// index whether or not a rule fires, so the decision for op `n` does
+    /// not depend on how many rules fired before it.
+    #[inline]
+    pub fn fire(&self, site: Site) -> Option<FaultAction> {
         if !self.inner.armed.load(Ordering::Relaxed) {
             return None;
         }
+        self.fire_armed(site)
+    }
+
+    /// [`ChaosHandle::fire`] past the armed check, kept out of line so the
+    /// disarmed hook inlined at each site is the load and a branch.
+    #[cold]
+    #[inline(never)]
+    fn fire_armed(&self, site: Site) -> Option<FaultAction> {
         let mut st = self.inner.state.lock();
-        let n = {
-            let ctr = st.counters.entry(site).or_insert(0);
-            let n = *ctr;
-            *ctr += 1;
-            n
-        };
-        let plan = st.plan.as_ref()?;
-        let mut hit = None;
-        for (idx, spec) in plan.specs.iter().enumerate() {
-            if spec.site != site {
-                continue;
-            }
-            if spec.at_ops.contains(&n) {
-                hit = Some(spec.action);
-                break;
-            }
-            if spec.rate > 0.0 {
-                // Mix the spec index in so two rate specs on one site draw
-                // independent coins for the same op.
-                let h = splitmix64(
-                    plan.seed
-                        ^ site.stream().wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (idx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
-                        ^ n.wrapping_mul(0xCA5A_8268_85B6_B2D1),
-                );
-                if unit(h) < spec.rate {
-                    hit = Some(spec.action);
-                    break;
+        let n = st.next[site.counter()];
+        st.next[site.counter()] += 1;
+        st.per_site[site as usize] += 1;
+        let (action, onset) = st.plan.decide(site, n, st.attempt)?;
+        if onset {
+            st.fired.get_or_insert((site, n));
+            if site.plane() == Plane::Fault {
+                if let Some(c) = &st.injected {
+                    c.inc();
                 }
             }
-        }
-        if hit.is_some() {
-            if let Some(c) = &st.injected {
-                c.inc();
-            }
-            if let Some(r) = &st.recorder {
-                let r = Arc::clone(r);
-                // Record and trip outside the plan lock: the dump path
-                // reads metrics and touches the filesystem.
+            if let Some(r) = st.recorder.clone() {
+                // Record and trip outside the lock: the dump path reads
+                // metrics and touches the filesystem.
                 drop(st);
-                r.record(FlightKind::FaultInjected, 0, 0, site.code(), n);
-                r.trip(FlightKind::FaultInjected, site.code());
+                let kind = site.plane().flight_kind();
+                r.record(kind, 0, 0, site.code(), n);
+                r.trip(kind, site.code());
             }
         }
-        hit
+        Some(action)
     }
 
-    /// Arm the crash-universe counter in *count* mode: every durability op
-    /// consumes one global index, nothing ever fires. Used to enumerate
-    /// the universe before exploring it.
-    pub fn arm_crash_count(&self) {
-        let mut st = self.inner.crash.lock();
-        st.mode = CrashMode::Count;
-        st.next_op = 0;
-        st.per_kind = [0; CRASH_OP_KINDS];
-        st.fired = None;
-        st.recorder = None;
-        self.inner.crash_armed.store(true, Ordering::Release);
-    }
-
-    /// Arm the crash-universe counter to kill the stack at exactly global
-    /// durability-op index `k`: the op at index `k` records a
-    /// [`FlightKind::CrashPoint`] event, trips `telemetry`'s flight
-    /// recorder, and fails; every op at index >= `k` fails too (after a
-    /// crash, nothing persists — the universe is dead).
-    pub fn crash_at_op(&self, k: u64, telemetry: &Telemetry) {
-        let mut st = self.inner.crash.lock();
-        st.mode = CrashMode::CrashAt(k);
-        st.next_op = 0;
-        st.per_kind = [0; CRASH_OP_KINDS];
-        st.fired = None;
-        st.recorder = Some(telemetry.recorder());
-        self.inner.crash_armed.store(true, Ordering::Release);
-    }
-
-    /// Disarm the crash-universe counter, leaving the counters readable
-    /// via [`ChaosHandle::crash_report`] until the next arm.
-    pub fn disarm_crash(&self) {
-        self.inner.crash_armed.store(false, Ordering::Release);
-        let mut st = self.inner.crash.lock();
-        st.recorder = None;
-    }
-
-    /// Whether a crash-universe mode is armed.
-    pub fn is_crash_armed(&self) -> bool {
-        self.inner.crash_armed.load(Ordering::Relaxed)
-    }
-
-    /// Consume one global durability-op index for `op` and report whether
-    /// the stack dies here.
-    ///
-    /// Disarmed (the default) this is a single relaxed atomic load
-    /// returning `false`. Armed, every call consumes exactly one index in
-    /// execution order, which is what makes a crash point reproducible
-    /// from `(workload, k)` alone.
-    pub fn crash_fire(&self, op: CrashOp) -> bool {
-        if !self.inner.crash_armed.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut st = self.inner.crash.lock();
-        let n = st.next_op;
-        st.next_op += 1;
-        st.per_kind[op.index()] += 1;
-        match st.mode {
-            CrashMode::Count => false,
-            CrashMode::CrashAt(k) => {
-                if n < k {
-                    false
-                } else {
-                    if n == k {
-                        st.fired = Some(n);
-                        if let Some(r) = st.recorder.take() {
-                            // Record and trip outside the lock: the dump
-                            // path reads metrics and touches the
-                            // filesystem.
-                            drop(st);
-                            r.record(FlightKind::CrashPoint, 0, 0, op.code(), n);
-                            r.trip(FlightKind::CrashPoint, op.code());
-                        }
-                    }
-                    true
-                }
-            }
+    /// Mark the start of a fresh attempt (a supervisor restarting
+    /// recovery). The first attempt is implicit at arm time; after each
+    /// call first-attempt-only rules are inert. Ignored while disarmed.
+    pub fn begin_attempt(&self) {
+        if self.is_armed() {
+            self.inner.state.lock().attempt += 1;
         }
     }
 
-    /// Snapshot the crash-universe counters.
-    pub fn crash_report(&self) -> CrashReport {
-        let st = self.inner.crash.lock();
-        CrashReport {
-            total: st.next_op,
-            per_kind: st.per_kind,
-            fired: st.fired,
-        }
+    /// Whether the armed plan kills only the first attempt — a restart
+    /// under it re-enters recovery past a kill.
+    pub fn kills_first_attempt(&self) -> bool {
+        self.is_armed()
+            && (self.inner.state.lock().plan.rules)
+                .iter()
+                .any(|r| r.first_attempt_only)
     }
 
-    /// Arm the nested recovery plane in *count* mode: every recovery op
-    /// consumes one nested index, nothing ever fires. Used to enumerate
-    /// the nested universe of one recovery before exploring it.
-    pub fn arm_recovery_count(&self) {
-        let mut st = self.inner.recovery.lock();
-        st.mode = RecoveryMode::Count;
-        st.next_op = 0;
-        st.per_kind = [0; RECOVERY_OP_KINDS];
-        st.fired = None;
-        st.attempt = 1;
-        st.recorder = None;
-        self.inner.recovery_armed.store(true, Ordering::Release);
-    }
-
-    /// Arm the nested recovery plane to kill the **first** recovery
-    /// attempt at exactly nested op index `j`: that op records a
-    /// [`FlightKind::RecoveryCrashPoint`] event, trips `telemetry`'s
-    /// flight recorder, and fails; every recovery op after it in the same
-    /// attempt fails too (the recovering process is dead). Attempts begun
-    /// after [`ChaosHandle::begin_recovery_attempt`] run clean, modelling
-    /// a supervisor restarting recovery after its crash.
-    pub fn crash_in_recovery(&self, j: u64, telemetry: &Telemetry) {
-        let mut st = self.inner.recovery.lock();
-        st.mode = RecoveryMode::CrashAt(j);
-        st.next_op = 0;
-        st.per_kind = [0; RECOVERY_OP_KINDS];
-        st.fired = None;
-        st.attempt = 1;
-        st.recorder = Some(telemetry.recorder());
-        self.inner.recovery_armed.store(true, Ordering::Release);
-    }
-
-    /// Mark the start of a fresh recovery attempt. The first attempt is
-    /// implicit at arm time; each call bumps the attempt number, so after
-    /// a nested crash the *next* attempt's ops run clean.
-    pub fn begin_recovery_attempt(&self) {
-        if !self.inner.recovery_armed.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut st = self.inner.recovery.lock();
-        st.attempt += 1;
-    }
-
-    /// Disarm the nested recovery plane, leaving the counters readable
-    /// via [`ChaosHandle::recovery_report`] until the next arm.
-    pub fn disarm_recovery(&self) {
-        self.inner.recovery_armed.store(false, Ordering::Release);
-        let mut st = self.inner.recovery.lock();
-        st.recorder = None;
-    }
-
-    /// Whether a nested recovery mode is armed.
-    pub fn is_recovery_armed(&self) -> bool {
-        self.inner.recovery_armed.load(Ordering::Relaxed)
-    }
-
-    /// Consume one nested recovery-op index for `op` and report whether
-    /// the recovering process dies here.
-    ///
-    /// Disarmed (the default) this is a single relaxed atomic load
-    /// returning `false`. Armed, every call consumes exactly one index in
-    /// execution order; in `CrashAt(j)` mode the op at index `j` of the
-    /// first attempt fires (and the rest of that attempt stays dead),
-    /// while later attempts never fire.
-    pub fn recovery_fire(&self, op: RecoveryOp) -> bool {
-        if !self.inner.recovery_armed.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut st = self.inner.recovery.lock();
-        let n = st.next_op;
-        st.next_op += 1;
-        st.per_kind[op.index()] += 1;
-        match st.mode {
-            RecoveryMode::Count => false,
-            RecoveryMode::CrashAt(j) => {
-                if st.attempt > 1 || n < j {
-                    false
-                } else {
-                    if n == j {
-                        st.fired = Some(n);
-                        if let Some(r) = st.recorder.take() {
-                            // Record and trip outside the lock: the dump
-                            // path reads metrics and touches the
-                            // filesystem.
-                            drop(st);
-                            r.record(FlightKind::RecoveryCrashPoint, 0, 0, op.code(), n);
-                            r.trip(FlightKind::RecoveryCrashPoint, op.code());
-                        }
-                    }
-                    true
-                }
-            }
-        }
-    }
-
-    /// Snapshot the nested recovery-plane counters.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        let st = self.inner.recovery.lock();
-        RecoveryReport {
-            total: st.next_op,
-            per_kind: st.per_kind,
+    /// Snapshot the counters.
+    pub fn report(&self) -> Report {
+        let st = self.inner.state.lock();
+        Report {
+            per_site: st.per_site,
             fired: st.fired,
             attempts: st.attempt,
         }
@@ -799,427 +535,351 @@ impl ChaosHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use FaultAction::*;
 
-    fn collect(h: &ChaosHandle, site: FaultSite, n: usize) -> Vec<Option<FaultAction>> {
-        (0..n).map(|_| h.decide(site)).collect()
+    fn armed(plan: FaultPlan) -> (ChaosHandle, Telemetry) {
+        let (h, t) = (ChaosHandle::new(), Telemetry::new());
+        h.arm(plan, &t);
+        (h, t)
+    }
+
+    fn collect(h: &ChaosHandle, site: Site, n: usize) -> Vec<Option<FaultAction>> {
+        (0..n).map(|_| h.fire(site)).collect()
+    }
+
+    /// `(op index, action)` of every firing among the next `n` ops at `site`.
+    fn hits(h: &ChaosHandle, site: Site, n: u64) -> Vec<(u64, FaultAction)> {
+        (0..n)
+            .filter_map(|i| h.fire(site).map(|a| (i, a)))
+            .collect()
+    }
+
+    /// The op indices at which `action` fired.
+    fn indices(hits: &[(u64, FaultAction)], action: FaultAction) -> Vec<u64> {
+        hits.iter().filter(|h| h.1 == action).map(|h| h.0).collect()
+    }
+
+    /// Flight events of `kind` as `(a, b)` pairs.
+    fn events(t: &Telemetry, kind: FlightKind) -> Vec<(u64, u64)> {
+        let events = t.recorder().events();
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.a, e.b))
+            .collect()
+    }
+
+    /// Disarmed, no site of `plane` fires or counts.
+    fn assert_silent_when_disarmed(plane: Plane) {
+        let h = ChaosHandle::new();
+        assert!(Site::in_plane(plane).all(|s| h.fire(s).is_none()));
+        assert_eq!(
+            h.report(),
+            Report::default(),
+            "disarmed ops are not counted"
+        );
+    }
+
+    /// A plan without rules counts `rounds` ops at every site of `plane`
+    /// and never fires.
+    fn assert_counts_without_firing(plane: Plane, rounds: u64) {
+        let (h, t) = armed(FaultPlan::new(0));
+        for _ in 0..rounds {
+            assert!(Site::in_plane(plane).all(|s| h.fire(s).is_none()));
+        }
+        h.disarm();
+        let report = h.report();
+        assert!(Site::in_plane(plane).all(|s| report.count(s) == rounds));
+        let sites = Site::in_plane(plane).count() as u64;
+        assert_eq!(report.total(plane), rounds * sites);
+        assert_eq!((report.fired, t.recorder().trip_count()), (None, 0));
+    }
+
+    /// A dead-from-`k` crash rule covering `site`'s plane: ops before `k`
+    /// survive, op `k` records one event of `kind` and trips once, and
+    /// every later op dies too.
+    fn assert_dead_from(h: &ChaosHandle, t: &Telemetry, site: Site, k: u64, kind: FlightKind) {
+        let dead: Vec<bool> = (0..k + 3).map(|_| h.fire(site).is_some()).collect();
+        assert!(
+            dead.iter().enumerate().all(|(n, &d)| d == (n as u64 >= k)),
+            "{dead:?}"
+        );
+        assert_eq!(h.report().fired, Some((site, k)));
+        assert_eq!(
+            t.recorder().trip_count(),
+            1,
+            "only op k trips, not the dead tail"
+        );
+        assert_eq!(events(t, kind), [(site.code(), k)]);
     }
 
     #[test]
     fn disarmed_handle_is_silent() {
-        let h = ChaosHandle::new();
-        assert!(!h.is_armed());
-        for _ in 0..100 {
-            assert_eq!(h.decide(FaultSite::CapsuleTx), None);
-        }
+        assert_silent_when_disarmed(Plane::Fault);
+        assert!(!ChaosHandle::new().is_armed());
     }
 
     #[test]
     fn same_seed_same_decisions() {
-        let t = Telemetry::new();
-        let plan = FaultPlan::new(42)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.05)
-            .with_rate(FaultSite::ShardIo, FaultAction::ShardBusy, 0.02);
+        let plan = FaultPlan::new(42).with_rate(Site::CapsuleTx, CorruptPayload, 0.05);
+        let run = || collect(&armed(plan.clone()).0, Site::CapsuleTx, 2000);
+        assert_eq!(run(), run());
+        assert!(run().iter().any(Option::is_some), "5% fires in 2000 ops");
+    }
 
-        let h1 = ChaosHandle::new();
-        h1.arm(plan.clone(), &t);
-        let a = collect(&h1, FaultSite::CapsuleTx, 2000);
-        let b = collect(&h1, FaultSite::ShardIo, 2000);
+    /// The exact firing indices of fixed plans, pinned as literals: a
+    /// change to the hash, the rule order or the per-site indexing shows
+    /// up here, not only as self-inconsistency.
+    #[test]
+    fn decision_streams_are_pinned() {
+        let (h, t) = armed(
+            FaultPlan::new(42)
+                .with_rate(Site::CapsuleTx, CorruptPayload, 0.05)
+                .with_rate(Site::ShardIo, ShardBusy, 0.02),
+        );
+        let tx = hits(&h, Site::CapsuleTx, 2000);
+        assert_eq!(
+            indices(&tx, CorruptPayload),
+            [
+                3, 21, 44, 75, 79, 103, 114, 137, 141, 166, 199, 205, 249, 266, 267, 300, 305, 312,
+                321, 322, 341, 344, 347, 453, 459, 498, 509, 521, 522, 523, 527, 536, 600, 666,
+                697, 724, 834, 866, 888, 939, 949, 961, 971, 1020, 1036, 1042, 1043, 1061, 1086,
+                1093, 1094, 1132, 1153, 1164, 1184, 1196, 1223, 1264, 1306, 1355, 1407, 1431, 1438,
+                1481, 1505, 1546, 1552, 1624, 1625, 1632, 1641, 1670, 1697, 1768, 1769, 1771, 1798,
+                1803, 1810, 1820, 1829, 1838, 1850, 1854, 1887, 1895, 1941, 1964, 1999,
+            ]
+        );
+        let io = hits(&h, Site::ShardIo, 2000);
+        assert_eq!(
+            indices(&io, ShardBusy),
+            [
+                48, 64, 119, 141, 319, 335, 379, 517, 538, 548, 584, 627, 656, 664, 745, 848, 869,
+                942, 967, 998, 1010, 1098, 1139, 1142, 1148, 1204, 1299, 1306, 1320, 1335, 1380,
+                1425, 1433, 1544, 1585, 1614, 1637, 1708, 1712, 1754, 1900, 1920, 1956,
+            ]
+        );
+        let injected = t.counter("chaos.injected").get();
+        assert_eq!(injected, (tx.len() + io.len()) as u64);
 
-        let h2 = ChaosHandle::new();
-        h2.arm(plan, &t);
-        let a2 = collect(&h2, FaultSite::CapsuleTx, 2000);
-        let b2 = collect(&h2, FaultSite::ShardIo, 2000);
+        let torn = TornWrite { keep_bytes: 3 };
+        let (h, _t) = armed(FaultPlan::new(42).at_op(Site::WalAppend, torn, 17));
+        assert_eq!(hits(&h, Site::WalAppend, 100), [(17, torn)]);
 
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
-        // And the rate actually fires somewhere in 2000 ops at 5%.
-        assert!(a.iter().any(|d| d.is_some()));
+        // Two rate rules on one site: the first rule that fires wins.
+        let (h, _t) = armed(
+            FaultPlan::new(42)
+                .with_rate(Site::CapsuleTx, DropCapsule, 0.03)
+                .with_rate(Site::CapsuleTx, CorruptPayload, 0.03),
+        );
+        let tx = hits(&h, Site::CapsuleTx, 500);
+        assert_eq!(
+            indices(&tx, DropCapsule),
+            [21, 75, 103, 114, 141, 166, 249, 266, 267, 300, 321, 341, 344, 347, 453, 459]
+        );
+        let corrupt = [9, 33, 161, 214, 221, 223, 348, 382, 485, 489, 491];
+        assert_eq!(indices(&tx, CorruptPayload), corrupt);
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let t = Telemetry::new();
-        let h1 = ChaosHandle::new();
-        h1.arm(
-            FaultPlan::new(1).with_rate(FaultSite::CapsuleRx, FaultAction::DropCapsule, 0.1),
-            &t,
-        );
-        let h2 = ChaosHandle::new();
-        h2.arm(
-            FaultPlan::new(2).with_rate(FaultSite::CapsuleRx, FaultAction::DropCapsule, 0.1),
-            &t,
-        );
-        let a = collect(&h1, FaultSite::CapsuleRx, 1000);
-        let b = collect(&h2, FaultSite::CapsuleRx, 1000);
-        assert_ne!(a, b);
+        let plan = |seed| FaultPlan::new(seed).with_rate(Site::CapsuleRx, DropCapsule, 0.1);
+        let stream = |seed| collect(&armed(plan(seed)).0, Site::CapsuleRx, 1000);
+        assert_ne!(stream(1), stream(2));
     }
 
     #[test]
     fn at_op_fires_exactly_once() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.arm(
-            FaultPlan::new(7).at_op(
-                FaultSite::WalAppend,
-                FaultAction::TornWrite { keep_bytes: 3 },
-                5,
-            ),
-            &t,
-        );
-        let hits: Vec<usize> = collect(&h, FaultSite::WalAppend, 20)
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.map(|_| i))
-            .collect();
-        assert_eq!(hits, vec![5]);
+        let torn = TornWrite { keep_bytes: 3 };
+        let (h, _t) = armed(FaultPlan::new(7).at_op(Site::WalAppend, torn, 5));
+        assert_eq!(hits(&h, Site::WalAppend, 20), [(5, torn)]);
         assert_eq!(
-            h.decide(FaultSite::WalAppend),
+            h.fire(Site::WalAppend),
             None,
-            "op counter moved past the scheduled index"
+            "counter moved past the index"
         );
     }
 
     #[test]
     fn rearm_resets_op_counters() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        let plan = FaultPlan::new(9).at_op(FaultSite::ConnReset, FaultAction::ResetConnection, 0);
-        h.arm(plan.clone(), &t);
-        assert!(h.decide(FaultSite::ConnReset).is_some());
-        assert!(h.decide(FaultSite::ConnReset).is_none());
-        h.arm(plan, &t);
-        assert!(
-            h.decide(FaultSite::ConnReset).is_some(),
-            "counters restart on arm"
+        let plan = FaultPlan::new(9).at_op(Site::ConnReset, ResetConnection, 0);
+        let (h, t) = armed(plan.clone());
+        assert_eq!(
+            collect(&h, Site::ConnReset, 2),
+            [Some(ResetConnection), None]
         );
+        h.arm(plan, &t);
+        assert!(h.fire(Site::ConnReset).is_some(), "counters restart on arm");
     }
 
     #[test]
     fn rate_zero_never_fires_rate_one_always_fires() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
+        let (h, t) = armed(FaultPlan::new(3).with_rate(Site::ShardIo, KillShard, 0.0));
+        assert!(collect(&h, Site::ShardIo, 500).iter().all(Option::is_none));
         h.arm(
-            FaultPlan::new(3).with_rate(FaultSite::ShardIo, FaultAction::KillShard, 0.0),
+            FaultPlan::new(3).with_rate(Site::ShardIo, KillShard, 1.0),
             &t,
         );
-        assert!(collect(&h, FaultSite::ShardIo, 500)
-            .iter()
-            .all(|d| d.is_none()));
-
-        h.arm(
-            FaultPlan::new(3).with_rate(FaultSite::ShardIo, FaultAction::KillShard, 1.0),
-            &t,
-        );
-        assert!(collect(&h, FaultSite::ShardIo, 500)
-            .iter()
-            .all(|d| d.is_some()));
+        assert!(collect(&h, Site::ShardIo, 500).iter().all(Option::is_some));
     }
 
     #[test]
     fn injected_counter_tracks_hits() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.arm(
-            FaultPlan::new(11).with_rate(FaultSite::CapsuleTx, FaultAction::DropCapsule, 1.0),
-            &t,
-        );
-        for _ in 0..17 {
-            h.decide(FaultSite::CapsuleTx);
-        }
+        let (h, t) = armed(FaultPlan::new(11).with_rate(Site::CapsuleTx, DropCapsule, 1.0));
+        collect(&h, Site::CapsuleTx, 17);
         assert_eq!(t.counter("chaos.injected").get(), 17);
     }
 
     #[test]
+    #[should_panic(expected = "DuplicateCapsule cannot be applied at site capsule_rx")]
+    fn inapplicable_action_is_refused_not_counted_as_a_phantom_hit() {
+        // The response path never duplicates: a plan asking it to would
+        // count injections that never happen and hand the doctor a root
+        // cause that is not real.
+        let _ = FaultPlan::new(1).with_rate(Site::CapsuleRx, DuplicateCapsule, 1.0);
+    }
+
+    #[test]
     fn site_codes_roundtrip() {
-        for site in [
-            FaultSite::CapsuleTx,
-            FaultSite::CapsuleRx,
-            FaultSite::ConnReset,
-            FaultSite::ShardIo,
-            FaultSite::CapacitorFlush,
-            FaultSite::WalAppend,
-            FaultSite::ReplicaBitRot,
-        ] {
-            assert_eq!(FaultSite::from_code(site.code()), Some(site));
+        for (i, site) in Site::ALL.into_iter().enumerate() {
+            assert_eq!(site as usize, i, "ALL is in table order");
+            let kind = site.plane().flight_kind();
+            assert_eq!(Site::from_flight(kind, site.code()), Some(site));
+            assert_eq!(site.applies(Crash), site.plane() != Plane::Fault);
         }
-        assert_eq!(FaultSite::from_code(0), None);
-        assert_eq!(FaultSite::from_code(0xFF), None);
+        assert_eq!(Site::from_flight(FlightKind::FaultInjected, 0), None);
+        assert_eq!(Site::from_flight(FlightKind::FaultInjected, 0xFF), None);
+        assert_eq!(Site::from_flight(FlightKind::Submit, 1), None);
+        assert!(Site::WalAppend.applies(TornWrite { keep_bytes: 9 }));
     }
 
     #[test]
     fn injection_records_and_trips_the_flight_recorder() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.arm(
-            FaultPlan::new(13).at_op(FaultSite::ShardIo, FaultAction::KillShard, 2),
-            &t,
-        );
-        for _ in 0..5 {
-            h.decide(FaultSite::ShardIo);
-        }
-        let r = t.recorder();
-        assert_eq!(r.trip_count(), 1);
-        let events = r.events();
-        let inj = events
-            .iter()
-            .find(|e| e.kind == FlightKind::FaultInjected)
-            .expect("fault_injected event");
-        assert_eq!(inj.a, FaultSite::ShardIo.code());
-        assert_eq!(inj.b, 2, "fired at per-site op index 2");
-        assert!(events.iter().any(|e| e.kind == FlightKind::Trip));
+        let (h, t) = armed(FaultPlan::new(13).at_op(Site::ShardIo, KillShard, 2));
+        collect(&h, Site::ShardIo, 5);
+        assert_eq!(t.recorder().trip_count(), 1);
+        let code = Site::ShardIo.code();
+        assert_eq!(events(&t, FlightKind::FaultInjected), [(code, 2)]);
+        assert_eq!(events(&t, FlightKind::Trip).len(), 1);
+        assert_eq!(h.report().fired, Some((Site::ShardIo, 2)));
     }
 
     #[test]
     fn sites_have_independent_streams() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.arm(
+        let (h, _t) = armed(
             FaultPlan::new(5)
-                .with_rate(FaultSite::CapsuleTx, FaultAction::DropCapsule, 0.3)
-                .with_rate(FaultSite::CapsuleRx, FaultAction::DropCapsule, 0.3),
-            &t,
+                .with_rate(Site::CapsuleTx, DropCapsule, 0.3)
+                .with_rate(Site::CapsuleRx, DropCapsule, 0.3),
         );
-        let a = collect(&h, FaultSite::CapsuleTx, 200);
-        let b = collect(&h, FaultSite::CapsuleRx, 200);
-        assert_ne!(a, b, "distinct sites must not share a decision stream");
+        let a = collect(&h, Site::CapsuleTx, 200);
+        assert_ne!(
+            a,
+            collect(&h, Site::CapsuleRx, 200),
+            "sites share no stream"
+        );
     }
 
     #[test]
     fn crash_disarmed_is_silent_and_free() {
-        let h = ChaosHandle::new();
-        assert!(!h.is_crash_armed());
-        for op in CrashOp::ALL {
-            assert!(!h.crash_fire(op));
-        }
-        assert_eq!(h.crash_report().total, 0, "disarmed ops are not counted");
+        assert_silent_when_disarmed(Plane::Durability);
     }
 
     #[test]
     fn crash_count_mode_counts_and_never_fires() {
-        let h = ChaosHandle::new();
-        h.arm_crash_count();
-        for _ in 0..3 {
-            for op in CrashOp::ALL {
-                assert!(!h.crash_fire(op));
-            }
-        }
-        h.disarm_crash();
-        let report = h.crash_report();
-        assert_eq!(report.total, 18);
-        for op in CrashOp::ALL {
-            assert_eq!(report.kind(op), 3);
-        }
-        assert_eq!(report.fired, None);
+        assert_counts_without_firing(Plane::Durability, 3);
     }
 
     #[test]
     fn crash_at_op_fires_once_then_universe_stays_dead() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.crash_at_op(4, &t);
-        let verdicts: Vec<bool> = (0..8).map(|_| h.crash_fire(CrashOp::BlockWrite)).collect();
-        assert_eq!(
-            verdicts,
-            vec![false, false, false, false, true, true, true, true],
-            "ops before k survive, op k and everything after die"
-        );
-        assert_eq!(h.crash_report().fired, Some(4));
-
-        let r = t.recorder();
-        assert_eq!(r.trip_count(), 1, "only op k trips, not the dead tail");
-        let events = r.events();
-        let cp = events
-            .iter()
-            .find(|e| e.kind == FlightKind::CrashPoint)
-            .expect("crash_point event");
-        assert_eq!(cp.a, CrashOp::BlockWrite.code());
-        assert_eq!(cp.b, 4, "fired at global op index 4");
+        let (h, t) = armed(FaultPlan::new(0).crash_at_op(4));
+        assert_dead_from(&h, &t, Site::BlockWrite, 4, FlightKind::CrashPoint);
+        assert_eq!(t.counter("chaos.injected").get(), 0, "a crash is no fault");
     }
 
     #[test]
     fn crash_counter_is_global_across_kinds() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.crash_at_op(2, &t);
-        assert!(!h.crash_fire(CrashOp::WalAppend));
-        assert!(!h.crash_fire(CrashOp::BlockWrite));
-        assert!(
-            h.crash_fire(CrashOp::CommitRecord),
-            "third op overall dies regardless of kind"
-        );
-        let report = h.crash_report();
-        assert_eq!(report.kind(CrashOp::WalAppend), 1);
-        assert_eq!(report.kind(CrashOp::BlockWrite), 1);
-        assert_eq!(report.kind(CrashOp::CommitRecord), 1);
+        let (h, _t) = armed(FaultPlan::new(0).crash_at_op(2));
+        assert_eq!(h.fire(Site::WalRecord), None);
+        assert_eq!(h.fire(Site::BlockWrite), None);
+        assert_eq!(h.fire(Site::ShardIo), None, "fault sites are not crash ops");
+        assert_eq!(h.fire(Site::CommitRecord), Some(Crash), "third op dies");
+        assert_eq!(h.report().total(Plane::Durability), 3);
     }
 
     #[test]
     fn crash_rearm_resets_the_universe() {
-        let h = ChaosHandle::new();
-        h.arm_crash_count();
-        for _ in 0..7 {
-            h.crash_fire(CrashOp::WalAppend);
-        }
-        h.arm_crash_count();
-        assert_eq!(h.crash_report().total, 0, "counters restart on arm");
+        let (h, t) = armed(FaultPlan::new(0));
+        collect(&h, Site::WalRecord, 7);
+        h.arm(FaultPlan::new(0), &t);
+        assert_eq!(h.report().total(Plane::Durability), 0, "counters restart");
     }
 
     #[test]
     fn crash_op_codes_roundtrip() {
-        for op in CrashOp::ALL {
-            assert_eq!(CrashOp::from_code(op.code()), Some(op));
-            assert!(!op.name().is_empty());
-        }
-        assert_eq!(CrashOp::from_code(0), None);
-        assert_eq!(CrashOp::from_code(7), None);
-    }
-
-    #[test]
-    fn crash_mode_is_independent_of_fault_plans() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.arm_crash_count();
-        h.arm(
-            FaultPlan::new(21).at_op(FaultSite::ShardIo, FaultAction::ShardBusy, 0),
-            &t,
-        );
-        assert!(h.decide(FaultSite::ShardIo).is_some());
-        assert!(!h.crash_fire(CrashOp::BlockWrite));
-        h.disarm();
-        assert!(h.is_crash_armed(), "fault disarm leaves crash mode armed");
-        assert_eq!(h.crash_report().total, 1);
+        let codes: Vec<u64> = Site::in_plane(Plane::Durability).map(Site::code).collect();
+        assert_eq!(codes, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(Site::from_flight(FlightKind::CrashPoint, 7), None);
     }
 
     #[test]
     fn recovery_disarmed_is_silent_and_free() {
-        let h = ChaosHandle::new();
-        assert!(!h.is_recovery_armed());
-        for op in RecoveryOp::ALL {
-            assert!(!h.recovery_fire(op));
-        }
-        assert_eq!(h.recovery_report().total, 0, "disarmed ops not counted");
+        assert_silent_when_disarmed(Plane::Recovery);
     }
 
     #[test]
     fn recovery_count_mode_counts_and_never_fires() {
-        let h = ChaosHandle::new();
-        h.arm_recovery_count();
-        for _ in 0..2 {
-            for op in RecoveryOp::ALL {
-                assert!(!h.recovery_fire(op));
-            }
-        }
-        h.disarm_recovery();
-        let report = h.recovery_report();
-        assert_eq!(report.total, 14);
-        for op in RecoveryOp::ALL {
-            assert_eq!(report.kind(op), 2);
-        }
-        assert_eq!(report.fired, None);
+        assert_counts_without_firing(Plane::Recovery, 2);
     }
 
     #[test]
     fn crash_in_recovery_kills_first_attempt_only() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.crash_in_recovery(3, &t);
-        let first: Vec<bool> = (0..6)
-            .map(|_| h.recovery_fire(RecoveryOp::ReplayApply))
-            .collect();
+        let (h, t) = armed(FaultPlan::new(0).crash_in_recovery(3));
+        assert!(h.kills_first_attempt());
+        assert_dead_from(&h, &t, Site::ReplayApply, 3, FlightKind::RecoveryCrashPoint);
+        h.begin_attempt();
         assert_eq!(
-            first,
-            vec![false, false, false, true, true, true],
-            "ops before j survive, op j and the rest of attempt 1 die"
+            collect(&h, Site::ReplayApply, 6),
+            [None; 6],
+            "attempt 2 runs clean"
         );
-        assert_eq!(h.recovery_report().fired, Some(3));
-
-        h.begin_recovery_attempt();
-        let second: Vec<bool> = (0..6)
-            .map(|_| h.recovery_fire(RecoveryOp::ReplayApply))
-            .collect();
-        assert!(second.iter().all(|&f| !f), "attempt 2 runs clean");
-        assert_eq!(h.recovery_report().attempts, 2);
-
-        let r = t.recorder();
-        assert_eq!(r.trip_count(), 1, "only nested op j trips");
-        let events = r.events();
-        let cp = events
-            .iter()
-            .find(|e| e.kind == FlightKind::RecoveryCrashPoint)
-            .expect("recovery_crash_point event");
-        assert_eq!(cp.a, RecoveryOp::ReplayApply.code());
-        assert_eq!(cp.b, 3, "fired at nested op index 3");
+        assert_eq!(h.report().attempts, 2);
     }
 
     #[test]
     fn recovery_counter_is_global_across_kinds() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.crash_in_recovery(2, &t);
-        assert!(!h.recovery_fire(RecoveryOp::SnapshotLoad));
-        assert!(!h.recovery_fire(RecoveryOp::LogScan));
-        assert!(
-            h.recovery_fire(RecoveryOp::RescanChunk),
-            "third recovery op overall dies regardless of kind"
-        );
-        let report = h.recovery_report();
-        assert_eq!(report.kind(RecoveryOp::SnapshotLoad), 1);
-        assert_eq!(report.kind(RecoveryOp::LogScan), 1);
-        assert_eq!(report.kind(RecoveryOp::RescanChunk), 1);
-    }
-
-    #[test]
-    fn recovery_plane_is_independent_of_outer_crash_plane() {
-        let t = Telemetry::new();
-        let h = ChaosHandle::new();
-        h.crash_at_op(0, &t);
-        h.arm_recovery_count();
-        assert!(h.crash_fire(CrashOp::WalAppend), "outer plane fires");
-        assert!(
-            !h.recovery_fire(RecoveryOp::ReplayApply),
-            "nested count mode never fires"
-        );
-        h.disarm_crash();
-        assert!(h.is_recovery_armed(), "outer disarm leaves nested armed");
-        assert_eq!(h.recovery_report().total, 1);
+        let (h, _t) = armed(FaultPlan::new(0).crash_in_recovery(2));
+        assert_eq!(h.fire(Site::SnapshotLoad), None);
+        assert_eq!(h.fire(Site::LogScan), None);
+        assert_eq!(h.fire(Site::BlockWrite), None, "durability ops count apart");
+        assert_eq!(h.fire(Site::RescanChunk), Some(Crash), "third op dies");
+        assert_eq!(h.report().total(Plane::Recovery), 3);
     }
 
     #[test]
     fn recovery_op_codes_roundtrip() {
-        for op in RecoveryOp::ALL {
-            assert_eq!(RecoveryOp::from_code(op.code()), Some(op));
-            assert!(!op.name().is_empty());
-        }
-        assert_eq!(RecoveryOp::from_code(0), None);
-        assert_eq!(RecoveryOp::from_code(8), None);
+        let codes: Vec<u64> = Site::in_plane(Plane::Recovery).map(Site::code).collect();
+        assert_eq!(codes, [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(Site::from_flight(FlightKind::RecoveryCrashPoint, 8), None);
     }
 
     #[test]
     fn begin_recovery_attempt_requires_armed_plane() {
         let h = ChaosHandle::new();
-        h.begin_recovery_attempt();
-        h.arm_recovery_count();
-        assert_eq!(h.recovery_report().attempts, 1, "disarmed bump ignored");
+        h.begin_attempt();
+        assert!(!h.kills_first_attempt());
+        h.arm(FaultPlan::new(0), &Telemetry::new());
+        assert_eq!(h.report().attempts, 1, "disarmed bump ignored");
+        assert!(!h.kills_first_attempt(), "a counting plan kills nothing");
     }
 
     #[test]
     fn plan_builder_equality() {
-        let p1 = FaultPlan::new(1)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.01)
-            .at_op(
-                FaultSite::WalAppend,
-                FaultAction::TornWrite { keep_bytes: 8 },
-                2,
-            );
-        let p2 = FaultPlan::new(1)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.01)
-            .at_op(
-                FaultSite::WalAppend,
-                FaultAction::TornWrite { keep_bytes: 8 },
-                2,
-            );
-        assert_eq!(p1, p2);
-        assert!(!p1.is_empty());
-        assert!(FaultPlan::new(0).is_empty());
+        let build = || {
+            FaultPlan::new(1)
+                .with_rate(Site::CapsuleTx, CorruptPayload, 0.01)
+                .at_op(Site::WalAppend, TornWrite { keep_bytes: 8 }, 2)
+                .crash_at_op(5)
+        };
+        assert_eq!(build(), build());
+        assert_ne!(build(), FaultPlan::new(1));
     }
 }

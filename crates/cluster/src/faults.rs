@@ -88,54 +88,6 @@ impl FaultInjector {
     }
 }
 
-/// Lower a cluster-level fault schedule onto data-path injection sites.
-///
-/// This bridges the two fault layers: the MTBF-driven [`FaultInjector`]
-/// produces *when/what* failures at cluster granularity (node, domain), and
-/// the chaos runtime injects *how* they manifest on the byte path. Each
-/// event's strike time is converted to a per-site operation index assuming a
-/// steady `ops_per_sec` IO rate:
-///
-/// - `Node` failures become connection resets ([`chaos::FaultSite::ConnReset`]
-///   / [`chaos::FaultAction::ResetConnection`]) — the initiator loses its
-///   fabric session and must reconnect.
-/// - `Domain` failures become a shard kill ([`chaos::FaultSite::ShardIo`] /
-///   [`chaos::FaultAction::KillShard`]) at the lowered op index *plus* an
-///   interrupted capacitor drain ([`chaos::FaultSite::CapacitorFlush`] /
-///   [`chaos::FaultAction::PowerCut`]) — a PDU loss takes the stored data
-///   with it, which is what forces multi-level rollback.
-///
-/// The lowering is a pure function of its inputs: the same `(events, seed,
-/// ops_per_sec)` always produces the same [`chaos::FaultPlan`], so a
-/// cluster schedule replayed through the data path is as deterministic as
-/// the schedule itself.
-pub fn lower_to_plan(events: &[FaultEvent], seed: u64, ops_per_sec: f64) -> chaos::FaultPlan {
-    assert!(ops_per_sec > 0.0, "need a positive IO rate to lower times");
-    let mut plan = chaos::FaultPlan::new(seed);
-    for ev in events {
-        let op = (ev.at.as_secs() * ops_per_sec) as u64;
-        match ev.kind {
-            FaultKind::Node(_) => {
-                plan = plan.at_op(
-                    chaos::FaultSite::ConnReset,
-                    chaos::FaultAction::ResetConnection,
-                    op,
-                );
-            }
-            FaultKind::Domain(_) => {
-                plan = plan
-                    .at_op(chaos::FaultSite::ShardIo, chaos::FaultAction::KillShard, op)
-                    .at_op(
-                        chaos::FaultSite::CapacitorFlush,
-                        chaos::FaultAction::PowerCut { drain_writes: 0 },
-                        0,
-                    );
-            }
-        }
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,71 +134,21 @@ mod tests {
     }
 
     #[test]
-    fn lowered_plan_is_deterministic_and_covers_both_kinds() {
+    fn mixed_cascade_schedule_covers_both_kinds_in_order() {
         let topo = Topology::paper_testbed();
-        let schedule = FaultInjector::new(&topo, 11, SimTime::secs(2_000.0), 0.3)
-            .schedule(&topo, SimTime::secs(20_000.0));
+        let mk = || {
+            FaultInjector::new(&topo, 11, SimTime::secs(2_000.0), 0.3)
+                .schedule(&topo, SimTime::secs(20_000.0))
+        };
+        let schedule = mk();
+        assert_eq!(schedule, mk(), "same seed, same schedule");
         assert!(schedule
             .iter()
             .any(|e| matches!(e.kind, FaultKind::Node(_))));
         assert!(schedule
             .iter()
             .any(|e| matches!(e.kind, FaultKind::Domain(_))));
-
-        // Same schedule + seed + rate → identical plan, spec for spec.
-        let p1 = lower_to_plan(&schedule, 99, 1000.0);
-        let p2 = lower_to_plan(&schedule, 99, 1000.0);
-        assert_eq!(p1, p2);
-
-        // Node events lower to connection resets, domain events to a shard
-        // kill plus a power cut on the capacitor drain.
-        let resets = p1
-            .specs
-            .iter()
-            .filter(|s| s.site == chaos::FaultSite::ConnReset)
-            .count();
-        let kills = p1
-            .specs
-            .iter()
-            .filter(|s| s.site == chaos::FaultSite::ShardIo)
-            .count();
-        let cuts = p1
-            .specs
-            .iter()
-            .filter(|s| s.site == chaos::FaultSite::CapacitorFlush)
-            .count();
-        let nodes = schedule
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Node(_)))
-            .count();
-        let domains = schedule
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Domain(_)))
-            .count();
-        assert_eq!(resets, nodes);
-        assert_eq!(kills, domains);
-        assert_eq!(cuts, domains);
-
-        // Op indices scale with the assumed IO rate.
-        let fast = lower_to_plan(&schedule, 99, 10_000.0);
-        let slow_first = p1.specs[0].at_ops[0];
-        let fast_first = fast.specs[0].at_ops[0];
-        assert!(fast_first >= slow_first * 9, "10x rate ≈ 10x op index");
-
-        // The lowered plan drives a real ChaosHandle: the same arm + decide
-        // sequence replays identically.
-        let t = telemetry::Telemetry::new();
-        let h = chaos::ChaosHandle::new();
-        let drive = |h: &chaos::ChaosHandle| {
-            (0..64)
-                .map(|_| h.decide(chaos::FaultSite::CapacitorFlush))
-                .collect::<Vec<_>>()
-        };
-        h.arm(p1.clone(), &t);
-        let a = drive(&h);
-        h.arm(p1, &t);
-        assert_eq!(a, drive(&h));
-        assert!(a[0].is_some(), "domain power-cut fires at op 0");
+        assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod scheduler;
 pub mod topology;
 
 pub use failure::{DomainId, FailureDomains};
-pub use faults::{lower_to_plan, FaultEvent, FaultInjector, FaultKind};
+pub use faults::{FaultEvent, FaultInjector, FaultKind};
 pub use mpi::{Comm, CommWorld};
 pub use scheduler::{JobAllocation, JobId, JobRequest, Scheduler, SchedulerError, StorageGrant};
 pub use topology::{NodeId, NodeKind, PodId, RackId, Topology};

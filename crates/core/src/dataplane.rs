@@ -8,7 +8,7 @@
 
 use crate::replication::{Mirror, ReplicationError, ScrubReport};
 use bytes::Bytes;
-use chaos::{ChaosHandle, CrashOp};
+use chaos::{ChaosHandle, Site};
 use fabric::initiator::NvmfConnection;
 use microfs::block::{BlockDevice, DevError, IoCounters};
 
@@ -53,7 +53,7 @@ impl NvmfBlockDevice {
     /// batch, so the batch is atomically absent after recovery.
     fn crash_gate(&self, elems: usize) -> Result<(), DevError> {
         for _ in 0..elems {
-            if self.chaos.crash_fire(CrashOp::BlockWrite) {
+            if self.chaos.fire(Site::BlockWrite).is_some() {
                 return Err(DevError("crash point: block write".into()));
             }
         }
@@ -274,7 +274,7 @@ impl BlockDevice for NvmfBlockDevice {
     fn discard_at(&mut self, offset: u64, len: u64) -> Result<(), DevError> {
         self.check(offset, len)?;
         if let Some(m) = &mut self.mirror {
-            if self.chaos.crash_fire(CrashOp::Discard) {
+            if self.chaos.fire(Site::Discard).is_some() {
                 return Err(DevError("crash point: discard".into()));
             }
             m.discard(offset, len);

@@ -103,11 +103,7 @@ impl Replaying {
         let mut fs = self.fs.replay_all().map_err(RuntimeError::Fs)?.serve();
         if let Some(rr) = &self.route.replica {
             let fs_size = self.route.fs_size();
-            if self
-                .config
-                .chaos
-                .recovery_fire(chaos::RecoveryOp::ManifestScan)
-            {
+            if self.config.chaos.fire(chaos::Site::ManifestScan).is_some() {
                 return Err(RuntimeError::Replication(
                     fabric::InitiatorError::Transport("crash point: recovery manifest scan".into())
                         .into(),

@@ -24,7 +24,7 @@
 //! `replication.lag_epochs`).
 
 use bytes::Bytes;
-use chaos::{ChaosHandle, CrashOp};
+use chaos::{ChaosHandle, Site};
 use fabric::{write_mirrored_bytes, InitiatorError, MirroredWrite, NvmfConnection};
 use microfs::cow::IntervalSet;
 use microfs::crc::{crc32, crc32_update};
@@ -259,9 +259,9 @@ impl Mirror {
         // never completed), and the rest of the batch is lost — the most
         // asymmetric state a mid-batch power cut can leave.
         let mut tail = None;
-        if self.chaos.is_crash_armed() {
+        if self.chaos.is_armed() {
             for i in 0..writes.len() {
-                if self.chaos.crash_fire(CrashOp::MirrorWrite) {
+                if self.chaos.fire(Site::MirrorWrite).is_some() {
                     tail = Some(writes.split_off(i));
                     break;
                 }
@@ -410,7 +410,7 @@ impl Mirror {
     ) -> Result<(), InitiatorError> {
         let mut off = 0u64;
         while off < fs_size {
-            if self.chaos.recovery_fire(chaos::RecoveryOp::RescanChunk) {
+            if self.chaos.fire(Site::RescanChunk).is_some() {
                 return Err(InitiatorError::Transport(
                     "crash point: recovery rescan".into(),
                 ));
@@ -488,7 +488,7 @@ impl Mirror {
         // Crash-universe gate for the body phase: the body reaches the
         // primary but the crash lands before the replica copy or either
         // commit record — a torn slot restore must treat as invisible.
-        if self.chaos.crash_fire(CrashOp::ManifestBody) {
+        if self.chaos.fire(Site::ManifestBody).is_some() {
             primary.write_vectored_bytes_precrc(vec![(primary_base + body_off, body, body_crc)])?;
             let _ = primary.flush();
             return Err(ReplicationError::Fabric(InitiatorError::Transport(
@@ -518,7 +518,7 @@ impl Mirror {
         // on both copies but only the primary's commit record lands —
         // the replica must fall back to an older complete head while the
         // primary legitimately serves the new epoch.
-        if self.chaos.crash_fire(CrashOp::CommitRecord) {
+        if self.chaos.fire(Site::CommitRecord).is_some() {
             primary.write_vectored_bytes_precrc(vec![(
                 primary_base + record_off,
                 record,
@@ -709,9 +709,9 @@ pub struct Chain {
 /// resolve newest-first — an ancestor extent fully covered by younger
 /// extents or whiteouts is skipped whole; partial shadowing is impossible
 /// by construction (re-tiling replaces whole tuples) and reported loudly
-/// if it ever appears. Each chain link resolved consumes one nested
-/// [`chaos::RecoveryOp::ChainMaterialize`] index of `chaos`, so the nested
-/// crash plane can kill materialization mid-walk.
+/// if it ever appears. Each chain link resolved fires
+/// [`chaos::Site::ChainMaterialize`] on `chaos`, so a `crash_in_recovery`
+/// rule can kill materialization mid-walk.
 pub fn materialize_chain(
     conn: &mut NvmfConnection,
     region_base: u64,
@@ -723,7 +723,7 @@ pub fn materialize_chain(
         let mut chain: Vec<&EpochManifest> = Vec::new();
         let mut cur = &manifests[head];
         loop {
-            if chaos.recovery_fire(chaos::RecoveryOp::ChainMaterialize) {
+            if chaos.fire(Site::ChainMaterialize).is_some() {
                 return Err(ReplicationError::Fabric(InitiatorError::Transport(
                     "crash point: recovery chain materialize".into(),
                 )));
@@ -813,8 +813,8 @@ pub struct RestoreOutcome {
 /// materialized newest-backward, with only manifest extents copied, each
 /// strictly verified. Committed slots newer than that epoch are
 /// invalidated on both copies. Each extent copied back (and each chain
-/// link resolved) consumes one nested [`chaos::RecoveryOp`] index of
-/// `chaos`, so the nested crash plane can kill the restore mid-copy.
+/// link resolved) fires a recovery-plane [`chaos::Site`] on `chaos`, so a
+/// `crash_in_recovery` rule can kill the restore mid-copy.
 /// Epochs lost in the rollback are counted in `replication.lag_epochs`;
 /// any fallback counts a degraded restore.
 pub fn restore_from_replica(
@@ -908,7 +908,7 @@ fn restore_extents(
     chaos: &ChaosHandle,
 ) -> Result<(), ReplicationError> {
     for (offset, len, crc) in entries {
-        if chaos.recovery_fire(chaos::RecoveryOp::RestoreExtent) {
+        if chaos.fire(Site::RestoreExtent).is_some() {
             return Err(ReplicationError::Fabric(InitiatorError::Transport(
                 "crash point: recovery restore extent".into(),
             )));

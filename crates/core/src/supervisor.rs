@@ -3,18 +3,17 @@
 //!
 //! The typestate chain in [`crate::recovery`] makes one recovery attempt
 //! correct; this module makes recovery *survivable when the attempt
-//! itself dies*. A crash inside replay — modeled exactly by the nested
-//! crash plane ([`chaos::ChaosHandle::crash_in_recovery`]) — leaves the
-//! rank exactly where it started: durable bytes intact, volatile state
-//! gone. The supervisor's job is to restart the chain from the top with
+//! itself dies*. A crash inside replay — modeled exactly by a
+//! [`chaos::FaultPlan::crash_in_recovery`] rule — leaves the rank exactly
+//! where it started: durable bytes intact, volatile state gone. The supervisor's job is to restart the chain from the top with
 //! a bounded budget, and to refuse to wedge the whole job when one rank
 //! cannot come back:
 //!
 //! * **Bounded retries** — each rank gets [`RecoveryPolicy::max_attempts`]
 //!   runs through the typestate chain, with exponential backoff between
 //!   attempts and a per-rank wall-clock deadline. Every re-attempt calls
-//!   [`chaos::ChaosHandle::begin_recovery_attempt`], which is what makes
-//!   the nested crash plane's "second attempt runs clean" contract hold.
+//!   [`chaos::ChaosHandle::begin_attempt`], which is what makes a
+//!   first-attempt-only rule's "second attempt runs clean" contract hold.
 //! * **Quarantine** — a rank that exhausts its budget with at least
 //!   [`RecoveryPolicy::quarantine_after`] failures is quarantined instead
 //!   of failing the attach: the supervisor records a
@@ -31,16 +30,17 @@
 //!   after which the rank serves read-write again.
 //!
 //! Ranks are recovered **sequentially, in rank order** — deliberately,
-//! not as a simplification: the nested crash plane indexes recovery
-//! operations by a single global counter, and only a deterministic op
-//! order makes `crash_in_recovery(j)` name the same operation in every
-//! universe. [`NvmeCrRuntime::attach`] keeps its parallel mount for the
-//! chaos-free fast path.
+//! not as a simplification: the chaos gate indexes recovery operations
+//! by a single global counter, and only a deterministic op order makes
+//! `crash_in_recovery(j)` name the same operation in every universe.
+//! [`NvmeCrRuntime::attach`] keeps its parallel mount for the chaos-free
+//! fast path.
 //!
 //! Progress is reported via `recovery.*` counters: `recovery.attempts`,
 //! `recovery.restarts`, `recovery.quarantined`, `recovery.degraded_serves`,
-//! and `recovery.replay_reentries` (restarts taken while the nested crash
-//! plane was armed — i.e. replay re-entries proven idempotent by chaos).
+//! and `recovery.replay_reentries` (restarts taken while the armed chaos
+//! plan kills only the first attempt — i.e. replay re-entries proven
+//! idempotent by chaos).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -151,12 +151,11 @@ impl RecoverySupervisor {
                     }
                     std::thread::sleep(Duration::from_nanos(backoff.min(left)));
                     // The restart contract: recovery begins again from the
-                    // top, and the nested crash plane moves past the index
-                    // it already killed.
-                    chaos.begin_recovery_attempt();
+                    // top, and first-attempt-only rules go inert.
+                    chaos.begin_attempt();
                     restarts_c.inc();
                     outcome.restarts += 1;
-                    if chaos.is_recovery_armed() {
+                    if chaos.kills_first_attempt() {
                         reentries_c.inc();
                     }
                 }

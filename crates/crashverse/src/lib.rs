@@ -5,10 +5,10 @@
 //! checkpoint workload (replicated ranks, CoW delta chain) with every
 //! durability-relevant operation — WAL appends, block writes, mirrored
 //! writes, manifest bodies, commit records, discards — assigned a global
-//! op index by [`chaos::ChaosHandle::arm_crash_count`]. That index space
+//! op index by the chaos gate armed with an empty plan. That index space
 //! *is* the crash universe: the explorer then re-executes the workload
-//! once per index `k`, arms [`chaos::ChaosHandle::crash_at_op`]`(k)` so
-//! op `k` and every later durability op fail (a dead universe — nothing
+//! once per index `k`, arms a [`chaos::FaultPlan::crash_at_op`]`(k)` rule
+//! so op `k` and every later durability op fail (a dead universe — nothing
 //! survives the crash point), kills the job ungracefully with
 //! [`nvmecr::runtime::NvmeCrRuntime::crash_job`], recovers it through the
 //! typestate chain behind [`nvmecr::runtime::NvmeCrRuntime::attach`]
@@ -43,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use chaos::{ChaosHandle, CrashOp, RecoveryOp, CRASH_OP_KINDS, RECOVERY_OP_KINDS};
+use chaos::{ChaosHandle, FaultPlan, Plane, Report, SITES};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
@@ -237,8 +237,9 @@ pub struct UniverseReport {
     pub fingerprint: u64,
     /// Size of the crash universe (durability ops in the clean run).
     pub total_ops: u64,
-    /// Ops per [`CrashOp`] kind, indexed by `code() - 1`.
-    pub per_kind: [u64; CRASH_OP_KINDS],
+    /// Ops per site in the counting run, indexed by `chaos::Site as
+    /// usize`; the durability sites are the universe.
+    pub per_site: [u64; SITES],
     /// Crash points actually executed (sampling may skip some).
     pub points_run: u64,
     /// `(op index, passed)` for every executed point, ascending.
@@ -495,18 +496,35 @@ fn drive(stack: &mut Stack, cfg: &UniverseConfig, st: &mut RunState) -> Option<F
 /// Execute the workload once in counting mode and size the universe.
 /// The clean run must complete — a workload that fails without a crash
 /// armed is a stack bug, not a crash-consistency finding.
-pub fn count_universe(cfg: &UniverseConfig) -> Result<chaos::CrashReport, String> {
+pub fn count_universe(cfg: &UniverseConfig) -> Result<Report, String> {
     let telemetry = Telemetry::new();
     let chaos = ChaosHandle::new();
     let mut stack = build_stack(cfg, &telemetry, &chaos)?;
-    chaos.arm_crash_count();
+    chaos.arm(FaultPlan::new(cfg.seed), &telemetry);
     let mut st = RunState::new(cfg.ranks);
     let failed = drive(&mut stack, cfg, &mut st);
-    chaos.disarm_crash();
+    chaos.disarm();
     if let Some(f) = failed {
         return Err(format!("clean counting run failed at {f:?}"));
     }
-    Ok(chaos.crash_report())
+    Ok(chaos.report())
+}
+
+/// Drive the workload with `crash_at_op(k)` armed. Returns the durability
+/// op the crash fired at (none when `k` lies beyond the universe) and the
+/// first failing call.
+fn crash_drive(
+    stack: &mut Stack,
+    cfg: &UniverseConfig,
+    st: &mut RunState,
+    chaos: &ChaosHandle,
+    telemetry: &Telemetry,
+    k: u64,
+) -> (Option<(chaos::Site, u64)>, Option<FailedCall>) {
+    chaos.arm(FaultPlan::new(cfg.seed).crash_at_op(k), telemetry);
+    let failed = drive(stack, cfg, st);
+    chaos.disarm();
+    (chaos.report().fired, failed)
 }
 
 /// Execute one crash point: arm `crash_at_op(k)`, drive until the stack
@@ -515,7 +533,7 @@ pub fn run_point(cfg: &UniverseConfig, k: u64) -> PointVerdict {
     let telemetry = Telemetry::new();
     let chaos = ChaosHandle::new();
     // Deliberately no `set_dump_path`: the crash trip would auto-dump a
-    // tape for every point. `dump_now` writes one only on failure.
+    // tape for every point. `dump_tape` writes one only on failure.
     let dump = cfg
         .dump_dir
         .as_ref()
@@ -535,18 +553,15 @@ pub fn run_point(cfg: &UniverseConfig, k: u64) -> PointVerdict {
             return verdict;
         }
     };
-    chaos.crash_at_op(k, &telemetry);
     let mut st = RunState::new(cfg.ranks);
-    let failed = drive(&mut stack, cfg, &mut st);
-    chaos.disarm_crash();
+    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
     let rt = stack.rt;
-    let report = chaos.crash_report();
-    verdict.fired = report.fired;
-    verdict.fired_kind = fired_kind(&telemetry, report.fired);
-    if report.fired.is_none() {
+    verdict.fired = fired.map(|(_, n)| n);
+    verdict.fired_kind = fired.map(|(site, _)| site.name());
+    if fired.is_none() {
         if let Some(f) = failed {
             verdict.violation = Some(format!("workload failed at {f:?} with no crash fired"));
-            verdict.dump = dump_now(&telemetry, &dump, k);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
             return verdict;
         }
         // `k` lies beyond the end of the universe: nothing to crash.
@@ -561,7 +576,7 @@ pub fn run_point(cfg: &UniverseConfig, k: u64) -> PointVerdict {
         Ok(rt2) => rt2,
         Err(e) => {
             verdict.violation = Some(format!("I1: recovery failed: {e:?}"));
-            verdict.dump = dump_now(&telemetry, &dump, k);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
             return verdict;
         }
     };
@@ -569,38 +584,17 @@ pub fn run_point(cfg: &UniverseConfig, k: u64) -> PointVerdict {
         Ok(()) => verdict.passed = true,
         Err(v) => {
             verdict.violation = Some(v);
-            verdict.dump = dump_now(&telemetry, &dump, k);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
         }
     }
     verdict
 }
 
-/// Kind of the op that fired, recovered from the flight recorder's
-/// `CrashPoint` event (`a` = op code, `b` = global index).
-fn fired_kind(telemetry: &Telemetry, fired: Option<u64>) -> Option<&'static str> {
-    let n = fired?;
-    telemetry
-        .recorder()
-        .events()
-        .into_iter()
-        .find(|e| e.kind == FlightKind::CrashPoint && e.b == n)
-        .and_then(|e| CrashOp::from_code(e.a))
-        .map(CrashOp::name)
-}
-
 /// Force the counterexample dump out even if the recorder never tripped
-/// (e.g. an invariant violation found only at verification time).
-fn dump_now(telemetry: &Telemetry, dump: &Option<PathBuf>, _k: u64) -> Option<PathBuf> {
-    dump_now_as(telemetry, dump, FlightKind::CrashPoint)
-}
-
-/// [`dump_now`] with an explicit trip cause — nested points dump as
-/// `RecoveryCrashPoint` so the doctor attributes them to the right plane.
-fn dump_now_as(
-    telemetry: &Telemetry,
-    dump: &Option<PathBuf>,
-    cause: FlightKind,
-) -> Option<PathBuf> {
+/// (e.g. an invariant violation found only at verification time). Nested
+/// points dump with cause `RecoveryCrashPoint` so the doctor attributes
+/// them to the recovery plane.
+fn dump_tape(telemetry: &Telemetry, dump: &Option<PathBuf>, cause: FlightKind) -> Option<PathBuf> {
     let path = dump.as_ref()?;
     telemetry.recorder().dump_to(path, cause).ok()?;
     Some(path.clone())
@@ -786,7 +780,7 @@ fn fan_out<T: Sync, R: Send>(
 /// counters.
 pub fn explore(cfg: &UniverseConfig, telemetry: &Telemetry) -> Result<UniverseReport, String> {
     let count = count_universe(cfg)?;
-    let total = count.total;
+    let total = count.total(Plane::Durability);
     let stride = match cfg.max_points {
         Some(m) if m > 0 && total > m => total.div_ceil(m),
         _ => 1,
@@ -797,7 +791,7 @@ pub fn explore(cfg: &UniverseConfig, telemetry: &Telemetry) -> Result<UniverseRe
     let mut report = UniverseReport {
         fingerprint: cfg.fingerprint(),
         total_ops: total,
-        per_kind: count.per_kind,
+        per_site: count.per_site,
         points_run: 0,
         verdicts: Vec::new(),
         failures: Vec::new(),
@@ -916,10 +910,10 @@ pub struct NestedReport {
     pub points_run: u64,
     /// Points where both crashes actually fired (non-vacuous grid mass).
     pub double_fired: u64,
-    /// Recovery ops seen per [`RecoveryOp`] kind across all counting
-    /// runs, indexed by `code() - 1` — proves the nested plane reaches
-    /// every recovery site.
-    pub per_kind: [u64; RECOVERY_OP_KINDS],
+    /// Ops seen per site across all recovery counting runs, indexed by
+    /// `chaos::Site as usize` — the recovery sites prove the nested grid
+    /// reaches every one of them.
+    pub per_site: [u64; SITES],
     /// Supervisor re-attempts taken across the grid (the replay
     /// re-entries the idempotence argument rests on).
     pub restarts: u64,
@@ -929,49 +923,31 @@ pub struct NestedReport {
     pub failures: Vec<NestedFailure>,
 }
 
-/// Kind of the recovery op that fired, recovered from the flight
-/// recorder's `RecoveryCrashPoint` event (`a` = op code, `b` = nested
-/// index).
-fn nested_fired_kind(telemetry: &Telemetry, fired: Option<u64>) -> Option<&'static str> {
-    let n = fired?;
-    telemetry
-        .recorder()
-        .events()
-        .into_iter()
-        .find(|e| e.kind == FlightKind::RecoveryCrashPoint && e.b == n)
-        .and_then(|e| RecoveryOp::from_code(e.a))
-        .map(RecoveryOp::name)
-}
-
 /// Size one outer point's *recovery* universe: run the workload to crash
 /// index `k`, kill the job, and recover it under the supervisor with the
-/// nested plane counting. Returns the outer fire index (None when `k`
-/// lies beyond the universe) and the recovery op census.
+/// gate counting. Returns the outer fire index (None when `k` lies
+/// beyond the universe) and the recovery's op census.
 pub fn count_recovery_universe(
     cfg: &UniverseConfig,
     k: u64,
-) -> Result<(Option<u64>, chaos::RecoveryReport), String> {
+) -> Result<(Option<u64>, Report), String> {
     let telemetry = Telemetry::new();
     let chaos = ChaosHandle::new();
     let mut stack = build_stack(cfg, &telemetry, &chaos)?;
-    chaos.crash_at_op(k, &telemetry);
     let mut st = RunState::new(cfg.ranks);
-    let failed = drive(&mut stack, cfg, &mut st);
-    chaos.disarm_crash();
-    let outer = chaos.crash_report().fired;
-    if outer.is_none() {
+    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
+    let Some((_, outer)) = fired else {
         if let Some(f) = failed {
             return Err(format!("workload failed at {f:?} with no crash fired"));
         }
-        return Ok((None, chaos.recovery_report()));
-    }
+        return Ok((None, Report::default()));
+    };
     let handle = stack.rt.crash_job();
-    chaos.arm_recovery_count();
+    chaos.arm(FaultPlan::new(cfg.seed), &telemetry);
     let recovered = RecoverySupervisor::new(nested_policy()).attach(handle);
-    let report = chaos.recovery_report();
-    chaos.disarm_recovery();
+    chaos.disarm();
     recovered.map_err(|e| format!("counting recovery of outer {k} failed: {e:?}"))?;
-    Ok((outer, report))
+    Ok((Some(outer), chaos.report()))
 }
 
 /// Execute one nested crash point: crash the workload at durability op
@@ -1006,46 +982,43 @@ pub fn run_nested_point(cfg: &UniverseConfig, k: u64, j: u64) -> NestedVerdict {
             return verdict;
         }
     };
-    chaos.crash_at_op(k, &telemetry);
     let mut st = RunState::new(cfg.ranks);
-    let failed = drive(&mut stack, cfg, &mut st);
-    chaos.disarm_crash();
-    let outer_report = chaos.crash_report();
-    verdict.outer_fired = outer_report.fired;
-    if outer_report.fired.is_none() {
+    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
+    verdict.outer_fired = fired.map(|(_, n)| n);
+    if fired.is_none() {
         if let Some(f) = failed {
             verdict.violation = Some(format!("workload failed at {f:?} with no crash fired"));
-            verdict.dump = dump_now(&telemetry, &dump, k);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
             return verdict;
         }
         verdict.passed = true;
         return verdict;
     }
     let handle = stack.rt.crash_job();
-    chaos.crash_in_recovery(j, &telemetry);
+    chaos.arm(FaultPlan::new(cfg.seed).crash_in_recovery(j), &telemetry);
     let recovered = RecoverySupervisor::new(nested_policy()).attach(handle);
-    let rec_report = chaos.recovery_report();
-    chaos.disarm_recovery();
-    verdict.nested_fired = rec_report.fired;
-    verdict.nested_kind = nested_fired_kind(&telemetry, rec_report.fired);
+    chaos.disarm();
+    let nested = chaos.report().fired;
+    verdict.nested_fired = nested.map(|(_, n)| n);
+    verdict.nested_kind = nested.map(|(site, _)| site.name());
     let supervised = match recovered {
         Ok(s) => s,
         Err(e) => {
             verdict.violation = Some(format!(
                 "I1: second recovery attempt failed after nested crash: {e:?}"
             ));
-            verdict.dump = dump_now_as(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
             return verdict;
         }
     };
     verdict.restarts = supervised.outcome().restarts;
-    if rec_report.fired.is_some() && verdict.restarts == 0 {
+    if nested.is_some() && verdict.restarts == 0 {
         verdict.violation = Some(
             "nested crash fired but the supervisor recorded no restart — \
              the kill was absorbed without a re-attempt"
                 .to_string(),
         );
-        verdict.dump = dump_now_as(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
+        verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
         return verdict;
     }
     let mut rt2 = supervised.into_runtime();
@@ -1053,7 +1026,7 @@ pub fn run_nested_point(cfg: &UniverseConfig, k: u64, j: u64) -> NestedVerdict {
         Ok(()) => verdict.passed = true,
         Err(v) => {
             verdict.violation = Some(v);
-            verdict.dump = dump_now_as(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
+            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
         }
     }
     verdict
@@ -1071,7 +1044,7 @@ pub fn explore_nested(
     telemetry: &Telemetry,
 ) -> Result<NestedReport, String> {
     let count = count_universe(cfg)?;
-    let total = count.total;
+    let total = count.total(Plane::Durability);
     let stride = total.div_ceil(outer_points.max(1)).max(1);
     let outer_ks: Vec<u64> = (0..total).step_by(stride as usize).collect();
     let points_counter = telemetry.counter("crashverse.nested_points");
@@ -1083,7 +1056,7 @@ pub fn explore_nested(
         outer_points: outer_ks.len() as u64,
         points_run: 0,
         double_fired: 0,
-        per_kind: [0; RECOVERY_OP_KINDS],
+        per_site: [0; SITES],
         restarts: 0,
         verdicts: Vec::new(),
         failures: Vec::new(),
@@ -1091,27 +1064,27 @@ pub fn explore_nested(
     // Outer points are independent (each nested run rebuilds the whole
     // stack), so the grid fans out across threads per outer index; each
     // inner scan stays serial for the deterministic nested op order.
-    type Column = (Option<String>, [u64; RECOVERY_OP_KINDS], Vec<NestedVerdict>);
+    type Column = (Option<String>, Report, Vec<NestedVerdict>);
     let columns: Vec<Column> = fan_out(&outer_ks, telemetry, |&k| {
         match count_recovery_universe(cfg, k) {
-            Err(e) => (Some(e), [0; RECOVERY_OP_KINDS], Vec::new()),
-            Ok((None, _)) => (None, [0; RECOVERY_OP_KINDS], Vec::new()),
+            Err(e) => (Some(e), Report::default(), Vec::new()),
+            Ok((None, _)) => (None, Report::default(), Vec::new()),
             Ok((Some(_), rec)) => {
-                let m = rec.total;
+                let m = rec.total(Plane::Recovery);
                 let jstride = m.div_ceil(nested_per_outer.max(1)).max(1);
                 let verdicts = (0..m)
                     .step_by(jstride as usize)
                     .map(|j| run_nested_point(cfg, k, j))
                     .collect();
-                (None, rec.per_kind, verdicts)
+                (None, rec, verdicts)
             }
         }
     });
-    for (i, (err, per_kind, verdicts)) in columns.into_iter().enumerate() {
+    for (i, (err, census, verdicts)) in columns.into_iter().enumerate() {
         if let Some(e) = err {
             return Err(format!("outer {} column failed: {e}", outer_ks[i]));
         }
-        for (dst, n) in report.per_kind.iter_mut().zip(per_kind) {
+        for (dst, n) in report.per_site.iter_mut().zip(census.per_site) {
             *dst += n;
         }
         for v in verdicts {
@@ -1257,12 +1230,10 @@ pub fn quarantine_cycle(cfg: &UniverseConfig) -> Result<QuarantineCycle, String>
     })
 }
 
-// Re-export so binaries depending on crashverse alone can name them.
-pub use chaos::CrashReport;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chaos::Site;
     use std::sync::OnceLock;
 
     /// Smallest universe that still contains every op kind: one epoch,
@@ -1278,28 +1249,28 @@ mod tests {
 
     fn tiny_total() -> u64 {
         static TOTAL: OnceLock<u64> = OnceLock::new();
-        *TOTAL.get_or_init(|| count_universe(&tiny()).expect("clean counting run").total)
+        *TOTAL.get_or_init(|| {
+            count_universe(&tiny())
+                .expect("clean counting run")
+                .total(Plane::Durability)
+        })
     }
 
     #[test]
     fn counting_run_is_deterministic_and_covers_all_kinds() {
         let a = count_universe(&tiny()).expect("count A");
         let b = count_universe(&tiny()).expect("count B");
-        assert_eq!(a.total, b.total, "universe size must be reproducible");
         assert_eq!(
-            a.per_kind, b.per_kind,
-            "per-kind counts must be reproducible"
+            a.per_site, b.per_site,
+            "per-site counts must be reproducible"
         );
-        assert!(a.total >= 20, "tiny universe too small: {}", a.total);
-        for op in [
-            CrashOp::WalAppend,
-            CrashOp::BlockWrite,
-            CrashOp::MirrorWrite,
-        ] {
-            assert!(a.kind(op) > 0, "no {} ops counted", op.name());
+        let total = a.total(Plane::Durability);
+        assert!(total >= 20, "tiny universe too small: {total}");
+        for site in [Site::WalRecord, Site::BlockWrite, Site::MirrorWrite] {
+            assert!(a.count(site) > 0, "no {} ops counted", site.name());
         }
         assert!(
-            a.kind(CrashOp::ManifestBody) > 0 && a.kind(CrashOp::CommitRecord) > 0,
+            a.count(Site::ManifestBody) > 0 && a.count(Site::CommitRecord) > 0,
             "commit path not in the universe"
         );
     }
@@ -1354,14 +1325,15 @@ mod tests {
         // manifest scan, and the replicated mirror rescan.
         let (outer, rec) = count_recovery_universe(&tiny(), 0).expect("count at k=0");
         assert_eq!(outer, Some(0), "outer crash must fire at the armed index");
-        assert!(rec.total >= 4, "nested universe too small: {}", rec.total);
-        for op in [
-            RecoveryOp::SnapshotLoad,
-            RecoveryOp::LogScan,
-            RecoveryOp::ManifestScan,
-            RecoveryOp::RescanChunk,
+        let total = rec.total(Plane::Recovery);
+        assert!(total >= 4, "nested universe too small: {total}");
+        for site in [
+            Site::SnapshotLoad,
+            Site::LogScan,
+            Site::ManifestScan,
+            Site::RescanChunk,
         ] {
-            assert!(rec.kind(op) > 0, "no {} ops counted", op.name());
+            assert!(rec.count(site) > 0, "no {} ops counted", site.name());
         }
         // A late crash leaves committed records in the log, so the
         // mount's replay plane is part of the nested universe too.
@@ -1369,10 +1341,13 @@ mod tests {
             count_recovery_universe(&tiny(), tiny_total() - 1).expect("count at last k");
         assert!(outer.is_some());
         assert!(
-            late.kind(RecoveryOp::ReplayApply) > 0,
+            late.count(Site::ReplayApply) > 0,
             "late-point recovery replayed nothing"
         );
-        assert!(late.total > rec.total, "later crash must mean more replay");
+        assert!(
+            late.total(Plane::Recovery) > total,
+            "later crash must mean more replay"
+        );
     }
 
     #[test]
@@ -1417,20 +1392,15 @@ mod tests {
         let telemetry = Telemetry::new();
         let chaos = ChaosHandle::new();
         let mut stack = build_stack(&cfg, &telemetry, &chaos).expect("stack");
-        chaos.crash_at_op(k, &telemetry);
         let mut st = RunState::new(cfg.ranks);
-        let failed = drive(&mut stack, &cfg, &mut st);
-        chaos.disarm_crash();
-        assert!(
-            chaos.crash_report().fired.is_some(),
-            "mid-universe point must fire"
-        );
+        let (fired, failed) = crash_drive(&mut stack, &cfg, &mut st, &chaos, &telemetry, k);
+        assert!(fired.is_some(), "mid-universe point must fire");
         let handle = stack.rt.crash_job();
-        chaos.crash_in_recovery(0, &telemetry);
+        chaos.arm(FaultPlan::new(cfg.seed).crash_in_recovery(0), &telemetry);
         let supervised = RecoverySupervisor::new(nested_policy())
             .attach(handle)
             .expect("supervised recovery after nested crash");
-        chaos.disarm_recovery();
+        chaos.disarm();
         assert!(
             supervised.outcome().restarts >= 1,
             "nested kill not absorbed"
@@ -1481,8 +1451,9 @@ mod tests {
                 let (outer, rec) = count_recovery_universe(&tiny(), k)
                     .map_err(TestCaseError::fail)?;
                 prop_assert_eq!(outer, Some(k));
-                prop_assert!(rec.total > 0, "empty recovery universe at k={}", k);
-                let j = jr % rec.total;
+                let m = rec.total(Plane::Recovery);
+                prop_assert!(m > 0, "empty recovery universe at k={}", k);
+                let j = jr % m;
                 let v = run_nested_point(&tiny(), k, j);
                 prop_assert!(
                     v.passed,

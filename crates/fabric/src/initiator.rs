@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use chaos::{ChaosHandle, FaultAction, FaultSite};
+use chaos::{ChaosHandle, FaultAction, Site};
 use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 
 use ssd::NsId;
@@ -494,7 +494,7 @@ impl NvmfConnection {
                         continue;
                     };
                     // Site 3: the response capsule in flight.
-                    match self.chaos.decide(FaultSite::CapsuleRx) {
+                    match self.chaos.fire(Site::CapsuleRx) {
                         Some(FaultAction::DropCapsule) => continue,
                         Some(FaultAction::CorruptPayload) => resp_wire = corrupt_sg(resp_wire),
                         _ => {}
@@ -609,7 +609,7 @@ impl NvmfConnection {
         self.metrics.userspace_path_ns.add(self.userspace_per_io_ns);
         self.metrics.kernel_path_equiv_ns.add(self.kernel_per_io_ns);
         // Site 1: the connection dies under this command.
-        if let Some(FaultAction::ResetConnection) = self.chaos.decide(FaultSite::ConnReset) {
+        if let Some(FaultAction::ResetConnection) = self.chaos.fire(Site::ConnReset) {
             self.qp_initiator.disconnect();
             return Ok(PostOutcome::Reset);
         }
@@ -622,7 +622,7 @@ impl NvmfConnection {
         };
         // Site 2: the command capsule in flight.
         let mut copies = 1usize;
-        match self.chaos.decide(FaultSite::CapsuleTx) {
+        match self.chaos.fire(Site::CapsuleTx) {
             Some(FaultAction::DropCapsule) => {
                 // Vanished on the wire: the initiator only learns via its
                 // modeled command timeout.
@@ -1206,7 +1206,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(1).at_op(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0),
+            chaos::FaultPlan::new(1).at_op(Site::CapsuleTx, FaultAction::CorruptPayload, 0),
             &t,
         );
         conn.write(0, b"survives corruption").unwrap();
@@ -1225,7 +1225,7 @@ mod tests {
         let mut conn = init.connect(Arc::clone(&target), a);
         conn.write(0, b"payload").unwrap();
         chaos.arm(
-            chaos::FaultPlan::new(2).at_op(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0),
+            chaos::FaultPlan::new(2).at_op(Site::CapsuleRx, FaultAction::CorruptPayload, 0),
             &t,
         );
         assert_eq!(conn.read(0, 7).unwrap(), b"payload");
@@ -1244,7 +1244,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(3).at_op(FaultSite::CapsuleTx, FaultAction::DropCapsule, 0),
+            chaos::FaultPlan::new(3).at_op(Site::CapsuleTx, FaultAction::DropCapsule, 0),
             &t,
         );
         conn.write(0, b"after timeout").unwrap();
@@ -1263,7 +1263,7 @@ mod tests {
         let mut conn = init.connect(Arc::clone(&target), a);
         conn.write(0, b"before reset").unwrap();
         chaos.arm(
-            chaos::FaultPlan::new(4).at_op(FaultSite::ConnReset, FaultAction::ResetConnection, 0),
+            chaos::FaultPlan::new(4).at_op(Site::ConnReset, FaultAction::ResetConnection, 0),
             &t,
         );
         // The write that hits the reset reconnects and completes.
@@ -1286,7 +1286,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(5).at_op(FaultSite::CapsuleTx, FaultAction::DuplicateCapsule, 0),
+            chaos::FaultPlan::new(5).at_op(Site::CapsuleTx, FaultAction::DuplicateCapsule, 0),
             &t,
         );
         conn.write(0, b"exactly once").unwrap();
@@ -1309,7 +1309,7 @@ mod tests {
         let mut conn = init.connect(Arc::clone(&target), a);
         conn.write(0, b"state").unwrap();
         chaos.arm(
-            chaos::FaultPlan::new(6).at_op(FaultSite::ConnReset, FaultAction::ResetConnection, 0),
+            chaos::FaultPlan::new(6).at_op(Site::ConnReset, FaultAction::ResetConnection, 0),
             &t,
         );
         conn.keep_alive().unwrap();
@@ -1324,7 +1324,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(7).with_rate(FaultSite::CapsuleTx, FaultAction::DropCapsule, 1.0),
+            chaos::FaultPlan::new(7).with_rate(Site::CapsuleTx, FaultAction::DropCapsule, 1.0),
             &t,
         );
         let err = conn.write(0, b"doomed").unwrap_err();
@@ -1395,8 +1395,8 @@ mod tests {
         // writer in submission order must win on the device.
         chaos.arm(
             chaos::FaultPlan::new(11)
-                .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.10)
-                .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0.10),
+                .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.10)
+                .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.10),
             &t,
         );
         let writes: Vec<(u64, Bytes)> = (0..64u64)
@@ -1425,7 +1425,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(5).at_op(FaultSite::CapsuleTx, FaultAction::DuplicateCapsule, 3),
+            chaos::FaultPlan::new(5).at_op(Site::CapsuleTx, FaultAction::DuplicateCapsule, 3),
             &t,
         );
         let writes: Vec<(u64, Bytes)> = (0..16u64)
@@ -1575,7 +1575,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(3).at_op(FaultSite::CapsuleTx, FaultAction::DropCapsule, 0),
+            chaos::FaultPlan::new(3).at_op(Site::CapsuleTx, FaultAction::DropCapsule, 0),
             &t,
         );
         conn.write(0, b"traced").unwrap();
@@ -1604,7 +1604,7 @@ mod tests {
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         chaos.arm(
-            chaos::FaultPlan::new(7).with_rate(FaultSite::CapsuleTx, FaultAction::DropCapsule, 1.0),
+            chaos::FaultPlan::new(7).with_rate(Site::CapsuleTx, FaultAction::DropCapsule, 1.0),
             &t,
         );
         conn.write(0, b"doomed").unwrap_err();

@@ -280,12 +280,12 @@ impl<D: BlockDevice> MicroFs<D> {
                 layout.block_size, config.block_size
             )));
         }
-        if config.chaos.recovery_fire(chaos::RecoveryOp::SnapshotLoad) {
+        if config.chaos.fire(chaos::Site::SnapshotLoad).is_some() {
             return Err(FsError::Io("crash point: recovery snapshot load".into()));
         }
         let (seq, generation, state) = snapshot::read_latest(&mut dev, &layout)
             .ok_or_else(|| FsError::Io("no valid snapshot found".into()))?;
-        if config.chaos.recovery_fire(chaos::RecoveryOp::LogScan) {
+        if config.chaos.fire(chaos::Site::LogScan).is_some() {
             return Err(FsError::Io("crash point: recovery log scan".into()));
         }
         let (records, scan_end) =
@@ -332,11 +332,7 @@ impl<D: BlockDevice> MicroFs<D> {
             let replay_ns = Arc::clone(&self.metrics.replay_ns);
             let _t = replay_ns.time();
             for rec in records {
-                if self
-                    .config
-                    .chaos
-                    .recovery_fire(chaos::RecoveryOp::ReplayApply)
-                {
+                if self.config.chaos.fire(chaos::Site::ReplayApply).is_some() {
                     return Err(FsError::Io("crash point: recovery replay".into()));
                 }
                 self.replay(rec)?;

@@ -16,7 +16,7 @@
 pub mod coalesce;
 pub mod record;
 
-use chaos::{ChaosHandle, CrashOp, FaultAction, FaultSite};
+use chaos::{ChaosHandle, FaultAction, Site};
 
 use crate::block::BlockDevice;
 use crate::error::FsError;
@@ -72,7 +72,7 @@ impl Wal {
     }
 
     /// Attach a fault-injection hook; fresh appends then consult the
-    /// [`FaultSite::WalAppend`] site (one relaxed atomic load when
+    /// [`Site::WalAppend`] site (one relaxed atomic load when
     /// disarmed).
     pub fn set_chaos(&mut self, chaos: ChaosHandle) {
         self.chaos = chaos;
@@ -150,8 +150,7 @@ impl Wal {
         // advanced, modeling an append that never became durable. Only fresh
         // appends can tear — coalescing rewrites are sub-sector in-place
         // updates, atomic on real NVMe.
-        if let Some(FaultAction::TornWrite { keep_bytes }) = self.chaos.decide(FaultSite::WalAppend)
-        {
+        if let Some(FaultAction::TornWrite { keep_bytes }) = self.chaos.fire(Site::WalAppend) {
             let keep = (keep_bytes as usize).min(bytes.len());
             dev.write_at(device_pos, &bytes[..keep])
                 .map_err(|e| FsError::Io(e.to_string()))?;
@@ -160,7 +159,7 @@ impl Wal {
         // Crash-universe gate: the append dies before any byte lands, so
         // recovery sees the log exactly as it was before this call. `pos`
         // is not advanced.
-        if self.chaos.crash_fire(CrashOp::WalAppend) {
+        if self.chaos.fire(Site::WalRecord).is_some() {
             return Err(FsError::Io("crash point: WAL append".into()));
         }
         dev.write_at(device_pos, &bytes)
@@ -443,11 +442,7 @@ mod tests {
         let chaos = ChaosHandle::default();
         let t = telemetry::Telemetry::new();
         chaos.arm(
-            FaultPlan::new(7).at_op(
-                FaultSite::WalAppend,
-                FaultAction::TornWrite { keep_bytes: 5 },
-                0,
-            ),
+            FaultPlan::new(7).at_op(Site::WalAppend, FaultAction::TornWrite { keep_bytes: 5 }, 0),
             &t,
         );
         wal.set_chaos(chaos.clone());

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use chaos::{ChaosHandle, FaultAction, FaultSite};
+use chaos::{ChaosHandle, FaultAction, Site};
 use parking_lot::Mutex;
 use telemetry::{Counter, FlightKind, FlightRecorder, Gauge, Histogram, Telemetry};
 
@@ -243,7 +243,7 @@ impl NsShard {
                 .record(FlightKind::ShardDead, 0, 0, self.ns.0 as u64, 0);
             return Err(SsdError::ShardDead(self.ns));
         }
-        match self.chaos.decide(FaultSite::ShardIo) {
+        match self.chaos.fire(Site::ShardIo) {
             Some(FaultAction::ShardBusy) => {
                 self.metrics
                     .flight
@@ -346,7 +346,7 @@ impl NsShard {
     }
 
     /// Latent media corruption: when an armed plan fires
-    /// [`FaultAction::CorruptPayload`] at [`FaultSite::ReplicaBitRot`], one
+    /// [`FaultAction::CorruptPayload`] at [`Site::ReplicaBitRot`], one
     /// bit inside the read range flips **in the backing store** before the
     /// read is served. Unlike a wire-level corruption the damage is
     /// persistent — every later read of the byte sees it too — which is
@@ -355,7 +355,7 @@ impl NsShard {
         if len == 0 {
             return;
         }
-        if let Some(FaultAction::CorruptPayload) = self.chaos.decide(FaultSite::ReplicaBitRot) {
+        if let Some(FaultAction::CorruptPayload) = self.chaos.fire(Site::ReplicaBitRot) {
             let target = offset + len / 2;
             let mut b = [0u8; 1];
             d.store.read(target, &mut b);
@@ -427,7 +427,7 @@ impl NsShard {
             // rest are lost despite power-loss protection (§III-D's failure
             // mode when the capacitor budget is undersized).
             if let Some(FaultAction::PowerCut { drain_writes }) =
-                self.chaos.decide(FaultSite::CapacitorFlush)
+                self.chaos.fire(Site::CapacitorFlush)
             {
                 for _ in 0..drain_writes {
                     if !d.drain_one(&self.metrics) {
@@ -851,7 +851,7 @@ mod tests {
         let t = Telemetry::new();
 
         chaos.arm(
-            chaos::FaultPlan::new(1).at_op(FaultSite::ShardIo, FaultAction::ShardBusy, 0),
+            chaos::FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::ShardBusy, 0),
             &t,
         );
         assert!(matches!(
@@ -862,7 +862,7 @@ mod tests {
         ssd.write(ns, 0, &[1u8; 64]).unwrap();
 
         chaos.arm(
-            chaos::FaultPlan::new(1).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+            chaos::FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::KillShard, 0),
             &t,
         );
         assert!(matches!(
@@ -901,7 +901,7 @@ mod tests {
         let t = Telemetry::new();
         chaos.arm(
             chaos::FaultPlan::new(2).at_op(
-                FaultSite::CapacitorFlush,
+                Site::CapacitorFlush,
                 FaultAction::PowerCut { drain_writes: 2 },
                 0,
             ),
@@ -934,11 +934,7 @@ mod tests {
 
         let t = Telemetry::new();
         chaos.arm(
-            chaos::FaultPlan::new(3).at_op(
-                FaultSite::ReplicaBitRot,
-                FaultAction::CorruptPayload,
-                0,
-            ),
+            chaos::FaultPlan::new(3).at_op(Site::ReplicaBitRot, FaultAction::CorruptPayload, 0),
             &t,
         );
         // The faulted read itself observes the flip (offset + len/2, low bit).

@@ -75,11 +75,11 @@ pub enum FlightKind {
     Failover = 17,
     /// Recorder: a trip fired (argument `a` holds the cause kind's code).
     Trip = 18,
-    /// Chaos: the crash-universe mode killed the stack at an exact global
+    /// Chaos: a `crash_at_op` rule killed the stack at an exact global
     /// durability-op index (trip; `a` holds the op kind's code, `b` the
     /// global op index).
     CrashPoint = 19,
-    /// Chaos: the nested crash plane killed a recovery attempt at an
+    /// Chaos: a `crash_in_recovery` rule killed a recovery attempt at an
     /// exact recovery-op index (trip; `a` holds the recovery-op kind's
     /// code, `b` the nested op index).
     RecoveryCrashPoint = 20,

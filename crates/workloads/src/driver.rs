@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use baselines::model::StorageModel;
 use baselines::scenario::Scenario;
 use baselines::LustreModel;
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::MicroFs;
 use nvmecr::multilevel::{CheckpointLevel, MultiLevelPolicy};
@@ -794,7 +794,7 @@ pub fn run_incremental_checkpoints(
         let victim = 0u32;
         rt.crash_rank(victim)?;
         ssd_chaos.arm(
-            FaultPlan::new(1).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+            FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::KillShard, 0),
             &telemetry,
         );
         let doomed = {

@@ -5,7 +5,7 @@
 //! absorbed the fault) or rolls back along the multi-level policy (the
 //! fault was by design unabsorbable at the fast tier).
 
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::{FsConfig, FsError, MemDevice, MicroFs, OpenFlags};
 use nvmecr::multilevel::MultiLevelPolicy;
@@ -85,8 +85,8 @@ fn checkpoints_survive_one_percent_capsule_corruption() {
     // 1% of command capsules and 1% of response capsules arrive corrupted.
     chaos.arm(
         FaultPlan::new(42)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.01)
-            .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0.01),
+            .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.01)
+            .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.01),
         &telemetry,
     );
     let len = 256 << 10;
@@ -119,7 +119,7 @@ fn checkpoints_survive_connection_resets() {
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
     // 2% of commands observe their connection torn down mid-flight.
     chaos.arm(
-        FaultPlan::new(7).with_rate(FaultSite::ConnReset, FaultAction::ResetConnection, 0.02),
+        FaultPlan::new(7).with_rate(Site::ConnReset, FaultAction::ResetConnection, 0.02),
         &telemetry,
     );
     let len = 128 << 10;
@@ -164,10 +164,10 @@ fn faulted_deep_window_round(
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
     chaos.arm(
         FaultPlan::new(seed)
-            .at_op(FaultSite::CapsuleTx, FaultAction::DuplicateCapsule, 10)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.01)
-            .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0.01)
-            .with_rate(FaultSite::ConnReset, FaultAction::ResetConnection, 0.02),
+            .at_op(Site::CapsuleTx, FaultAction::DuplicateCapsule, 10)
+            .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.01)
+            .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.01)
+            .with_rate(Site::ConnReset, FaultAction::ResetConnection, 0.02),
         &telemetry,
     );
     let len = 256 << 10;
@@ -247,7 +247,7 @@ fn power_cut_mid_drain_loses_tail_and_rolls_back_multilevel() {
     // The capacitor drain is interrupted after two staged writes.
     chaos.arm(
         FaultPlan::new(3).at_op(
-            FaultSite::CapacitorFlush,
+            Site::CapacitorFlush,
             FaultAction::PowerCut { drain_writes: 2 },
             0,
         ),
@@ -288,11 +288,7 @@ fn torn_wal_append_recovers_prefix_exactly() {
     // Power fails mid-append of the next operation's log record: only 6
     // bytes of the frame reach the device.
     chaos.arm(
-        FaultPlan::new(9).at_op(
-            FaultSite::WalAppend,
-            FaultAction::TornWrite { keep_bytes: 6 },
-            0,
-        ),
+        FaultPlan::new(9).at_op(Site::WalAppend, FaultAction::TornWrite { keep_bytes: 6 }, 0),
         &telemetry,
     );
     let torn = fs.create("/torn.dat", 0o644);
@@ -351,7 +347,7 @@ fn shard_death_fails_over_and_recheckpoints() {
 
     // The next shard IO kills its shard permanently.
     ssd_chaos.arm(
-        FaultPlan::new(1).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+        FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::KillShard, 0),
         &telemetry,
     );
     let old_node = rt.rank_storage_node(5).unwrap();
@@ -434,7 +430,7 @@ fn replicated_restore_rolls_back_to_last_complete_epoch_under_chaos() {
     // grant shard dies permanently under a rank-0 write.
     rt.crash_rank(3).unwrap();
     ssd_chaos.arm(
-        FaultPlan::new(5).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+        FaultPlan::new(5).at_op(Site::ShardIo, FaultAction::KillShard, 0),
         &telemetry,
     );
     let dead = {
@@ -452,8 +448,8 @@ fn replicated_restore_rolls_back_to_last_complete_epoch_under_chaos() {
     let old_node = rt.rank_storage_node(3).unwrap();
     chaos.arm(
         FaultPlan::new(17)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.05)
-            .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0.05),
+            .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.05)
+            .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.05),
         &telemetry,
     );
     rt.fail_over_rank(3, &rack, &topo).unwrap();
@@ -502,7 +498,7 @@ fn scrub_repairs_bit_rot_and_reports_double_corruption() {
     // primary-extent read flips one stored bit, the CRC walk catches it,
     // and read-repair heals it from the intact replica.
     ssd_chaos.arm(
-        FaultPlan::new(23).at_op(FaultSite::ReplicaBitRot, FaultAction::CorruptPayload, 0),
+        FaultPlan::new(23).at_op(Site::ReplicaBitRot, FaultAction::CorruptPayload, 0),
         &telemetry,
     );
     let report = rt.scrub_rank(2).unwrap().unwrap();
@@ -526,7 +522,7 @@ fn scrub_repairs_bit_rot_and_reports_double_corruption() {
     // trustworthy is left to repair from, and the scrub must say so
     // rather than "heal" one corruption with another.
     ssd_chaos.arm(
-        FaultPlan::new(29).with_rate(FaultSite::ReplicaBitRot, FaultAction::CorruptPayload, 1.0),
+        FaultPlan::new(29).with_rate(Site::ReplicaBitRot, FaultAction::CorruptPayload, 1.0),
         &telemetry,
     );
     let report = rt.scrub_rank(2).unwrap().unwrap();
@@ -563,23 +559,23 @@ fn supervisor_absorbs_nested_recovery_crash_on_second_attempt() {
     rt.commit_epochs().unwrap();
     let handle = rt.crash_job();
 
-    // The nested crash plane kills recovery op 2 of the first attempt —
+    // A nested crash rule kills recovery op 2 of the first attempt —
     // with one attempt allowed, the attach must surface that kill.
-    chaos.crash_in_recovery(2, &telemetry);
+    chaos.arm(FaultPlan::new(0).crash_in_recovery(2), &telemetry);
     let strict = RecoverySupervisor::new(test_policy(1, 0));
     assert!(
         strict.attach(handle.clone()).is_err(),
         "a single-attempt policy must fail when recovery is killed"
     );
-    chaos.disarm_recovery();
+    chaos.disarm();
 
     // Same kill, default budget: the second attempt replays the same log
     // from the top and must land byte-identically.
-    chaos.crash_in_recovery(2, &telemetry);
+    chaos.arm(FaultPlan::new(0).crash_in_recovery(2), &telemetry);
     let supervised = RecoverySupervisor::new(test_policy(2, 0))
         .attach(handle)
         .expect("the second recovery attempt must absorb the nested crash");
-    chaos.disarm_recovery();
+    chaos.disarm();
     assert_eq!(supervised.outcome().restarts, 1);
     assert!(supervised.quarantined().is_empty());
     let mut rt = supervised.into_runtime();
@@ -595,7 +591,7 @@ fn supervisor_absorbs_nested_recovery_crash_on_second_attempt() {
     assert!(snap.counter("recovery.restarts") >= 1);
     assert!(
         snap.counter("recovery.replay_reentries") >= 1,
-        "the restart happened under an armed nested plane"
+        "the restart happened under an armed nested crash rule"
     );
     assert_eq!(snap.counter("recovery.quarantined"), 0);
 }
@@ -667,7 +663,7 @@ fn quarantine_serves_degraded_reads_until_rejoin() {
     assert_eq!(
         snap.counter("recovery.replay_reentries"),
         0,
-        "no nested plane was armed — these restarts are not replay re-entries"
+        "no nested crash rule was armed — these restarts are not replay re-entries"
     );
 
     // Rejoin rank 1 through the failover path: replacement namespace on a
@@ -687,7 +683,7 @@ fn quarantine_serves_degraded_reads_until_rejoin() {
 
 #[test]
 fn failover_restore_reattempts_after_nested_kill() {
-    // The nested crash plane can also kill a failover's replica restore
+    // A nested crash rule can also kill a failover's replica restore
     // (chain materialization / extent copy); a second attempt over the
     // same replica must succeed — the restore is idempotent.
     let (rack, topo, alloc, mut config, ssd_chaos, chaos, telemetry) = replicated_chaos_testbed();
@@ -700,7 +696,7 @@ fn failover_restore_reattempts_after_nested_kill() {
     rt.commit_epochs().unwrap();
     rt.crash_rank(3).unwrap();
     ssd_chaos.arm(
-        FaultPlan::new(13).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+        FaultPlan::new(13).at_op(Site::ShardIo, FaultAction::KillShard, 0),
         &telemetry,
     );
     let dead = {
@@ -713,15 +709,15 @@ fn failover_restore_reattempts_after_nested_kill() {
     ssd_chaos.disarm();
     assert!(dead, "IO against the killed shard must fail");
     // Recovery op 0 of the failover is the first chain-materialize link.
-    chaos.crash_in_recovery(0, &telemetry);
+    chaos.arm(FaultPlan::new(0).crash_in_recovery(0), &telemetry);
     assert!(
         rt.fail_over_rank(3, &rack, &topo).is_err(),
         "the nested kill must surface from the restore"
     );
-    chaos.begin_recovery_attempt();
+    chaos.begin_attempt();
     rt.fail_over_rank(3, &rack, &topo)
         .expect("the second restore attempt over the same replica must succeed");
-    chaos.disarm_recovery();
+    chaos.disarm();
     assert_eq!(read_back(&mut rt, 3, "/base.dat", len), pattern(3, len));
     assert_eq!(
         read_back(&mut rt, 3, "/delta.dat", 16 << 10),
@@ -759,7 +755,7 @@ fn delta_chain_failover_restores_newest_complete_epoch() {
     checkpoint(&mut rt, 3, "/unsealed.dat", &pattern(9, 16 << 10));
     rt.crash_rank(3).unwrap();
     ssd_chaos.arm(
-        FaultPlan::new(11).at_op(FaultSite::ShardIo, FaultAction::KillShard, 0),
+        FaultPlan::new(11).at_op(Site::ShardIo, FaultAction::KillShard, 0),
         &telemetry,
     );
     let dead = {

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use chaos::{ChaosHandle, FaultAction, FaultPlan, FaultSite};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
@@ -142,9 +142,9 @@ fn reactor_functional_reports_hash_identically_across_runs() {
 fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
     let plan = || {
         FaultPlan::new(42)
-            .with_rate(FaultSite::CapsuleTx, FaultAction::CorruptPayload, 0.01)
-            .with_rate(FaultSite::CapsuleRx, FaultAction::CorruptPayload, 0.01)
-            .with_rate(FaultSite::ConnReset, FaultAction::ResetConnection, 0.02)
+            .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.01)
+            .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.01)
+            .with_rate(Site::ConnReset, FaultAction::ResetConnection, 0.02)
     };
     let procs = 16u32;
     let payload = 128usize << 10;
