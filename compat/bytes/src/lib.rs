@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the exact API surface it uses: a cheaply cloneable, reference-
 //! counted immutable byte buffer ([`Bytes`]), a growable builder
-//! ([`BytesMut`]), and the little-endian cursor traits ([`Buf`], [`BufMut`]).
+//! ([`BytesMut`]), and the little-endian write cursor [`BufMut`].
 //! Clones and sub-slices of `Bytes` never copy payload bytes — the property
 //! the NVMf zero-copy data plane is built on.
 
@@ -86,12 +86,6 @@ impl Bytes {
         let head = self.slice(..at);
         self.start += at;
         head
-    }
-
-    /// Advance the view by `cnt` bytes.
-    pub fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance {cnt} past end ({})", self.len());
-        self.start += cnt;
     }
 }
 
@@ -215,57 +209,6 @@ impl DerefMut for BytesMut {
     }
 }
 
-/// Read cursor over a byte buffer (little-endian accessors used by the
-/// capsule codec). Every getter advances the cursor.
-pub trait Buf {
-    /// Bytes remaining.
-    fn remaining(&self) -> usize;
-    /// The unread window.
-    fn chunk(&self) -> &[u8];
-    /// Advance the cursor.
-    fn advance(&mut self, cnt: usize);
-
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Read a little-endian u16.
-    fn get_u16_le(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.chunk()[..2].try_into().unwrap());
-        self.advance(2);
-        v
-    }
-
-    /// Read a little-endian u32.
-    fn get_u32_le(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.chunk()[..4].try_into().unwrap());
-        self.advance(4);
-        v
-    }
-
-    /// Read a little-endian u64.
-    fn get_u64_le(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.chunk()[..8].try_into().unwrap());
-        self.advance(8);
-        v
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        Bytes::advance(self, cnt);
-    }
-}
-
 /// Write cursor (little-endian appenders used by the capsule codec).
 pub trait BufMut {
     /// Append raw bytes.
@@ -326,12 +269,12 @@ mod tests {
         m.put_u16_le(513);
         m.put_u64_le(u64::MAX - 1);
         m.put_slice(b"xy");
-        let mut b = m.freeze();
-        assert_eq!(b.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16_le(), 513);
-        assert_eq!(b.get_u64_le(), u64::MAX - 1);
-        assert_eq!(&b[..], b"xy");
+        let mut want = 0xDEAD_BEEFu32.to_le_bytes().to_vec();
+        want.push(7);
+        want.extend_from_slice(&513u16.to_le_bytes());
+        want.extend_from_slice(&(u64::MAX - 1).to_le_bytes());
+        want.extend_from_slice(b"xy");
+        assert_eq!(&m.freeze()[..], &want[..]);
     }
 
     #[test]

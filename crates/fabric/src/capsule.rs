@@ -6,8 +6,9 @@
 //! same fields): magic, opcode, CID, NSID, SLBA-as-byte-offset, length, and
 //! an optional inline data payload for writes.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use microfs::crc::{crc32, crc32_shift, crc32_update};
+use microfs::wire::{Reader, Short};
 use std::fmt;
 
 use crate::sg::SgList;
@@ -156,6 +157,12 @@ impl fmt::Display for CapsuleError {
 }
 
 impl std::error::Error for CapsuleError {}
+
+impl From<Short> for CapsuleError {
+    fn from(_: Short) -> Self {
+        CapsuleError::Truncated
+    }
+}
 
 /// A command capsule as sent initiator → target.
 #[derive(Debug, Clone)]
@@ -307,86 +314,57 @@ impl Capsule {
         sg
     }
 
-    /// Parse the fixed header, leaving `buf` at the payload. Returns the
-    /// capsule plus `(wire_crc, crc_of_header_prefix)`; payload length and
-    /// CRC are validated once the payload is attached.
-    fn decode_header(buf: &mut Bytes) -> Result<(Self, u32, u32), CapsuleError> {
-        if buf.len() < HEADER_LEN {
-            return Err(CapsuleError::Truncated);
-        }
-        let prefix_crc = crc32(&buf[..HEADER_LEN - 4]);
-        let magic = buf.get_u32_le();
+    /// Parse the fixed header at the front of `buf`. Returns the capsule
+    /// plus `(wire_crc, crc_of_header_prefix)` for [`check_payload`].
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    fn decode_header(buf: &[u8]) -> Result<(Self, u32, u32), CapsuleError> {
+        let mut r = Reader::new(buf);
+        let (prefix, wire_crc) = (r.bytes(HEADER_LEN - 4)?, r.u32()?);
+        let mut r = Reader::new(prefix);
+        let magic = r.u32()?;
         if magic != CAPSULE_MAGIC {
             return Err(CapsuleError::BadMagic(magic));
         }
-        let op = buf.get_u8();
+        let op = r.u8()?;
         let opcode = Opcode::from_u8(op).ok_or(CapsuleError::BadOpcode(op))?;
-        let cid = buf.get_u16_le();
-        let nsid = buf.get_u32_le();
-        let offset = buf.get_u64_le();
-        let len = buf.get_u64_le();
-        let wire_crc = buf.get_u32_le();
         Ok((
             Capsule {
                 opcode,
-                cid,
-                nsid,
-                offset,
-                len,
+                cid: r.u16()?,
+                nsid: r.u32()?,
+                offset: r.u64()?,
+                len: r.u64()?,
                 data: Bytes::new(),
                 payload_crc: None,
             },
             wire_crc,
-            prefix_crc,
+            crc32(prefix),
         ))
     }
 
-    fn attach_payload(
-        mut self,
-        data: Bytes,
-        wire_crc: u32,
-        prefix_crc: u32,
-    ) -> Result<Self, CapsuleError> {
-        // Never trust the declared length: every opcode's payload must match
-        // what the header claims (zero for read/flush/connect). Checked
-        // before the CRC so truncation reports as a length error.
-        if data.len() as u64 != self.declared_payload_len() {
-            return Err(CapsuleError::PayloadMismatch {
-                expected: self.declared_payload_len(),
-                actual: data.len(),
-            });
-        }
-        let actual = crc32_update(prefix_crc, &data);
-        if actual != wire_crc {
-            return Err(CapsuleError::CrcMismatch {
-                cid: self.cid,
-                expected: wire_crc,
-                actual,
-            });
-        }
-        self.data = data;
-        Ok(self)
-    }
-
     /// Parse from contiguous wire bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self, CapsuleError> {
-        let (c, wire_crc, prefix_crc) = Self::decode_header(&mut buf)?;
-        c.attach_payload(buf, wire_crc, prefix_crc)
+    pub fn decode(buf: Bytes) -> Result<Self, CapsuleError> {
+        Self::decode_sg(SgList::from(buf))
     }
 
     /// Parse from a scatter-gather delivery without copying the payload:
     /// in the `[header, payload]` shape produced by [`Capsule::encode_sg`],
     /// the payload segment is adopted by refcount. Other segmentations
-    /// fall back to a gather + contiguous decode.
+    /// are gathered first.
     pub fn decode_sg(sg: SgList) -> Result<Self, CapsuleError> {
-        let mut segs = sg.into_segments();
-        if segs.len() == 2 && segs[0].len() == HEADER_LEN {
-            let payload = segs.pop().expect("len checked");
-            let mut header = segs.pop().expect("len checked");
-            let (c, wire_crc, prefix_crc) = Self::decode_header(&mut header)?;
-            return c.attach_payload(payload, wire_crc, prefix_crc);
-        }
-        Self::decode(SgList::from(segs).into_contiguous())
+        let (header, data) = split_frame(sg, HEADER_LEN);
+        let (mut c, wire_crc, prefix_crc) = Self::decode_header(&header)?;
+        // Never trust the declared length: every opcode's payload must
+        // match what the header claims (zero for read/flush/connect).
+        check_payload(c.cid, c.declared_payload_len(), &data, wire_crc, prefix_crc)?;
+        c.data = data;
+        Ok(c)
     }
 
     /// Total size on the wire, including inline payload.
@@ -453,22 +431,27 @@ impl Completion {
         sg
     }
 
-    /// Parse the fixed header, returning `(completion, payload_len,
-    /// wire_crc, crc_of_header_prefix)`.
-    fn decode_header(buf: &mut Bytes) -> Result<(Self, u64, u32, u32), CapsuleError> {
-        if buf.len() < COMPLETION_HEADER_LEN {
-            return Err(CapsuleError::Truncated);
-        }
-        let prefix_crc = crc32(&buf[..COMPLETION_HEADER_LEN - 4]);
-        let magic = buf.get_u32_le();
+    /// Parse the fixed header at the front of `buf`, returning
+    /// `(completion, payload_len, wire_crc, crc_of_header_prefix)` for
+    /// [`check_payload`].
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    fn decode_header(buf: &[u8]) -> Result<(Self, u64, u32, u32), CapsuleError> {
+        let mut r = Reader::new(buf);
+        let (prefix, wire_crc) = (r.bytes(COMPLETION_HEADER_LEN - 4)?, r.u32()?);
+        let mut r = Reader::new(prefix);
+        let magic = r.u32()?;
         if magic != CAPSULE_MAGIC {
             return Err(CapsuleError::BadMagic(magic));
         }
-        let cid = buf.get_u16_le();
-        let st = buf.get_u8();
+        let (cid, st) = (r.u16()?, r.u8()?);
         let status = Status::from_u8(st).ok_or(CapsuleError::BadStatus(st))?;
-        let len = buf.get_u64_le();
-        let wire_crc = buf.get_u32_le();
+        let len = r.u64()?;
         Ok((
             Completion {
                 cid,
@@ -477,58 +460,76 @@ impl Completion {
             },
             len,
             wire_crc,
-            prefix_crc,
+            crc32(prefix),
         ))
     }
 
-    fn attach_payload(
-        mut self,
-        len: u64,
-        data: Bytes,
-        wire_crc: u32,
-        prefix_crc: u32,
-    ) -> Result<Self, CapsuleError> {
-        if data.len() as u64 != len {
-            return Err(CapsuleError::PayloadMismatch {
-                expected: len,
-                actual: data.len(),
-            });
-        }
-        let actual = crc32_update(prefix_crc, &data);
-        if actual != wire_crc {
-            return Err(CapsuleError::CrcMismatch {
-                cid: self.cid,
-                expected: wire_crc,
-                actual,
-            });
-        }
-        self.data = data;
-        Ok(self)
-    }
-
     /// Parse from contiguous wire bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self, CapsuleError> {
-        let (c, len, wire_crc, prefix_crc) = Self::decode_header(&mut buf)?;
-        c.attach_payload(len, buf, wire_crc, prefix_crc)
+    pub fn decode(buf: Bytes) -> Result<Self, CapsuleError> {
+        Self::decode_sg(SgList::from(buf))
     }
 
     /// Parse from a scatter-gather delivery without copying the payload
     /// (see [`Capsule::decode_sg`]).
     pub fn decode_sg(sg: SgList) -> Result<Self, CapsuleError> {
-        let mut segs = sg.into_segments();
-        if segs.len() == 2 && segs[0].len() == COMPLETION_HEADER_LEN {
-            let payload = segs.pop().expect("len checked");
-            let mut header = segs.pop().expect("len checked");
-            let (c, len, wire_crc, prefix_crc) = Self::decode_header(&mut header)?;
-            return c.attach_payload(len, payload, wire_crc, prefix_crc);
-        }
-        Self::decode(SgList::from(segs).into_contiguous())
+        let (header, data) = split_frame(sg, COMPLETION_HEADER_LEN);
+        let (mut c, len, wire_crc, prefix_crc) = Self::decode_header(&header)?;
+        check_payload(c.cid, len, &data, wire_crc, prefix_crc)?;
+        c.data = data;
+        Ok(c)
     }
 
     /// Total size on the wire, including payload.
     pub fn wire_size(&self) -> usize {
         COMPLETION_HEADER_LEN + self.data.len()
     }
+}
+
+/// Split a delivery into `(header, payload)` for a `header_len`-byte
+/// header: by refcount in the `[header, payload]` shape the encoders
+/// produce, else by gathering first. A short delivery yields a short header.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+fn split_frame(sg: SgList, header_len: usize) -> (Bytes, Bytes) {
+    let segs = match <[Bytes; 2]>::try_from(sg.into_segments()) {
+        Ok([header, payload]) if header.len() == header_len => return (header, payload),
+        Ok(pair) => Vec::from(pair),
+        Err(segs) => segs,
+    };
+    let mut buf = SgList::from(segs).into_contiguous();
+    (buf.split_to(header_len.min(buf.len())), buf)
+}
+
+/// Check a payload against its header: exactly `expected` bytes (before
+/// the CRC, so truncation reports as a length error), then the wire CRC
+/// continued from the header prefix's.
+fn check_payload(
+    cid: u16,
+    expected: u64,
+    data: &[u8],
+    wire_crc: u32,
+    prefix_crc: u32,
+) -> Result<(), CapsuleError> {
+    if data.len() as u64 != expected {
+        return Err(CapsuleError::PayloadMismatch {
+            expected,
+            actual: data.len(),
+        });
+    }
+    let actual = crc32_update(prefix_crc, data);
+    if actual != wire_crc {
+        return Err(CapsuleError::CrcMismatch {
+            cid,
+            expected: wire_crc,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

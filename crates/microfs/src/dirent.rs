@@ -10,6 +10,7 @@
 
 use crate::error::FsError;
 use crate::inode::Ino;
+use crate::wire::Reader;
 
 /// One record in a directory file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,30 +55,22 @@ impl Dirent {
         }
     }
 
-    /// Parse one record from `bytes[pos..]`, advancing `pos`.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Dirent, FsError> {
-        if bytes.len() < *pos + 3 {
-            return Err(FsError::Io("dirent truncated".into()));
-        }
-        let tag = bytes[*pos];
-        let nlen = u16::from_le_bytes(bytes[*pos + 1..*pos + 3].try_into().unwrap()) as usize;
-        *pos += 3;
-        if bytes.len() < *pos + nlen {
-            return Err(FsError::Io("dirent name truncated".into()));
-        }
-        let name = std::str::from_utf8(&bytes[*pos..*pos + nlen])
-            .map_err(|_| FsError::Io("dirent name not utf-8".into()))?
-            .to_string();
-        *pos += nlen;
+    /// Parse one record at the reader's position, advancing it.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    pub fn decode(r: &mut Reader) -> Result<Dirent, FsError> {
+        let (tag, nlen) = (r.u8()?, r.u16()?);
+        let name = r.utf8(nlen.into())?.to_string();
         match tag {
-            1 => {
-                if bytes.len() < *pos + 8 {
-                    return Err(FsError::Io("dirent ino truncated".into()));
-                }
-                let ino = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap());
-                *pos += 8;
-                Ok(Dirent::Add { name, ino })
-            }
+            1 => Ok(Dirent::Add {
+                name,
+                ino: r.u64()?,
+            }),
             2 => Ok(Dirent::Remove { name }),
             t => Err(FsError::Io(format!("bad dirent tag {t}"))),
         }
@@ -85,11 +78,10 @@ impl Dirent {
 
     /// Replay a record stream of `len` bytes into the live entry map.
     pub fn replay_stream(bytes: &[u8], len: usize) -> Result<Vec<(String, Ino)>, FsError> {
-        let bytes = &bytes[..len.min(bytes.len())];
+        let mut r = Reader::new(bytes.get(..len).unwrap_or(bytes));
         let mut live: Vec<(String, Ino)> = Vec::new();
-        let mut pos = 0;
-        while pos < len {
-            match Dirent::decode(bytes, &mut pos)? {
+        while r.position() < len {
+            match Dirent::decode(&mut r)? {
                 Dirent::Add { name, ino } => {
                     live.retain(|(n, _)| *n != name);
                     live.push((name, ino));
@@ -122,10 +114,10 @@ mod tests {
             r.encode(&mut buf);
             assert_eq!(r.encoded_len(), buf.len() - (buf.len() - r.encoded_len()));
         }
-        let mut pos = 0;
-        let a = Dirent::decode(&buf, &mut pos).unwrap();
-        let b = Dirent::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        let a = Dirent::decode(&mut r).unwrap();
+        let b = Dirent::decode(&mut r).unwrap();
+        assert_eq!(r.position(), buf.len());
         assert_eq!(vec![a, b], recs);
     }
 
@@ -174,8 +166,7 @@ mod tests {
             let mut buf = Vec::new();
             r.encode(&mut buf);
             prop_assert_eq!(buf.len(), r.encoded_len());
-            let mut pos = 0;
-            prop_assert_eq!(Dirent::decode(&buf, &mut pos).unwrap(), r);
+            prop_assert_eq!(Dirent::decode(&mut Reader::new(&buf)).unwrap(), r);
         }
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::wire::Short;
+
 /// Filesystem errors, mirroring the POSIX errno values the intercepted
 //  syscalls would return.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +51,12 @@ impl fmt::Display for FsError {
 }
 
 impl std::error::Error for FsError {}
+
+impl From<Short> for FsError {
+    fn from(_: Short) -> Self {
+        FsError::Io("on-device record truncated or malformed".into())
+    }
+}
 
 /// Open flags (a subset of `fcntl.h`, enough for checkpoint IO).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

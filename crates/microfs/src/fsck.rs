@@ -130,7 +130,7 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
     let mut issues = Vec::new();
     // --- Block ownership ---
     let mut owner: BTreeMap<u64, u64> = BTreeMap::new();
-    let live: Vec<(u64, crate::inode::Inode)> = collect_live(&state);
+    let live: Vec<(u64, &crate::inode::Inode)> = state.inodes.iter().collect();
     for (ino, node) in &live {
         for &b in &node.blocks {
             if b >= layout.data_blocks {
@@ -154,10 +154,8 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
     // --- Pool conservation ---
     let mut free = BTreeSet::new();
     {
-        // The pool's encode lists the ring in order; decode to enumerate.
-        let bytes = state.pool.encode();
-        let (pool, _) = crate::block::BlockPool::decode(&bytes)?;
-        let mut p = pool;
+        // Draining a copy of the ring enumerates the free blocks.
+        let mut p = state.pool.clone();
         while let Ok(b) = p.alloc() {
             free.insert(b);
         }
@@ -246,24 +244,6 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
         paths: entries.len() as u64,
         replayed,
     })
-}
-
-fn collect_live(state: &snapshot::FsState) -> Vec<(u64, crate::inode::Inode)> {
-    // The inode table doesn't expose iteration; round-trip its encoding,
-    // which lists all slots.
-    let bytes = state.inodes.encode();
-    let n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
-    let mut pos = 8usize;
-    let mut out = Vec::new();
-    for ino in 0..n {
-        let tag = bytes[pos];
-        pos += 1;
-        if tag == 1 {
-            let node = crate::inode::Inode::decode(&bytes, &mut pos).expect("self-encoded");
-            out.push((ino as u64, node));
-        }
-    }
-    out
 }
 
 fn replay_into(

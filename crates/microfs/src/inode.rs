@@ -6,6 +6,7 @@
 //! operation log (and periodic snapshots) touch the device.
 
 use crate::error::FsError;
+use crate::wire::Reader;
 
 /// Inode number. The root directory is always inode 0.
 pub type Ino = u64;
@@ -81,38 +82,25 @@ impl Inode {
         }
     }
 
-    /// Parse from `bytes[pos..]`, advancing `pos`.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Inode, FsError> {
-        let need = |p: usize, n: usize| match p.checked_add(n) {
-            Some(end) if end <= bytes.len() => Ok(()),
-            _ => Err(FsError::Io("inode truncated".into())),
-        };
-        need(*pos, 1 + 8 + 4 + 4 + 8 + 8)?;
-        let kind = match bytes[*pos] {
+    /// Parse one inode at the reader's position, advancing it.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    pub fn decode(r: &mut Reader) -> Result<Inode, FsError> {
+        let kind = match r.u8()? {
             0 => InodeKind::File,
             1 => InodeKind::Dir,
             k => return Err(FsError::Io(format!("bad inode kind {k}"))),
         };
-        *pos += 1;
-        let rd64 = |p: &mut usize| {
-            let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().unwrap());
-            *p += 8;
-            v
-        };
-        let rd32 = |p: &mut usize| {
-            let v = u32::from_le_bytes(bytes[*p..*p + 4].try_into().unwrap());
-            *p += 4;
-            v
-        };
-        let size = rd64(pos);
-        let mode = rd32(pos);
-        let uid = rd32(pos);
-        let mtime_op = rd64(pos);
-        let nblocks = rd64(pos) as usize;
-        need(*pos, nblocks.saturating_mul(8))?;
+        let (size, mode, uid, mtime_op) = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
+        let nblocks = r.count(8)?;
         let mut blocks = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
-            blocks.push(rd64(pos));
+            blocks.push(r.u64()?);
         }
         Ok(Inode {
             kind,
@@ -230,47 +218,42 @@ impl InodeTable {
         v
     }
 
-    /// Deserialize; inverse of [`encode`](Self::encode).
+    /// Deserialize; inverse of [`encode`](Self::encode). Returns the
+    /// table and the bytes consumed.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode(bytes: &[u8]) -> Result<(InodeTable, usize), FsError> {
-        if bytes.len() < 8 {
-            return Err(FsError::Io("inode table truncated".into()));
-        }
-        let n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
-        let mut pos = 8;
-        // Every slot takes at least its tag byte: the bytes present bound
-        // the preallocation, whatever count the device claims.
-        let mut slots = Vec::with_capacity(n.min(bytes.len() - pos));
-        let mut live = 0;
+        let mut r = Reader::new(bytes);
+        // Every slot takes at least its tag byte.
+        let n = r.count(1)?;
+        let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
-            if bytes.len() < pos + 1 {
-                return Err(FsError::Io("inode table truncated".into()));
-            }
-            let tag = bytes[pos];
-            pos += 1;
-            match tag {
-                0 => slots.push(None),
-                1 => {
-                    slots.push(Some(Inode::decode(bytes, &mut pos)?));
-                    live += 1;
-                }
+            slots.push(match r.u8()? {
+                0 => None,
+                1 => Some(Inode::decode(&mut r)?),
                 t => return Err(FsError::Io(format!("bad inode slot tag {t}"))),
-            }
+            });
         }
-        if bytes.len() < pos + 8 {
-            return Err(FsError::Io("inode free list truncated".into()));
+        let live = slots.iter().flatten().count();
+        let nf = r.count(8)?;
+        let mut free = Vec::with_capacity(nf);
+        for _ in 0..nf {
+            free.push(r.u64()?);
         }
-        let nf = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
-        let end = nf
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(pos))
-            .filter(|&end| end <= bytes.len())
-            .ok_or_else(|| FsError::Io("inode free list truncated".into()))?;
-        let free = bytes[pos..end]
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        Ok((InodeTable { slots, free, live }, end))
+        Ok((InodeTable { slots, free, live }, r.position()))
+    }
+
+    /// Live inodes in inode-number order.
+    pub fn iter(&self) -> impl Iterator<Item = (Ino, &Inode)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(ino, slot)| slot.as_ref().map(|inode| (ino as Ino, inode)))
     }
 }
 
@@ -325,33 +308,10 @@ mod tests {
         i.blocks = vec![5, 9, 2];
         let mut buf = Vec::new();
         i.encode(&mut buf);
-        let mut pos = 0;
-        let j = Inode::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        let j = Inode::decode(&mut r).unwrap();
+        assert_eq!(r.position(), buf.len());
         assert_eq!(i, j);
-    }
-
-    #[test]
-    fn decode_rejects_counts_larger_than_the_payload() {
-        // CRC-clean payloads whose counts wrap `usize` once scaled must be
-        // errors, not capacity or overflow panics.
-        let huge = (u64::MAX / 8 + 1).to_le_bytes();
-        // Slot count.
-        let mut slots = huge.to_vec();
-        slots.push(0);
-        assert!(InodeTable::decode(&slots).is_err());
-        // Free-list count after an empty slot array.
-        let mut free = 0u64.to_le_bytes().to_vec();
-        free.extend_from_slice(&huge);
-        free.extend_from_slice(&[0u8; 8]);
-        assert!(InodeTable::decode(&free).is_err());
-        // An inode's block count.
-        let mut inode = Vec::new();
-        Inode::new_file(0o644, 0, 0).encode(&mut inode);
-        let at = inode.len() - 8;
-        inode[at..].copy_from_slice(&huge);
-        inode.extend_from_slice(&[0u8; 8]);
-        assert!(Inode::decode(&inode, &mut 0).is_err());
     }
 
     #[test]

@@ -12,9 +12,12 @@
 
 use crate::crc::crc32;
 use crate::error::FsError;
+use crate::wire::Reader;
 
 const SUPERBLOCK_MAGIC: u64 = 0x6D69_6372_6F66_7321; // "microfs!"
 const SUPERBLOCK_VERSION: u32 = 1;
+/// Bytes the superblock CRC covers: magic, version and seven geometry fields.
+const SUPERBLOCK_BODY_LEN: usize = 8 + 4 + 7 * 8;
 /// Serialized superblock size (one hardware block).
 pub const SUPERBLOCK_LEN: u64 = 4096;
 
@@ -98,36 +101,37 @@ impl Layout {
     }
 
     /// Parse and validate a superblock.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode_superblock(bytes: &[u8]) -> Result<Layout, FsError> {
-        if bytes.len() < 8 + 4 + 7 * 8 + 4 {
-            return Err(FsError::Io("superblock truncated".into()));
-        }
-        let body_len = 8 + 4 + 7 * 8;
-        let stored_crc = u32::from_le_bytes(bytes[body_len..body_len + 4].try_into().unwrap());
-        if crc32(&bytes[..body_len]) != stored_crc {
+        let mut r = Reader::new(bytes);
+        let body = r.bytes(SUPERBLOCK_BODY_LEN)?;
+        let stored_crc = r.u32()?;
+        if crc32(body) != stored_crc {
             return Err(FsError::Io("superblock checksum mismatch".into()));
         }
-        let magic = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut r = Reader::new(body);
+        let magic = r.u64()?;
         if magic != SUPERBLOCK_MAGIC {
             return Err(FsError::Io(format!("bad superblock magic {magic:#x}")));
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let version = r.u32()?;
         if version != SUPERBLOCK_VERSION {
             return Err(FsError::Io(format!("unsupported version {version}")));
         }
-        let mut fields = [0u64; 7];
-        for (i, f) in fields.iter_mut().enumerate() {
-            let s = 12 + i * 8;
-            *f = u64::from_le_bytes(bytes[s..s + 8].try_into().unwrap());
-        }
         Ok(Layout {
-            block_size: fields[0],
-            log_offset: fields[1],
-            log_size: fields[2],
-            snapshot_offset: fields[3],
-            snapshot_slot_size: fields[4],
-            data_offset: fields[5],
-            data_blocks: fields[6],
+            block_size: r.u64()?,
+            log_offset: r.u64()?,
+            log_size: r.u64()?,
+            snapshot_offset: r.u64()?,
+            snapshot_slot_size: r.u64()?,
+            data_offset: r.u64()?,
+            data_blocks: r.u64()?,
         })
     }
 }

@@ -18,6 +18,7 @@
 //! | Atomic internal-state checkpoint to a reserved region (§III-E) | [`snapshot`] |
 //! | Replay recovery, near-instantaneous (§III-E) | [`fs::MicroFs::mount`] |
 //! | No write buffering — data durable on return (§III-D) | [`fs`] write path |
+//! | Every byte read off the device or the wire is untrusted (§III-E) | [`wire`] |
 //!
 //! ```
 //! use microfs::{FsConfig, MemDevice, MicroFs, OpenFlags};
@@ -58,6 +59,7 @@ pub mod manifest;
 pub mod recovery;
 pub mod snapshot;
 pub mod wal;
+pub mod wire;
 
 pub use block::{BlockDevice, MemDevice};
 pub use cow::{CowTracker, IntervalSet};

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::crc::{crc32, crc32_concat};
+use crate::wire::{Reader, Short};
 
 /// Bytes of the manifest region at the tail of every replicated segment.
 pub const REGION_BYTES: u64 = 1 << 20;
@@ -102,6 +103,12 @@ impl fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
+
+impl From<Short> for ManifestError {
+    fn from(_: Short) -> Self {
+        ManifestError::Truncated
+    }
+}
 
 /// One verified extent of the mirrored image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,33 +213,33 @@ impl EpochManifest {
     /// Decode one slot (commit record + body). Any framing, CRC, or epoch
     /// inconsistency — truncation and single-bit corruption included —
     /// returns an error: the slot holds no complete epoch.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode_slot(slot: &[u8]) -> Result<EpochManifest, ManifestError> {
-        let rec_len = COMMIT_RECORD_BYTES as usize;
-        if slot.len() < rec_len {
-            return Err(ManifestError::Truncated);
-        }
-        let u32_at = |b: &[u8], i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
-        let u64_at = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
-        if u32_at(slot, 0) != COMMIT_MAGIC {
+        let mut r = Reader::new(slot);
+        let mut rec = Reader::new(r.bytes(COMMIT_RECORD_BYTES as usize)?);
+        // magic u32 | epoch u64 | body_len u32 | body_crc u32, then the
+        // seal over those 20 bytes and zero padding.
+        let (sealed, seal) = (rec.bytes(20)?, rec.u32()?);
+        let padding = rec.bytes(rec.remaining())?;
+        let mut rec = Reader::new(sealed);
+        if rec.u32()? != COMMIT_MAGIC || padding.iter().any(|&b| b != 0) {
             return Err(ManifestError::BadMagic);
         }
-        if slot[24..rec_len].iter().any(|&b| b != 0) {
-            return Err(ManifestError::BadMagic);
-        }
-        let seal = u32_at(slot, 20);
-        let actual = crc32(&slot[0..20]);
+        let actual = crc32(sealed);
         if seal != actual {
             return Err(ManifestError::Corrupt {
                 expected: seal,
                 actual,
             });
         }
-        let rec_epoch = u64_at(slot, 4);
-        let body_len = u32_at(slot, 12) as usize;
-        let body = slot
-            .get(rec_len..rec_len + body_len)
-            .ok_or(ManifestError::Truncated)?;
-        let body_crc = u32_at(slot, 16);
+        let (rec_epoch, body_len, body_crc) = (rec.u64()?, rec.u32()?, rec.u32()?);
+        let body = r.bytes(body_len as usize)?;
         let actual = crc32(body);
         if body_crc != actual {
             return Err(ManifestError::Corrupt {
@@ -240,48 +247,38 @@ impl EpochManifest {
                 actual,
             });
         }
-        if body.len() < BODY_HEADER {
+        let mut r = Reader::new(body);
+        let (Ok(magic), Ok(body_epoch), Ok(count)) = (r.u32(), r.u64(), r.u32()) else {
             return Err(ManifestError::BadMagic);
-        }
-        let delta = match u32_at(body, 0) {
+        };
+        let delta = match magic {
             BODY_MAGIC => false,
             DELTA_MAGIC => true,
             _ => return Err(ManifestError::BadMagic),
         };
-        let body_epoch = u64_at(body, 4);
         if body_epoch != rec_epoch {
             return Err(ManifestError::EpochMismatch {
                 record: rec_epoch,
                 body: body_epoch,
             });
         }
-        let count = u32_at(body, 12) as usize;
-        let header = BODY_HEADER + if delta { DELTA_EXTRA } else { 0 };
-        if body.len() < header {
-            return Err(ManifestError::Truncated);
-        }
-        let (parent_epoch, wcount) = if delta {
-            (u64_at(body, 16), u32_at(body, 24) as usize)
-        } else {
-            (0, 0)
-        };
-        if body.len() != header + count * EXTENT_BYTES + wcount * WHITEOUT_BYTES {
+        let (parent_epoch, wcount) = if delta { (r.u64()?, r.u32()?) } else { (0, 0) };
+        let (count, wcount) = (count as usize, wcount as usize);
+        let listed = count
+            .checked_mul(EXTENT_BYTES)
+            .zip(wcount.checked_mul(WHITEOUT_BYTES))
+            .and_then(|(e, w)| e.checked_add(w));
+        if listed != Some(r.remaining()) {
             return Err(ManifestError::Truncated);
         }
         let mut extents = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = header + i * EXTENT_BYTES;
-            extents.push(ManifestExtent {
-                offset: u64_at(body, at),
-                len: u64_at(body, at + 8),
-                crc: u32_at(body, at + 16),
-            });
+        for _ in 0..count {
+            let (offset, len, crc) = (r.u64()?, r.u64()?, r.u32()?);
+            extents.push(ManifestExtent { offset, len, crc });
         }
-        let wbase = header + count * EXTENT_BYTES;
         let mut whiteouts = Vec::with_capacity(wcount);
-        for i in 0..wcount {
-            let at = wbase + i * WHITEOUT_BYTES;
-            whiteouts.push((u64_at(body, at), u64_at(body, at + 8)));
+        for _ in 0..wcount {
+            whiteouts.push((r.u64()?, r.u64()?));
         }
         Ok(EpochManifest {
             epoch: rec_epoch,

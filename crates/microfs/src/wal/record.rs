@@ -8,9 +8,10 @@
 //! record is 25 payload bytes regardless of IO size) and the network
 //! metadata traffic minimal.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::FsError;
 use crate::inode::Ino;
+use crate::wire::Reader;
 
 /// One logged metadata operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,48 +135,25 @@ impl LogRecord {
     }
 
     /// Decode a payload.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode_payload(payload: &[u8]) -> Result<LogRecord, FsError> {
-        if payload.is_empty() {
-            return Err(FsError::Io("empty log payload".into()));
-        }
-        let tag = payload[0];
-        let mut pos = 1;
-        let get_str = |pos: &mut usize| -> Result<String, FsError> {
-            if payload.len() < *pos + 2 {
-                return Err(FsError::Io("log string truncated".into()));
-            }
-            let n = u16::from_le_bytes(payload[*pos..*pos + 2].try_into().unwrap()) as usize;
-            *pos += 2;
-            if payload.len() < *pos + n {
-                return Err(FsError::Io("log string truncated".into()));
-            }
-            let s = std::str::from_utf8(&payload[*pos..*pos + n])
-                .map_err(|_| FsError::Io("log string not utf-8".into()))?
-                .to_string();
-            *pos += n;
-            Ok(s)
-        };
-        let get64 = |pos: &mut usize| -> Result<u64, FsError> {
-            if payload.len() < *pos + 8 {
-                return Err(FsError::Io("log field truncated".into()));
-            }
-            let v = u64::from_le_bytes(payload[*pos..*pos + 8].try_into().unwrap());
-            *pos += 8;
-            Ok(v)
-        };
-        let get32 = |pos: &mut usize| -> Result<u32, FsError> {
-            if payload.len() < *pos + 4 {
-                return Err(FsError::Io("log field truncated".into()));
-            }
-            let v = u32::from_le_bytes(payload[*pos..*pos + 4].try_into().unwrap());
-            *pos += 4;
-            Ok(v)
+        let mut r = Reader::new(payload);
+        let tag = r.u8()?;
+        let path = |r: &mut Reader| -> Result<String, FsError> {
+            let len = r.u16()?;
+            Ok(r.utf8(len.into())?.to_string())
         };
         match tag {
             1 | 2 => {
-                let path = get_str(&mut pos)?;
-                let mode = get32(&mut pos)?;
-                let uid = get32(&mut pos)?;
+                let path = path(&mut r)?;
+                let mode = r.u32()?;
+                let uid = r.u32()?;
                 Ok(if tag == 1 {
                     LogRecord::Mkdir { path, mode, uid }
                 } else {
@@ -183,24 +161,24 @@ impl LogRecord {
                 })
             }
             3 => Ok(LogRecord::Write {
-                ino: get64(&mut pos)?,
-                offset: get64(&mut pos)?,
-                len: get64(&mut pos)?,
+                ino: r.u64()?,
+                offset: r.u64()?,
+                len: r.u64()?,
             }),
             4 => Ok(LogRecord::Truncate {
-                ino: get64(&mut pos)?,
-                size: get64(&mut pos)?,
+                ino: r.u64()?,
+                size: r.u64()?,
             }),
             5 => Ok(LogRecord::Unlink {
-                path: get_str(&mut pos)?,
+                path: path(&mut r)?,
             }),
             6 => Ok(LogRecord::Rename {
-                from: get_str(&mut pos)?,
-                to: get_str(&mut pos)?,
+                from: path(&mut r)?,
+                to: path(&mut r)?,
             }),
             7 => Ok(LogRecord::SetMode {
-                ino: get64(&mut pos)?,
-                mode: get32(&mut pos)?,
+                ino: r.u64()?,
+                mode: r.u32()?,
             }),
             t => Err(FsError::Io(format!("bad log record tag {t}"))),
         }
@@ -226,28 +204,31 @@ pub fn frame(gen: u32, payload: &[u8]) -> Vec<u8> {
 /// Try to read one framed record for generation `gen` at `bytes[pos..]`.
 /// Returns `Ok(None)` at end-of-log (bad frame, wrong generation, or CRC
 /// mismatch — all three mean "no more valid records").
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 pub fn read_frame(bytes: &[u8], pos: &mut usize, gen: u32) -> Result<Option<LogRecord>, FsError> {
-    if bytes.len() < *pos + HEADER_LEN {
+    let mut r = Reader::new(bytes);
+    let header = r
+        .bytes(*pos)
+        .and_then(|_| Ok((r.u32()?, r.u16()?, r.u32()?)));
+    let Ok((rgen, plen, stored_crc)) = header else {
         return Ok(None);
-    }
-    let rgen = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap());
-    if rgen != gen {
+    };
+    let Ok(payload) = r.bytes(plen as usize) else {
         return Ok(None);
-    }
-    let plen = u16::from_le_bytes(bytes[*pos + 4..*pos + 6].try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(bytes[*pos + 6..*pos + 10].try_into().unwrap());
-    if bytes.len() < *pos + HEADER_LEN + plen {
-        return Ok(None);
-    }
-    let payload = &bytes[*pos + HEADER_LEN..*pos + HEADER_LEN + plen];
-    let mut crc_input = Vec::with_capacity(4 + plen);
-    crc_input.extend_from_slice(&rgen.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != stored_crc {
+    };
+    // The CRC covers gen ‖ payload: stream it rather than gather the two.
+    let crc = || !crc32_update(crc32_update(!0, &gen.to_le_bytes()), payload);
+    if rgen != gen || crc() != stored_crc {
         return Ok(None);
     }
     let rec = LogRecord::decode_payload(payload)?;
-    *pos += HEADER_LEN + plen;
+    *pos = r.position();
     Ok(Some(rec))
 }
 
