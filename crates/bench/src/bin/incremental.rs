@@ -1,15 +1,13 @@
 //! Incremental checkpointing bench: what extent-level copy-on-write delta
 //! epochs buy over full-image rewrites (`BENCH_incremental.json`).
 //!
-//! Three identical runs (28 ranks, QD=32, one in-place image file per
+//! Two identical runs (28 ranks, QD=32, one in-place image file per
 //! rank, 10% of the image dirtied per round, real bytes through microfs →
 //! NVMf → SSD shards, `replication_factor=2` with an epoch sealed every
 //! round) differing only in how each rank decides what to write:
 //!
 //! * **full_rewrite** — the N-N baseline: the whole image, every round,
 //!   full manifests (`delta_chain_max=0`);
-//! * **hash_scan** — libhashckpt-style (§II-B): hash the whole image in
-//!   64 KiB chunks, write only changed chunks, full manifests;
 //! * **cow_tracked** — the application tracks its dirty chunks as it
 //!   mutates them (no scan) and writes exactly those, while the mirror
 //!   seals sparse `parent_epoch`-linked delta manifests and compacts
@@ -25,11 +23,11 @@
 
 use std::fmt::Write as _;
 
+use nvmecr::RuntimeConfig;
 use nvmecr_bench::stamp;
 
 use workloads::{
-    run_incremental_checkpoints, FunctionalTuning, IncrementalRunReport, IncrementalSpec,
-    IncrementalStrategy,
+    run_incremental_checkpoints, IncrementalRunReport, IncrementalSpec, IncrementalStrategy,
 };
 
 const ROUNDS: u32 = 5;
@@ -54,23 +52,23 @@ fn run_strategy(
     namespace_bytes: u64,
 ) -> Result<StrategyRun, Box<dyn std::error::Error>> {
     // Only the cow run chains deltas (and proves failover through them);
-    // the baselines measure the app-side savings alone on the standard
-    // full-manifest path.
+    // the baseline rewrites the image on the standard full-manifest path.
     let cow = strategy == IncrementalStrategy::CowTracked;
+    let mut config = RuntimeConfig {
+        namespace_bytes,
+        block_size: BLOCK,
+        replication_factor: 2,
+        delta_chain_max: if cow { DELTA_CHAIN_MAX } else { 0 },
+        ..RuntimeConfig::default()
+    };
+    config.fabric.queue_depth = QD;
     let spec = IncrementalSpec {
         strategy,
         procs: ranks,
         rounds: ROUNDS,
         bytes_per_rank,
         dirty_permille: DIRTY_PERMILLE,
-        namespace_bytes,
-        tuning: FunctionalTuning {
-            block_size: BLOCK,
-            queue_depth: QD,
-            replication_factor: 2,
-            delta_chain_max: if cow { DELTA_CHAIN_MAX } else { 0 },
-            ..FunctionalTuning::default()
-        },
+        config,
         fail_over: cow,
     };
     let report = run_incremental_checkpoints(&spec)?;
@@ -89,8 +87,7 @@ fn strategy_json(run: &StrategyRun) -> String {
          \"steady_app_bytes\": {}, \"bytes_verified\": {}, \"failover_verified\": {}, \
          \"ckpt_ns\": {{\"p50\": {p50}, \"p99\": {p99}}}, \
          \"cow\": {{\"delta_extents\": {}, \"copy_up_bytes\": {}, \"chain_len_peak\": {}, \
-         \"compactions\": {}}}, \
-         \"incremental\": {{\"chunks\": {}, \"chunks_written\": {}, \"bytes_skipped\": {}}}}}",
+         \"compactions\": {}}}}}",
         r.first_round_device_bytes,
         r.steady_device_bytes,
         r.steady_app_bytes,
@@ -102,9 +99,6 @@ fn strategy_json(run: &StrategyRun) -> String {
         snap.histogram("cow.compaction_ns")
             .map(|h| h.count)
             .unwrap_or(0),
-        snap.counter("incremental.chunks"),
-        snap.counter("incremental.chunks_written"),
-        snap.counter("incremental.bytes_skipped"),
     )
 }
 
@@ -125,7 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let runs: Vec<StrategyRun> = [
         IncrementalStrategy::FullRewrite,
-        IncrementalStrategy::HashScan,
         IncrementalStrategy::CowTracked,
     ]
     .into_iter()
@@ -177,13 +170,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             strategy_json(run)
         );
     }
-    let cow = &runs[2].report;
+    let cow = &runs[1].report;
     let reduction = full.steady_device_bytes as f64 / cow.steady_device_bytes as f64;
     let _ = writeln!(
         json,
-        "  \"reduction\": {{\"cow_vs_full\": {:.3}, \"hash_vs_full\": {:.3}, \"gate\": {gate}}}\n}}",
-        reduction,
-        full.steady_device_bytes as f64 / runs[1].report.steady_device_bytes as f64,
+        "  \"reduction\": {{\"cow_vs_full\": {reduction:.3}, \"gate\": {gate}}}\n}}"
     );
     std::fs::write("BENCH_incremental.json", &json)?;
     println!("wrote BENCH_incremental.json");

@@ -20,7 +20,6 @@ fn main() {
     println!("{}", f::table2());
     println!("{}", f::ablation_buffering());
     println!("{}", f::ablation_placement());
-    println!("{}", f::ablation_incremental());
     println!("{}", f::ablation_queues());
     println!("{}", f::fig_apps());
     println!("{}", f::fig_fabric_sensitivity());

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use nvmecr_bench::stamp;
 use telemetry::json::{self, Value};
 use telemetry::HistogramSnapshot;
-use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
+use workloads::driver::run_functional_checkpoints;
 
 /// Layers the run must produce histograms for (the acceptance bar).
 const REQUIRED_LAYERS: [&str; 4] = ["driver", "fabric", "microfs", "ssd"];
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ckpts,
             bytes_per_rank,
             &crash_ranks,
-            &FunctionalTuning::default(),
+            &nvmecr::RuntimeConfig::default(),
         )
     });
     let report = report?;

@@ -305,7 +305,7 @@ pub fn table1(functional: bool) -> TableReport {
             2,
             2 << 20,
             &[],
-            &workloads::FunctionalTuning::default(),
+            &nvmecr::RuntimeConfig::default(),
         ) {
             t.row(
                 "NVMe-CR (measured)",
@@ -460,53 +460,6 @@ pub fn ablation_placement() -> FigureReport {
     }
     r.note("round-robin equals striping on balance but without per-stripe metadata; jump-hash pays imbalance; one server caps at 1/8 of the rack");
     r
-}
-
-/// Ablation (DESIGN.md §5): incremental checkpointing (\[31\], combinable
-/// with NVMe-CR) — measured IO volume on the real filesystem for varying
-/// dirty fractions.
-pub fn ablation_incremental() -> TableReport {
-    use microfs::{FsConfig, MemDevice, MicroFs};
-    use workloads::IncrementalCheckpointer;
-    let mut t = TableReport::new(
-        "Ablation: incremental",
-        "incremental checkpointing IO volume (16 MiB image, 64 KiB chunks, measured)",
-        &["dirty %", "MiB written", "write fraction"],
-    );
-    let image_len = 16usize << 20;
-    let chunk = 64usize << 10;
-    let mut fs = MicroFs::format(MemDevice::new(128 << 20), FsConfig::default()).unwrap();
-    let mut inc = IncrementalCheckpointer::new(image_len, chunk);
-    let mut image = vec![0u8; image_len];
-    let first = inc.checkpoint(&mut fs, "/inc.dat", &image).unwrap();
-    t.row(
-        "100 (first)",
-        vec![
-            100.0,
-            first.bytes_written as f64 / (1 << 20) as f64,
-            first.write_fraction(),
-        ],
-    );
-    for dirty_pct in [1u32, 10, 50] {
-        let dirty_chunks = (image_len / chunk) * dirty_pct as usize / 100;
-        for c in 0..dirty_chunks {
-            let idx = c * chunk * 100 / dirty_pct.max(1) as usize % image_len;
-            image[idx] = image[idx].wrapping_add(1);
-        }
-        let r = inc.checkpoint(&mut fs, "/inc.dat", &image).unwrap();
-        t.row(
-            format!("{dirty_pct}"),
-            vec![
-                f64::from(dirty_pct),
-                r.bytes_written as f64 / (1 << 20) as f64,
-                r.write_fraction(),
-            ],
-        );
-    }
-    t.note(
-        "IO volume tracks the dirty fraction; composes with provenance and coalescing unchanged",
-    );
-    t
 }
 
 /// Extension figure: progress rate across the ECP proxy-app suite
@@ -698,9 +651,6 @@ mod tests {
             single < 0.15,
             "one server of eight caps at ~0.125: {single}"
         );
-        let i = ablation_incremental();
-        assert!(i.cell("1", "write fraction").unwrap() < 0.05);
-        assert!(i.cell("100 (first)", "write fraction").unwrap() == 1.0);
         let q = ablation_queues();
         let slow = q.cell("shared queue + lock", "slowdown").unwrap();
         assert!(slow > 1.05, "shared queue must cost: {slow}");

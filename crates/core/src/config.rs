@@ -19,9 +19,6 @@ pub struct RuntimeConfig {
     pub namespace_bytes: u64,
     /// Acting uid for permission checks.
     pub uid: u32,
-    /// Multi-level checkpointing period: every `k`-th checkpoint goes to
-    /// the parallel filesystem (§III-F; the paper evaluates k = 10).
-    pub multilevel_period: u32,
     /// Where the job's components (initiators, per-rank filesystems)
     /// report their metrics.
     pub telemetry: Telemetry,
@@ -64,7 +61,6 @@ impl Default for RuntimeConfig {
             coalescing: true,
             namespace_bytes: 8 << 30,
             uid: 1000,
-            multilevel_period: 10,
             telemetry: Telemetry::default(),
             chaos: ChaosHandle::default(),
             fabric: FabricConfig::default(),
@@ -175,7 +171,6 @@ mod tests {
         let c = RuntimeConfig::default();
         assert_eq!(c.block_size, 32 << 10);
         assert!(c.coalescing);
-        assert_eq!(c.multilevel_period, 10);
         assert_eq!(c.fs_config().block_size, 32 << 10);
         assert_eq!(
             c.fabric.queue_depth, 32,

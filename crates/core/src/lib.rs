@@ -18,9 +18,7 @@
 //!   round-robin partitioner of §III-F (Figure 6), building the per-SSD
 //!   `MPI_COMM_CR` communicators.
 //!
-//! Plus: [`cache`] (the paper's future-work cache layer, §V, with the
-//! §III-D buffering hazard made testable), [`intercept`] (the
-//! symbol-interception shim of §III-C),
+//! Plus: [`intercept`] (the symbol-interception shim of §III-C),
 //! [`multilevel`] (1-in-k checkpoints to a parallel filesystem, §III-F),
 //! and [`metrics`] (efficiency and progress-rate definitions, §IV).
 //!
@@ -28,7 +26,6 @@
 //! and `workloads` crates; this crate is the thing they model.
 
 pub mod balancer;
-pub mod cache;
 pub mod config;
 pub mod dataplane;
 pub mod intercept;
@@ -41,7 +38,6 @@ pub mod runtime;
 pub mod supervisor;
 
 pub use balancer::{BalanceError, DomainIndex, Placement, RankPlacement, StorageBalancer};
-pub use cache::{CacheStats, CachedBlockDevice, WritePolicy};
 pub use config::RuntimeConfig;
 pub use dataplane::NvmfBlockDevice;
 pub use intercept::PosixLayer;

@@ -30,7 +30,6 @@ use ssd::SsdConfig;
 use telemetry::Telemetry;
 
 use crate::comd::CoMD;
-use crate::incremental::IncrementalCheckpointer;
 
 /// One point of a scaling sweep.
 #[derive(Debug, Clone)]
@@ -310,60 +309,28 @@ pub fn verify_ranks(
     })
 }
 
-/// Data-plane tunables for a functional run. Defaults match
-/// [`RuntimeConfig::default`]; the pipeline bench sweeps `queue_depth`
-/// with 4 KiB `block_size` so each checkpoint issues enough commands for
-/// the submission window to matter.
-#[derive(Debug, Clone)]
-pub struct FunctionalTuning {
-    /// Filesystem hugeblock size (and thus per-command payload size).
-    pub block_size: u64,
-    /// NVMf submission-window depth each rank's initiator keeps in flight.
-    pub queue_depth: usize,
-    /// Synchronous copies of every rank's checkpoint data (1 = off). At 2
-    /// each checkpoint round also seals a replication epoch, so the run
-    /// measures the full mirrored-commit cost, not just the data writes.
-    pub replication_factor: u32,
-    /// Copy-on-write delta epochs (replicated runs only): `0` keeps the
-    /// full-manifest commit path; `n > 0` seals sparse delta manifests
-    /// and compacts after at most `n` deltas.
-    pub delta_chain_max: u32,
-    /// The run's thread budget ([`RuntimeConfig::reactors`]): reactors of
-    /// every pool the run drives ranks on (0 = one per available core).
-    pub reactors: u32,
-}
-
-impl Default for FunctionalTuning {
-    fn default() -> Self {
-        let defaults = RuntimeConfig::default();
-        FunctionalTuning {
-            block_size: defaults.block_size,
-            queue_depth: defaults.fabric.queue_depth,
-            replication_factor: defaults.replication_factor,
-            delta_chain_max: defaults.delta_chain_max,
-            reactors: defaults.reactors,
-        }
-    }
-}
-
 /// Drive the full functional stack: schedule a job on the paper testbed,
 /// run `ckpts` N-N checkpoint rounds of `bytes_per_rank` each (CoMD-style
 /// payloads), crash `crash_ranks`, recover them, and verify every byte of
 /// the newest checkpoint. Every per-rank phase runs on the runtime's
-/// reactor pool, sized by `tuning.reactors`.
+/// reactor pool, sized by `config.reactors`. The run reports into a fresh
+/// [`Telemetry`] registry the driver installs in place of
+/// `config.telemetry`, so [`FunctionalReport::telemetry`] covers exactly
+/// this run. `ckpts` must be at least 1: there is no checkpoint to verify
+/// otherwise.
 pub fn run_functional_checkpoints(
     procs: u32,
     ckpts: u32,
     bytes_per_rank: u64,
     crash_ranks: &[u32],
-    tuning: &FunctionalTuning,
+    config: &RuntimeConfig,
 ) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
     run_functional(
         procs,
         ckpts,
         bytes_per_rank,
         crash_ranks,
-        tuning,
+        config,
         &ReactorConfig::default(),
     )
 }
@@ -375,9 +342,12 @@ fn run_functional(
     ckpts: u32,
     bytes_per_rank: u64,
     crash_ranks: &[u32],
-    tuning: &FunctionalTuning,
+    config: &RuntimeConfig,
     reactor: &ReactorConfig,
 ) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
+    if ckpts == 0 {
+        return Err("functional runs need at least one checkpoint".into());
+    }
     let topo = Topology::paper_testbed();
     // Each run reports into its own registry so the report's snapshot
     // covers exactly this run (runs may share a process, e.g. in tests).
@@ -392,16 +362,11 @@ fn run_functional(
     );
     let mut sched = Scheduler::new(topo.clone(), 8);
     let alloc = sched.submit(&JobRequest::full_subscription(procs))?;
-    let mut config = RuntimeConfig {
-        namespace_bytes: 8 << 30,
+    let config = RuntimeConfig {
         telemetry: telemetry.clone(),
-        block_size: tuning.block_size,
-        replication_factor: tuning.replication_factor,
-        delta_chain_max: tuning.delta_chain_max,
-        reactors: tuning.reactors,
-        ..RuntimeConfig::default()
+        ..config.clone()
     };
-    config.fabric.queue_depth = tuning.queue_depth;
+    let replicated = config.replication_factor >= 2;
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
     let comd = CoMD::weak_scaling();
 
@@ -412,7 +377,7 @@ fn run_functional(
         checkpoint_ranks(&mut rt, reactor, &comd, ckpt, bytes_per_rank)?;
         // Replicated runs seal one epoch per checkpoint round: manifests
         // land on both copies, so a failover restores this round exactly.
-        if tuning.replication_factor >= 2 {
+        if replicated {
             rt.commit_epochs()?;
         }
     }
@@ -469,11 +434,6 @@ pub const INCREMENTAL_CHUNK: usize = 64 << 10;
 pub enum IncrementalStrategy {
     /// Rewrite the whole image every round — the N-N baseline.
     FullRewrite,
-    /// Hash the whole image in [`INCREMENTAL_CHUNK`] chunks and write
-    /// only the chunks whose hash changed (libhashckpt-style, §II-B):
-    /// write volume proportional to the dirty set, scan cost proportional
-    /// to the full image.
-    HashScan,
     /// The application tracks its own dirty chunks as it mutates them and
     /// writes exactly those — no scan at all. Composed with
     /// `delta_chain_max > 0` the manifest side also seals sparse deltas.
@@ -485,7 +445,6 @@ impl IncrementalStrategy {
     pub fn label(self) -> &'static str {
         match self {
             IncrementalStrategy::FullRewrite => "full_rewrite",
-            IncrementalStrategy::HashScan => "hash_scan",
             IncrementalStrategy::CowTracked => "cow_tracked",
         }
     }
@@ -537,12 +496,14 @@ impl IncrementalImage {
     }
 
     /// Mutate this round's dirty set — `dirty_permille`/1000 of the
-    /// chunks (at least one), chosen pseudo-randomly but deterministically
-    /// per `(rank, round)` — and return the coalesced dirty byte spans.
+    /// chunks (at least one, unless the image is empty), chosen
+    /// pseudo-randomly but deterministically per `(rank, round)` — and
+    /// return the coalesced dirty byte spans.
     pub fn advance(&mut self, round: u32, dirty_permille: u32) -> Vec<(u64, u64)> {
         let nchunks = self.data.len().div_ceil(self.chunk);
         let k = ((nchunks as u64 * u64::from(dirty_permille)).div_ceil(1000) as usize)
-            .clamp(1, nchunks);
+            .max(1)
+            .min(nchunks);
         let mut idx: Vec<usize> = (0..nchunks).collect();
         let (rank, chunk, len) = (self.rank, self.chunk, self.data.len());
         idx.sort_by_key(|&i| mix64((u64::from(rank) << 40) ^ (u64::from(round) << 20) ^ i as u64));
@@ -567,7 +528,7 @@ impl IncrementalImage {
 }
 
 /// Everything one incremental run needs: scale, churn, strategy, and the
-/// stack tuning underneath.
+/// runtime configuration underneath.
 #[derive(Debug, Clone)]
 pub struct IncrementalSpec {
     /// Dirty-set strategy each rank checkpoints with.
@@ -581,10 +542,10 @@ pub struct IncrementalSpec {
     pub bytes_per_rank: u64,
     /// Per-round dirty fraction in permille (100 = 10%).
     pub dirty_permille: u32,
-    /// Bytes of namespace the job requests per granted SSD.
-    pub namespace_bytes: u64,
-    /// Data-plane tuning (QD, block size, replication, delta chains).
-    pub tuning: FunctionalTuning,
+    /// The job's runtime configuration (namespace size, block size, QD,
+    /// replication, delta chains). The driver installs its own per-run
+    /// telemetry registry in place of `config.telemetry`.
+    pub config: RuntimeConfig,
     /// After the last round, kill rank 0's primary shard and byte-verify
     /// the replica-driven restore (requires `replication_factor >= 2`).
     pub fail_over: bool,
@@ -613,7 +574,7 @@ pub struct IncrementalRunReport {
     /// the restored image verified byte-identical.
     pub failover_verified: bool,
     /// Every metric this run's components reported (`cow.*`,
-    /// `incremental.*`, `replication.*`, `fabric.*`, `ssd.*`, ...).
+    /// `replication.*`, `fabric.*`, `ssd.*`, ...).
     pub telemetry: telemetry::MetricsSnapshot,
 }
 
@@ -665,7 +626,6 @@ fn write_image_spans(
 /// Per-rank state the rounds thread through the reactor drives.
 struct IncrementalRank {
     image: IncrementalImage,
-    hasher: IncrementalCheckpointer,
     app_bytes: u64,
 }
 
@@ -676,14 +636,18 @@ struct IncrementalRank {
 /// epoch per round; with `delta_chain_max > 0` those epochs are sparse
 /// delta manifests. The final image is read back and byte-verified on
 /// every rank, and optionally again on rank 0 after a shard-kill
-/// failover restore through the delta chain.
+/// failover restore through the delta chain. A spec with no rounds or an
+/// empty image is rejected.
 pub fn run_incremental_checkpoints(
     spec: &IncrementalSpec,
 ) -> Result<IncrementalRunReport, Box<dyn std::error::Error>> {
     if spec.rounds == 0 {
         return Err("incremental runs need at least one round".into());
     }
-    if spec.fail_over && spec.tuning.replication_factor < 2 {
+    if spec.bytes_per_rank == 0 {
+        return Err("incremental runs need a non-empty image".into());
+    }
+    if spec.fail_over && spec.config.replication_factor < 2 {
         return Err("failover verification needs replication_factor >= 2".into());
     }
     let topo = Topology::paper_testbed();
@@ -700,15 +664,10 @@ pub fn run_incremental_checkpoints(
     );
     let mut sched = Scheduler::new(topo.clone(), 8);
     let alloc = sched.submit(&JobRequest::full_subscription(spec.procs))?;
-    let mut config = RuntimeConfig {
-        namespace_bytes: spec.namespace_bytes,
+    let config = RuntimeConfig {
         telemetry: telemetry.clone(),
-        block_size: spec.tuning.block_size,
-        replication_factor: spec.tuning.replication_factor,
-        delta_chain_max: spec.tuning.delta_chain_max,
-        ..RuntimeConfig::default()
+        ..spec.config.clone()
     };
-    config.fabric.queue_depth = spec.tuning.queue_depth;
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
     let ckpt_ns = telemetry.histogram("driver.incremental_ckpt_ns");
 
@@ -717,10 +676,6 @@ pub fn run_incremental_checkpoints(
         .map(|rank| {
             Mutex::new(IncrementalRank {
                 image: IncrementalImage::new(rank, spec.bytes_per_rank as usize, INCREMENTAL_CHUNK),
-                hasher: IncrementalCheckpointer::new(
-                    spec.bytes_per_rank as usize,
-                    INCREMENTAL_CHUNK,
-                ),
                 app_bytes: 0,
             })
         })
@@ -735,35 +690,18 @@ pub fn run_incremental_checkpoints(
             if round == 0 {
                 fs.mkdir("/comd", 0o755).ok();
             }
-            let spans = if round == 0 {
-                vec![(0u64, spec.bytes_per_rank)]
-            } else {
-                state.image.advance(round, spec.dirty_permille)
+            // Round 0 writes the whole image; later rounds mutate it and the
+            // tracked strategy writes only what it dirtied.
+            let dirty = (round > 0).then(|| state.image.advance(round, spec.dirty_permille));
+            let spans = match (spec.strategy, dirty) {
+                (IncrementalStrategy::CowTracked, Some(dirty)) => dirty,
+                _ => vec![(0, spec.bytes_per_rank)],
             };
             let _t = ckpt_ns.time();
-            state.app_bytes += match spec.strategy {
-                IncrementalStrategy::FullRewrite => write_image_spans(
-                    fs,
-                    path,
-                    state.image.data(),
-                    &[(0, spec.bytes_per_rank)],
-                    round == 0,
-                )?,
-                IncrementalStrategy::CowTracked => {
-                    write_image_spans(fs, path, state.image.data(), &spans, round == 0)?
-                }
-                IncrementalStrategy::HashScan => {
-                    let report = state
-                        .hasher
-                        .checkpoint(fs, path, state.image.data())
-                        .map_err(RuntimeError::Fs)?;
-                    report.record(&telemetry);
-                    report.bytes_written
-                }
-            };
+            state.app_bytes += write_image_spans(fs, path, state.image.data(), &spans, round == 0)?;
             Ok(())
         })?;
-        if spec.tuning.replication_factor >= 2 {
+        if spec.config.replication_factor >= 2 {
             rt.commit_epochs()?;
         }
         if round == 0 {
@@ -860,6 +798,7 @@ fn verify_image(
 mod tests {
     use super::*;
     use crate::nvmecr_model::NvmeCrModel;
+    use proptest::prelude::*;
 
     #[test]
     fn sweep_produces_one_point_per_scenario() {
@@ -899,7 +838,7 @@ mod tests {
     #[test]
     fn functional_small_run_verifies_bytes() {
         let report =
-            run_functional_checkpoints(56, 2, 256 << 10, &[3, 17], &FunctionalTuning::default())
+            run_functional_checkpoints(56, 2, 256 << 10, &[3, 17], &RuntimeConfig::default())
                 .unwrap();
         assert_eq!(report.procs, 56);
         assert_eq!(report.bytes_verified, 56 * (256 << 10));
@@ -935,11 +874,11 @@ mod tests {
         // One reactor steps the ranks one after another on one thread;
         // four run them on four threads.
         let run = |reactors| {
-            let tuning = FunctionalTuning {
+            let config = RuntimeConfig {
                 reactors,
-                ..FunctionalTuning::default()
+                ..RuntimeConfig::default()
             };
-            run_functional_checkpoints(8, 1, 64 << 10, &[2], &tuning).unwrap()
+            run_functional_checkpoints(8, 1, 64 << 10, &[2], &config).unwrap()
         };
         let (ser, par) = (run(1), run(4));
         assert_eq!(par.bytes_verified, ser.bytes_verified);
@@ -953,23 +892,23 @@ mod tests {
     fn reactor_mode_agrees_with_parallel_and_multiplexes_ranks() {
         // 8 ranks on 2 reactors: 4x more ranks than threads. The lockstep
         // deterministic drive and the threaded one must agree bit for bit.
-        let tuning = FunctionalTuning {
+        let config = RuntimeConfig {
             reactors: 2,
-            ..FunctionalTuning::default()
+            ..RuntimeConfig::default()
         };
         let det = run_functional(
             8,
             2,
             256 << 10,
             &[1, 5],
-            &tuning,
+            &config,
             &ReactorConfig {
                 mode: nvmecr::ReactorMode::Deterministic,
                 ..ReactorConfig::default()
             },
         )
         .unwrap();
-        let thr = run_functional_checkpoints(8, 2, 256 << 10, &[1, 5], &tuning).unwrap();
+        let thr = run_functional_checkpoints(8, 2, 256 << 10, &[1, 5], &config).unwrap();
         assert_eq!(det.state_hash(), thr.state_hash());
         assert_eq!(det.bytes_verified, 8 * (256 << 10));
         assert_eq!(det.replayed_records, thr.replayed_records);
@@ -1018,11 +957,11 @@ mod tests {
             rounds: 4,
             bytes_per_rank: 1 << 20,
             dirty_permille: 100,
-            namespace_bytes: 256 << 20,
-            tuning: FunctionalTuning {
+            config: RuntimeConfig {
+                namespace_bytes: 256 << 20,
                 replication_factor: 2,
                 delta_chain_max: 4,
-                ..FunctionalTuning::default()
+                ..RuntimeConfig::default()
             },
             fail_over: true,
         };
@@ -1041,10 +980,9 @@ mod tests {
         let full = run_incremental_checkpoints(&IncrementalSpec {
             strategy: IncrementalStrategy::FullRewrite,
             fail_over: false,
-            tuning: FunctionalTuning {
-                replication_factor: 2,
+            config: RuntimeConfig {
                 delta_chain_max: 0,
-                ..FunctionalTuning::default()
+                ..spec.config.clone()
             },
             ..spec
         })
@@ -1058,28 +996,126 @@ mod tests {
     }
 
     #[test]
-    fn incremental_hash_scan_matches_cow_write_volume() {
-        let mk = |strategy| IncrementalSpec {
-            strategy,
+    fn functional_run_rejects_zero_checkpoints() {
+        let err = run_functional_checkpoints(4, 0, 64 << 10, &[], &RuntimeConfig::default());
+        assert!(err.is_err(), "zero checkpoints leave nothing to verify");
+    }
+
+    #[test]
+    fn incremental_run_rejects_an_empty_image() {
+        let spec = IncrementalSpec {
+            strategy: IncrementalStrategy::CowTracked,
             procs: 4,
-            rounds: 3,
-            bytes_per_rank: 512 << 10,
-            dirty_permille: 125,
-            namespace_bytes: 128 << 20,
-            tuning: FunctionalTuning {
-                replication_factor: 1,
-                ..FunctionalTuning::default()
-            },
+            rounds: 2,
+            bytes_per_rank: 0,
+            dirty_permille: 100,
+            config: RuntimeConfig::default(),
             fail_over: false,
         };
-        let hash = run_incremental_checkpoints(&mk(IncrementalStrategy::HashScan)).unwrap();
-        let cow = run_incremental_checkpoints(&mk(IncrementalStrategy::CowTracked)).unwrap();
-        // The hash diff finds exactly the chunks the app knows it dirtied.
-        assert_eq!(hash.steady_app_bytes, cow.steady_app_bytes);
-        assert!(hash.telemetry.counter("incremental.bytes_skipped") > 0);
-        assert_eq!(
-            hash.telemetry.counter("incremental.chunks_written"),
-            (hash.steady_app_bytes + 4 * (512 << 10)) / INCREMENTAL_CHUNK as u64
-        );
+        assert!(run_incremental_checkpoints(&spec).is_err());
+    }
+
+    /// FNV-1a 64 over one chunk: the hash-scan diff (libhashckpt-style,
+    /// §II-B) kept as the oracle for the tracked dirty set.
+    fn chunk_hash(data: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in data {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+        h
+    }
+
+    /// Indices of the `chunk`-byte chunks whose hash differs between two
+    /// equal-length images.
+    fn hash_dirty_chunks(before: &[u8], after: &[u8], chunk: usize) -> Vec<usize> {
+        assert_eq!(before.len(), after.len());
+        before
+            .chunks(chunk)
+            .zip(after.chunks(chunk))
+            .enumerate()
+            .filter(|(_, (b, a))| chunk_hash(b) != chunk_hash(a))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Indices of the chunks `spans` cover, checking that every span is
+    /// chunk-aligned (a span may end short only at the end of the image).
+    fn span_chunks(spans: &[(u64, u64)], chunk: usize, len: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        for &(offset, span_len) in spans {
+            let (start, end) = (offset as usize, (offset + span_len) as usize);
+            assert_eq!(
+                start % chunk,
+                0,
+                "span {offset}+{span_len} starts mid-chunk"
+            );
+            assert!(
+                end % chunk == 0 || end == len,
+                "span {offset}+{span_len} ends mid-chunk"
+            );
+            out.extend(start / chunk..end.div_ceil(chunk));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The tracked dirty set is exact: the chunks whose FNV-1a hash
+        /// changed across `advance` are exactly the chunks its spans cover,
+        /// for any churn (`dirty_permille` in 1..=1000) and image length,
+        /// with or without a partial last chunk (empty images included).
+        #[test]
+        fn tracked_dirty_set_equals_hash_oracle(
+            rank in 0u32..1024,
+            round in 1u32..4096,
+            dirty_permille in 1u32..1001,
+            full_chunks in 0usize..12,
+            tail in prop_oneof![Just(0usize), 1usize..INCREMENTAL_CHUNK],
+        ) {
+            let len = full_chunks * INCREMENTAL_CHUNK + tail;
+            let mut image = IncrementalImage::new(rank, len, INCREMENTAL_CHUNK);
+            let before = image.data().to_vec();
+            let spans = image.advance(round, dirty_permille);
+            prop_assert_eq!(
+                hash_dirty_chunks(&before, image.data(), INCREMENTAL_CHUNK),
+                span_chunks(&spans, INCREMENTAL_CHUNK, len)
+            );
+        }
+    }
+
+    #[test]
+    fn incremental_cow_app_bytes_match_hash_oracle() {
+        let (procs, rounds, bytes_per_rank, dirty_permille) = (4u32, 3u32, 512usize << 10, 125);
+        let cow = run_incremental_checkpoints(&IncrementalSpec {
+            strategy: IncrementalStrategy::CowTracked,
+            procs,
+            rounds,
+            bytes_per_rank: bytes_per_rank as u64,
+            dirty_permille,
+            config: RuntimeConfig {
+                namespace_bytes: 128 << 20,
+                ..RuntimeConfig::default()
+            },
+            fail_over: false,
+        })
+        .unwrap();
+        // Replay every rank's mutations and let the hash diff find the
+        // dirty chunks: the CoW run handed the fs exactly those bytes.
+        let mut oracle_bytes = 0u64;
+        for rank in 0..procs {
+            let mut image = IncrementalImage::new(rank, bytes_per_rank, INCREMENTAL_CHUNK);
+            for round in 1..rounds {
+                let before = image.data().to_vec();
+                image.advance(round, dirty_permille);
+                for i in hash_dirty_chunks(&before, image.data(), INCREMENTAL_CHUNK) {
+                    let end = ((i + 1) * INCREMENTAL_CHUNK).min(bytes_per_rank);
+                    oracle_bytes += (end - i * INCREMENTAL_CHUNK) as u64;
+                }
+            }
+        }
+        assert!(oracle_bytes > 0);
+        assert_eq!(cow.steady_app_bytes, oracle_bytes);
     }
 }

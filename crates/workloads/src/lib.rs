@@ -12,18 +12,16 @@
 //!   the Figure 7(d) drilldown ladder, the hugeblock-size sweep of
 //!   Figure 7(a), the local/remote split of Figure 8(a), and the
 //!   coalescing on/off recovery ablation of §IV-I;
-//! * [`incremental`] — hash-based incremental checkpointing, the
-//!   complementary technique the paper cites as combinable (\[31\], §II-B);
 //! * [`driver`] — experiment drivers: model-level scaling sweeps
 //!   (Figure 9), the multi-level checkpointing evaluation (Table II), and
-//!   a *functional* driver that runs real bytes through the full
+//!   *functional* drivers that run real bytes through the full
 //!   `nvmecr` + `microfs` + `fabric` + `ssd` stack with crash/recovery
-//!   verification.
+//!   verification — full N-N rounds, and incremental rounds that write
+//!   only the chunks the application dirtied.
 
 pub mod apps;
 pub mod comd;
 pub mod driver;
-pub mod incremental;
 pub mod interval;
 pub mod n1;
 pub mod nvmecr_model;
@@ -34,11 +32,9 @@ pub use apps::PhasedApp;
 pub use comd::CoMD;
 pub use driver::{
     checkpoint_ranks, multilevel_eval, run_functional_checkpoints, run_incremental_checkpoints,
-    scaling_sweep, verify_ranks, FunctionalReport, FunctionalTuning, IncrementalImage,
-    IncrementalRunReport, IncrementalSpec, IncrementalStrategy, MultiLevelResult, ScalingPoint,
-    INCREMENTAL_CHUNK,
+    scaling_sweep, verify_ranks, FunctionalReport, IncrementalImage, IncrementalRunReport,
+    IncrementalSpec, IncrementalStrategy, MultiLevelResult, ScalingPoint, INCREMENTAL_CHUNK,
 };
-pub use incremental::{IncrementalCheckpointer, IncrementalReport};
 pub use interval::{best_efficiency, daly_interval, young_interval};
 pub use n1::N1Adapter;
 pub use nvmecr_model::NvmeCrModel;

@@ -9,14 +9,14 @@
 
 use baselines::model::StorageModel;
 use baselines::{GlusterFsModel, OrangeFsModel, Scenario};
-use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
+use nvmecr::RuntimeConfig;
+use workloads::driver::run_functional_checkpoints;
 use workloads::{CoMD, NvmeCrModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Functional pass: real bytes, 56 ranks, 3 checkpoints, 2 rank crashes.
     println!("functional CoMD campaign (56 ranks, 3 checkpoints, 1 MiB/rank):");
-    let report =
-        run_functional_checkpoints(56, 3, 1 << 20, &[3, 42], &FunctionalTuning::default())?;
+    let report = run_functional_checkpoints(56, 3, 1 << 20, &[3, 42], &RuntimeConfig::default())?;
     println!(
         "  verified {} MiB across {} ranks; {} ranks crash-recovered ({} records replayed)",
         report.bytes_verified >> 20,

@@ -7,7 +7,7 @@ use nvmecr::intercept::PosixLayer;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::RuntimeConfig;
 use ssd::SsdConfig;
-use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
+use workloads::driver::run_functional_checkpoints;
 use workloads::{CheckpointPattern, CoMD};
 
 fn testbed(procs: u32) -> (StorageRack, Topology, cluster::JobAllocation, RuntimeConfig) {
@@ -31,7 +31,7 @@ fn testbed(procs: u32) -> (StorageRack, Topology, cluster::JobAllocation, Runtim
 #[test]
 fn full_stack_checkpoint_restart_with_verification() {
     let report =
-        run_functional_checkpoints(56, 3, 512 << 10, &[0, 11, 55], &FunctionalTuning::default())
+        run_functional_checkpoints(56, 3, 512 << 10, &[0, 11, 55], &RuntimeConfig::default())
             .unwrap();
     assert_eq!(report.procs, 56);
     assert_eq!(report.ckpts, 3);
@@ -264,7 +264,7 @@ fn full_scale_448_ranks_functional() {
         1,
         64 << 10,
         &[0, 111, 223, 447],
-        &FunctionalTuning::default(),
+        &RuntimeConfig::default(),
     )
     .unwrap();
     assert_eq!(report.procs, 448);

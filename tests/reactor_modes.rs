@@ -19,7 +19,7 @@ use nvmecr::{
 };
 use ssd::SsdConfig;
 use telemetry::Telemetry;
-use workloads::driver::{run_functional_checkpoints, FunctionalTuning};
+use workloads::driver::run_functional_checkpoints;
 
 fn testbed(
     procs: u32,
@@ -122,12 +122,12 @@ fn deterministic_reactor_replays_the_same_flight_recording() {
 
 #[test]
 fn reactor_functional_reports_hash_identically_across_runs() {
-    let tuning = FunctionalTuning {
+    let config = RuntimeConfig {
         reactors: 2,
-        ..FunctionalTuning::default()
+        ..RuntimeConfig::default()
     };
-    let a = run_functional_checkpoints(8, 2, 128 << 10, &[3], &tuning).unwrap();
-    let b = run_functional_checkpoints(8, 2, 128 << 10, &[3], &tuning).unwrap();
+    let a = run_functional_checkpoints(8, 2, 128 << 10, &[3], &config).unwrap();
+    let b = run_functional_checkpoints(8, 2, 128 << 10, &[3], &config).unwrap();
     assert_eq!(a.state_hash(), b.state_hash());
     assert_eq!(a.bytes_verified, b.bytes_verified);
 }
