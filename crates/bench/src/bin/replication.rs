@@ -30,6 +30,8 @@ use std::fmt::Write as _;
 use baselines::{LustreModel, Scenario, StorageModel};
 use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
+use microfs::block::IoCounters;
+use nvmecr::metrics::service_secs;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::{ReactorConfig, RuntimeConfig};
 use nvmecr_bench::stamp;
@@ -57,24 +59,18 @@ fn rack_io(rack: &StorageRack, topo: &Topology) -> Vec<(u64, u64, u64, u64)> {
     io
 }
 
-/// Device service time in seconds of one delta `(writes, reads,
-/// bytes_written, bytes_read)`: per-command controller overhead plus
-/// bytes over the channel array.
-fn service_secs(cfg: &SsdConfig, d: &(u64, u64, u64, u64)) -> f64 {
-    let (w, r, bw, br) = *d;
-    (w + r) as f64 * cfg.cmd_overhead.as_secs()
-        + bw as f64 / cfg.write_bw().as_bytes_per_sec()
-        + br as f64 / cfg.read_bw().as_bytes_per_sec()
-}
-
-fn delta(
-    after: &[(u64, u64, u64, u64)],
-    before: &[(u64, u64, u64, u64)],
-) -> Vec<(u64, u64, u64, u64)> {
+/// The IO each device serviced between two [`rack_io`] snapshots.
+fn delta(after: &[(u64, u64, u64, u64)], before: &[(u64, u64, u64, u64)]) -> Vec<IoCounters> {
     after
         .iter()
         .zip(before)
-        .map(|(a, b)| (a.0 - b.0, a.1 - b.1, a.2 - b.2, a.3 - b.3))
+        .map(|(a, b)| IoCounters {
+            writes: a.0 - b.0,
+            reads: a.1 - b.1,
+            bytes_written: a.2 - b.2,
+            bytes_read: a.3 - b.3,
+            bytes_copied: 0,
+        })
         .collect()
 }
 
@@ -160,7 +156,7 @@ fn run_rep(
         .iter()
         .map(|d| service_secs(ssd_config, d))
         .fold(0.0f64, f64::max);
-    let devices_touched = per_device.iter().filter(|d| d.2 > 0).count();
+    let devices_touched = per_device.iter().filter(|d| d.bytes_written > 0).count();
     let write = WritePhase {
         makespan_secs,
         devices_touched,
@@ -204,7 +200,7 @@ fn run_rep(
     // The restore streams chunk-by-chunk (read replica, write new
     // primary), so the two devices' service times add.
     let restore_secs: f64 = per_device.iter().map(|d| service_secs(ssd_config, d)).sum();
-    let restored_bytes: u64 = per_device.iter().map(|d| d.2).sum();
+    let restored_bytes: u64 = per_device.iter().map(|d| d.bytes_written).sum();
 
     // Byte-verify the last sealed checkpoint against pre-kill contents.
     let last = CKPTS - 1;

@@ -20,7 +20,8 @@
 //!
 //! Plus: [`intercept`] (the symbol-interception shim of §III-C),
 //! [`multilevel`] (1-in-k checkpoints to a parallel filesystem, §III-F),
-//! and [`metrics`] (efficiency and progress-rate definitions, §IV).
+//! and [`metrics`] (efficiency and progress-rate definitions, §IV, and
+//! the one function that prices the stack's counted IO in device time).
 //!
 //! Timing *models* for cluster-scale experiments live in the `baselines`
 //! and `workloads` crates; this crate is the thing they model.

@@ -22,10 +22,10 @@
 //! * **Deterministic** — every reactor is advanced in lockstep rounds on
 //!   the calling thread. Same tasks + same config ⇒ identical step order,
 //!   identical flight-recorder event sequence, identical QoS and steal
-//!   decisions. This is the mode the determinism tests and the 1k–10k
-//!   virtual-rank sweeps use, and how a one-reactor thread budget runs the
-//!   runtime's own fan-outs: on the calling thread, so a run nested inside
-//!   another drive's step adds no threads.
+//!   decisions. This is the mode the determinism tests and the dataplane
+//!   bench's mode-parity run use, and how a one-reactor thread budget runs
+//!   the runtime's own fan-outs: on the calling thread, so a run nested
+//!   inside another drive's step adds no threads.
 //!
 //! Admission control runs at reactor ingress: each reactor holds a
 //! per-tenant token-bucket shard ([`QosConfig`]) sized to `quota / N`,
@@ -544,21 +544,6 @@ impl ReactorPool {
         self.n
     }
 
-    /// Deterministic memory accounting for a drive of `ranks` tasks over
-    /// `reactors` shards: fixed per-reactor state (rings, scheduling
-    /// deque, bucket table) plus three ring/queue slots per task. The
-    /// contrast is the thread-per-rank model, which pins a multi-MiB
-    /// stack per concurrently driven rank — here rank state is ~300 B,
-    /// so rank count scales to 10k+ with sub-linear total growth while
-    /// the fixed share still amortizes.
-    pub fn footprint_bytes(reactors: usize, ranks: u64) -> u64 {
-        /// Rings, deque headers, bucket table, stats — per reactor.
-        const REACTOR_FIXED: u64 = 4096;
-        /// Inbox slot + outbox slot + active-queue entry.
-        const PER_TASK: u64 = 3 * 96;
-        reactors as u64 * REACTOR_FIXED + ranks * PER_TASK
-    }
-
     /// Run `f` once for each of `ranks` as one-shot machines on tenant 0
     /// and hand back each result (in rank order) with the first error —
     /// the pool's closure fan-out for whole-rank work.
@@ -1039,18 +1024,5 @@ mod tests {
         let cheap = out.results.iter().find(|r| r.rank == 0).unwrap();
         let noisy = out.results.iter().find(|r| r.rank == 1).unwrap();
         assert!(cheap.done_round < noisy.done_round);
-    }
-
-    #[test]
-    fn footprint_grows_sublinearly_in_ranks() {
-        let per_rank = |ranks: u64| ReactorPool::footprint_bytes(16, ranks) / ranks;
-        assert!(per_rank(10_000) <= per_rank(1_000));
-        assert!(per_rank(1_000) <= per_rank(28));
-        let fp1k = ReactorPool::footprint_bytes(16, 1_000);
-        let fp10k = ReactorPool::footprint_bytes(16, 10_000);
-        assert!(
-            (fp10k as f64) < 10.0 * fp1k as f64,
-            "10x ranks must cost < 10x bytes"
-        );
     }
 }

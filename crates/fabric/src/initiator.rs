@@ -17,8 +17,7 @@ use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 use ssd::NsId;
 
 use crate::capsule::{Capsule, CapsuleError, Completion, Status};
-use crate::config::{FabricConfig, KernelCosts};
-use crate::path::IoPath;
+use crate::config::FabricConfig;
 use crate::qp::{CompletionOp, QpError, QueuePair};
 use crate::sg::SgList;
 use crate::target::{ConnId, NvmfTarget, TargetError};
@@ -40,11 +39,6 @@ struct FabricMetrics {
     /// paths add nothing here; the slice-based convenience paths add one
     /// staging copy each.
     bytes_copied: Arc<Counter>,
-    /// Modeled host-CPU ns for the polled userspace path actually taken.
-    userspace_path_ns: Arc<Counter>,
-    /// Modeled host-CPU ns the same IOs would have cost on the kernel
-    /// path (Figure 2) — the counterfactual the paper's §IV-D contrasts.
-    kernel_path_equiv_ns: Arc<Counter>,
     /// Command attempts beyond the first (retries after transient faults).
     retries: Arc<Counter>,
     /// Commands whose capsule or response never arrived within the modeled
@@ -74,8 +68,6 @@ impl FabricMetrics {
             io_ops: t.counter("fabric.io_ops"),
             io_bytes: t.counter("fabric.io_bytes"),
             bytes_copied: t.counter("fabric.bytes_copied"),
-            userspace_path_ns: t.counter("fabric.userspace_path_ns"),
-            kernel_path_equiv_ns: t.counter("fabric.kernel_path_equiv_ns"),
             retries: t.counter("fabric.retries"),
             timeouts: t.counter("fabric.timeouts"),
             crc_errors: t.counter("fabric.crc_errors"),
@@ -239,12 +231,6 @@ impl Initiator {
         let conn = target.connect(&self.host_nqn, &[ns]);
         let qp_depth = qp_depth_for(&self.config);
         let (qp_initiator, qp_target) = QueuePair::connected_pair(qp_depth, qp_depth);
-        // Price one IO on each software stack up front: every submit then
-        // charges the polled-userspace cost actually taken and the
-        // kernel-path counterfactual, so reports can contrast the two.
-        let k = KernelCosts::default();
-        let userspace_per_io_ns = (IoPath::Userspace.per_io(&k).total().as_secs() * 1e9) as u64;
-        let kernel_per_io_ns = (IoPath::Kernel.per_io(&k).total().as_secs() * 1e9) as u64;
         NvmfConnection {
             target,
             conn,
@@ -259,8 +245,6 @@ impl Initiator {
             metrics: Arc::clone(&self.metrics),
             chaos: self.chaos.clone(),
             config: self.config.clone(),
-            userspace_per_io_ns,
-            kernel_per_io_ns,
         }
     }
 }
@@ -288,8 +272,6 @@ pub struct NvmfConnection {
     metrics: Arc<FabricMetrics>,
     chaos: ChaosHandle,
     config: FabricConfig,
-    userspace_per_io_ns: u64,
-    kernel_per_io_ns: u64,
 }
 
 impl NvmfConnection {
@@ -606,8 +588,6 @@ impl NvmfConnection {
     /// sites a post can hit: the connection and the command capsule in
     /// flight. Disarmed, each hook is one relaxed atomic load.
     fn post_one(&mut self, capsule: &Capsule) -> Result<PostOutcome, InitiatorError> {
-        self.metrics.userspace_path_ns.add(self.userspace_per_io_ns);
-        self.metrics.kernel_path_equiv_ns.add(self.kernel_per_io_ns);
         // Site 1: the connection dies under this command.
         if let Some(FaultAction::ResetConnection) = self.chaos.fire(Site::ConnReset) {
             self.qp_initiator.disconnect();
@@ -1076,10 +1056,6 @@ mod tests {
         let submits = snap.histogram("fabric.submit_ns").unwrap();
         assert_eq!(submits.count, snap.counter("fabric.io_ops"));
         assert!(submits.count >= 5, "write+flush+read+write+read_into");
-        assert!(
-            snap.counter("fabric.kernel_path_equiv_ns") > snap.counter("fabric.userspace_path_ns"),
-            "modeled kernel path must cost more than the polled userspace path"
-        );
     }
 
     #[test]

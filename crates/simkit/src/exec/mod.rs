@@ -19,11 +19,9 @@
 
 mod engine;
 mod pipe;
-pub mod shard;
 
 pub use engine::{Engine, RunResult, SimError, TraceEvent};
 pub(crate) use pipe::PsPipe;
-pub use shard::{ShardModel, ShardReport};
 
 use crate::time::{Rate, SimTime};
 

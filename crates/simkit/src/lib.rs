@@ -1,10 +1,12 @@
 //! # simkit — deterministic discrete-event simulation toolkit
 //!
 //! This crate is the substrate under every cluster-scale experiment in the
-//! NVMe-CR reproduction. It deliberately knows nothing about storage: it
+//! NVMe-CR reproduction: every paper figure runs its analytic model as a
+//! DAG on this engine. It deliberately knows nothing about storage: it
 //! provides a small vocabulary of *timed contention primitives* and an
 //! event-driven engine that executes dependency DAGs of work tokens against
-//! them.
+//! them. (The functional stack is not simulated here: it counts its IO,
+//! and `nvmecr::metrics` prices those counts in device time.)
 //!
 //! The vocabulary was chosen to cover exactly the mechanisms the paper's
 //! evaluation depends on:
@@ -46,17 +48,12 @@
 //! ```
 
 pub mod queue;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub mod exec;
 
-pub use exec::{
-    Dag, Engine, PipeId, PoolId, ResId, RunResult, ShardModel, ShardReport, Stage, TokenId,
-    TraceEvent,
-};
-pub use resource::FifoTimeline;
+pub use exec::{Dag, Engine, PipeId, PoolId, ResId, RunResult, Stage, TokenId, TraceEvent};
 pub use stats::OnlineStats;
 pub use time::{Rate, SimTime};

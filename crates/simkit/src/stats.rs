@@ -107,70 +107,6 @@ impl OnlineStats {
     }
 }
 
-/// Fixed-bucket histogram for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with the given ascending bucket upper edges. Samples
-    /// above the last edge land in an implicit overflow bucket.
-    pub fn with_edges(edges: Vec<f64>) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "edges must be strictly ascending"
-        );
-        let n = edges.len();
-        Histogram {
-            edges,
-            counts: vec![0; n + 1],
-            total: 0,
-        }
-    }
-
-    /// Record a sample.
-    pub fn record(&mut self, x: f64) {
-        let idx = self.edges.partition_point(|&e| e < x);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i` (the last index is the overflow bucket).
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Approximate quantile (`0.0..=1.0`) using bucket upper edges.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i < self.edges.len() {
-                    self.edges[i]
-                } else {
-                    f64::INFINITY
-                };
-            }
-        }
-        f64::INFINITY
-    }
-}
-
 /// Coefficient of variation of a slice, as used by the Figure 7b harness.
 pub fn coefficient_of_variation(xs: &[f64]) -> f64 {
     OnlineStats::from_samples(xs).coeff_of_variation()
@@ -208,28 +144,6 @@ mod tests {
         assert_eq!(coefficient_of_variation(&[5.0; 16]), 0.0);
     }
 
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::with_edges(vec![1.0, 2.0, 4.0]);
-        for x in [0.5, 1.5, 1.7, 3.0, 10.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(0), 1); // <= 1.0
-        assert_eq!(h.count(1), 2); // (1, 2]
-        assert_eq!(h.count(2), 1); // (2, 4]
-        assert_eq!(h.count(3), 1); // overflow
-        assert_eq!(h.quantile(0.2), 1.0);
-        assert_eq!(h.quantile(0.6), 2.0);
-        assert_eq!(h.quantile(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_bad_edges() {
-        let _ = Histogram::with_edges(vec![2.0, 1.0]);
-    }
-
     proptest! {
         /// Welford matches the naive two-pass computation.
         #[test]
@@ -240,15 +154,6 @@ mod tests {
             let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
             prop_assert!((s.mean() - mean).abs() < 1e-6);
             prop_assert!((s.variance() - var).abs() < 1e-6);
-        }
-
-        /// Histogram never loses samples.
-        #[test]
-        fn prop_histogram_conserves(xs in proptest::collection::vec(0.0f64..100.0, 0..100)) {
-            let mut h = Histogram::with_edges(vec![10.0, 20.0, 50.0]);
-            for &x in &xs { h.record(x); }
-            let bucket_sum: u64 = (0..4).map(|i| h.count(i)).sum();
-            prop_assert_eq!(bucket_sum, xs.len() as u64);
         }
     }
 }
