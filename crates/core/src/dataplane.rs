@@ -106,11 +106,12 @@ impl NvmfBlockDevice {
         }
     }
 
-    /// Rebuild the mirror's extent map from the full primary image —
-    /// used after a crash where the in-memory map did not survive.
-    pub fn rescan_mirror(&mut self) -> Result<(), ReplicationError> {
+    /// Rebuild the mirror's extent map from the primary's live `spans`
+    /// (partition-relative) — used after a crash where the in-memory map
+    /// did not survive.
+    pub fn rescan_mirror(&mut self, spans: &[(u64, u64)]) -> Result<(), ReplicationError> {
         if let Some(m) = &mut self.mirror {
-            m.rescan(&mut self.conn, self.base, self.size)?;
+            m.rescan(&mut self.conn, self.base, spans)?;
         }
         Ok(())
     }

@@ -4,10 +4,10 @@
 //! The runtime-level recovery path layers two obligations on top of the
 //! microfs one ([`microfs::recovery`]): the rank must reconnect over the
 //! fabric, and — when replicated — the manifest region must be decoded and
-//! the mirror's extent map rebuilt (full-image CRC rescan) *before* the
-//! instance serves reads or takes new writes. Skipping the verification
-//! step used to be a runtime bug waiting to happen; with this API it does
-//! not compile:
+//! the mirror's extent map rebuilt (a CRC rescan of the recovered
+//! filesystem's live bytes) *before* the instance serves reads or takes
+//! new writes. Skipping the verification step used to be a runtime bug
+//! waiting to happen; with this API it does not compile:
 //!
 //! ```compile_fail
 //! fn premature(r: nvmecr::recovery::Replaying) {
@@ -29,7 +29,8 @@
 //!   unapplied. No file API, no mirror, no escape hatch.
 //! * [`Verified`] — log applied and (for replicated routes) the latest
 //!   sealed epoch read back from the manifest region with the mirror map
-//!   rebuilt by rescan. [`Verified::serve`] is the only way out.
+//!   rebuilt by rescanning the live footprint
+//!   ([`MicroFs::live_spans`]). [`Verified::serve`] is the only way out.
 //!
 //! [`NvmeCrRuntime::recover_ranks`](crate::runtime::NvmeCrRuntime::recover_ranks)
 //! and [`NvmeCrRuntime::attach`](crate::runtime::NvmeCrRuntime::attach)
@@ -94,11 +95,14 @@ impl Replaying {
 
     /// Apply the log, then verify the replica state: decode the latest
     /// sealed epoch from the manifest region and rebuild the mirror's
-    /// extent map by rescanning the full primary image (writes made after
-    /// the last commit are on both copies but in no manifest; a map that
-    /// missed them would silently drop them from future epochs). Both
-    /// halves are one transition on purpose — "replayed but unverified"
-    /// is not a representable state.
+    /// extent map by rescanning the primary's live bytes — the spans the
+    /// replayed filesystem depends on ([`MicroFs::live_spans`]: superblock,
+    /// log prefix, snapshot slots, referenced hugeblocks). Writes made
+    /// after the last commit are on both copies but in no manifest; a map
+    /// that missed them would silently drop them from future epochs, and
+    /// the live spans cover every one the filesystem still references.
+    /// Both halves are one transition on purpose — "replayed but
+    /// unverified" is not a representable state.
     pub fn replay_all(self) -> Result<Verified, RuntimeError> {
         let mut fs = self.fs.replay_all().map_err(RuntimeError::Fs)?.serve();
         if let Some(rr) = &self.route.replica {
@@ -127,7 +131,8 @@ impl Replaying {
                 epoch,
                 &self.config,
             ));
-            fs.device_mut().rescan_mirror()?;
+            let spans = fs.live_spans();
+            fs.device_mut().rescan_mirror(&spans)?;
         }
         Ok(Verified { fs })
     }

@@ -397,28 +397,33 @@ impl Mirror {
         self.degraded = false;
     }
 
-    /// Rebuild the extent map from the full primary image. Used after a
+    /// Rebuild the extent map from the primary's live bytes. Used after a
     /// crash or restart where the in-memory map is gone but the on-device
-    /// copies survive: chunked reads re-CRC the whole partition, and
-    /// adjacent chunks merge back into a handful of extents. `fs_size`
-    /// is the partition size (the manifest region is excluded).
+    /// copies survive. `spans` are the partition-relative ranges the
+    /// recovered filesystem depends on ([`microfs::MicroFs::live_spans`]);
+    /// each is re-read in pieces of at most 4 MiB (`COPY_CHUNK`) and
+    /// re-CRCed, and adjacent pieces merge back. Bytes outside the spans
+    /// are dead, so the map, and every manifest sealed from it, leaves
+    /// them out.
     pub fn rescan(
         &mut self,
         primary: &mut NvmfConnection,
         primary_base: u64,
-        fs_size: u64,
+        spans: &[(u64, u64)],
     ) -> Result<(), InitiatorError> {
-        let mut off = 0u64;
-        while off < fs_size {
-            if self.chaos.fire(Site::RescanChunk).is_some() {
-                return Err(InitiatorError::Transport(
-                    "crash point: recovery rescan".into(),
-                ));
+        for &(offset, len) in spans {
+            let mut done = 0u64;
+            while done < len {
+                if self.chaos.fire(Site::RescanChunk).is_some() {
+                    return Err(InitiatorError::Transport(
+                        "crash point: recovery rescan".into(),
+                    ));
+                }
+                let chunk = COPY_CHUNK.min((len - done) as usize);
+                let data = primary.read_bytes(primary_base + offset + done, chunk)?;
+                self.map.record(offset + done, chunk as u64, crc32(&data));
+                done += chunk as u64;
             }
-            let len = COPY_CHUNK.min((fs_size - off) as usize);
-            let data = primary.read_bytes(primary_base + off, len)?;
-            self.map.record(off, len as u64, crc32(&data));
-            off += len as u64;
         }
         Ok(())
     }
@@ -1103,15 +1108,30 @@ mod tests {
     #[test]
     fn rescan_rebuilds_a_committable_map() {
         let (mut p, mut m, t) = mirror_pair(0);
-        m.write_through(&mut p, 0, vec![(4096, Bytes::from(vec![0x42u8; 12288]))])
-            .unwrap();
+        let big = 2 * COPY_CHUNK as u64 + 4096;
+        m.write_through(
+            &mut p,
+            0,
+            vec![
+                (4096, Bytes::from(vec![0x42u8; 12288])),
+                (8 << 20, Bytes::from(vec![0x17u8; big as usize])),
+            ],
+        )
+        .unwrap();
         // Simulate losing the in-memory map: fresh mirror over the same
-        // replica, rescan from the primary.
+        // replica, rescan the live spans from the primary.
         let (r, _, _, _) = m.into_parts();
         let mut m = Mirror::new(r, ExtentMap::new(), 0, &config(&t, 0));
-        m.rescan(&mut p, 0, FS).unwrap();
-        // Whole-partition chunks merge into one extent.
-        assert_eq!(m.map().len(), 1);
+        let spans = [(4096, 12288), (8 << 20, big)];
+        let (ios, bytes) = p.io_counters();
+        m.rescan(&mut p, 0, &spans).unwrap();
+        // Exactly the live bytes are read, in COPY_CHUNK pieces, and each
+        // span's pieces merge back into one extent.
+        let (ios_after, bytes_after) = p.io_counters();
+        assert_eq!(bytes_after - bytes, 12288 + big);
+        assert_eq!(ios_after - ios, 1 + 3);
+        let covered: Vec<(u64, u64)> = m.map().entries().iter().map(|e| (e.0, e.1)).collect();
+        assert_eq!(covered, spans);
         let epoch = m.commit_epoch(&mut p, 0, FS).unwrap();
         assert_eq!(epoch, 1);
         let rep = m.scrub(&mut p, 0).unwrap();

@@ -1306,8 +1306,9 @@ mod tests {
         let mut sched = Scheduler::new(topo.clone(), 4);
         let alloc = sched.submit(&JobRequest::full_subscription(procs)).unwrap();
         let config = RuntimeConfig {
-            // 8 ranks share the single grant namespace: 32 MiB segments,
-            // so the full-image rescans in attach/recover stay cheap.
+            // 8 ranks share the single grant namespace: 32 MiB segments
+            // keep restore and scrub walks cheap (attach/recover rescan
+            // only each rank's live bytes, whatever the segment size).
             namespace_bytes: 256 << 20,
             replication_factor: 2,
             telemetry,
@@ -1476,7 +1477,8 @@ mod tests {
         })
         .unwrap();
         // detach commits a final epoch per rank; attach rebuilds every
-        // mirror (manifest epoch + full-image rescan) and stays scrubable.
+        // mirror (manifest epoch + rescan of the live footprint) and
+        // stays scrubable.
         let handle = rt.detach();
         let mut rt2 = NvmeCrRuntime::attach(handle).unwrap();
         for rank in 0..8u32 {

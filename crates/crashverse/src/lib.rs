@@ -53,8 +53,9 @@ use ssd::SsdConfig;
 use telemetry::{FlightKind, Telemetry};
 
 /// Per-grant namespace size: two ranks share a grant, so each rank gets
-/// a 16 MiB segment — the smallest the balancer accepts, keeping rescan
-/// and replay cheap enough to run hundreds of universes per smoke.
+/// a 16 MiB segment — the smallest the balancer accepts, keeping the log
+/// scan of recovery cheap enough to run hundreds of universes per smoke
+/// (the mirror rescan reads only the live footprint, whatever the size).
 const NAMESPACE_BYTES: u64 = 32 << 20;
 /// SSD capacity backing each simulated device.
 const SSD_CAPACITY: u64 = 2 << 30;

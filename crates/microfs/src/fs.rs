@@ -16,6 +16,7 @@ use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 
 use crate::block::{BlockDevice, BlockPool};
 use crate::btree::BTree;
+use crate::cow::IntervalSet;
 use crate::dirent::Dirent;
 use crate::error::{FsError, OpenFlags};
 use crate::inode::{Ino, Inode, InodeKind, InodeTable, ROOT_INO};
@@ -187,6 +188,10 @@ pub struct MicroFs<D: BlockDevice> {
     fds: Vec<Option<OpenFile>>,
     open_count: usize,
     snapshot_seq: u64,
+    /// Bytes each snapshot slot holds (header plus payload) when it holds
+    /// a snapshot this instance validated at mount or wrote since; `0`
+    /// otherwise.
+    snapshot_footprints: [u64; 2],
     stats: FsStats,
     metrics: FsMetrics,
     /// Reusable all-zero buffer for gap zeroing (grown on demand, never
@@ -237,6 +242,7 @@ impl<D: BlockDevice> MicroFs<D> {
             fds: Vec::new(),
             open_count: 0,
             snapshot_seq: 0,
+            snapshot_footprints: [snap_bytes, 0],
             stats: FsStats::default(),
             metrics,
             zero_scratch: Vec::new(),
@@ -283,8 +289,9 @@ impl<D: BlockDevice> MicroFs<D> {
         if config.chaos.fire(chaos::Site::SnapshotLoad).is_some() {
             return Err(FsError::Io("crash point: recovery snapshot load".into()));
         }
-        let (seq, generation, state) = snapshot::read_latest(&mut dev, &layout)
-            .ok_or_else(|| FsError::Io("no valid snapshot found".into()))?;
+        let ((seq, generation, state), snapshot_footprints) =
+            snapshot::read_latest_with_footprints(&mut dev, &layout)
+                .ok_or_else(|| FsError::Io("no valid snapshot found".into()))?;
         if config.chaos.fire(chaos::Site::LogScan).is_some() {
             return Err(FsError::Io("crash point: recovery log scan".into()));
         }
@@ -310,6 +317,7 @@ impl<D: BlockDevice> MicroFs<D> {
             fds: Vec::new(),
             open_count: 0,
             snapshot_seq: seq,
+            snapshot_footprints,
             stats: FsStats::default(),
             metrics,
             zero_scratch: Vec::new(),
@@ -365,6 +373,32 @@ impl<D: BlockDevice> MicroFs<D> {
     /// The partition layout in effect.
     pub fn layout(&self) -> &Layout {
         &self.layout
+    }
+
+    /// The partition-relative bytes this instance's state depends on, as
+    /// sorted, merged `(offset, len)` spans: the superblock, the current
+    /// log generation's prefix, each snapshot slot holding a snapshot
+    /// this instance validated at mount or wrote since (header plus
+    /// payload), and every hugeblock an inode references, directory files
+    /// included. Built from in-memory state alone: no device IO. Every
+    /// other byte of the partition is dead, so a replicated rank rebuilds
+    /// its mirror map from exactly these spans after recovery.
+    pub fn live_spans(&self) -> Vec<(u64, u64)> {
+        let l = &self.layout;
+        let mut live = IntervalSet::new();
+        live.insert(0, SUPERBLOCK_LEN);
+        live.insert(l.log_offset, l.log_offset + self.wal.used_bytes());
+        for (slot, &bytes) in (0u64..).zip(&self.snapshot_footprints) {
+            let off = l.snapshot_offset + slot * l.snapshot_slot_size;
+            live.insert(off, off + bytes);
+        }
+        for (_, inode) in self.state.inodes.iter() {
+            for &b in &inode.blocks {
+                let addr = l.block_addr(b);
+                live.insert(addr, addr + l.block_size);
+            }
+        }
+        live.spans()
     }
 
     /// Start a new CoW epoch: forget this epoch's dirty spans and
@@ -812,6 +846,7 @@ impl<D: BlockDevice> MicroFs<D> {
         let bytes =
             snapshot::write_snapshot(&mut self.dev, &self.layout, &self.state, seq, next_gen)?;
         self.snapshot_seq = seq;
+        self.snapshot_footprints[(seq % 2) as usize] = bytes;
         self.wal.reset();
         debug_assert_eq!(self.wal.generation(), next_gen);
         self.stats.snapshots += 1;
@@ -1882,6 +1917,86 @@ mod tests {
         assert!(s.dirent_bytes > 0);
         assert!(s.metadata_device_bytes() > 0);
         assert!(fs.dram_footprint() > 0);
+    }
+
+    #[test]
+    fn live_spans_cover_what_a_mount_uses_without_device_reads() {
+        let mut fs = fresh();
+        let l = *fs.layout();
+        // Freshly formatted: the superblock and slot 0's snapshot only.
+        let spans = fs.live_spans();
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        assert_eq!(spans[0], (0, SUPERBLOCK_LEN));
+        assert_eq!(spans[1].0, l.snapshot_offset);
+
+        fs.mkdir("/d", 0o755).unwrap();
+        for (i, path) in ["/a", "/d/b", "/d/c"].into_iter().enumerate() {
+            let fd = fs.create(path, 0o644).unwrap();
+            fs.write(fd, &vec![i as u8 + 1; 70_000 * (i + 1)]).unwrap();
+            fs.close(fd).unwrap();
+        }
+        fs.snapshot_now().unwrap();
+        fs.unlink("/d/b").unwrap();
+        fs.truncate("/a", 10).unwrap();
+        fs.rename("/d/c", "/c").unwrap();
+        let fd = fs.create("/d/e", 0o644).unwrap();
+        fs.pwrite(fd, 100_000, b"tail").unwrap();
+        fs.close(fd).unwrap();
+
+        let reads = fs.device().counters().reads;
+        let spans = fs.live_spans();
+        assert_eq!(
+            fs.device().counters().reads,
+            reads,
+            "live_spans read the device"
+        );
+        // Sorted, merged (neither overlapping nor abutting), inside the
+        // partition.
+        assert!(spans.iter().all(|&(o, n)| n > 0 && o + n <= DEV_SIZE));
+        assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0));
+        let covered =
+            |off: u64, len: u64| spans.iter().any(|&(o, n)| o <= off && off + len <= o + n);
+
+        // What a mount of these bytes would use, derived from the bytes.
+        let mut dev = MemDevice::from_raw(fs.device().raw());
+        let (seq, generation, _) = snapshot::read_latest(&mut dev, &l).unwrap();
+        let slot_off = (l.snapshot_offset + (seq % 2) * l.snapshot_slot_size) as usize;
+        // Header: magic u64 | seq u64 | generation u32 | len u64 | crc u32.
+        let raw = dev.raw();
+        let payload_len = crate::wire::Reader::new(&raw[slot_off + 20..])
+            .u64()
+            .unwrap();
+        let (_, log_end) = Wal::scan(&mut dev, l.log_offset, l.log_size, generation).unwrap();
+        assert!(log_end > 0);
+        assert!(covered(0, SUPERBLOCK_LEN));
+        assert!(covered(l.log_offset, log_end));
+        assert!(covered(slot_off as u64, 32 + payload_len));
+        // Every referenced hugeblock, directory files included, and no
+        // other byte of the data region.
+        let (mut blocks, mut dir_blocks) = (0, 0);
+        for (_, inode) in fs.state.inodes.iter() {
+            for &b in &inode.blocks {
+                assert!(covered(l.block_addr(b), l.block_size));
+            }
+            blocks += inode.blocks.len() as u64;
+            if inode.kind == InodeKind::Dir {
+                dir_blocks += inode.blocks.len();
+            }
+        }
+        assert!(dir_blocks >= 2, "root and /d hold dirent blocks");
+        let data_bytes: u64 = spans
+            .iter()
+            .filter(|&&(o, _)| o >= l.data_offset)
+            .map(|&(_, n)| n)
+            .sum();
+        assert_eq!(data_bytes, blocks * l.block_size);
+
+        // A mount validates both slots and replays to the same footprint,
+        // reading nothing more to report it.
+        let mounted = MicroFs::mount(dev, FsConfig::default()).unwrap();
+        let reads = mounted.device().counters().reads;
+        assert_eq!(mounted.live_spans(), spans);
+        assert_eq!(mounted.device().counters().reads, reads);
     }
 }
 

@@ -127,7 +127,7 @@ fn read_slot<D: BlockDevice>(
     dev: &mut D,
     layout: &Layout,
     slot: u64,
-) -> Option<(u64, u32, FsState)> {
+) -> Option<((u64, u32, FsState), u64)> {
     let slot_off = slot
         .checked_mul(layout.snapshot_slot_size)?
         .checked_add(layout.snapshot_offset)?;
@@ -139,7 +139,8 @@ fn read_slot<D: BlockDevice>(
     let (seq, generation) = (r.u64().ok()?, r.u32().ok()?);
     let (len, stored_crc) = (r.u64().ok()?, r.u32().ok()?);
     // No CRC covers `len`: bound it by the slot before it sizes a read.
-    if HEADER_LEN.checked_add(len)? > layout.snapshot_slot_size {
+    let footprint = HEADER_LEN.checked_add(len)?;
+    if footprint > layout.snapshot_slot_size {
         return None;
     }
     let len = usize::try_from(len).ok()?;
@@ -147,15 +148,30 @@ fn read_slot<D: BlockDevice>(
     if crc32(&payload) != stored_crc {
         return None;
     }
-    FsState::decode(&payload).ok().map(|s| (seq, generation, s))
+    FsState::decode(&payload)
+        .ok()
+        .map(|s| ((seq, generation, s), footprint))
 }
 
 /// Read the newest valid snapshot: `(seq, generation, state)`.
 pub fn read_latest<D: BlockDevice>(dev: &mut D, layout: &Layout) -> Option<(u64, u32, FsState)> {
-    match (read_slot(dev, layout, 0), read_slot(dev, layout, 1)) {
-        (Some(a), Some(b)) if b.0 > a.0 => Some(b),
-        (a, b) => a.or(b),
-    }
+    read_latest_with_footprints(dev, layout).map(|(latest, _)| latest)
+}
+
+/// [`read_latest`] plus the bytes each slot holds (header plus payload)
+/// when it validated, `0` when it did not — the snapshot bytes a mount
+/// depends on, known without another read.
+pub(crate) fn read_latest_with_footprints<D: BlockDevice>(
+    dev: &mut D,
+    layout: &Layout,
+) -> Option<((u64, u32, FsState), [u64; 2])> {
+    let (a, b) = (read_slot(dev, layout, 0), read_slot(dev, layout, 1));
+    let footprints = [&a, &b].map(|s| s.as_ref().map_or(0, |(_, bytes)| *bytes));
+    let latest = match (a, b) {
+        (Some((a, _)), Some((b, _))) if b.0 > a.0 => b,
+        (a, b) => a.or(b)?.0,
+    };
+    Some((latest, footprints))
 }
 
 #[cfg(test)]

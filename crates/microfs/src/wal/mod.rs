@@ -99,6 +99,12 @@ impl Wal {
         self.generation
     }
 
+    /// Bytes of the current generation written so far, from the region
+    /// start.
+    pub(crate) fn used_bytes(&self) -> u64 {
+        self.pos
+    }
+
     /// Bytes still available before the region is full.
     pub fn free_bytes(&self) -> u64 {
         self.region_size - self.pos

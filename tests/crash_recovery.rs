@@ -2,11 +2,15 @@
 //! through NVMf into SSD-backed microfs partitions, process crashes, node
 //! power failures, and cascading-failure policy decisions.
 
-use cluster::{FaultInjector, FaultKind, JobRequest, Scheduler, Topology};
-use microfs::OpenFlags;
+use cluster::{FaultInjector, FaultKind, JobRequest, NodeId, Scheduler, Topology};
+use microfs::crc::crc32;
+use microfs::inode::InodeKind;
+use microfs::manifest::REGION_BYTES;
+use microfs::{BlockDevice, IntervalSet, MicroFs, OpenFlags};
 use nvmecr::multilevel::{CheckpointLevel, MultiLevelPolicy};
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::RuntimeConfig;
+use proptest::prelude::*;
 use simkit::SimTime;
 use ssd::SsdConfig;
 use workloads::CoMD;
@@ -203,4 +207,254 @@ fn torn_final_write_never_corrupts_completed_checkpoints() {
     let st = fs.stat(&CoMD::checkpoint_path(3, 1)).unwrap();
     assert_eq!(st.size, (len / 2) as u64, "logged prefix must be replayed");
     assert_eq!(read_back(&mut rt, 3, 1, len / 2), half);
+}
+
+/// A rep=2 testbed: `procs` ranks share one grant namespace of
+/// `namespace_bytes`, so each rank's segment is `namespace_bytes / procs`.
+fn replicated_testbed(
+    procs: u32,
+    namespace_bytes: u64,
+    delta_chain_max: u32,
+) -> (StorageRack, Topology, cluster::JobAllocation, RuntimeConfig) {
+    let (rack, topo, alloc, config) = testbed(procs, true);
+    let config = RuntimeConfig {
+        namespace_bytes,
+        replication_factor: 2,
+        delta_chain_max,
+        ..config
+    };
+    (rack, topo, alloc, config)
+}
+
+/// Bytes each storage node's SSDs have served to reads so far.
+fn bytes_read_by_node(rack: &StorageRack, topo: &Topology) -> Vec<(NodeId, u64)> {
+    topo.storage_nodes()
+        .into_iter()
+        .map(|n| {
+            let targets = rack.targets_on(n);
+            (
+                n,
+                targets
+                    .iter()
+                    .map(|(_, t)| t.device().io_counters().3)
+                    .sum(),
+            )
+        })
+        .collect()
+}
+
+/// Bytes read since `before` on every storage node but `skip`.
+fn bytes_read_since(
+    before: &[(NodeId, u64)],
+    after: &[(NodeId, u64)],
+    skip: Option<NodeId>,
+) -> u64 {
+    before
+        .iter()
+        .zip(after)
+        .filter(|((n, _), _)| Some(*n) != skip)
+        .map(|((_, b), (_, a))| a - b)
+        .sum()
+}
+
+fn live_bytes(rt: &mut NvmeCrRuntime, rank: u32) -> u64 {
+    let fs = rt.rank_fs(rank).unwrap();
+    fs.live_spans().iter().map(|&(_, len)| len).sum()
+}
+
+#[test]
+fn replicated_recovery_reads_only_live_bytes() {
+    // Two ranks share a 512 MiB grant: each rank's segment is 256 MiB,
+    // of which about 1 MiB is live. Recovery reads the superblock, the
+    // snapshot, the log region, the manifest ring and the live bytes it
+    // rescans for the mirror map — never the whole segment.
+    let (rack, topo, alloc, config) = replicated_testbed(2, 512 << 20, 0);
+    let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+    assert!(rt.rank_fs(0).unwrap().device().size() >= 255 << 20);
+    let comd = CoMD::weak_scaling();
+    let len = 1 << 20;
+    dump(&mut rt, 0, 0, &comd.checkpoint_payload(0, 0, len));
+    rt.commit_epochs().unwrap();
+    rt.crash_rank(0).unwrap();
+    let before = bytes_read_by_node(&rack, &topo);
+    rt.recover_ranks(&[0]).unwrap();
+    let read = bytes_read_since(&before, &bytes_read_by_node(&rack, &topo), None);
+    assert!(
+        read <= 8 << 20,
+        "recovering a 1 MiB image read {read} bytes of its 256 MiB segment"
+    );
+    assert_eq!(
+        read_back(&mut rt, 0, 0, len),
+        comd.checkpoint_payload(0, 0, len)
+    );
+}
+
+#[test]
+fn failover_of_a_recovered_rank_restores_only_live_bytes() {
+    // A recovered rank's mirror map is its live footprint, so when its
+    // primary shard later dies the restore copies the live bytes plus
+    // the manifest ring off the replica, not the rescanned segment.
+    let (rack, topo, alloc, config) = replicated_testbed(2, 512 << 20, 0);
+    let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+    let comd = CoMD::weak_scaling();
+    let len = 1 << 20;
+    dump(&mut rt, 0, 0, &comd.checkpoint_payload(0, 0, len));
+    rt.commit_epochs().unwrap();
+    rt.crash_rank(0).unwrap();
+    rt.recover_ranks(&[0]).unwrap();
+    dump(&mut rt, 0, 1, &comd.checkpoint_payload(0, 1, len));
+    rt.commit_epoch_rank(0).unwrap();
+    let live = live_bytes(&mut rt, 0);
+    assert!(live < 4 << 20, "live footprint {live}");
+
+    rt.kill_primary_shard(0).unwrap();
+    let old_home = rt.rank_storage_node(0).unwrap();
+    let before = bytes_read_by_node(&rack, &topo);
+    rt.fail_over_rank(0, &rack, &topo).unwrap();
+    let new_home = rt.rank_storage_node(0).unwrap();
+    assert_ne!(new_home, old_home);
+    // Reads everywhere but the new home are the replica's (the dead
+    // shard serves none).
+    let after = bytes_read_by_node(&rack, &topo);
+    let replica_read = bytes_read_since(&before, &after, Some(new_home));
+    assert!(
+        replica_read >= 2 * len as u64,
+        "both checkpoints come off the replica ({replica_read} bytes read)"
+    );
+    assert!(
+        replica_read <= live + REGION_BYTES,
+        "restore read {replica_read} bytes off the replica, live footprint is {live}"
+    );
+    for ckpt in 0..2 {
+        assert_eq!(
+            read_back(&mut rt, 0, ckpt, len),
+            comd.checkpoint_payload(0, ckpt, len)
+        );
+    }
+}
+
+const PROP_FILES: [&str; 4] = ["/f0", "/f1", "/d/f2", "/d/f3"];
+
+/// `(kind, file, offset or size, length, fill)`; kind 8 seals an epoch.
+type PropOp = (u8, usize, u64, usize, u8);
+
+/// One step of the differential workload below; every error is ignored
+/// (both twins see the same one) and no descriptor stays open.
+fn apply_op<D: BlockDevice>(fs: &mut MicroFs<D>, (kind, file, at, len, fill): PropOp) {
+    let path = PROP_FILES[file];
+    let data: Vec<u8> = (0..len).map(|i| fill ^ (i % 251) as u8).collect();
+    let rdwr_create = OpenFlags {
+        create: true,
+        ..OpenFlags::RDWR
+    };
+    match kind {
+        0 | 1 => {
+            if let Ok(fd) = fs.create(path, 0o644) {
+                let _ = fs.write(fd, &data);
+                let _ = fs.close(fd);
+            }
+        }
+        2 | 3 => {
+            if let Ok(fd) = fs.open(path, rdwr_create, 0o644) {
+                let _ = fs.pwrite(fd, at, &data);
+                let _ = fs.close(fd);
+            }
+        }
+        4 => {
+            if let Ok(fd) = fs.open(path, OpenFlags::RDWR, 0) {
+                let _ = fs.ftruncate(fd, at);
+                let _ = fs.close(fd);
+            }
+        }
+        5 => {
+            let _ = fs.unlink(path);
+        }
+        6 => {
+            let _ = fs.rename(path, PROP_FILES[(file + 1 + at as usize % 3) % 4]);
+        }
+        _ => {
+            let _ = fs.snapshot_now();
+        }
+    }
+}
+
+/// Every path with its size and the CRC-32 of its bytes (files) or of its
+/// on-device dirent listing (directories).
+fn tree<D: BlockDevice>(fs: &mut MicroFs<D>) -> Vec<(String, u64, u32)> {
+    let mut out = Vec::new();
+    let mut dirs = vec!["/".to_string()];
+    while let Some(dir) = dirs.pop() {
+        let on_device = format!("{:?}", fs.readdir_from_device(&dir).unwrap());
+        out.push((
+            dir.clone(),
+            fs.stat(&dir).unwrap().size,
+            crc32(on_device.as_bytes()),
+        ));
+        for name in fs.readdir(&dir).unwrap() {
+            let path = format!("{}/{name}", dir.trim_end_matches('/'));
+            let st = fs.stat(&path).unwrap();
+            if st.kind == InodeKind::Dir {
+                dirs.push(path);
+                continue;
+            }
+            let fd = fs.open(&path, OpenFlags::RDONLY, 0).unwrap();
+            let mut bytes = vec![0u8; st.size as usize];
+            assert_eq!(fs.pread(fd, 0, &mut bytes).unwrap(), bytes.len());
+            fs.close(fd).unwrap();
+            out.push((path, st.size, crc32(&bytes)));
+        }
+    }
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Rank 0 and its never-crashed twin rank 1 run the same random
+    /// create/write/pwrite/ftruncate/unlink/rename/snapshot/seal sequence.
+    /// Rank 0 then crashes and recovers (its mirror map is rescanned from
+    /// the live footprint and must cover exactly `live_spans()`), seals
+    /// one epoch, crashes again and is restored onto a fresh primary from
+    /// the replica. The restored image mounts to the twin's tree, sizes
+    /// and bytes, directory files included.
+    #[test]
+    fn prop_recovered_mirror_restores_like_a_never_crashed_twin(
+        delta_chain in prop_oneof![Just(0u32), Just(4u32)],
+        ops in proptest::collection::vec(
+            (0u8..9, 0usize..4, 0u64..160_000, 1usize..50_000, any::<u8>()),
+            1..24,
+        ),
+    ) {
+        let (rack, topo, alloc, config) = replicated_testbed(2, 64 << 20, delta_chain);
+        let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+        for rank in 0..2 {
+            rt.rank_fs(rank).unwrap().mkdir("/d", 0o755).unwrap();
+        }
+        for &op in &ops {
+            if op.0 == 8 {
+                rt.commit_epochs().unwrap();
+                continue;
+            }
+            for rank in 0..2 {
+                apply_op(rt.rank_fs(rank).unwrap(), op);
+            }
+        }
+        rt.crash_rank(0).unwrap();
+        rt.recover_ranks(&[0]).unwrap();
+        {
+            let fs = rt.rank_fs(0).unwrap();
+            let mut mapped = IntervalSet::new();
+            for (offset, len, _) in fs.device().mirror().unwrap().map().entries() {
+                mapped.insert(offset, offset + len);
+            }
+            prop_assert_eq!(mapped.spans(), fs.live_spans());
+        }
+        rt.commit_epoch_rank(0).unwrap();
+        rt.crash_rank(0).unwrap();
+        rt.fail_over_rank(0, &rack, &topo).unwrap();
+        let restored = tree(rt.rank_fs(0).unwrap());
+        let twin = tree(rt.rank_fs(1).unwrap());
+        prop_assert_eq!(restored, twin);
+    }
 }
