@@ -7,6 +7,8 @@
 //! Clones and sub-slices of `Bytes` never copy payload bytes — the property
 //! the NVMf zero-copy data plane is built on.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};

@@ -9,6 +9,8 @@
 //! `harness = false` benches), each benchmark body runs exactly once as
 //! a smoke test.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

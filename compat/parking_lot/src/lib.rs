@@ -3,6 +3,8 @@
 //! holder does not poison the lock — matching parking_lot semantics, which
 //! the crash-injection tests rely on.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, PoisonError};
 
 /// A mutual-exclusion lock without poisoning.

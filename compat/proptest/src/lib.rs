@@ -5,6 +5,8 @@
 //! fails with the first counterexample found. There is no shrinking —
 //! a failing case is reported as drawn.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};

@@ -3,6 +3,8 @@
 //! xoshiro256++ seeded through SplitMix64 — high-quality enough for
 //! simulation draws and property tests, and fully reproducible.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core of every generator: a 64-bit output stream.

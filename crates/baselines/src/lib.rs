@@ -24,6 +24,8 @@
 //! Calibration constants are collected in [`spec::DataPlaneSpec`]
 //! presets and documented inline; see DESIGN.md §3.
 
+#![forbid(unsafe_code)]
+
 pub mod crail;
 pub mod dagutil;
 pub mod glusterfs;

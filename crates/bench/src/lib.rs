@@ -9,6 +9,8 @@
 //! Criterion microbenchmarks of the *functional* code (B+Tree, block pool,
 //! WAL coalescing, microfs op paths) live in `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod doctor;
 pub mod figures;
 pub mod report;

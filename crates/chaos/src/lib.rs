@@ -21,6 +21,8 @@
 //! index, dead-from-index, optionally first attempt only), and the
 //! [`FaultAction`] to apply. A crash is an action like any other.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::mem::discriminant;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -23,6 +23,8 @@
 //! evaluation cluster: one 16-node compute rack (28 cores each) and one
 //! 8-node storage rack (one SSD each) on EDR InfiniBand.
 
+#![forbid(unsafe_code)]
+
 pub mod failure;
 pub mod faults;
 pub mod mpi;

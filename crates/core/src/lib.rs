@@ -26,6 +26,8 @@
 //! Timing *models* for cluster-scale experiments live in the `baselines`
 //! and `workloads` crates; this crate is the thing they model.
 
+#![forbid(unsafe_code)]
+
 pub mod balancer;
 pub mod config;
 pub mod dataplane;

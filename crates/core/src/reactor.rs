@@ -7,10 +7,11 @@
 //! (their NVMf connections, QD>1 submission windows, and SSD shard queues
 //! travel with the rank's `MicroFs`), and each rank is a [`RankMachine`]
 //! advanced by bounded steps instead of a blocked thread, so rank count
-//! is independent of thread count. Cross-shard work moves through
-//! single-producer/single-consumer message rings ([`SpscRing`]) — task
-//! hand-off in, retired results out, work-stealing migration between —
-//! never through shared locks.
+//! is independent of thread count. Tasks are dealt to their shards by move
+//! before any reactor starts, each shard keeps the tasks it retires, and
+//! the pool collects them once every reactor has finished (after the
+//! thread scope joins, in threaded mode) — no lock or shared queue sits
+//! between reactors.
 //!
 //! Two execution modes ([`ReactorMode`]):
 //!
@@ -36,147 +37,12 @@
 //! Telemetry: `reactor.{loops,events,steal_ns,idle_ns}` and
 //! `qos.{throttled,admitted}` (see METRICS.md).
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use telemetry::Telemetry;
 
 use crate::runtime::RuntimeError;
-
-// ---------------------------------------------------------------------------
-// SPSC message rings
-// ---------------------------------------------------------------------------
-
-/// A bounded single-producer/single-consumer ring: the only channel over
-/// which work crosses a reactor boundary. One side pushes, the other pops;
-/// head and tail are independent atomics, so neither side ever takes a
-/// lock or waits on the other.
-pub struct SpscRing<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    cap: usize,
-    /// Next slot the consumer will read.
-    head: AtomicUsize,
-    /// Next slot the producer will write.
-    tail: AtomicUsize,
-}
-
-// Safety: the producer half writes only slots in [head, tail) exclusively
-// via &mut RingProducer, the consumer reads them exclusively via
-// &mut RingConsumer, and the release/acquire pair on `tail`/`head`
-// publishes slot contents before the index move.
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-unsafe impl<T: Send> Send for SpscRing<T> {}
-
-impl<T> SpscRing<T> {
-    fn with_capacity(cap: usize) -> Arc<Self> {
-        let cap = cap.max(1);
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Arc::new(SpscRing {
-            slots,
-            cap,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        })
-    }
-
-    /// Items currently queued.
-    fn len(&self) -> usize {
-        self.tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire))
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        let head = *self.head.get_mut();
-        let tail = *self.tail.get_mut();
-        for i in head..tail {
-            unsafe { (*self.slots[i % self.cap].get()).assume_init_drop() };
-        }
-    }
-}
-
-/// The producer half of an [`SpscRing`].
-pub struct RingProducer<T> {
-    ring: Arc<SpscRing<T>>,
-}
-
-/// The consumer half of an [`SpscRing`].
-pub struct RingConsumer<T> {
-    ring: Arc<SpscRing<T>>,
-}
-
-/// A connected SPSC ring of `cap` slots, split into its two halves.
-pub fn spsc_ring<T: Send>(cap: usize) -> (RingProducer<T>, RingConsumer<T>) {
-    let ring = SpscRing::with_capacity(cap);
-    (
-        RingProducer {
-            ring: Arc::clone(&ring),
-        },
-        RingConsumer { ring },
-    )
-}
-
-impl<T: Send> RingProducer<T> {
-    /// Enqueue `item`; returns it back if the ring is full (the caller
-    /// owns backpressure — nothing blocks).
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        let head = self.ring.head.load(Ordering::Acquire);
-        let tail = self.ring.tail.load(Ordering::Relaxed);
-        if tail.wrapping_sub(head) == self.ring.cap {
-            return Err(item);
-        }
-        unsafe { (*self.ring.slots[tail % self.ring.cap].get()).write(item) };
-        self.ring
-            .tail
-            .store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Send> RingConsumer<T> {
-    /// Dequeue the oldest item, if any.
-    pub fn pop(&mut self) -> Option<T> {
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        let head = self.ring.head.load(Ordering::Relaxed);
-        if head == tail {
-            return None;
-        }
-        let item = unsafe { (*self.ring.slots[head % self.ring.cap].get()).assume_init_read() };
-        self.ring
-            .head
-            .store(head.wrapping_add(1), Ordering::Release);
-        Some(item)
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Rank state machines
@@ -396,20 +262,13 @@ pub struct ReactorPool {
     telemetry: Telemetry,
 }
 
-/// One rank resident on a reactor.
-struct Active<'a, F, R> {
-    rank: u32,
-    tenant: u32,
-    fs: F,
-    machine: Box<dyn RankMachine<F, Out = R> + 'a>,
-}
-
-/// One reactor's core-local state. Everything here is owned: the only
-/// shared structures a shard touches are its two ring endpoints.
+/// One reactor's core-local state. Everything here is owned, so a shard
+/// shares nothing with the other reactors while it runs.
 struct Shard<'a, F, R> {
-    inbox: RingConsumer<RankTask<'a, F, R>>,
-    outbox: RingProducer<TaskResult<F, R>>,
-    active: VecDeque<Active<'a, F, R>>,
+    /// Resident ranks, stepped front to back each round.
+    active: VecDeque<RankTask<'a, F, R>>,
+    /// Retired ranks, in retirement order.
+    done: Vec<TaskResult<F, R>>,
     /// Tenant bucket shards, created on first sight of a tenant.
     buckets: Vec<(u32, TokenBucket)>,
     stats: DriveStats,
@@ -417,14 +276,13 @@ struct Shard<'a, F, R> {
 }
 
 impl<'a, F: Send, R: Send> Shard<'a, F, R> {
-    fn drain_inbox(&mut self) {
-        while let Some(t) = self.inbox.pop() {
-            self.active.push_back(Active {
-                rank: t.rank,
-                tenant: t.tenant,
-                fs: t.fs,
-                machine: t.machine,
-            });
+    fn new() -> Self {
+        Shard {
+            active: VecDeque::new(),
+            done: Vec::new(),
+            buckets: Vec::new(),
+            stats: DriveStats::default(),
+            error: None,
         }
     }
 
@@ -442,18 +300,14 @@ impl<'a, F: Send, R: Send> Shard<'a, F, R> {
         bucket.admit(cost)
     }
 
-    fn retire(&mut self, a: Active<'a, F, R>, result: Option<R>, round: u64) {
-        let done = TaskResult {
+    fn retire(&mut self, a: RankTask<'a, F, R>, result: Option<R>, round: u64) {
+        self.done.push(TaskResult {
             rank: a.rank,
             tenant: a.tenant,
             fs: a.fs,
             result,
             done_round: round,
-        };
-        if self.outbox.push(done).is_err() {
-            // The outbox is sized to hold every task in the drive.
-            unreachable!("reactor outbox ring overflow");
-        }
+        });
     }
 
     /// One scheduling round: refill this shard's bucket shards, then give
@@ -508,7 +362,6 @@ impl<'a, F: Send, R: Send> Shard<'a, F, R> {
 
     /// Threaded mode: run rounds until every resident rank retired.
     fn run_to_completion(&mut self, qos: Option<&QosConfig>, reactors: usize) {
-        self.drain_inbox();
         let mut round: u64 = 0;
         while !self.active.is_empty() {
             round += 1;
@@ -572,51 +425,23 @@ impl ReactorPool {
         tasks: Vec<RankTask<'a, F, R>>,
     ) -> DriveOutcome<F, R> {
         let n_tasks = tasks.len();
-        let cap = n_tasks + 1;
-        // One inbox and one outbox ring per reactor, so every ring has
-        // exactly one producer and one consumer: the pool thread produces
-        // tasks into inboxes (initial distribution and steal migration
-        // both go through them) and consumes results from outboxes; the
-        // reactor is the other end of both.
-        let mut inboxes: Vec<RingProducer<RankTask<'a, F, R>>> = Vec::with_capacity(self.n);
-        let mut outboxes: Vec<RingConsumer<TaskResult<F, R>>> = Vec::with_capacity(self.n);
-        let mut shards: Vec<Shard<'a, F, R>> = Vec::with_capacity(self.n);
-        for _ in 0..self.n {
-            let (tx, rx) = spsc_ring::<RankTask<'a, F, R>>(cap);
-            let (otx, orx) = spsc_ring::<TaskResult<F, R>>(cap);
-            inboxes.push(tx);
-            outboxes.push(orx);
-            shards.push(Shard {
-                inbox: rx,
-                outbox: otx,
-                active: VecDeque::new(),
-                buckets: Vec::new(),
-                stats: DriveStats::default(),
-                error: None,
-            });
-        }
+        let mut shards: Vec<Shard<'a, F, R>> = (0..self.n).map(|_| Shard::new()).collect();
         // Disjoint ownership map: rank i lives on reactor i mod N for the
-        // whole drive (modulo stealing, which re-homes it explicitly).
+        // whole drive (modulo stealing, which re-homes it explicitly). The
+        // tasks move into their shards before any reactor starts.
         for (i, task) in tasks.into_iter().enumerate() {
-            if inboxes[i % self.n].push(task).is_err() {
-                unreachable!("reactor inbox ring overflow");
-            }
+            shards[i % self.n].active.push_back(task);
         }
         match self.mode {
-            ReactorMode::Deterministic => self.run_deterministic(&mut shards, &mut inboxes),
+            ReactorMode::Deterministic => self.run_deterministic(&mut shards),
             ReactorMode::Threaded => self.run_threaded(&mut shards),
         }
-        // Collect results and fold stats.
+        // Every reactor has finished: collect results and fold stats.
         let mut results = Vec::with_capacity(n_tasks);
-        for rx in &mut outboxes {
-            while let Some(r) = rx.pop() {
-                results.push(r);
-            }
-        }
-        results.sort_by_key(|r| r.rank);
         let mut stats = DriveStats::default();
         let mut error = None;
         for s in &mut shards {
+            results.append(&mut s.done);
             stats.loops += s.stats.loops;
             stats.events += s.stats.events;
             stats.steal_ns += s.stats.steal_ns;
@@ -628,6 +453,7 @@ impl ReactorPool {
                 error = s.error.take();
             }
         }
+        results.sort_by_key(|r| r.rank);
         let t = &self.telemetry;
         t.counter("reactor.loops").add(stats.loops);
         t.counter("reactor.events").add(stats.events);
@@ -643,21 +469,14 @@ impl ReactorPool {
     }
 
     /// Lockstep rounds over every shard on the calling thread. After each
-    /// round, drained reactors steal from the most loaded one — through
-    /// the victim's inbox ring, so the migration path is the same SPSC
-    /// protocol as the initial distribution.
-    fn run_deterministic<'a, F: Send, R: Send>(
-        &self,
-        shards: &mut [Shard<'a, F, R>],
-        inboxes: &mut [RingProducer<RankTask<'a, F, R>>],
-    ) {
+    /// round, drained reactors steal from the most loaded one.
+    fn run_deterministic<F: Send, R: Send>(&self, shards: &mut [Shard<'_, F, R>]) {
         let qos = self.qos.as_ref();
         let mut round: u64 = 0;
         loop {
             round += 1;
             let mut live = false;
             for shard in shards.iter_mut() {
-                shard.drain_inbox();
                 if shard.active.is_empty() {
                     continue;
                 }
@@ -667,20 +486,16 @@ impl ReactorPool {
             if !live {
                 break;
             }
-            self.steal_pass(shards, inboxes);
+            Self::steal_pass(shards);
         }
     }
 
-    /// Migrate one task per idle reactor from the most loaded shard. The
-    /// choice is a pure function of shard loads, so deterministic runs
-    /// steal identically.
-    fn steal_pass<'a, F: Send, R: Send>(
-        &self,
-        shards: &mut [Shard<'a, F, R>],
-        inboxes: &mut [RingProducer<RankTask<'a, F, R>>],
-    ) {
+    /// Move one task per idle reactor from the back of the most loaded
+    /// shard to the back of the idle one. The choice is a pure function of
+    /// shard loads, so deterministic runs steal identically.
+    fn steal_pass<F: Send, R: Send>(shards: &mut [Shard<'_, F, R>]) {
         for thief in 0..shards.len() {
-            if !shards[thief].active.is_empty() || !inboxes[thief].is_empty() {
+            if !shards[thief].active.is_empty() {
                 continue;
             }
             let Some(donor) = (0..shards.len())
@@ -690,16 +505,10 @@ impl ReactorPool {
                 continue;
             };
             let t = Instant::now();
-            let a = shards[donor].active.pop_back().expect("donor has >= 2");
-            let task = RankTask {
-                rank: a.rank,
-                tenant: a.tenant,
-                fs: a.fs,
-                machine: a.machine,
+            let Some(task) = shards[donor].active.pop_back() else {
+                continue;
             };
-            if inboxes[thief].push(task).is_err() {
-                unreachable!("steal target inbox ring overflow");
-            }
+            shards[thief].active.push_back(task);
             shards[thief].stats.steals += 1;
             shards[thief].stats.steal_ns += t.elapsed().as_nanos() as u64;
         }
@@ -714,7 +523,7 @@ impl ReactorPool {
         let qos = self.qos.as_ref();
         let n = self.n;
         std::thread::scope(|scope| {
-            for shard in shards.iter_mut().filter(|s| !s.inbox.is_empty()) {
+            for shard in shards.iter_mut().filter(|s| !s.active.is_empty()) {
                 scope.spawn(move || shard.run_to_completion(qos, n));
             }
         });
@@ -769,96 +578,61 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn ring_roundtrips_in_order_and_bounds() {
-        let (mut tx, mut rx) = spsc_ring::<u32>(4);
-        assert!(tx.is_empty());
-        for i in 0..4 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(tx.push(99), Err(99), "full ring must refuse");
-        assert_eq!(rx.len(), 4);
-        for i in 0..4 {
-            assert_eq!(rx.pop(), Some(i));
-        }
-        assert_eq!(rx.pop(), None);
-        // Wrap-around: indices keep climbing past the capacity.
-        for round in 0..10u32 {
-            tx.push(round).unwrap();
-            assert_eq!(rx.pop(), Some(round));
-        }
+    /// `(rank, result, done_round)` of every retired task plus the drive's
+    /// `(steals, loops, events)`.
+    type Schedule = (Vec<(u32, u64, u64)>, (u64, u64, u64));
+
+    fn drive_counters(pool: &ReactorPool, spec: &[(u32, u32, u64)]) -> Schedule {
+        let out = pool.drive(counter_tasks(spec));
+        assert!(out.error.is_none());
+        let retired = out
+            .results
+            .iter()
+            .map(|r| (r.rank, r.result.unwrap(), r.done_round))
+            .collect();
+        (
+            retired,
+            (out.stats.steals, out.stats.loops, out.stats.events),
+        )
     }
 
-    #[test]
-    fn ring_drops_unconsumed_items() {
-        let payload = Arc::new(());
-        let (mut tx, rx) = spsc_ring::<Arc<()>>(8);
-        for _ in 0..5 {
-            tx.push(Arc::clone(&payload)).unwrap();
-        }
-        drop(tx);
-        drop(rx);
-        assert_eq!(Arc::strong_count(&payload), 1, "ring must drop its items");
+    fn pool_of(reactors: usize, mode: ReactorMode, t: &Telemetry) -> ReactorPool {
+        ReactorPool::new(
+            &ReactorConfig {
+                reactors,
+                mode,
+                ..ReactorConfig::default()
+            },
+            t,
+        )
     }
 
-    #[test]
-    fn ring_crosses_threads() {
-        let (mut tx, mut rx) = spsc_ring::<u64>(16);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..1000u64 {
-                    let mut item = i;
-                    loop {
-                        match tx.push(item) {
-                            Ok(()) => break,
-                            Err(back) => item = back,
-                        }
-                    }
-                }
-            });
-            s.spawn(move || {
-                let mut expect = 0u64;
-                while expect < 1000 {
-                    if let Some(v) = rx.pop() {
-                        assert_eq!(v, expect, "FIFO order across threads");
-                        expect += 1;
-                    }
-                }
-            });
-        });
+    /// A Threaded drive of `spec` retires every rank with the same result
+    /// as the deterministic `schedule`.
+    fn assert_threaded_agrees(reactors: usize, spec: &[(u32, u32, u64)], schedule: &Schedule) {
+        let threaded = pool_of(reactors, ReactorMode::Threaded, &Telemetry::new());
+        let (retired, _) = drive_counters(&threaded, spec);
+        let pairs = |v: &[(u32, u64, u64)]| v.iter().map(|&(r, x, _)| (r, x)).collect::<Vec<_>>();
+        assert_eq!(pairs(&retired), pairs(&schedule.0));
     }
 
     #[test]
     fn deterministic_drive_completes_and_repeats_exactly() {
         let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 3,
-                mode: ReactorMode::Deterministic,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
+        let pool = pool_of(3, ReactorMode::Deterministic, &t);
         let spec: Vec<(u32, u32, u64)> = (0..17).map(|r| (r, 1 + r % 5, 1)).collect();
-        let run = || {
-            let out = pool.drive(counter_tasks(&spec));
-            assert!(out.error.is_none());
-            out.results
-                .iter()
-                .map(|r| (r.rank, r.result.unwrap(), r.done_round))
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        let b = run();
+        let a = drive_counters(&pool, &spec);
+        let b = drive_counters(&pool, &spec);
         assert_eq!(a, b, "same tasks must retire in identical rounds");
-        assert_eq!(a.len(), 17);
-        for (rank, steps, _) in &a {
-            assert_eq!(*steps, u64::from(1 + rank % 5));
-        }
+        // The schedule itself, pinned: each rank retires in the round that
+        // equals its step count, and no shard drains early enough to steal.
+        let retired: Vec<(u32, u64, u64)> = (0..17)
+            .map(|r| (r, u64::from(1 + r % 5), u64::from(1 + r % 5)))
+            .collect();
+        assert_eq!(a, (retired, (0, 15, 48)));
         let total_steps: u64 = spec.iter().map(|&(_, s, _)| u64::from(s)).sum();
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("reactor.events"), 2 * total_steps);
-        assert!(snap.counter("reactor.loops") > 0);
+        assert_eq!(t.snapshot().counter("reactor.events"), 2 * total_steps);
+        assert_threaded_agrees(3, &spec, &a);
     }
 
     #[test]
@@ -941,26 +715,42 @@ mod tests {
     #[test]
     fn idle_reactor_steals_from_loaded_shard() {
         let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 2,
-                mode: ReactorMode::Deterministic,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
+        let pool = pool_of(2, ReactorMode::Deterministic, &t);
         // Reactor 0 gets the two long tasks (ranks 0, 2), reactor 1 two
-        // trivial ones: once 1 drains, it must pull a task across.
-        let out = pool.drive(counter_tasks(&[
-            (0, 400, 1),
-            (1, 1, 1),
-            (2, 400, 1),
-            (3, 1, 1),
-        ]));
-        assert!(out.error.is_none());
-        assert_eq!(out.results.len(), 4);
-        assert!(out.stats.steals >= 1, "idle reactor must steal");
+        // trivial ones: once 1 drains, it pulls rank 2 across and both
+        // long ranks retire in round 400 instead of one in round 800.
+        let spec = [(0, 400, 1), (1, 1, 1), (2, 400, 1), (3, 1, 1)];
+        let schedule = drive_counters(&pool, &spec);
+        assert_eq!(
+            schedule,
+            (
+                vec![(0, 400, 400), (1, 1, 1), (2, 400, 400), (3, 1, 1)],
+                (1, 800, 802)
+            )
+        );
         assert_eq!(t.snapshot().counter("reactor.events"), 802);
+        assert_threaded_agrees(2, &spec, &schedule);
+        // Three reactors, three steals: the drained reactor 1 takes the
+        // back task of the most loaded shard (ties go to the highest
+        // index), and later drains repeat the choice.
+        let spec = [
+            (0, 12, 1),
+            (1, 1, 1),
+            (2, 5, 1),
+            (3, 9, 1),
+            (4, 1, 1),
+            (5, 2, 1),
+            (6, 7, 1),
+            (7, 1, 1),
+            (8, 3, 1),
+        ];
+        let schedule = drive_counters(&pool_of(3, ReactorMode::Deterministic, &t), &spec);
+        let retired = spec
+            .iter()
+            .map(|&(r, steps, _)| (r, u64::from(steps), u64::from(steps)))
+            .collect();
+        assert_eq!(schedule, (retired, (3, 28, 41)));
+        assert_threaded_agrees(3, &spec, &schedule);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //!   ([`MicroFs::live_spans`]). [`Verified::serve`] is the only way out.
 //!
 //! [`NvmeCrRuntime::recover_ranks`](crate::runtime::NvmeCrRuntime::recover_ranks)
-//! and [`NvmeCrRuntime::attach`](crate::runtime::NvmeCrRuntime::attach)
-//! drive this chain end to end.
+//! drives this chain end to end, on the runtime's reactor pool;
+//! [`NvmeCrRuntime::attach`](crate::runtime::NvmeCrRuntime::attach) is
+//! `recover_ranks` over every rank of a restarted job.
 
 use microfs::{ExtentMap, MicroFs};
 

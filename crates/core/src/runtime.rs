@@ -312,10 +312,9 @@ impl JobHandle {
     }
 
     /// Construct the runtime shell with every rank still crashed (no
-    /// mounting). The [`crate::supervisor::RecoverySupervisor`] uses this
-    /// to recover ranks one at a time — with retries, deadlines, and
-    /// quarantine — instead of the all-or-nothing parallel mount of
-    /// [`NvmeCrRuntime::attach`].
+    /// mounting). [`NvmeCrRuntime::attach`] recovers every rank of it at
+    /// once; the [`crate::supervisor::RecoverySupervisor`] recovers them
+    /// one at a time, with retries, deadlines, and quarantine.
     pub(crate) fn into_empty_runtime(self) -> NvmeCrRuntime {
         let slots = self.routes.len();
         NvmeCrRuntime {
@@ -468,8 +467,7 @@ impl NvmeCrRuntime {
     /// runtime-side analogue of the paper's per-process microfs instances
     /// on dedicated hardware queues.
     ///
-    /// `tenant_of` maps a rank to its tenant id for QoS admission (ignored
-    /// unless [`ReactorConfig::qos`] is set); `build` constructs the state
+    /// Every rank bills QoS tenant 0. `build` constructs the state
     /// machine driven against that rank's filesystem, which may borrow
     /// from the caller. Results come back in rank order, crashed ranks
     /// skipped. Every filesystem is returned to its slot when the drive
@@ -478,7 +476,6 @@ impl NvmeCrRuntime {
     pub fn drive_reactor<'a, R, B>(
         &mut self,
         reactor: &ReactorConfig,
-        tenant_of: impl Fn(u32) -> u32,
         build: B,
     ) -> Result<Vec<R>, RuntimeError>
     where
@@ -497,7 +494,7 @@ impl NvmeCrRuntime {
                 let rank = rank as u32;
                 tasks.push(RankTask {
                     rank,
-                    tenant: tenant_of(rank),
+                    tenant: 0,
                     fs,
                     machine: build(rank),
                 });
@@ -533,15 +530,11 @@ impl NvmeCrRuntime {
         F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<R, RuntimeError> + Sync,
     {
         let f = &f;
-        self.drive_reactor(
-            reactor,
-            |_| 0,
-            |_| {
-                Box::new(FnMachine::new(
-                    move |rank, fs: &mut MicroFs<NvmfBlockDevice>| f(rank, fs),
-                ))
-            },
-        )
+        self.drive_reactor(reactor, |_| {
+            Box::new(FnMachine::new(
+                move |rank, fs: &mut MicroFs<NvmfBlockDevice>| f(rank, fs),
+            ))
+        })
     }
 
     /// One rank's current storage route (supervisor-internal).
@@ -925,43 +918,16 @@ impl NvmeCrRuntime {
 
     /// Attach a restarted job to surviving namespaces: every rank's
     /// partition is *mounted* (snapshot + log replay), not formatted, so
-    /// checkpoints written before the failure are readable.
+    /// checkpoints written before the failure are readable. Each rank
+    /// mounts through its *route*, so a rank failed over to a replacement
+    /// namespace reattaches to the replacement, not the dead shard. This
+    /// is [`recover_ranks`](Self::recover_ranks) over every rank of an
+    /// empty runtime; any failure fails the whole attach.
     pub fn attach(handle: JobHandle) -> Result<Self, RuntimeError> {
-        // Every rank mounts (snapshot + log replay) independently — via its
-        // *route*, so ranks failed over to a replacement namespace reattach
-        // to the replacement, not the dead shard. Mount them on the pool,
-        // same as init-time formatting.
-        let restart_rank_ns = handle.config.telemetry.histogram("driver.restart_rank_ns");
-        let mounted = ReactorPool::new(&own_fan_out(&handle.config), &handle.config.telemetry).map(
-            0..handle.routes.len() as u32,
-            |rank| {
-                let _span = telemetry::span("driver", "restart_rank").arg("rank", u64::from(rank));
-                let _t = restart_rank_ns.time();
-                // Same typestate chain as recover_ranks: the restart must
-                // not serve reads before replay + manifest verification.
-                crate::recovery::Crashed::new(
-                    handle.routes[rank as usize].clone(),
-                    format!("nqn.2026-07.io.nvmecr:rank{rank}-restart"),
-                    handle.config.clone(),
-                )
-                .begin_replay()
-                .and_then(crate::recovery::Replaying::replay_all)
-                .map(crate::recovery::Verified::serve)
-            },
-        );
-        if let Some(e) = mounted.error {
-            return Err(e);
-        }
-        let ranks = mounted.results.into_iter().map(|r| r.result).collect();
-        Ok(NvmeCrRuntime {
-            placement: handle.placement,
-            grants: handle.grants,
-            routes: handle.routes,
-            rank_nodes: handle.rank_nodes,
-            extra_ns: handle.extra_ns,
-            config: handle.config,
-            ranks,
-        })
+        let all: Vec<u32> = (0..handle.rank_count()).collect();
+        let mut rt = handle.into_empty_runtime();
+        rt.recover_ranks(&all)?;
+        Ok(rt)
     }
 
     /// Finalize (the `MPI_Finalize` wrapper's work): snapshot every rank's

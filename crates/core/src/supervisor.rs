@@ -33,8 +33,9 @@
 //! not as a simplification: the chaos gate indexes recovery operations
 //! by a single global counter, and only a deterministic op order makes
 //! `crash_in_recovery(j)` name the same operation in every universe.
-//! [`NvmeCrRuntime::attach`] keeps its parallel mount for the chaos-free
-//! fast path.
+//! [`NvmeCrRuntime::attach`] is the unsupervised path: one
+//! [`NvmeCrRuntime::recover_ranks`] over every rank, on the runtime's
+//! reactor pool, that fails as a whole on the first error.
 //!
 //! Progress is reported via `recovery.*` counters: `recovery.attempts`,
 //! `recovery.restarts`, `recovery.quarantined`, `recovery.degraded_serves`,
@@ -119,9 +120,9 @@ impl RecoverySupervisor {
     ///
     /// With quarantine disabled (`quarantine_after == 0`) the first
     /// exhausted rank fails the attach with its last error, like
-    /// [`NvmeCrRuntime::attach`] — ranks recovered before it stay mounted
-    /// in no observable place, exactly as a failed plain attach leaves
-    /// no runtime behind.
+    /// [`NvmeCrRuntime::attach`]: ranks recovered before it stay mounted
+    /// in no observable place, since neither attach returns the runtime
+    /// on failure.
     pub fn attach(&self, handle: JobHandle) -> Result<Supervised, RuntimeError> {
         let mut rt = handle.into_empty_runtime();
         let telemetry = rt.telemetry().clone();

@@ -10,10 +10,10 @@
 //! once per index `k`, arms a [`chaos::FaultPlan::crash_at_op`]`(k)` rule
 //! so op `k` and every later durability op fail (a dead universe — nothing
 //! survives the crash point), kills the job ungracefully with
-//! [`nvmecr::runtime::NvmeCrRuntime::crash_job`], recovers it through the
-//! typestate chain behind [`nvmecr::runtime::NvmeCrRuntime::attach`]
-//! (`Crashed → Replaying → Verified → serving`), and checks the recovery
-//! invariants:
+//! [`nvmecr::runtime::NvmeCrRuntime::crash_job`], recovers it with
+//! [`nvmecr::runtime::NvmeCrRuntime::attach`] (`recover_ranks` over every
+//! rank, through the typestate chain `Crashed → Replaying → Verified →
+//! serving`), and checks the recovery invariants:
 //!
 //! * **I1 — recoverable**: attach (reconnect, snapshot + log replay,
 //!   manifest decode, mirror rescan) succeeds at every crash point.
@@ -39,6 +39,8 @@
 //! close), dumped through the flight recorder as `FLIGHT_*.jsonl`, and
 //! reported with a replay command line that pins seed, crash index, and
 //! config fingerprint.
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

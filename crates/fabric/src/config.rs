@@ -59,88 +59,62 @@ impl NetConfig {
     }
 }
 
-/// Per-command reliability parameters for the initiator: bounded
-/// exponential backoff with a modeled command timeout. Backoff and timeout
-/// are *modeled* time — they are charged to `fabric.backoff_ns` /
-/// `fabric.timeouts` rather than slept, matching how the rest of the
-/// workspace accounts simulated latency.
-#[derive(Debug, Clone)]
-pub struct RetryConfig {
-    /// Attempts after the first before a command is declared exhausted.
-    pub max_retries: u32,
-    /// Backoff before retry #1; doubles per retry.
-    pub base_backoff_ns: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ns: u64,
-    /// Modeled time the initiator waits for a response before declaring
-    /// the command lost.
-    pub command_timeout_ns: u64,
+/// Attempts after the first before a command is declared exhausted.
+pub(crate) const MAX_RETRIES: u32 = 8;
+/// Backoff before retry #1; doubles per retry.
+pub(crate) const BASE_BACKOFF_NS: u64 = 10_000; // 10 µs
+/// Backoff ceiling.
+pub(crate) const MAX_BACKOFF_NS: u64 = 10_000_000; // 10 ms
+
+/// Backoff before retry number `attempt` (1-based), exponentially doubled
+/// from [`BASE_BACKOFF_NS`] and clamped to [`MAX_BACKOFF_NS`]. Backoff is
+/// *modeled* time: it is charged to `fabric.backoff_ns` rather than slept,
+/// matching how the rest of the workspace accounts simulated latency. A
+/// lost command is detected when both completion queues are dry, not by a
+/// clock, and is counted in `fabric.timeouts`.
+pub(crate) fn backoff_ns(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1);
+    let backed = if shift >= BASE_BACKOFF_NS.leading_zeros() {
+        u64::MAX // doubling would overflow: saturate
+    } else {
+        BASE_BACKOFF_NS << shift
+    };
+    backed.min(MAX_BACKOFF_NS)
 }
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_retries: 8,
-            base_backoff_ns: 10_000,       // 10 µs
-            max_backoff_ns: 10_000_000,    // 10 ms
-            command_timeout_ns: 1_000_000, // 1 ms
-        }
-    }
-}
+/// Completions drained per initiator-side `poll_cq` call.
+pub(crate) const INITIATOR_POLL_BATCH: usize = 16;
+/// Command capsules drained per target-daemon poll iteration; the whole
+/// batch is decoded, executed, and responded to before the next poll (the
+/// batched reactor iteration).
+pub(crate) const TARGET_POLL_BATCH: usize = 8;
 
-impl RetryConfig {
-    /// Backoff before retry number `attempt` (1-based), exponentially
-    /// doubled from the base and clamped to the ceiling.
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1);
-        let backed = if shift >= self.base_backoff_ns.leading_zeros() {
-            u64::MAX // doubling would overflow: saturate
-        } else {
-            self.base_backoff_ns << shift
-        };
-        backed.min(self.max_backoff_ns)
-    }
-}
-
-/// Initiator-side data-plane tuning: the submission window and the CQ poll
-/// batches, plus the per-command retry policy.
+/// Initiator-side data-plane tuning: the depth of the submission window.
 ///
 /// The paper's scalability rests on deep NVMe queues (the P4800X exposes 32
 /// hardware queues; SPDK keeps many commands in flight per queue pair), so
 /// the initiator posts up to [`FabricConfig::queue_depth`] command capsules
 /// before polling for completions instead of running lock-step.
 ///
-/// The poll batches bound how many completions one `poll_cq` call drains.
-/// Each poll iteration costs one [`NetConfig::per_message_cpu`]-scale CPU
-/// charge (~0.3 µs on EDR) regardless of how many completions it returns,
-/// so draining in batches amortises that cost: a batch of 16 cuts the
-/// per-completion poll overhead ~16× versus polling one at a time, while
-/// keeping the drain loop's working set (decoded capsules held live) small
-/// enough to stay cache-resident.
+/// The poll batches (`INITIATOR_POLL_BATCH`, `TARGET_POLL_BATCH`) bound
+/// how many completions one `poll_cq` call drains. Each poll iteration
+/// costs one [`NetConfig::per_message_cpu`]-scale CPU charge (~0.3 µs on
+/// EDR) regardless of how many completions it returns, so draining in
+/// batches amortises that cost: a batch of 16 cuts the per-completion poll
+/// overhead ~16× versus polling one at a time, while keeping the drain
+/// loop's working set (decoded capsules held live) small enough to stay
+/// cache-resident.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Command capsules the initiator keeps in flight per connection
     /// before it must poll for completions (the QD of the submission
     /// window). 32 matches the device's hardware queue count.
     pub queue_depth: usize,
-    /// Completions drained per initiator-side `poll_cq` call.
-    pub initiator_poll_batch: usize,
-    /// Command capsules drained per target-daemon poll iteration; the
-    /// whole batch is decoded, executed, and responded to before the next
-    /// poll (the batched reactor iteration).
-    pub target_poll_batch: usize,
-    /// Per-command retry/backoff policy.
-    pub retry: RetryConfig,
 }
 
 impl Default for FabricConfig {
     fn default() -> Self {
-        FabricConfig {
-            queue_depth: 32,
-            initiator_poll_batch: 16,
-            target_poll_batch: 8,
-            retry: RetryConfig::default(),
-        }
+        FabricConfig { queue_depth: 32 }
     }
 }
 
@@ -205,20 +179,17 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_clamps() {
-        let r = RetryConfig::default();
-        assert_eq!(r.backoff_ns(1), 10_000);
-        assert_eq!(r.backoff_ns(2), 20_000);
-        assert_eq!(r.backoff_ns(3), 40_000);
-        assert_eq!(r.backoff_ns(11), 10_000_000, "clamped to ceiling");
-        assert_eq!(r.backoff_ns(64), 10_000_000, "huge attempts saturate");
+        assert_eq!(backoff_ns(1), 10_000);
+        assert_eq!(backoff_ns(2), 20_000);
+        assert_eq!(backoff_ns(3), 40_000);
+        assert_eq!(backoff_ns(11), 10_000_000, "clamped to ceiling");
+        assert_eq!(backoff_ns(64), 10_000_000, "huge attempts saturate");
     }
 
     #[test]
     fn fabric_defaults_match_hardware_queue_count() {
         let f = FabricConfig::default();
         assert_eq!(f.queue_depth, 32, "window depth == P4800X hardware queues");
-        assert!(f.initiator_poll_batch > 1 && f.target_poll_batch > 1);
-        assert_eq!(f.retry.max_retries, RetryConfig::default().max_retries);
     }
 
     #[test]

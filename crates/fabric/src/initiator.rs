@@ -17,7 +17,9 @@ use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 use ssd::NsId;
 
 use crate::capsule::{Capsule, CapsuleError, Completion, Status};
-use crate::config::FabricConfig;
+use crate::config::{
+    backoff_ns, FabricConfig, INITIATOR_POLL_BATCH, MAX_RETRIES, TARGET_POLL_BATCH,
+};
 use crate::qp::{CompletionOp, QpError, QueuePair};
 use crate::sg::SgList;
 use crate::target::{ConnId, NvmfTarget, TargetError};
@@ -199,8 +201,7 @@ impl Initiator {
     }
 
     /// Full constructor: telemetry registry, fault-injection hook, and
-    /// data-plane tuning (submission window depth, poll batches, retry
-    /// policy).
+    /// data-plane tuning (the submission window depth).
     pub fn with_config(
         host_nqn: impl Into<String>,
         t: Telemetry,
@@ -305,7 +306,7 @@ impl NvmfConnection {
     /// exponential-backoff retry machinery: transient failures — lost
     /// capsules (modeled timeout), CRC-corrupt capsules in either
     /// direction, `Busy` backpressure, connection resets — are retried up
-    /// to `retry.max_retries` times, reusing the **same CID** so the
+    /// to [`MAX_RETRIES`] times, reusing the **same CID** so the
     /// target's replay cache keeps re-execution idempotent. Resets trigger
     /// a full reconnect (re-admission + fresh queue pair) first. Backoff is
     /// modeled time, charged to `fabric.backoff_ns`. A fatal failure on
@@ -361,7 +362,7 @@ impl NvmfConnection {
 
     /// Run the window until every pending command has retired.
     fn drive_window(&mut self, pending: &mut [Pending]) -> Result<(), InitiatorError> {
-        while pending.iter().any(|p| p.done.is_none()) {
+        while !window_done(pending) {
             self.window_pass(pending)?;
         }
         Ok(())
@@ -438,7 +439,7 @@ impl NvmfConnection {
             // CQ is dry. With an injected duplicate both deliveries execute
             // here and the replay cache answers the second from memory.
             loop {
-                let polled = self.qp_target.poll_cq(self.config.target_poll_batch);
+                let polled = self.qp_target.poll_cq(TARGET_POLL_BATCH);
                 if polled.is_empty() {
                     break;
                 }
@@ -464,7 +465,7 @@ impl NvmfConnection {
             // Phase 3: drain our own CQ, matching completions to pending
             // commands by CID — arrival order does not matter.
             loop {
-                let comps = self.qp_initiator.poll_cq(self.config.initiator_poll_batch);
+                let comps = self.qp_initiator.poll_cq(INITIATOR_POLL_BATCH);
                 if comps.is_empty() {
                     break;
                 }
@@ -555,11 +556,11 @@ impl NvmfConnection {
     }
 
     /// Per-command retry bookkeeping, identical to the lock-step loop's:
-    /// attempt `max_retries + 1` failures and the command is exhausted;
+    /// attempt `MAX_RETRIES + 1` failures and the command is exhausted;
     /// otherwise charge one retry and its modeled backoff.
     fn note_failure(&self, p: &mut Pending, e: &AttemptError) -> Result<(), InitiatorError> {
         let cid = p.capsule.cid as u64;
-        if p.attempts >= self.config.retry.max_retries {
+        if p.attempts >= MAX_RETRIES {
             self.metrics.flight.record(
                 FlightKind::RetryExhausted,
                 cid,
@@ -575,7 +576,7 @@ impl NvmfConnection {
         }
         p.attempts += 1;
         self.metrics.retries.inc();
-        let backoff = self.config.retry.backoff_ns(p.attempts);
+        let backoff = backoff_ns(p.attempts);
         self.metrics.backoff_ns.add(backoff);
         self.metrics
             .flight
@@ -840,69 +841,6 @@ impl NvmfConnection {
     pub fn qp_counters(&self) -> (u64, u64) {
         self.qp_initiator.counters()
     }
-
-    /// Open a pre-CRC'd write window without driving it: the capsules are
-    /// metered into the pending table and nothing is posted until the
-    /// first [`step_window`](NvmfConnection::step_window) call.
-    ///
-    /// This is the seam the reactor runtime multiplexes on — one thread
-    /// holds many connections' windows and steps each as its rank's state
-    /// machine is scheduled, instead of parking inside the blocking
-    /// [`write_vectored_bytes_precrc`] loop. The blocking paths and
-    /// [`write_mirrored_bytes`] are themselves expressed over this API, so
-    /// retry, reconnect, and replay-cache semantics are identical by
-    /// construction.
-    ///
-    /// [`write_vectored_bytes_precrc`]: NvmfConnection::write_vectored_bytes_precrc
-    pub fn begin_write_window(&mut self, writes: Vec<(u64, Bytes, u32)>) -> Window {
-        let capsules = self.precrc_capsules(writes);
-        Window {
-            pending: self.begin_window(capsules),
-        }
-    }
-
-    /// One non-blocking pass over an open window: post up to `queue_depth`
-    /// capsules, run the target daemon batch, drain the CQ, sweep
-    /// timeouts. Returns `Ok(true)` once every command has retired. A
-    /// fatal error poisons the window; the caller must still
-    /// [`finish_window`](NvmfConnection::finish_window) it.
-    pub fn step_window(&mut self, window: &mut Window) -> Result<bool, InitiatorError> {
-        if !window.is_done() {
-            self.window_pass(&mut window.pending)?;
-        }
-        Ok(window.is_done())
-    }
-
-    /// Close out a window: record exactly one per-command latency
-    /// observation for every command that entered it, success or failure.
-    pub fn finish_window(&mut self, window: &mut Window) {
-        self.observe_window(&mut window.pending);
-    }
-}
-
-/// An in-flight submission window opened by
-/// [`NvmfConnection::begin_write_window`]: the pending table of a batch of
-/// commands, advanced one non-blocking pass at a time by
-/// [`NvmfConnection::step_window`] on the connection that opened it.
-pub struct Window {
-    pending: Vec<Pending>,
-}
-
-impl Window {
-    /// Whether every command in the window has retired.
-    pub fn is_done(&self) -> bool {
-        self.pending.iter().all(|p| p.done.is_some())
-    }
-
-    /// Commands in the window.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the window holds no commands.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
 }
 
 /// One extent of a replicated write: the same refcounted payload goes to
@@ -961,26 +899,33 @@ pub fn write_mirrored_bytes(
         primary_writes.push((w.primary_offset, w.data.clone(), w.crc));
         replica_writes.push((w.replica_offset, w.data, w.crc));
     }
-    let mut p_window = primary.begin_write_window(primary_writes);
-    let mut r_window = replica.begin_write_window(replica_writes);
+    let capsules = primary.precrc_capsules(primary_writes);
+    let mut p_pending = primary.begin_window(capsules);
+    let capsules = replica.precrc_capsules(replica_writes);
+    let mut r_pending = replica.begin_window(capsules);
     let mut replica_error = None;
-    while !p_window.is_done() || (replica_error.is_none() && !r_window.is_done()) {
-        if !p_window.is_done() {
-            if let Err(e) = primary.step_window(&mut p_window) {
-                primary.finish_window(&mut p_window);
-                replica.finish_window(&mut r_window);
+    while !window_done(&p_pending) || (replica_error.is_none() && !window_done(&r_pending)) {
+        if !window_done(&p_pending) {
+            if let Err(e) = primary.window_pass(&mut p_pending) {
+                primary.observe_window(&mut p_pending);
+                replica.observe_window(&mut r_pending);
                 return Err(e);
             }
         }
-        if replica_error.is_none() && !r_window.is_done() {
-            if let Err(e) = replica.step_window(&mut r_window) {
+        if replica_error.is_none() && !window_done(&r_pending) {
+            if let Err(e) = replica.window_pass(&mut r_pending) {
                 replica_error = Some(e);
             }
         }
     }
-    primary.finish_window(&mut p_window);
-    replica.finish_window(&mut r_window);
+    primary.observe_window(&mut p_pending);
+    replica.observe_window(&mut r_pending);
     Ok(MirrorOutcome { replica_error })
+}
+
+/// Whether every command in a window's pending table has retired.
+fn window_done(pending: &[Pending]) -> bool {
+    pending.iter().all(|p| p.done.is_some())
 }
 
 #[cfg(test)]
@@ -1056,74 +1001,6 @@ mod tests {
         let submits = snap.histogram("fabric.submit_ns").unwrap();
         assert_eq!(submits.count, snap.counter("fabric.io_ops"));
         assert!(submits.count >= 5, "write+flush+read+write+read_into");
-    }
-
-    #[test]
-    fn stepped_windows_multiplex_many_connections_on_one_thread() {
-        // The reactor seam: open a QD-deep window on each of several
-        // connections and advance them round-robin from a single thread.
-        // Every window completes, data is durable, and per-command latency
-        // accounting matches the blocking path (one submit_ns per io_op).
-        let t = Telemetry::new();
-        let ssd = Ssd::with_telemetry(
-            SsdConfig {
-                capacity: 4 << 20,
-                ..SsdConfig::default()
-            },
-            t.clone(),
-        );
-        let nss: Vec<NsId> = (0..6)
-            .map(|_| ssd.create_namespace(256 << 10).unwrap())
-            .collect();
-        let target = Arc::new(NvmfTarget::new(Arc::new(ssd)));
-        let init = Initiator::with_telemetry("nqn.host", t.clone());
-        let mut conns: Vec<NvmfConnection> = nss
-            .iter()
-            .map(|&ns| init.connect(Arc::clone(&target), ns))
-            .collect();
-        let mut windows: Vec<Window> = conns
-            .iter_mut()
-            .enumerate()
-            .map(|(i, conn)| {
-                let writes: Vec<(u64, Bytes, u32)> = (0..8u64)
-                    .map(|j| {
-                        let data = Bytes::from(vec![(i as u8) ^ (j as u8); 4 << 10]);
-                        let crc = microfs::crc::crc32(&data);
-                        (j * (4 << 10), data, crc)
-                    })
-                    .collect();
-                conn.begin_write_window(writes)
-            })
-            .collect();
-        assert!(windows.iter().all(|w| w.len() == 8 && !w.is_empty()));
-        // Round-robin: one pass per connection per loop, like a reactor
-        // advancing each rank machine by one completion-sized unit.
-        let mut loops = 0u32;
-        while !windows.iter().all(Window::is_done) {
-            for (conn, w) in conns.iter_mut().zip(windows.iter_mut()) {
-                if !w.is_done() {
-                    conn.step_window(w).unwrap();
-                }
-            }
-            loops += 1;
-            assert!(loops < 10_000, "stepped windows must converge");
-        }
-        for (conn, w) in conns.iter_mut().zip(windows.iter_mut()) {
-            conn.finish_window(w);
-        }
-        for (i, conn) in conns.iter_mut().enumerate() {
-            for j in 0..8u64 {
-                let back = conn.read_bytes(j * (4 << 10), 4 << 10).unwrap();
-                assert!(back.iter().all(|&b| b == (i as u8) ^ (j as u8)));
-            }
-        }
-        let snap = t.snapshot();
-        let submits = snap.histogram("fabric.submit_ns").unwrap();
-        assert_eq!(
-            submits.count,
-            snap.counter("fabric.io_ops"),
-            "stepped windows keep one latency observation per command"
-        );
     }
 
     #[test]
@@ -1426,10 +1303,7 @@ mod tests {
             "nqn.host",
             t,
             ChaosHandle::default(),
-            FabricConfig {
-                queue_depth: 2,
-                ..FabricConfig::default()
-            },
+            FabricConfig { queue_depth: 2 },
         );
         let mut conn = init.connect(target, a);
         let writes: Vec<(u64, Bytes)> = (0..40u64)
@@ -1483,15 +1357,24 @@ mod tests {
         // Both connections must genuinely pipeline: with QD=32 and 64
         // extents each, the shared window drives well over 32 commands
         // before either side serializes — observable as posted sends on
-        // both QPs exceeding one-window-at-a-time lockstep.
+        // both QPs exceeding one-window-at-a-time lockstep. Interleaving
+        // the two windows on one thread still records exactly one latency
+        // per command.
         let (target, a, b, t) = setup_with_telemetry();
-        let init = Initiator::with_telemetry("nqn.host", t);
+        let init = Initiator::with_telemetry("nqn.host", t.clone());
         let mut prim = init.connect(Arc::clone(&target), a);
         let mut repl = init.connect(Arc::clone(&target), b);
         let writes: Vec<(u64, Vec<u8>)> = (0..64u64).map(|i| (i * 128, vec![1u8; 128])).collect();
         write_mirrored_bytes(&mut prim, &mut repl, mirrored(&writes)).unwrap();
         assert_eq!(prim.qp_counters().0, 64);
         assert_eq!(repl.qp_counters().0, 64);
+        let snap = t.snapshot();
+        assert_eq!(snap.counter("fabric.io_ops"), 128);
+        assert_eq!(
+            snap.histogram("fabric.submit_ns").unwrap().count,
+            snap.counter("fabric.io_ops"),
+            "one latency observation per command"
+        );
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   prices the RDMA fabric itself (per-message CPU, propagation by hop
 //!   count, link bandwidth) for the `simkit` DAGs.
 
+#![forbid(unsafe_code)]
+
 pub mod capsule;
 pub mod config;
 pub mod initiator;
@@ -31,10 +33,9 @@ pub mod target;
 pub mod transport;
 
 pub use capsule::{Capsule, CapsuleError, Completion, Opcode, Status};
-pub use config::{FabricConfig, KernelCosts, NetConfig, RetryConfig};
+pub use config::{FabricConfig, KernelCosts, NetConfig};
 pub use initiator::{
     write_mirrored_bytes, Initiator, InitiatorError, MirrorOutcome, MirroredWrite, NvmfConnection,
-    Window,
 };
 pub use path::{IoPath, PathCosts, TimeSplit};
 pub use qp::{CompletionOp, QpError, QueuePair, WrId};

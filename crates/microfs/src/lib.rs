@@ -45,6 +45,8 @@
 //! reassigned and file data already on the device is re-attached intact.
 //! The crash-recovery test suite verifies this byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod btree;
 pub mod cow;

@@ -47,6 +47,8 @@
 //! assert!(result.completion(a) <= result.completion(b));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod queue;
 pub mod rng;
 pub mod stats;

@@ -22,6 +22,8 @@
 //! The default [`config::SsdConfig`] is calibrated to the paper's testbed
 //! (P4800X: ~2.4 GB/s writes, 32 hardware queues, 4 KiB hardware blocks).
 
+#![forbid(unsafe_code)]
+
 pub mod backing;
 pub mod config;
 pub mod device;

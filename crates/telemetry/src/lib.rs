@@ -29,6 +29,7 @@
 //! [`Telemetry::global`]; tests that assert exact counter values create a
 //! private [`Telemetry::new`] so parallel tests never share counters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;

@@ -257,19 +257,15 @@ pub fn checkpoint_ranks(
     bytes_per_rank: u64,
 ) -> Result<(), RuntimeError> {
     let ckpt_rank_ns = rt.telemetry().histogram("driver.checkpoint_rank_ns");
-    rt.drive_reactor(
-        reactor,
-        |_| 0,
-        |_| {
-            Box::new(CkptMachine {
-                comd,
-                ckpt,
-                bytes_per_rank,
-                ckpt_rank_ns: &ckpt_rank_ns,
-                state: CkptState::Start,
-            })
-        },
-    )
+    rt.drive_reactor(reactor, |_| {
+        Box::new(CkptMachine {
+            comd,
+            ckpt,
+            bytes_per_rank,
+            ckpt_rank_ns: &ckpt_rank_ns,
+            state: CkptState::Start,
+        })
+    })
     .map(|_| ())
 }
 

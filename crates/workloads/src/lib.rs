@@ -19,6 +19,8 @@
 //!   verification — full N-N rounds, and incremental rounds that write
 //!   only the chunks the application dirtied.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod comd;
 pub mod driver;
