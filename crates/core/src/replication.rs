@@ -29,8 +29,8 @@ use fabric::{write_mirrored_bytes, InitiatorError, MirroredWrite, NvmfConnection
 use microfs::cow::IntervalSet;
 use microfs::crc::{crc32, crc32_update};
 use microfs::manifest::{
-    slot_offset, EpochManifest, ExtentMap, ManifestError, ManifestExtent, CHAIN_SLOTS,
-    COMMIT_RECORD_BYTES, MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
+    sealed_body_len, slot_offset, EpochManifest, ExtentMap, ManifestError, ManifestExtent,
+    CHAIN_SLOTS, COMMIT_RECORD_BYTES, MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -679,19 +679,38 @@ fn copy_extent(
 }
 
 /// Read every decodable manifest in the ring at `region_base`. Torn or
-/// never-written slots are skipped.
+/// never-written slots are skipped. The eight commit records are read
+/// first, then only the bodies they seal, so the read follows the
+/// manifests' size rather than the ring's.
 pub fn read_manifests(
     conn: &mut NvmfConnection,
     region_base: u64,
 ) -> Result<Vec<EpochManifest>, InitiatorError> {
-    let mut out = Vec::new();
-    for slot in 0..CHAIN_SLOTS {
-        let bytes = conn.read_bytes(region_base + slot * SLOT_BYTES, SLOT_BYTES as usize)?;
-        if let Ok(m) = EpochManifest::decode_slot(&bytes) {
-            out.push(m);
-        }
-    }
-    Ok(out)
+    let heads: Vec<(u64, usize)> = (0..CHAIN_SLOTS)
+        .map(|slot| {
+            (
+                region_base + slot * SLOT_BYTES,
+                COMMIT_RECORD_BYTES as usize,
+            )
+        })
+        .collect();
+    let records = conn.read_vectored_bytes(&heads)?;
+    let (records, bodies): (Vec<Bytes>, Vec<(u64, usize)>) = heads
+        .iter()
+        .zip(records)
+        .filter_map(|(&(at, _), record)| {
+            let body_len = sealed_body_len(&record)?;
+            Some((record, (at + COMMIT_RECORD_BYTES, body_len)))
+        })
+        .unzip();
+    let bodies = conn.read_vectored_bytes(&bodies)?;
+    Ok(records
+        .iter()
+        .zip(bodies)
+        .filter_map(|(record, body)| {
+            EpochManifest::decode_slot(&[&record[..], &body].concat()).ok()
+        })
+        .collect())
 }
 
 /// The newest complete lineage of a manifest ring, materialized.
@@ -1459,6 +1478,86 @@ mod tests {
                     &shadow[e.offset as usize..(e.offset + e.len) as usize]
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Reading the ring by its commit records returns exactly what
+        /// decoding each whole slot returns, over rings of sealed, torn,
+        /// zeroed, bad-seal and oversized-`body_len` slots, and reads only
+        /// the records plus the bodies that sealed records name.
+        #[test]
+        fn prop_ring_read_by_commit_records_equals_whole_slot_decode(
+            slots in proptest::collection::vec((0u8..8, 0usize..400, any::<u8>()), 8..9),
+        ) {
+            let (mut p, _, _) = conn_pair();
+            let mut sealed_bytes = 0u64;
+            for (slot, &(kind, extents, seed)) in slots.iter().enumerate() {
+                let epoch = slot as u64 + CHAIN_SLOTS * u64::from(seed % 3) + 1;
+                let m = EpochManifest {
+                    epoch,
+                    parent_epoch: if kind == 1 { epoch - 1 } else { 0 },
+                    extents: (0..extents as u64)
+                        .map(|i| ManifestExtent {
+                            offset: i << 16,
+                            len: 4096 + u64::from(seed),
+                            crc: (i as u32).wrapping_mul(0x9E37_79B9) ^ u32::from(seed),
+                        })
+                        .collect(),
+                    whiteouts: if kind == 1 { vec![(1 << 30, 4096)] } else { Vec::new() },
+                };
+                let at = FS + slot_offset(epoch);
+                let mut body = m.encode_body().unwrap();
+                let mut record = m.encode_commit(&body);
+                match kind {
+                    // Sealed full and delta manifests.
+                    0 | 1 => {}
+                    // Torn: the record landed, the body only in part.
+                    2 => body.truncate(body.len() / 2),
+                    // Zeroed: never written.
+                    3 => continue,
+                    // Bad seal: a bit of the sealed fields flipped.
+                    4 => record[5] ^= 1 << (seed % 8),
+                    // A resealed record naming more than a slot can hold.
+                    5 => {
+                        let oversized = SLOT_BYTES - COMMIT_RECORD_BYTES + 1 + u64::from(seed);
+                        record[12..16].copy_from_slice(&(oversized as u32).to_le_bytes());
+                        let seal = crc32(&record[0..20]);
+                        record[20..24].copy_from_slice(&seal.to_le_bytes());
+                    }
+                    // A resealed record naming an empty body.
+                    6 => {
+                        record[12..16].fill(0);
+                        let seal = crc32(&record[0..20]);
+                        record[20..24].copy_from_slice(&seal.to_le_bytes());
+                    }
+                    // Stale: the record seals a body since overwritten.
+                    _ => {
+                        let flip = usize::from(seed) % body.len();
+                        body[flip] ^= 0x40;
+                    }
+                }
+                if matches!(kind, 0 | 1 | 2 | 7) {
+                    sealed_bytes += m.encode_body().unwrap().len() as u64;
+                }
+                p.write(at + COMMIT_RECORD_BYTES, &body).unwrap();
+                p.write(at, &record).unwrap();
+            }
+            let mut whole = Vec::new();
+            for slot in 0..CHAIN_SLOTS {
+                let bytes = p.read_bytes(FS + slot * SLOT_BYTES, SLOT_BYTES as usize).unwrap();
+                whole.extend(EpochManifest::decode_slot(&bytes));
+            }
+            let before = p.io_counters().1;
+            let got = read_manifests(&mut p, FS).unwrap();
+            let read = p.io_counters().1 - before;
+            prop_assert_eq!(&got, &whole);
+            prop_assert!(
+                read <= CHAIN_SLOTS * COMMIT_RECORD_BYTES + sealed_bytes,
+                "read {} bytes, sealed bodies hold {}", read, sealed_bytes
+            );
         }
     }
 }

@@ -74,13 +74,24 @@ impl BlockPool {
 
     /// Serialize the ring (order matters: it *is* the allocator state).
     pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16 + self.free.len() * 8);
-        v.extend_from_slice(&self.total.to_le_bytes());
-        v.extend_from_slice(&(self.free.len() as u64).to_le_bytes());
-        for &b in &self.free {
-            v.extend_from_slice(&b.to_le_bytes());
-        }
+        let mut v = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut v);
         v
+    }
+
+    /// Bytes [`encode`](Self::encode) produces.
+    pub fn encoded_len(&self) -> usize {
+        16 + self.free.len() * 8
+    }
+
+    /// Append the [`encode`](Self::encode) bytes to `out`, so a caller
+    /// that sized `out` for the whole snapshot needs no buffer of its own.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.total.to_le_bytes());
+        out.extend_from_slice(&(self.free.len() as u64).to_le_bytes());
+        for &b in &self.free {
+            out.extend_from_slice(&b.to_le_bytes());
+        }
     }
 
     /// Deserialize; inverse of [`encode`](Self::encode). Returns the

@@ -59,6 +59,29 @@ pub fn max_extents() -> usize {
     (BODY_CAPACITY - BODY_HEADER) / EXTENT_BYTES
 }
 
+/// The body length a slot's commit record seals, when the first
+/// [`COMMIT_RECORD_BYTES`] of `record` carry the commit magic, zero
+/// padding and an intact seal and the body fits the slot — the only bytes
+/// past the record that [`EpochManifest::decode_slot`] can accept. `None`
+/// means the slot holds no complete epoch.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+pub fn sealed_body_len(record: &[u8]) -> Option<usize> {
+    let mut r = Reader::new(record.get(..COMMIT_RECORD_BYTES as usize)?);
+    let (sealed, seal) = (r.bytes(20).ok()?, r.u32().ok()?);
+    let padding = r.bytes(r.remaining()).ok()?;
+    let mut f = Reader::new(sealed);
+    let (magic, _epoch, body_len) = (f.u32().ok()?, f.u64().ok()?, f.u32().ok()?);
+    let body_len = usize::try_from(body_len).ok()?;
+    let intact = magic == COMMIT_MAGIC && padding.iter().all(|&b| b == 0) && seal == crc32(sealed);
+    (intact && body_len <= BODY_CAPACITY).then_some(body_len)
+}
+
 /// Manifest encode/decode failures. Decode errors all mean "this slot
 /// holds no complete epoch" — the caller falls back to an older slot.
 #[derive(Debug, Clone, PartialEq, Eq)]

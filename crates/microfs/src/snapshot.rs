@@ -36,18 +36,20 @@ pub struct FsState {
 }
 
 impl FsState {
+    /// `op_counter`, then the inode table, block pool and B+Tree, each
+    /// behind its `u64` length. The buffer is sized exactly and the pool,
+    /// by far the largest section, is encoded straight into it.
     fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::new();
+        let (inodes, btree) = (self.inodes.encode(), self.btree.encode());
+        let pool_len = self.pool.encoded_len();
+        let mut v = Vec::with_capacity(8 + 3 * 8 + inodes.len() + pool_len + btree.len());
         v.extend_from_slice(&self.op_counter.to_le_bytes());
-        let sections = [
-            self.inodes.encode(),
-            self.pool.encode(),
-            self.btree.encode(),
-        ];
-        for s in sections {
-            v.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            v.extend_from_slice(&s);
-        }
+        v.extend_from_slice(&(inodes.len() as u64).to_le_bytes());
+        v.extend_from_slice(&inodes);
+        v.extend_from_slice(&(pool_len as u64).to_le_bytes());
+        self.pool.encode_into(&mut v);
+        v.extend_from_slice(&(btree.len() as u64).to_le_bytes());
+        v.extend_from_slice(&btree);
         v
     }
 
@@ -237,6 +239,23 @@ mod tests {
         let (seq, _, state) = read_latest(&mut dev, &layout).unwrap();
         assert_eq!(seq, 6);
         assert_eq!(state.inodes.len(), 3);
+    }
+
+    #[test]
+    fn encoding_is_each_section_behind_its_length() {
+        let state = sample_state(5);
+        let mut want = state.op_counter.to_le_bytes().to_vec();
+        for section in [
+            state.inodes.encode(),
+            state.pool.encode(),
+            state.btree.encode(),
+        ] {
+            want.extend_from_slice(&(section.len() as u64).to_le_bytes());
+            want.extend_from_slice(&section);
+        }
+        let got = state.encode();
+        assert_eq!(got, want);
+        assert_eq!(got.capacity(), got.len(), "sized exactly");
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! After the filesystem snapshots its internal state, [`Wal::reset`] bumps
 //! the generation and restarts the region from the top; stale records from
 //! the previous generation fail the generation+CRC check during scans.
+//!
+//! Recovery reads the log only up to its tail: [`Wal::scan`] reads the
+//! region in doubling pieces and stops at the first frame that fails
+//! inside what it has read, so a mount's log read follows the records
+//! written since the last snapshot, not the size of the region. Coalescing
+//! keeps that log short, which is where its recovery win shows up.
 
 pub mod coalesce;
 pub mod record;
@@ -24,7 +30,11 @@ use crate::inode::Ino;
 
 use coalesce::{CoalesceWindow, WindowEntry};
 pub use record::LogRecord;
-use record::{read_frame, HEADER_LEN, WRITE_PAYLOAD_LEN};
+use record::{frame_extent, read_frame, HEADER_LEN, WRITE_PAYLOAD_LEN};
+
+/// Bytes of the first read of a recovery [`Wal::scan`]; each later read
+/// doubles the bytes held.
+const SCAN_FIRST_READ: usize = 16 << 10;
 
 /// Append/coalesce statistics, feeding the recovery and Table I harnesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -206,23 +216,40 @@ impl Wal {
     }
 
     /// Scan the region for generation `gen`, returning all valid records in
-    /// order. Used by recovery; also the measure of "records that must be
-    /// replayed" in the recovery-speed experiments.
+    /// order and the offset of the log tail. Used by recovery; also the
+    /// measure of "records that must be replayed" in the recovery-speed
+    /// experiments.
+    ///
+    /// The region is read in growing pieces, from 16 KiB and doubling, and
+    /// the scan stops at the first frame that fails while lying wholly
+    /// inside the bytes already read: more bytes cannot change that
+    /// verdict. A mount therefore reads at most about twice the live log,
+    /// not the whole region, and returns exactly what a scan of the whole
+    /// region returns.
     pub fn scan<D: BlockDevice>(
         dev: &mut D,
         region_off: u64,
         region_size: u64,
         gen: u32,
     ) -> Result<(Vec<LogRecord>, u64), FsError> {
-        let raw = dev
-            .read_vec(region_off, region_size as usize)
-            .map_err(|e| FsError::Io(e.to_string()))?;
+        let region = region_size as usize;
+        let mut raw = Vec::new();
         let mut pos = 0usize;
         let mut out = Vec::new();
-        while let Some(rec) = read_frame(&raw, &mut pos, gen)? {
-            out.push(rec);
+        loop {
+            while let Some(rec) = read_frame(&raw, &mut pos, gen)? {
+                out.push(rec);
+            }
+            let want = frame_extent(&raw, pos).min(region);
+            let held = raw.len();
+            if want <= held {
+                return Ok((out, pos as u64));
+            }
+            let grow_to = want.max(held * 2).max(SCAN_FIRST_READ).min(region);
+            raw.resize(grow_to, 0);
+            dev.read_at(region_off + held as u64, &mut raw[held..])
+                .map_err(|e| FsError::Io(e.to_string()))?;
         }
-        Ok((out, pos as u64))
     }
 }
 
@@ -230,6 +257,243 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::block::MemDevice;
+    use proptest::prelude::*;
+    use record::frame;
+
+    /// The whole-region scan `Wal::scan` replaced, kept as its oracle.
+    fn scan_whole_region(
+        dev: &mut MemDevice,
+        region_off: u64,
+        region_size: u64,
+        gen: u32,
+    ) -> Result<(Vec<LogRecord>, u64), FsError> {
+        let raw = dev.read_vec(region_off, region_size as usize).unwrap();
+        let mut pos = 0usize;
+        let mut out = Vec::new();
+        while let Some(rec) = read_frame(&raw, &mut pos, gen)? {
+            out.push(rec);
+        }
+        Ok((out, pos as u64))
+    }
+
+    /// `Wal::scan` returns what the oracle returns and reads at most twice
+    /// the bytes up to the end of the frame that stops it.
+    fn assert_scan_matches_oracle(dev: &MemDevice, region_off: u64, region_size: u64, gen: u32) {
+        let mut oracle_dev = dev.clone();
+        let want = scan_whole_region(&mut oracle_dev, region_off, region_size, gen);
+        let mut dev = dev.clone();
+        let before = dev.counters().bytes_read;
+        let got = Wal::scan(&mut dev, region_off, region_size, gen);
+        let read = dev.counters().bytes_read - before;
+        assert_eq!(got, want, "region {region_size} at {region_off}, gen {gen}");
+        assert!(
+            read <= region_size,
+            "read {read} of a {region_size}-byte region"
+        );
+        if let Ok((_, end)) = got {
+            let bound = 2 * (end + (HEADER_LEN + usize::from(u16::MAX)) as u64);
+            assert!(read <= bound, "read {read} for a tail at {end}");
+        }
+    }
+
+    /// The largest frame the format allows: a rename whose two paths fill
+    /// a `u16::MAX` payload.
+    fn max_frame_record(fill: char) -> LogRecord {
+        let half = (usize::from(u16::MAX) - 5) / 2;
+        let rec = LogRecord::Rename {
+            from: std::iter::repeat_n(fill, half).collect(),
+            to: std::iter::repeat_n(fill, half).collect(),
+        };
+        assert_eq!(rec.encode_payload().len(), usize::from(u16::MAX));
+        rec
+    }
+
+    /// One generated log operation: `(kind, ino, sequential, size)`.
+    type ScanOp = (u8, u64, bool, u64);
+
+    fn scan_record((kind, ino, sequential, size): ScanOp, next: &mut [u64; 3]) -> LogRecord {
+        let ino = ino % 3;
+        match kind {
+            0..=3 => {
+                let offset = if sequential {
+                    next[ino as usize]
+                } else {
+                    size * 7
+                };
+                next[ino as usize] = offset + size + 1;
+                LogRecord::Write {
+                    ino,
+                    offset,
+                    len: size + 1,
+                }
+            }
+            4 => LogRecord::Create {
+                path: format!("/{}", "c".repeat(size as usize % 300)),
+                mode: 0o644,
+                uid: 0,
+            },
+            5 if sequential && size % 4 == 0 => max_frame_record('m'),
+            5 => LogRecord::Rename {
+                from: format!("/r{size}"),
+                to: format!("/s{ino}"),
+            },
+            6 => LogRecord::Truncate { ino, size },
+            _ => LogRecord::Unlink {
+                path: format!("/u{size}"),
+            },
+        }
+    }
+
+    /// Appends until the log is full; `false` when `rec` did not fit.
+    fn append_or_full(dev: &mut MemDevice, wal: &mut Wal, rec: &LogRecord) -> bool {
+        match wal.append(dev, rec) {
+            Ok(()) => true,
+            Err(FsError::LogFull) => false,
+            Err(e) => panic!("unexpected {e}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The tail-bounded scan equals the whole-region scan over random
+        /// logs: coalesced or raw, behind valid frames of the previous
+        /// generation, ending in a torn frame, garbage, a CRC-valid frame
+        /// with a bad tag or a region with no room left, with frames up to
+        /// the largest straddling every read boundary.
+        #[test]
+        fn prop_tail_bounded_scan_equals_whole_region_scan(
+            ops in proptest::collection::vec((0u8..8, 0u64..3, any::<bool>(), 0u64..5000), 0..160),
+            stale in proptest::collection::vec((0u8..8, 0u64..3, any::<bool>(), 0u64..5000), 0..160),
+            coalescing in any::<bool>(),
+            region in prop_oneof![
+                2 => 1u64..(48 << 10),
+                2 => 1u64..(400 << 10),
+                1 => (1u64..24).prop_map(|k| k * SCAN_FIRST_READ as u64),
+            ],
+            region_off in prop_oneof![Just(0u64), 1u64..9000],
+            tail in 0u8..5,
+            keep in 0usize..64,
+        ) {
+            let mut dev = MemDevice::new(region_off + region + 8192);
+            let mut wal = Wal::new(region_off, region, coalescing);
+            let mut next = [0u64; 3];
+            // A previous generation's valid frames, left behind the tail
+            // once the log resets.
+            if !stale.is_empty() {
+                for &op in &stale {
+                    if !append_or_full(&mut dev, &mut wal, &scan_record(op, &mut next)) {
+                        break;
+                    }
+                }
+                wal.reset();
+            }
+            let mut full = false;
+            for &op in &ops {
+                if !append_or_full(&mut dev, &mut wal, &scan_record(op, &mut next)) {
+                    full = true;
+                    break;
+                }
+            }
+            let gen = wal.generation();
+            let at = region_off + wal.used_bytes();
+            let room = (region - wal.used_bytes()) as usize;
+            let rec = LogRecord::Unlink { path: "/tail".into() };
+            match tail {
+                // A torn append: a prefix of the next frame.
+                0 => {
+                    let bytes = rec.encode(gen);
+                    dev.write_at(at, &bytes[..keep.min(bytes.len()).min(room)]).unwrap();
+                }
+                // Garbage where the next header would be.
+                1 => {
+                    let junk: Vec<u8> = (0..keep.min(room)).map(|i| (i * 37 + 11) as u8).collect();
+                    dev.write_at(at, &junk).unwrap();
+                }
+                // A frame whose CRC holds but whose tag is unknown.
+                2 => {
+                    let bytes = frame(gen, &[0xEE; 9]);
+                    if bytes.len() <= room {
+                        dev.write_at(at, &bytes).unwrap();
+                    }
+                }
+                // Fill the region until no further frame fits.
+                3 if !full => {
+                    while append_or_full(&mut dev, &mut wal, &rec) {}
+                }
+                _ => {}
+            }
+            assert_scan_matches_oracle(&dev, region_off, region, gen);
+        }
+    }
+
+    #[test]
+    fn max_size_frames_straddle_read_boundaries() {
+        // Starting each run of largest frames at a different offset puts
+        // frame boundaries on both sides of every read boundary.
+        for lead in [0usize, 1, 6_000, 16_380, 16_384, 16_390, 40_000] {
+            let region = 5 * (HEADER_LEN + usize::from(u16::MAX)) as u64 + lead as u64 + 3;
+            let mut dev = MemDevice::new(region + 4096);
+            let mut wal = Wal::new(7, region, false);
+            let pad = LogRecord::Create {
+                path: format!("/{}", "p".repeat(lead.saturating_sub(21).min(60_000))),
+                mode: 0,
+                uid: 0,
+            };
+            if lead > 0 {
+                wal.append(&mut dev, &pad).unwrap();
+            }
+            for fill in ['a', 'b', 'c', 'd'] {
+                wal.append(&mut dev, &max_frame_record(fill)).unwrap();
+            }
+            let (recs, end) = Wal::scan(&mut dev.clone(), 7, region, 0).unwrap();
+            assert_eq!(recs.len(), 4 + usize::from(lead > 0));
+            assert_eq!(end, wal.used_bytes());
+            assert_scan_matches_oracle(&dev, 7, region, 0);
+        }
+    }
+
+    #[test]
+    fn completely_full_region_scans_to_its_end() {
+        let rec = LogRecord::Write {
+            ino: 1,
+            offset: 0,
+            len: 1,
+        };
+        let frame_len = rec.encode(0).len() as u64;
+        // Exact multiples of the frame, on and off the read size.
+        for frames in [1u64, 7, 1000, 1639, 5000] {
+            let region = frames * frame_len;
+            let mut dev = MemDevice::new(region);
+            let mut wal = Wal::new(0, region, false);
+            while append_or_full(&mut dev, &mut wal, &rec) {}
+            assert_eq!(wal.free_bytes(), 0);
+            let (recs, end) = Wal::scan(&mut dev.clone(), 0, region, 0).unwrap();
+            assert_eq!((recs.len() as u64, end), (frames, region));
+            assert_scan_matches_oracle(&dev, 0, region, 0);
+        }
+    }
+
+    #[test]
+    fn short_log_reads_one_piece_of_a_large_region() {
+        let region = 3 << 20;
+        let mut dev = MemDevice::new(region);
+        let mut wal = Wal::new(0, region, true);
+        for i in 0..64u64 {
+            wal.append(
+                &mut dev,
+                &LogRecord::Write {
+                    ino: 1,
+                    offset: i << 12,
+                    len: 1 << 12,
+                },
+            )
+            .unwrap();
+        }
+        let (recs, _) = Wal::scan(&mut dev, 0, region, 0).unwrap();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(dev.counters().bytes_read, SCAN_FIRST_READ as u64);
+    }
 
     fn setup(coalescing: bool) -> (MemDevice, Wal) {
         (MemDevice::new(64 << 10), Wal::new(0, 32 << 10, coalescing))

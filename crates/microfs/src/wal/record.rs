@@ -232,6 +232,23 @@ pub fn read_frame(bytes: &[u8], pos: &mut usize, gen: u32) -> Result<Option<LogR
     Ok(Some(rec))
 }
 
+/// Bytes of `bytes` a reader must hold to judge the frame at `pos`: the
+/// end of its header, or of its payload once the header is there to name
+/// it. [`read_frame`] looks at nothing past this point.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+pub(crate) fn frame_extent(bytes: &[u8], pos: usize) -> usize {
+    let mut r = Reader::new(bytes);
+    let plen = r.bytes(pos).and_then(|_| r.u32()).and_then(|_| r.u16());
+    let header_end = pos.saturating_add(HEADER_LEN);
+    plen.map_or(header_end, |plen| header_end.saturating_add(plen.into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

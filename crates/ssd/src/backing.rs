@@ -1,14 +1,14 @@
 //! Sparse byte store backing a simulated device.
 //!
 //! Devices in this workspace are hundreds of gigabytes; experiments touch a
-//! tiny, scattered fraction of that. `SparseStore` materializes 64 KiB pages
-//! on first write and reads zeroes elsewhere, so a "750 GiB SSD" costs only
-//! as much memory as the bytes actually written.
+//! tiny, scattered fraction of that. `SparseStore` materializes 4 KiB pages
+//! (one logical block) on first write and reads zeroes elsewhere, so a
+//! "750 GiB SSD" costs only as much memory as the blocks actually written.
 
 use std::collections::HashMap;
 
-const PAGE_SHIFT: u32 = 16;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT; // 64 KiB
+const PAGE_SHIFT: u32 = 12;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT; // 4 KiB
 
 /// A sparse, zero-initialized byte array of fixed logical size.
 #[derive(Debug, Clone, Default)]

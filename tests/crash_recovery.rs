@@ -263,11 +263,43 @@ fn live_bytes(rt: &mut NvmeCrRuntime, rank: u32) -> u64 {
 }
 
 #[test]
+fn recovery_reads_the_log_only_up_to_its_tail() {
+    // Two unreplicated ranks share a 512 MiB grant, so rank 0's segment
+    // is 256 MiB with a log region of about 2.6 MiB. The mount reads the
+    // superblock, the snapshot and the log up to its tail: a 1 MiB image
+    // recovers in well under the log region's size.
+    let (rack, topo, alloc, config) = testbed(2, true);
+    let config = RuntimeConfig {
+        namespace_bytes: 512 << 20,
+        ..config
+    };
+    let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+    assert!(rt.rank_fs(0).unwrap().device().size() >= 255 << 20);
+    let comd = CoMD::weak_scaling();
+    let len = 1 << 20;
+    dump(&mut rt, 0, 0, &comd.checkpoint_payload(0, 0, len));
+    rt.crash_rank(0).unwrap();
+    let before = bytes_read_by_node(&rack, &topo);
+    rt.recover_ranks(&[0]).unwrap();
+    let read = bytes_read_since(&before, &bytes_read_by_node(&rack, &topo), None);
+    assert!(
+        read <= 256 << 10,
+        "recovering a 1 MiB image read {read} bytes of its 256 MiB segment"
+    );
+    assert_eq!(
+        read_back(&mut rt, 0, 0, len),
+        comd.checkpoint_payload(0, 0, len)
+    );
+}
+
+#[test]
 fn replicated_recovery_reads_only_live_bytes() {
     // Two ranks share a 512 MiB grant: each rank's segment is 256 MiB,
     // of which about 1 MiB is live. Recovery reads the superblock, the
-    // snapshot, the log region, the manifest ring and the live bytes it
-    // rescans for the mirror map — never the whole segment.
+    // snapshot, the log up to its tail, the ring's commit records and the
+    // bodies they seal, and the live bytes it rescans for the mirror map:
+    // the image plus well under 512 KiB, never the whole segment, the
+    // whole log region or the whole manifest ring.
     let (rack, topo, alloc, config) = replicated_testbed(2, 512 << 20, 0);
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
     assert!(rt.rank_fs(0).unwrap().device().size() >= 255 << 20);
@@ -280,7 +312,7 @@ fn replicated_recovery_reads_only_live_bytes() {
     rt.recover_ranks(&[0]).unwrap();
     let read = bytes_read_since(&before, &bytes_read_by_node(&rack, &topo), None);
     assert!(
-        read <= 8 << 20,
+        read <= len as u64 + (512 << 10),
         "recovering a 1 MiB image read {read} bytes of its 256 MiB segment"
     );
     assert_eq!(

@@ -28,7 +28,7 @@ use microfs::btree::BTree;
 use microfs::crc::{crc32, crc32_update};
 use microfs::dirent::Dirent;
 use microfs::inode::{Inode, InodeTable};
-use microfs::manifest::{EpochManifest, ManifestExtent};
+use microfs::manifest::{sealed_body_len, EpochManifest, ManifestExtent, COMMIT_RECORD_BYTES};
 use microfs::snapshot::{self, FsState};
 use microfs::wal::record::{read_frame, LogRecord};
 use microfs::{BlockDevice, FsConfig, Layout, MemDevice, MicroFs};
@@ -576,6 +576,19 @@ fn manifest_row() -> Row {
     }
 }
 
+fn commit_record_row() -> Row {
+    Row {
+        name: "manifest commit record",
+        samples: manifests()
+            .iter()
+            .map(|m| manifest_slot(m)[..COMMIT_RECORD_BYTES as usize].to_vec())
+            .collect(),
+        seal: seal_manifest,
+        decode: Box::new(|b| sealed_body_len(b).is_some()),
+        pinned: Vec::new(),
+    }
+}
+
 fn capsule_row() -> Row {
     Row {
         name: "capsule",
@@ -649,6 +662,11 @@ fn wal_frame_mutations_never_panic() {
 #[test]
 fn manifest_mutations_never_panic() {
     manifest_row().mutate_all();
+}
+
+#[test]
+fn commit_record_mutations_never_panic() {
+    commit_record_row().mutate_all();
 }
 
 #[test]
