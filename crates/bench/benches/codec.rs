@@ -1,5 +1,7 @@
 //! Wall-clock benchmarks of the wire-format codecs: NVMf capsules and
-//! CRC-32 — every functional IO crosses these paths. The `capsule_encode`
+//! CRC-32 — every functional IO crosses these paths. `capsule_roundtrip`
+//! times the scatter-gather codec the data plane runs (`encode_sg` /
+//! `decode_sg`: the payload crosses by refcount). The `capsule_encode`
 //! group sets a precomputed payload CRC (`write_precrc`, one
 //! `crc32_shift`) against a rescan of the payload (`write`).
 
@@ -17,8 +19,8 @@ fn bench_capsule(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(size), &payload, |b, p| {
             b.iter(|| {
                 let cap = Capsule::write(1, 1, 0, p.clone());
-                let wire = cap.encode();
-                black_box(Capsule::decode(wire).unwrap().len)
+                let wire = cap.encode_sg();
+                black_box(Capsule::decode_sg(wire).unwrap().len)
             })
         });
     }

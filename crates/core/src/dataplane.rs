@@ -7,7 +7,6 @@
 //! through the capsule codec to the target — entirely in userspace.
 
 use crate::replication::{Mirror, ReplicationError, ScrubReport};
-use bytes::Bytes;
 use chaos::{ChaosHandle, Site};
 use fabric::initiator::NvmfConnection;
 use microfs::block::{BlockDevice, DevError, IoCounters};
@@ -58,11 +57,6 @@ impl NvmfBlockDevice {
             }
         }
         Ok(())
-    }
-
-    /// Total NVMf `(ios, bytes)` issued on the underlying connection.
-    pub fn nvmf_counters(&self) -> (u64, u64) {
-        self.conn.io_counters()
     }
 
     /// The primary connection, for runtime-internal maintenance reads
@@ -116,54 +110,32 @@ impl NvmfBlockDevice {
         Ok(())
     }
 
-    /// Forward a batch of partition-relative writes to the right path:
-    /// mirrored through both windows when a replica is attached, plain
-    /// zero-copy otherwise.
-    fn dispatch_writes(&mut self, writes: Vec<(u64, Bytes)>) -> Result<(), DevError> {
-        match &mut self.mirror {
-            Some(m) => m
-                .write_through(&mut self.conn, self.base, writes)
-                .map_err(|e| DevError(e.to_string())),
-            None => {
-                let base = self.base;
-                self.conn
-                    .write_vectored_bytes(writes.into_iter().map(|(o, d)| (base + o, d)).collect())
-                    .map_err(|e| DevError(e.to_string()))
-            }
-        }
-    }
-
-    /// Write an owned payload — the zero-copy path straight through the
-    /// connection (no staging copy at this layer or below).
-    pub fn write_bytes_at(&mut self, offset: u64, data: Bytes) -> Result<(), DevError> {
-        self.check(offset, data.len() as u64)?;
-        self.crash_gate(1)?;
-        let len = data.len() as u64;
-        if self.mirror.is_some() {
-            self.dispatch_writes(vec![(offset, data)])?;
-        } else {
-            self.conn
-                .write_bytes(self.base + offset, data)
-                .map_err(|e| DevError(e.to_string()))?;
-        }
-        self.counters.writes += 1;
-        self.counters.bytes_written += len;
-        Ok(())
-    }
-
-    /// Write a batch of owned payloads through the pipelined submission
-    /// window — zero-copy, up to the connection's `queue_depth` extents in
-    /// flight at once.
-    pub fn write_vectored_bytes_at(&mut self, writes: Vec<(u64, Bytes)>) -> Result<(), DevError> {
+    /// The one write path under both `BlockDevice` write entries. In
+    /// order: bounds-check every element, fire one crash gate per element,
+    /// stage each borrowed payload once (counted in
+    /// `fabric.bytes_copied`), then hand the batch to the mirror (both
+    /// copies share each staged buffer by refcount) or straight to the
+    /// pipelined submission window, up to `queue_depth` extents in flight.
+    fn write_batch(&mut self, writes: &[(u64, &[u8])]) -> Result<(), DevError> {
         let mut total = 0u64;
-        for (offset, data) in &writes {
-            self.check(*offset, data.len() as u64)?;
+        for &(offset, data) in writes {
+            self.check(offset, data.len() as u64)?;
             total += data.len() as u64;
         }
         self.crash_gate(writes.len())?;
-        let count = writes.len() as u64;
-        self.dispatch_writes(writes)?;
-        self.counters.writes += count;
+        // The mirror takes partition-relative offsets plus the base; the
+        // plain window takes namespace offsets.
+        let shift = if self.mirror.is_some() { 0 } else { self.base };
+        let staged: Vec<_> = writes
+            .iter()
+            .map(|&(o, d)| (shift + o, self.conn.stage(d)))
+            .collect();
+        let result = match &mut self.mirror {
+            Some(m) => m.write_through(&mut self.conn, self.base, staged),
+            None => self.conn.write_vectored_bytes(staged),
+        };
+        result.map_err(|e| DevError(e.to_string()))?;
+        self.counters.writes += writes.len() as u64;
         self.counters.bytes_written += total;
         Ok(())
     }
@@ -181,20 +153,7 @@ impl NvmfBlockDevice {
 
 impl BlockDevice for NvmfBlockDevice {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), DevError> {
-        self.check(offset, data.len() as u64)?;
-        self.crash_gate(1)?;
-        if self.mirror.is_some() {
-            // Borrowed payloads are staged once so both capsules can
-            // share the buffer (and its one CRC pass).
-            self.dispatch_writes(vec![(offset, Bytes::copy_from_slice(data))])?;
-        } else {
-            self.conn
-                .write(self.base + offset, data)
-                .map_err(|e| DevError(e.to_string()))?;
-        }
-        self.counters.writes += 1;
-        self.counters.bytes_written += data.len() as u64;
-        Ok(())
+        self.write_batch(&[(offset, data)])
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), DevError> {
@@ -213,28 +172,7 @@ impl BlockDevice for NvmfBlockDevice {
     /// `queue_depth` write capsules in flight instead of one lock-step
     /// exchange per extent.
     fn write_vectored_at(&mut self, writes: &[(u64, &[u8])]) -> Result<(), DevError> {
-        let mut total = 0u64;
-        for &(offset, data) in writes {
-            self.check(offset, data.len() as u64)?;
-            total += data.len() as u64;
-        }
-        self.crash_gate(writes.len())?;
-        if self.mirror.is_some() {
-            self.dispatch_writes(
-                writes
-                    .iter()
-                    .map(|&(o, d)| (o, Bytes::copy_from_slice(d)))
-                    .collect(),
-            )?;
-        } else {
-            let abs: Vec<(u64, &[u8])> = writes.iter().map(|&(o, d)| (self.base + o, d)).collect();
-            self.conn
-                .write_vectored(&abs)
-                .map_err(|e| DevError(e.to_string()))?;
-        }
-        self.counters.writes += writes.len() as u64;
-        self.counters.bytes_written += total;
-        Ok(())
+        self.write_batch(writes)
     }
 
     /// Pipeline a batch of reads through the submission window; each wire
@@ -349,7 +287,7 @@ mod tests {
         d.flush().unwrap();
         let c = d.counters();
         assert_eq!((c.writes, c.reads), (1, 1));
-        let (ios, bytes) = d.nvmf_counters();
+        let (ios, bytes) = d.conn.io_counters();
         assert_eq!(ios, 2);
         assert_eq!(bytes, 150);
     }
@@ -357,32 +295,35 @@ mod tests {
     #[test]
     fn zero_copy_write_and_single_copy_read() {
         let (mut d, t) = segment_device_with_telemetry(0, 1 << 20, telemetry::Telemetry::new());
-        d.write_bytes_at(0, Bytes::from(vec![9u8; 4096])).unwrap();
-        assert_eq!(
-            t.snapshot().counter("fabric.bytes_copied"),
-            0,
-            "write_bytes_at must not copy"
-        );
+        let copied = || t.snapshot().counter("fabric.bytes_copied");
+        d.write_at(0, &[9u8; 4096]).unwrap();
+        assert_eq!(copied(), 4096, "a borrowed payload is staged exactly once");
         let mut buf = vec![0u8; 4096];
         d.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, vec![9u8; 4096]);
-        assert_eq!(
-            t.snapshot().counter("fabric.bytes_copied"),
-            4096,
-            "read_at copies exactly once"
-        );
+        assert_eq!(copied(), 2 * 4096, "read_at copies exactly once");
     }
 
     #[test]
     fn vectored_io_pipelines_through_the_window() {
         let (mut d, t) =
             segment_device_with_telemetry(1 << 20, 4 << 20, telemetry::Telemetry::new());
-        // A whole hugeblock batch in one window, zero-copy.
-        let writes: Vec<(u64, Bytes)> = (0..48u64)
-            .map(|i| (i * 4096, Bytes::from(vec![i as u8; 4096])))
+        let copied = || t.snapshot().counter("fabric.bytes_copied");
+        // A whole hugeblock batch in one window, one staging copy per
+        // payload.
+        let payloads: Vec<Vec<u8>> = (0..48u64).map(|i| vec![i as u8; 4096]).collect();
+        let writes: Vec<(u64, &[u8])> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ((i as u64) * 4096, &p[..]))
             .collect();
-        d.write_vectored_bytes_at(writes).unwrap();
-        assert_eq!(t.snapshot().counter("fabric.bytes_copied"), 0);
+        d.write_vectored_at(&writes).unwrap();
+        assert_eq!(copied(), 48 * 4096);
+        assert_eq!(
+            d.conn.io_counters(),
+            (48, 48 * 4096),
+            "one command per extent"
+        );
         let c = d.counters();
         assert_eq!(c.writes, 48);
         assert_eq!(c.bytes_written, 48 * 4096);
@@ -397,13 +338,63 @@ mod tests {
             d.read_vectored_at(&mut reads).unwrap();
         }
         for (i, buf) in bufs.iter().enumerate() {
-            assert_eq!(buf, &vec![i as u8; 4096], "extent {i}");
+            assert_eq!(buf, &payloads[i], "extent {i}");
         }
         assert_eq!(d.counters().reads, 48);
+        assert_eq!(copied(), 2 * 48 * 4096);
         // Segment bounds are enforced before anything hits the wire.
         assert!(d
             .write_vectored_at(&[(0, b"ok"), ((4 << 20) - 1, b"spill")])
             .is_err());
+        assert_eq!(
+            copied(),
+            2 * 48 * 4096,
+            "nothing staged for a rejected batch"
+        );
+    }
+
+    /// `fabric.bytes_copied` across one 1 MiB `MicroFs` write, with or
+    /// without a replica mirror attached.
+    fn microfs_write_copies(mirrored: bool) -> u64 {
+        use crate::RuntimeConfig;
+        use microfs::{ExtentMap, FsConfig, MicroFs};
+        let t = telemetry::Telemetry::new();
+        let mk = |name: &str| {
+            let ssd = Ssd::with_telemetry(
+                SsdConfig {
+                    capacity: 64 << 20,
+                    ..SsdConfig::default()
+                },
+                t.clone(),
+            );
+            let ns = ssd.create_namespace(32 << 20).unwrap();
+            let target = Arc::new(NvmfTarget::new(Arc::new(ssd)));
+            Initiator::with_telemetry(name, t.clone()).connect(target, ns)
+        };
+        let mut d = NvmfBlockDevice::new(mk("nqn.prim"), 4 << 20, 16 << 20);
+        if mirrored {
+            let config = RuntimeConfig {
+                telemetry: t.clone(),
+                ..RuntimeConfig::default()
+            };
+            d.attach_mirror(Mirror::new(mk("nqn.repl"), ExtentMap::new(), 0, &config));
+        }
+        let mut fs = MicroFs::format(d, FsConfig::default()).unwrap();
+        let fd = fs.create("/ckpt", 0o644).unwrap();
+        let before = t.snapshot().counter("fabric.bytes_copied");
+        fs.write(fd, &vec![0x3Cu8; 1 << 20]).unwrap();
+        t.snapshot().counter("fabric.bytes_copied") - before
+    }
+
+    #[test]
+    fn staging_copy_is_counted_with_and_without_a_mirror() {
+        let plain = microfs_write_copies(false);
+        assert!(plain >= 1 << 20, "every written byte is staged: {plain}");
+        assert_eq!(
+            microfs_write_copies(true),
+            plain,
+            "the mirrored path stages the same bytes once and counts them"
+        );
     }
 
     #[test]

@@ -1542,8 +1542,9 @@ mod tests {
                 if matches!(kind, 0 | 1 | 2 | 7) {
                     sealed_bytes += m.encode_body().unwrap().len() as u64;
                 }
-                p.write(at + COMMIT_RECORD_BYTES, &body).unwrap();
-                p.write(at, &record).unwrap();
+                p.write_bytes(at + COMMIT_RECORD_BYTES, Bytes::from(body))
+                    .unwrap();
+                p.write_bytes(at, Bytes::copy_from_slice(&record)).unwrap();
             }
             let mut whole = Vec::new();
             for slot in 0..CHAIN_SLOTS {

@@ -37,9 +37,10 @@ struct FabricMetrics {
     io_ops: Arc<Counter>,
     /// Payload bytes moved over connections.
     io_bytes: Arc<Counter>,
-    /// Payload bytes memcpy'd on the initiator side. The `Bytes`-based
-    /// paths add nothing here; the slice-based convenience paths add one
-    /// staging copy each.
+    /// Payload bytes memcpy'd on the initiator side: one staging copy per
+    /// borrowed write payload ([`NvmfConnection::stage`]) and one per
+    /// byte landed in a caller buffer (`read_into`). The `Bytes`-based
+    /// paths add nothing here.
     bytes_copied: Arc<Counter>,
     /// Command attempts beyond the first (retries after transient faults).
     retries: Arc<Counter>,
@@ -679,11 +680,12 @@ impl NvmfConnection {
             .map(|_| ())
     }
 
-    /// Write `data` at namespace-relative `offset` (stages one copy of
-    /// the borrowed slice; prefer [`NvmfConnection::write_bytes`]).
-    pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), InitiatorError> {
+    /// Stage a borrowed payload as an owned, refcounted buffer for the
+    /// `Bytes` write paths — the one initiator-side copy of a written
+    /// byte, counted in `fabric.bytes_copied`.
+    pub fn stage(&self, data: &[u8]) -> Bytes {
         self.metrics.bytes_copied.add(data.len() as u64);
-        self.write_bytes(offset, Bytes::copy_from_slice(data))
+        Bytes::copy_from_slice(data)
     }
 
     /// Read `len` bytes at namespace-relative `offset` as an owned
@@ -704,14 +706,6 @@ impl NvmfConnection {
         buf.copy_from_slice(&data);
         self.metrics.bytes_copied.add(buf.len() as u64);
         Ok(())
-    }
-
-    /// Read `len` bytes at namespace-relative `offset` into a fresh
-    /// vector (one copy; prefer [`NvmfConnection::read_bytes`]).
-    pub fn read(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, InitiatorError> {
-        let data = self.read_bytes(offset, len)?;
-        self.metrics.bytes_copied.add(data.len() as u64);
-        Ok(data.to_vec())
     }
 
     /// Write a batch of `(offset, payload)` extents through the pipelined
@@ -764,19 +758,6 @@ impl NvmfConnection {
             capsules.push(Capsule::write_precrc(cid, self.ns.0, offset, data, crc));
         }
         capsules
-    }
-
-    /// Vectored write of borrowed slices (stages one copy per extent;
-    /// prefer [`NvmfConnection::write_vectored_bytes`]).
-    pub fn write_vectored(&mut self, writes: &[(u64, &[u8])]) -> Result<(), InitiatorError> {
-        let total: u64 = writes.iter().map(|(_, d)| d.len() as u64).sum();
-        self.metrics.bytes_copied.add(total);
-        self.write_vectored_bytes(
-            writes
-                .iter()
-                .map(|&(o, d)| (o, Bytes::copy_from_slice(d)))
-                .collect(),
-        )
     }
 
     /// Read a batch of `(offset, len)` extents through the pipelined
@@ -959,8 +940,9 @@ mod tests {
         let (target, a, _) = setup();
         let init = Initiator::new("nqn.2026-07.io.nvmecr:rank0");
         let mut conn = init.connect(target, a);
-        conn.write(512, b"restartable state").unwrap();
-        assert_eq!(conn.read(512, 17).unwrap(), b"restartable state");
+        conn.write_bytes(512, Bytes::from_static(b"restartable state"))
+            .unwrap();
+        assert_eq!(&conn.read_bytes(512, 17).unwrap()[..], b"restartable state");
         assert_eq!(conn.io_counters().0, 2);
     }
 
@@ -990,8 +972,10 @@ mod tests {
             0,
             "read_bytes must not copy either"
         );
-        // The slice paths each stage one copy and say so.
-        conn.write(0, &[1u8; 100]).unwrap();
+        // A staged borrowed payload and a read into a caller buffer each
+        // copy once and say so.
+        let staged = conn.stage(&[1u8; 100]);
+        conn.write_bytes(0, staged).unwrap();
         let mut buf = [0u8; 100];
         conn.read_into(0, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 100]);
@@ -1008,18 +992,20 @@ mod tests {
         let (target, a, b) = setup();
         let init = Initiator::new("nqn.host");
         let mut conn_a = init.connect(Arc::clone(&target), a);
-        conn_a.write(0, b"mine").unwrap();
+        conn_a.write_bytes(0, Bytes::from_static(b"mine")).unwrap();
         // A separate connection bound to b cannot see a's data at the same
         // namespace-relative offset.
         let mut conn_b = init.connect(target, b);
-        assert_eq!(conn_b.read(0, 4).unwrap(), vec![0u8; 4]);
+        assert_eq!(&conn_b.read_bytes(0, 4).unwrap()[..], vec![0u8; 4]);
     }
 
     #[test]
     fn out_of_range_surfaces_remote_error() {
         let (target, a, _) = setup();
         let mut conn = Initiator::new("nqn.host").connect(target, a);
-        let err = conn.write((256 << 10) - 1, b"spill").unwrap_err();
+        let err = conn
+            .write_bytes((256 << 10) - 1, Bytes::from_static(b"spill"))
+            .unwrap_err();
         assert!(matches!(err, InitiatorError::Remote(Status::LbaOutOfRange)));
     }
 
@@ -1027,7 +1013,7 @@ mod tests {
     fn flush_roundtrip() {
         let (target, a, _) = setup();
         let mut conn = Initiator::new("nqn.host").connect(target, a);
-        conn.write(0, &[1u8; 128]).unwrap();
+        conn.write_bytes(0, Bytes::from(vec![1u8; 128])).unwrap();
         conn.flush().unwrap();
     }
 
@@ -1035,8 +1021,8 @@ mod tests {
     fn wire_traffic_flows_over_queue_pairs() {
         let (target, a, _) = setup();
         let mut conn = Initiator::new("nqn.host").connect(target, a);
-        conn.write(0, b"abc").unwrap();
-        conn.read(0, 3).unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"abc")).unwrap();
+        conn.read_bytes(0, 3).unwrap();
         let (sends, recvs) = conn.qp_counters();
         assert_eq!(sends, 2, "one capsule send per IO");
         assert_eq!(recvs, 2, "one posted response buffer per IO");
@@ -1062,9 +1048,10 @@ mod tests {
             chaos::FaultPlan::new(1).at_op(Site::CapsuleTx, FaultAction::CorruptPayload, 0),
             &t,
         );
-        conn.write(0, b"survives corruption").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"survives corruption"))
+            .unwrap();
         chaos.disarm();
-        assert_eq!(conn.read(0, 19).unwrap(), b"survives corruption");
+        assert_eq!(&conn.read_bytes(0, 19).unwrap()[..], b"survives corruption");
         let snap = t.snapshot();
         assert_eq!(snap.counter("fabric.retries"), 1);
         assert_eq!(snap.counter("fabric.crc_errors"), 1, "target saw bad CRC");
@@ -1076,12 +1063,12 @@ mod tests {
         let (target, a, _, t) = setup_with_telemetry();
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
-        conn.write(0, b"payload").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"payload")).unwrap();
         chaos.arm(
             chaos::FaultPlan::new(2).at_op(Site::CapsuleRx, FaultAction::CorruptPayload, 0),
             &t,
         );
-        assert_eq!(conn.read(0, 7).unwrap(), b"payload");
+        assert_eq!(&conn.read_bytes(0, 7).unwrap()[..], b"payload");
         chaos.disarm();
         let snap = t.snapshot();
         assert!(snap.counter("fabric.retries") >= 1);
@@ -1100,9 +1087,10 @@ mod tests {
             chaos::FaultPlan::new(3).at_op(Site::CapsuleTx, FaultAction::DropCapsule, 0),
             &t,
         );
-        conn.write(0, b"after timeout").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"after timeout"))
+            .unwrap();
         chaos.disarm();
-        assert_eq!(conn.read(0, 13).unwrap(), b"after timeout");
+        assert_eq!(&conn.read_bytes(0, 13).unwrap()[..], b"after timeout");
         let snap = t.snapshot();
         assert_eq!(snap.counter("fabric.timeouts"), 1);
         assert_eq!(snap.counter("fabric.retries"), 1);
@@ -1114,16 +1102,18 @@ mod tests {
         let (target, a, _, t) = setup_with_telemetry();
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
-        conn.write(0, b"before reset").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"before reset"))
+            .unwrap();
         chaos.arm(
             chaos::FaultPlan::new(4).at_op(Site::ConnReset, FaultAction::ResetConnection, 0),
             &t,
         );
         // The write that hits the reset reconnects and completes.
-        conn.write(100, b"after reset").unwrap();
+        conn.write_bytes(100, Bytes::from_static(b"after reset"))
+            .unwrap();
         chaos.disarm();
-        assert_eq!(conn.read(0, 12).unwrap(), b"before reset");
-        assert_eq!(conn.read(100, 11).unwrap(), b"after reset");
+        assert_eq!(&conn.read_bytes(0, 12).unwrap()[..], b"before reset");
+        assert_eq!(&conn.read_bytes(100, 11).unwrap()[..], b"after reset");
         let snap = t.snapshot();
         assert_eq!(snap.counter("fabric.reconnects"), 1);
         assert_eq!(
@@ -1142,9 +1132,10 @@ mod tests {
             chaos::FaultPlan::new(5).at_op(Site::CapsuleTx, FaultAction::DuplicateCapsule, 0),
             &t,
         );
-        conn.write(0, b"exactly once").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"exactly once"))
+            .unwrap();
         chaos.disarm();
-        assert_eq!(conn.read(0, 12).unwrap(), b"exactly once");
+        assert_eq!(&conn.read_bytes(0, 12).unwrap()[..], b"exactly once");
         let snap = t.snapshot();
         assert_eq!(
             snap.counter("fabric.duplicates_suppressed"),
@@ -1160,7 +1151,7 @@ mod tests {
         let (target, a, _, t) = setup_with_telemetry();
         let (init, chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
-        conn.write(0, b"state").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"state")).unwrap();
         chaos.arm(
             chaos::FaultPlan::new(6).at_op(Site::ConnReset, FaultAction::ResetConnection, 0),
             &t,
@@ -1168,7 +1159,7 @@ mod tests {
         conn.keep_alive().unwrap();
         chaos.disarm();
         assert_eq!(t.snapshot().counter("fabric.reconnects"), 1);
-        assert_eq!(conn.read(0, 5).unwrap(), b"state");
+        assert_eq!(&conn.read_bytes(0, 5).unwrap()[..], b"state");
     }
 
     #[test]
@@ -1180,7 +1171,9 @@ mod tests {
             chaos::FaultPlan::new(7).with_rate(Site::CapsuleTx, FaultAction::DropCapsule, 1.0),
             &t,
         );
-        let err = conn.write(0, b"doomed").unwrap_err();
+        let err = conn
+            .write_bytes(0, Bytes::from_static(b"doomed"))
+            .unwrap_err();
         chaos.disarm();
         assert!(
             matches!(err, InitiatorError::Exhausted { attempts: 9, .. }),
@@ -1195,7 +1188,9 @@ mod tests {
         let (init, _chaos) = chaos_initiator(&t);
         let mut conn = init.connect(Arc::clone(&target), a);
         target.device().shard(a).unwrap().kill();
-        let err = conn.write(0, b"dead end").unwrap_err();
+        let err = conn
+            .write_bytes(0, Bytes::from_static(b"dead end"))
+            .unwrap_err();
         assert!(matches!(err, InitiatorError::Remote(Status::ShardOffline)));
         assert_eq!(
             t.snapshot().counter("fabric.retries"),
@@ -1437,7 +1432,7 @@ mod tests {
             chaos::FaultPlan::new(3).at_op(Site::CapsuleTx, FaultAction::DropCapsule, 0),
             &t,
         );
-        conn.write(0, b"traced").unwrap();
+        conn.write_bytes(0, Bytes::from_static(b"traced")).unwrap();
         chaos.disarm();
         let events = t.recorder().events();
         let kinds: Vec<FlightKind> = events.iter().map(|e| e.kind).collect();
@@ -1466,7 +1461,8 @@ mod tests {
             chaos::FaultPlan::new(7).with_rate(Site::CapsuleTx, FaultAction::DropCapsule, 1.0),
             &t,
         );
-        conn.write(0, b"doomed").unwrap_err();
+        conn.write_bytes(0, Bytes::from_static(b"doomed"))
+            .unwrap_err();
         chaos.disarm();
         let rec = t.recorder();
         assert!(rec.trip_count() >= 1, "exhaustion must trip the recorder");
@@ -1483,10 +1479,10 @@ mod tests {
         for i in 0..70_000u64 {
             // Cheap small writes; cid is u16 and must wrap without issue.
             if i % 8192 == 0 {
-                conn.write(0, &[0u8; 8]).unwrap();
+                conn.write_bytes(0, Bytes::from(vec![0u8; 8])).unwrap();
             }
         }
-        conn.write(0, &[9u8; 1]).unwrap();
-        assert_eq!(conn.read(0, 1).unwrap(), vec![9u8]);
+        conn.write_bytes(0, Bytes::from(vec![9u8; 1])).unwrap();
+        assert_eq!(&conn.read_bytes(0, 1).unwrap()[..], vec![9u8]);
     }
 }

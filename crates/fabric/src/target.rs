@@ -139,35 +139,6 @@ impl NvmfTarget {
         self.connections.lock().remove(&conn);
     }
 
-    /// Map a capsule decode failure to either a retryable completion (CRC
-    /// mismatch: the initiator still gets an answer, carrying the echoed
-    /// CID) or a hard transport error (structurally unparseable).
-    fn decode_failure(&self, e: CapsuleError) -> Result<Completion, TargetError> {
-        if let CapsuleError::CrcMismatch { cid, .. } = e {
-            self.crc_errors.inc();
-            return Ok(Completion::error(cid, Status::DataCorrupt));
-        }
-        Err(TargetError::Malformed(e.to_string()))
-    }
-
-    /// Handle one wire capsule for `conn`, returning the wire completion.
-    pub fn handle_wire(&self, conn: ConnId, wire: Bytes) -> Result<Bytes, TargetError> {
-        let capsule = match Capsule::decode(wire) {
-            Ok(c) => c,
-            Err(e) => return self.decode_failure(e).map(|c| c.encode()),
-        };
-        Ok(self.handle(conn, &capsule)?.encode())
-    }
-
-    /// Handle one scatter-gather wire capsule for `conn`, returning the
-    /// scatter-gather completion. Write payloads are adopted by refcount
-    /// from the wire and staged in device RAM without a copy; read
-    /// payloads ride back as their own segment.
-    pub fn handle_wire_sg(&self, conn: ConnId, wire: SgList) -> Result<SgList, TargetError> {
-        let cstate = self.connection(conn)?;
-        self.handle_wire_on(&cstate, wire)
-    }
-
     /// One batched target-daemon poll iteration: decode, execute, and
     /// build the response for a whole CQ batch of wire capsules. The
     /// connection table lock is taken **once per batch** rather than once
@@ -186,16 +157,25 @@ impl NvmfTarget {
     }
 
     /// Decode and execute one wire capsule against an already-resolved
-    /// connection snapshot.
+    /// connection snapshot. Write payloads are adopted by refcount from the
+    /// wire and staged in device RAM without a copy; read payloads ride
+    /// back as their own segment. A CRC mismatch still gets an answer — a
+    /// retryable completion carrying the echoed CID — while structurally
+    /// unparseable bytes are a hard transport error.
     fn handle_wire_on(&self, cstate: &Connection, wire: SgList) -> Result<SgList, TargetError> {
-        let capsule = {
+        let decoded = {
             let _t = self.decode_ns.time();
-            match Capsule::decode_sg(wire) {
-                Ok(c) => c,
-                Err(e) => return self.decode_failure(e).map(|c| c.encode_sg()),
-            }
+            Capsule::decode_sg(wire)
         };
-        Ok(self.handle_on(cstate, &capsule).encode_sg())
+        let completion = match decoded {
+            Ok(capsule) => self.handle_on(cstate, &capsule),
+            Err(CapsuleError::CrcMismatch { cid, .. }) => {
+                self.crc_errors.inc();
+                Completion::error(cid, Status::DataCorrupt)
+            }
+            Err(e) => return Err(TargetError::Malformed(e.to_string())),
+        };
+        Ok(completion.encode_sg())
     }
 
     /// Snapshot the connection state, then drop the table lock: capsule
@@ -206,12 +186,6 @@ impl NvmfTarget {
             .get(&conn)
             .map(Arc::clone)
             .ok_or(TargetError::UnknownConnection)
-    }
-
-    /// Handle one decoded capsule for `conn`.
-    pub fn handle(&self, conn: ConnId, c: &Capsule) -> Result<Completion, TargetError> {
-        let cstate = self.connection(conn)?;
-        Ok(self.handle_on(&cstate, c))
     }
 
     /// Execute one decoded capsule against a connection snapshot.
@@ -301,12 +275,29 @@ mod tests {
         (NvmfTarget::new(Arc::new(ssd)), a, b)
     }
 
+    /// One daemon poll iteration over a one-element batch of raw wire
+    /// segments, with its single completion decoded.
+    fn exchange_wire(
+        t: &NvmfTarget,
+        conn: ConnId,
+        wire: SgList,
+    ) -> Result<Completion, TargetError> {
+        let mut resps = t.handle_wire_sg_batch(conn, vec![wire])?;
+        assert_eq!(resps.len(), 1, "one completion per command");
+        Ok(Completion::decode_sg(resps.pop().unwrap()).unwrap())
+    }
+
+    /// Encode `c` as the initiator does and exchange it.
+    fn exchange(t: &NvmfTarget, conn: ConnId, c: &Capsule) -> Result<Completion, TargetError> {
+        exchange_wire(t, conn, c.encode_sg())
+    }
+
     #[test]
     fn target_side_capsule_latency_is_observed() {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(1, a.0, 0, Bytes::from(vec![1u8; 512]));
-        t.handle_wire_sg(conn, w.encode_sg()).unwrap();
+        exchange(&t, conn, &w).unwrap();
         let snap = t.device().telemetry().snapshot();
         assert_eq!(snap.histogram("fabric.target_decode_ns").unwrap().count, 1);
         assert_eq!(snap.histogram("fabric.target_handle_ns").unwrap().count, 1);
@@ -317,10 +308,8 @@ mod tests {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(1, a.0, 100, Bytes::from_static(b"dump"));
-        let resp = Completion::decode(t.handle_wire(conn, w.encode()).unwrap()).unwrap();
-        assert_eq!(resp.status, Status::Success);
-        let r = Capsule::read(2, a.0, 100, 4);
-        let resp = Completion::decode(t.handle_wire(conn, r.encode()).unwrap()).unwrap();
+        assert_eq!(exchange(&t, conn, &w).unwrap().status, Status::Success);
+        let resp = exchange(&t, conn, &Capsule::read(2, a.0, 100, 4)).unwrap();
         assert_eq!(resp.status, Status::Success);
         assert_eq!(&resp.data[..], b"dump");
     }
@@ -331,8 +320,7 @@ mod tests {
         let conn = t.connect("nqn.host0", &[a]);
         let payload = Bytes::from(vec![0xC7u8; 8192]);
         let w = Capsule::write(1, a.0, 0, payload);
-        let resp = Completion::decode_sg(t.handle_wire_sg(conn, w.encode_sg()).unwrap()).unwrap();
-        assert_eq!(resp.status, Status::Success);
+        assert_eq!(exchange(&t, conn, &w).unwrap().status, Status::Success);
         t.device().flush();
         // Initiator buffer → wire → device RAM were all the same
         // refcounted allocation; the only copy was drain-to-media.
@@ -343,8 +331,7 @@ mod tests {
                 .counter("ssd.bytes_copied"),
             8192
         );
-        let r = Capsule::read(2, a.0, 0, 8192);
-        let resp = Completion::decode_sg(t.handle_wire_sg(conn, r.encode_sg()).unwrap()).unwrap();
+        let resp = exchange(&t, conn, &Capsule::read(2, a.0, 0, 8192)).unwrap();
         assert_eq!(&resp.data[..], &vec![0xC7u8; 8192][..]);
     }
 
@@ -393,12 +380,11 @@ mod tests {
         let conn = t.connect("nqn.host0", &[a]);
         // Writing the *other* job's namespace is refused.
         let w = Capsule::write(1, b.0, 0, Bytes::from_static(b"evil"));
-        let resp = t.handle(conn, &w).unwrap();
+        let resp = exchange(&t, conn, &w).unwrap();
         assert_eq!(resp.status, Status::InvalidNamespace);
         // And the bytes were never written.
         let conn_b = t.connect("nqn.host1", &[b]);
-        let r = Capsule::read(2, b.0, 0, 4);
-        let resp = t.handle(conn_b, &r).unwrap();
+        let resp = exchange(&t, conn_b, &Capsule::read(2, b.0, 0, 4)).unwrap();
         assert_eq!(&resp.data[..], &[0, 0, 0, 0]);
     }
 
@@ -408,7 +394,7 @@ mod tests {
         let conn = t.connect("nqn.host0", &[a]);
         t.disconnect(conn);
         let w = Capsule::flush(0, a.0);
-        assert_eq!(t.handle(conn, &w), Err(TargetError::UnknownConnection));
+        assert_eq!(exchange(&t, conn, &w), Err(TargetError::UnknownConnection));
     }
 
     #[test]
@@ -416,15 +402,19 @@ mod tests {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(1, a.0, (256 << 10) - 2, Bytes::from_static(b"xxxx"));
-        assert_eq!(t.handle(conn, &w).unwrap().status, Status::LbaOutOfRange);
+        assert_eq!(
+            exchange(&t, conn, &w).unwrap().status,
+            Status::LbaOutOfRange
+        );
     }
 
     #[test]
     fn malformed_wire_bytes_rejected() {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
+        let wire = SgList::from(Bytes::from_static(&[0xde, 0xad]));
         assert!(matches!(
-            t.handle_wire(conn, Bytes::from_static(&[0xde, 0xad])),
+            t.handle_wire_sg_batch(conn, vec![wire]),
             Err(TargetError::Malformed(_))
         ));
     }
@@ -434,9 +424,9 @@ mod tests {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(1, a.0, 0, Bytes::from(vec![5u8; 512]));
-        t.handle(conn, &w).unwrap();
+        exchange(&t, conn, &w).unwrap();
         let f = Capsule::flush(2, a.0);
-        assert_eq!(t.handle(conn, &f).unwrap().status, Status::Success);
+        assert_eq!(exchange(&t, conn, &f).unwrap().status, Status::Success);
         assert_eq!(t.device().volatile_bytes(), 0);
     }
 
@@ -444,17 +434,11 @@ mod tests {
     fn flush_is_namespace_scoped() {
         let (t, a, b) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a, b]);
-        t.handle(
-            conn,
-            &Capsule::write(1, a.0, 0, Bytes::from(vec![1u8; 256])),
-        )
-        .unwrap();
-        t.handle(
-            conn,
-            &Capsule::write(2, b.0, 0, Bytes::from(vec![2u8; 256])),
-        )
-        .unwrap();
-        t.handle(conn, &Capsule::flush(3, a.0)).unwrap();
+        let wa = Capsule::write(1, a.0, 0, Bytes::from(vec![1u8; 256]));
+        let wb = Capsule::write(2, b.0, 0, Bytes::from(vec![2u8; 256]));
+        exchange(&t, conn, &wa).unwrap();
+        exchange(&t, conn, &wb).unwrap();
+        exchange(&t, conn, &Capsule::flush(3, a.0)).unwrap();
         // Only namespace a's shard drained; b's write is still volatile.
         assert_eq!(t.device().volatile_bytes(), 256);
     }
@@ -464,10 +448,12 @@ mod tests {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(7, a.0, 0, Bytes::from(vec![3u8; 256]));
-        let mut wire = bytes::BytesMut::from(&w.encode()[..]);
-        let last = wire.len() - 1;
-        wire[last] ^= 0xFF; // corrupt the payload in flight
-        let resp = Completion::decode(t.handle_wire(conn, wire.freeze()).unwrap()).unwrap();
+        // Corrupt the payload segment in flight.
+        let mut segs = w.encode_sg().into_segments();
+        let mut payload = segs.pop().unwrap().to_vec();
+        payload[255] ^= 0xFF;
+        segs.push(Bytes::from(payload));
+        let resp = exchange_wire(&t, conn, SgList::from(segs)).unwrap();
         assert_eq!(resp.status, Status::DataCorrupt);
         assert_eq!(resp.cid, 7, "CID still echoed so the initiator can retry");
         assert_eq!(
@@ -478,8 +464,8 @@ mod tests {
             1
         );
         // Nothing was written.
-        let r = Capsule::read(8, a.0, 0, 256);
-        assert_eq!(&t.handle(conn, &r).unwrap().data[..], &vec![0u8; 256][..]);
+        let resp = exchange(&t, conn, &Capsule::read(8, a.0, 0, 256)).unwrap();
+        assert_eq!(&resp.data[..], &vec![0u8; 256][..]);
     }
 
     #[test]
@@ -487,10 +473,10 @@ mod tests {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
         let w = Capsule::write(5, a.0, 0, Bytes::from(vec![9u8; 128]));
-        assert_eq!(t.handle(conn, &w).unwrap().status, Status::Success);
+        assert_eq!(exchange(&t, conn, &w).unwrap().status, Status::Success);
         let (writes_before, ..) = t.device().ns_io_counters(a);
         // Same CID again: answered from the replay cache.
-        assert_eq!(t.handle(conn, &w).unwrap().status, Status::Success);
+        assert_eq!(exchange(&t, conn, &w).unwrap().status, Status::Success);
         let (writes_after, ..) = t.device().ns_io_counters(a);
         assert_eq!(writes_after, writes_before, "no second device write");
         assert_eq!(
@@ -508,12 +494,15 @@ mod tests {
         let conn = t.connect("nqn.host0", &[a]);
         // Out-of-range write fails...
         let bad = Capsule::write(3, a.0, (256 << 10) - 2, Bytes::from_static(b"xxxx"));
-        assert_eq!(t.handle(conn, &bad).unwrap().status, Status::LbaOutOfRange);
+        assert_eq!(
+            exchange(&t, conn, &bad).unwrap().status,
+            Status::LbaOutOfRange
+        );
         // ...and a later command reusing that CID executes for real.
         let good = Capsule::write(3, a.0, 0, Bytes::from_static(b"good"));
-        assert_eq!(t.handle(conn, &good).unwrap().status, Status::Success);
-        let r = Capsule::read(4, a.0, 0, 4);
-        assert_eq!(&t.handle(conn, &r).unwrap().data[..], b"good");
+        assert_eq!(exchange(&t, conn, &good).unwrap().status, Status::Success);
+        let resp = exchange(&t, conn, &Capsule::read(4, a.0, 0, 4)).unwrap();
+        assert_eq!(&resp.data[..], b"good");
     }
 
     #[test]
@@ -528,15 +517,12 @@ mod tests {
                     for i in 0..32u64 {
                         let w =
                             Capsule::write(i as u16, ns.0, i * 1024, Bytes::from(vec![fill; 1024]));
-                        assert_eq!(t.handle(conn, &w).unwrap().status, Status::Success);
+                        assert_eq!(exchange(t, conn, &w).unwrap().status, Status::Success);
                     }
                 });
             }
         });
-        let r = Capsule::read(99, a.0, 31 * 1024, 1024);
-        assert_eq!(
-            &t.handle(conn_a, &r).unwrap().data[..],
-            &vec![0xAAu8; 1024][..]
-        );
+        let resp = exchange(&t, conn_a, &Capsule::read(99, a.0, 31 * 1024, 1024)).unwrap();
+        assert_eq!(&resp.data[..], &vec![0xAAu8; 1024][..]);
     }
 }

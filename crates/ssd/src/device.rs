@@ -38,10 +38,8 @@ use crate::namespace::{NamespaceSet, NsError, NsId};
 /// one [`Ssd`] share these, so per-metric registry lookups happen once at
 /// device construction, never per IO.
 struct SsdMetrics {
-    /// Write-payload bytes memcpy'd by the device. On the zero-copy path
-    /// every payload byte is copied exactly once: at drain, into the
-    /// backing store. The slice-based [`NsShard::write`] adds one more
-    /// copy (slice → staging `Bytes`), also counted here.
+    /// Write-payload bytes memcpy'd by the device: every staged payload
+    /// byte is copied exactly once, at drain, into the backing store.
     bytes_copied: Arc<Counter>,
     /// Cumulative nanoseconds IO threads spent *blocked* acquiring shard
     /// locks — the direct observable for cross-rank contention.
@@ -316,15 +314,6 @@ impl NsShard {
         Ok(())
     }
 
-    /// Slice write: stages a copy of `data` (one extra copy vs.
-    /// [`NsShard::write_bytes`], counted in `ssd.bytes_copied`).
-    pub fn write(&self, offset: u64, data: &[u8]) -> Result<(), SsdError> {
-        self.check(offset, data.len() as u64)?;
-        let staged = Bytes::copy_from_slice(data);
-        self.metrics.bytes_copied.add(staged.len() as u64);
-        self.write_bytes(offset, staged)
-    }
-
     /// Overlay pending (still-volatile) writes onto `buf`, which holds the
     /// media contents of `[offset, offset + buf.len())`. FIFO order so
     /// later writes win — the shared read-your-writes step of every read
@@ -365,25 +354,11 @@ impl NsShard {
         }
     }
 
-    /// Read into `buf`, observing volatile (read-your-writes) data.
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<(), SsdError> {
-        self.fault_check()?;
-        self.check(offset, buf.len() as u64)?;
-        let _t = self.metrics.read_ns.time();
-        let mut d = self.lock_data();
-        d.reads += 1;
-        d.bytes_read += buf.len() as u64;
-        self.bit_rot_check(&mut d, offset, buf.len() as u64);
-        d.store.read(offset, buf);
-        Self::overlay_volatile(&d, offset, buf);
-        Ok(())
-    }
-
-    /// Read `len` bytes into a fresh vector. Unlike [`NsShard::read`] into
-    /// a caller-zeroed buffer, the vector is materialized in one pass by
-    /// the backing store (resident pages appended, holes zero-extended) —
-    /// no zero-fill-then-overwrite double touch.
-    pub fn read_vec(&self, offset: u64, len: usize) -> Result<Vec<u8>, SsdError> {
+    /// Read `len` bytes as an owned [`Bytes`] payload, observing volatile
+    /// (read-your-writes) data. The buffer is materialized in one pass by
+    /// the backing store (resident pages appended, holes zero-extended)
+    /// and handed over without a copy.
+    pub fn read_bytes(&self, offset: u64, len: usize) -> Result<Bytes, SsdError> {
         self.fault_check()?;
         self.check(offset, len as u64)?;
         let _t = self.metrics.read_ns.time();
@@ -393,13 +368,7 @@ impl NsShard {
         self.bit_rot_check(&mut d, offset, len as u64);
         let mut v = d.store.read_vec(offset, len);
         Self::overlay_volatile(&d, offset, &mut v);
-        Ok(v)
-    }
-
-    /// Read `len` bytes as an owned [`Bytes`] payload — the vector from
-    /// [`NsShard::read_vec`] handed over without a copy.
-    pub fn read_bytes(&self, offset: u64, len: usize) -> Result<Bytes, SsdError> {
-        self.read_vec(offset, len).map(Bytes::from)
+        Ok(Bytes::from(v))
     }
 
     /// Drain this shard's volatile data to media.
@@ -585,29 +554,6 @@ impl Ssd {
         self.ctrl.lock().shards.values().cloned().collect()
     }
 
-    /// Write through a namespace. Data lands in the shard's device RAM
-    /// first; the buffer drains FIFO to media when it exceeds the
-    /// configured size.
-    pub fn write(&self, ns: NsId, offset: u64, data: &[u8]) -> Result<(), SsdError> {
-        self.shard(ns)?.write(offset, data)
-    }
-
-    /// Zero-copy write through a namespace (see [`NsShard::write_bytes`]).
-    pub fn write_bytes(&self, ns: NsId, offset: u64, data: Bytes) -> Result<(), SsdError> {
-        self.shard(ns)?.write_bytes(offset, data)
-    }
-
-    /// Read through a namespace, observing volatile (read-your-writes)
-    /// data.
-    pub fn read(&self, ns: NsId, offset: u64, buf: &mut [u8]) -> Result<(), SsdError> {
-        self.shard(ns)?.read(offset, buf)
-    }
-
-    /// Read `len` bytes into a fresh vector.
-    pub fn read_vec(&self, ns: NsId, offset: u64, len: usize) -> Result<Vec<u8>, SsdError> {
-        self.shard(ns)?.read_vec(offset, len)
-    }
-
     /// Drain all volatile data on every shard (a device-wide flush).
     pub fn flush(&self) {
         for shard in self.all_shards() {
@@ -674,6 +620,17 @@ mod tests {
         Ssd::with_telemetry(config, Telemetry::new())
     }
 
+    /// A fresh namespace of `size` bytes and its shard — the handle the
+    /// NVMf target resolves once per connection.
+    fn ns_shard(ssd: &Ssd, size: u64) -> (NsId, Arc<NsShard>) {
+        let ns = ssd.create_namespace(size).unwrap();
+        (ns, ssd.shard(ns).unwrap())
+    }
+
+    fn fill(byte: u8, len: usize) -> Bytes {
+        Bytes::from(vec![byte; len])
+    }
+
     fn ssd_counter(ssd: &Ssd, name: &str) -> u64 {
         ssd.telemetry().snapshot().counter(name)
     }
@@ -681,27 +638,28 @@ mod tests {
     #[test]
     fn write_read_roundtrip_through_namespace() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 1000, b"checkpoint-data").unwrap();
-        assert_eq!(ssd.read_vec(ns, 1000, 15).unwrap(), b"checkpoint-data");
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(1000, Bytes::from_static(b"checkpoint-data"))
+            .unwrap();
+        assert_eq!(&s.read_bytes(1000, 15).unwrap()[..], b"checkpoint-data");
     }
 
     #[test]
     fn read_your_writes_from_device_ram() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[7u8; 100]).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(7, 100)).unwrap();
         assert!(ssd.volatile_bytes() > 0, "write should still be volatile");
-        assert_eq!(ssd.read_vec(ns, 0, 100).unwrap(), vec![7u8; 100]);
+        assert_eq!(s.read_bytes(0, 100).unwrap(), fill(7, 100));
     }
 
     #[test]
     fn later_volatile_write_wins_on_overlap() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[1u8; 64]).unwrap();
-        ssd.write(ns, 32, &[2u8; 64]).unwrap();
-        let v = ssd.read_vec(ns, 0, 96).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(1, 64)).unwrap();
+        s.write_bytes(32, fill(2, 64)).unwrap();
+        let v = s.read_bytes(0, 96).unwrap();
         assert_eq!(&v[..32], &[1u8; 32]);
         assert_eq!(&v[32..96], &[2u8; 64]);
     }
@@ -709,68 +667,68 @@ mod tests {
     #[test]
     fn capacitor_saves_volatile_data_on_power_failure() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[9u8; 2048]).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(9, 2048)).unwrap();
         let pf = ssd.power_failure();
         assert_eq!(pf.flushed_bytes, 2048);
         assert_eq!(pf.lost_bytes, 0);
-        assert_eq!(ssd.read_vec(ns, 0, 2048).unwrap(), vec![9u8; 2048]);
+        assert_eq!(s.read_bytes(0, 2048).unwrap(), fill(9, 2048));
     }
 
     #[test]
     fn no_capacitor_loses_volatile_data() {
         let ssd = small_ssd(false);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[9u8; 2048]).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(9, 2048)).unwrap();
         let pf = ssd.power_failure();
         assert_eq!(pf.lost_bytes, 2048);
         // The data is gone: reads return zeroes.
-        assert_eq!(ssd.read_vec(ns, 0, 2048).unwrap(), vec![0u8; 2048]);
+        assert_eq!(s.read_bytes(0, 2048).unwrap(), fill(0, 2048));
     }
 
     #[test]
     fn buffer_drains_fifo_when_over_capacity() {
         let ssd = small_ssd(false);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
         // device_ram is 4096; write 3 x 2048. The first write must have
         // drained to media and thus survives power loss.
-        ssd.write(ns, 0, &[1u8; 2048]).unwrap();
-        ssd.write(ns, 2048, &[2u8; 2048]).unwrap();
-        ssd.write(ns, 4096, &[3u8; 2048]).unwrap();
+        s.write_bytes(0, fill(1, 2048)).unwrap();
+        s.write_bytes(2048, fill(2, 2048)).unwrap();
+        s.write_bytes(4096, fill(3, 2048)).unwrap();
         assert!(ssd.volatile_bytes() <= 4096);
         ssd.power_failure();
-        assert_eq!(ssd.read_vec(ns, 0, 2048).unwrap(), vec![1u8; 2048]);
+        assert_eq!(s.read_bytes(0, 2048).unwrap(), fill(1, 2048));
     }
 
     #[test]
     fn namespaces_do_not_alias() {
         let ssd = small_ssd(true);
-        let a = ssd.create_namespace(4096).unwrap();
-        let b = ssd.create_namespace(4096).unwrap();
-        ssd.write(a, 0, &[0xAA; 4096]).unwrap();
-        ssd.write(b, 0, &[0xBB; 4096]).unwrap();
+        let (_, a) = ns_shard(&ssd, 4096);
+        let (_, b) = ns_shard(&ssd, 4096);
+        a.write_bytes(0, fill(0xAA, 4096)).unwrap();
+        b.write_bytes(0, fill(0xBB, 4096)).unwrap();
         ssd.flush();
-        assert_eq!(ssd.read_vec(a, 0, 4096).unwrap(), vec![0xAA; 4096]);
-        assert_eq!(ssd.read_vec(b, 0, 4096).unwrap(), vec![0xBB; 4096]);
+        assert_eq!(a.read_bytes(0, 4096).unwrap(), fill(0xAA, 4096));
+        assert_eq!(b.read_bytes(0, 4096).unwrap(), fill(0xBB, 4096));
     }
 
     #[test]
     fn io_counters_accumulate() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(4096).unwrap();
-        ssd.write(ns, 0, &[0u8; 100]).unwrap();
-        let _ = ssd.read_vec(ns, 0, 50).unwrap();
+        let (_, s) = ns_shard(&ssd, 4096);
+        s.write_bytes(0, fill(0, 100)).unwrap();
+        let _ = s.read_bytes(0, 50).unwrap();
         assert_eq!(ssd.io_counters(), (1, 1, 100, 50));
     }
 
     #[test]
     fn per_namespace_accounting_separates_tenants() {
         let ssd = small_ssd(true);
-        let a = ssd.create_namespace(8192).unwrap();
-        let b = ssd.create_namespace(8192).unwrap();
-        ssd.write(a, 0, &[0u8; 100]).unwrap();
-        ssd.write(a, 100, &[0u8; 50]).unwrap();
-        let _ = ssd.read_vec(b, 0, 64).unwrap();
+        let (a, sa) = ns_shard(&ssd, 8192);
+        let (b, sb) = ns_shard(&ssd, 8192);
+        sa.write_bytes(0, fill(0, 100)).unwrap();
+        sa.write_bytes(100, fill(0, 50)).unwrap();
+        let _ = sb.read_bytes(0, 64).unwrap();
         assert_eq!(ssd.ns_io_counters(a), (2, 0, 150, 0));
         assert_eq!(ssd.ns_io_counters(b), (0, 1, 0, 64));
         let c = ssd.create_namespace(64).unwrap();
@@ -780,17 +738,16 @@ mod tests {
     #[test]
     fn out_of_range_io_is_rejected() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(100).unwrap();
-        assert!(ssd.write(ns, 90, &[0u8; 20]).is_err());
-        let mut buf = [0u8; 20];
-        assert!(ssd.read(ns, 90, &mut buf).is_err());
+        let (_, s) = ns_shard(&ssd, 100);
+        assert!(s.write_bytes(90, fill(0, 20)).is_err());
+        assert!(s.read_bytes(90, 20).is_err());
     }
 
     #[test]
     fn counters_survive_namespace_delete() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(4096).unwrap();
-        ssd.write(ns, 0, &[0u8; 128]).unwrap();
+        let (ns, s) = ns_shard(&ssd, 4096);
+        s.write_bytes(0, fill(0, 128)).unwrap();
         ssd.flush();
         ssd.delete_namespace(ns).unwrap();
         let (w, _, bw, _) = ssd.io_counters();
@@ -801,25 +758,26 @@ mod tests {
     #[test]
     fn zero_copy_write_copies_once_at_drain() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        let payload = Bytes::from(vec![0x5Au8; 8192]);
-        ssd.write_bytes(ns, 0, payload).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(0x5A, 8192)).unwrap();
         // 8 KiB exceeds the 4 KiB RAM budget, so the write has fully
         // drained: exactly one copy per byte, into the backing store.
         assert_eq!(ssd_counter(&ssd, "ssd.bytes_copied"), 8192);
-        assert_eq!(ssd.read_vec(ns, 0, 8192).unwrap(), vec![0x5Au8; 8192]);
-        // The slice path costs one extra staging copy.
+        assert_eq!(s.read_bytes(0, 8192).unwrap(), fill(0x5A, 8192));
+        // A staged write is not copied until a flush drains it, and then
+        // exactly once.
         let before = ssd_counter(&ssd, "ssd.bytes_copied");
-        ssd.write(ns, 0, &[1u8; 64]).unwrap();
+        s.write_bytes(0, fill(1, 64)).unwrap();
+        assert_eq!(ssd_counter(&ssd, "ssd.bytes_copied"), before);
         ssd.flush();
-        assert_eq!(ssd_counter(&ssd, "ssd.bytes_copied") - before, 128);
+        assert_eq!(ssd_counter(&ssd, "ssd.bytes_copied") - before, 64);
     }
 
     #[test]
     fn telemetry_tracks_occupancy_drains_and_capacitor_flush() {
         let ssd = small_ssd(true);
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[7u8; 1024]).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(7, 1024)).unwrap();
         let snap = ssd.telemetry().snapshot();
         // The 1 KiB write fits the 4 KiB budget: still staged.
         assert_eq!(snap.gauge("ssd.queue_depth").value, 1);
@@ -847,7 +805,7 @@ mod tests {
             ..SsdConfig::default()
         };
         let ssd = Ssd::with_telemetry(config, Telemetry::new());
-        let ns = ssd.create_namespace(64 << 10).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
         let t = Telemetry::new();
 
         chaos.arm(
@@ -855,30 +813,26 @@ mod tests {
             &t,
         );
         assert!(matches!(
-            ssd.write(ns, 0, &[1u8; 64]),
+            s.write_bytes(0, fill(1, 64)),
             Err(SsdError::Busy(_))
         ));
         // Busy is transient: the next attempt succeeds.
-        ssd.write(ns, 0, &[1u8; 64]).unwrap();
+        s.write_bytes(0, fill(1, 64)).unwrap();
 
         chaos.arm(
             chaos::FaultPlan::new(1).at_op(Site::ShardIo, FaultAction::KillShard, 0),
             &t,
         );
         assert!(matches!(
-            ssd.write(ns, 0, &[2u8; 64]),
+            s.write_bytes(0, fill(2, 64)),
             Err(SsdError::ShardDead(_))
         ));
         chaos.disarm();
         // Dead is permanent, even with chaos disarmed, until revived.
-        assert!(matches!(
-            ssd.read_vec(ns, 0, 64),
-            Err(SsdError::ShardDead(_))
-        ));
-        let shard = ssd.shard(ns).unwrap();
-        assert!(shard.is_dead());
-        shard.revive();
-        assert_eq!(ssd.read_vec(ns, 0, 64).unwrap(), vec![1u8; 64]);
+        assert!(matches!(s.read_bytes(0, 64), Err(SsdError::ShardDead(_))));
+        assert!(s.is_dead());
+        s.revive();
+        assert_eq!(s.read_bytes(0, 64).unwrap(), fill(1, 64));
     }
 
     #[test]
@@ -892,9 +846,9 @@ mod tests {
             ..SsdConfig::default()
         };
         let ssd = Ssd::with_telemetry(config, Telemetry::new());
-        let ns = ssd.create_namespace(64 << 10).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
         for i in 0..4u64 {
-            ssd.write(ns, i * 1024, &[i as u8 + 1; 1024]).unwrap();
+            s.write_bytes(i * 1024, fill(i as u8 + 1, 1024)).unwrap();
         }
         assert_eq!(ssd.volatile_bytes(), 4096);
 
@@ -912,10 +866,10 @@ mod tests {
         assert_eq!(pf.lost_bytes, 2048, "the rest died with the power");
         chaos.disarm();
         // FIFO drain order: the first two writes survived, the rest read 0.
-        assert_eq!(ssd.read_vec(ns, 0, 1024).unwrap(), vec![1u8; 1024]);
-        assert_eq!(ssd.read_vec(ns, 1024, 1024).unwrap(), vec![2u8; 1024]);
-        assert_eq!(ssd.read_vec(ns, 2048, 1024).unwrap(), vec![0u8; 1024]);
-        assert_eq!(ssd.read_vec(ns, 3072, 1024).unwrap(), vec![0u8; 1024]);
+        assert_eq!(s.read_bytes(0, 1024).unwrap(), fill(1, 1024));
+        assert_eq!(s.read_bytes(1024, 1024).unwrap(), fill(2, 1024));
+        assert_eq!(s.read_bytes(2048, 1024).unwrap(), fill(0, 1024));
+        assert_eq!(s.read_bytes(3072, 1024).unwrap(), fill(0, 1024));
     }
 
     #[test]
@@ -928,8 +882,8 @@ mod tests {
             ..SsdConfig::default()
         };
         let ssd = Ssd::with_telemetry(config, Telemetry::new());
-        let ns = ssd.create_namespace(64 << 10).unwrap();
-        ssd.write(ns, 0, &[0x55u8; 8192]).unwrap();
+        let (_, s) = ns_shard(&ssd, 64 << 10);
+        s.write_bytes(0, fill(0x55, 8192)).unwrap();
         ssd.flush();
 
         let t = Telemetry::new();
@@ -938,37 +892,35 @@ mod tests {
             &t,
         );
         // The faulted read itself observes the flip (offset + len/2, low bit).
-        let v = ssd.read_vec(ns, 0, 8192).unwrap();
+        let v = s.read_bytes(0, 8192).unwrap();
         assert_eq!(v[4096], 0x54, "one bit flipped inside the read range");
         assert_eq!(v.iter().filter(|&&b| b != 0x55).count(), 1);
         chaos.disarm();
         // Latent: the corruption lives on media, not on the wire.
-        let v = ssd.read_vec(ns, 0, 8192).unwrap();
+        let v = s.read_bytes(0, 8192).unwrap();
         assert_eq!(v[4096], 0x54);
         // A rewrite (read-repair) heals it.
-        ssd.write(ns, 4096, &[0x55u8]).unwrap();
+        s.write_bytes(4096, fill(0x55, 1)).unwrap();
         ssd.flush();
-        assert_eq!(ssd.read_vec(ns, 0, 8192).unwrap(), vec![0x55u8; 8192]);
+        assert_eq!(s.read_bytes(0, 8192).unwrap(), fill(0x55, 8192));
     }
 
     #[test]
     fn shards_are_independently_usable_across_threads() {
-        let ssd = std::sync::Arc::new(small_ssd(true));
-        let a = ssd.create_namespace(64 << 10).unwrap();
-        let b = ssd.create_namespace(64 << 10).unwrap();
+        let ssd = small_ssd(true);
+        let (_, a) = ns_shard(&ssd, 64 << 10);
+        let (_, b) = ns_shard(&ssd, 64 << 10);
         std::thread::scope(|s| {
-            for (ns, fill) in [(a, 0xAAu8), (b, 0xBBu8)] {
-                let ssd = std::sync::Arc::clone(&ssd);
+            for (shard, byte) in [(&a, 0xAAu8), (&b, 0xBBu8)] {
                 s.spawn(move || {
-                    let shard = ssd.shard(ns).unwrap();
                     for i in 0..64u64 {
-                        shard.write(i * 512, &[fill; 512]).unwrap();
+                        shard.write_bytes(i * 512, fill(byte, 512)).unwrap();
                     }
                     shard.flush();
                 });
             }
         });
-        assert_eq!(ssd.read_vec(a, 0, 512).unwrap(), vec![0xAAu8; 512]);
-        assert_eq!(ssd.read_vec(b, 63 * 512, 512).unwrap(), vec![0xBBu8; 512]);
+        assert_eq!(a.read_bytes(0, 512).unwrap(), fill(0xAA, 512));
+        assert_eq!(b.read_bytes(63 * 512, 512).unwrap(), fill(0xBB, 512));
     }
 }

@@ -5,6 +5,7 @@
 //! absorbed the fault) or rolls back along the multi-level policy (the
 //! fault was by design unabsorbable at the fast tier).
 
+use bytes::Bytes;
 use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::{FsConfig, FsError, MemDevice, MicroFs, OpenFlags};
@@ -241,8 +242,11 @@ fn power_cut_mid_drain_loses_tail_and_rolls_back_multilevel() {
         telemetry.clone(),
     );
     let ns = ssd.create_namespace(64 << 20).unwrap();
+    let shard = ssd.shard(ns).unwrap();
     for i in 0..4u64 {
-        ssd.write(ns, i * 4096, &[i as u8; 4096]).unwrap();
+        shard
+            .write_bytes(i * 4096, Bytes::from(vec![i as u8; 4096]))
+            .unwrap();
     }
     // The capacitor drain is interrupted after two staged writes.
     chaos.arm(

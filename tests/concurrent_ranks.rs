@@ -57,7 +57,7 @@ fn concurrent_ranks_survive_node_crash_byte_for_byte() {
         .collect();
 
     // Phase 1: every rank on its own thread — format, write a checkpoint
-    // through the zero-copy path, fsync, then "crash" (drop without
+    // through the data plane, fsync, then "crash" (drop without
     // close/unmount).
     std::thread::scope(|s| {
         for rank in 0..RANKS {
