@@ -70,15 +70,6 @@ impl LustreModel {
     pub fn spec(&self) -> &DataPlaneSpec {
         &self.spec
     }
-
-    /// Aggregate usable write bandwidth of the Lustre tier (for progress
-    /// accounting in Table II harnesses).
-    pub fn tier_write_bw(&self, s: &Scenario) -> Rate {
-        let ls = Self::lustre_scenario(s);
-        ls.ssd.write_bw().scale(
-            f64::from(ls.servers) * self.spec.layer_efficiency / f64::from(self.spec.replication),
-        )
-    }
 }
 
 impl StorageModel for LustreModel {
@@ -138,12 +129,5 @@ mod tests {
         let s = Scenario::strong_scaling(448);
         let m = LustreModel::new();
         assert!(m.recovery_makespan(&s) < m.checkpoint_makespan(&s));
-    }
-
-    #[test]
-    fn tier_bandwidth_is_replication_adjusted() {
-        let s = Scenario::weak_scaling(448);
-        let bw = LustreModel::new().tier_write_bw(&s).as_bytes_per_sec();
-        assert!((1.0e9..3.0e9).contains(&bw), "tier bw {bw}");
     }
 }

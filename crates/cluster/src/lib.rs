@@ -12,9 +12,8 @@
 //!   storage is handed to jobs at NVMe-namespace granularity, as the paper
 //!   does with Slurm's gres plugin (§III-F "Security Model").
 //! * [`mpi`] — the thin slice of MPI the runtime actually uses:
-//!   communicator construction, `split` (to build `MPI_COMM_CR`), and
-//!   functional collectives with log-tree cost models. Coordination happens
-//!   only at init, exactly as in the paper (§III-C).
+//!   communicator construction and `split` (to build `MPI_COMM_CR`).
+//!   Coordination happens only at init, exactly as in the paper (§III-C).
 //! * [`faults`] — MTBF-driven fault injection, including correlated
 //!   (cascading) rack failures for the multi-level checkpointing
 //!   evaluation (§IV-I).
@@ -35,4 +34,4 @@ pub use failure::{DomainId, FailureDomains};
 pub use faults::{FaultEvent, FaultInjector, FaultKind};
 pub use mpi::{Comm, CommWorld};
 pub use scheduler::{JobAllocation, JobId, JobRequest, Scheduler, SchedulerError, StorageGrant};
-pub use topology::{NodeId, NodeKind, PodId, RackId, Topology};
+pub use topology::{NodeId, NodeKind, RackId, Topology};

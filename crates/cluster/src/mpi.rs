@@ -2,13 +2,10 @@
 //!
 //! The runtime "leverages the MPI runtime for coordination between multiple
 //! instances as well as for identification purposes... coordination is only
-//! necessary in the initialization routine" (§III-C). That means we need:
-//! communicator identity (rank/size), `MPI_Comm_split` to build the per-SSD
-//! `MPI_COMM_CR` communicators (§III-F, Figure 6), functional collectives
-//! for the init-time exchange, and latency cost models so initialization
-//! shows up in simulated time.
-
-use simkit::SimTime;
+//! necessary in the initialization routine" (§III-C). The storage
+//! balancer needs exactly communicator identity (rank/size) and
+//! `MPI_Comm_split` to build the per-SSD `MPI_COMM_CR` communicators
+//! (§III-F, Figure 6).
 
 use crate::topology::NodeId;
 
@@ -30,11 +27,6 @@ impl CommWorld {
         self.rank_nodes.len() as u32
     }
 
-    /// The node hosting a rank.
-    pub fn node_of(&self, rank: u32) -> NodeId {
-        self.rank_nodes[rank as usize]
-    }
-
     /// The world communicator.
     pub fn comm_world(&self) -> Comm {
         Comm {
@@ -54,11 +46,6 @@ impl Comm {
     /// Communicator size.
     pub fn size(&self) -> u32 {
         self.ranks.len() as u32
-    }
-
-    /// Global rank of communicator-local rank `local`.
-    pub fn global_rank(&self, local: u32) -> u32 {
-        self.ranks[local as usize]
     }
 
     /// Local rank of a global rank, if it belongs to this communicator.
@@ -97,61 +84,11 @@ impl Comm {
             })
             .collect()
     }
-
-    /// Functional allgather: every member contributes one value; every
-    /// member observes all of them in communicator order. `inputs` is
-    /// indexed by local rank.
-    pub fn allgather<T: Clone>(&self, inputs: &[T]) -> Vec<T> {
-        assert_eq!(
-            inputs.len(),
-            self.ranks.len(),
-            "one contribution per member required"
-        );
-        inputs.to_vec()
-    }
-
-    /// Functional broadcast from local rank `root`.
-    pub fn bcast<T: Clone>(&self, root: u32, value: &T) -> Vec<T> {
-        assert!(root < self.size());
-        vec![value.clone(); self.ranks.len()]
-    }
-
-    /// Cost model: a barrier over `n` ranks completes in
-    /// `ceil(log2 n)` message rounds.
-    pub fn barrier_time(&self, per_message: SimTime) -> SimTime {
-        per_message * log2_ceil(self.size()) as f64
-    }
-
-    /// Cost model: recursive-doubling allgather of `bytes` per rank.
-    pub fn allgather_time(
-        &self,
-        bytes_per_rank: u64,
-        per_message: SimTime,
-        bw: simkit::Rate,
-    ) -> SimTime {
-        let rounds = log2_ceil(self.size());
-        let mut t = SimTime::ZERO;
-        let mut chunk = bytes_per_rank;
-        for _ in 0..rounds {
-            t += per_message + bw.time_for(chunk);
-            chunk *= 2;
-        }
-        t
-    }
-}
-
-fn log2_ceil(n: u32) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        32 - (n - 1).leading_zeros()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Rate;
 
     fn world(n: u32) -> CommWorld {
         CommWorld::new((0..n).map(|i| NodeId(i / 28)).collect())
@@ -161,11 +98,9 @@ mod tests {
     fn world_identity() {
         let w = world(56);
         assert_eq!(w.size(), 56);
-        assert_eq!(w.node_of(0), NodeId(0));
-        assert_eq!(w.node_of(28), NodeId(1));
         let c = w.comm_world();
         assert_eq!(c.size(), 56);
-        assert_eq!(c.global_rank(10), 10);
+        assert_eq!(c.members()[10], 10);
         assert_eq!(c.local_rank(10), Some(10));
     }
 
@@ -200,40 +135,5 @@ mod tests {
         for (_, c) in &parts {
             assert_eq!(c.size(), 56);
         }
-    }
-
-    #[test]
-    fn functional_collectives() {
-        let w = world(4);
-        let c = w.comm_world();
-        assert_eq!(c.allgather(&[10, 20, 30, 40]), vec![10, 20, 30, 40]);
-        assert_eq!(c.bcast(2, &"cfg"), vec!["cfg"; 4]);
-    }
-
-    #[test]
-    fn barrier_cost_is_logarithmic() {
-        let w = world(448);
-        let c = w.comm_world();
-        let t = c.barrier_time(SimTime::micros(2.0));
-        assert!((t.as_micros() - 18.0).abs() < 1e-9); // ceil(log2 448) = 9
-    }
-
-    #[test]
-    fn allgather_cost_grows_with_size() {
-        let small = world(8).comm_world();
-        let big = world(448).comm_world();
-        let per_msg = SimTime::micros(2.0);
-        let bw = Rate::gbit_per_sec(100.0);
-        assert!(big.allgather_time(64, per_msg, bw) > small.allgather_time(64, per_msg, bw));
-    }
-
-    #[test]
-    fn log2_ceil_values() {
-        assert_eq!(log2_ceil(1), 0);
-        assert_eq!(log2_ceil(2), 1);
-        assert_eq!(log2_ceil(3), 2);
-        assert_eq!(log2_ceil(448), 9);
-        assert_eq!(log2_ceil(512), 9);
-        assert_eq!(log2_ceil(513), 10);
     }
 }

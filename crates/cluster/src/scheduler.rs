@@ -126,8 +126,6 @@ pub struct Scheduler {
     /// (storage node, ssd index) → slot state.
     ssds: BTreeMap<(NodeId, u32), SsdState>,
     jobs: BTreeMap<JobId, JobAllocation>,
-    /// FIFO backlog of jobs waiting for resources.
-    pending: std::collections::VecDeque<(JobId, JobRequest)>,
     next_job: u32,
 }
 
@@ -155,7 +153,6 @@ impl Scheduler {
             busy_compute: BTreeSet::new(),
             ssds,
             jobs: BTreeMap::new(),
-            pending: std::collections::VecDeque::new(),
             next_job: 0,
         }
     }
@@ -284,53 +281,6 @@ impl Scheduler {
         }
         Ok(())
     }
-
-    /// Submit with queueing: if resources are unavailable the request
-    /// joins a FIFO backlog and is admitted by a later
-    /// [`drain_backlog`](Self::drain_backlog). Returns the ticket id and,
-    /// if it ran immediately, the allocation.
-    pub fn submit_or_queue(
-        &mut self,
-        req: &JobRequest,
-    ) -> Result<(JobId, Option<JobAllocation>), SchedulerError> {
-        // Strict FIFO: a non-empty backlog means new arrivals queue behind
-        // it even if they would fit right now (no backfill).
-        if self.pending.is_empty() {
-            match self.submit(req) {
-                Ok(alloc) => return Ok((alloc.id, Some(alloc))),
-                Err(SchedulerError::NotEnoughCompute { .. })
-                | Err(SchedulerError::NotEnoughStorage { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let ticket = JobId(self.next_job);
-        self.next_job += 1;
-        self.pending.push_back((ticket, req.clone()));
-        Ok((ticket, None))
-    }
-
-    /// Jobs waiting in the backlog.
-    pub fn backlog_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Admit queued jobs in FIFO order while resources allow (callers
-    /// typically invoke this after each [`release`](Self::release)).
-    /// Returns the admitted `(ticket, allocation)` pairs; the allocation
-    /// carries the scheduler-assigned job id, which replaces the ticket.
-    pub fn drain_backlog(&mut self) -> Vec<(JobId, JobAllocation)> {
-        let mut admitted = Vec::new();
-        while let Some((ticket, req)) = self.pending.front().cloned() {
-            match self.submit(&req) {
-                Ok(alloc) => {
-                    self.pending.pop_front();
-                    admitted.push((ticket, alloc));
-                }
-                Err(_) => break, // strict FIFO: head-of-line blocks
-            }
-        }
-        admitted
-    }
 }
 
 #[cfg(test)]
@@ -428,59 +378,6 @@ mod tests {
         s.submit(&JobRequest::full_subscription(448)).unwrap();
         let err = s.submit(&JobRequest::full_subscription(28)).unwrap_err();
         assert!(matches!(err, SchedulerError::NotEnoughCompute { .. }));
-    }
-
-    #[test]
-    fn backlog_admits_fifo_after_release() {
-        let mut s = sched();
-        let first = s.submit(&JobRequest::full_subscription(448)).unwrap();
-        // Cluster full: two more jobs queue up.
-        let (t1, a1) = s
-            .submit_or_queue(&JobRequest::full_subscription(224))
-            .unwrap();
-        let (t2, a2) = s
-            .submit_or_queue(&JobRequest::full_subscription(224))
-            .unwrap();
-        assert!(a1.is_none() && a2.is_none());
-        assert_eq!(s.backlog_len(), 2);
-        assert!(s.drain_backlog().is_empty(), "nothing freed yet");
-        // Releasing the big job admits both queued jobs, in order.
-        s.release(first.id).unwrap();
-        let admitted = s.drain_backlog();
-        assert_eq!(admitted.len(), 2);
-        assert_eq!(admitted[0].0, t1);
-        assert_eq!(admitted[1].0, t2);
-        assert_eq!(s.backlog_len(), 0);
-    }
-
-    #[test]
-    fn head_of_line_blocks_strictly() {
-        let mut s = sched();
-        let big = s.submit(&JobRequest::full_subscription(224)).unwrap();
-        let small = s.submit(&JobRequest::full_subscription(112)).unwrap();
-        // A cluster-sized job queues first, a tiny one second.
-        let (_huge, none) = s
-            .submit_or_queue(&JobRequest::full_subscription(448))
-            .unwrap();
-        assert!(none.is_none());
-        let (_tiny, none) = s
-            .submit_or_queue(&JobRequest::full_subscription(28))
-            .unwrap();
-        assert!(none.is_none());
-        // Freeing only 112 ranks is not enough for the 448-rank head; the
-        // tiny job would fit but must wait (strict FIFO, no backfill).
-        s.release(small.id).unwrap();
-        assert!(s.drain_backlog().is_empty());
-        assert_eq!(s.backlog_len(), 2);
-        // Freeing the rest admits the head; the tiny job now waits on
-        // the huge one it queued behind.
-        s.release(big.id).unwrap();
-        let admitted = s.drain_backlog();
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(s.backlog_len(), 1);
-        s.release(admitted[0].1.id).unwrap();
-        assert_eq!(s.drain_backlog().len(), 1);
-        assert_eq!(s.backlog_len(), 0);
     }
 
     #[test]

@@ -15,12 +15,6 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RackId(pub u32);
 
-/// Identifier of a pod (a group of racks under one aggregation switch in
-/// the three-level fat tree; racks outside any pod attach directly to the
-/// spine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PodId(pub u32);
-
 /// Role of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
@@ -47,9 +41,6 @@ struct Node {
 pub struct Topology {
     nodes: Vec<Node>,
     racks: u32,
-    /// Pod of each rack (None: the rack's ToR uplinks straight to the
-    /// spine, the two-level default).
-    rack_pods: Vec<Option<PodId>>,
 }
 
 /// Incremental [`Topology`] construction.
@@ -57,20 +48,13 @@ pub struct Topology {
 pub struct TopologyBuilder {
     nodes: Vec<Node>,
     racks: u32,
-    rack_pods: Vec<Option<PodId>>,
 }
 
 impl TopologyBuilder {
     /// Add a rack of `n` identical nodes; returns its id.
     pub fn rack(&mut self, n: u32, kind: NodeKind) -> RackId {
-        self.rack_in_pod(n, kind, None)
-    }
-
-    /// Add a rack inside a pod (three-level fat tree); returns its id.
-    pub fn rack_in_pod(&mut self, n: u32, kind: NodeKind, pod: Option<PodId>) -> RackId {
         let rack = RackId(self.racks);
         self.racks += 1;
-        self.rack_pods.push(pod);
         for _ in 0..n {
             self.nodes.push(Node { rack, kind });
         }
@@ -83,7 +67,6 @@ impl TopologyBuilder {
         Topology {
             nodes: self.nodes,
             racks: self.racks,
-            rack_pods: self.rack_pods,
         }
     }
 }
@@ -174,14 +157,8 @@ impl Topology {
         self.nodes().map(|n| self.cores_of(n)).sum()
     }
 
-    /// The pod a rack belongs to, if the topology is three-level.
-    pub fn pod_of(&self, r: RackId) -> Option<PodId> {
-        self.rack_pods[r.0 as usize]
-    }
-
     /// Switch hops between two nodes: 0 same node, 2 same rack (via the
-    /// ToR), 4 same pod (via the aggregation switch), 6 cross-pod (via
-    /// the spine). In the two-level default every cross-rack pair is 4.
+    /// ToR), 4 cross-rack (via the spine).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
         if a == b {
             0
@@ -192,45 +169,14 @@ impl Topology {
         }
     }
 
-    /// Hops between two racks: 0 same rack; 4 same pod (or two-level
-    /// tree); 6 across pods.
+    /// Hops between two racks: 0 same rack, 4 otherwise (one spine
+    /// crossing).
     pub fn rack_hops(&self, a: RackId, b: RackId) -> u32 {
         if a == b {
-            return 0;
+            0
+        } else {
+            4
         }
-        match (self.pod_of(a), self.pod_of(b)) {
-            (Some(pa), Some(pb)) if pa == pb => 4,
-            (Some(_), Some(_)) => 6,
-            // Mixed or two-level wiring: one spine crossing.
-            _ => 4,
-        }
-    }
-
-    /// A three-level fat tree: `pods` pods, each holding `compute_racks`
-    /// compute racks and `storage_racks` storage racks of `nodes_per_rack`
-    /// nodes (compute nodes carry `cores`, storage nodes one SSD).
-    pub fn fat_tree(
-        pods: u32,
-        compute_racks: u32,
-        storage_racks: u32,
-        nodes_per_rack: u32,
-        cores: u32,
-    ) -> Topology {
-        assert!(pods > 0);
-        let mut b = Topology::builder();
-        for p in 0..pods {
-            for _ in 0..compute_racks {
-                b.rack_in_pod(nodes_per_rack, NodeKind::Compute { cores }, Some(PodId(p)));
-            }
-            for _ in 0..storage_racks {
-                b.rack_in_pod(
-                    nodes_per_rack,
-                    NodeKind::Storage { ssds: 1 },
-                    Some(PodId(p)),
-                );
-            }
-        }
-        b.build()
     }
 }
 
@@ -281,54 +227,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_topology_rejected() {
         let _ = Topology::builder().build();
-    }
-
-    #[test]
-    fn fat_tree_hop_hierarchy() {
-        // 2 pods x (1 compute rack + 1 storage rack) x 2 nodes.
-        let t = Topology::fat_tree(2, 1, 1, 2, 28);
-        assert_eq!(t.rack_count(), 4);
-        let c = t.compute_nodes();
-        let s = t.storage_nodes();
-        // Same rack: 2 hops.
-        assert_eq!(t.hops(c[0], c[1]), 2);
-        // Same pod, different rack: 4 hops (compute rack 0 + storage rack
-        // 1 are both pod 0).
-        assert_eq!(t.hops(c[0], s[0]), 4);
-        // Cross-pod: 6 hops.
-        assert_eq!(t.hops(c[0], s[2]), 6);
-        assert_eq!(t.pod_of(t.rack_of(c[0])), Some(PodId(0)));
-        assert_eq!(t.pod_of(t.rack_of(c[2])), Some(PodId(1)));
-    }
-
-    #[test]
-    fn two_level_topologies_are_unchanged() {
-        let t = Topology::paper_testbed();
-        let c = t.compute_nodes();
-        let s = t.storage_nodes();
-        assert_eq!(t.hops(c[0], s[0]), 4);
-        assert_eq!(t.pod_of(t.rack_of(c[0])), None);
-    }
-
-    #[test]
-    fn fat_tree_partner_selection_prefers_same_pod() {
-        // The scheduler's greedy hop-sorted storage choice should pick the
-        // same-pod storage rack first.
-        use crate::failure::FailureDomains;
-        let t = Topology::fat_tree(2, 1, 1, 4, 28);
-        let fd = FailureDomains::derive(&t);
-        // Compute rack of pod 0 is domain 0; its storage racks are domain
-        // 1 (pod 0) and domain 3 (pod 1). Partner list must start with the
-        // 4-hop same-pod domains before the 6-hop cross-pod ones.
-        let partners = fd.partners_of(crate::failure::DomainId(0));
-        let hops: Vec<u32> = partners
-            .iter()
-            .map(|d| t.rack_hops(RackId(0), RackId(d.0)))
-            .collect();
-        for w in hops.windows(2) {
-            assert!(w[0] <= w[1], "partners must be hop-sorted: {hops:?}");
-        }
-        assert_eq!(hops[0], 4);
-        assert_eq!(*hops.last().unwrap(), 6);
     }
 }

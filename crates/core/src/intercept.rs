@@ -15,27 +15,6 @@
 use microfs::block::BlockDevice;
 use microfs::{FsError, MicroFs, OpenFlags};
 
-/// The POSIX symbols NVMe-CR interposes (the library-call surface of
-/// §III-C/E). Used for documentation and to test coverage of the dispatch.
-pub const INTERCEPTED_SYMBOLS: &[&str] = &[
-    "open",
-    "creat",
-    "close",
-    "read",
-    "write",
-    "pread",
-    "pwrite",
-    "lseek",
-    "fsync",
-    "mkdir",
-    "unlink",
-    "rename",
-    "truncate",
-    "stat",
-    "MPI_Init",
-    "MPI_Finalize",
-];
-
 /// Where a call was routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
@@ -233,11 +212,6 @@ impl<D: BlockDevice> PosixLayer<D> {
     pub fn stats(&self) -> InterceptStats {
         self.stats
     }
-
-    /// The wrapped filesystem (e.g. for finalize-time snapshotting).
-    pub fn fs_mut(&mut self) -> &mut MicroFs<D> {
-        &mut self.fs
-    }
 }
 
 #[cfg(test)]
@@ -309,13 +283,5 @@ mod tests {
             "failed rename must not move the file"
         );
         assert!(l.truncate("/etc/passwd", 0).is_err());
-    }
-
-    #[test]
-    fn symbol_table_covers_posix_io() {
-        for sym in ["open", "write", "read", "close", "fsync", "mkdir", "unlink"] {
-            assert!(INTERCEPTED_SYMBOLS.contains(&sym));
-        }
-        assert!(INTERCEPTED_SYMBOLS.contains(&"MPI_Init"));
     }
 }

@@ -1117,17 +1117,6 @@ pub fn explore_nested(
     Ok(report)
 }
 
-/// `Arc`-free convenience used by tests and the smoke binary: a plain
-/// pass/fail over the whole universe.
-pub fn universe_is_clean(report: &UniverseReport) -> bool {
-    report.failures.is_empty()
-}
-
-/// Nested twin of [`universe_is_clean`].
-pub fn nested_is_clean(report: &NestedReport) -> bool {
-    report.failures.is_empty()
-}
-
 /// Outcome of one forced quarantine → degraded-serve → rejoin cycle.
 #[derive(Debug, Clone)]
 pub struct QuarantineCycle {
@@ -1358,7 +1347,7 @@ mod tests {
         let t = Telemetry::new();
         let report = explore_nested(&tiny(), 4, 4, &t).expect("nested grid");
         assert!(
-            nested_is_clean(&report),
+            report.failures.is_empty(),
             "nested universe has violations: {:?}",
             report.failures
         );

@@ -299,14 +299,6 @@ impl Capsule {
         buf.freeze()
     }
 
-    /// Serialize to one contiguous wire buffer (copies the payload).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.data.len());
-        buf.put_slice(&self.encode_header());
-        buf.put_slice(&self.data);
-        buf.freeze()
-    }
-
     /// Serialize as a scatter-gather list: `[header, payload]`. The
     /// payload segment is the capsule's own refcounted buffer — encoding
     /// a write this way copies zero payload bytes.
@@ -350,11 +342,6 @@ impl Capsule {
         ))
     }
 
-    /// Parse from contiguous wire bytes.
-    pub fn decode(buf: Bytes) -> Result<Self, CapsuleError> {
-        Self::decode_sg(SgList::from(buf))
-    }
-
     /// Parse from a scatter-gather delivery without copying the payload:
     /// in the `[header, payload]` shape produced by [`Capsule::encode_sg`],
     /// the payload segment is adopted by refcount. Other segmentations
@@ -367,11 +354,6 @@ impl Capsule {
         check_payload(c.cid, c.declared_payload_len(), &data, wire_crc, prefix_crc)?;
         c.data = data;
         Ok(c)
-    }
-
-    /// Total size on the wire, including inline payload.
-    pub fn wire_size(&self) -> usize {
-        HEADER_LEN + self.data.len()
     }
 }
 
@@ -413,14 +395,6 @@ impl Completion {
         buf.put_u64_le(self.data.len() as u64);
         let crc = crc32_update(crc32(&buf), &self.data);
         buf.put_u32_le(crc);
-        buf.freeze()
-    }
-
-    /// Serialize to one contiguous wire buffer (copies the payload).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(COMPLETION_HEADER_LEN + self.data.len());
-        buf.put_slice(&self.encode_header());
-        buf.put_slice(&self.data);
         buf.freeze()
     }
 
@@ -466,11 +440,6 @@ impl Completion {
         ))
     }
 
-    /// Parse from contiguous wire bytes.
-    pub fn decode(buf: Bytes) -> Result<Self, CapsuleError> {
-        Self::decode_sg(SgList::from(buf))
-    }
-
     /// Parse from a scatter-gather delivery without copying the payload
     /// (see [`Capsule::decode_sg`]).
     pub fn decode_sg(sg: SgList) -> Result<Self, CapsuleError> {
@@ -479,11 +448,6 @@ impl Completion {
         check_payload(c.cid, len, &data, wire_crc, prefix_crc)?;
         c.data = data;
         Ok(c)
-    }
-
-    /// Total size on the wire, including payload.
-    pub fn wire_size(&self) -> usize {
-        COMPLETION_HEADER_LEN + self.data.len()
     }
 }
 
@@ -539,10 +503,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A frame flattened into one mutable buffer.
+    fn flat(sg: SgList) -> BytesMut {
+        BytesMut::from(&sg.into_contiguous()[..])
+    }
+
+    /// Decode a one-segment delivery, so `split_frame` gathers.
+    fn decode(wire: &[u8]) -> Result<Capsule, CapsuleError> {
+        Capsule::decode_sg(SgList::from(Bytes::copy_from_slice(wire)))
+    }
+
+    fn decode_completion(wire: &[u8]) -> Result<Completion, CapsuleError> {
+        Completion::decode_sg(SgList::from(Bytes::copy_from_slice(wire)))
+    }
+
     #[test]
     fn write_roundtrip() {
         let c = Capsule::write(7, 3, 4096, Bytes::from_static(b"checkpoint bytes"));
-        let d = Capsule::decode(c.encode()).unwrap();
+        let d = decode(&flat(c.encode_sg())).unwrap();
         assert_eq!(c, d);
     }
 
@@ -555,8 +533,8 @@ mod tests {
         ] {
             let plain = Capsule::write(7, 3, 4096, payload.clone());
             let pre = Capsule::write_precrc(7, 3, 4096, payload.clone(), crc32(&payload));
-            assert_eq!(plain.encode(), pre.encode());
-            assert_eq!(Capsule::decode(pre.encode()).unwrap(), plain);
+            assert_eq!(flat(plain.encode_sg()), flat(pre.encode_sg()));
+            assert_eq!(decode(&flat(pre.encode_sg())).unwrap(), plain);
         }
     }
 
@@ -567,7 +545,7 @@ mod tests {
         let payload = Bytes::from_static(b"checkpoint bytes");
         let bad = Capsule::write_precrc(1, 1, 0, payload.clone(), !crc32(&payload));
         assert!(matches!(
-            Capsule::decode(bad.encode()),
+            decode(&flat(bad.encode_sg())),
             Err(CapsuleError::CrcMismatch { .. })
         ));
     }
@@ -575,7 +553,7 @@ mod tests {
     #[test]
     fn read_and_flush_roundtrip() {
         for c in [Capsule::read(1, 2, 0, 32 << 10), Capsule::flush(2, 2)] {
-            assert_eq!(Capsule::decode(c.encode()).unwrap(), c);
+            assert_eq!(decode(&flat(c.encode_sg())).unwrap(), c);
         }
     }
 
@@ -596,7 +574,10 @@ mod tests {
     fn sg_decode_handles_contiguous_and_odd_segmentation() {
         let c = Capsule::write(1, 1, 64, Bytes::from_static(b"abcd"));
         // Single-segment (contiguous) delivery.
-        assert_eq!(Capsule::decode_sg(c.encode().into()).unwrap(), c);
+        assert_eq!(
+            Capsule::decode_sg(c.encode_sg().into_contiguous().into()).unwrap(),
+            c
+        );
         // Flush has no payload: encode_sg yields one header segment.
         let f = Capsule::flush(9, 2);
         assert_eq!(f.encode_sg().segment_count(), 1);
@@ -631,32 +612,26 @@ mod tests {
     #[test]
     fn completion_roundtrip() {
         let ok = Completion::ok(9, Bytes::from_static(&[1, 2, 3]));
-        assert_eq!(Completion::decode(ok.encode()).unwrap(), ok);
+        assert_eq!(decode_completion(&flat(ok.encode_sg())).unwrap(), ok);
         let err = Completion::error(9, Status::LbaOutOfRange);
-        assert_eq!(Completion::decode(err.encode()).unwrap(), err);
+        assert_eq!(decode_completion(&flat(err.encode_sg())).unwrap(), err);
     }
 
     #[test]
     fn truncated_and_bad_magic_rejected() {
-        assert_eq!(
-            Capsule::decode(Bytes::from_static(&[1, 2, 3])),
-            Err(CapsuleError::Truncated)
-        );
-        let mut bad = BytesMut::from(&Capsule::flush(0, 0).encode()[..]);
+        assert_eq!(decode(&[1, 2, 3]), Err(CapsuleError::Truncated));
+        let mut bad = flat(Capsule::flush(0, 0).encode_sg());
         bad[0] ^= 0xFF;
-        assert!(matches!(
-            Capsule::decode(bad.freeze()),
-            Err(CapsuleError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bad), Err(CapsuleError::BadMagic(_))));
     }
 
     #[test]
     fn payload_mismatch_rejected() {
         let c = Capsule::write(1, 1, 0, Bytes::from_static(b"abcd"));
-        let mut wire = BytesMut::from(&c.encode()[..]);
+        let mut wire = flat(c.encode_sg());
         wire.truncate(wire.len() - 1); // drop one payload byte
         assert!(matches!(
-            Capsule::decode(wire.freeze()),
+            decode(&wire),
             Err(CapsuleError::PayloadMismatch {
                 expected: 4,
                 actual: 3
@@ -667,11 +642,11 @@ mod tests {
     #[test]
     fn crc_detects_payload_corruption() {
         let c = Capsule::write(3, 1, 0, Bytes::from_static(b"checkpoint"));
-        let mut wire = BytesMut::from(&c.encode()[..]);
+        let mut wire = flat(c.encode_sg());
         let last = wire.len() - 1;
         wire[last] ^= 0x01; // flip one payload bit
         assert!(matches!(
-            Capsule::decode(wire.freeze()),
+            decode(&wire),
             Err(CapsuleError::CrcMismatch { cid: 3, .. })
         ));
     }
@@ -679,10 +654,10 @@ mod tests {
     #[test]
     fn crc_detects_header_field_corruption() {
         let c = Capsule::write(4, 1, 4096, Bytes::from_static(b"x"));
-        let mut wire = BytesMut::from(&c.encode()[..]);
+        let mut wire = flat(c.encode_sg());
         wire[11] ^= 0x40; // offset field
         assert!(matches!(
-            Capsule::decode(wire.freeze()),
+            decode(&wire),
             Err(CapsuleError::CrcMismatch { cid: 4, .. })
         ));
     }
@@ -690,11 +665,11 @@ mod tests {
     #[test]
     fn completion_crc_detects_corruption() {
         let c = Completion::ok(8, Bytes::from_static(b"read data"));
-        let mut wire = BytesMut::from(&c.encode()[..]);
+        let mut wire = flat(c.encode_sg());
         let last = wire.len() - 1;
         wire[last] ^= 0x80;
         assert!(matches!(
-            Completion::decode(wire.freeze()),
+            decode_completion(&wire),
             Err(CapsuleError::CrcMismatch { cid: 8, .. })
         ));
     }
@@ -704,10 +679,10 @@ mod tests {
         // A read capsule declaring len=4096 must not be allowed to smuggle
         // inline bytes: the declared *payload* length for a read is zero.
         let r = Capsule::read(1, 1, 0, 4096);
-        let mut wire = BytesMut::from(&r.encode()[..]);
+        let mut wire = flat(r.encode_sg());
         wire.put_slice(b"sneaky trailing bytes");
         assert!(matches!(
-            Capsule::decode(wire.freeze()),
+            decode(&wire),
             Err(CapsuleError::PayloadMismatch {
                 expected: 0,
                 actual: 21
@@ -719,18 +694,15 @@ mod tests {
     fn connect_roundtrip() {
         let c = Capsule::connect(1, 7);
         assert_eq!(c.opcode, Opcode::Connect);
-        assert_eq!(Capsule::decode(c.encode()).unwrap(), c);
+        assert_eq!(decode(&flat(c.encode_sg())).unwrap(), c);
     }
 
     #[test]
     fn bad_opcode_rejected() {
         let c = Capsule::flush(0, 0);
-        let mut wire = BytesMut::from(&c.encode()[..]);
+        let mut wire = flat(c.encode_sg());
         wire[4] = 0x55;
-        assert_eq!(
-            Capsule::decode(wire.freeze()),
-            Err(CapsuleError::BadOpcode(0x55))
-        );
+        assert_eq!(decode(&wire), Err(CapsuleError::BadOpcode(0x55)));
     }
 
     proptest! {
@@ -742,7 +714,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..2048),
         ) {
             let c = Capsule::write(cid, nsid, offset, Bytes::from(data));
-            prop_assert_eq!(Capsule::decode(c.encode()).unwrap(), c);
+            prop_assert_eq!(decode(&flat(c.encode_sg())).unwrap(), c);
         }
 
         #[test]
@@ -751,14 +723,14 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..2048),
         ) {
             let c = Completion::ok(cid, Bytes::from(data));
-            prop_assert_eq!(Completion::decode(c.encode()).unwrap(), c);
+            prop_assert_eq!(decode_completion(&flat(c.encode_sg())).unwrap(), c);
         }
 
         /// Arbitrary garbage never panics the decoder.
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = Capsule::decode(Bytes::from(bytes.clone()));
-            let _ = Completion::decode(Bytes::from(bytes));
+            let _ = decode(&bytes);
+            let _ = decode_completion(&bytes);
         }
     }
 }

@@ -32,31 +32,6 @@ impl NetConfig {
     pub fn latency(&self, hops: u32) -> SimTime {
         self.base_latency + self.per_hop_latency * f64::from(hops)
     }
-
-    /// The paper's fabric: 100 Gbps EDR InfiniBand.
-    pub fn edr() -> Self {
-        NetConfig::default()
-    }
-
-    /// 200 Gbps HDR InfiniBand (a next-generation deployment).
-    pub fn hdr() -> Self {
-        NetConfig {
-            link_bw: Rate::gbit_per_sec(200.0),
-            base_latency: SimTime::micros(1.2),
-            ..NetConfig::default()
-        }
-    }
-
-    /// 25 Gbps Ethernet with kernel TCP — the "commodity fabric" point
-    /// the sensitivity sweep shows to be marginal for one SSD.
-    pub fn tcp25g() -> Self {
-        NetConfig {
-            link_bw: Rate::gbit_per_sec(25.0),
-            base_latency: SimTime::micros(15.0),
-            per_message_cpu: SimTime::micros(2.0),
-            per_hop_latency: SimTime::micros(1.0),
-        }
-    }
 }
 
 /// Attempts after the first before a command is declared exhausted.
@@ -162,19 +137,6 @@ mod tests {
         assert!(n.latency(4) > n.latency(1));
         let delta = n.latency(3).as_micros() - n.latency(2).as_micros();
         assert!((delta - 0.15).abs() < 1e-9);
-    }
-
-    #[test]
-    fn presets_are_ordered_by_speed() {
-        assert!(
-            NetConfig::hdr().link_bw.as_bytes_per_sec()
-                > NetConfig::edr().link_bw.as_bytes_per_sec()
-        );
-        assert!(
-            NetConfig::edr().link_bw.as_bytes_per_sec()
-                > NetConfig::tcp25g().link_bw.as_bytes_per_sec()
-        );
-        assert!(NetConfig::tcp25g().latency(2) > NetConfig::edr().latency(2));
     }
 
     #[test]

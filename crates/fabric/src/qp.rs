@@ -145,7 +145,7 @@ impl QueuePair {
                 return Err(QpError::SendQueueFull);
             }
         }
-        let recv_wr = {
+        {
             let mut peer = self.peer.lock();
             let Some(recv_wr) = peer.recv_queue.pop_front() else {
                 return Err(QpError::ReceiverNotReady);
@@ -155,9 +155,7 @@ impl QueuePair {
                 opcode: CompletionOp::Recv,
                 payload: Some(payload),
             });
-            recv_wr
-        };
-        let _ = recv_wr;
+        }
         self.local.lock().cq.push_back(Completion {
             wr_id,
             opcode: CompletionOp::Send,
@@ -173,11 +171,6 @@ impl QueuePair {
         let mut local = self.local.lock();
         let n = max.min(local.cq.len());
         local.cq.drain(..n).collect()
-    }
-
-    /// Posted receive buffers not yet consumed.
-    pub fn posted_recv_count(&self) -> usize {
-        self.local.lock().recv_queue.len()
     }
 
     /// Send-queue slots currently free: `sq_depth` minus unpolled send
@@ -326,7 +319,7 @@ mod tests {
         let decoded = Capsule::decode_sg(wire).unwrap();
         assert_eq!(decoded.cid, 7);
         assert_eq!(&decoded.data[..], b"data");
-        tgt.post_send(2, NvmfCompletion::ok(decoded.cid, Bytes::new()).encode())
+        tgt.post_send(2, NvmfCompletion::ok(decoded.cid, Bytes::new()).encode_sg())
             .unwrap();
         let resp_wire = init
             .poll_cq(8)

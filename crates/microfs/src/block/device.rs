@@ -32,8 +32,10 @@ pub struct IoCounters {
     pub bytes_written: u64,
     /// Bytes read.
     pub bytes_read: u64,
-    /// Payload bytes memcpy'd by the device path itself (zero for devices
-    /// whose transport moves buffers by reference).
+    /// Payload bytes memcpy'd by the device path itself. Only `MemDevice`
+    /// fills it: `NvmfBlockDevice` reports 0 here although it stages each
+    /// written byte once. The data plane's copy count is the telemetry
+    /// counter `fabric.bytes_copied`.
     pub bytes_copied: u64,
 }
 

@@ -1,18 +1,13 @@
-//! Copy-on-write epoch tracking: extent-granular dirty intervals and
-//! whiteouts (ROADMAP item: CoW extent snapshots).
+//! Copy-on-write epoch tracking: extent-granular dirty intervals.
 //!
 //! A checkpoint epoch starts clean. The first write touching a clean span
 //! "copies it up" into the epoch's dirty set — from then on the span is
-//! known-dirty and rewrites inside it cost nothing to track. Deletes and
-//! truncations record *whiteouts*: spans whose previous content no longer
-//! exists. The tracker answers, at epoch end, exactly which device spans a
-//! delta epoch must carry, and accounts the copy-up volume in
-//! `cow.copy_up_bytes`.
+//! known-dirty and rewrites inside it cost nothing to track. The tracker
+//! accounts the copy-up volume in `cow.copy_up_bytes`.
 //!
-//! Two layers reuse this structure: `MicroFs` tracks device-space spans
-//! (driving delta epoch manifests and replica discards), and the
-//! workloads crate tracks application-image spans (so an incremental
-//! checkpoint writes only what the application actually mutated).
+//! [`IntervalSet`] is shared: `MicroFs::live_spans` coalesces its live
+//! footprint with it, and the replication mirror uses it to skip extents
+//! a newer epoch already covers.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -96,22 +91,16 @@ impl IntervalSet {
         self.map.iter().map(|(&s, &e)| (s, e - s)).collect()
     }
 
-    /// Total covered bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.map.iter().map(|(&s, &e)| e - s).sum()
-    }
-
     /// Drop all intervals.
     pub fn clear(&mut self) {
         self.map.clear();
     }
 }
 
-/// Per-epoch dirty tracking with copy-up accounting and whiteouts.
+/// Per-epoch dirty tracking with copy-up accounting.
 #[derive(Clone)]
 pub struct CowTracker {
     dirty: IntervalSet,
-    whiteouts: Vec<(u64, u64)>,
     /// Bytes copied up this run: first-touch-per-epoch volume.
     copy_up_bytes: Arc<Counter>,
 }
@@ -121,7 +110,6 @@ impl CowTracker {
     pub fn new(t: &Telemetry) -> Self {
         CowTracker {
             dirty: IntervalSet::new(),
-            whiteouts: Vec::new(),
             copy_up_bytes: t.counter("cow.copy_up_bytes"),
         }
     }
@@ -129,7 +117,6 @@ impl CowTracker {
     /// Start a new epoch: everything is clean again.
     pub fn begin_epoch(&mut self) {
         self.dirty.clear();
-        self.whiteouts.clear();
     }
 
     /// Record a write of `len` bytes at `offset`. Bytes not yet dirty this
@@ -142,29 +129,6 @@ impl CowTracker {
         if copied_up > 0 {
             self.copy_up_bytes.add(copied_up);
         }
-    }
-
-    /// Record a whiteout: `[offset, offset+len)` no longer exists.
-    pub fn note_whiteout(&mut self, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        self.whiteouts.push((offset, len));
-    }
-
-    /// Spans written this epoch, coalesced, in offset order.
-    pub fn dirty_spans(&self) -> Vec<(u64, u64)> {
-        self.dirty.spans()
-    }
-
-    /// Whiteouts recorded this epoch, in arrival order.
-    pub fn whiteout_spans(&self) -> &[(u64, u64)] {
-        &self.whiteouts
-    }
-
-    /// Bytes dirtied this epoch.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.total_bytes()
     }
 }
 
@@ -186,7 +150,6 @@ mod tests {
         // Adjacent intervals merge.
         assert_eq!(s.insert(40, 50), 10);
         assert_eq!(s.spans(), vec![(10, 40)]);
-        assert_eq!(s.total_bytes(), 40);
     }
 
     #[test]
@@ -212,13 +175,7 @@ mod tests {
         c.note_write(50, 100); // 50 new, 50 rewrite
         c.note_write(0, 100); // all rewrite
         assert_eq!(t.snapshot().counter("cow.copy_up_bytes"), 150);
-        assert_eq!(c.dirty_spans(), vec![(0, 150)]);
-        assert_eq!(c.dirty_bytes(), 150);
-        c.note_whiteout(4096, 1024);
-        assert_eq!(c.whiteout_spans(), &[(4096, 1024)]);
         c.begin_epoch();
-        assert!(c.dirty_spans().is_empty());
-        assert!(c.whiteout_spans().is_empty());
         // Next epoch copies up again.
         c.note_write(0, 10);
         assert_eq!(t.snapshot().counter("cow.copy_up_bytes"), 160);

@@ -41,9 +41,9 @@ pub struct FsConfig {
     /// Fault-injection hook; the WAL consults it on fresh appends. Disarmed
     /// (the default) it costs one relaxed atomic load per append.
     pub chaos: chaos::ChaosHandle,
-    /// Track copy-on-write dirty extents per epoch and emit whiteout
-    /// discards for freed block spans. Off (the default) the write path is
-    /// bit-for-bit today's behavior.
+    /// Count copy-on-write copy-up volume per epoch and emit discards for
+    /// freed block spans. Off (the default) the write path is bit-for-bit
+    /// today's behavior.
     pub cow_epochs: bool,
 }
 
@@ -401,38 +401,13 @@ impl<D: BlockDevice> MicroFs<D> {
         live.spans()
     }
 
-    /// Start a new CoW epoch: forget this epoch's dirty spans and
-    /// whiteouts. Call right after an epoch manifest commits. No-op when
+    /// Start a new CoW epoch: the next write to any span copies it up
+    /// again. Call right after an epoch manifest commits. No-op when
     /// `cow_epochs` is off.
     pub fn cow_epoch_begin(&mut self) {
         if let Some(cow) = self.cow.as_mut() {
             cow.begin_epoch();
         }
-    }
-
-    /// Device spans written since the last [`Self::cow_epoch_begin`],
-    /// coalesced and in offset order. Empty when `cow_epochs` is off.
-    pub fn cow_dirty_spans(&self) -> Vec<(u64, u64)> {
-        self.cow
-            .as_ref()
-            .map(|c| c.dirty_spans())
-            .unwrap_or_default()
-    }
-
-    /// Whiteouts recorded since the last [`Self::cow_epoch_begin`].
-    pub fn cow_whiteout_spans(&self) -> Vec<(u64, u64)> {
-        self.cow
-            .as_ref()
-            .map(|c| c.whiteout_spans().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Bytes dirtied this epoch (each byte counted once).
-    pub fn cow_dirty_bytes(&self) -> u64 {
-        self.cow
-            .as_ref()
-            .map(|c| c.dirty_bytes())
-            .unwrap_or_default()
     }
 
     /// Operation statistics (WAL counters merged in).
@@ -449,11 +424,6 @@ impl<D: BlockDevice> MicroFs<D> {
         (self.state.inodes.approx_bytes()
             + self.state.btree.approx_bytes()
             + self.state.pool.free_count() as usize * 8) as u64
-    }
-
-    /// Number of currently open file descriptors.
-    pub fn open_files(&self) -> usize {
-        self.open_count
     }
 
     /// Hugeblocks currently free.
@@ -636,10 +606,10 @@ impl<D: BlockDevice> MicroFs<D> {
         Ok(self.layout.block_addr(blk))
     }
 
-    /// Record whiteouts for freed hugeblocks and hint the device to drop
-    /// them. Live mode only — replay re-frees the same blocks but the
-    /// device-side extent state was already updated by the original run.
-    fn whiteout_blocks(&mut self, released: &[u64], live: bool) {
+    /// Hint the device to drop freed hugeblocks. Live CoW mode only —
+    /// replay re-frees the same blocks but the device-side extent state
+    /// was already updated by the original run.
+    fn discard_freed_blocks(&mut self, released: &[u64], live: bool) {
         if !live || self.cow.is_none() || released.is_empty() {
             return;
         }
@@ -659,11 +629,7 @@ impl<D: BlockDevice> MicroFs<D> {
             }
         }
         spans.push((self.layout.block_addr(run_start), run_len * bs));
-        let Some(cow) = self.cow.as_mut() else {
-            return;
-        };
         for &(addr, len) in &spans {
-            cow.note_whiteout(addr, len);
             // Advisory: devices without extent state ignore the hint.
             let _ = self.dev.discard_at(addr, len);
         }
@@ -734,7 +700,7 @@ impl<D: BlockDevice> MicroFs<D> {
         if node.blocks.len() > keep {
             let released: Vec<u64> = node.blocks.split_off(keep);
             self.state.pool.free_many(&released);
-            self.whiteout_blocks(&released, live);
+            self.discard_freed_blocks(&released, live);
         }
         let node = self.state.inodes.get_mut(ino)?;
         node.size = size;
@@ -797,7 +763,7 @@ impl<D: BlockDevice> MicroFs<D> {
         self.append_dirent(pino, &Dirent::Remove { name }, live)?;
         let node = self.state.inodes.remove(ino)?;
         self.state.pool.free_many(&node.blocks);
-        self.whiteout_blocks(&node.blocks, live);
+        self.discard_freed_blocks(&node.blocks, live);
         self.state.btree.remove(path);
         self.wal.invalidate(ino);
         Ok(())

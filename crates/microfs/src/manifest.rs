@@ -377,14 +377,19 @@ impl ExtentMap {
     /// Record a mirrored write of `len` bytes at `offset` whose payload
     /// CRC is `crc`.
     pub fn record(&mut self, offset: u64, len: u64, crc: u32) {
-        self.insert_extent(offset, len, Some(crc));
-    }
-
-    /// Mark `[offset, offset+len)` dirty — used when a mirrored window
-    /// failed partway and the replica's contents for the range are
-    /// uncertain (they will be copied, not CRC-verified, on restore).
-    pub fn mark_dirty(&mut self, offset: u64, len: u64) {
-        self.insert_extent(offset, len, None);
+        if len == 0 {
+            return;
+        }
+        // Overlapped extents keep their outside fragments, dirty.
+        self.remove(offset, len);
+        self.map.insert(
+            offset,
+            MapEntry {
+                len,
+                crc: Some(crc),
+            },
+        );
+        self.merge_around(offset);
     }
 
     /// Drop `[offset, offset+len)` from the map — a whiteout. Extents
@@ -426,49 +431,6 @@ impl ExtentMap {
                 );
             }
         }
-    }
-
-    fn insert_extent(&mut self, offset: u64, len: u64, crc: Option<u32>) {
-        if len == 0 {
-            return;
-        }
-        let end = offset + len;
-        // Collect every existing extent overlapping [offset, end): the
-        // predecessor (which may reach in) plus all starting inside.
-        let mut hit: Vec<(u64, MapEntry)> = Vec::new();
-        if let Some((&k, &e)) = self.map.range(..offset).next_back() {
-            if k + e.len > offset {
-                hit.push((k, e));
-            }
-        }
-        for (&k, &e) in self.map.range(offset..end) {
-            hit.push((k, e));
-        }
-        for (k, e) in hit {
-            self.map.remove(&k);
-            // A surviving fragment's CRC is not derivable from the whole
-            // extent's — it goes dirty and is re-read at the next commit.
-            if k < offset {
-                self.map.insert(
-                    k,
-                    MapEntry {
-                        len: offset - k,
-                        crc: None,
-                    },
-                );
-            }
-            if k + e.len > end {
-                self.map.insert(
-                    end,
-                    MapEntry {
-                        len: k + e.len - end,
-                        crc: None,
-                    },
-                );
-            }
-        }
-        self.map.insert(offset, MapEntry { len, crc });
-        self.merge_around(offset);
     }
 
     /// Merge the extent at `offset` with exactly-adjacent neighbours whose

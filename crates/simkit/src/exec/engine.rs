@@ -6,7 +6,7 @@ use std::fmt;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
-use super::{Dag, PipeId, PsPipe, ResId, Stage, TokenId};
+use super::{Dag, PipeId, PsPipe, Stage, TokenId};
 
 /// Why a run could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +52,6 @@ struct Pool {
     waiters: VecDeque<(TokenId, u64)>,
 }
 
-/// One recorded scheduling decision (with [`Engine::with_trace`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// When the token completed.
-    pub at: SimTime,
-    /// Which token.
-    pub token: TokenId,
-}
-
 /// Executes a [`Dag`]; usually invoked via [`Dag::run`].
 pub struct Engine {
     dag: Dag,
@@ -69,11 +60,9 @@ pub struct Engine {
     tokens: Vec<TokenState>,
     children: Vec<Vec<TokenId>>,
     res_free: Vec<SimTime>,
-    res_busy: Vec<SimTime>,
     pools: Vec<Pool>,
     pipes: Vec<PsPipe>,
     completed: usize,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl Engine {
@@ -93,7 +82,6 @@ impl Engine {
             });
         }
         let res_free = vec![SimTime::ZERO; dag.n_resources];
-        let res_busy = vec![SimTime::ZERO; dag.n_resources];
         let pools = dag
             .pool_caps
             .iter()
@@ -111,19 +99,10 @@ impl Engine {
             tokens,
             children,
             res_free,
-            res_busy,
             pools,
             pipes,
             completed: 0,
-            trace: None,
         }
-    }
-
-    /// Record a completion trace (token, time) for model debugging; the
-    /// trace is returned in [`RunResult::trace`].
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Some(Vec::new());
-        self
     }
 
     /// Run to completion.
@@ -162,10 +141,6 @@ impl Engine {
         Ok(RunResult {
             completions: self.tokens.iter().map(|s| s.done_at.unwrap()).collect(),
             makespan,
-            res_busy: self.res_busy,
-            pipe_bytes: self.pipes.iter().map(|p| p.bytes_moved()).collect(),
-            pipe_busy: self.pipes.iter().map(|p| p.busy_time()).collect(),
-            trace: self.trace,
         })
     }
 
@@ -191,7 +166,6 @@ impl Engine {
                     let start = self.now.max(self.res_free[res.0]);
                     let done = start + hold;
                     self.res_free[res.0] = done;
-                    self.res_busy[res.0] += hold;
                     if done == self.now {
                         continue;
                     }
@@ -268,12 +242,6 @@ impl Engine {
     fn complete(&mut self, t: TokenId) {
         debug_assert!(self.tokens[t.0].done_at.is_none());
         self.tokens[t.0].done_at = Some(self.now);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEvent {
-                at: self.now,
-                token: t,
-            });
-        }
         self.completed += 1;
         for i in 0..self.children[t.0].len() {
             let c = self.children[t.0][i];
@@ -291,10 +259,6 @@ impl Engine {
 pub struct RunResult {
     completions: Vec<SimTime>,
     makespan: SimTime,
-    res_busy: Vec<SimTime>,
-    pipe_bytes: Vec<f64>,
-    pipe_busy: Vec<SimTime>,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl RunResult {
@@ -311,27 +275,6 @@ impl RunResult {
     /// Time the last token completed.
     pub fn makespan(&self) -> SimTime {
         self.makespan
-    }
-
-    /// Total busy time of a resource.
-    pub fn resource_busy(&self, r: ResId) -> SimTime {
-        self.res_busy[r.0]
-    }
-
-    /// Total bytes moved through a pipe.
-    pub fn pipe_bytes(&self, p: PipeId) -> f64 {
-        self.pipe_bytes[p.0]
-    }
-
-    /// Total time a pipe had at least one active transfer.
-    pub fn pipe_busy(&self, p: PipeId) -> SimTime {
-        self.pipe_busy[p.0]
-    }
-
-    /// Completion trace, if the run was started with
-    /// [`Engine::with_trace`]; ordered by completion time.
-    pub fn trace(&self) -> Option<&[TraceEvent]> {
-        self.trace.as_deref()
     }
 }
 
@@ -385,7 +328,6 @@ mod tests {
         assert!((r.completion(a).as_micros() - 10.0).abs() < 1e-9);
         assert!((r.completion(b).as_micros() - 20.0).abs() < 1e-9);
         assert!((r.completion(c).as_micros() - 30.0).abs() < 1e-9);
-        assert!((r.resource_busy(res).as_micros() - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -397,8 +339,6 @@ mod tests {
         let r = dag.run().unwrap();
         assert!((r.completion(a).as_secs() - 1.0).abs() < 1e-6);
         assert!((r.completion(b).as_secs() - 1.0).abs() < 1e-6);
-        assert!((r.pipe_bytes(pipe) - (100u64 << 20) as f64).abs() < 2.0);
-        assert!((r.pipe_busy(pipe).as_secs() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -407,7 +347,11 @@ mod tests {
         let pipe = dag.pipe(Rate::mib_per_sec(100.0));
         let t = dag.token(
             &[],
-            vec![Stage::xfer_capped(pipe, 10 << 20, Rate::mib_per_sec(10.0))],
+            vec![Stage::Xfer {
+                pipe,
+                bytes: 10 << 20,
+                cap: Some(Rate::mib_per_sec(10.0)),
+            }],
         );
         let r = dag.run().unwrap();
         assert!((r.completion(t).as_secs() - 1.0).abs() < 1e-6);
@@ -491,28 +435,6 @@ mod tests {
         let t = dag.token(&[], vec![Stage::xfer(pipe, 0), Stage::Delay(SimTime::ZERO)]);
         let r = dag.run().unwrap();
         assert_eq!(r.completion(t), SimTime::ZERO);
-    }
-
-    #[test]
-    fn trace_records_completions_in_time_order() {
-        let mut dag = Dag::new();
-        let res = dag.resource();
-        let ids: Vec<TokenId> = (0..5)
-            .map(|i| dag.token(&[], vec![Stage::seize_us(res, 10.0 * (i + 1) as f64)]))
-            .collect();
-        let r = Engine::new(dag).with_trace().run().unwrap();
-        let trace = r.trace().expect("tracing enabled");
-        assert_eq!(trace.len(), 5);
-        for w in trace.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-        // FIFO resource: tokens complete in submission order.
-        let order: Vec<TokenId> = trace.iter().map(|e| e.token).collect();
-        assert_eq!(order, ids);
-        // Without tracing, no trace is carried.
-        let mut dag = Dag::new();
-        dag.token(&[], vec![Stage::delay_us(1.0)]);
-        assert!(dag.run().unwrap().trace().is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and a set of **tokens**, each a sequential list of stages that starts once
 //! all of its dependency tokens complete (and not before its optional
 //! `start_after` time). The [`Engine`] executes the whole DAG and reports
-//! per-token completion times plus facility utilization.
+//! per-token completion times.
 //!
 //! Domain crates compile storage behaviour down to this vocabulary: an SSD
 //! is a command-processor resource + a staging-RAM pool + a channel-array
@@ -20,7 +20,7 @@
 mod engine;
 mod pipe;
 
-pub use engine::{Engine, RunResult, SimError, TraceEvent};
+pub use engine::{Engine, RunResult, SimError};
 pub(crate) use pipe::PsPipe;
 
 use crate::time::{Rate, SimTime};
@@ -40,13 +40,6 @@ pub struct PipeId(pub(crate) usize);
 /// Handle to a work token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId(pub(crate) usize);
-
-impl TokenId {
-    /// Index form, for storing results keyed by token.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 /// One step in a token's sequential program.
 #[derive(Debug, Clone)]
@@ -88,15 +81,6 @@ impl Stage {
             pipe,
             bytes,
             cap: None,
-        }
-    }
-
-    /// Convenience: a rate-capped transfer.
-    pub fn xfer_capped(pipe: PipeId, bytes: u64, cap: Rate) -> Stage {
-        Stage::Xfer {
-            pipe,
-            bytes,
-            cap: Some(cap),
         }
     }
 }
@@ -165,11 +149,6 @@ impl Dag {
             stages,
         });
         id
-    }
-
-    /// Number of tokens declared so far.
-    pub fn token_count(&self) -> usize {
-        self.tokens.len()
     }
 
     fn validate_stages(&self, stages: &[Stage]) {

@@ -31,9 +31,6 @@ pub(crate) struct PsPipe {
     last_update: SimTime,
     /// Invalidates stale scheduled wake-ups after membership changes.
     pub epoch: u64,
-    bytes_moved: f64,
-    busy_until_last: SimTime,
-    busy_time: f64,
 }
 
 impl PsPipe {
@@ -43,9 +40,6 @@ impl PsPipe {
             streams: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
-            bytes_moved: 0.0,
-            busy_until_last: SimTime::ZERO,
-            busy_time: 0.0,
         }
     }
 
@@ -53,18 +47,11 @@ impl PsPipe {
     fn settle(&mut self, now: SimTime) {
         let dt = (now.as_secs() - self.last_update.as_secs()).max(0.0);
         if dt > 0.0 {
-            if !self.streams.is_empty() {
-                self.busy_time += dt;
-            }
             for s in &mut self.streams {
-                let moved = s.rate * dt;
-                let actual = moved.min(s.remaining);
-                s.remaining -= actual;
-                self.bytes_moved += actual;
+                s.remaining -= (s.rate * dt).min(s.remaining);
             }
         }
         self.last_update = now;
-        self.busy_until_last = now;
     }
 
     /// Max-min fair (water-filling) rate assignment with caps.
@@ -146,22 +133,6 @@ impl PsPipe {
             .min_by(|a, b| a.total_cmp(b))
             .map(SimTime::secs)
     }
-
-    /// Whether any transfers are in flight.
-    #[allow(dead_code)] // exercised by unit tests and kept for model debugging
-    pub fn is_active(&self) -> bool {
-        !self.streams.is_empty()
-    }
-
-    /// Total bytes moved through the pipe so far.
-    pub fn bytes_moved(&self) -> f64 {
-        self.bytes_moved
-    }
-
-    /// Total time the pipe had at least one active stream.
-    pub fn busy_time(&self) -> SimTime {
-        SimTime::secs(self.busy_time)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +151,7 @@ mod tests {
         assert!((done.as_secs() - 1.0).abs() < 1e-9);
         let finished = p.harvest(done);
         assert_eq!(finished, vec![tid(0)]);
-        assert!(!p.is_active());
+        assert!(p.next_completion(done).is_none());
     }
 
     #[test]
@@ -222,16 +193,6 @@ mod tests {
         let done = p.next_completion(SimTime::secs(0.5)).unwrap();
         assert!((done.as_secs() - 1.5).abs() < 1e-9);
         assert_eq!(p.harvest(done).len(), 2);
-    }
-
-    #[test]
-    fn work_conservation_accounting() {
-        let mut p = PsPipe::new(Rate::mib_per_sec(10.0));
-        p.add(SimTime::ZERO, tid(0), 10 << 20, None);
-        let d = p.next_completion(SimTime::ZERO).unwrap();
-        p.harvest(d);
-        assert!((p.bytes_moved() - (10u64 << 20) as f64).abs() < 1.0);
-        assert!((p.busy_time().as_secs() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub mod time;
 
 pub mod exec;
 
-pub use exec::{Dag, Engine, PipeId, PoolId, ResId, RunResult, Stage, TokenId, TraceEvent};
+pub use exec::{Dag, Engine, PipeId, PoolId, ResId, RunResult, Stage, TokenId};
 pub use stats::OnlineStats;
 pub use time::{Rate, SimTime};

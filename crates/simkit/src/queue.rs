@@ -72,11 +72,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.at, e.item))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -111,17 +106,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::millis(5.0), ());
-        q.push(SimTime::millis(2.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::millis(2.0)));
-        assert_eq!(q.pop().unwrap().0, SimTime::millis(2.0));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     proptest! {

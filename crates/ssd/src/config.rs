@@ -87,12 +87,6 @@ impl SsdConfig {
         self.channel_write_bw
             .scale(f64::from(self.channels_for(bytes)))
     }
-
-    /// Maximum service rate for a single request of `bytes` (read path).
-    pub fn read_rate_for(&self, bytes: u64) -> Rate {
-        self.channel_read_bw
-            .scale(f64::from(self.channels_for(bytes)))
-    }
 }
 
 #[cfg(test)]

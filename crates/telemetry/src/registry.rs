@@ -144,15 +144,6 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Distinct layer prefixes (first dot-separated segment) present in
     /// any metric kind.
     pub fn layers(&self) -> Vec<String> {
@@ -196,14 +187,5 @@ mod tests {
         assert_eq!(s.gauge("ssd.depth").value, 5);
         assert_eq!(s.histogram("fabric.lat_ns").unwrap().count, 1);
         assert_eq!(s.layers(), vec!["fabric".to_string(), "ssd".to_string()]);
-    }
-
-    #[test]
-    fn counter_sum_by_prefix() {
-        let r = Registry::new();
-        r.counter("ssd.a").add(1);
-        r.counter("ssd.b").add(2);
-        r.counter("fs.c").add(4);
-        assert_eq!(r.snapshot().counter_sum("ssd."), 3);
     }
 }

@@ -17,21 +17,6 @@ pub fn young_interval(dump: SimTime, mtbf: SimTime) -> SimTime {
     SimTime::secs((2.0 * dump.as_secs() * mtbf.as_secs()).sqrt())
 }
 
-/// Daly's higher-order refinement of the optimum (accurate when the dump
-/// time is not small relative to MTBF).
-pub fn daly_interval(dump: SimTime, mtbf: SimTime) -> SimTime {
-    let d = dump.as_secs();
-    let m = mtbf.as_secs();
-    if d < 2.0 * m {
-        let t = (2.0 * d * m).sqrt()
-            * (1.0 + (1.0 / 3.0) * (d / (2.0 * m)).sqrt() + (1.0 / 9.0) * (d / (2.0 * m)))
-            - d;
-        SimTime::secs(t.max(0.0))
-    } else {
-        SimTime::secs(m)
-    }
-}
-
 /// Expected machine efficiency when checkpointing every `interval` of
 /// compute with dump time `dump` under exponential failures of mean
 /// `mtbf`: the fraction of wall-clock spent on *useful, retained* compute.
@@ -66,15 +51,6 @@ mod tests {
         // dump 5 min, MTBF 24 h -> sqrt(2 * 300 * 86400) ~ 7200 s.
         let t = young_interval(SimTime::secs(300.0), SimTime::secs(86_400.0));
         assert!((t.as_secs() - 7200.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn daly_is_close_to_young_for_small_dumps() {
-        let dump = SimTime::secs(60.0);
-        let mtbf = SimTime::secs(86_400.0);
-        let y = young_interval(dump, mtbf).as_secs();
-        let d = daly_interval(dump, mtbf).as_secs();
-        assert!((y - d).abs() / y < 0.1, "young {y} vs daly {d}");
     }
 
     #[test]
@@ -113,11 +89,9 @@ mod tests {
 
     #[test]
     fn degenerate_dump_larger_than_mtbf() {
-        // When the dump takes longer than the MTBF, Daly clamps to MTBF
-        // and efficiency collapses toward zero.
+        // When the dump takes longer than the MTBF, efficiency collapses
+        // toward zero.
         let e = best_efficiency(SimTime::secs(4000.0), SimTime::secs(1800.0));
         assert!(e < 0.2, "{e}");
-        let d = daly_interval(SimTime::secs(4000.0), SimTime::secs(1800.0));
-        assert_eq!(d.as_secs(), 1800.0);
     }
 }

@@ -1,13 +1,17 @@
-//! # nvmecr-workloads — applications, patterns, and experiment drivers
+//! # nvmecr-workloads — applications and experiment drivers
 //!
 //! The paper evaluates with ECP CoMD, a molecular-dynamics proxy app that
-//! alternates compute phases with N-N checkpoint dumps. This crate holds:
+//! alternates compute phases with N-N checkpoint dumps (§III-E: the paper
+//! targets N-N, citing that ~90% of runs use it \[39\]). This crate holds:
 //!
 //! * [`comd`] — the CoMD-like application model: atoms, deterministic
-//!   checkpoint payloads (real bytes for functional runs), compute-phase
-//!   timing, and the paper's weak/strong scaling presets;
-//! * [`pattern`] — N-N and N-1 checkpoint write plans (§III-E: the paper
-//!   targets N-N, citing that ~90% of runs use it \[39\]);
+//!   checkpoint payloads (real bytes for functional runs), one checkpoint
+//!   file per rank, compute-phase timing, and the paper's weak/strong
+//!   scaling presets;
+//! * [`apps`] — the rest of the ECP proxy-app suite (§IV-A) as phased
+//!   compute/dump profiles;
+//! * [`interval`] — Young's optimal checkpoint interval and the machine
+//!   efficiency it buys;
 //! * [`nvmecr_model`] — NVMe-CR as a [`baselines::StorageModel`], including
 //!   the Figure 7(d) drilldown ladder, the hugeblock-size sweep of
 //!   Figure 7(a), the local/remote split of Figure 8(a), and the
@@ -25,10 +29,7 @@ pub mod apps;
 pub mod comd;
 pub mod driver;
 pub mod interval;
-pub mod n1;
 pub mod nvmecr_model;
-pub mod pattern;
-pub mod trace;
 
 pub use apps::PhasedApp;
 pub use comd::CoMD;
@@ -37,8 +38,5 @@ pub use driver::{
     scaling_sweep, verify_ranks, FunctionalReport, IncrementalImage, IncrementalRunReport,
     IncrementalSpec, IncrementalStrategy, MultiLevelResult, ScalingPoint, INCREMENTAL_CHUNK,
 };
-pub use interval::{best_efficiency, daly_interval, young_interval};
-pub use n1::N1Adapter;
+pub use interval::{best_efficiency, young_interval};
 pub use nvmecr_model::NvmeCrModel;
-pub use pattern::{CheckpointPattern, WriteOp};
-pub use trace::{IoTrace, TraceOp};

@@ -22,11 +22,12 @@ pub struct NvmeCrModel {
     coalescing: bool,
     block_size: Option<u64>,
     local: bool,
-    /// Checkpoints accumulated in the log since the last internal-state
-    /// snapshot (drives replay length at recovery; the paper's runs take
-    /// 10 checkpoints).
-    ckpts_in_log: u32,
 }
+
+/// Checkpoints accumulated in the log since the last internal-state
+/// snapshot (drives replay length at recovery; the paper's runs take 10
+/// checkpoints).
+const CKPTS_IN_LOG: u64 = 10;
 
 impl Default for NvmeCrModel {
     fn default() -> Self {
@@ -43,7 +44,6 @@ impl NvmeCrModel {
             coalescing: true,
             block_size: None,
             local: false,
-            ckpts_in_log: 10,
         }
     }
 
@@ -80,12 +80,6 @@ impl NvmeCrModel {
         }
     }
 
-    /// Builder-style: set checkpoints accumulated in the log.
-    pub fn with_ckpts_in_log(mut self, n: u32) -> Self {
-        self.ckpts_in_log = n;
-        self
-    }
-
     /// Local SSD with an explicit hugeblock size (the Figure 7(a) sweep
     /// runs on a local device).
     pub fn local_with_block_size(block_size: u64) -> Self {
@@ -116,7 +110,7 @@ impl NvmeCrModel {
         } else {
             writes_per_ckpt
         };
-        per_ckpt * u64::from(self.ckpts_in_log)
+        per_ckpt * CKPTS_IN_LOG
     }
 
     fn spec(&self, s: &Scenario) -> DataPlaneSpec {
