@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cluster::{Comm, CommWorld, DomainId, FailureDomains, JobAllocation, NodeId, Topology};
+use cluster::{Comm, CommWorld, DomainId, FailureDomains, JobAllocation, NodeId};
 use simkit::stats::coefficient_of_variation;
 
 /// Placement failures.
@@ -128,14 +128,13 @@ impl Placement {
 
 /// The balancer.
 pub struct StorageBalancer<'a> {
-    topo: &'a Topology,
     domains: &'a FailureDomains,
 }
 
 impl<'a> StorageBalancer<'a> {
-    /// A balancer over the given topology and failure-domain map.
-    pub fn new(topo: &'a Topology, domains: &'a FailureDomains) -> Self {
-        StorageBalancer { topo, domains }
+    /// A balancer over the given failure-domain map.
+    pub fn new(domains: &'a FailureDomains) -> Self {
+        StorageBalancer { domains }
     }
 
     /// Compute and verify the placement for `alloc`, partitioning each
@@ -202,7 +201,6 @@ impl<'a> StorageBalancer<'a> {
                 segment_size,
             });
         }
-        let _ = self.topo; // reserved for hop-aware refinements
         Ok(Placement { per_rank, comms })
     }
 }
@@ -373,14 +371,14 @@ pub fn failover_grant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{JobRequest, Scheduler};
+    use cluster::{JobRequest, Scheduler, Topology};
 
     fn placed(procs: u32) -> (Placement, JobAllocation) {
         let topo = Topology::paper_testbed();
         let mut sched = Scheduler::new(topo.clone(), 4);
         let alloc = sched.submit(&JobRequest::full_subscription(procs)).unwrap();
         let domains = FailureDomains::derive(&topo);
-        let balancer = StorageBalancer::new(&topo, &domains);
+        let balancer = StorageBalancer::new(&domains);
         let p = balancer.place(&alloc, 8 << 30, 16 << 20).unwrap();
         (p, alloc)
     }
@@ -450,7 +448,7 @@ mod tests {
                 slot: 0,
             }],
         };
-        let balancer = StorageBalancer::new(&topo, &domains);
+        let balancer = StorageBalancer::new(&domains);
         assert!(matches!(
             balancer.place(&alloc, 1 << 30, 1 << 20),
             Err(BalanceError::DomainViolation { .. })
@@ -463,7 +461,7 @@ mod tests {
         let mut sched = Scheduler::new(topo.clone(), 4);
         let alloc = sched.submit(&JobRequest::full_subscription(448)).unwrap();
         let domains = FailureDomains::derive(&topo);
-        let balancer = StorageBalancer::new(&topo, &domains);
+        let balancer = StorageBalancer::new(&domains);
         // 1 MiB namespace split 112 ways is absurd.
         assert!(matches!(
             balancer.place(&alloc, 1 << 20, 16 << 20),
@@ -598,7 +596,7 @@ mod tests {
                 return Ok(());
             };
             let domains = FailureDomains::derive(&topo);
-            let balancer = StorageBalancer::new(&topo, &domains);
+            let balancer = StorageBalancer::new(&domains);
             let Ok(p) = balancer.place(&alloc, 8 << 30, 1 << 20) else {
                 return Ok(());
             };

@@ -353,7 +353,7 @@ impl NvmeCrRuntime {
         config: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
         let domains = FailureDomains::derive(topo);
-        let balancer = StorageBalancer::new(topo, &domains);
+        let balancer = StorageBalancer::new(&domains);
         let placement = balancer.place(alloc, config.namespace_bytes, MIN_SEGMENT)?;
         // One namespace per grant, created from the device's free space
         // (the gres-granted slot).

@@ -423,7 +423,7 @@ impl<D: BlockDevice> MicroFs<D> {
     pub fn dram_footprint(&self) -> u64 {
         (self.state.inodes.approx_bytes()
             + self.state.btree.approx_bytes()
-            + self.state.pool.free_count() as usize * 8) as u64
+            + self.state.pool.approx_bytes()) as u64
     }
 
     /// Hugeblocks currently free.
@@ -1263,6 +1263,18 @@ mod tests {
 
     fn fresh() -> MicroFs<MemDevice> {
         MicroFs::format(MemDevice::new(DEV_SIZE), FsConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn a_version_1_partition_is_rejected_at_mount() {
+        let mut dev = fresh().into_device();
+        let mut sb = dev.read_vec(0, 72).unwrap();
+        sb[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crate::crc::crc32(&sb[..68]);
+        sb[68..72].copy_from_slice(&crc.to_le_bytes());
+        dev.write_at(0, &sb).unwrap();
+        let err = MicroFs::mount(dev, FsConfig::default()).err().unwrap();
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! The superblock records the geometry and is CRC-protected; `mount`
 //! validates it before trusting anything else on the partition.
 
+use crate::block::pool::MAX_BLOCKS;
 use crate::crc::crc32;
 use crate::error::FsError;
 use crate::wire::Reader;
 
 const SUPERBLOCK_MAGIC: u64 = 0x6D69_6372_6F66_7321; // "microfs!"
-const SUPERBLOCK_VERSION: u32 = 1;
+const SUPERBLOCK_VERSION: u32 = 2;
 /// Bytes the superblock CRC covers: magic, version and seven geometry fields.
 const SUPERBLOCK_BODY_LEN: usize = 8 + 4 + 7 * 8;
 /// Serialized superblock size (one hardware block).
@@ -61,6 +62,11 @@ impl Layout {
             )));
         }
         let data_blocks = (partition_size - data_offset) / block_size;
+        if data_blocks > MAX_BLOCKS {
+            return Err(FsError::Invalid(format!(
+                "{data_blocks} hugeblocks exceed the block pool's limit of {MAX_BLOCKS}"
+            )));
+        }
         Ok(Layout {
             block_size,
             log_offset: SUPERBLOCK_LEN,
@@ -122,7 +128,9 @@ impl Layout {
         }
         let version = r.u32()?;
         if version != SUPERBLOCK_VERSION {
-            return Err(FsError::Io(format!("unsupported version {version}")));
+            return Err(FsError::Io(format!(
+                "unsupported superblock version {version} (this build reads version {SUPERBLOCK_VERSION})"
+            )));
         }
         Ok(Layout {
             block_size: r.u64()?,
@@ -176,6 +184,16 @@ mod tests {
     fn bad_block_sizes_rejected() {
         assert!(Layout::compute(1 << 30, 1000).is_err()); // not a power of two
         assert!(Layout::compute(1 << 30, 2048).is_err()); // < 4096
+    }
+
+    #[test]
+    fn pools_past_u32_block_ids_rejected() {
+        // 16 TiB at 4 KiB hugeblocks, less the reserves, still fits.
+        assert!(Layout::compute(1 << 44, 4096).is_ok());
+        assert!(matches!(
+            Layout::compute(1 << 45, 4096),
+            Err(FsError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub struct FsState {
 impl FsState {
     /// `op_counter`, then the inode table, block pool and B+Tree, each
     /// behind its `u64` length. The buffer is sized exactly and the pool,
-    /// by far the largest section, is encoded straight into it.
+    /// which can grow to 8 bytes per free block on a fragmented ring, is
+    /// encoded straight into it.
     fn encode(&self) -> Vec<u8> {
         let (inodes, btree) = (self.inodes.encode(), self.btree.encode());
         let pool_len = self.pool.encoded_len();
@@ -256,6 +257,57 @@ mod tests {
         let got = state.encode();
         assert_eq!(got, want);
         assert_eq!(got.capacity(), got.len(), "sized exactly");
+    }
+
+    /// A small state whose 256-block ring went through seeded random
+    /// allocation and frees, so it holds many runs in shuffled order.
+    fn fragmented_state() -> FsState {
+        let mut state = sample_state(0);
+        state.pool = BlockPool::new(256);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut held: Vec<u64> = Vec::new();
+        for _ in 0..300 {
+            if next() % 3 == 0 && !held.is_empty() {
+                let b = held.swap_remove((next() % held.len() as u64) as usize);
+                state.pool.free(b);
+            } else {
+                held.extend(state.pool.alloc_many(next() % 4).unwrap_or_default());
+            }
+        }
+        state
+    }
+
+    /// The snapshot payload is an on-device format: these bytes change
+    /// only with `SUPERBLOCK_VERSION`.
+    #[test]
+    fn encoding_is_pinned() {
+        let fresh = [
+            "0100000000000000", // op_counter
+            "3200000000000000", // inode table: the root directory
+            "010000000000000001010000000000000000ed01000000000000000000000000000000000000000000000000000000000000",
+            "1800000000000000", // block pool: total, free, one run of 1000 from 0
+            "e8030000e8030000010000000000000000000000e8030000",
+            "1500000000000000", // B+Tree: "/" -> 0
+            "0100000000000000010000002f0000000000000000",
+        ];
+        assert_eq!(state_hex(&sample_state(0)), fresh.concat());
+        let fragmented = fragmented_state();
+        let bytes = fragmented.encode();
+        assert!(
+            fragmented.pool.encoded_len() > 16 + 8 * 20,
+            "the ring is fragmented"
+        );
+        assert_eq!((bytes.len(), crc32(&bytes)), (367, 0x4A6D_2395));
+    }
+
+    fn state_hex(state: &FsState) -> String {
+        state.encode().iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use fabric::{Capsule, Completion, SgList, Status};
+use microfs::block::pool::MAX_BLOCKS;
 use microfs::block::BlockPool;
 use microfs::btree::BTree;
 use microfs::crc::{crc32, crc32_update};
@@ -501,16 +502,60 @@ fn inode_row() -> Row {
     }
 }
 
+/// `total u32 | free u32 | run count u64 | (start u32, len u32)*`.
+fn pool_bytes(total: u32, free: u32, runs: &[(u32, u32)]) -> Vec<u8> {
+    let mut b = total.to_le_bytes().to_vec();
+    b.extend_from_slice(&free.to_le_bytes());
+    b.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    for (start, len) in runs {
+        b.extend_from_slice(&start.to_le_bytes());
+        b.extend_from_slice(&len.to_le_bytes());
+    }
+    b
+}
+
+/// Well-formed pool sections that describe no ring the allocator can
+/// reach. Each must be rejected, and none may cost memory in proportion
+/// to the blocks it claims.
+fn hostile_pools() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("a run past total", pool_bytes(8, 4, &[(6, 4)])),
+        ("an empty run", pool_bytes(8, 0, &[(3, 0)])),
+        ("overlapping runs", pool_bytes(16, 6, &[(0, 4), (2, 2)])),
+        ("a free count off the runs", pool_bytes(8, 5, &[(0, 4)])),
+        (
+            "a 2^31-block run in a 40-byte section",
+            pool_bytes(
+                u32::MAX,
+                (1 << 31) + 2,
+                &[(0, 1 << 31), ((1 << 31) + 5, 1), (9, 1)],
+            ),
+        ),
+        (
+            "contiguous runs unmerged",
+            pool_bytes(8, 4, &[(0, 2), (2, 2)]),
+        ),
+    ]
+}
+
 fn block_pool_row() -> Row {
-    let mut overrun = 4u64.to_le_bytes().to_vec();
+    let mut overrun = pool_bytes(4, 4, &[])[..8].to_vec();
     overrun.extend_from_slice(&(u64::MAX / 8 + 1).to_le_bytes());
     overrun.extend_from_slice(&[0u8; 8]);
+    let mut empty = BlockPool::new(6);
+    empty.alloc_many(6).unwrap();
+    let mut pinned: Vec<Vec<u8>> = hostile_pools().into_iter().map(|(_, b)| b).collect();
+    pinned.push(overrun);
     Row {
         name: "block pool",
-        samples: vec![BlockPool::new(4).encode(), block_pool().encode()],
+        samples: vec![
+            BlockPool::new(MAX_BLOCKS).encode(),
+            block_pool().encode(),
+            empty.encode(),
+        ],
         seal: no_seal,
         decode: Box::new(|b| BlockPool::decode(b).is_ok()),
-        pinned: vec![overrun],
+        pinned,
     }
 }
 
@@ -649,6 +694,13 @@ fn inode_mutations_never_panic() {
 #[test]
 fn block_pool_mutations_never_panic() {
     block_pool_row().mutate_all();
+}
+
+#[test]
+fn block_pool_rejects_hostile_rings() {
+    for (what, bytes) in hostile_pools() {
+        assert!(BlockPool::decode(&bytes).is_err(), "accepted {what}");
+    }
 }
 
 #[test]
