@@ -227,7 +227,8 @@ fn report(name: &str, best_ns: f64, throughput: Option<Throughput>, mode: Mode) 
         }
         Some(Throughput::Elements(n)) => {
             let meps = n as f64 / best_ns * 1_000.0; // elem/ns -> Melem/s
-            println!("bench {name}: {time}/iter, {meps:.2} Melem/s");
+            let ns_per = best_ns / n as f64;
+            println!("bench {name}: {time}/iter, {meps:.2} Melem/s, {ns_per:.1} ns/elem");
         }
         None => println!("bench {name}: {time}/iter"),
     }

@@ -12,12 +12,26 @@
 //! structure is part of what the paper's DRAM-footprint numbers (Table I)
 //! measure, and the snapshot/recovery path serializes and rebuilds it.
 
+use std::cmp::Ordering;
+
 use crate::error::FsError;
 use crate::wire::Reader;
 
 /// Minimum keys in a non-root node; maximum is `2 * MIN_KEYS`.
 const MIN_KEYS: usize = 16;
 const MAX_KEYS: usize = 2 * MIN_KEYS;
+
+/// Key order: `str`'s byte-wise order, compared inline. Path keys are a
+/// few dozen bytes, where calling `memcmp` per comparison costs more than
+/// the comparison itself.
+#[inline]
+fn cmp_key(a: &str, b: &str) -> Ordering {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    match a.iter().zip(b).find(|(x, y)| x != y) {
+        Some((x, y)) => x.cmp(y),
+        None => a.len().cmp(&b.len()),
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -106,12 +120,12 @@ impl BTree {
         loop {
             match node {
                 Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_ref() <= key);
+                    let idx = keys.partition_point(|k| cmp_key(k, key).is_le());
                     node = &children[idx];
                 }
                 Node::Leaf { keys, vals } => {
                     return keys
-                        .binary_search_by(|k| k.as_ref().cmp(key))
+                        .binary_search_by(|k| cmp_key(k, key))
                         .ok()
                         .map(|i| vals[i]);
                 }
@@ -121,7 +135,20 @@ impl BTree {
 
     /// Insert a mapping, returning the previous value if the key existed.
     pub fn insert(&mut self, key: &str, val: u64) -> Option<u64> {
-        let result = Self::insert_rec(&mut self.root, key, val);
+        self.upsert(key, val, true)
+    }
+
+    /// Insert a mapping only if `key` is absent: one descent both checks
+    /// and inserts. Returns whether it inserted; an existing mapping is
+    /// left as it was.
+    pub fn insert_new(&mut self, key: &str, val: u64) -> bool {
+        self.upsert(key, val, false).is_none()
+    }
+
+    /// Insert, or on an existing key return its value and replace it only
+    /// if `overwrite`.
+    fn upsert(&mut self, key: &str, val: u64, overwrite: bool) -> Option<u64> {
+        let result = Self::insert_rec(&mut self.root, key, val, overwrite);
         let old = match result {
             InsertResult::Done(old) => old,
             InsertResult::Split { sep, right, old } => {
@@ -147,12 +174,14 @@ impl BTree {
         old
     }
 
-    fn insert_rec(node: &mut Node, key: &str, val: u64) -> InsertResult {
+    fn insert_rec(node: &mut Node, key: &str, val: u64, overwrite: bool) -> InsertResult {
         match node {
-            Node::Leaf { keys, vals } => match keys.binary_search_by(|k| k.as_ref().cmp(key)) {
+            Node::Leaf { keys, vals } => match keys.binary_search_by(|k| cmp_key(k, key)) {
                 Ok(i) => {
                     let old = vals[i];
-                    vals[i] = val;
+                    if overwrite {
+                        vals[i] = val;
+                    }
                     InsertResult::Done(Some(old))
                 }
                 Err(i) => {
@@ -177,8 +206,8 @@ impl BTree {
                 }
             },
             Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_ref() <= key);
-                match Self::insert_rec(&mut children[idx], key, val) {
+                let idx = keys.partition_point(|k| cmp_key(k, key).is_le());
+                match Self::insert_rec(&mut children[idx], key, val, overwrite) {
                     InsertResult::Done(old) => InsertResult::Done(old),
                     InsertResult::Split { sep, right, old } => {
                         keys.insert(idx, sep);
@@ -226,7 +255,7 @@ impl BTree {
 
     fn remove_rec(node: &mut Node, key: &str) -> Option<u64> {
         match node {
-            Node::Leaf { keys, vals } => match keys.binary_search_by(|k| k.as_ref().cmp(key)) {
+            Node::Leaf { keys, vals } => match keys.binary_search_by(|k| cmp_key(k, key)) {
                 Ok(i) => {
                     keys.remove(i);
                     Some(vals.remove(i))
@@ -234,7 +263,7 @@ impl BTree {
                 Err(_) => None,
             },
             Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_ref() <= key);
+                let idx = keys.partition_point(|k| cmp_key(k, key).is_le());
                 let removed = Self::remove_rec(&mut children[idx], key)?;
                 if children[idx].key_count() < MIN_KEYS {
                     Self::rebalance(keys, children, idx);
@@ -347,15 +376,45 @@ impl BTree {
     }
 
     /// All pairs whose key starts with `prefix`, in key order (used by
-    /// `readdir` to enumerate a directory's children).
+    /// `readdir` to enumerate a directory's children). Visits only the
+    /// leaves that hold the range: keys with a common prefix are
+    /// contiguous, so the scan starts at `prefix` and stops at the first
+    /// key past it.
     pub fn entries_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
         let mut out = Vec::new();
-        Self::collect(&self.root, &mut |k, v| {
-            if k.starts_with(prefix) {
+        Self::scan_from(&self.root, prefix, &mut |k, v| {
+            let hit = k.starts_with(prefix);
+            if hit {
                 out.push((k.to_string(), v));
             }
+            hit
         });
         out
+    }
+
+    /// Whether any key starts with `prefix` (one descent, no allocation).
+    pub fn any_with_prefix(&self, prefix: &str) -> bool {
+        let mut found = false;
+        Self::scan_from(&self.root, prefix, &mut |k, _| {
+            found = k.starts_with(prefix);
+            false
+        });
+        found
+    }
+
+    /// Feed `f` every pair with key `>= start`, in key order, until it
+    /// returns `false`. Returns `false` once `f` has stopped the scan.
+    fn scan_from(node: &Node, start: &str, f: &mut impl FnMut(&str, u64) -> bool) -> bool {
+        match node {
+            Node::Leaf { keys, vals } => {
+                let i = keys.partition_point(|k| cmp_key(k, start).is_lt());
+                keys[i..].iter().zip(&vals[i..]).all(|(k, v)| f(k, *v))
+            }
+            Node::Internal { keys, children } => {
+                let idx = keys.partition_point(|k| cmp_key(k, start).is_le());
+                children[idx..].iter().all(|c| Self::scan_from(c, start, f))
+            }
+        }
     }
 
     fn collect(node: &Node, f: &mut impl FnMut(&str, u64)) {
@@ -573,11 +632,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The inline key comparison is `str`'s order, prefixes and
+        /// multi-byte characters included.
+        #[test]
+        fn prop_key_order_is_str_order(
+            a in proptest::collection::vec(0u8..4, 0..6),
+            b in proptest::collection::vec(0u8..4, 0..6),
+        ) {
+            let s = |v: &[u8]| -> String { v.iter().map(|&i| ['a', 'b', '/', 'é'][i as usize]).collect() };
+            let (a, b) = (s(&a), s(&b));
+            prop_assert_eq!(cmp_key(&a, &b), a.cmp(&b));
+            prop_assert_eq!(cmp_key(&a, &a), Ordering::Equal);
+        }
+
         /// Full behavioural equivalence with std's BTreeMap under random
-        /// interleaved insert/remove/get.
+        /// interleaved insert/remove/get/insert-if-absent/prefix queries.
         #[test]
         fn prop_matches_btreemap(
-            ops in proptest::collection::vec((0u8..3, 0u16..300, any::<u64>()), 1..800)
+            ops in proptest::collection::vec((0u8..5, 0u16..300, any::<u64>()), 1..800)
         ) {
             let mut ours = BTree::new();
             let mut model: BTreeMap<String, u64> = BTreeMap::new();
@@ -590,8 +662,25 @@ mod tests {
                     1 => {
                         prop_assert_eq!(ours.remove(&key), model.remove(&key));
                     }
-                    _ => {
+                    2 => {
                         prop_assert_eq!(ours.get(&key), model.get(&key).copied());
+                    }
+                    3 => {
+                        let absent = !model.contains_key(&key);
+                        prop_assert_eq!(ours.insert_new(&key, val), absent);
+                        model.entry(key).or_insert(val);
+                    }
+                    _ => {
+                        // Prefix query: every key sharing the first 1–3
+                        // characters of `key` (1 is every key).
+                        let prefix = &key[..1 + (val % 3) as usize];
+                        let want: Vec<(String, u64)> = model
+                            .range(prefix.to_string()..)
+                            .take_while(|(k, _)| k.starts_with(prefix))
+                            .map(|(k, v)| (k.clone(), *v))
+                            .collect();
+                        prop_assert_eq!(ours.any_with_prefix(prefix), !want.is_empty());
+                        prop_assert_eq!(ours.entries_with_prefix(prefix), want);
                     }
                 }
                 prop_assert_eq!(ours.len(), model.len());

@@ -12,34 +12,37 @@ use crate::error::FsError;
 use crate::inode::Ino;
 use crate::wire::Reader;
 
-/// One record in a directory file.
+/// One record in a directory file. The name is owned when decoded and
+/// may be borrowed (`Dirent<&str>`) when only encoding or sizing one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Dirent {
+pub enum Dirent<N = String> {
     /// A name now maps to an inode.
     Add {
         /// Entry name (a single path component).
-        name: String,
+        name: N,
         /// The entry's inode.
         ino: Ino,
     },
     /// A name was removed (tombstone).
     Remove {
         /// Entry name.
-        name: String,
+        name: N,
     },
 }
 
-impl Dirent {
+impl<N: AsRef<str>> Dirent<N> {
     /// Append the record's bytes to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Dirent::Add { name, ino } => {
+                let name = name.as_ref();
                 out.push(1);
                 out.extend_from_slice(&(name.len() as u16).to_le_bytes());
                 out.extend_from_slice(name.as_bytes());
                 out.extend_from_slice(&ino.to_le_bytes());
             }
             Dirent::Remove { name } => {
+                let name = name.as_ref();
                 out.push(2);
                 out.extend_from_slice(&(name.len() as u16).to_le_bytes());
                 out.extend_from_slice(name.as_bytes());
@@ -47,14 +50,16 @@ impl Dirent {
         }
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes, computed without encoding.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Dirent::Add { name, .. } => 1 + 2 + name.len() + 8,
-            Dirent::Remove { name } => 1 + 2 + name.len(),
+            Dirent::Add { name, .. } => 1 + 2 + name.as_ref().len() + 8,
+            Dirent::Remove { name } => 1 + 2 + name.as_ref().len(),
         }
     }
+}
 
+impl Dirent {
     /// Parse one record at the reader's position, advancing it.
     #[deny(
         clippy::indexing_slicing,
@@ -124,22 +129,10 @@ mod tests {
     #[test]
     fn replay_applies_adds_and_tombstones() {
         let mut buf = Vec::new();
-        Dirent::Add {
-            name: "a".into(),
-            ino: 1,
-        }
-        .encode(&mut buf);
-        Dirent::Add {
-            name: "b".into(),
-            ino: 2,
-        }
-        .encode(&mut buf);
-        Dirent::Remove { name: "a".into() }.encode(&mut buf);
-        Dirent::Add {
-            name: "b".into(),
-            ino: 9,
-        }
-        .encode(&mut buf);
+        Dirent::Add { name: "a", ino: 1 }.encode(&mut buf);
+        Dirent::Add { name: "b", ino: 2 }.encode(&mut buf);
+        Dirent::Remove { name: "a" }.encode(&mut buf);
+        Dirent::Add { name: "b", ino: 9 }.encode(&mut buf);
         let live = Dirent::replay_stream(&buf, buf.len()).unwrap();
         assert_eq!(live, vec![("b".to_string(), 9)]);
     }
@@ -148,7 +141,7 @@ mod tests {
     fn truncated_stream_rejected() {
         let mut buf = Vec::new();
         Dirent::Add {
-            name: "file".into(),
+            name: "file",
             ino: 3,
         }
         .encode(&mut buf);
@@ -166,6 +159,15 @@ mod tests {
             let mut buf = Vec::new();
             r.encode(&mut buf);
             prop_assert_eq!(buf.len(), r.encoded_len());
+            // A borrowed-name record sizes and encodes identically.
+            let borrowed = match &r {
+                Dirent::Add { name, ino } => Dirent::Add { name: name.as_str(), ino: *ino },
+                Dirent::Remove { name } => Dirent::Remove { name: name.as_str() },
+            };
+            let mut bbuf = Vec::new();
+            borrowed.encode(&mut bbuf);
+            prop_assert_eq!(borrowed.encoded_len(), buf.len());
+            prop_assert_eq!(&bbuf, &buf);
             prop_assert_eq!(Dirent::decode(&mut Reader::new(&buf)).unwrap(), r);
         }
     }

@@ -144,6 +144,11 @@ impl InodeTable {
         self.live == 0
     }
 
+    /// The inode number the next [`alloc`](Self::alloc) hands out.
+    pub fn next_ino(&self) -> Ino {
+        self.free.last().copied().unwrap_or(self.slots.len() as Ino)
+    }
+
     /// Allocate an inode number for `inode` (most-recently-freed first,
     /// else a fresh slot).
     pub fn alloc(&mut self, inode: Inode) -> Ino {
@@ -267,10 +272,12 @@ mod tests {
         let mut t = InodeTable::new();
         let a = t.alloc(Inode::new_dir(0o755, 0, 0));
         let b = t.alloc(Inode::new_file(0o644, 0, 1));
+        assert_eq!(t.next_ino(), 2);
         let c = t.alloc(Inode::new_file(0o644, 0, 2));
         assert_eq!((a, b, c), (0, 1, 2));
         t.remove(b).unwrap();
         // LIFO reuse: next alloc takes the most recently freed number.
+        assert_eq!(t.next_ino(), 1);
         assert_eq!(t.alloc(Inode::new_file(0o600, 0, 3)), 1);
         assert_eq!(t.len(), 3);
     }
