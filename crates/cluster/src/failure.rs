@@ -11,8 +11,13 @@
 //! is a rack; the abstraction still carries its own id type because the
 //! balancer's correctness argument ("checkpoint data lives in a different
 //! failure domain than the process") is about domains, not racks.
+//!
+//! No partner list is kept. On the two-level network every pair of racks
+//! is one spine crossing apart, so a list sorted by hops is a list sorted
+//! by domain id, and "any other domain" is the whole partner rule:
+//! [`FailureDomains::separated`].
 
-use crate::topology::{NodeId, RackId, Topology};
+use crate::topology::{NodeId, Topology};
 
 /// Identifier of a failure domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,46 +28,18 @@ pub struct DomainId(pub u32);
 pub struct FailureDomains {
     /// domain of each node, indexed by node id.
     node_domain: Vec<DomainId>,
-    /// partner lists: for each domain, the other domains sorted by hop
-    /// distance (closest first), ties broken by domain id for determinism.
-    partners: Vec<Vec<DomainId>>,
 }
 
 impl FailureDomains {
     /// Derive domains from `topo`: nodes sharing a rack/PDU share a domain.
     pub fn derive(topo: &Topology) -> Self {
-        let node_domain = topo
-            .nodes()
-            .map(|n| DomainId(topo.rack_of(n).0))
-            .collect::<Vec<_>>();
-        let n_domains = topo.rack_count();
-        let mut partners = Vec::with_capacity(n_domains as usize);
-        for d in 0..n_domains {
-            let mut others: Vec<DomainId> =
-                (0..n_domains).filter(|&o| o != d).map(DomainId).collect();
-            others.sort_by_key(|&o| (topo.rack_hops(RackId(d), RackId(o.0)), o.0));
-            partners.push(others);
-        }
-        FailureDomains {
-            node_domain,
-            partners,
-        }
+        let node_domain = topo.nodes().map(|n| DomainId(topo.rack_of(n).0)).collect();
+        FailureDomains { node_domain }
     }
 
     /// The domain of one node.
     pub fn domain_of(&self, n: NodeId) -> DomainId {
         self.node_domain[n.0 as usize]
-    }
-
-    /// Number of domains.
-    pub fn domain_count(&self) -> usize {
-        self.partners.len()
-    }
-
-    /// Partner domains of `d`, closest first. Every entry is a *different*
-    /// domain, so data placed on a partner always survives the loss of `d`.
-    pub fn partners_of(&self, d: DomainId) -> &[DomainId] {
-        &self.partners[d.0 as usize]
     }
 
     /// Whether two nodes are in separate failure domains.
@@ -74,7 +51,6 @@ impl FailureDomains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn rack_sharing_means_domain_sharing() {
@@ -85,43 +61,5 @@ mod tests {
         assert_eq!(fd.domain_of(c[0]), fd.domain_of(c[15]));
         assert_eq!(fd.domain_of(s[0]), fd.domain_of(s[7]));
         assert!(fd.separated(c[0], s[0]));
-    }
-
-    #[test]
-    fn partners_never_include_self() {
-        let topo = Topology::synthetic(3, 3, 4, 28);
-        let fd = FailureDomains::derive(&topo);
-        for d in 0..fd.domain_count() as u32 {
-            let d = DomainId(d);
-            assert!(!fd.partners_of(d).contains(&d));
-            assert_eq!(fd.partners_of(d).len(), fd.domain_count() - 1);
-        }
-    }
-
-    #[test]
-    fn partners_sorted_by_hops_then_id() {
-        // All cross-rack pairs are 4 hops in the two-level tree, so the
-        // order degenerates to domain id — still deterministic.
-        let topo = Topology::synthetic(2, 2, 4, 28);
-        let fd = FailureDomains::derive(&topo);
-        let p = fd.partners_of(DomainId(2));
-        assert_eq!(p, &[DomainId(0), DomainId(1), DomainId(3)]);
-    }
-
-    proptest! {
-        /// Partner lists are a permutation of "all other domains" for any
-        /// cluster shape.
-        #[test]
-        fn prop_partner_lists_complete(cr in 1u32..5, sr in 1u32..5, npr in 1u32..6) {
-            let topo = Topology::synthetic(cr, sr, npr, 4);
-            let fd = FailureDomains::derive(&topo);
-            let n = fd.domain_count() as u32;
-            for d in 0..n {
-                let mut p: Vec<u32> = fd.partners_of(DomainId(d)).iter().map(|x| x.0).collect();
-                p.sort_unstable();
-                let expected: Vec<u32> = (0..n).filter(|&o| o != d).collect();
-                prop_assert_eq!(p, expected);
-            }
-        }
     }
 }

@@ -8,19 +8,21 @@
 //!
 //! The scheduler owns compute-node occupancy and per-SSD namespace slots.
 //! It places ranks block-wise onto compute nodes and grants storage from
-//! partner failure domains in hop order. Partitioning of each granted
-//! namespace among ranks is the storage balancer's job (in the `nvmecr`
-//! crate), not the scheduler's.
+//! partner failure domains. Every SSD outside the job's racks is one spine
+//! crossing (4 hops) from every node of the job, so "closest" ties
+//! everywhere and the grants go in `(node, ssd)` order. Partitioning of
+//! each granted namespace among ranks is the storage balancer's job (in the
+//! `nvmecr` crate), not the scheduler's.
+//!
+//! A scheduler serves the jobs submitted to it and never takes resources
+//! back: a caller that runs jobs one after another builds one scheduler per
+//! job.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::failure::{DomainId, FailureDomains};
 use crate::topology::{NodeId, NodeKind, Topology};
-
-/// Identifier of a running job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(pub u32);
 
 /// What a job asks for.
 #[derive(Debug, Clone)]
@@ -60,8 +62,6 @@ pub struct StorageGrant {
 /// A satisfied allocation.
 #[derive(Debug, Clone)]
 pub struct JobAllocation {
-    /// The job's id.
-    pub id: JobId,
     /// Rank → compute node placement (index = rank).
     pub rank_nodes: Vec<NodeId>,
     /// Granted storage shares, in balancer-visible order.
@@ -91,8 +91,6 @@ pub enum SchedulerError {
     NotEnoughStorage { needed: u32, available: u32 },
     /// Request is malformed (zero procs, zero per-node, ...).
     BadRequest(String),
-    /// Unknown job id on release.
-    UnknownJob(JobId),
 }
 
 impl fmt::Display for SchedulerError {
@@ -105,7 +103,6 @@ impl fmt::Display for SchedulerError {
                 write!(f, "need {needed} storage namespaces, {available} available")
             }
             SchedulerError::BadRequest(e) => write!(f, "bad request: {e}"),
-            SchedulerError::UnknownJob(id) => write!(f, "unknown job {id:?}"),
         }
     }
 }
@@ -125,8 +122,6 @@ pub struct Scheduler {
     busy_compute: BTreeSet<NodeId>,
     /// (storage node, ssd index) → slot state.
     ssds: BTreeMap<(NodeId, u32), SsdState>,
-    jobs: BTreeMap<JobId, JobAllocation>,
-    next_job: u32,
 }
 
 impl Scheduler {
@@ -152,29 +147,7 @@ impl Scheduler {
             domains,
             busy_compute: BTreeSet::new(),
             ssds,
-            jobs: BTreeMap::new(),
-            next_job: 0,
         }
-    }
-
-    /// The topology being scheduled.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The failure-domain map.
-    pub fn domains(&self) -> &FailureDomains {
-        &self.domains
-    }
-
-    /// Idle compute node count.
-    pub fn free_compute_nodes(&self) -> u32 {
-        (self.topo.compute_nodes().len() - self.busy_compute.len()) as u32
-    }
-
-    /// Total free namespace slots.
-    pub fn free_storage_slots(&self) -> u32 {
-        self.ssds.values().map(|s| s.free_slots).sum()
     }
 
     /// Allocate a job or explain why not.
@@ -209,24 +182,16 @@ impl Scheduler {
         let job_domains: BTreeSet<DomainId> =
             chosen.iter().map(|&n| self.domains.domain_of(n)).collect();
         // Candidate storage devices: on partner domains only (never sharing
-        // a failure domain with any compute node of the job), ordered by
-        // minimum hop distance to the job's nodes, then node id.
-        let mut candidates: Vec<(u32, NodeId, u32)> = self
+        // a failure domain with any compute node of the job). All of them
+        // are equally close, so they come in the map's (node, ssd) order.
+        let candidates: Vec<(NodeId, u32)> = self
             .ssds
             .iter()
             .filter(|((node, _), st)| {
                 st.free_slots > 0 && !job_domains.contains(&self.domains.domain_of(*node))
             })
-            .map(|((node, ssd), _)| {
-                let hops = chosen
-                    .iter()
-                    .map(|&c| self.topo.hops(c, *node))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                (hops, *node, *ssd)
-            })
+            .map(|(&key, _)| key)
             .collect();
-        candidates.sort_unstable_by_key(|&(h, n, s)| (h, n, s));
         if (candidates.len() as u32) < req.storage_devices {
             return Err(SchedulerError::NotEnoughStorage {
                 needed: req.storage_devices,
@@ -235,7 +200,7 @@ impl Scheduler {
         }
         // 3. Commit.
         let mut storage = Vec::with_capacity(req.storage_devices as usize);
-        for &(_, node, ssd) in candidates.iter().take(req.storage_devices as usize) {
+        for &(node, ssd) in candidates.iter().take(req.storage_devices as usize) {
             let st = self.ssds.get_mut(&(node, ssd)).expect("candidate exists");
             st.free_slots -= 1;
             let slot = st.next_slot;
@@ -254,32 +219,10 @@ impl Scheduler {
                 }
             }
         }
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        let alloc = JobAllocation {
-            id,
+        Ok(JobAllocation {
             rank_nodes,
             storage,
-        };
-        self.jobs.insert(id, alloc.clone());
-        Ok(alloc)
-    }
-
-    /// Release a completed job's resources.
-    pub fn release(&mut self, id: JobId) -> Result<(), SchedulerError> {
-        let alloc = self
-            .jobs
-            .remove(&id)
-            .ok_or(SchedulerError::UnknownJob(id))?;
-        for n in alloc.compute_nodes() {
-            self.busy_compute.remove(&n);
-        }
-        for g in &alloc.storage {
-            if let Some(st) = self.ssds.get_mut(&(g.node, g.ssd)) {
-                st.free_slots += 1;
-            }
-        }
-        Ok(())
+        })
     }
 }
 
@@ -299,7 +242,6 @@ mod tests {
         assert_eq!(alloc.rank_nodes.len(), 448);
         assert_eq!(alloc.compute_nodes().len(), 16);
         assert_eq!(alloc.storage.len(), 4); // 448 / 112
-        assert_eq!(s.free_compute_nodes(), 0);
     }
 
     #[test]
@@ -320,18 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn gres_slots_deplete_and_release() {
+    fn gres_slots_deplete() {
         let mut s = Scheduler::new(Topology::paper_testbed(), 1);
-        // 8 SSDs x 1 slot each.
-        assert_eq!(s.free_storage_slots(), 8);
-        let a = s
-            .submit(&JobRequest {
-                procs: 28,
-                procs_per_node: 28,
-                storage_devices: 8,
-            })
-            .unwrap();
-        assert_eq!(s.free_storage_slots(), 0);
+        // 8 SSDs x 1 slot each, all granted to one job.
+        s.submit(&JobRequest {
+            procs: 28,
+            procs_per_node: 28,
+            storage_devices: 8,
+        })
+        .unwrap();
         // A second job cannot get storage.
         let err = s
             .submit(&JobRequest {
@@ -340,9 +279,13 @@ mod tests {
                 storage_devices: 1,
             })
             .unwrap_err();
-        assert!(matches!(err, SchedulerError::NotEnoughStorage { .. }));
-        s.release(a.id).unwrap();
-        assert_eq!(s.free_storage_slots(), 8);
+        assert_eq!(
+            err,
+            SchedulerError::NotEnoughStorage {
+                needed: 1,
+                available: 0
+            }
+        );
     }
 
     #[test]
@@ -399,38 +342,33 @@ mod tests {
             }),
             Err(SchedulerError::BadRequest(_))
         ));
-        assert!(matches!(
-            s.release(JobId(99)),
-            Err(SchedulerError::UnknownJob(_))
-        ));
     }
 
     proptest! {
-        /// For arbitrary job mixes, granted slots are never double-booked
-        /// and release restores every counter.
+        /// For arbitrary job mixes, granted slots are never double-booked,
+        /// each SSD hands out its slots in order, and storage always comes
+        /// in (node, ssd) order from outside the job's racks.
         #[test]
         fn prop_slot_accounting(sizes in proptest::collection::vec(1u32..448, 1..6)) {
-            let mut s = Scheduler::new(Topology::paper_testbed(), 8);
-            let slots0 = s.free_storage_slots();
-            let compute0 = s.free_compute_nodes();
-            let mut live = Vec::new();
-            for procs in sizes {
-                if let Ok(a) = s.submit(&JobRequest::full_subscription(procs)) {
-                    live.push(a);
-                }
-            }
-            // No slot appears twice across live jobs.
+            let topo = Topology::paper_testbed();
+            let fd = FailureDomains::derive(&topo);
+            let mut s = Scheduler::new(topo, 8);
             let mut seen = std::collections::HashSet::new();
-            for a in &live {
+            let mut next_slot: BTreeMap<(NodeId, u32), u32> = BTreeMap::new();
+            for procs in sizes {
+                let Ok(a) = s.submit(&JobRequest::full_subscription(procs)) else {
+                    continue;
+                };
+                let keys: Vec<(NodeId, u32)> = a.storage.iter().map(|g| (g.node, g.ssd)).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
                 for g in &a.storage {
                     prop_assert!(seen.insert((g.node, g.ssd, g.slot)));
+                    let next = next_slot.entry((g.node, g.ssd)).or_insert(0);
+                    prop_assert_eq!(g.slot, *next);
+                    *next += 1;
+                    prop_assert!(a.rank_nodes.iter().all(|&r| fd.separated(r, g.node)));
                 }
             }
-            for a in live {
-                s.release(a.id).unwrap();
-            }
-            prop_assert_eq!(s.free_storage_slots(), slots0);
-            prop_assert_eq!(s.free_compute_nodes(), compute0);
         }
     }
 }

@@ -1,10 +1,12 @@
-//! Cluster topology: racks, nodes, and switch-hop distances.
+//! Cluster topology: racks and nodes.
 //!
 //! The model is a two-level fat tree: nodes attach to their rack's top-of-
 //! rack (ToR) switch, and ToR switches attach to a spine. Hop distances are
-//! therefore 0 (same node), 2 (same rack), or 4 (cross-rack) — enough
-//! structure for the storage balancer's "fewest hops away" greedy placement
-//! and for failure-domain derivation, which both key off rack sharing.
+//! therefore 0 (same node), 2 (same rack), or 4 (cross-rack). Storage is
+//! only ever granted outside the job's racks, so every candidate SSD is 4
+//! hops from every node of the job: the paper's "fewest hops away" rule
+//! (§III-F) picks nothing, and the scheduler takes candidates in node
+//! order. Failure domains key off rack sharing alone.
 
 /// Identifier of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,7 +42,6 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<Node>,
-    racks: u32,
 }
 
 /// Incremental [`Topology`] construction.
@@ -64,10 +65,7 @@ impl TopologyBuilder {
     /// Finish construction.
     pub fn build(self) -> Topology {
         assert!(!self.nodes.is_empty(), "topology needs at least one node");
-        Topology {
-            nodes: self.nodes,
-            racks: self.racks,
-        }
+        Topology { nodes: self.nodes }
     }
 }
 
@@ -108,11 +106,6 @@ impl Topology {
     /// Total node count.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Total rack count.
-    pub fn rack_count(&self) -> u32 {
-        self.racks
     }
 
     /// All node ids.
@@ -156,28 +149,6 @@ impl Topology {
     pub fn total_cores(&self) -> u32 {
         self.nodes().map(|n| self.cores_of(n)).sum()
     }
-
-    /// Switch hops between two nodes: 0 same node, 2 same rack (via the
-    /// ToR), 4 cross-rack (via the spine).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            0
-        } else if self.rack_of(a) == self.rack_of(b) {
-            2
-        } else {
-            self.rack_hops(self.rack_of(a), self.rack_of(b))
-        }
-    }
-
-    /// Hops between two racks: 0 same rack, 4 otherwise (one spine
-    /// crossing).
-    pub fn rack_hops(&self, a: RackId, b: RackId) -> u32 {
-        if a == b {
-            0
-        } else {
-            4
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,27 +159,16 @@ mod tests {
     fn paper_testbed_shape() {
         let t = Topology::paper_testbed();
         assert_eq!(t.node_count(), 24);
-        assert_eq!(t.rack_count(), 2);
+        assert_eq!(t.rack_of(t.storage_nodes()[0]), RackId(1));
         assert_eq!(t.compute_nodes().len(), 16);
         assert_eq!(t.storage_nodes().len(), 8);
         assert_eq!(t.total_cores(), 448);
     }
 
     #[test]
-    fn hop_distances() {
-        let t = Topology::paper_testbed();
-        let c = t.compute_nodes();
-        let s = t.storage_nodes();
-        assert_eq!(t.hops(c[0], c[0]), 0);
-        assert_eq!(t.hops(c[0], c[1]), 2); // same rack
-        assert_eq!(t.hops(c[0], s[0]), 4); // cross rack
-        assert_eq!(t.rack_hops(t.rack_of(c[0]), t.rack_of(s[0])), 4);
-    }
-
-    #[test]
     fn synthetic_builder() {
         let t = Topology::synthetic(4, 2, 8, 32);
-        assert_eq!(t.rack_count(), 6);
+        assert_eq!(t.rack_of(t.storage_nodes()[15]), RackId(5));
         assert_eq!(t.compute_nodes().len(), 32);
         assert_eq!(t.storage_nodes().len(), 16);
         assert_eq!(t.total_cores(), 32 * 32);

@@ -4,20 +4,20 @@
 //! Inputs: a scheduler allocation (ranks on compute nodes, storage grants
 //! on partner-domain SSDs). Outputs: a [`Placement`] mapping every rank to
 //! a grant (round-robin, "processes within a job are assigned to the
-//! allocated SSDs in a round robin manner to achieve load balancing"), the
-//! per-SSD `MPI_COMM_CR` communicators, and each rank's contiguous segment
-//! of its SSD's namespace ("each process gets a contiguous segment of the
-//! SSD based on its rank and the communicator size").
+//! allocated SSDs in a round robin manner to achieve load balancing"),
+//! each rank's position in its per-SSD `MPI_COMM_CR` communicator, and
+//! each rank's contiguous segment of its SSD's namespace ("each process
+//! gets a contiguous segment of the SSD based on its rank and the
+//! communicator size"). Under round-robin the communicator split has a
+//! closed form, so no communicator is built.
 //!
 //! The balancer *verifies* — not just assumes — that every rank's
 //! checkpoint data lands in a different failure domain than the rank
 //! itself; a violating allocation is rejected.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use cluster::{Comm, CommWorld, DomainId, FailureDomains, JobAllocation, NodeId};
-use simkit::stats::coefficient_of_variation;
+use cluster::{FailureDomains, JobAllocation, NodeId};
 
 /// Placement failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,31 +99,18 @@ pub struct RankPlacement {
 pub struct Placement {
     /// Per-rank placements, indexed by rank.
     pub per_rank: Vec<RankPlacement>,
-    /// One `MPI_COMM_CR` per grant, in grant order.
-    pub comms: Vec<Comm>,
 }
 
-impl Placement {
-    /// Bytes landing on each grant if rank `r` writes `bytes_of(r)` bytes —
-    /// the load distribution whose coefficient of variation Figure 7b
-    /// reports.
-    pub fn load_per_grant(&self, bytes_of: impl Fn(u32) -> u64, n_grants: usize) -> Vec<u64> {
-        let mut load = vec![0u64; n_grants];
-        for p in &self.per_rank {
-            load[p.grant] += bytes_of(p.rank);
-        }
-        load
-    }
-
-    /// Coefficient of variation of the load distribution.
-    pub fn load_cov(&self, bytes_of: impl Fn(u32) -> u64, n_grants: usize) -> f64 {
-        let load: Vec<f64> = self
-            .load_per_grant(bytes_of, n_grants)
-            .into_iter()
-            .map(|b| b as f64)
-            .collect();
-        coefficient_of_variation(&load)
-    }
+/// `(local_rank, comm_size)` of `rank` in its `MPI_COMM_CR` when `n_ranks`
+/// ranks are dealt round-robin over `n_grants` grants. `MPI_Comm_split`
+/// with color = grant and key = rank orders each communicator by global
+/// rank, so grant `g` holds ranks `g, g + n_grants, g + 2 n_grants, ...`:
+/// `rank` is member number `rank / n_grants`, and the first
+/// `n_ranks % n_grants` grants hold one rank more than the rest.
+fn comm_cr_position(rank: u32, n_ranks: u32, n_grants: u32) -> (u32, u32) {
+    let grant = rank % n_grants;
+    let comm_size = n_ranks / n_grants + u32::from(grant < n_ranks % n_grants);
+    (rank / n_grants, comm_size)
 }
 
 /// The balancer.
@@ -155,37 +142,17 @@ impl<'a> StorageBalancer<'a> {
             // ranks than SSDs would leave grants unused.
             return Err(BalanceError::NoStorage);
         }
-        // Round-robin rank -> grant.
-        let grant_of = |rank: u32| (rank as usize) % n_grants;
-        // Fault-tolerance check: never colocate a rank with its data.
-        for rank in 0..n_ranks {
-            let rank_node = alloc.rank_nodes[rank as usize];
-            let ssd_node = alloc.storage[grant_of(rank)].node;
-            if !self.domains.separated(rank_node, ssd_node) {
-                return Err(BalanceError::DomainViolation { rank });
-            }
-        }
-        // MPI_COMM_CR per grant via MPI_Comm_split (color = grant).
-        let world = CommWorld::new(alloc.rank_nodes.clone());
-        let split = world.comm_world().split(|r| grant_of(r) as u64, u64::from);
-        let mut comms: Vec<Comm> = Vec::with_capacity(n_grants);
-        for g in 0..n_grants {
-            let comm = split
-                .iter()
-                .find(|(color, _)| *color == g as u64)
-                .map(|(_, c)| c.clone())
-                .expect("every grant has at least one rank (checked above)");
-            comms.push(comm);
-        }
-        // Contiguous per-rank segments.
         let mut per_rank = Vec::with_capacity(n_ranks as usize);
         for rank in 0..n_ranks {
-            let g = grant_of(rank);
-            let comm = &comms[g];
-            let local_rank = comm
-                .local_rank(rank)
-                .expect("rank belongs to its grant communicator");
-            let comm_size = comm.size();
+            // Round-robin rank -> grant.
+            let grant = rank as usize % n_grants;
+            // Fault-tolerance check: never colocate a rank with its data.
+            let rank_node = alloc.rank_nodes[rank as usize];
+            if !self.domains.separated(rank_node, alloc.storage[grant].node) {
+                return Err(BalanceError::DomainViolation { rank });
+            }
+            // Contiguous per-rank segments of the grant's namespace.
+            let (local_rank, comm_size) = comm_cr_position(rank, n_ranks, n_grants as u32);
             let segment_size = namespace_bytes / u64::from(comm_size);
             if segment_size < min_segment {
                 return Err(BalanceError::SegmentTooSmall {
@@ -194,154 +161,14 @@ impl<'a> StorageBalancer<'a> {
             }
             per_rank.push(RankPlacement {
                 rank,
-                grant: g,
+                grant,
                 local_rank,
                 comm_size,
                 segment_offset: u64::from(local_rank) * segment_size,
                 segment_size,
             });
         }
-        Ok(Placement { per_rank, comms })
-    }
-}
-
-/// Candidate storage nodes grouped by failure domain.
-///
-/// Placement and failover used to scan the whole candidate list linearly
-/// for every rank — O(ranks × namespaces) once the rack holds thousands of
-/// namespaces. The index buckets candidates by domain once
-/// (O(candidates)), after which a lookup probes O(domains) buckets — a
-/// handful of racks — no matter how many namespaces each domain holds.
-/// Domain separation is a property of the *domain*, not the node
-/// ([`FailureDomains::separated`] compares `domain_of` only), so an entire
-/// bucket qualifies or is skipped with a single probe.
-#[derive(Debug)]
-pub struct DomainIndex {
-    /// `(position in the candidate list, node)` per domain, indexed by
-    /// `DomainId.0`. Buckets keep candidate order, so "first valid
-    /// candidate" agrees exactly with the linear scan this replaces.
-    buckets: Vec<Vec<(usize, NodeId)>>,
-    candidates: usize,
-    /// Buckets and entries touched by lookups — the observable the O(1)
-    /// complexity test asserts on.
-    probes: AtomicU64,
-}
-
-impl DomainIndex {
-    /// Index `candidates` by failure domain.
-    pub fn build(domains: &FailureDomains, candidates: &[NodeId]) -> Self {
-        let mut buckets = vec![Vec::new(); domains.domain_count()];
-        for (i, &n) in candidates.iter().enumerate() {
-            buckets[domains.domain_of(n).0 as usize].push((i, n));
-        }
-        DomainIndex {
-            buckets,
-            candidates: candidates.len(),
-            probes: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of indexed candidates.
-    pub fn candidate_count(&self) -> usize {
-        self.candidates
-    }
-
-    /// Buckets + entries touched by lookups since the index was built.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    fn probe(&self, n: u64) {
-        self.probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// [`failover_grant`]-equivalent lookup through the index: identical
-    /// result for identical inputs, but O(domains) probes instead of
-    /// O(candidates).
-    pub fn failover_grant(
-        &self,
-        domains: &FailureDomains,
-        rank: u32,
-        rank_node: NodeId,
-        failed_node: NodeId,
-    ) -> Result<usize, BalanceError> {
-        let rank_dom = domains.domain_of(rank_node);
-        let failed_dom = domains.domain_of(failed_node);
-        // Preferred pass: domains foreign to both the rank and the failed
-        // node. The failed node lives in `failed_dom`, so every bucket
-        // entry here is valid — the linear scan's first match is the
-        // minimum candidate position across qualifying buckets.
-        let preferred = self
-            .domain_heads(|d| d != rank_dom && d != failed_dom)
-            .min();
-        if let Some(i) = preferred {
-            return Ok(i);
-        }
-        // Fallback (single-storage-rack topologies): rack-mates of the
-        // failed node are allowed, but never the failed node itself.
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| DomainId(d as u32) != rank_dom)
-            .filter_map(|(d, bucket)| {
-                if DomainId(d as u32) != failed_dom {
-                    self.probe(1);
-                    bucket.first().map(|&(i, _)| i)
-                } else {
-                    // Skip entries equal to the failed node; duplicates of
-                    // it are the only reason this walks past the head.
-                    bucket
-                        .iter()
-                        .find(|&&(_, n)| {
-                            self.probe(1);
-                            n != failed_node
-                        })
-                        .map(|&(i, _)| i)
-                }
-            })
-            .min()
-            .ok_or(BalanceError::NoFailoverTarget { rank })
-    }
-
-    /// First candidate position of every bucket whose domain passes
-    /// `keep` — one probe per domain.
-    fn domain_heads<'s>(
-        &'s self,
-        keep: impl Fn(DomainId) -> bool + 's,
-    ) -> impl Iterator<Item = usize> + 's {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(move |&(d, _)| keep(DomainId(d as u32)))
-            .filter_map(|(_, bucket)| {
-                self.probe(1);
-                bucket.first().map(|&(i, _)| i)
-            })
-    }
-
-    /// Candidate positions in cyclic scan order starting at
-    /// `start % candidate_count()`, restricted to domains accepted by
-    /// `keep` — the rotated-scan shape replica placement uses, touching
-    /// only nodes in valid domains.
-    pub fn cyclic_candidates(
-        &self,
-        start: usize,
-        keep: impl Fn(DomainId) -> bool,
-    ) -> Vec<(usize, NodeId)> {
-        let mut hits: Vec<(usize, NodeId)> = Vec::new();
-        for (d, bucket) in self.buckets.iter().enumerate() {
-            self.probe(1);
-            if keep(DomainId(d as u32)) {
-                self.probe(bucket.len() as u64);
-                hits.extend_from_slice(bucket);
-            }
-        }
-        hits.sort_unstable_by_key(|&(i, _)| i);
-        if self.candidates > 0 {
-            let pivot = hits.partition_point(|&(i, _)| i < start % self.candidates);
-            hits.rotate_left(pivot);
-        }
-        hits
+        Ok(Placement { per_rank })
     }
 }
 
@@ -354,10 +181,9 @@ impl DomainIndex {
 /// candidates, nodes outside the *failed* node's domain are preferred
 /// (a PDU/rack loss takes every node in the domain); same-domain survivors
 /// are a fallback for topologies with a single storage rack, like the
-/// paper's testbed. Returns the index of the chosen candidate.
-///
-/// One-shot convenience over [`DomainIndex::failover_grant`]; callers
-/// performing repeated lookups should [`DomainIndex::build`] once.
+/// paper's testbed. Returns the index of the first candidate of the first
+/// pass that finds one: a scan of a rack's storage nodes (8 on the
+/// paper's testbed) per failover.
 pub fn failover_grant(
     domains: &FailureDomains,
     rank: u32,
@@ -365,7 +191,12 @@ pub fn failover_grant(
     failed_node: NodeId,
     candidates: &[NodeId],
 ) -> Result<usize, BalanceError> {
-    DomainIndex::build(domains, candidates).failover_grant(domains, rank, rank_node, failed_node)
+    let valid = |n: NodeId| n != failed_node && domains.separated(rank_node, n);
+    candidates
+        .iter()
+        .position(|&n| valid(n) && domains.separated(failed_node, n))
+        .or_else(|| candidates.iter().position(|&n| valid(n)))
+        .ok_or(BalanceError::NoFailoverTarget { rank })
 }
 
 #[cfg(test)]
@@ -386,13 +217,14 @@ mod tests {
     #[test]
     fn round_robin_is_perfectly_balanced() {
         let (p, alloc) = placed(448);
-        let n = alloc.storage.len();
-        let load = p.load_per_grant(|_| 512 << 20, n);
-        assert!(
-            load.windows(2).all(|w| w[0] == w[1]),
-            "equal-size files must balance exactly"
+        let mut ranks_per_grant = vec![0u32; alloc.storage.len()];
+        for r in &p.per_rank {
+            ranks_per_grant[r.grant] += 1;
+        }
+        assert_eq!(
+            ranks_per_grant, [112; 4],
+            "equal-size jobs must balance exactly"
         );
-        assert_eq!(p.load_cov(|_| 512 << 20, n), 0.0);
     }
 
     #[test]
@@ -421,7 +253,7 @@ mod tests {
         // 448 ranks over 4 SSDs -> MPI_COMM_CR of 112 (the paper's upper
         // recommended process:SSD ratio).
         assert!(p.per_rank.iter().all(|r| r.comm_size == 112));
-        assert_eq!(p.comms.len(), 4);
+        assert_eq!(p.per_rank.iter().map(|r| r.grant).max(), Some(3));
     }
 
     #[test]
@@ -440,7 +272,6 @@ mod tests {
         let domains = FailureDomains::derive(&topo);
         let compute = topo.compute_nodes();
         let alloc = JobAllocation {
-            id: cluster::JobId(0),
             rank_nodes: vec![compute[0]; 28],
             storage: vec![cluster::StorageGrant {
                 node: compute[1],
@@ -506,85 +337,165 @@ mod tests {
         );
     }
 
+    /// FNV-1a over every `(grant, local_rank, comm_size, segment_offset,
+    /// segment_size)` row, in rank order.
+    fn rows_digest(p: &Placement) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in &p.per_rank {
+            let row = [
+                r.grant as u64,
+                u64::from(r.local_rank),
+                u64::from(r.comm_size),
+                r.segment_offset,
+                r.segment_size,
+            ];
+            for b in row.iter().flat_map(|v| v.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Placements on the paper's testbed with 8 GiB namespaces. Each case
+    /// pins the granted nodes, the first rows and the last row literally,
+    /// and every row through a digest.
     #[test]
-    fn domain_index_matches_linear_failover_scan() {
-        // The index must be a pure acceleration: identical choice to the
-        // linear scan for every (rank node, failed node) pair, on both a
-        // multi-rack and the single-storage-rack paper topology.
-        for topo in [Topology::synthetic(2, 3, 4, 28), Topology::paper_testbed()] {
+    fn placements_are_pinned() {
+        type Row = (usize, u32, u32, u64, u64);
+        /// Request, granted nodes, first rows, last row, digest of all rows.
+        type Case = (JobRequest, &'static [u32], &'static [Row], Row, u64);
+        let cases: [Case; 4] = [
+            (
+                JobRequest::full_subscription(28),
+                &[16],
+                &[
+                    (0, 0, 28, 0, 306_783_378),
+                    (0, 1, 28, 306_783_378, 306_783_378),
+                ],
+                (0, 27, 28, 8_283_151_206, 306_783_378),
+                0xd16e_2dc8_f0af_b0cb,
+            ),
+            (
+                JobRequest::full_subscription(56),
+                &[16],
+                &[
+                    (0, 0, 56, 0, 153_391_689),
+                    (0, 1, 56, 153_391_689, 153_391_689),
+                ],
+                (0, 55, 56, 8_436_542_895, 153_391_689),
+                0x8f3f_2a82_470f_4e57,
+            ),
+            (
+                JobRequest::full_subscription(448),
+                &[16, 17, 18, 19],
+                &[
+                    (0, 0, 112, 0, 76_695_844),
+                    (1, 0, 112, 0, 76_695_844),
+                    (2, 0, 112, 0, 76_695_844),
+                    (3, 0, 112, 0, 76_695_844),
+                    (0, 1, 112, 76_695_844, 76_695_844),
+                ],
+                (3, 111, 112, 8_513_238_684, 76_695_844),
+                0x7fa4_f23c_1715_4425,
+            ),
+            (
+                // Uneven: 100 ranks over 3 SSDs split 34/33/33.
+                JobRequest {
+                    procs: 100,
+                    procs_per_node: 28,
+                    storage_devices: 3,
+                },
+                &[16, 17, 18],
+                &[
+                    (0, 0, 34, 0, 252_645_135),
+                    (1, 0, 33, 0, 260_301_048),
+                    (2, 0, 33, 0, 260_301_048),
+                    (0, 1, 34, 252_645_135, 252_645_135),
+                    (1, 1, 33, 260_301_048, 260_301_048),
+                ],
+                (0, 33, 34, 8_337_289_455, 252_645_135),
+                0x1502_7636_91d2_5afb,
+            ),
+        ];
+        let topo = Topology::paper_testbed();
+        let domains = FailureDomains::derive(&topo);
+        for (req, nodes, head, last, digest) in cases {
+            let mut sched = Scheduler::new(topo.clone(), 4);
+            let alloc = sched.submit(&req).unwrap();
+            let granted: Vec<u32> = alloc.storage.iter().map(|g| g.node.0).collect();
+            assert_eq!(granted, nodes, "{} ranks", req.procs);
+            let p = StorageBalancer::new(&domains)
+                .place(&alloc, 8 << 30, 16 << 20)
+                .unwrap();
+            let rows: Vec<Row> = p
+                .per_rank
+                .iter()
+                .map(|r| {
+                    (
+                        r.grant,
+                        r.local_rank,
+                        r.comm_size,
+                        r.segment_offset,
+                        r.segment_size,
+                    )
+                })
+                .collect();
+            assert_eq!(rows.len(), req.procs as usize);
+            assert_eq!(&rows[..head.len()], head, "{} ranks", req.procs);
+            assert_eq!(rows.last(), Some(&last), "{} ranks", req.procs);
+            assert_eq!(rows_digest(&p), digest, "{} ranks", req.procs);
+        }
+    }
+
+    /// The failover target of every (rank node, failed node) pair. Each row
+    /// lists the target per failed storage node; every compute node of
+    /// these topologies gets the same row.
+    #[test]
+    fn failover_targets_are_pinned() {
+        let cases: [(Topology, &[u32]); 2] = [
+            (Topology::paper_testbed(), &[17, 16, 16, 16, 16, 16, 16, 16]),
+            (
+                Topology::synthetic(2, 3, 4, 28),
+                &[12, 12, 12, 12, 8, 8, 8, 8, 8, 8, 8, 8],
+            ),
+        ];
+        for (topo, row) in cases {
             let domains = FailureDomains::derive(&topo);
             let storage = topo.storage_nodes();
-            let index = DomainIndex::build(&domains, &storage);
-            let linear = |rank, rank_node, failed: NodeId| {
-                let valid = |n: NodeId| n != failed && domains.separated(rank_node, n);
-                storage
+            for &rank_node in &topo.compute_nodes() {
+                let got: Vec<u32> = storage
                     .iter()
-                    .position(|&n| valid(n) && domains.separated(failed, n))
-                    .or_else(|| storage.iter().position(|&n| valid(n)))
-                    .ok_or(BalanceError::NoFailoverTarget { rank })
-            };
-            for &rank_node in topo.compute_nodes().iter().take(4) {
-                for &failed in &storage {
-                    assert_eq!(
-                        index.failover_grant(&domains, 7, rank_node, failed),
-                        linear(7, rank_node, failed),
-                        "index diverges from linear scan for failed={failed:?}"
-                    );
-                }
+                    .map(|&failed| {
+                        let i = failover_grant(&domains, 7, rank_node, failed, &storage).unwrap();
+                        storage[i].0
+                    })
+                    .collect();
+                assert_eq!(got, row, "rank node {rank_node:?}");
             }
         }
     }
 
-    #[test]
-    fn domain_index_lookups_are_constant_in_namespace_count() {
-        // 10k storage nodes across 4 storage racks: a failover lookup must
-        // probe O(domains) buckets, independent of the namespace count.
-        let topo = Topology::synthetic(1, 4, 2500, 1);
-        let domains = FailureDomains::derive(&topo);
-        let storage = topo.storage_nodes();
-        assert_eq!(storage.len(), 10_000);
-        let index = DomainIndex::build(&domains, &storage);
-        assert_eq!(index.candidate_count(), 10_000);
-        let rank_node = topo.compute_nodes()[0];
-
-        let before = index.probes();
-        let idx = index
-            .failover_grant(&domains, 0, rank_node, storage[0])
-            .unwrap();
-        let per_lookup = index.probes() - before;
-        assert!(domains.separated(rank_node, storage[idx]));
-        assert!(domains.separated(storage[0], storage[idx]));
-        let bound = 2 * domains.domain_count() as u64 + 4;
-        assert!(
-            per_lookup <= bound,
-            "lookup touched {per_lookup} entries over 10k namespaces \
-             (bound: {bound} — O(domains), not O(namespaces))"
-        );
-
-        // 1k lookups stay linear in lookups, not in namespaces.
-        let before = index.probes();
-        for r in 0..1000u32 {
-            let failed = storage[r as usize % storage.len()];
-            index
-                .failover_grant(&domains, r, rank_node, failed)
-                .unwrap();
-        }
-        let probes = index.probes() - before;
-        assert!(
-            probes <= 1000 * bound,
-            "amortized lookup cost scales with namespaces: {probes}"
-        );
-    }
-
-    #[test]
-    fn unequal_loads_have_nonzero_cov() {
-        let (p, alloc) = placed(448);
-        let n = alloc.storage.len();
-        let cov = p.load_cov(|r| if r == 0 { 10 << 30 } else { 1 << 20 }, n);
-        assert!(cov > 0.0);
-    }
-
     proptest::proptest! {
+        /// The closed form agrees with a direct count of the round-robin
+        /// deal for any job shape, uneven splits included: the local rank
+        /// is the number of earlier ranks on the same grant, and the
+        /// communicator size is the number of ranks on it.
+        #[test]
+        fn prop_comm_cr_closed_form_matches_a_count(n_grants in 1u32..40, extra in 0u32..500) {
+            let n_ranks = n_grants + extra;
+            let mut seen = vec![0u32; n_grants as usize];
+            for rank in 0..n_ranks {
+                let g = (rank % n_grants) as usize;
+                let (local_rank, _) = comm_cr_position(rank, n_ranks, n_grants);
+                proptest::prop_assert_eq!(local_rank, seen[g]);
+                seen[g] += 1;
+            }
+            for rank in 0..n_ranks {
+                let (_, comm_size) = comm_cr_position(rank, n_ranks, n_grants);
+                proptest::prop_assert_eq!(comm_size, seen[(rank % n_grants) as usize]);
+            }
+        }
+
         /// For arbitrary job sizes, segments always tile each namespace
         /// without gaps or overlap and every rank lands on a partner
         /// domain.

@@ -15,8 +15,8 @@
 //!   [`microfs::BlockDevice`] that forwards hugeblock IO through an NVMf
 //!   connection to the rank's contiguous SSD segment.
 //! * **Storage balancer** — [`balancer`], the failure-domain-aware,
-//!   round-robin partitioner of §III-F (Figure 6), building the per-SSD
-//!   `MPI_COMM_CR` communicators.
+//!   round-robin partitioner of §III-F (Figure 6), which gives each rank
+//!   its place in its SSD's `MPI_COMM_CR` communicator.
 //!
 //! Plus: [`intercept`] (the symbol-interception shim of §III-C),
 //! [`multilevel`] (1-in-k checkpoints to a parallel filesystem, §III-F),
@@ -40,7 +40,7 @@ pub mod replication;
 pub mod runtime;
 pub mod supervisor;
 
-pub use balancer::{BalanceError, DomainIndex, Placement, RankPlacement, StorageBalancer};
+pub use balancer::{BalanceError, Placement, RankPlacement, StorageBalancer};
 pub use config::RuntimeConfig;
 pub use dataplane::NvmfBlockDevice;
 pub use intercept::PosixLayer;

@@ -19,7 +19,7 @@ use microfs::{ExtentMap, FsError, FsStats, MicroFs};
 use ssd::{NsId, Ssd, SsdConfig, SsdError};
 use telemetry::Telemetry;
 
-use crate::balancer::{BalanceError, Placement, StorageBalancer};
+use crate::balancer::{failover_grant, BalanceError, Placement, StorageBalancer};
 use crate::config::RuntimeConfig;
 use crate::dataplane::NvmfBlockDevice;
 use crate::reactor::{
@@ -241,32 +241,29 @@ fn rank_device(
 /// Pick a partner-domain home for a rank's replica: a storage node other
 /// than the primary's, domain-separated from the rank (preferring nodes
 /// also separated from the primary), with an SSD that has room. The scan
-/// order is rotated by rank so replicas spread across the rack.
-///
-/// Candidates come through the allocation's [`DomainIndex`], so nodes in
-/// the rank's own failure domain are never touched — at 10k namespaces
-/// the old whole-rack scan was the placement hot loop.
+/// over `storage` starts at position `rank % storage.len()` and wraps, so
+/// replicas spread across the rack.
 fn place_replica(
     rack: &StorageRack,
     domains: &FailureDomains,
-    index: &crate::balancer::DomainIndex,
+    storage: &[NodeId],
     rank: u32,
     rank_node: NodeId,
     primary_node: NodeId,
     size: u64,
 ) -> Result<ReplicaRoute, RuntimeError> {
-    let rank_dom = domains.domain_of(rank_node);
-    let primary_dom = domains.domain_of(primary_node);
+    let start = rank as usize % storage.len().max(1);
     let pass = |strict: bool| {
-        index
-            .cyclic_candidates(rank as usize, |d| {
-                d != rank_dom && (!strict || d != primary_dom)
+        storage[start..]
+            .iter()
+            .chain(&storage[..start])
+            .copied()
+            .filter(|&node| {
+                node != primary_node
+                    && domains.separated(rank_node, node)
+                    && (!strict || domains.separated(primary_node, node))
             })
-            .into_iter()
-            .find_map(|(_, node)| {
-                if node == primary_node {
-                    return None;
-                }
+            .find_map(|node| {
                 let mut targets = rack.targets_on(node);
                 if !targets.is_empty() {
                     let rot = rank as usize % targets.len();
@@ -275,7 +272,7 @@ fn place_replica(
                 targets
                     .into_iter()
                     .map(|(_, t)| t)
-                    .find(|t| t.device().namespaces().free_bytes() >= size)
+                    .find(|t| t.device().free_bytes() >= size)
                     .map(|t| (t, node))
             })
     };
@@ -288,7 +285,7 @@ fn place_replica(
     Ok(ReplicaRoute { target, ns, node })
 }
 
-/// A detached job's storage handle: everything needed to reattach to the
+/// A dead job's storage handle: everything needed to reattach to the
 /// surviving namespaces after the application died (the restart half of
 /// checkpoint/restart). The ephemeral runtime dies with the job; the
 /// checkpoint data does not.
@@ -393,14 +390,12 @@ impl NvmeCrRuntime {
         // partner failure domain, in its own namespace sized like the
         // primary segment (image + manifest region).
         if config.replication_factor >= 2 {
-            // One domain index for the whole job: every rank's replica
-            // lookup probes domain buckets, not the full namespace list.
-            let index = crate::balancer::DomainIndex::build(&domains, &topo.storage_nodes());
+            let storage = topo.storage_nodes();
             for (rank, route) in routes.iter_mut().enumerate() {
                 route.replica = Some(place_replica(
                     rack,
                     &domains,
-                    &index,
+                    &storage,
                     rank as u32,
                     alloc.rank_nodes[rank],
                     route.node,
@@ -758,17 +753,10 @@ impl NvmeCrRuntime {
             }
         }
         let idx =
-            crate::balancer::failover_grant(&domains, rank, rank_node, route.node, &candidates)
-                .or_else(|_| {
-                    candidates = topo.storage_nodes();
-                    crate::balancer::failover_grant(
-                        &domains,
-                        rank,
-                        rank_node,
-                        route.node,
-                        &candidates,
-                    )
-                })?;
+            failover_grant(&domains, rank, rank_node, route.node, &candidates).or_else(|_| {
+                candidates = topo.storage_nodes();
+                failover_grant(&domains, rank, rank_node, route.node, &candidates)
+            })?;
         let new_node = candidates[idx];
         // First SSD on the partner node with room for the rank's segment.
         let size = route.size.max(MIN_SEGMENT);
@@ -776,7 +764,7 @@ impl NvmeCrRuntime {
             .targets_on(new_node)
             .into_iter()
             .map(|(_, t)| t)
-            .find(|t| t.device().namespaces().free_bytes() >= size)
+            .find(|t| t.device().free_bytes() >= size)
             .ok_or(RuntimeError::Balance(BalanceError::NoFailoverTarget {
                 rank,
             }))?;
@@ -871,20 +859,6 @@ impl NvmeCrRuntime {
         &self.config.telemetry
     }
 
-    /// Detach: tear down the ephemeral runtime (as a job kill would) but
-    /// leave the namespaces and their checkpoint data on the devices.
-    /// The returned [`JobHandle`] lets a restarted job [`attach`].
-    ///
-    /// [`attach`]: NvmeCrRuntime::attach
-    pub fn detach(mut self) -> JobHandle {
-        // Seal a final epoch per replicated rank so a restart can rebuild
-        // every mirror from manifests alone. A failing commit (degraded
-        // mirror, dead replica shard) must not block the detach — the
-        // restart path rescans and falls back to the last complete epoch.
-        let _ = self.commit_epochs();
-        self.into_handle()
-    }
-
     /// Simulate the whole job dying at an arbitrary instant (power loss,
     /// OOM kill, chaos crash point): every rank's volatile state is
     /// dropped with *no* final epoch commit, no snapshot, no goodbye.
@@ -892,27 +866,15 @@ impl NvmeCrRuntime {
     /// of death; the returned handle reattaches through the full recovery
     /// path. This is the re-execution primitive the crash-universe
     /// explorer kills jobs with.
-    pub fn crash_job(self) -> JobHandle {
-        self.into_handle()
-    }
-
-    fn into_handle(mut self) -> JobHandle {
+    pub fn crash_job(mut self) -> JobHandle {
         self.ranks.clear(); // drop every rank's volatile state
         JobHandle {
-            grants: self
-                .grants
-                .iter()
-                .map(|g| GrantState {
-                    target: Arc::clone(&g.target),
-                    ns: g.ns,
-                    node: g.node,
-                })
-                .collect(),
-            routes: self.routes.clone(),
-            rank_nodes: self.rank_nodes.clone(),
-            extra_ns: self.extra_ns.clone(),
-            placement: self.placement.clone(),
-            config: self.config.clone(),
+            grants: self.grants,
+            routes: self.routes,
+            rank_nodes: self.rank_nodes,
+            extra_ns: self.extra_ns,
+            placement: self.placement,
+            config: self.config,
         }
     }
 
@@ -1104,7 +1066,7 @@ mod tests {
             fs.close(fd).unwrap();
         }
         // Job killed (node failure / walltime): runtime evaporates.
-        let handle = rt.detach();
+        let handle = rt.crash_job();
         assert_eq!(handle.rank_count(), 56);
         // Restarted job attaches; every rank's instance mounts and replays.
         let mut rt2 = NvmeCrRuntime::attach(handle).unwrap();
@@ -1283,6 +1245,43 @@ mod tests {
         (rack, topo, alloc, config)
     }
 
+    /// Replica homes and `fail_over_rank` targets of a 28-rank rep=2 job on
+    /// the paper's testbed: the replica scan starts at storage node
+    /// `rank % 8` and skips the primary (node 16); a failover skips the
+    /// failed primary and the replica's node.
+    #[test]
+    fn replica_and_failover_nodes_are_pinned() {
+        let (rack, topo, alloc, mut config) = replicated_setup(28);
+        config.namespace_bytes = 28 * MIN_SEGMENT;
+        let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+        let primary: Vec<u32> = rt.routes.iter().map(|r| r.node.0).collect();
+        assert_eq!(primary, [16; 28]);
+        let replica: Vec<u32> = rt
+            .routes
+            .iter()
+            .map(|r| r.replica.as_ref().unwrap().node.0)
+            .collect();
+        assert_eq!(
+            replica,
+            [
+                17, 17, 18, 19, 20, 21, 22, 23, 17, 17, 18, 19, 20, 21, 22, 23, 17, 17, 18, 19, 20,
+                21, 22, 23, 17, 17, 18, 19
+            ]
+        );
+        let mut failover = Vec::new();
+        for rank in 0..28 {
+            rt.fail_over_rank(rank, &rack, &topo).unwrap();
+            failover.push(rt.rank_storage_node(rank).unwrap().0);
+        }
+        assert_eq!(
+            failover,
+            [
+                18, 18, 17, 17, 17, 17, 17, 17, 18, 18, 17, 17, 17, 17, 17, 17, 18, 18, 17, 17, 17,
+                17, 17, 17, 18, 18, 17, 17
+            ]
+        );
+    }
+
     #[test]
     fn replicated_init_places_replicas_on_partner_domains() {
         let (rack, topo, alloc, config) = replicated_setup(8);
@@ -1322,7 +1321,7 @@ mod tests {
         rt.finalize().unwrap();
         for (_, target) in rack.targets.iter() {
             let d = target.device();
-            assert_eq!(d.namespaces().free_bytes(), 8 << 30);
+            assert_eq!(d.free_bytes(), 8 << 30);
         }
     }
 
@@ -1442,10 +1441,11 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        // detach commits a final epoch per rank; attach rebuilds every
-        // mirror (manifest epoch + rescan of the live footprint) and
+        // A final epoch per rank before the job goes away; attach rebuilds
+        // every mirror (manifest epoch + rescan of the live footprint) and
         // stays scrubable.
-        let handle = rt.detach();
+        assert_eq!(rt.commit_epochs().unwrap(), vec![1; 8]);
+        let handle = rt.crash_job();
         let mut rt2 = NvmeCrRuntime::attach(handle).unwrap();
         for rank in 0..8u32 {
             let fs = rt2.rank_fs(rank).unwrap();
@@ -1464,21 +1464,13 @@ mod tests {
         let (rack, topo, alloc, config) = small_setup(112);
         let free_before: u64 = {
             let g = &alloc.storage[0];
-            rack.target(g.node, g.ssd)
-                .unwrap()
-                .device()
-                .namespaces()
-                .free_bytes()
+            rack.target(g.node, g.ssd).unwrap().device().free_bytes()
         };
         let rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config.clone()).unwrap();
         rt.finalize().unwrap();
         let free_after: u64 = {
             let g = &alloc.storage[0];
-            rack.target(g.node, g.ssd)
-                .unwrap()
-                .device()
-                .namespaces()
-                .free_bytes()
+            rack.target(g.node, g.ssd).unwrap().device().free_bytes()
         };
         assert_eq!(free_before, free_after);
     }

@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn sg_payload_mismatch_rejected() {
         let c = Capsule::write(1, 1, 0, Bytes::from_static(b"abcd"));
-        let mut sg = crate::sg::SgList::from(c.encode_sg().segments()[0].clone());
+        let mut sg = crate::sg::SgList::from(c.encode_sg().into_segments().swap_remove(0));
         sg.push(Bytes::from_static(b"abc")); // one byte short
         assert!(matches!(
             Capsule::decode_sg(sg),

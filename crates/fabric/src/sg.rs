@@ -43,11 +43,6 @@ impl SgList {
         self.segs.len()
     }
 
-    /// The segments, in wire order.
-    pub fn segments(&self) -> &[Bytes] {
-        &self.segs
-    }
-
     /// Consume into the segment vector.
     pub fn into_segments(self) -> Vec<Bytes> {
         self.segs
@@ -105,7 +100,7 @@ impl PartialEq for SgList {
 impl Eq for SgList {}
 
 /// Contiguous view. Only lists with at most one segment have one; callers
-/// that may hold a multi-segment list must use [`SgList::segments`] or
+/// that may hold a multi-segment list must use [`SgList::into_segments`] or
 /// [`SgList::into_contiguous`] instead.
 impl std::ops::Deref for SgList {
     type Target = [u8];

@@ -73,11 +73,11 @@ mod tests {
         let f = FabricFacility::new(NetConfig::default());
         let mut dag = Dag::new();
         let link = f.install_link(&mut dag);
-        let t = dag.token(&[], f.message_stages(link, 1 << 20, 2));
+        dag.token(&[], f.message_stages(link, 1 << 20, 2));
         let r = dag.run().unwrap();
         let cfg = NetConfig::default();
         let expect = cfg.per_message_cpu + cfg.latency(2) + cfg.link_bw.time_for(1 << 20);
-        assert!((r.completion(t).as_secs() - expect.as_secs()).abs() < 1e-12);
+        assert!((r.makespan().as_secs() - expect.as_secs()).abs() < 1e-12);
     }
 
     #[test]
@@ -100,11 +100,11 @@ mod tests {
         let mut dag = Dag::new();
         let link = f.install_link(&mut dag);
         // 1024 messages of 4 KiB: CPU cost should dominate the tiny payload.
-        let t = dag.token(&[], f.bulk_stages(link, 4 << 20, 4 << 10, 1));
-        let r = dag.run().unwrap();
+        dag.token(&[], f.bulk_stages(link, 4 << 20, 4 << 10, 1));
+        let done = dag.run().unwrap().makespan();
         let cpu = NetConfig::default().per_message_cpu * 1024.0;
-        assert!(r.completion(t) > cpu);
-        assert!(r.completion(t) < cpu + SimTime::millis(1.0));
+        assert!(done > cpu);
+        assert!(done < cpu + SimTime::millis(1.0));
     }
 
     #[test]
@@ -121,11 +121,12 @@ mod tests {
         let mut dag = Dag::new();
         let l1 = f.install_link(&mut dag);
         let l2 = f.install_link(&mut dag);
-        let a = dag.token(&[], f.bulk_stages(l1, 1 << 30, 1 << 20, 1));
-        let b = dag.token(&[], f.bulk_stages(l2, 1 << 30, 1 << 20, 1));
+        dag.token(&[], f.bulk_stages(l1, 1 << 30, 1 << 20, 1));
+        dag.token(&[], f.bulk_stages(l2, 1 << 30, 1 << 20, 1));
+        // Both transfers finish within a solo transfer's time: sharing one
+        // link would take twice as long.
         let r = dag.run().unwrap();
         let solo = NetConfig::default().link_bw.time_for(1 << 30).as_secs();
-        assert!(r.completion(a).as_secs() < solo * 1.1);
-        assert!(r.completion(b).as_secs() < solo * 1.1);
+        assert!(r.makespan().as_secs() < solo * 1.1);
     }
 }

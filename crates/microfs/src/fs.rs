@@ -1501,6 +1501,97 @@ mod tests {
         assert_eq!(s.wal.coalesced, 99, "sequential writes must coalesce");
     }
 
+    /// Every file's bytes, read back through a fresh descriptor.
+    fn file_bytes(fs: &mut MicroFs<MemDevice>, path: &str) -> Vec<u8> {
+        let size = fs.stat(path).unwrap().size;
+        let fd = fs.open(path, OpenFlags::RDONLY, 0).unwrap();
+        let mut buf = vec![0u8; size as usize];
+        assert_eq!(fs.pread(fd, 0, &mut buf).unwrap(), buf.len());
+        fs.close(fd).unwrap();
+        buf
+    }
+
+    /// One-block writes alternating between two files, then a remount with
+    /// neither file closed. Replay hands blocks out in log order, so a
+    /// write merged into an older record of its file (across the other
+    /// file's allocation) would recover `/a` as "ab".
+    #[test]
+    fn interleaved_writes_recover_each_files_bytes() {
+        let mut fs = fresh();
+        let block = FsConfig::default().block_size as usize;
+        let a = fs.create("/a", 0o644).unwrap();
+        let b = fs.create("/b", 0o644).unwrap();
+        for (fd, byte) in [(a, b'a'), (b, b'b'), (a, b'A'), (b, b'B')] {
+            fs.write(fd, &vec![byte; block]).unwrap();
+        }
+        let mut fs = MicroFs::mount(fs.into_device(), FsConfig::default()).unwrap();
+        for (path, want) in [("/a", *b"aA"), ("/b", *b"bB")] {
+            let got: Vec<u8> = file_bytes(&mut fs, path)
+                .chunks(block)
+                .map(|c| {
+                    assert!(c.iter().all(|&x| x == c[0]), "{path}: mixed block");
+                    c[0]
+                })
+                .collect();
+            assert_eq!(got, want, "{path}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random writes interleaved across 2-4 open files, coalescing on,
+        /// then a remount: every file reads back exactly what was written.
+        /// Most writes continue their file sequentially, so runs of them
+        /// coalesce; some land at a random offset.
+        #[test]
+        fn interleaved_coalesced_writes_survive_remount(
+            files in 2usize..5,
+            ops in proptest::collection::vec((0usize..4, any::<bool>(), 1usize..9000, any::<u16>()), 1..60)
+        ) {
+            let config = FsConfig {
+                block_size: 4096,
+                ..FsConfig::default()
+            };
+            let mut fs = MicroFs::format(MemDevice::new(8 << 20), config.clone()).unwrap();
+            let fds: Vec<u32> = (0..files)
+                .map(|i| fs.create(&format!("/f{i}"), 0o644).unwrap())
+                .collect();
+            let mut model = vec![Vec::new(); files];
+            // Each descriptor's position: `write` continues from it,
+            // `pwrite` leaves it alone.
+            let mut pos = vec![0usize; files];
+            for (i, (f, sequential, len, x)) in ops.into_iter().enumerate() {
+                let f = f % files;
+                let data = vec![(i as u8).wrapping_mul(31) ^ x as u8; len];
+                let offset = if sequential {
+                    fs.write(fds[f], &data).unwrap();
+                    pos[f] += len;
+                    pos[f] - len
+                } else {
+                    let offset = usize::from(x) % 40_000;
+                    fs.pwrite(fds[f], offset as u64, &data).unwrap();
+                    offset
+                };
+                let file: &mut Vec<u8> = &mut model[f];
+                if file.len() < offset + len {
+                    file.resize(offset + len, 0);
+                }
+                file[offset..offset + len].copy_from_slice(&data);
+            }
+            let mut fs = MicroFs::mount(fs.into_device(), config).unwrap();
+            for (i, want) in model.iter().enumerate() {
+                let got = file_bytes(&mut fs, &format!("/f{i}"));
+                let first_diff = got.iter().zip(want).position(|(g, w)| g != w);
+                prop_assert!(
+                    got.len() == want.len() && first_diff.is_none(),
+                    "/f{}: {} bytes read, {} written, first difference at {:?}",
+                    i, got.len(), want.len(), first_diff
+                );
+            }
+        }
+    }
+
     #[test]
     fn telemetry_observes_wal_btree_io_snapshot_and_replay() {
         // Private registry: exact-value assertions stay isolated from other
@@ -2104,10 +2195,8 @@ mod tests {
         /// three fail (missing or existing names, non-empty directories,
         /// files where directories belong), and a failed call must leave
         /// nothing behind that replay would not rebuild.
-        /// Coalescing is off: a coalesced write is replayed as one record
-        /// at its first write's log position, so its `mtime_op` numbering
-        /// and its block order relative to other inodes' allocations are
-        /// not the live run's.
+        /// Coalescing is off: a coalesced run of writes is replayed as one
+        /// record, so its `mtime_op` numbering is not the live run's.
         #[test]
         fn replay_reproduces_the_live_state(
             ops in proptest::collection::vec(

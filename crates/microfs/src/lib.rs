@@ -14,7 +14,7 @@
 //! | DRAM B+Tree of name → inode mappings (§III-E) | [`btree`] |
 //! | Inodes, directory files, POSIX-ish API (§III-E) | [`inode`], [`dirent`], [`fs`] |
 //! | Metadata provenance: compact operation log (§III-E) | [`wal`] |
-//! | Log record coalescing, sliding window (§III-E, Fig. 5) | [`wal::coalesce`] |
+//! | Log record coalescing into the last record (§III-E, Fig. 5) | [`wal`] |
 //! | Atomic internal-state checkpoint to a reserved region (§III-E) | [`snapshot`] |
 //! | Replay recovery, near-instantaneous (§III-E) | [`fs::MicroFs::mount`] |
 //! | No write buffering — data durable on return (§III-D) | [`fs`] write path |

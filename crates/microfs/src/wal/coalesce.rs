@@ -1,100 +1,59 @@
-//! Log record coalescing — the sliding window of Figure 5.
+//! Log record coalescing — Figure 5, on the log's last record only.
 //!
 //! "We take advantage of the sequential nature of checkpoint IO to combine
 //! near-adjacent log records as long as they represent consecutive writes
-//! to the same checkpoint file... We use a sliding window to find the log
-//! record for the previous write and update it accordingly." (§III-E)
+//! to the same checkpoint file." (§III-E)
 //!
-//! The window remembers the device position and coverage of the most recent
-//! `Write` records. When a new write to inode `i` starts exactly where a
-//! windowed record for `i` ends, the existing on-device record is rewritten
-//! in place with an extended length instead of appending a new record —
-//! lowering the log fill-up rate and the replay length at recovery.
-//!
-//! Atomicity assumption: the in-place rewrite is a single ≤45-byte device
-//! write, which NVMe devices complete atomically (it is far below the
-//! atomic-write unit). A torn rewrite would invalidate the record's CRC
-//! and with it coverage of *earlier, already-durable* writes — so the
-//! design is only sound on devices with that guarantee, the same class of
-//! power-loss-protected hardware §III-D already requires.
-
-use std::collections::VecDeque;
+//! [`LastWrite`] remembers the device position and coverage of the log's
+//! last record while it is a `Write`. A write of the same inode starting
+//! exactly where that record ends is merged into it: the record is
+//! rewritten in place with the extended length. Any other append ends the
+//! run, because replay re-derives each write's blocks in log order and a
+//! merge across another record's allocation would replay out of order.
 
 use crate::inode::Ino;
 
-/// One remembered `Write` record.
+/// Coverage of one on-device `Write` record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowEntry {
-    /// Inode the record targets.
-    pub ino: Ino,
+pub(crate) struct WriteRun {
+    pub(crate) ino: Ino,
     /// File offset where the record's coverage starts.
-    pub start: u64,
+    pub(crate) start: u64,
     /// File offset one past the record's coverage.
-    pub end: u64,
-    /// Device byte position of the record's frame (for in-place rewrite).
-    pub device_pos: u64,
+    pub(crate) end: u64,
+    /// Device byte position of the record's frame.
+    pub(crate) device_pos: u64,
 }
 
-/// The sliding window.
-#[derive(Debug, Clone)]
-pub struct CoalesceWindow {
-    entries: VecDeque<WindowEntry>,
-    capacity: usize,
-}
+/// The log's last record, while it is a `Write`: the one record a
+/// sequential write may extend in place.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LastWrite(Option<WriteRun>);
 
-impl CoalesceWindow {
-    /// A window remembering up to `capacity` recent write records. The
-    /// paper does not publish its window size; 8 covers interleaved writes
-    /// to several open checkpoint files. A zero capacity (a degenerate
-    /// but representable configuration) clamps to 1 instead of panicking.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        CoalesceWindow {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+impl LastWrite {
+    /// The last record extended by a write of `len` bytes at `offset` of
+    /// `ino`, if the write continues it exactly. The state is unchanged
+    /// until the caller [`set`](Self::set)s the rewritten record.
+    pub(crate) fn extend(&self, ino: Ino, offset: u64, len: u64) -> Option<WriteRun> {
+        self.0
+            .filter(|run| run.ino == ino && run.end == offset)
+            .map(|run| WriteRun {
+                end: offset + len,
+                ..run
+            })
+    }
+
+    /// Record what the log's last record now is: `Some` after a `Write`
+    /// lands, `None` after any other append or a reset.
+    pub(crate) fn set(&mut self, run: Option<WriteRun>) {
+        self.0 = run;
+    }
+
+    /// Stop extending the last record if it covers `ino`.
+    pub(crate) fn invalidate(&mut self, ino: Ino) {
+        if self.0.is_some_and(|run| run.ino == ino) {
+            self.0 = None;
         }
-    }
-
-    /// If a windowed record for `ino` ends exactly at `offset`, extend it by
-    /// `len` and return it (post-extension) for in-place rewrite. Otherwise
-    /// return `None`; the caller appends a fresh record and registers it.
-    pub fn try_extend(&mut self, ino: Ino, offset: u64, len: u64) -> Option<WindowEntry> {
-        for e in self.entries.iter_mut().rev() {
-            if e.ino == ino && e.end == offset {
-                e.end = offset + len;
-                return Some(*e);
-            }
-        }
-        None
-    }
-
-    /// Register a freshly appended record, evicting the oldest if full.
-    pub fn register(&mut self, entry: WindowEntry) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(entry);
-    }
-
-    /// Forget records for `ino` (after unlink/truncate the coverage is
-    /// stale and must not be extended).
-    pub fn invalidate(&mut self, ino: Ino) {
-        self.entries.retain(|e| e.ino != ino);
-    }
-
-    /// Drop all window state (after a log reset).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Current window occupancy.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -102,88 +61,40 @@ impl CoalesceWindow {
 mod tests {
     use super::*;
 
-    fn entry(ino: Ino, start: u64, end: u64, pos: u64) -> WindowEntry {
-        WindowEntry {
+    fn run(ino: Ino, start: u64, end: u64, device_pos: u64) -> WriteRun {
+        WriteRun {
             ino,
             start,
             end,
-            device_pos: pos,
+            device_pos,
         }
     }
 
     #[test]
     fn sequential_writes_coalesce() {
-        let mut w = CoalesceWindow::new(8);
-        w.register(entry(1, 0, 100, 10));
-        let e = w
-            .try_extend(1, 100, 50)
+        let mut last = LastWrite::default();
+        assert_eq!(last.extend(1, 0, 100), None);
+        last.set(Some(run(1, 0, 100, 10)));
+        let e = last
+            .extend(1, 100, 50)
             .expect("sequential write must extend");
         assert_eq!((e.start, e.end, e.device_pos), (0, 150, 10));
-        // And again, continuing the extended coverage.
-        let e = w.try_extend(1, 150, 50).unwrap();
-        assert_eq!(e.end, 200);
-    }
-
-    #[test]
-    fn non_adjacent_writes_do_not_coalesce() {
-        let mut w = CoalesceWindow::new(8);
-        w.register(entry(1, 0, 100, 0));
-        assert_eq!(w.try_extend(1, 150, 10), None); // gap
-        assert_eq!(w.try_extend(1, 50, 10), None); // overlap/rewind
-        assert_eq!(w.try_extend(2, 100, 10), None); // different file
-    }
-
-    #[test]
-    fn interleaved_files_both_coalesce_within_window() {
-        let mut w = CoalesceWindow::new(8);
-        w.register(entry(1, 0, 10, 0));
-        w.register(entry(2, 0, 20, 40));
-        assert!(w.try_extend(1, 10, 5).is_some());
-        assert!(w.try_extend(2, 20, 5).is_some());
-    }
-
-    #[test]
-    fn eviction_limits_lookback() {
-        let mut w = CoalesceWindow::new(2);
-        w.register(entry(1, 0, 10, 0));
-        w.register(entry(2, 0, 10, 40));
-        w.register(entry(3, 0, 10, 80)); // evicts ino 1
-        assert_eq!(w.try_extend(1, 10, 5), None);
-        assert!(w.try_extend(2, 10, 5).is_some());
-        assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_instead_of_panicking() {
-        let mut w = CoalesceWindow::new(0);
-        w.register(entry(1, 0, 10, 0));
-        assert!(w.try_extend(1, 10, 5).is_some());
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn most_recent_match_wins() {
-        // Two records for the same inode can both be in the window (e.g.
-        // after a seek); extension must apply to the most recent one whose
-        // end matches.
-        let mut w = CoalesceWindow::new(4);
-        w.register(entry(1, 0, 100, 0));
-        w.register(entry(1, 500, 600, 40));
-        let e = w.try_extend(1, 600, 10).unwrap();
-        assert_eq!(e.device_pos, 40);
-        let e = w.try_extend(1, 100, 10).unwrap();
-        assert_eq!(e.device_pos, 0);
+        // Nothing moves until the rewrite is set; then the next write
+        // continues the extended coverage.
+        assert_eq!(last.extend(1, 150, 50), None);
+        last.set(Some(e));
+        assert_eq!(last.extend(1, 150, 50).unwrap().end, 200);
+        last.set(None);
+        assert_eq!(last.extend(1, 150, 50), None);
     }
 
     #[test]
     fn invalidate_removes_inode_records() {
-        let mut w = CoalesceWindow::new(4);
-        w.register(entry(1, 0, 10, 0));
-        w.register(entry(2, 0, 10, 40));
-        w.invalidate(1);
-        assert_eq!(w.try_extend(1, 10, 5), None);
-        assert!(w.try_extend(2, 10, 5).is_some());
-        w.clear();
-        assert!(w.is_empty());
+        let mut last = LastWrite::default();
+        last.set(Some(run(2, 0, 10, 40)));
+        last.invalidate(1);
+        assert!(last.extend(2, 10, 5).is_some());
+        last.invalidate(2);
+        assert_eq!(last.extend(2, 10, 5), None);
     }
 }

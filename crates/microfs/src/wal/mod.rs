@@ -5,9 +5,23 @@
 //! before the caller's operation is considered complete ("the log is
 //! flushed before a subsequent operation is processed"). The device write
 //! itself is the durability point: data lands in power-loss-protected
-//! device RAM (§III-D), so no separate cache flush is issued. Coalescing
-//! rewrites the previous record in place instead of appending when a write
-//! sequentially continues a recent one.
+//! device RAM (§III-D), so no separate cache flush is issued.
+//!
+//! Coalescing (§III-E, Figure 5, module `coalesce`): when a write
+//! continues the file exactly where the log's *last* record, a `Write` of
+//! the same inode, ends, that record is rewritten in place with the
+//! extended length instead of appending a new one. Only the last record
+//! qualifies. Replay re-derives each write's blocks in log order, so a
+//! write merged into an older record, across another file's allocation,
+//! would be replayed before that allocation and take its blocks.
+//! Interleaved files therefore append one record per switch.
+//!
+//! Atomicity assumption: the in-place rewrite is a single ≤45-byte device
+//! write, which NVMe devices complete atomically (it is far below the
+//! atomic-write unit). A torn rewrite would invalidate the record's CRC
+//! and with it coverage of *earlier, already-durable* writes — so the
+//! design is only sound on devices with that guarantee, the same class of
+//! power-loss-protected hardware §III-D already requires.
 //!
 //! After the filesystem snapshots its internal state, [`Wal::reset`] bumps
 //! the generation and restarts the region from the top; stale records from
@@ -19,7 +33,7 @@
 //! written since the last snapshot, not the size of the region. Coalescing
 //! keeps that log short, which is where its recovery win shows up.
 
-pub mod coalesce;
+mod coalesce;
 pub mod record;
 
 use chaos::{ChaosHandle, FaultAction, Site};
@@ -28,7 +42,7 @@ use crate::block::BlockDevice;
 use crate::error::FsError;
 use crate::inode::Ino;
 
-use coalesce::{CoalesceWindow, WindowEntry};
+use coalesce::{LastWrite, WriteRun};
 pub use record::LogRecord;
 use record::{frame_extent, read_frame, HEADER_LEN, WRITE_PAYLOAD_LEN};
 
@@ -57,16 +71,13 @@ pub struct Wal {
     generation: u32,
     /// Next append position, relative to the region start.
     pos: u64,
-    window: CoalesceWindow,
+    last_write: LastWrite,
     coalescing: bool,
     stats: WalStats,
     chaos: ChaosHandle,
 }
 
 impl Wal {
-    /// Default sliding-window capacity.
-    pub const DEFAULT_WINDOW: usize = 8;
-
     /// A fresh log over `[region_off, region_off + region_size)`.
     pub fn new(region_off: u64, region_size: u64, coalescing: bool) -> Self {
         Wal {
@@ -74,7 +85,7 @@ impl Wal {
             region_size,
             generation: 0,
             pos: 0,
-            window: CoalesceWindow::new(Self::DEFAULT_WINDOW),
+            last_write: LastWrite::default(),
             coalescing,
             stats: WalStats::default(),
             chaos: ChaosHandle::default(),
@@ -135,26 +146,28 @@ impl Wal {
     /// `Err(LogFull)` means the caller must checkpoint state and
     /// [`reset`](Self::reset) the log.
     pub fn append<D: BlockDevice>(&mut self, dev: &mut D, rec: &LogRecord) -> Result<(), FsError> {
-        // Coalescing path: a Write continuing a windowed record rewrites it
+        // Coalescing path: a Write continuing the last record rewrites it
         // in place with the extended length.
-        if self.coalescing {
-            if let LogRecord::Write { ino, offset, len } = *rec {
-                if let Some(entry) = self.window.try_extend(ino, offset, len) {
-                    let merged = LogRecord::Write {
-                        ino,
-                        offset: entry.start,
-                        len: entry.end - entry.start,
-                    };
-                    let bytes = merged.encode(self.generation);
-                    debug_assert_eq!(bytes.len(), HEADER_LEN + WRITE_PAYLOAD_LEN);
-                    dev.write_at(entry.device_pos, &bytes)
-                        .map_err(|e| FsError::Io(e.to_string()))?;
-                    self.stats.coalesced += 1;
-                    self.stats.bytes_written += bytes.len() as u64;
-                    return Ok(());
-                }
+        if let LogRecord::Write { ino, offset, len } = *rec {
+            if let Some(run) = self.last_write.extend(ino, offset, len) {
+                let merged = LogRecord::Write {
+                    ino,
+                    offset: run.start,
+                    len: run.end - run.start,
+                };
+                let bytes = merged.encode(self.generation);
+                debug_assert_eq!(bytes.len(), HEADER_LEN + WRITE_PAYLOAD_LEN);
+                dev.write_at(run.device_pos, &bytes)
+                    .map_err(|e| FsError::Io(e.to_string()))?;
+                self.last_write.set(Some(run));
+                self.stats.coalesced += 1;
+                self.stats.bytes_written += bytes.len() as u64;
+                return Ok(());
             }
         }
+        // Any fresh append, even one that fails, ends the run of writes
+        // the last record may absorb.
+        self.last_write.set(None);
         let bytes = rec.encode(self.generation);
         if self.pos + bytes.len() as u64 > self.region_size {
             return Err(FsError::LogFull);
@@ -182,12 +195,12 @@ impl Wal {
             .map_err(|e| FsError::Io(e.to_string()))?;
         if let LogRecord::Write { ino, offset, len } = *rec {
             if self.coalescing {
-                self.window.register(WindowEntry {
+                self.last_write.set(Some(WriteRun {
                     ino,
                     start: offset,
                     end: offset + len,
                     device_pos,
-                });
+                }));
             }
         }
         self.pos += bytes.len() as u64;
@@ -201,17 +214,17 @@ impl Wal {
         self.pos + rec.encode(self.generation).len() as u64 <= self.region_size
     }
 
-    /// Drop coverage memory for an inode (unlink/truncate make extension
-    /// unsound).
+    /// Stop extending the last record if it covers `ino` (unlink/truncate
+    /// make extension unsound).
     pub fn invalidate(&mut self, ino: Ino) {
-        self.window.invalidate(ino);
+        self.last_write.invalidate(ino);
     }
 
     /// Restart the region under a new generation (after a state snapshot).
     pub fn reset(&mut self) {
         self.generation += 1;
         self.pos = 0;
-        self.window.clear();
+        self.last_write.set(None);
         self.stats.resets += 1;
     }
 
@@ -549,6 +562,60 @@ mod tests {
                 len: 64 * 4096
             }]
         );
+    }
+
+    fn write(ino: Ino, offset: u64, len: u64) -> LogRecord {
+        LogRecord::Write { ino, offset, len }
+    }
+
+    #[test]
+    fn non_adjacent_writes_do_not_coalesce() {
+        let (mut dev, mut wal) = setup(true);
+        wal.append(&mut dev, &write(1, 0, 100)).unwrap();
+        wal.append(&mut dev, &write(1, 150, 10)).unwrap(); // gap
+        wal.append(&mut dev, &write(1, 50, 10)).unwrap(); // rewind
+        wal.append(&mut dev, &write(2, 60, 10)).unwrap(); // different file
+        assert_eq!(wal.stats().appended, 4);
+        assert_eq!(wal.stats().coalesced, 0);
+    }
+
+    #[test]
+    fn interleaved_files_do_not_coalesce() {
+        // Only the last record may be extended: once another file's write
+        // lands in between, a continuation of the first file appends.
+        let (mut dev, mut wal) = setup(true);
+        for rec in [
+            write(1, 0, 10),
+            write(2, 0, 20),
+            write(1, 10, 5),
+            write(1, 15, 5),
+            write(2, 20, 5),
+        ] {
+            wal.append(&mut dev, &rec).unwrap();
+        }
+        assert_eq!(wal.stats().appended, 4);
+        assert_eq!(wal.stats().coalesced, 1);
+        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(
+            scanned,
+            vec![
+                write(1, 0, 10),
+                write(2, 0, 20),
+                write(1, 10, 10),
+                write(2, 20, 5)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_non_write_record_ends_the_run() {
+        let (mut dev, mut wal) = setup(true);
+        wal.append(&mut dev, &write(1, 0, 10)).unwrap();
+        wal.append(&mut dev, &LogRecord::Truncate { ino: 2, size: 0 })
+            .unwrap();
+        wal.append(&mut dev, &write(1, 10, 10)).unwrap();
+        assert_eq!(wal.stats().appended, 3);
+        assert_eq!(wal.stats().coalesced, 0);
     }
 
     #[test]

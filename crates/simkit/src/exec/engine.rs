@@ -138,10 +138,7 @@ impl Engine {
             .filter_map(|s| s.done_at)
             .max()
             .unwrap_or(SimTime::ZERO);
-        Ok(RunResult {
-            completions: self.tokens.iter().map(|s| s.done_at.unwrap()).collect(),
-            makespan,
-        })
+        Ok(RunResult { makespan })
     }
 
     /// Process token stages inline until it blocks or completes.
@@ -255,23 +252,12 @@ impl Engine {
 }
 
 /// Results of a completed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
-    completions: Vec<SimTime>,
     makespan: SimTime,
 }
 
 impl RunResult {
-    /// Completion time of one token.
-    pub fn completion(&self, t: TokenId) -> SimTime {
-        self.completions[t.0]
-    }
-
-    /// Completion times of all tokens, indexed by token.
-    pub fn completions(&self) -> &[SimTime] {
-        &self.completions
-    }
-
     /// Time the last token completed.
     pub fn makespan(&self) -> SimTime {
         self.makespan
@@ -283,69 +269,103 @@ mod tests {
     use super::*;
     use crate::time::Rate;
 
+    fn delay_us(us: f64) -> Stage {
+        Stage::Delay(SimTime::micros(us))
+    }
+
+    fn seize_us(res: crate::ResId, us: f64) -> Stage {
+        Stage::Seize {
+            res,
+            hold: SimTime::micros(us),
+        }
+    }
+
+    /// Completion time of token `t`, read off the makespan: a delay-only
+    /// probe that depends on `t` outlasts every other token, so the run
+    /// ends exactly one probe delay after `t` completes.
+    fn completion(mut dag: Dag, t: TokenId) -> SimTime {
+        let probe = SimTime::secs(1000.0);
+        dag.token(&[t], vec![Stage::Delay(probe)]);
+        dag.run().unwrap().makespan() - probe
+    }
+
+    /// Completion time of every token `build` declares.
+    fn completions(build: impl Fn() -> (Dag, Vec<TokenId>)) -> Vec<SimTime> {
+        let n = build().1.len();
+        (0..n)
+            .map(|i| {
+                let (dag, ids) = build();
+                completion(dag, ids[i])
+            })
+            .collect()
+    }
+
+    fn assert_micros(got: &[SimTime], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert!((g.as_micros() - w).abs() < 1e-6, "{g} vs {w} us");
+        }
+    }
+
     #[test]
     fn sequential_delays_accumulate() {
         let mut dag = Dag::new();
-        let t = dag.token(
-            &[],
-            vec![
-                Stage::delay_us(5.0),
-                Stage::delay_us(7.0),
-                Stage::delay_us(8.0),
-            ],
-        );
+        dag.token(&[], vec![delay_us(5.0), delay_us(7.0), delay_us(8.0)]);
         let r = dag.run().unwrap();
-        assert!((r.completion(t).as_micros() - 20.0).abs() < 1e-9);
+        assert!((r.makespan().as_micros() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn dependencies_serialize_tokens() {
         let mut dag = Dag::new();
-        let a = dag.token(&[], vec![Stage::delay_us(10.0)]);
-        let b = dag.token(&[a], vec![Stage::delay_us(10.0)]);
-        let c = dag.token(&[a, b], vec![Stage::delay_us(10.0)]);
+        let a = dag.token(&[], vec![delay_us(10.0)]);
+        let b = dag.token(&[a], vec![delay_us(10.0)]);
+        dag.token(&[a, b], vec![delay_us(10.0)]);
         let r = dag.run().unwrap();
-        assert!((r.completion(c).as_micros() - 30.0).abs() < 1e-9);
-        assert_eq!(r.makespan(), r.completion(c));
+        assert!((r.makespan().as_micros() - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn start_after_delays_a_root_token() {
         let mut dag = Dag::new();
-        let t = dag.token_at(SimTime::millis(2.0), &[], vec![Stage::delay_us(1.0)]);
+        dag.token_at(SimTime::millis(2.0), &[], vec![delay_us(1.0)]);
         let r = dag.run().unwrap();
-        assert!((r.completion(t).as_micros() - 2001.0).abs() < 1e-9);
+        assert!((r.makespan().as_micros() - 2001.0).abs() < 1e-9);
     }
 
     #[test]
     fn seize_is_fifo_and_serializes() {
-        let mut dag = Dag::new();
-        let res = dag.resource();
-        let a = dag.token(&[], vec![Stage::seize_us(res, 10.0)]);
-        let b = dag.token(&[], vec![Stage::seize_us(res, 10.0)]);
-        let c = dag.token(&[], vec![Stage::seize_us(res, 10.0)]);
-        let r = dag.run().unwrap();
-        assert!((r.completion(a).as_micros() - 10.0).abs() < 1e-9);
-        assert!((r.completion(b).as_micros() - 20.0).abs() < 1e-9);
-        assert!((r.completion(c).as_micros() - 30.0).abs() < 1e-9);
+        let got = completions(|| {
+            let mut dag = Dag::new();
+            let res = dag.resource();
+            let ids = (0..3)
+                .map(|_| dag.token(&[], vec![seize_us(res, 10.0)]))
+                .collect();
+            (dag, ids)
+        });
+        assert_micros(&got, &[10.0, 20.0, 30.0]);
     }
 
     #[test]
     fn pipe_shares_bandwidth_across_tokens() {
-        let mut dag = Dag::new();
-        let pipe = dag.pipe(Rate::mib_per_sec(100.0));
-        let a = dag.token(&[], vec![Stage::xfer(pipe, 50 << 20)]);
-        let b = dag.token(&[], vec![Stage::xfer(pipe, 50 << 20)]);
-        let r = dag.run().unwrap();
-        assert!((r.completion(a).as_secs() - 1.0).abs() < 1e-6);
-        assert!((r.completion(b).as_secs() - 1.0).abs() < 1e-6);
+        // Shared, both finish at 1 s; served one after the other, the
+        // first would finish at 0.5 s.
+        let got = completions(|| {
+            let mut dag = Dag::new();
+            let pipe = dag.pipe(Rate::mib_per_sec(100.0));
+            let ids = (0..2)
+                .map(|_| dag.token(&[], vec![Stage::xfer(pipe, 50 << 20)]))
+                .collect();
+            (dag, ids)
+        });
+        assert_micros(&got, &[1e6, 1e6]);
     }
 
     #[test]
     fn capped_transfer_cannot_exceed_cap() {
         let mut dag = Dag::new();
         let pipe = dag.pipe(Rate::mib_per_sec(100.0));
-        let t = dag.token(
+        dag.token(
             &[],
             vec![Stage::Xfer {
                 pipe,
@@ -354,32 +374,31 @@ mod tests {
             }],
         );
         let r = dag.run().unwrap();
-        assert!((r.completion(t).as_secs() - 1.0).abs() < 1e-6);
+        assert!((r.makespan().as_secs() - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn pool_bounds_concurrency_fifo() {
         // Pool of 1 unit: three tokens each hold it for 10us of pipe-free
         // delay; they must serialize.
-        let mut dag = Dag::new();
-        let pool = dag.pool(1);
-        let mk = |dag: &mut Dag| {
-            dag.token(
-                &[],
-                vec![
-                    Stage::Acquire { pool, n: 1 },
-                    Stage::delay_us(10.0),
-                    Stage::Release { pool, n: 1 },
-                ],
-            )
-        };
-        let a = mk(&mut dag);
-        let b = mk(&mut dag);
-        let c = mk(&mut dag);
-        let r = dag.run().unwrap();
-        assert!((r.completion(a).as_micros() - 10.0).abs() < 1e-9);
-        assert!((r.completion(b).as_micros() - 20.0).abs() < 1e-9);
-        assert!((r.completion(c).as_micros() - 30.0).abs() < 1e-9);
+        let got = completions(|| {
+            let mut dag = Dag::new();
+            let pool = dag.pool(1);
+            let ids = (0..3)
+                .map(|_| {
+                    dag.token(
+                        &[],
+                        vec![
+                            Stage::Acquire { pool, n: 1 },
+                            delay_us(10.0),
+                            Stage::Release { pool, n: 1 },
+                        ],
+                    )
+                })
+                .collect();
+            (dag, ids)
+        });
+        assert_micros(&got, &[10.0, 20.0, 30.0]);
     }
 
     #[test]
@@ -432,9 +451,9 @@ mod tests {
     fn zero_byte_xfer_and_zero_delay_complete_instantly() {
         let mut dag = Dag::new();
         let pipe = dag.pipe(Rate::mib_per_sec(1.0));
-        let t = dag.token(&[], vec![Stage::xfer(pipe, 0), Stage::Delay(SimTime::ZERO)]);
+        dag.token(&[], vec![Stage::xfer(pipe, 0), Stage::Delay(SimTime::ZERO)]);
         let r = dag.run().unwrap();
-        assert_eq!(r.completion(t), SimTime::ZERO);
+        assert_eq!(r.makespan(), SimTime::ZERO);
     }
 
     #[test]
@@ -444,21 +463,22 @@ mod tests {
             let res = dag.resource();
             let pipe = dag.pipe(Rate::mib_per_sec(37.0));
             let pool = dag.pool(3);
-            for i in 0..50 {
-                dag.token(
-                    &[],
-                    vec![
-                        Stage::Acquire { pool, n: 1 },
-                        Stage::seize_us(res, 1.0 + i as f64 * 0.1),
-                        Stage::xfer(pipe, 1 << 20),
-                        Stage::Release { pool, n: 1 },
-                    ],
-                );
-            }
-            dag.run().unwrap()
+            let ids = (0..50)
+                .map(|i| {
+                    dag.token(
+                        &[],
+                        vec![
+                            Stage::Acquire { pool, n: 1 },
+                            seize_us(res, 1.0 + i as f64 * 0.1),
+                            Stage::xfer(pipe, 1 << 20),
+                            Stage::Release { pool, n: 1 },
+                        ],
+                    )
+                })
+                .collect();
+            (dag, ids)
         };
-        let a = build();
-        let b = build();
-        assert_eq!(a.completions(), b.completions());
+        assert_eq!(build().0.run().unwrap(), build().0.run().unwrap());
+        assert_eq!(completions(build), completions(build));
     }
 }

@@ -62,19 +62,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Convenience: a delay of `us` microseconds.
-    pub fn delay_us(us: f64) -> Stage {
-        Stage::Delay(SimTime::micros(us))
-    }
-
-    /// Convenience: seize `res` for `us` microseconds.
-    pub fn seize_us(res: ResId, us: f64) -> Stage {
-        Stage::Seize {
-            res,
-            hold: SimTime::micros(us),
-        }
-    }
-
     /// Convenience: an uncapped transfer.
     pub fn xfer(pipe: PipeId, bytes: u64) -> Stage {
         Stage::Xfer {

@@ -499,9 +499,9 @@ impl Ssd {
         &self.telemetry
     }
 
-    /// Snapshot of the namespace table (for management planes).
-    pub fn namespaces(&self) -> NamespaceSet {
-        self.ctrl.lock().namespaces.clone()
+    /// Bytes not yet given to a namespace.
+    pub fn free_bytes(&self) -> u64 {
+        self.ctrl.lock().namespaces.free_bytes()
     }
 
     /// Create a namespace of `size` bytes, spinning up its shard.

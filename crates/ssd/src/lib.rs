@@ -5,8 +5,9 @@
 //! uses together:
 //!
 //! 1. **A functional device** ([`device::Ssd`]) holding *real bytes* in a
-//!    sparse page store, partitioned into NVMe **namespaces**
-//!    ([`namespace::NamespaceSet`]), with a **device-RAM write buffer** whose
+//!    sparse page store, partitioned into NVMe **namespaces** (one
+//!    independently locked shard each; [`namespace::NamespaceSet`] only
+//!    accounts their capacity), with a **device-RAM write buffer** whose
 //!    power-loss behaviour (capacitor-backed flush vs. data loss) is
 //!    explicit. microfs recovery tests run against these real bytes.
 //!
@@ -34,4 +35,4 @@ pub use backing::SparseStore;
 pub use config::SsdConfig;
 pub use device::{NsShard, PowerFailure, Ssd, SsdError};
 pub use model::{IoKind, SsdFacility};
-pub use namespace::{NamespaceSet, NsError, NsId};
+pub use namespace::{NsError, NsId};

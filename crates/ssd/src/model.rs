@@ -218,17 +218,26 @@ mod tests {
         (dag, f)
     }
 
+    /// Completion time of token `t`, read off the makespan: a delay-only
+    /// probe that depends on `t` outlasts every other token, so the run
+    /// ends exactly one probe delay after `t` completes.
+    fn completion(mut dag: Dag, t: simkit::TokenId) -> SimTime {
+        let probe = SimTime::secs(1000.0);
+        dag.token(&[t], vec![Stage::Delay(probe)]);
+        dag.run().unwrap().makespan() - probe
+    }
+
     #[test]
     fn single_4k_write_is_channel_bound() {
         let (mut dag, f) = facility();
-        let t = dag.token(&[], f.request_stages(IoKind::Write, 4096));
+        dag.token(&[], f.request_stages(IoKind::Write, 4096));
         let r = dag.run().unwrap();
         let expect = SsdConfig::default().cmd_overhead
             + SsdConfig::default().channel_write_bw.time_for(4096);
         assert!(
-            (r.completion(t).as_secs() - expect.as_secs()).abs() < 1e-9,
+            (r.makespan().as_secs() - expect.as_secs()).abs() < 1e-9,
             "got {} expected {}",
-            r.completion(t),
+            r.makespan(),
             expect
         );
     }
@@ -236,13 +245,13 @@ mod tests {
     #[test]
     fn single_hugeblock_write_uses_many_channels() {
         let (mut dag, f) = facility();
-        let t = dag.token(&[], f.request_stages(IoKind::Write, 32 << 10));
+        dag.token(&[], f.request_stages(IoKind::Write, 32 << 10));
         let r = dag.run().unwrap();
         // 32 KiB stripes over 8 channels: ~8x the single-channel rate.
         let cfg = SsdConfig::default();
         let transfer = cfg.channel_write_bw.scale(8.0).time_for(32 << 10);
         let expect = cfg.cmd_overhead + transfer;
-        assert!((r.completion(t).as_secs() - expect.as_secs()).abs() < 1e-9);
+        assert!((r.makespan().as_secs() - expect.as_secs()).abs() < 1e-9);
     }
 
     #[test]
@@ -301,20 +310,28 @@ mod tests {
 
     #[test]
     fn reads_and_writes_use_separate_pipes() {
-        let (mut dag, f) = facility();
-        let w = dag.token(&[], f.bulk_stages(IoKind::Write, 256 << 20, 32 << 10, 32));
-        let r = dag.token(&[], f.bulk_stages(IoKind::Read, 256 << 20, 32 << 10, 32));
-        let res = dag.run().unwrap();
+        let both = || {
+            let (mut dag, f) = facility();
+            let w = dag.token(&[], f.bulk_stages(IoKind::Write, 256 << 20, 32 << 10, 32));
+            let r = dag.token(&[], f.bulk_stages(IoKind::Read, 256 << 20, 32 << 10, 32));
+            (dag, [w, r])
+        };
         let cfg = SsdConfig::default();
         // Each path runs near its own full bandwidth, not halved. The
         // coarse model serializes command time before the transfer, so
         // allow that overhead on top of the hardware floor.
-        let wfloor = cfg.write_bw().time_for(256 << 20).as_secs();
-        let rfloor = cfg.read_bw().time_for(256 << 20).as_secs();
-        assert!(res.completion(w).as_secs() < wfloor * 1.3);
-        assert!(res.completion(r).as_secs() < rfloor * 1.3);
-        assert!(res.completion(w).as_secs() >= wfloor);
-        assert!(res.completion(r).as_secs() >= rfloor);
+        let floors = [
+            cfg.write_bw().time_for(256 << 20).as_secs(),
+            cfg.read_bw().time_for(256 << 20).as_secs(),
+        ];
+        for (i, floor) in floors.into_iter().enumerate() {
+            let (dag, ids) = both();
+            let done = completion(dag, ids[i]).as_secs();
+            assert!(
+                done < floor * 1.3 && done >= floor,
+                "{i}: {done} vs {floor}"
+            );
+        }
     }
 
     #[test]
@@ -328,13 +345,16 @@ mod tests {
                 staging_ram,
                 ..SsdConfig::default()
             };
-            let mut dag = Dag::new();
-            let f = SsdFacility::install(&mut dag, &cfg);
-            let ids: Vec<_> = (0..4)
-                .map(|_| dag.token(&[], f.request_stages(IoKind::Write, 1 << 20)))
-                .collect();
-            let r = dag.run().unwrap();
-            ids.iter().map(|&t| r.completion(t)).collect::<Vec<_>>()
+            (0..4)
+                .map(|i| {
+                    let mut dag = Dag::new();
+                    let f = SsdFacility::install(&mut dag, &cfg);
+                    let ids: Vec<_> = (0..4)
+                        .map(|_| dag.token(&[], f.request_stages(IoKind::Write, 1 << 20)))
+                        .collect();
+                    completion(dag, ids[i])
+                })
+                .collect::<Vec<_>>()
         };
         let limited = run_with_staging(2 << 20);
         let spread =
@@ -363,14 +383,13 @@ mod tests {
     fn bulk_partial_tail_request_counted() {
         let (mut dag, f) = facility();
         // 100 KiB at 32 KiB requests = 4 commands (3 full + 1 partial).
-        let t = dag.token(&[], f.bulk_stages(IoKind::Write, 100 << 10, 32 << 10, 1));
-        let r = dag.run().unwrap();
+        dag.token(&[], f.bulk_stages(IoKind::Write, 100 << 10, 32 << 10, 1));
+        let done = dag.run().unwrap().makespan();
         let cfg = SsdConfig::default();
         let cmd = cfg.cmd_overhead * 4.0;
-        assert!(r.completion(t) > cmd);
+        assert!(done > cmd);
         assert!(
-            r.completion(t)
-                < cmd + cfg.write_rate_for(32 << 10).time_for(100 << 10) + SimTime::micros(50.0)
+            done < cmd + cfg.write_rate_for(32 << 10).time_for(100 << 10) + SimTime::micros(50.0)
         );
     }
 }

@@ -5,10 +5,14 @@
 //! of an NVMe namespace... relying on the isolation property of namespaces
 //! to maintain security."*
 //!
-//! `NamespaceSet` manages contiguous LBA ranges on one device: creation from
-//! free space (first-fit), deletion back to free space with coalescing, and
-//! translation of namespace-relative offsets to device offsets with strict
-//! bounds enforcement — a namespace can never read or write another's bytes.
+//! `NamespaceSet` is the device's capacity accounting: the size of each
+//! namespace, the namespace-count limit and the free bytes. It keeps no
+//! device offsets. Each namespace is served by its own
+//! [`NsShard`](crate::device::NsShard) with its own backing store, and the
+//! shard bounds-checks every IO against the namespace size, so a namespace
+//! can never read or write another's bytes without any address
+//! translation. With no layout there is no fragmentation either: a
+//! namespace fits whenever the free bytes cover it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,8 +24,8 @@ pub struct NsId(pub u32);
 /// Namespace-management failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NsError {
-    /// Not enough contiguous free space for the requested size.
-    NoSpace { requested: u64, largest_free: u64 },
+    /// Not enough free space for the requested size.
+    NoSpace { requested: u64, free: u64 },
     /// Unknown namespace id.
     UnknownNamespace(NsId),
     /// IO outside the namespace's range.
@@ -38,12 +42,17 @@ pub enum NsError {
 impl fmt::Display for NsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NsError::NoSpace { requested, largest_free } => write!(
+            NsError::NoSpace { requested, free } => write!(
                 f,
-                "no contiguous space for namespace of {requested} bytes (largest free extent: {largest_free})"
+                "no space for namespace of {requested} bytes ({free} bytes free)"
             ),
             NsError::UnknownNamespace(id) => write!(f, "unknown namespace {id:?}"),
-            NsError::OutOfRange { ns, offset, len, size } => write!(
+            NsError::OutOfRange {
+                ns,
+                offset,
+                len,
+                size,
+            } => write!(
                 f,
                 "IO [{offset}, {}) exceeds namespace {ns:?} of size {size}",
                 offset + len
@@ -57,24 +66,17 @@ impl fmt::Display for NsError {
 
 impl std::error::Error for NsError {}
 
-#[derive(Debug, Clone)]
-struct Extent {
-    start: u64,
-    size: u64,
-}
-
 /// Namespace table for one device.
 #[derive(Debug, Clone)]
 pub struct NamespaceSet {
-    capacity: u64,
     /// Namespace-count limit (NVMe devices support a bounded NSID table;
     /// the paper notes the count is limited but bandwidth is the practical
     /// sharing limit, §III-F).
     limit: u32,
     next_id: u32,
-    active: BTreeMap<NsId, Extent>,
-    /// Free extents keyed by start offset, kept coalesced.
-    free: BTreeMap<u64, u64>,
+    /// Size of each active namespace.
+    sizes: BTreeMap<NsId, u64>,
+    free: u64,
 }
 
 impl NamespaceSet {
@@ -86,112 +88,48 @@ impl NamespaceSet {
 
     /// An empty table with an explicit namespace-count limit.
     pub fn with_limit(capacity: u64, limit: u32) -> Self {
-        let mut free = BTreeMap::new();
-        if capacity > 0 {
-            free.insert(0, capacity);
-        }
         NamespaceSet {
-            capacity,
             limit,
             next_id: 1,
-            active: BTreeMap::new(),
-            free,
+            sizes: BTreeMap::new(),
+            free: capacity,
         }
-    }
-
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of active namespaces.
-    pub fn count(&self) -> usize {
-        self.active.len()
     }
 
     /// Total unallocated bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.free.values().sum()
+        self.free
     }
 
-    /// Size of one namespace.
-    pub fn size_of(&self, ns: NsId) -> Result<u64, NsError> {
-        self.active
-            .get(&ns)
-            .map(|e| e.size)
-            .ok_or(NsError::UnknownNamespace(ns))
-    }
-
-    /// Create a namespace of `size` bytes from free space (first-fit), as
-    /// the scheduler does when a job requests storage and no free namespace
+    /// Create a namespace of `size` bytes from free space, as the
+    /// scheduler does when a job requests storage and no free namespace
     /// exists ("new ones are created from unused SSD space", §III-F).
     pub fn create(&mut self, size: u64) -> Result<NsId, NsError> {
         assert!(size > 0, "namespace size must be positive");
-        if self.active.len() as u32 >= self.limit {
+        if self.sizes.len() as u32 >= self.limit {
             return Err(NsError::TooManyNamespaces { limit: self.limit });
         }
-        let slot = self
-            .free
-            .iter()
-            .find(|(_, &len)| len >= size)
-            .map(|(&start, &len)| (start, len));
-        let Some((start, len)) = slot else {
-            let largest = self.free.values().copied().max().unwrap_or(0);
+        if size > self.free {
             return Err(NsError::NoSpace {
                 requested: size,
-                largest_free: largest,
+                free: self.free,
             });
-        };
-        self.free.remove(&start);
-        if len > size {
-            self.free.insert(start + size, len - size);
         }
+        self.free -= size;
         let id = NsId(self.next_id);
         self.next_id += 1;
-        self.active.insert(id, Extent { start, size });
+        self.sizes.insert(id, size);
         Ok(id)
     }
 
-    /// Delete a namespace, returning its extent to free space (coalescing
-    /// with neighbours).
+    /// Delete a namespace, returning its bytes to free space.
     pub fn delete(&mut self, ns: NsId) -> Result<(), NsError> {
-        let ext = self
-            .active
+        let size = self
+            .sizes
             .remove(&ns)
             .ok_or(NsError::UnknownNamespace(ns))?;
-        let mut start = ext.start;
-        let mut size = ext.size;
-        // Coalesce with the preceding free extent.
-        if let Some((&pstart, &plen)) = self.free.range(..start).next_back() {
-            if pstart + plen == start {
-                self.free.remove(&pstart);
-                start = pstart;
-                size += plen;
-            }
-        }
-        // Coalesce with the following free extent.
-        if let Some(&nlen) = self.free.get(&(start + size)) {
-            self.free.remove(&(start + size));
-            size += nlen;
-        }
-        self.free.insert(start, size);
+        self.free += size;
         Ok(())
-    }
-
-    /// Translate a namespace-relative IO to a device offset, enforcing
-    /// isolation.
-    pub fn translate(&self, ns: NsId, offset: u64, len: u64) -> Result<u64, NsError> {
-        let ext = self.active.get(&ns).ok_or(NsError::UnknownNamespace(ns))?;
-        let end = offset.checked_add(len);
-        match end {
-            Some(e) if e <= ext.size => Ok(ext.start + offset),
-            _ => Err(NsError::OutOfRange {
-                ns,
-                offset,
-                len,
-                size: ext.size,
-            }),
-        }
     }
 }
 
@@ -201,49 +139,30 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn create_and_translate() {
+    fn create_accounts_free_bytes() {
         let mut t = NamespaceSet::new(1000);
         let a = t.create(400).unwrap();
         let b = t.create(400).unwrap();
         assert_ne!(a, b);
-        assert_eq!(t.translate(a, 0, 10).unwrap(), 0);
-        assert_eq!(t.translate(b, 0, 10).unwrap(), 400);
         assert_eq!(t.free_bytes(), 200);
+        assert_eq!(t.delete(NsId(99)), Err(NsError::UnknownNamespace(NsId(99))));
     }
 
     #[test]
-    fn isolation_is_enforced() {
-        let mut t = NamespaceSet::new(1000);
-        let a = t.create(100).unwrap();
-        // Reaching one byte past the end is rejected.
-        assert!(matches!(
-            t.translate(a, 99, 2),
-            Err(NsError::OutOfRange { .. })
-        ));
-        assert!(t.translate(a, 99, 1).is_ok());
-        // Offset arithmetic overflow is rejected, not wrapped.
-        assert!(t.translate(a, u64::MAX, 2).is_err());
-    }
-
-    #[test]
-    fn delete_coalesces_free_space() {
+    fn delete_returns_bytes_to_free_space() {
         let mut t = NamespaceSet::new(300);
         let a = t.create(100).unwrap();
         let b = t.create(100).unwrap();
         let c = t.create(100).unwrap();
         assert!(t.create(1).is_err());
-        // Free the middle, then the first: extents must coalesce so a
-        // 200-byte namespace fits again.
+        // Free the middle, then the first: a 200-byte namespace fits again.
         t.delete(b).unwrap();
         t.delete(a).unwrap();
         let d = t.create(200).unwrap();
-        assert_eq!(t.translate(d, 0, 1).unwrap(), 0);
         t.delete(c).unwrap();
         t.delete(d).unwrap();
         assert_eq!(t.free_bytes(), 300);
-        // Fully coalesced: one extent covering the device.
-        let e = t.create(300).unwrap();
-        assert_eq!(t.translate(e, 0, 300).unwrap(), 0);
+        t.create(300).unwrap();
     }
 
     #[test]
@@ -258,49 +177,40 @@ mod tests {
     }
 
     #[test]
-    fn no_space_reports_largest_extent() {
+    fn no_space_reports_free_bytes() {
         let mut t = NamespaceSet::new(100);
         let _a = t.create(60).unwrap();
-        match t.create(50) {
-            Err(NsError::NoSpace { largest_free, .. }) => assert_eq!(largest_free, 40),
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(
+            t.create(50),
+            Err(NsError::NoSpace {
+                requested: 50,
+                free: 40
+            })
+        );
     }
 
     proptest! {
-        /// Active extents never overlap and, with free space, always tile
-        /// the device exactly.
+        /// Live namespace sizes and free bytes always sum to the capacity,
+        /// and a create fails exactly when the free bytes fall short.
         #[test]
-        fn prop_extents_partition_device(
+        fn prop_sizes_and_free_bytes_sum_to_capacity(
             ops in proptest::collection::vec((1u64..200, any::<bool>()), 1..60)
         ) {
             let mut t = NamespaceSet::new(4096);
-            let mut live: Vec<NsId> = Vec::new();
+            let mut live: Vec<(NsId, u64)> = Vec::new();
             for (size, del) in ops {
                 if del && !live.is_empty() {
-                    let id = live.remove(live.len() / 2);
+                    let (id, _) = live.remove(live.len() / 2);
                     t.delete(id).unwrap();
-                } else if let Ok(id) = t.create(size) {
-                    live.push(id);
+                } else {
+                    let free = t.free_bytes();
+                    match t.create(size) {
+                        Ok(id) => live.push((id, size)),
+                        Err(e) => prop_assert_eq!(e, NsError::NoSpace { requested: size, free }),
+                    }
                 }
-                // Check the partition invariant.
-                let mut extents: Vec<(u64, u64)> = live
-                    .iter()
-                    .map(|&id| {
-                        let sz = t.size_of(id).unwrap();
-                        (t.translate(id, 0, 0).unwrap(), sz)
-                    })
-                    .collect();
-                for (&fs, &fl) in t.free.iter() {
-                    extents.push((fs, fl));
-                }
-                extents.sort_unstable();
-                let mut cursor = 0;
-                for (s, l) in extents {
-                    prop_assert_eq!(s, cursor, "gap or overlap at {}", cursor);
-                    cursor = s + l;
-                }
-                prop_assert_eq!(cursor, 4096);
+                let used: u64 = live.iter().map(|&(_, s)| s).sum();
+                prop_assert_eq!(used + t.free_bytes(), 4096);
             }
         }
     }

@@ -333,17 +333,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Fold another snapshot's samples into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -413,24 +402,5 @@ mod tests {
             std::hint::black_box(0u64);
         }
         assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
-    fn merge_preserves_count_and_sum() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..100u64 {
-            a.record(v);
-            b.record(v * 1000);
-        }
-        let mut sa = a.snapshot();
-        let sb = b.snapshot();
-        let (ca, cb) = (sa.count, sb.count);
-        let (su_a, su_b) = (sa.sum, sb.sum);
-        sa.merge(&sb);
-        assert_eq!(sa.count, ca + cb);
-        assert_eq!(sa.sum, su_a + su_b);
-        assert_eq!(sa.max, 99_000);
-        assert_eq!(sa.min, 0);
     }
 }

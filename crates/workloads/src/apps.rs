@@ -22,11 +22,6 @@ pub struct PhasedApp {
 }
 
 impl PhasedApp {
-    /// Checkpoint density: bytes dumped per second of compute.
-    pub fn density(&self) -> f64 {
-        self.bytes_per_rank as f64 / self.compute_interval.as_secs()
-    }
-
     /// Application progress rate given a per-checkpoint dump time.
     pub fn progress_rate(&self, dump: SimTime) -> f64 {
         self.compute_interval.as_secs() / (self.compute_interval + dump).as_secs()
@@ -100,7 +95,11 @@ mod tests {
     #[test]
     fn densities_differ_across_the_suite() {
         let suite = PhasedApp::suite();
-        let mut densities: Vec<f64> = suite.iter().map(PhasedApp::density).collect();
+        // Checkpoint density: bytes dumped per second of compute.
+        let mut densities: Vec<f64> = suite
+            .iter()
+            .map(|app| app.bytes_per_rank as f64 / app.compute_interval.as_secs())
+            .collect();
         densities.sort_by(f64::total_cmp);
         densities.dedup_by(|a, b| (*a - *b).abs() < 1.0);
         assert_eq!(
