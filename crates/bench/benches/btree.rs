@@ -1,8 +1,9 @@
 //! Wall-clock benchmarks of the DRAM B+Tree (§III-E): the control plane's
 //! name-lookup structure. Compared against `std::collections::BTreeMap` to
-//! show the custom tree is in the right performance class.
+//! show the custom tree is in the right performance class, on checkpoint
+//! file names and on the keys a `meta_churn` rank's replay probes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use microfs::btree::BTree;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -59,6 +60,51 @@ fn bench_lookup(c: &mut Criterion) {
     });
 }
 
+/// A `meta_churn` rank's keys: 8 round directories `/dNN` and their 64
+/// files `/dNN/fNN`, 520 live keys in all.
+fn churn_keys() -> Vec<String> {
+    (0..8)
+        .flat_map(|d| {
+            std::iter::once(format!("/d{d:02}"))
+                .chain((0..64).map(move |f| format!("/d{d:02}/f{f:02}")))
+        })
+        .collect()
+}
+
+fn bench_lookup_churn(c: &mut Criterion) {
+    // Replay probes each file under its final name (a hit) and under its
+    // `.tmp` name (a miss once renamed): one probe of each per file.
+    let live = churn_keys();
+    let probes: Vec<String> = live
+        .iter()
+        .filter(|k| k.contains("/f"))
+        .flat_map(|k| [k.clone(), format!("{k}.tmp")])
+        .collect();
+    let mut ours = BTree::new();
+    let mut std_map = BTreeMap::new();
+    for (i, k) in live.iter().enumerate() {
+        ours.insert(k, i as u64);
+        std_map.insert(k.clone(), i as u64);
+    }
+    let mut g = c.benchmark_group("btree_get_churn_520_keys");
+    g.throughput(Throughput::Elements(probes.len() as u64));
+    g.bench_function("microfs", |b| {
+        b.iter(|| {
+            let hits = probes.iter().filter(|k| ours.get(black_box(k)).is_some());
+            black_box(hits.count())
+        })
+    });
+    g.bench_function("std", |b| {
+        b.iter(|| {
+            let hits = probes
+                .iter()
+                .filter(|k| std_map.contains_key(black_box(k.as_str())));
+            black_box(hits.count())
+        })
+    });
+    g.finish();
+}
+
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let ks = keys(10_000);
     let mut tree = BTree::new();
@@ -78,6 +124,7 @@ criterion_group!(
     benches,
     bench_insert,
     bench_lookup,
+    bench_lookup_churn,
     bench_snapshot_roundtrip
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! Wall-clock benchmarks of whole microfs operation paths: create storms,
 //! checkpoint-style writes at different hugeblock sizes, snapshot, and
-//! mount-time recovery (including `meta_churn`'s per-rank log, per record).
+//! mount-time recovery (a checkpoint rank's short log, and `meta_churn`'s
+//! per-rank log, per record).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use microfs::{FsConfig, MemDevice, MicroFs};
 use std::hint::black_box;
 
@@ -65,16 +66,36 @@ fn bench_snapshot_and_recovery(c: &mut Criterion) {
         })
     });
     c.bench_function("microfs_mount_replay_50_files", |b| {
-        // Mount never writes, so each iteration hands the device back for
-        // the next instead of copying 256 MiB.
-        let mut dev = Some(build().into_device());
-        b.iter(|| {
-            let fs = MicroFs::mount(dev.take().unwrap(), FsConfig::default()).unwrap();
-            let replayed = fs.stats().replayed_records;
-            dev = Some(fs.into_device());
-            black_box(replayed)
-        })
+        mount_each_iter(b, &mut Some(build().into_device()))
     });
+}
+
+/// Mount the device in `dev` once per iteration. Mount never writes, so
+/// each iteration hands the device back for the next instead of copying
+/// its 256 MiB.
+fn mount_each_iter(b: &mut Bencher, dev: &mut Option<MemDevice>) {
+    b.iter(|| {
+        let fs = MicroFs::mount(dev.take().unwrap(), FsConfig::default()).unwrap();
+        let replayed = fs.stats().replayed_records;
+        *dev = Some(fs.into_device());
+        black_box(replayed)
+    })
+}
+
+fn bench_mount_fresh(c: &mut Criterion) {
+    // A `ckpt_manyranks` rank after its four rounds: one 128 KiB file per
+    // round, so the log holds 8 records behind the format-time snapshot.
+    // What the mount costs here is the recovery floor every such rank pays.
+    let mut fs = MicroFs::format(MemDevice::new(DEV), FsConfig::default()).unwrap();
+    let data = vec![0xC3u8; 128 << 10];
+    for round in 0..4 {
+        let fd = fs.create(&format!("/ckpt_{round:03}"), 0o644).unwrap();
+        fs.write(fd, &data).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+    }
+    let mut dev = Some(fs.into_device());
+    c.bench_function("microfs_mount_fresh", |b| mount_each_iter(b, &mut dev));
 }
 
 /// Which record kinds a churn log holds: each stage adds one kind to the
@@ -145,12 +166,7 @@ fn bench_churn_replay(c: &mut Criterion) {
         g.throughput(Throughput::Elements(records));
         let mut dev = Some(dev);
         g.bench_function(format!("{name}/{records}_records"), |b| {
-            b.iter(|| {
-                let fs = MicroFs::mount(dev.take().unwrap(), FsConfig::default()).unwrap();
-                let replayed = fs.stats().replayed_records;
-                dev = Some(fs.into_device());
-                black_box(replayed)
-            })
+            mount_each_iter(b, &mut dev)
         });
         g.finish();
     }
@@ -161,6 +177,7 @@ criterion_group!(
     bench_create_storm,
     bench_checkpoint_write,
     bench_snapshot_and_recovery,
+    bench_mount_fresh,
     bench_churn_replay
 );
 criterion_main!(benches);

@@ -57,11 +57,11 @@ fn bench_scan(c: &mut Criterion) {
     g.sample_size(30);
     let mut dev_c = build(true);
     g.bench_function("coalesced", |b| {
-        b.iter(|| black_box(Wal::scan(&mut dev_c, 0, 2 << 20, 0).unwrap().0.len()))
+        b.iter(|| black_box(Wal::scan(&mut dev_c, 0, 2 << 20, 0).unwrap().len()))
     });
     let mut dev_r = build(false);
     g.bench_function("raw", |b| {
-        b.iter(|| black_box(Wal::scan(&mut dev_r, 0, 2 << 20, 0).unwrap().0.len()))
+        b.iter(|| black_box(Wal::scan(&mut dev_r, 0, 2 << 20, 0).unwrap().len()))
     });
     g.finish();
 }
@@ -94,15 +94,16 @@ fn bench_scan_short_log(c: &mut Criterion) {
     for (name, coalescing) in [("coalesced", true), ("raw", false)] {
         let mut dev = build(coalescing);
         let before = dev.counters().bytes_read;
-        let (records, tail) = Wal::scan(&mut dev, 0, REGION, 0).unwrap();
+        let scan = Wal::scan(&mut dev, 0, REGION, 0).unwrap();
         println!(
-            "wal_recovery_scan_short_log/{name}: {} records, tail at {tail} B, \
+            "wal_recovery_scan_short_log/{name}: {} records, tail at {} B, \
              {} B read of a {REGION} B region",
-            records.len(),
+            scan.len(),
+            scan.end(),
             dev.counters().bytes_read - before
         );
         g.bench_function(name, |b| {
-            b.iter(|| black_box(Wal::scan(&mut dev, 0, REGION, 0).unwrap().0.len()))
+            b.iter(|| black_box(Wal::scan(&mut dev, 0, REGION, 0).unwrap().len()))
         });
     }
     g.finish();

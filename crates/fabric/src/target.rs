@@ -25,9 +25,10 @@ use ssd::{NsId, NsShard, Ssd, SsdError};
 use crate::capsule::{Capsule, CapsuleError, Completion, Opcode, Status};
 use crate::sg::SgList;
 
-/// Completions remembered per connection for idempotent replay. Far smaller
-/// than the 65536-wide CID space, so a cached entry is evicted long before
-/// its CID can be legitimately reused by a new command.
+/// Successful mutating completions remembered per connection for
+/// idempotent replay. Reads consume CIDs but are never cached, so an entry
+/// can outlive its CID's turn around the 16-bit space; [`ReplayCache`]
+/// therefore keys entries by sequence number, not by CID.
 const REPLAY_CACHE_CMDS: usize = 128;
 
 /// Connection handle issued by [`NvmfTarget::connect`].
@@ -62,12 +63,59 @@ struct Connection {
     /// routes through this map and never touches the device's controller
     /// lock.
     shards: HashMap<NsId, Arc<NsShard>>,
-    /// Recently completed *successful* mutating commands, keyed by CID, so
-    /// a retransmitted command (duplicate delivery, or a retry whose
-    /// original response was lost) is answered from cache instead of
-    /// re-executed. Only success completions are cached: a transient error
-    /// must not shadow a later retry that would succeed.
-    replay: Mutex<VecDeque<(u16, Completion)>>,
+    /// Recently completed *successful* mutating commands, so a
+    /// retransmitted command (duplicate delivery, or a retry whose original
+    /// response was lost) is answered from cache instead of re-executed.
+    /// Only success completions are cached: a transient error must not
+    /// shadow a later retry that would succeed.
+    replay: Mutex<ReplayCache>,
+}
+
+/// A connection's replay cache. The initiator issues CIDs in order,
+/// wrapping at 2^16, and repeats one only to retry or duplicate a command
+/// a queue window behind the newest; so each CID is read as a sequence
+/// number near the newest delivered one. A CID ahead of the newest is a
+/// fresh command, which no cached completion answers.
+#[derive(Default)]
+struct ReplayCache {
+    /// Sequence number of the newest CID the connection delivered.
+    newest: Option<u64>,
+    /// `(sequence, completion)` of the last [`REPLAY_CACHE_CMDS`] cached
+    /// commands, oldest first.
+    done: VecDeque<(u64, Completion)>,
+}
+
+impl ReplayCache {
+    /// The sequence number of `cid`: the newest one moved by the signed
+    /// 16-bit distance from its CID. Advances the newest when `cid` is
+    /// ahead of it.
+    fn sequence(&mut self, cid: u16) -> u64 {
+        let seq = match self.newest {
+            // One CID space up, so a retry behind the first command cannot
+            // wrap below zero.
+            None => (1 << 16) + u64::from(cid),
+            Some(n) => n.wrapping_add_signed(i64::from(cid.wrapping_sub(n as u16) as i16)),
+        };
+        if self.newest.is_none_or(|n| seq > n) {
+            self.newest = Some(seq);
+        }
+        seq
+    }
+
+    fn get(&self, seq: u64) -> Option<&Completion> {
+        self.done
+            .iter()
+            .rev()
+            .find(|(s, _)| *s == seq)
+            .map(|(_, c)| c)
+    }
+
+    fn insert(&mut self, seq: u64, completion: Completion) {
+        if self.done.len() >= REPLAY_CACHE_CMDS {
+            self.done.pop_front();
+        }
+        self.done.push_back((seq, completion));
+    }
 }
 
 /// A multi-tenant NVMf target daemon fronting one device.
@@ -128,7 +176,7 @@ impl NvmfTarget {
             Arc::new(Connection {
                 host_nqn: host_nqn.to_string(),
                 shards,
-                replay: Mutex::new(VecDeque::new()),
+                replay: Mutex::default(),
             }),
         );
         id
@@ -192,19 +240,22 @@ impl NvmfTarget {
     fn handle_on(&self, cstate: &Connection, c: &Capsule) -> Completion {
         let _t = self.handle_ns.time();
         let ns = NsId(c.nsid);
-        if c.opcode == Opcode::Connect {
-            return Completion::ok(c.cid, Bytes::new());
-        }
         // Idempotent replay: a mutating command we already completed
         // successfully (duplicate delivery, or a retry after its response
-        // was lost) is answered from cache, never re-executed.
+        // was lost) is answered from cache, never re-executed. Every
+        // command, reads included, moves the connection's CID sequence.
         let mutating = matches!(c.opcode, Opcode::Write | Opcode::Flush);
-        if mutating {
-            let replay = cstate.replay.lock();
-            if let Some((_, cached)) = replay.iter().find(|(cid, _)| *cid == c.cid) {
+        let seq = {
+            let mut replay = cstate.replay.lock();
+            let seq = replay.sequence(c.cid);
+            if let Some(cached) = mutating.then(|| replay.get(seq)).flatten() {
                 self.duplicates_suppressed.inc();
                 return cached.clone();
             }
+            seq
+        };
+        if c.opcode == Opcode::Connect {
+            return Completion::ok(c.cid, Bytes::new());
         }
         let Some(shard) = cstate.shards.get(&ns) else {
             return Completion::error(c.cid, Status::InvalidNamespace);
@@ -236,11 +287,7 @@ impl NvmfTarget {
             }
         };
         if mutating && completion.status == Status::Success {
-            let mut replay = cstate.replay.lock();
-            if replay.len() >= REPLAY_CACHE_CMDS {
-                replay.pop_front();
-            }
-            replay.push_back((c.cid, completion.clone()));
+            cstate.replay.lock().insert(seq, completion.clone());
         }
         completion
     }
@@ -503,6 +550,31 @@ mod tests {
         assert_eq!(exchange(&t, conn, &good).unwrap().status, Status::Success);
         let resp = exchange(&t, conn, &Capsule::read(4, a.0, 0, 4)).unwrap();
         assert_eq!(&resp.data[..], b"good");
+    }
+
+    #[test]
+    fn a_fresh_write_whose_cid_wrapped_executes() {
+        // Reads consume CIDs but are never cached, so 65,535 of them bring
+        // the first write's CID round again while its completion is still
+        // cached. The second write is a new command, not a retry.
+        let (t, a, _) = target_with_two_ns();
+        let conn = t.connect("nqn.host0", &[a]);
+        let first = Capsule::write(0, a.0, 0, Bytes::from(vec![1u8; 8]));
+        assert_eq!(exchange(&t, conn, &first).unwrap().status, Status::Success);
+        for cid in 1..=u16::MAX {
+            exchange(&t, conn, &Capsule::read(cid, a.0, 0, 1)).unwrap();
+        }
+        let second = Capsule::write(0, a.0, 0, Bytes::from(vec![2u8; 8]));
+        assert_eq!(exchange(&t, conn, &second).unwrap().status, Status::Success);
+        let resp = exchange(&t, conn, &Capsule::read(1, a.0, 0, 8)).unwrap();
+        assert_eq!(&resp.data[..], &[2u8; 8]);
+        assert_eq!(
+            t.device()
+                .telemetry()
+                .snapshot()
+                .counter("fabric.duplicates_suppressed"),
+            0
+        );
     }
 
     #[test]

@@ -21,12 +21,20 @@ use crate::wire::Reader;
 const MIN_KEYS: usize = 16;
 const MAX_KEYS: usize = 2 * MIN_KEYS;
 
-/// Key order: `str`'s byte-wise order, compared inline. Path keys are a
-/// few dozen bytes, where calling `memcmp` per comparison costs more than
-/// the comparison itself.
+/// Key order: `str`'s byte-wise order, compared inline and eight bytes at
+/// a time. Path keys are a few dozen bytes, where calling `memcmp` per
+/// comparison costs more than the comparison itself; as big-endian
+/// integers, two 8-byte words order like their bytes, so one `u64`
+/// comparison settles a word, and the last few bytes go one by one.
 #[inline]
 fn cmp_key(a: &str, b: &str) -> Ordering {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let (mut a, mut b) = (a.as_bytes(), b.as_bytes());
+    while let (Some((wa, ra)), Some((wb, rb))) = (a.split_first_chunk(), b.split_first_chunk()) {
+        if wa != wb {
+            return u64::from_be_bytes(*wa).cmp(&u64::from_be_bytes(*wb));
+        }
+        (a, b) = (ra, rb);
+    }
     match a.iter().zip(b).find(|(x, y)| x != y) {
         Some((x, y)) => x.cmp(y),
         None => a.len().cmp(&b.len()),
@@ -643,6 +651,19 @@ mod tests {
             let (a, b) = (s(&a), s(&b));
             prop_assert_eq!(cmp_key(&a, &b), a.cmp(&b));
             prop_assert_eq!(cmp_key(&a, &a), Ordering::Equal);
+        }
+
+        /// Long keys sharing a prefix of any length, so the first
+        /// difference falls at every position of a word and in the tail.
+        #[test]
+        fn prop_long_key_order_is_str_order(
+            prefix in "[ab/é]{0,40}",
+            a in "[ab/é]{0,12}",
+            b in "[ab/é]{0,12}",
+        ) {
+            let (a, b) = (format!("{prefix}{a}"), format!("{prefix}{b}"));
+            prop_assert_eq!(cmp_key(&a, &b), a.cmp(&b));
+            prop_assert_eq!(cmp_key(&b, &a), b.cmp(&a));
         }
 
         /// Full behavioural equivalence with std's BTreeMap under random

@@ -22,7 +22,7 @@ use crate::error::{FsError, OpenFlags};
 use crate::inode::{Ino, Inode, InodeKind, InodeTable, ROOT_INO};
 use crate::layout::{Layout, SUPERBLOCK_LEN};
 use crate::snapshot::{self, FsState};
-use crate::wal::{LogRecord, Wal, WalStats};
+use crate::wal::{LogRecord, LogScan, Wal, WalStats};
 
 /// Tunables for one microfs instance.
 #[derive(Debug, Clone)]
@@ -263,8 +263,8 @@ impl<D: BlockDevice> MicroFs<D> {
     /// caller needs the replay boundary to be visible in the types (e.g. to
     /// interpose replica verification before the instance serves reads).
     pub fn mount(dev: D, config: FsConfig) -> Result<Self, FsError> {
-        let (mut fs, records) = Self::mount_prepare(dev, config)?;
-        fs.replay_records(&records)?;
+        let (mut fs, log) = Self::mount_prepare(dev, config)?;
+        fs.replay_records(&log)?;
         Ok(fs)
     }
 
@@ -273,14 +273,8 @@ impl<D: BlockDevice> MicroFs<D> {
     /// state only — the scanned records are *not yet applied*, so the
     /// instance must not serve reads until [`replay_records`]
     /// (`Self::replay_records`) runs.
-    pub(crate) fn mount_prepare(
-        mut dev: D,
-        config: FsConfig,
-    ) -> Result<(Self, Vec<LogRecord>), FsError> {
-        let sb = dev
-            .read_vec(0, SUPERBLOCK_LEN as usize)
-            .map_err(|e| FsError::Io(e.to_string()))?;
-        let layout = Layout::decode_superblock(&sb)?;
+    pub(crate) fn mount_prepare(mut dev: D, config: FsConfig) -> Result<(Self, LogScan), FsError> {
+        let layout = Layout::read_superblock(&mut dev)?;
         if layout.block_size != config.block_size {
             return Err(FsError::Invalid(format!(
                 "partition formatted with block size {}, config says {}",
@@ -296,8 +290,7 @@ impl<D: BlockDevice> MicroFs<D> {
         if config.chaos.fire(chaos::Site::LogScan).is_some() {
             return Err(FsError::Io("crash point: recovery log scan".into()));
         }
-        let (records, scan_end) =
-            Wal::scan(&mut dev, layout.log_offset, layout.log_size, generation)?;
+        let log = Wal::scan(&mut dev, layout.log_offset, layout.log_size, generation)?;
         let metrics = FsMetrics::new(&config.telemetry);
         let fs = MicroFs {
             dev,
@@ -310,7 +303,7 @@ impl<D: BlockDevice> MicroFs<D> {
                     layout.log_size,
                     config.coalescing,
                     generation,
-                    scan_end,
+                    log.end(),
                 );
                 wal.set_chaos(config.chaos.clone());
                 wal
@@ -327,24 +320,25 @@ impl<D: BlockDevice> MicroFs<D> {
                 .cow_epochs
                 .then(|| crate::cow::CowTracker::new(&config.telemetry)),
         };
-        Ok((fs, records))
+        Ok((fs, log))
     }
 
     /// Second half of `mount`: apply the scanned log records to the
-    /// snapshot state. Replay is purely in-memory (every device write in
-    /// the shared mutation helpers is gated on `live`), so it is safe to
-    /// run before any mirror is attached to the device.
-    pub(crate) fn replay_records(&mut self, records: &[LogRecord]) -> Result<(), FsError> {
-        let replayed = records.len() as u64;
+    /// snapshot state, each decoded in place from the bytes the scan read.
+    /// Replay is purely in-memory (every device write in the shared
+    /// mutation helpers is gated on `live`), so it is safe to run before
+    /// any mirror is attached to the device.
+    pub(crate) fn replay_records(&mut self, log: &LogScan) -> Result<(), FsError> {
+        let replayed = log.len() as u64;
         {
             let _span = telemetry::span("microfs", "replay").arg("records", replayed);
             let replay_ns = Arc::clone(&self.metrics.replay_ns);
             let _t = replay_ns.time();
-            for rec in records {
+            for rec in log.records() {
                 if self.config.chaos.fire(chaos::Site::ReplayApply).is_some() {
                     return Err(FsError::Io("crash point: recovery replay".into()));
                 }
-                self.replay(rec)?;
+                self.replay(rec?)?;
             }
         }
         self.metrics.replay_records.add(replayed);
@@ -874,21 +868,21 @@ impl<D: BlockDevice> MicroFs<D> {
     // Replay (recovery)
     // ------------------------------------------------------------------
 
-    fn replay(&mut self, rec: &LogRecord) -> Result<(), FsError> {
+    fn replay(&mut self, rec: LogRecord<&str>) -> Result<(), FsError> {
         match rec {
             LogRecord::Mkdir { path, mode, uid } => self
-                .do_make(path, InodeKind::Dir, *mode, *uid, false)
+                .do_make(path, InodeKind::Dir, mode, uid, false)
                 .map(|_| ()),
             LogRecord::Create { path, mode, uid } => self
-                .do_make(path, InodeKind::File, *mode, *uid, false)
+                .do_make(path, InodeKind::File, mode, uid, false)
                 .map(|_| ()),
-            LogRecord::Write { ino, offset, len } => self.write_extent(*ino, *offset, *len, None),
-            LogRecord::Truncate { ino, size } => self.do_truncate(*ino, *size, false),
+            LogRecord::Write { ino, offset, len } => self.write_extent(ino, offset, len, None),
+            LogRecord::Truncate { ino, size } => self.do_truncate(ino, size, false),
             LogRecord::Unlink { path } => self.do_unlink(path, false),
             LogRecord::Rename { from, to } => self.do_rename(from, to, false),
             LogRecord::SetMode { ino, mode } => {
-                let node = self.state.inodes.get_mut(*ino)?;
-                node.mode = *mode;
+                let node = self.state.inodes.get_mut(ino)?;
+                node.mode = mode;
                 node.mtime_op = self.state.op_counter;
                 self.state.op_counter += 1;
                 Ok(())
@@ -2098,6 +2092,107 @@ mod tests {
         assert!(fs.dram_footprint() > 0);
     }
 
+    /// A device that lists the reads it serves as `(offset, len)`.
+    struct ReadLog {
+        dev: MemDevice,
+        reads: Vec<(u64, usize)>,
+    }
+
+    impl BlockDevice for ReadLog {
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), crate::block::DevError> {
+            self.dev.write_at(offset, data)
+        }
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), crate::block::DevError> {
+            self.reads.push((offset, buf.len()));
+            self.dev.read_at(offset, buf)
+        }
+        fn flush(&mut self) -> Result<(), crate::block::DevError> {
+            Ok(())
+        }
+        fn size(&self) -> u64 {
+            self.dev.size()
+        }
+        fn counters(&self) -> crate::block::IoCounters {
+            self.dev.counters()
+        }
+    }
+
+    /// The reads a mount of `dev` makes.
+    fn mount_reads(dev: MemDevice) -> Vec<(u64, usize)> {
+        let log = ReadLog {
+            dev,
+            reads: Vec::new(),
+        };
+        MicroFs::mount(log, FsConfig::default())
+            .unwrap()
+            .into_device()
+            .reads
+    }
+
+    #[test]
+    fn mount_read_plan_is_pinned() {
+        // A checkpoint rank's partition: six rounds of one file written in
+        // two 1 MiB calls, as a `ckpt_stream` rank leaves it. The log holds
+        // 12 records: six creates of `/ckpt_NNN`, each 10 + 20 bytes, and
+        // six coalesced writes, each 10 + 25 bytes; 390 bytes in all.
+        let mut fs = fresh();
+        let data = vec![7u8; 1 << 20];
+        for round in 0..6 {
+            let fd = fs.create(&format!("/ckpt_{round:03}"), 0o644).unwrap();
+            fs.write(fd, &data).unwrap();
+            fs.write(fd, &data).unwrap();
+            fs.fsync(fd).unwrap();
+            fs.close(fd).unwrap();
+        }
+        assert_eq!(fs.wal.used_bytes(), 390);
+        // 64 MiB: a 671,088-byte log at 4,096 and two 2,684,354-byte
+        // snapshot slots from 675,184.
+        let reads = mount_reads(fs.into_device());
+        assert_eq!(
+            reads,
+            [
+                // The superblock's encoded bytes: magic 8, version 4, seven
+                // geometry fields 56 and the CRC 4.
+                (0, 72),
+                // Slot 0's header: magic, seq, generation, length, CRC.
+                (675_184, 32),
+                // Its format-time payload: op counter 8, three section
+                // lengths 24, the root inode's table 50, the pool's one
+                // run 24 and the one-key tree 21.
+                (675_216, 127),
+                // Slot 1's header, never written: no payload read.
+                (3_359_538, 32),
+                // One page of log holds all 390 bytes and the next header,
+                // whose failure ends the scan.
+                (4_096, 4_096),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_64k_log_reads_at_most_twice_its_length_plus_a_page() {
+        let mut fs = fresh();
+        let l = *fs.layout();
+        let mut files = 0;
+        while fs.wal.used_bytes() < 64 << 10 {
+            let fd = fs.create(&format!("/f{files:04}"), 0o644).unwrap();
+            fs.close(fd).unwrap();
+            files += 1;
+        }
+        let used = fs.wal.used_bytes() as usize;
+        let reads = mount_reads(fs.into_device());
+        let log_read: usize = reads
+            .iter()
+            .filter(|&&(off, _)| (l.log_offset..l.log_offset + l.log_size).contains(&off))
+            .map(|&(_, len)| len)
+            .sum();
+        assert!(log_read >= used, "read {log_read} of a {used}-byte log");
+        assert!(
+            log_read <= 2 * used + 4096,
+            "read {log_read} of a {used}-byte log"
+        );
+    }
+
     #[test]
     fn live_spans_cover_what_a_mount_uses_without_device_reads() {
         let mut fs = fresh();
@@ -2145,7 +2240,9 @@ mod tests {
         let payload_len = crate::wire::Reader::new(&raw[slot_off + 20..])
             .u64()
             .unwrap();
-        let (_, log_end) = Wal::scan(&mut dev, l.log_offset, l.log_size, generation).unwrap();
+        let log_end = Wal::scan(&mut dev, l.log_offset, l.log_size, generation)
+            .unwrap()
+            .end();
         assert!(log_end > 0);
         assert!(covered(0, SUPERBLOCK_LEN));
         assert!(covered(l.log_offset, log_end));

@@ -21,9 +21,9 @@ use crate::block::BlockDevice;
 use crate::dirent::Dirent;
 use crate::error::FsError;
 use crate::inode::{InodeKind, ROOT_INO};
-use crate::layout::{Layout, SUPERBLOCK_LEN};
+use crate::layout::Layout;
 use crate::snapshot;
-use crate::wal::{LogRecord, Wal};
+use crate::wal::{LogRecord, LogScan, Wal};
 
 /// One consistency violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,15 +117,12 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
     // Reconstruct state exactly as mount() would, via a scratch MicroFs.
     // We re-derive rather than importing fs.rs internals so the checker
     // stays an independent witness of the on-device format.
-    let sb = dev
-        .read_vec(0, SUPERBLOCK_LEN as usize)
-        .map_err(|e| FsError::Io(e.to_string()))?;
-    let layout = Layout::decode_superblock(&sb)?;
+    let layout = Layout::read_superblock(dev)?;
     let (_seq, generation, mut state) = snapshot::read_latest(dev, &layout)
         .ok_or_else(|| FsError::Io("no valid snapshot".into()))?;
-    let (records, _) = Wal::scan(dev, layout.log_offset, layout.log_size, generation)?;
-    let replayed = records.len() as u64;
-    replay_into(&mut state, &records, &layout)?;
+    let log = Wal::scan(dev, layout.log_offset, layout.log_size, generation)?;
+    let replayed = log.len() as u64;
+    replay_into(&mut state, &log, &layout)?;
 
     let mut issues = Vec::new();
     // --- Block ownership ---
@@ -248,15 +245,16 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
 
 fn replay_into(
     state: &mut snapshot::FsState,
-    records: &[LogRecord],
+    log: &LogScan,
     layout: &Layout,
 ) -> Result<(), FsError> {
     // Metadata-only replay mirroring fs.rs (no device writes needed for
     // consistency checking, but allocations must match exactly).
     use crate::inode::Inode;
     let bs = layout.block_size;
-    for rec in records {
-        match rec {
+    for rec in log.records() {
+        let rec = rec?;
+        match &rec {
             LogRecord::Mkdir { path, mode, uid } | LogRecord::Create { path, mode, uid } => {
                 let op = state.op_counter;
                 state.op_counter += 1;
@@ -332,7 +330,7 @@ fn replay_into(
             LogRecord::Rename { from, to } => {
                 if let Some(ino) = state.btree.get(from) {
                     // Remove-tombstone on from's parent, add on to's.
-                    for (p, extra) in [(from.clone(), 0u64), (to.clone(), 8u64)] {
+                    for (p, extra) in [(*from, 0u64), (*to, 8u64)] {
                         let parent = match p.rfind('/') {
                             Some(0) => "/".to_string(),
                             Some(i) => p[..i].to_string(),

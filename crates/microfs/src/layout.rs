@@ -11,6 +11,7 @@
 //! validates it before trusting anything else on the partition.
 
 use crate::block::pool::MAX_BLOCKS;
+use crate::block::BlockDevice;
 use crate::crc::crc32;
 use crate::error::FsError;
 use crate::wire::Reader;
@@ -19,6 +20,9 @@ const SUPERBLOCK_MAGIC: u64 = 0x6D69_6372_6F66_7321; // "microfs!"
 const SUPERBLOCK_VERSION: u32 = 2;
 /// Bytes the superblock CRC covers: magic, version and seven geometry fields.
 const SUPERBLOCK_BODY_LEN: usize = 8 + 4 + 7 * 8;
+/// Bytes of the encoded superblock: its body and CRC. The rest of its
+/// [`SUPERBLOCK_LEN`] region is zero padding that nothing decodes.
+const SUPERBLOCK_ENCODED_LEN: usize = SUPERBLOCK_BODY_LEN + 4;
 /// Serialized superblock size (one hardware block).
 pub const SUPERBLOCK_LEN: u64 = 4096;
 
@@ -104,6 +108,15 @@ impl Layout {
         v.extend_from_slice(&crc.to_le_bytes());
         v.resize(SUPERBLOCK_LEN as usize, 0);
         v
+    }
+
+    /// Read and validate the superblock at the start of `dev`, reading only
+    /// the encoded bytes, not the padding of its region.
+    pub(crate) fn read_superblock<D: BlockDevice>(dev: &mut D) -> Result<Layout, FsError> {
+        let sb = dev
+            .read_vec(0, SUPERBLOCK_ENCODED_LEN)
+            .map_err(|e| FsError::Io(e.to_string()))?;
+        Layout::decode_superblock(&sb)
     }
 
     /// Parse and validate a superblock.

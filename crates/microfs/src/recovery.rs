@@ -65,7 +65,7 @@
 use crate::block::BlockDevice;
 use crate::error::FsError;
 use crate::fs::{FsConfig, MicroFs};
-use crate::wal::LogRecord;
+use crate::wal::LogScan;
 
 /// A partition that just lost its process: a device full of durable bytes
 /// and no in-memory state. The only move is
@@ -85,8 +85,8 @@ impl<D: BlockDevice> Crashed<D> {
     /// operation log for records newer than it. No record has been applied
     /// yet when this returns.
     pub fn begin_replay(self) -> Result<Replaying<D>, FsError> {
-        let (fs, records) = MicroFs::mount_prepare(self.dev, self.config)?;
-        Ok(Replaying { fs, records })
+        let (fs, log) = MicroFs::mount_prepare(self.dev, self.config)?;
+        Ok(Replaying { fs, log })
     }
 }
 
@@ -96,20 +96,20 @@ impl<D: BlockDevice> Crashed<D> {
 /// [`replay_all`](Self::replay_all) runs.
 pub struct Replaying<D: BlockDevice> {
     fs: MicroFs<D>,
-    records: Vec<LogRecord>,
+    log: LogScan,
 }
 
 impl<D: BlockDevice> Replaying<D> {
     /// Log records waiting to be applied.
     pub fn pending_records(&self) -> usize {
-        self.records.len()
+        self.log.len()
     }
 
     /// Apply every scanned record. Replay is purely in-memory (allocation
     /// is deterministic, so file data already on the device re-attaches
     /// without being rewritten).
     pub fn replay_all(mut self) -> Result<Verified<D>, FsError> {
-        self.fs.replay_records(&self.records)?;
+        self.fs.replay_records(&self.log)?;
         Ok(Verified { fs: self.fs })
     }
 }

@@ -31,7 +31,9 @@
 //! region in doubling pieces and stops at the first frame that fails
 //! inside what it has read, so a mount's log read follows the records
 //! written since the last snapshot, not the size of the region. Coalescing
-//! keeps that log short, which is where its recovery win shows up.
+//! keeps that log short, which is where its recovery win shows up. The
+//! scan hands back the bytes it read as a [`LogScan`], and replay decodes
+//! each record from them in place, borrowing its paths.
 
 mod coalesce;
 pub mod record;
@@ -44,11 +46,11 @@ use crate::inode::Ino;
 
 use coalesce::{LastWrite, WriteRun};
 pub use record::LogRecord;
-use record::{frame_extent, read_frame, HEADER_LEN, WRITE_PAYLOAD_LEN};
+use record::{frame_extent, read_frame, split_frame, HEADER_LEN, WRITE_PAYLOAD_LEN};
 
-/// Bytes of the first read of a recovery [`Wal::scan`]; each later read
-/// doubles the bytes held.
-const SCAN_FIRST_READ: usize = 16 << 10;
+/// Bytes of the first read of a recovery [`Wal::scan`], one device page;
+/// each later read doubles the bytes held.
+const SCAN_FIRST_READ: usize = 4 << 10;
 
 /// Append/coalesce statistics, feeding the recovery and Table I harnesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,6 +63,44 @@ pub struct WalStats {
     pub bytes_written: u64,
     /// Log resets (generation bumps after snapshots).
     pub resets: u64,
+}
+
+/// What a recovery [`Wal::scan`] found: the region's bytes from its start
+/// up to the log tail, every frame in them valid for the scanned
+/// generation.
+#[derive(Debug)]
+pub struct LogScan {
+    bytes: Vec<u8>,
+    records: usize,
+}
+
+impl LogScan {
+    /// Records in the log.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether the log holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Offset of the log tail from the region start.
+    pub fn end(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    /// The records in log order, decoded in place. The scan already
+    /// checked every frame's generation and CRC and decoded its payload,
+    /// so this walk only splits the frames.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Result<LogRecord<&str>, FsError>> {
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            let (_, _, payload, next) = split_frame(&self.bytes, pos)?;
+            pos = next;
+            Some(LogRecord::decode_payload(payload))
+        })
+    }
 }
 
 /// The on-device operation log.
@@ -228,35 +268,38 @@ impl Wal {
         self.stats.resets += 1;
     }
 
-    /// Scan the region for generation `gen`, returning all valid records in
-    /// order and the offset of the log tail. Used by recovery; also the
-    /// measure of "records that must be replayed" in the recovery-speed
-    /// experiments.
+    /// Scan the region for generation `gen`: the valid records in order,
+    /// ending at the log tail. Used by recovery; also the measure of
+    /// "records that must be replayed" in the recovery-speed experiments.
     ///
-    /// The region is read in growing pieces, from 16 KiB and doubling, and
-    /// the scan stops at the first frame that fails while lying wholly
-    /// inside the bytes already read: more bytes cannot change that
-    /// verdict. A mount therefore reads at most about twice the live log,
-    /// not the whole region, and returns exactly what a scan of the whole
-    /// region returns.
+    /// The region is read in growing pieces, from one 4 KiB page and
+    /// doubling, and the scan stops at the first frame that fails while
+    /// lying wholly inside the bytes already read: more bytes cannot
+    /// change that verdict. A mount therefore reads at most about twice
+    /// the live log, not the whole region, and finds exactly what a scan
+    /// of the whole region finds.
     pub fn scan<D: BlockDevice>(
         dev: &mut D,
         region_off: u64,
         region_size: u64,
         gen: u32,
-    ) -> Result<(Vec<LogRecord>, u64), FsError> {
+    ) -> Result<LogScan, FsError> {
         let region = region_size as usize;
         let mut raw = Vec::new();
         let mut pos = 0usize;
-        let mut out = Vec::new();
+        let mut records = 0;
         loop {
-            while let Some(rec) = read_frame(&raw, &mut pos, gen)? {
-                out.push(rec);
+            while read_frame(&raw, &mut pos, gen)?.is_some() {
+                records += 1;
             }
             let want = frame_extent(&raw, pos).min(region);
             let held = raw.len();
             if want <= held {
-                return Ok((out, pos as u64));
+                raw.truncate(pos);
+                return Ok(LogScan {
+                    bytes: raw,
+                    records,
+                });
             }
             let grow_to = want.max(held * 2).max(SCAN_FIRST_READ).min(region);
             raw.resize(grow_to, 0);
@@ -273,20 +316,26 @@ mod tests {
     use proptest::prelude::*;
     use record::frame;
 
-    /// The whole-region scan `Wal::scan` replaced, kept as its oracle.
+    /// The whole-region scan `Wal::scan` replaced, kept as its oracle: the
+    /// bytes up to the tail and the records they frame.
     fn scan_whole_region(
         dev: &mut MemDevice,
         region_off: u64,
         region_size: u64,
         gen: u32,
-    ) -> Result<(Vec<LogRecord>, u64), FsError> {
+    ) -> Result<(Vec<u8>, usize), FsError> {
         let raw = dev.read_vec(region_off, region_size as usize).unwrap();
         let mut pos = 0usize;
-        let mut out = Vec::new();
-        while let Some(rec) = read_frame(&raw, &mut pos, gen)? {
-            out.push(rec);
+        let mut records = 0;
+        while read_frame(&raw, &mut pos, gen)?.is_some() {
+            records += 1;
         }
-        Ok((out, pos as u64))
+        Ok((raw[..pos].to_vec(), records))
+    }
+
+    /// The records of a scan, decoded.
+    fn records(scan: &LogScan) -> Vec<LogRecord<&str>> {
+        scan.records().collect::<Result<_, _>>().unwrap()
     }
 
     /// `Wal::scan` returns what the oracle returns and reads at most twice
@@ -298,14 +347,21 @@ mod tests {
         let before = dev.counters().bytes_read;
         let got = Wal::scan(&mut dev, region_off, region_size, gen);
         let read = dev.counters().bytes_read - before;
-        assert_eq!(got, want, "region {region_size} at {region_off}, gen {gen}");
+        if let Ok(scan) = &got {
+            assert_eq!(records(scan).len(), scan.len());
+        }
+        assert_eq!(
+            got.as_ref().map(|s| (s.bytes.clone(), s.len())),
+            want.as_ref().map(|(bytes, n)| (bytes.clone(), *n)),
+            "region {region_size} at {region_off}, gen {gen}"
+        );
         assert!(
             read <= region_size,
             "read {read} of a {region_size}-byte region"
         );
-        if let Ok((_, end)) = got {
-            let bound = 2 * (end + (HEADER_LEN + usize::from(u16::MAX)) as u64);
-            assert!(read <= bound, "read {read} for a tail at {end}");
+        if let Ok(scan) = got {
+            let bound = 2 * (scan.end() + (HEADER_LEN + usize::from(u16::MAX)) as u64);
+            assert!(read <= bound, "read {read} for a tail at {}", scan.end());
         }
     }
 
@@ -459,9 +515,9 @@ mod tests {
             for fill in ['a', 'b', 'c', 'd'] {
                 wal.append(&mut dev, &max_frame_record(fill)).unwrap();
             }
-            let (recs, end) = Wal::scan(&mut dev.clone(), 7, region, 0).unwrap();
-            assert_eq!(recs.len(), 4 + usize::from(lead > 0));
-            assert_eq!(end, wal.used_bytes());
+            let scan = Wal::scan(&mut dev.clone(), 7, region, 0).unwrap();
+            assert_eq!(scan.len(), 4 + usize::from(lead > 0));
+            assert_eq!(scan.end(), wal.used_bytes());
             assert_scan_matches_oracle(&dev, 7, region, 0);
         }
     }
@@ -481,8 +537,8 @@ mod tests {
             let mut wal = Wal::new(0, region, false);
             while append_or_full(&mut dev, &mut wal, &rec) {}
             assert_eq!(wal.free_bytes(), 0);
-            let (recs, end) = Wal::scan(&mut dev.clone(), 0, region, 0).unwrap();
-            assert_eq!((recs.len() as u64, end), (frames, region));
+            let scan = Wal::scan(&mut dev.clone(), 0, region, 0).unwrap();
+            assert_eq!((scan.len() as u64, scan.end()), (frames, region));
             assert_scan_matches_oracle(&dev, 0, region, 0);
         }
     }
@@ -503,8 +559,8 @@ mod tests {
             )
             .unwrap();
         }
-        let (recs, _) = Wal::scan(&mut dev, 0, region, 0).unwrap();
-        assert_eq!(recs.len(), 1);
+        let scan = Wal::scan(&mut dev, 0, region, 0).unwrap();
+        assert_eq!(scan.len(), 1);
         assert_eq!(dev.counters().bytes_read, SCAN_FIRST_READ as u64);
     }
 
@@ -531,8 +587,8 @@ mod tests {
         for r in &recs {
             wal.append(&mut dev, r).unwrap();
         }
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-        assert_eq!(scanned, recs);
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(records(&scan), recs);
         assert_eq!(wal.stats().appended, 3);
     }
 
@@ -553,15 +609,8 @@ mod tests {
         let s = wal.stats();
         assert_eq!(s.appended, 1, "only the first write appends");
         assert_eq!(s.coalesced, 63);
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-        assert_eq!(
-            scanned,
-            vec![LogRecord::Write {
-                ino: 5,
-                offset: 0,
-                len: 64 * 4096
-            }]
-        );
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(records(&scan), [write(5, 0, 64 * 4096)]);
     }
 
     fn write(ino: Ino, offset: u64, len: u64) -> LogRecord {
@@ -595,10 +644,10 @@ mod tests {
         }
         assert_eq!(wal.stats().appended, 4);
         assert_eq!(wal.stats().coalesced, 1);
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
         assert_eq!(
-            scanned,
-            vec![
+            records(&scan),
+            [
                 write(1, 0, 10),
                 write(2, 0, 20),
                 write(1, 10, 10),
@@ -634,8 +683,8 @@ mod tests {
         }
         assert_eq!(wal.stats().appended, 10);
         assert_eq!(wal.stats().coalesced, 0);
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-        assert_eq!(scanned.len(), 10);
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(scan.len(), 10);
     }
 
     #[test]
@@ -650,7 +699,7 @@ mod tests {
             (2, 10, 30),
             (1, 500, 10), // gap: separate record
         ];
-        let coverage = |recs: &[LogRecord]| {
+        let coverage = |recs: &[LogRecord<&str>]| {
             let mut cov: Vec<(u64, u64, u64)> = Vec::new();
             for r in recs {
                 if let LogRecord::Write { ino, offset, len } = *r {
@@ -674,8 +723,8 @@ mod tests {
                 wal.append(&mut dev, &LogRecord::Write { ino, offset, len })
                     .unwrap();
             }
-            let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-            coverage(&scanned)
+            let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+            coverage(&records(&scan))
         };
         assert_eq!(run(true), run(false));
     }
@@ -695,8 +744,8 @@ mod tests {
         wal.reset();
         assert_eq!(wal.generation(), 1);
         // Old-generation records are invisible to the new-generation scan.
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 1).unwrap();
-        assert!(scanned.is_empty());
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 1).unwrap();
+        assert!(scan.is_empty());
         // New appends are visible.
         wal.append(
             &mut dev,
@@ -707,8 +756,8 @@ mod tests {
             },
         )
         .unwrap();
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 1).unwrap();
-        assert_eq!(scanned.len(), 1);
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 1).unwrap();
+        assert_eq!(scan.len(), 1);
     }
 
     #[test]
@@ -796,15 +845,8 @@ mod tests {
         assert!(matches!(err, FsError::Io(_)), "torn append surfaces as Io");
         // The torn frame fails the CRC check: scan self-truncates there and
         // only the prior record survives.
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-        assert_eq!(
-            scanned,
-            vec![LogRecord::Write {
-                ino: 1,
-                offset: 0,
-                len: 64
-            }]
-        );
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(records(&scan), [write(1, 0, 64)]);
         // `pos` did not advance; after disarming, the next append overwrites
         // the torn prefix and the log is healthy again.
         chaos.disarm();
@@ -817,16 +859,9 @@ mod tests {
             },
         )
         .unwrap();
-        let (scanned, _) = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
-        assert_eq!(scanned.len(), 2);
-        assert_eq!(
-            scanned[1],
-            LogRecord::Write {
-                ino: 3,
-                offset: 0,
-                len: 8
-            }
-        );
+        let scan = Wal::scan(&mut dev, 0, 32 << 10, 0).unwrap();
+        assert_eq!(scan.len(), 2);
+        assert_eq!(records(&scan)[1], write(3, 0, 8));
     }
 
     #[test]

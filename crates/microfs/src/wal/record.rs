@@ -7,19 +7,24 @@
 //! exact block assignments. This is what keeps records compact (a `Write`
 //! record is 25 payload bytes regardless of IO size) and the network
 //! metadata traffic minimal.
+//!
+//! A record owns its paths when it is built to be appended and borrows
+//! them from the log bytes when it is decoded: recovery replays
+//! `LogRecord<&str>`s straight out of the bytes the scan read.
 
 use crate::crc::{crc32, crc32_update};
 use crate::error::FsError;
 use crate::inode::Ino;
 use crate::wire::Reader;
 
-/// One logged metadata operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
+/// One logged metadata operation, with its paths owned (`LogRecord`, the
+/// default) or borrowed (`LogRecord<&str>`).
+#[derive(Debug, Clone)]
+pub enum LogRecord<S = String> {
     /// `mkdir(path, mode)`.
     Mkdir {
         /// Absolute path.
-        path: String,
+        path: S,
         /// Permission bits.
         mode: u32,
         /// Creating uid.
@@ -28,7 +33,7 @@ pub enum LogRecord {
     /// `creat(path, mode)`.
     Create {
         /// Absolute path.
-        path: String,
+        path: S,
         /// Permission bits.
         mode: u32,
         /// Creating uid.
@@ -54,14 +59,14 @@ pub enum LogRecord {
     /// `unlink(path)`.
     Unlink {
         /// Absolute path.
-        path: String,
+        path: S,
     },
     /// `rename(from, to)` — atomic within the private namespace.
     Rename {
         /// Old absolute path.
-        from: String,
+        from: S,
         /// New absolute path.
-        to: String,
+        to: S,
     },
     /// `chmod(ino, mode)`.
     SetMode {
@@ -79,7 +84,7 @@ pub const WRITE_PAYLOAD_LEN: usize = 1 + 8 + 8 + 8;
 /// Record header: generation (u32) + payload length (u16) + CRC32 (u32).
 pub const HEADER_LEN: usize = 4 + 2 + 4;
 
-impl LogRecord {
+impl<S: AsRef<str>> LogRecord<S> {
     fn tag(&self) -> u8 {
         match self {
             LogRecord::Mkdir { .. } => 1,
@@ -92,6 +97,23 @@ impl LogRecord {
         }
     }
 
+    /// The record as one flat tuple: tag, paths, then numbers.
+    fn fields(&self) -> (u8, &str, &str, [u64; 3]) {
+        let tag = self.tag();
+        match self {
+            LogRecord::Mkdir { path, mode, uid } | LogRecord::Create { path, mode, uid } => {
+                (tag, path.as_ref(), "", [(*mode).into(), (*uid).into(), 0])
+            }
+            LogRecord::Write { ino, offset, len } => (tag, "", "", [*ino, *offset, *len]),
+            LogRecord::Truncate { ino, size } => (tag, "", "", [*ino, *size, 0]),
+            LogRecord::Unlink { path } => (tag, path.as_ref(), "", [0; 3]),
+            LogRecord::Rename { from, to } => (tag, from.as_ref(), to.as_ref(), [0; 3]),
+            LogRecord::SetMode { ino, mode } => (tag, "", "", [*ino, (*mode).into(), 0]),
+        }
+    }
+}
+
+impl LogRecord {
     /// Encode the payload (without header).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(32);
@@ -133,8 +155,20 @@ impl LogRecord {
         let payload = self.encode_payload();
         frame(gen, &payload)
     }
+}
 
-    /// Decode a payload.
+/// Records are equal when they log the same operation, whether their paths
+/// are owned or borrowed.
+impl<A: AsRef<str>, B: AsRef<str>> PartialEq<LogRecord<B>> for LogRecord<A> {
+    fn eq(&self, other: &LogRecord<B>) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl<S: AsRef<str>> Eq for LogRecord<S> {}
+
+impl<'a> LogRecord<&'a str> {
+    /// Decode a payload, borrowing its paths.
     #[deny(
         clippy::indexing_slicing,
         clippy::arithmetic_side_effects,
@@ -142,12 +176,12 @@ impl LogRecord {
         clippy::expect_used,
         clippy::panic
     )]
-    pub fn decode_payload(payload: &[u8]) -> Result<LogRecord, FsError> {
+    pub fn decode_payload(payload: &'a [u8]) -> Result<Self, FsError> {
         let mut r = Reader::new(payload);
         let tag = r.u8()?;
-        let path = |r: &mut Reader| -> Result<String, FsError> {
+        let path = |r: &mut Reader<'a>| -> Result<&'a str, FsError> {
             let len = r.u16()?;
-            Ok(r.utf8(len.into())?.to_string())
+            Ok(r.utf8(len.into())?)
         };
         match tag {
             1 | 2 => {
@@ -201,9 +235,8 @@ pub fn frame(gen: u32, payload: &[u8]) -> Vec<u8> {
     v
 }
 
-/// Try to read one framed record for generation `gen` at `bytes[pos..]`.
-/// Returns `Ok(None)` at end-of-log (bad frame, wrong generation, or CRC
-/// mismatch — all three mean "no more valid records").
+/// The frame at `bytes[pos..]` as `(generation, stored CRC, payload,
+/// position after it)`, unchecked; `None` when the bytes end inside it.
 #[deny(
     clippy::indexing_slicing,
     clippy::arithmetic_side_effects,
@@ -211,15 +244,31 @@ pub fn frame(gen: u32, payload: &[u8]) -> Vec<u8> {
     clippy::expect_used,
     clippy::panic
 )]
-pub fn read_frame(bytes: &[u8], pos: &mut usize, gen: u32) -> Result<Option<LogRecord>, FsError> {
+pub(crate) fn split_frame(bytes: &[u8], pos: usize) -> Option<(u32, u32, &[u8], usize)> {
     let mut r = Reader::new(bytes);
-    let header = r
-        .bytes(*pos)
-        .and_then(|_| Ok((r.u32()?, r.u16()?, r.u32()?)));
-    let Ok((rgen, plen, stored_crc)) = header else {
-        return Ok(None);
-    };
-    let Ok(payload) = r.bytes(plen as usize) else {
+    r.bytes(pos).ok()?;
+    let (rgen, plen, stored_crc) = (r.u32().ok()?, r.u16().ok()?, r.u32().ok()?);
+    let payload = r.bytes(plen.into()).ok()?;
+    Some((rgen, stored_crc, payload, r.position()))
+}
+
+/// Try to read one framed record for generation `gen` at `bytes[pos..]`,
+/// borrowing its paths from `bytes`. Returns `Ok(None)` at end-of-log (bad
+/// frame, wrong generation, or CRC mismatch — all three mean "no more
+/// valid records").
+#[deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+pub fn read_frame<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    gen: u32,
+) -> Result<Option<LogRecord<&'a str>>, FsError> {
+    let Some((rgen, stored_crc, payload, next)) = split_frame(bytes, *pos) else {
         return Ok(None);
     };
     // The CRC covers gen ‖ payload: stream it rather than gather the two.
@@ -228,7 +277,7 @@ pub fn read_frame(bytes: &[u8], pos: &mut usize, gen: u32) -> Result<Option<LogR
         return Ok(None);
     }
     let rec = LogRecord::decode_payload(payload)?;
-    *pos = r.position();
+    *pos = next;
     Ok(Some(rec))
 }
 
@@ -388,7 +437,8 @@ mod tests {
             };
             let buf = r.encode(gen);
             let mut pos = 0;
-            prop_assert_eq!(read_frame(&buf, &mut pos, gen).unwrap(), Some(r));
+            let got = read_frame(&buf, &mut pos, gen).unwrap();
+            prop_assert!(got.as_ref().is_some_and(|g| *g == r), "{:?} != {:?}", got, r);
             prop_assert_eq!(pos, buf.len());
         }
 
