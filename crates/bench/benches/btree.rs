@@ -1,11 +1,10 @@
-//! Wall-clock benchmarks of the DRAM B+Tree (§III-E): the control plane's
-//! name-lookup structure. Compared against `std::collections::BTreeMap` to
-//! show the custom tree is in the right performance class, on checkpoint
-//! file names and on the keys a `meta_churn` rank's replay probes.
+//! Wall-clock benchmarks of the DRAM name index (§III-E), microfs's
+//! wrapper over `std`'s B-Tree map: inserts and lookups on checkpoint file
+//! names, lookups on the keys a `meta_churn` rank's replay probes, and the
+//! snapshot section's encode/decode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use microfs::btree::BTree;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn keys(n: usize) -> Vec<String> {
@@ -24,15 +23,6 @@ fn bench_insert(c: &mut Criterion) {
                 let mut t = BTree::new();
                 for (i, k) in ks.iter().enumerate() {
                     t.insert(k, i as u64);
-                }
-                black_box(t.len())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("std", n), &ks, |b, ks| {
-            b.iter(|| {
-                let mut t = BTreeMap::new();
-                for (i, k) in ks.iter().enumerate() {
-                    t.insert(k.clone(), i as u64);
                 }
                 black_box(t.len())
             })
@@ -80,25 +70,15 @@ fn bench_lookup_churn(c: &mut Criterion) {
         .filter(|k| k.contains("/f"))
         .flat_map(|k| [k.clone(), format!("{k}.tmp")])
         .collect();
-    let mut ours = BTree::new();
-    let mut std_map = BTreeMap::new();
+    let mut tree = BTree::new();
     for (i, k) in live.iter().enumerate() {
-        ours.insert(k, i as u64);
-        std_map.insert(k.clone(), i as u64);
+        tree.insert(k, i as u64);
     }
     let mut g = c.benchmark_group("btree_get_churn_520_keys");
     g.throughput(Throughput::Elements(probes.len() as u64));
     g.bench_function("microfs", |b| {
         b.iter(|| {
-            let hits = probes.iter().filter(|k| ours.get(black_box(k)).is_some());
-            black_box(hits.count())
-        })
-    });
-    g.bench_function("std", |b| {
-        b.iter(|| {
-            let hits = probes
-                .iter()
-                .filter(|k| std_map.contains_key(black_box(k.as_str())));
+            let hits = probes.iter().filter(|k| tree.get(black_box(k)).is_some());
             black_box(hits.count())
         })
     });

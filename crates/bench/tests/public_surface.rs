@@ -59,10 +59,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "capsule and queue-pair tests check how many segments a capsule travels in",
     ),
     (
-        "crates/microfs/src/btree.rs::check_invariants",
-        "the structural oracle of the B+Tree tests",
-    ),
-    (
         "crates/microfs/src/error.rs::APPEND",
         "POSIX open flag of the microfs surface, kept for a POSIX-semantics oracle to drive",
     ),

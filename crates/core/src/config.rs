@@ -13,8 +13,6 @@ use telemetry::Telemetry;
 pub struct RuntimeConfig {
     /// Hugeblock size (the paper selects 32 KiB, §IV-B).
     pub block_size: u64,
-    /// Log record coalescing (§III-E).
-    pub coalescing: bool,
     /// Bytes of namespace each job requests per granted SSD.
     pub namespace_bytes: u64,
     /// Acting uid for permission checks.
@@ -58,7 +56,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             block_size: 32 << 10,
-            coalescing: true,
             namespace_bytes: 8 << 30,
             uid: 1000,
             telemetry: Telemetry::default(),
@@ -77,7 +74,6 @@ impl RuntimeConfig {
         FsConfig {
             block_size: self.block_size,
             uid: self.uid,
-            coalescing: self.coalescing,
             telemetry: self.telemetry.clone(),
             chaos: self.chaos.clone(),
             cow_epochs: self.delta_chain_max > 0 && self.replication_factor > 1,
@@ -170,7 +166,7 @@ mod tests {
     fn default_matches_paper_choices() {
         let c = RuntimeConfig::default();
         assert_eq!(c.block_size, 32 << 10);
-        assert!(c.coalescing);
+        assert!(c.fs_config().coalescing, "log record coalescing (§III-E)");
         assert_eq!(c.fs_config().block_size, 32 << 10);
         assert_eq!(
             c.fabric.queue_depth, 32,

@@ -180,11 +180,7 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
         }
         reachable.insert(*ino);
         if path != "/" {
-            let parent = match path.rfind('/') {
-                Some(0) => "/",
-                Some(i) => &path[..i],
-                None => "",
-            };
+            let parent = split_path(path).map_or("", |(parent, _)| parent);
             let parent_ok = path_set.contains(parent)
                 && entries
                     .iter()
@@ -266,16 +262,8 @@ fn replay_into(
                 };
                 let ino = state.inodes.alloc(node);
                 state.btree.insert(path, ino);
-                // The dirent append extends the parent directory file.
-                let parent = match path.rfind('/') {
-                    Some(0) => "/".to_string(),
-                    Some(i) => path[..i].to_string(),
-                    None => continue,
-                };
-                let name_len = path.len() - path.rfind('/').unwrap() - 1;
-                let rec_len = (1 + 2 + name_len + 8) as u64;
-                if let Some(pino) = state.btree.get(&parent) {
-                    extend(state, pino, rec_len, bs)?;
+                if let Some((parent, name)) = split_path(path) {
+                    append_dirent(state, parent, Dirent::Add { name, ino }, bs)?;
                 }
             }
             LogRecord::Write { ino, offset, len } => {
@@ -311,17 +299,10 @@ fn replay_into(
             }
             LogRecord::Unlink { path } => {
                 if let Some(ino) = state.btree.get(path) {
-                    // Tombstone append on the parent.
-                    let parent = match path.rfind('/') {
-                        Some(0) => "/".to_string(),
-                        Some(i) => path[..i].to_string(),
-                        None => continue,
+                    let Some((parent, name)) = split_path(path) else {
+                        continue;
                     };
-                    let name_len = path.len() - path.rfind('/').unwrap() - 1;
-                    let rec_len = (1 + 2 + name_len) as u64;
-                    if let Some(pino) = state.btree.get(&parent) {
-                        extend(state, pino, rec_len, bs)?;
-                    }
+                    append_dirent(state, parent, Dirent::Remove { name }, bs)?;
                     let node = state.inodes.remove(ino)?;
                     state.pool.free_many(&node.blocks);
                     state.btree.remove(path);
@@ -330,17 +311,11 @@ fn replay_into(
             LogRecord::Rename { from, to } => {
                 if let Some(ino) = state.btree.get(from) {
                     // Remove-tombstone on from's parent, add on to's.
-                    for (p, extra) in [(*from, 0u64), (*to, 8u64)] {
-                        let parent = match p.rfind('/') {
-                            Some(0) => "/".to_string(),
-                            Some(i) => p[..i].to_string(),
-                            None => continue,
-                        };
-                        let name_len = p.len() - p.rfind('/').unwrap() - 1;
-                        let rec_len = (1 + 2 + name_len) as u64 + extra;
-                        if let Some(pino) = state.btree.get(&parent) {
-                            extend(state, pino, rec_len, bs)?;
-                        }
+                    if let Some((parent, name)) = split_path(from) {
+                        append_dirent(state, parent, Dirent::Remove { name }, bs)?;
+                    }
+                    if let Some((parent, name)) = split_path(to) {
+                        append_dirent(state, parent, Dirent::Add { name, ino }, bs)?;
                     }
                     state.btree.remove(from);
                     state.btree.insert(to, ino);
@@ -361,6 +336,27 @@ fn replay_into(
         }
     }
     Ok(())
+}
+
+/// A path's parent directory and final component; `None` for a path
+/// without `/`.
+fn split_path(path: &str) -> Option<(&str, &str)> {
+    let (parent, name) = path.rsplit_once('/')?;
+    Some((if parent.is_empty() { "/" } else { parent }, name))
+}
+
+/// Extend `parent`'s directory file by one dirent record, as the live
+/// file system's append does.
+fn append_dirent(
+    state: &mut snapshot::FsState,
+    parent: &str,
+    rec: Dirent<&str>,
+    bs: u64,
+) -> Result<(), FsError> {
+    match state.btree.get(parent) {
+        Some(pino) => extend(state, pino, rec.encoded_len() as u64, bs),
+        None => Ok(()),
+    }
 }
 
 fn extend(state: &mut snapshot::FsState, ino: u64, len: u64, bs: u64) -> Result<(), FsError> {
