@@ -1,7 +1,8 @@
 //! Wall-clock benchmarks of whole microfs operation paths: create storms,
-//! checkpoint-style writes at different hugeblock sizes, snapshot, and
+//! checkpoint-style writes at different hugeblock sizes, snapshot,
 //! mount-time recovery (a checkpoint rank's short log, and `meta_churn`'s
-//! per-rank log, per record).
+//! per-rank log, per record), and the offline checker on one large
+//! directory.
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use microfs::{FsConfig, MemDevice, MicroFs};
@@ -172,12 +173,39 @@ fn bench_churn_replay(c: &mut Criterion) {
     }
 }
 
+fn bench_fsck_one_dir(c: &mut Criterion) {
+    // `fsck::check` on one directory of `n` empty files: every lookup of
+    // the check is a map probe, so 4x the files should cost about 4x the
+    // time, not 16x.
+    let mut g = c.benchmark_group("fsck_one_dir");
+    g.sample_size(10);
+    for n in [2000u64, 8000] {
+        let mut fs = MicroFs::format(MemDevice::new(DEV), FsConfig::default()).unwrap();
+        fs.mkdir("/d", 0o755).unwrap();
+        for i in 0..n {
+            let fd = fs.create(&format!("/d/f{i:05}"), 0o644).unwrap();
+            fs.close(fd).unwrap();
+        }
+        let mut dev = fs.into_device();
+        g.throughput(Throughput::Elements(n));
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let report = microfs::fsck(&mut dev);
+                assert!(report.is_clean(), "{:?}", report.issues);
+                black_box(report.paths)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_create_storm,
     bench_checkpoint_write,
     bench_snapshot_and_recovery,
     bench_mount_fresh,
-    bench_churn_replay
+    bench_churn_replay,
+    bench_fsck_one_dir
 );
 criterion_main!(benches);

@@ -1,25 +1,27 @@
-//! Crash-universe smoke: enumerate every durability op in the standard
-//! incremental-checkpoint workload, crash at each index, and verify the
-//! recovery invariants (`BENCH_crashverse.json`).
+//! Crash-universe smoke: crash the standard incremental-checkpoint
+//! workload at its durability ops — and, nested, kill the first recovery
+//! attempt at its recovery ops — and verify the recovery invariants after
+//! every crash point (`BENCH_crashverse.json`,
+//! `BENCH_crashverse_nested.json`).
 //!
-//! Four modes:
+//! Two modes:
 //!
-//! * **explore** (default / `--smoke`): size the universe with a clean
-//!   counting run, execute every crash point (`--smoke` caps the scan at
-//!   2000 points and dumps `FLIGHT_crashverse_*.jsonl` counterexamples
-//!   into the working directory), and gate on *zero* invariant
-//!   violations across a universe of at least 500 ops.
-//! * **replay** (`--crash-at K`): re-execute exactly one crash point —
-//!   the command line a failing explore prints, pinning `(seed, op
-//!   index, config fingerprint)`.
-//! * **nested explore** (`--nested [--smoke]`): sample a `(k, j)` grid —
-//!   outer crash at durability op `k`, then a second kill at recovery op
-//!   `j` inside the *first* recovery attempt — and require the
-//!   supervisor's second attempt to restore every invariant at every
-//!   point (`BENCH_crashverse_nested.json`). Also forces one full
-//!   quarantine → degraded-serve → rejoin cycle and gates on it.
-//! * **nested replay** (`--nested --crash-at K --crash-in-recovery J`):
-//!   one pinned nested point, full verdict on stdout.
+//! * **explore** (default): size the universe with a clean counting run
+//!   and run the grid. Every sampled outer index `k` heads a column with
+//!   its single-crash point `(k, none)`; `--nested` adds up to
+//!   `--nested-per-outer` (10) points `(k, j)` per column, each killing
+//!   the first recovery attempt at recovery op `j` so the supervisor's
+//!   second attempt must restore every invariant. `--max-points` caps the
+//!   outer indices (`--nested` defaults it to 25, `--smoke` to 2000);
+//!   `--smoke` also dumps `FLIGHT_crashverse_*.jsonl` counterexamples into
+//!   the working directory. Every explore also forces one quarantine →
+//!   degraded-serve → rejoin cycle. The gates: zero invariant violations,
+//!   a universe of at least 500 ops, a complete quarantine cycle and, for
+//!   a nested grid, at least 200 points that fire both crashes.
+//! * **replay** (`--crash-at K [--crash-in-recovery J]`): re-execute
+//!   exactly one crash point — the command line a failing explore prints,
+//!   pinning `(seed, crash indices, config fingerprint)` — with the full
+//!   verdict on stdout.
 //!
 //! Every verdict is deterministic: same seed and workload shape, same
 //! universe size, same per-point outcome.
@@ -28,20 +30,20 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use chaos::{Plane, Site, SITES};
-use crashverse::{explore, quarantine_cycle, run_nested_point, run_point, UniverseConfig};
+use crashverse::{explore, quarantine_cycle, run_point, UniverseConfig};
 use nvmecr_bench::stamp;
 use telemetry::Telemetry;
 
 /// Explore must cover at least this many crash points (acceptance
 /// criterion: the default workload's universe is well past it).
 const MIN_UNIVERSE: u64 = 500;
-/// `--smoke` bound on executed points.
+/// `--smoke` bound on executed outer points.
 const SMOKE_MAX_POINTS: u64 = 2000;
-/// Nested explore must execute at least this many `(k, j)` grid points.
+/// A nested grid must execute at least this many `(k, j)` points.
 const NESTED_MIN_POINTS: u64 = 200;
-/// Outer crash indices sampled into the nested grid.
+/// Outer crash indices sampled into a nested grid by default.
 const NESTED_OUTER_POINTS: u64 = 25;
-/// Nested recovery indices sampled per outer index.
+/// Recovery crash indices sampled per outer index by `--nested`.
 const NESTED_PER_OUTER: u64 = 10;
 
 /// `(name, ops)` for every site of `plane`, in table order.
@@ -49,15 +51,6 @@ fn census(per_site: &[u64; SITES], plane: Plane) -> Vec<(&'static str, u64)> {
     Site::in_plane(plane)
         .map(|s| (s.name(), per_site[s as usize]))
         .collect()
-}
-
-/// The census as the body of a JSON object.
-fn census_json(census: &[(&str, u64)]) -> String {
-    census
-        .iter()
-        .map(|(name, ops)| format!("\"{name}\": {ops}"))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 fn parse_u64(flag: &str, v: Option<String>) -> Result<u64, String> {
@@ -72,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut crash_in_recovery: Option<u64> = None;
     let mut nested = false;
     let mut smoke = false;
-    let mut outer_points = NESTED_OUTER_POINTS;
     let mut nested_per_outer = NESTED_PER_OUTER;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -89,7 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--crash-in-recovery" => {
                 crash_in_recovery = Some(parse_u64("--crash-in-recovery", args.next())?);
             }
-            "--outer-points" => outer_points = parse_u64("--outer-points", args.next())?,
             "--nested-per-outer" => {
                 nested_per_outer = parse_u64("--nested-per-outer", args.next())?;
             }
@@ -101,181 +92,87 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             other => return Err(format!("unknown argument {other}").into()),
         }
     }
+    if nested {
+        cfg.recovery_points = nested_per_outer;
+        cfg.max_points.get_or_insert(NESTED_OUTER_POINTS);
+    }
     if smoke {
         cfg.max_points.get_or_insert(SMOKE_MAX_POINTS);
         cfg.dump_dir.get_or_insert_with(|| PathBuf::from("."));
     }
 
-    if nested {
-        return run_nested(
-            &cfg,
-            crash_at,
-            crash_in_recovery,
-            outer_points,
-            nested_per_outer,
-        );
+    match (crash_at, crash_in_recovery) {
+        (Some(k), j) => replay(&cfg, k, j),
+        (None, Some(_)) => Err("--crash-in-recovery needs --crash-at".into()),
+        (None, None) => run_explore(&cfg),
     }
+}
 
-    if let Some(k) = crash_at {
-        // Replay mode: one pinned crash point, full verdict on stdout.
-        let v = run_point(&cfg, k);
-        println!(
-            "crash-at {k}: fired={:?} kind={} passed={}",
-            v.fired,
-            v.fired_kind.unwrap_or("-"),
-            v.passed
-        );
-        if let Some(why) = &v.violation {
-            println!("violation: {why}");
-            if let Some(d) = &v.dump {
-                println!("counterexample: {}", d.display());
-            }
-            println!("replay: {}", cfg.replay_command(k));
-            return Err(format!("crash point {k} violated invariants").into());
-        }
-        return Ok(());
-    }
-
-    let telemetry = Telemetry::new();
-    let report = explore(&cfg, &telemetry)?;
-
+/// Replay mode: one pinned crash point, full verdict on stdout.
+fn replay(cfg: &UniverseConfig, k: u64, j: Option<u64>) -> Result<(), Box<dyn std::error::Error>> {
+    let v = run_point(cfg, k, j);
+    let point = match j {
+        Some(j) => format!("crash-at {k} crash-in-recovery {j}"),
+        None => format!("crash-at {k}"),
+    };
+    let at = |fired: Option<(Site, u64)>| fired.map(|(_, n)| n);
     println!(
-        "universe: {} ops ({} points run, {} shrink steps), fingerprint {:#018x}",
-        report.total_ops, report.points_run, report.shrink_steps, report.fingerprint
+        "{point}: outer_fired={:?} nested_fired={:?} kind={} restarts={} passed={}",
+        at(v.outer_fired),
+        at(v.recovery.fired),
+        v.fired().map_or("-", |(site, _)| site.name()),
+        v.restarts,
+        v.passed()
     );
-    let kinds = census(&report.per_site, Plane::Durability);
-    println!("{:>15}  {:>8}", "op kind", "ops");
-    for (name, ops) in &kinds {
-        println!("{name:>15}  {ops:>8}");
-    }
-    for f in &report.failures {
-        println!(
-            "FAIL op {} ({}): {}",
-            f.op_index,
-            f.fired_kind.unwrap_or("-"),
-            f.violation
-        );
-        if let Some(d) = &f.dump {
-            println!("  counterexample: {}", d.display());
+    if let Some(why) = &v.violation {
+        println!("violation: {why}");
+        if let Some(d) = &v.dump {
+            println!("counterexample: {}", d.display());
         }
-        println!("  replay: {}", f.replay);
-    }
-
-    let snap = telemetry.snapshot();
-    let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"bench\": \"crashverse\",");
-    json.push_str(&stamp::meta_line(&stamp::Fingerprint {
-        queue_depth: 32,
-        ranks: cfg.ranks,
-        replication_factor: 2,
-        delta_chain_max: 4,
-        mode: "reactor",
-        reactors: 0,
-    }));
-    let _ = writeln!(json, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(
-        json,
-        "  \"config_fingerprint\": \"{:#018x}\",",
-        report.fingerprint
-    );
-    let _ = writeln!(json, "  \"total_ops\": {},", report.total_ops);
-    let _ = writeln!(json, "  \"points\": {},", snap.counter("crashverse.points"));
-    let _ = writeln!(
-        json,
-        "  \"failures\": {},",
-        snap.counter("crashverse.failures")
-    );
-    let _ = writeln!(
-        json,
-        "  \"shrink_steps\": {},",
-        snap.counter("crashverse.shrink_steps")
-    );
-    let _ = writeln!(json, "  \"per_kind\": {{{}}},", census_json(&kinds));
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"min_universe\": {MIN_UNIVERSE}, \"all_points_pass\": true}}\n}}"
-    );
-    std::fs::write("BENCH_crashverse.json", &json)?;
-    println!("wrote BENCH_crashverse.json");
-
-    // Self-validation gates.
-    if report.total_ops < MIN_UNIVERSE {
-        return Err(format!(
-            "crash universe has only {} ops (< {MIN_UNIVERSE}); workload too small",
-            report.total_ops
-        )
-        .into());
-    }
-    if !report.failures.is_empty() {
-        return Err(format!(
-            "{} crash point(s) violated recovery invariants",
-            report.failures.len()
-        )
-        .into());
+        println!("replay: {}", cfg.replay_command(k, j));
+        return Err(format!("{point} violated invariants").into());
     }
     Ok(())
 }
 
-/// Nested modes: one pinned `(k, j)` replay, or the sampled grid plus
-/// the forced quarantine cycle (`BENCH_crashverse_nested.json`).
-fn run_nested(
-    cfg: &UniverseConfig,
-    crash_at: Option<u64>,
-    crash_in_recovery: Option<u64>,
-    outer_points: u64,
-    nested_per_outer: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if let (Some(k), Some(j)) = (crash_at, crash_in_recovery) {
-        let v = run_nested_point(cfg, k, j);
-        println!(
-            "crash-at {k} crash-in-recovery {j}: outer_fired={:?} nested_fired={:?} \
-             kind={} restarts={} passed={}",
-            v.outer_fired,
-            v.nested_fired,
-            v.nested_kind.unwrap_or("-"),
-            v.restarts,
-            v.passed
-        );
-        if let Some(why) = &v.violation {
-            println!("violation: {why}");
-            if let Some(d) = &v.dump {
-                println!("counterexample: {}", d.display());
-            }
-            println!("replay: {}", cfg.replay_nested_command(k, j));
-            return Err(format!("nested crash point ({k}, {j}) violated invariants").into());
-        }
-        return Ok(());
-    }
-    if crash_at.is_some() != crash_in_recovery.is_some() {
-        return Err("nested replay needs both --crash-at and --crash-in-recovery".into());
-    }
-
+/// Explore mode: the grid plus the forced quarantine cycle, one report
+/// for either grid shape.
+fn run_explore(cfg: &UniverseConfig) -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = Telemetry::new();
-    let report = crashverse::explore_nested(cfg, outer_points, nested_per_outer, &telemetry)?;
+    let report = explore(cfg, &telemetry)?;
+    // A nested grid crashes recovery ops, a single-crash one durability
+    // ops: the census reported is the one of the plane its points crash.
+    let (bench, min_points, kinds) = if cfg.recovery_points > 0 {
+        let kinds = census(&report.recovery_per_site, Plane::Recovery);
+        ("crashverse_nested", NESTED_MIN_POINTS, kinds)
+    } else {
+        ("crashverse", 0, census(&report.per_site, Plane::Durability))
+    };
     println!(
-        "nested grid: {} outer points over {} ops, {} (k, j) points run \
-         ({} double-fired, {} supervisor restarts), fingerprint {:#018x}",
+        "universe: {} ops, {} outer points, {} points run ({} double-fired, \
+         {} supervisor restarts, {} shrink steps), fingerprint {:#018x}",
+        report.total_ops,
         report.outer_points,
-        report.outer_total,
         report.points_run,
         report.double_fired,
         report.restarts,
+        report.shrink_steps,
         report.fingerprint
     );
-    let kinds = census(&report.per_site, Plane::Recovery);
-    println!("{:>18}  {:>8}", "recovery op kind", "ops");
+    println!("{:>18}  {:>8}", "op kind", "ops");
     for (name, ops) in &kinds {
         println!("{name:>18}  {ops:>8}");
     }
     for f in &report.failures {
+        let v = &f.verdict;
         println!(
-            "FAIL ({}, {}) ({}): {}",
-            f.outer,
-            f.nested,
-            f.nested_kind.unwrap_or("-"),
-            f.violation
+            "FAIL ({}, {:?}) ({}): {}",
+            v.outer,
+            v.nested,
+            v.fired().map_or("-", |(site, _)| site.name()),
+            v.violation.as_deref().unwrap_or("invariant violation")
         );
-        if let Some(d) = &f.dump {
+        if let Some(d) = &v.dump {
             println!("  counterexample: {}", d.display());
         }
         println!("  replay: {}", f.replay);
@@ -289,7 +186,7 @@ fn run_nested(
 
     let snap = telemetry.snapshot();
     let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"bench\": \"crashverse_nested\",");
+    let _ = writeln!(json, "{{\n  \"bench\": \"{bench}\",");
     json.push_str(&stamp::meta_line(&stamp::Fingerprint {
         queue_depth: 32,
         ranks: cfg.ranks,
@@ -304,25 +201,24 @@ fn run_nested(
         "  \"config_fingerprint\": \"{:#018x}\",",
         report.fingerprint
     );
-    let _ = writeln!(json, "  \"outer_total\": {},", report.outer_total);
-    let _ = writeln!(json, "  \"outer_points\": {},", report.outer_points);
-    let _ = writeln!(
-        json,
-        "  \"points\": {},",
-        snap.counter("crashverse.nested_points")
-    );
-    let _ = writeln!(json, "  \"double_fired\": {},", report.double_fired);
-    let _ = writeln!(
-        json,
-        "  \"failures\": {},",
-        snap.counter("crashverse.nested_failures")
-    );
-    let _ = writeln!(
-        json,
-        "  \"restarts\": {},",
-        snap.counter("crashverse.nested_restarts")
-    );
-    let _ = writeln!(json, "  \"per_kind\": {{{}}},", census_json(&kinds));
+    let counter = |name: &str| snap.counter(&format!("crashverse.{name}"));
+    for (key, value) in [
+        ("total_ops", report.total_ops),
+        ("outer_total", report.total_ops),
+        ("outer_points", report.outer_points),
+        ("points", counter("points")),
+        ("double_fired", report.double_fired),
+        ("failures", counter("failures")),
+        ("restarts", counter("restarts")),
+        ("shrink_steps", counter("shrink_steps")),
+    ] {
+        let _ = writeln!(json, "  \"{key}\": {value},");
+    }
+    let kinds_json: Vec<String> = kinds
+        .iter()
+        .map(|(name, ops)| format!("\"{name}\": {ops}"))
+        .collect();
+    let _ = writeln!(json, "  \"per_kind\": {{{}}},", kinds_json.join(", "));
     let _ = writeln!(
         json,
         "  \"quarantine_cycle\": {{\"quarantined\": {}, \"degraded_reads\": {}, \
@@ -331,29 +227,31 @@ fn run_nested(
     );
     let _ = writeln!(
         json,
-        "  \"gate\": {{\"min_points\": {NESTED_MIN_POINTS}, \"all_points_pass\": true}}\n}}"
+        "  \"gate\": {{\"min_universe\": {MIN_UNIVERSE}, \"min_points\": {min_points}, \
+         \"all_points_pass\": true}}\n}}"
     );
-    std::fs::write("BENCH_crashverse_nested.json", &json)?;
-    println!("wrote BENCH_crashverse_nested.json");
+    let file = format!("BENCH_{bench}.json");
+    std::fs::write(&file, &json)?;
+    println!("wrote {file}");
 
     // Self-validation gates.
-    if report.points_run < NESTED_MIN_POINTS {
+    if report.total_ops < MIN_UNIVERSE {
         return Err(format!(
-            "nested grid ran only {} points (< {NESTED_MIN_POINTS}); widen the sample",
-            report.points_run
+            "crash universe has only {} ops (< {MIN_UNIVERSE}); workload too small",
+            report.total_ops
         )
         .into());
     }
-    if report.double_fired < NESTED_MIN_POINTS {
+    if report.points_run.min(report.double_fired) < min_points {
         return Err(format!(
-            "only {} grid points fired both crashes (< {NESTED_MIN_POINTS})",
-            report.double_fired
+            "{} grid points ran and {} fired both crashes (< {min_points}); widen the sample",
+            report.points_run, report.double_fired
         )
         .into());
     }
     if !report.failures.is_empty() {
         return Err(format!(
-            "{} nested crash point(s) violated recovery invariants",
+            "{} crash point(s) violated recovery invariants",
             report.failures.len()
         )
         .into());

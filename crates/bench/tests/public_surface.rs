@@ -87,10 +87,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "POSIX call of the microfs surface, kept for a POSIX-semantics oracle to drive",
     ),
     (
-        "crates/microfs/src/fsck.rs::is_clean",
-        "the verdict fsck tests assert on; programs read the report's fields",
-    ),
-    (
         "crates/microfs/src/manifest.rs::max_extents",
         "manifest tests fill a slot to its capacity with it",
     ),

@@ -34,8 +34,8 @@
 //!
 //! [`NvmeCrRuntime::recover_ranks`](crate::runtime::NvmeCrRuntime::recover_ranks)
 //! drives this chain end to end, on the runtime's reactor pool;
-//! [`NvmeCrRuntime::attach`](crate::runtime::NvmeCrRuntime::attach) is
-//! `recover_ranks` over every rank of a restarted job.
+//! [`RecoverySupervisor::attach`](crate::supervisor::RecoverySupervisor::attach)
+//! runs it for every rank of a restarted job.
 
 use microfs::{ExtentMap, MicroFs};
 

@@ -309,9 +309,9 @@ impl JobHandle {
     }
 
     /// Construct the runtime shell with every rank still crashed (no
-    /// mounting). [`NvmeCrRuntime::attach`] recovers every rank of it at
-    /// once; the [`crate::supervisor::RecoverySupervisor`] recovers them
-    /// one at a time, with retries, deadlines, and quarantine.
+    /// mounting). [`crate::supervisor::RecoverySupervisor::attach`]
+    /// recovers its ranks one at a time, with retries, deadlines, and
+    /// quarantine.
     pub(crate) fn into_empty_runtime(self) -> NvmeCrRuntime {
         let slots = self.routes.len();
         NvmeCrRuntime {
@@ -878,20 +878,6 @@ impl NvmeCrRuntime {
         }
     }
 
-    /// Attach a restarted job to surviving namespaces: every rank's
-    /// partition is *mounted* (snapshot + log replay), not formatted, so
-    /// checkpoints written before the failure are readable. Each rank
-    /// mounts through its *route*, so a rank failed over to a replacement
-    /// namespace reattaches to the replacement, not the dead shard. This
-    /// is [`recover_ranks`](Self::recover_ranks) over every rank of an
-    /// empty runtime; any failure fails the whole attach.
-    pub fn attach(handle: JobHandle) -> Result<Self, RuntimeError> {
-        let all: Vec<u32> = (0..handle.rank_count()).collect();
-        let mut rt = handle.into_empty_runtime();
-        rt.recover_ranks(&all)?;
-        Ok(rt)
-    }
-
     /// Finalize (the `MPI_Finalize` wrapper's work): snapshot every rank's
     /// state and delete the job's namespaces, returning final stats.
     pub fn finalize(mut self) -> Result<Vec<FsStats>, RuntimeError> {
@@ -921,6 +907,7 @@ impl NvmeCrRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::RecoverySupervisor;
     use cluster::{JobRequest, Scheduler};
     use microfs::OpenFlags;
 
@@ -1069,7 +1056,10 @@ mod tests {
         let handle = rt.crash_job();
         assert_eq!(handle.rank_count(), 56);
         // Restarted job attaches; every rank's instance mounts and replays.
-        let mut rt2 = NvmeCrRuntime::attach(handle).unwrap();
+        let mut rt2 = RecoverySupervisor::default()
+            .attach(handle)
+            .unwrap()
+            .into_runtime();
         for rank in (0..56u32).step_by(11) {
             let fs = rt2.rank_fs(rank).unwrap();
             assert!(fs.stats().replayed_records > 0);
@@ -1446,7 +1436,10 @@ mod tests {
         // stays scrubable.
         assert_eq!(rt.commit_epochs().unwrap(), vec![1; 8]);
         let handle = rt.crash_job();
-        let mut rt2 = NvmeCrRuntime::attach(handle).unwrap();
+        let mut rt2 = RecoverySupervisor::default()
+            .attach(handle)
+            .unwrap()
+            .into_runtime();
         for rank in 0..8u32 {
             let fs = rt2.rank_fs(rank).unwrap();
             assert_eq!(fs.stat("/restart.dat").unwrap().size, 40 << 10);

@@ -6,17 +6,25 @@
 //! durability-relevant operation — WAL appends, block writes, mirrored
 //! writes, manifest bodies, commit records, discards — assigned a global
 //! op index by the chaos gate armed with an empty plan. That index space
-//! *is* the crash universe: the explorer then re-executes the workload
-//! once per index `k`, arms a [`chaos::FaultPlan::crash_at_op`]`(k)` rule
-//! so op `k` and every later durability op fail (a dead universe — nothing
-//! survives the crash point), kills the job ungracefully with
-//! [`nvmecr::runtime::NvmeCrRuntime::crash_job`], recovers it with
-//! [`nvmecr::runtime::NvmeCrRuntime::attach`] (`recover_ranks` over every
-//! rank, through the typestate chain `Crashed → Replaying → Verified →
-//! serving`), and checks the recovery invariants:
+//! *is* the crash universe.
 //!
-//! * **I1 — recoverable**: attach (reconnect, snapshot + log replay,
-//!   manifest decode, mirror rescan) succeeds at every crash point.
+//! One runner, [`run_point`]`(cfg, k, j)`, executes every crash point. It
+//! re-executes the workload with a [`chaos::FaultPlan::crash_at_op`]`(k)`
+//! rule armed, so op `k` and every later durability op fail (a dead
+//! universe — nothing survives the crash point), kills the job
+//! ungracefully with [`nvmecr::runtime::NvmeCrRuntime::crash_job`], and
+//! recovers it through [`nvmecr::RecoverySupervisor::attach`] (the
+//! typestate chain `Crashed → Replaying → Verified → serving`, rank by
+//! rank, with one re-attempt allowed). With `j = Some(j)` the first
+//! recovery attempt is killed at recovery op `j`
+//! ([`chaos::FaultPlan::crash_in_recovery`]); with `None` the recovery
+//! plane only counts. A single crash is the nested point whose recovery
+//! is never killed. The runner then checks the recovery invariants:
+//!
+//! * **I1 — recoverable**: recovery (reconnect, snapshot + log replay,
+//!   manifest decode, mirror rescan) succeeds at every crash point, and
+//!   takes exactly one supervisor restart if its first attempt was
+//!   killed and none otherwise.
 //! * **I2 — no lost acknowledged write**: every file call that returned
 //!   success before the crash is byte-identical after recovery; the one
 //!   *failing* call is allowed exactly its documented visibility (a torn
@@ -31,25 +39,31 @@
 //!   extents (replica damage from half-done discards must be repairable
 //!   from the primary).
 //!
-//! Everything is deterministic from `(seed, op index, config)`: payloads
-//! come from [`simkit::rng::pattern_fill`], the stack is rebuilt from
-//! scratch for every universe, ranks are driven serially while armed,
-//! and recovery runs disarmed. A failing point is shrunk to the minimal
-//! failing index (the ascending scan makes stride-sampled gaps cheap to
-//! close), dumped through the flight recorder as `FLIGHT_*.jsonl`, and
-//! reported with a replay command line that pins seed, crash index, and
-//! config fingerprint.
+//! One explorer, [`explore`], runs a grid of points: each sampled outer
+//! index `k` heads a column with its `(k, None)` point, whose recovery
+//! census sizes the column's recovery crash points `(k, j)`.
+//!
+//! Everything is deterministic from `(seed, op indices, config)`:
+//! payloads come from [`simkit::rng::pattern_fill`], the stack is rebuilt
+//! from scratch for every universe, and ranks are driven and recovered
+//! serially while armed. A failing point is shrunk to the minimal failing
+//! index along its sampled axis (the ascending scan makes stride-sampled
+//! gaps cheap to close), dumped through the flight recorder as
+//! `FLIGHT_*.jsonl`, and reported with a replay command line that pins
+//! seed, crash indices, and config fingerprint.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use chaos::{ChaosHandle, FaultPlan, Plane, Report, SITES};
+use chaos::{ChaosHandle, FaultPlan, Plane, Report, Site, SITES};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
-use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
-use nvmecr::{ReactorConfig, ReactorPool, RecoveryPolicy, RecoverySupervisor, RuntimeConfig};
+use nvmecr::runtime::{JobHandle, NvmeCrRuntime, RuntimeError, StorageRack};
+use nvmecr::{
+    ReactorConfig, ReactorPool, RecoveryPolicy, RecoverySupervisor, RuntimeConfig, Supervised,
+};
 use simkit::rng::{derive_seed, pattern_fill};
 use ssd::SsdConfig;
 use telemetry::{FlightKind, Telemetry};
@@ -81,9 +95,14 @@ pub struct UniverseConfig {
     pub files_per_epoch: u32,
     /// Size of each fresh checkpoint file, KiB.
     pub write_kib: u64,
-    /// Cap on crash points executed; universes larger than this are
-    /// stride-sampled and failures shrunk back to the minimal index.
+    /// Cap on the outer crash indices executed (`None` or 0: every
+    /// index); universes larger than this are stride-sampled and failures
+    /// shrunk back to the minimal index.
     pub max_points: Option<u64>,
+    /// Cap on the recovery crash points run per outer index, stride-
+    /// sampled from that index's recovery universe. 0 kills no recovery:
+    /// the grid is one single-crash point per outer index.
+    pub recovery_points: u64,
     /// Where failing points dump `FLIGHT_*.jsonl` counterexamples.
     pub dump_dir: Option<PathBuf>,
     /// Run the failover phase mid-universe: after the middle epoch seals,
@@ -102,6 +121,7 @@ impl Default for UniverseConfig {
             files_per_epoch: 3,
             write_kib: 256,
             max_points: None,
+            recovery_points: 0,
             dump_dir: None,
             failover: true,
         }
@@ -130,34 +150,21 @@ impl UniverseConfig {
     }
 
     /// The command line that re-executes exactly one crash point of this
-    /// universe.
-    pub fn replay_command(&self, k: u64) -> String {
+    /// universe: the workload crashed at op `k` and, when `j` is given,
+    /// its first recovery attempt killed at recovery op `j`.
+    pub fn replay_command(&self, k: u64, j: Option<u64>) -> String {
+        let (nested, in_recovery) = match j {
+            Some(j) => ("--nested ", format!(" --crash-in-recovery {j}")),
+            None => ("", String::new()),
+        };
         format!(
-            "nvmecr-crashverse --seed {} --ranks {} --epochs {} --files {} \
-             --write-kib {} --crash-at {} # fingerprint {:#018x}",
+            "nvmecr-crashverse {nested}--seed {} --ranks {} --epochs {} --files {} \
+             --write-kib {} --crash-at {k}{in_recovery} # fingerprint {:#018x}",
             self.seed,
             self.ranks,
             self.epochs,
             self.files_per_epoch,
             self.write_kib,
-            k,
-            self.fingerprint()
-        )
-    }
-
-    /// The command line that re-executes exactly one *nested* crash
-    /// point: outer crash at op `k`, recovery killed at recovery op `j`.
-    pub fn replay_nested_command(&self, k: u64, j: u64) -> String {
-        format!(
-            "nvmecr-crashverse --nested --seed {} --ranks {} --epochs {} --files {} \
-             --write-kib {} --crash-at {} --crash-in-recovery {} # fingerprint {:#018x}",
-            self.seed,
-            self.ranks,
-            self.epochs,
-            self.files_per_epoch,
-            self.write_kib,
-            k,
-            j,
             self.fingerprint()
         )
     }
@@ -200,40 +207,56 @@ impl FailedCall {
     }
 }
 
-/// What the explorer decided about one crash point.
+/// What the runner decided about one crash point `(k, j)`.
 #[derive(Debug, Clone)]
-pub struct PointVerdict {
-    /// The crash index this point armed.
-    pub op_index: u64,
-    /// Did every invariant hold?
-    pub passed: bool,
-    /// Op index at which the crash actually fired (`None` when
-    /// `op_index` lies beyond the universe — a vacuous pass).
-    pub fired: Option<u64>,
-    /// Kind of the op that died (from the flight recorder).
-    pub fired_kind: Option<&'static str>,
+pub struct Verdict {
+    /// Outer crash index `k` (a durability op).
+    pub outer: u64,
+    /// Recovery crash index `j` (a recovery op of the first attempt);
+    /// `None` when recovery runs uninterrupted.
+    pub nested: Option<u64>,
+    /// The durability op the outer crash fired at (`None` when `k` lies
+    /// beyond the universe — a vacuous pass).
+    pub outer_fired: Option<(Site, u64)>,
+    /// The gate's report over recovery: ops counted per site across every
+    /// attempt, and the recovery op the nested crash fired at (`fired` is
+    /// `None` unless `j` lies inside this point's recovery universe).
+    pub recovery: Report,
+    /// Supervisor re-attempts taken.
+    pub restarts: u64,
     /// First invariant violation, when one was found.
     pub violation: Option<String>,
     /// Flight-recorder counterexample dump, when one was written.
     pub dump: Option<PathBuf>,
 }
 
-/// A failing crash point, shrunk to the minimal failing index.
+impl Verdict {
+    /// Did every invariant hold?
+    pub fn passed(&self) -> bool {
+        self.violation.is_none()
+    }
+
+    /// The op this point's own crash killed: the recovery op of a nested
+    /// point, the durability op of a single one.
+    pub fn fired(&self) -> Option<(Site, u64)> {
+        match self.nested {
+            Some(_) => self.recovery.fired,
+            None => self.outer_fired,
+        }
+    }
+}
+
+/// A failing crash point, shrunk to the minimal failing index along its
+/// grid's sampled axis.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Minimal failing op index.
-    pub op_index: u64,
-    /// Kind of the op that died there.
-    pub fired_kind: Option<&'static str>,
-    /// The invariant that broke.
-    pub violation: String,
-    /// `FLIGHT_*.jsonl` counterexample, when `dump_dir` was set.
-    pub dump: Option<PathBuf>,
-    /// Command line pinning (seed, crash index, fingerprint).
+    /// The failing point's verdict (its `violation` is set).
+    pub verdict: Verdict,
+    /// Command line pinning (seed, crash indices, fingerprint).
     pub replay: String,
 }
 
-/// The explorer's summary of one whole universe.
+/// The explorer's summary of one grid.
 #[derive(Debug, Clone)]
 pub struct UniverseReport {
     /// Config fingerprint the verdicts are bound to.
@@ -243,10 +266,21 @@ pub struct UniverseReport {
     /// Ops per site in the counting run, indexed by `chaos::Site as
     /// usize`; the durability sites are the universe.
     pub per_site: [u64; SITES],
-    /// Crash points actually executed (sampling may skip some).
+    /// Ops per site summed over every column head's recovery; the
+    /// recovery sites are the nested universe.
+    pub recovery_per_site: [u64; SITES],
+    /// Outer indices sampled, one column head `(k, None)` each.
+    pub outer_points: u64,
+    /// The grid's own points executed: the heads of a single-crash grid,
+    /// the `(k, j)` points of a nested one.
     pub points_run: u64,
-    /// `(op index, passed)` for every executed point, ascending.
-    pub verdicts: Vec<(u64, bool)>,
+    /// Grid points where both crashes fired (non-vacuous nested mass).
+    pub double_fired: u64,
+    /// Supervisor re-attempts taken across every run (the replay
+    /// re-entries the idempotence argument rests on).
+    pub restarts: u64,
+    /// `(k, j, passed)` for every grid point, in column order.
+    pub verdicts: Vec<(u64, Option<u64>, bool)>,
     /// Failing points, each shrunk to its minimal failing index.
     pub failures: Vec<Failure>,
     /// Extra re-executions spent closing sampled gaps around failures.
@@ -503,104 +537,171 @@ pub fn count_universe(cfg: &UniverseConfig) -> Result<Report, String> {
     let telemetry = Telemetry::new();
     let chaos = ChaosHandle::new();
     let mut stack = build_stack(cfg, &telemetry, &chaos)?;
-    chaos.arm(FaultPlan::new(cfg.seed), &telemetry);
     let mut st = RunState::new(cfg.ranks);
-    let failed = drive(&mut stack, cfg, &mut st);
-    chaos.disarm();
+    let (count, failed) = drive_under(
+        FaultPlan::new(cfg.seed),
+        &mut stack,
+        cfg,
+        &mut st,
+        &chaos,
+        &telemetry,
+    );
     if let Some(f) = failed {
         return Err(format!("clean counting run failed at {f:?}"));
     }
-    Ok(chaos.report())
+    Ok(count)
 }
 
-/// Drive the workload with `crash_at_op(k)` armed. Returns the durability
-/// op the crash fired at (none when `k` lies beyond the universe) and the
-/// first failing call.
-fn crash_drive(
+/// Drive the workload with `plan` armed. Returns the gate's report (the
+/// durability op a crash fired at, if any) and the first failing call.
+fn drive_under(
+    plan: FaultPlan,
     stack: &mut Stack,
     cfg: &UniverseConfig,
     st: &mut RunState,
     chaos: &ChaosHandle,
     telemetry: &Telemetry,
-    k: u64,
-) -> (Option<(chaos::Site, u64)>, Option<FailedCall>) {
-    chaos.arm(FaultPlan::new(cfg.seed).crash_at_op(k), telemetry);
+) -> (Report, Option<FailedCall>) {
+    chaos.arm(plan, telemetry);
     let failed = drive(stack, cfg, st);
     chaos.disarm();
-    (chaos.report().fired, failed)
+    (chaos.report(), failed)
 }
 
-/// Execute one crash point: arm `crash_at_op(k)`, drive until the stack
-/// dies, kill the job, recover, and verify every invariant.
-pub fn run_point(cfg: &UniverseConfig, k: u64) -> PointVerdict {
+/// The supervisor policy every point recovers under: exactly one
+/// re-attempt (a killed first attempt must come back on the second), no
+/// quarantine (a point that cannot come back must fail loudly, not get
+/// parked), and a negligible backoff so grids stay fast.
+fn recovery_policy() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_attempts: 2,
+        base_backoff_ns: 1_000,
+        deadline_ns: 60_000_000_000,
+        quarantine_after: 0,
+    }
+}
+
+/// Recover a crashed job under the supervisor with `plan` armed on the
+/// recovery. Returns the gate's report over recovery and the outcome.
+fn recover_under(
+    plan: FaultPlan,
+    handle: JobHandle,
+    chaos: &ChaosHandle,
+    telemetry: &Telemetry,
+) -> (Report, Result<Supervised, RuntimeError>) {
+    chaos.arm(plan, telemetry);
+    let recovered = RecoverySupervisor::new(recovery_policy()).attach(handle);
+    chaos.disarm();
+    (chaos.report(), recovered)
+}
+
+/// Execute one crash point: crash the workload at durability op `k`,
+/// kill the job, and recover it under the supervisor — with the first
+/// recovery attempt killed at recovery op `j` when `j` is given, with the
+/// recovery plane only counting otherwise. Then verify I1–I4: recovery
+/// after a crashed recovery must be byte-identical to recovery after a
+/// crash, which must be byte-identical to no crash at all.
+pub fn run_point(cfg: &UniverseConfig, k: u64, j: Option<u64>) -> Verdict {
     let telemetry = Telemetry::new();
     let chaos = ChaosHandle::new();
-    // Deliberately no `set_dump_path`: the crash trip would auto-dump a
-    // tape for every point. `dump_tape` writes one only on failure.
-    let dump = cfg
-        .dump_dir
-        .as_ref()
-        .map(|d| d.join(format!("FLIGHT_crashverse_op{k:06}.jsonl")));
-    let mut verdict = PointVerdict {
-        op_index: k,
-        passed: false,
-        fired: None,
-        fired_kind: None,
+    let mut verdict = Verdict {
+        outer: k,
+        nested: j,
+        outer_fired: None,
+        recovery: Report::default(),
+        restarts: 0,
         violation: None,
         dump: None,
     };
-    let mut stack = match build_stack(cfg, &telemetry, &chaos) {
-        Ok(stack) => stack,
-        Err(e) => {
-            verdict.violation = Some(format!("stack build failed: {e}"));
-            return verdict;
-        }
-    };
-    let mut st = RunState::new(cfg.ranks);
-    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
-    let rt = stack.rt;
-    verdict.fired = fired.map(|(_, n)| n);
-    verdict.fired_kind = fired.map(|(site, _)| site.name());
-    if fired.is_none() {
-        if let Some(f) = failed {
-            verdict.violation = Some(format!("workload failed at {f:?} with no crash fired"));
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
-            return verdict;
-        }
-        // `k` lies beyond the end of the universe: nothing to crash.
-        verdict.passed = true;
-        return verdict;
-    }
-    // The universe is dead past op `k`; the driver normally observed an
-    // error, except when the fired op's failure is absorbed (a tail
-    // discard) and no later durability op ran.
-    let handle = rt.crash_job();
-    let mut rt2 = match NvmeCrRuntime::attach(handle) {
-        Ok(rt2) => rt2,
-        Err(e) => {
-            verdict.violation = Some(format!("I1: recovery failed: {e:?}"));
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
-            return verdict;
-        }
-    };
-    match verify(&mut rt2, cfg, &st, failed.as_ref()) {
-        Ok(()) => verdict.passed = true,
-        Err(v) => {
-            verdict.violation = Some(v);
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
-        }
+    if let Err(why) = crash_and_recover(cfg, &telemetry, &chaos, &mut verdict) {
+        verdict.violation = Some(why);
+        verdict.dump = dump_tape(cfg, &telemetry, k, j);
     }
     verdict
 }
 
+/// The body of [`run_point`]: fills in what fired and the restarts taken,
+/// and returns the first violation.
+fn crash_and_recover(
+    cfg: &UniverseConfig,
+    telemetry: &Telemetry,
+    chaos: &ChaosHandle,
+    verdict: &mut Verdict,
+) -> Result<(), String> {
+    let mut stack =
+        build_stack(cfg, telemetry, chaos).map_err(|e| format!("stack build failed: {e}"))?;
+    let mut st = RunState::new(cfg.ranks);
+    let plan = FaultPlan::new(cfg.seed);
+    let (outer, failed) = drive_under(
+        plan.clone().crash_at_op(verdict.outer),
+        &mut stack,
+        cfg,
+        &mut st,
+        chaos,
+        telemetry,
+    );
+    verdict.outer_fired = outer.fired;
+    if outer.fired.is_none() {
+        // `k` lies beyond the end of the universe: nothing to crash.
+        return match failed {
+            Some(f) => Err(format!("workload failed at {f:?} with no crash fired")),
+            None => Ok(()),
+        };
+    }
+    // The universe is dead past op `k`; the driver normally observed an
+    // error, except when the fired op's failure is absorbed (a tail
+    // discard) and no later durability op ran.
+    let plan = match verdict.nested {
+        Some(j) => plan.crash_in_recovery(j),
+        None => plan,
+    };
+    let (recovery, recovered) = recover_under(plan, stack.rt.crash_job(), chaos, telemetry);
+    verdict.recovery = recovery;
+    let supervised = recovered.map_err(|e| {
+        format!(
+            "I1: recovery failed after {} attempt(s): {e:?}",
+            recovery.attempts
+        )
+    })?;
+    verdict.restarts = supervised.outcome().restarts;
+    // The restart rule: a killed first attempt costs exactly one restart,
+    // and a first attempt nothing killed must not fail at all.
+    let want = u64::from(recovery.fired.is_some());
+    if verdict.restarts != want {
+        return Err(format!(
+            "I1: recovery took {} supervisor restart(s), want {want} \
+             (recovery crash fired: {:?})",
+            verdict.restarts, recovery.fired
+        ));
+    }
+    verify(&mut supervised.into_runtime(), cfg, &st, failed.as_ref())
+}
+
 /// Force the counterexample dump out even if the recorder never tripped
-/// (e.g. an invariant violation found only at verification time). Nested
-/// points dump with cause `RecoveryCrashPoint` so the doctor attributes
-/// them to the recovery plane.
-fn dump_tape(telemetry: &Telemetry, dump: &Option<PathBuf>, cause: FlightKind) -> Option<PathBuf> {
-    let path = dump.as_ref()?;
-    telemetry.recorder().dump_to(path, cause).ok()?;
-    Some(path.clone())
+/// (e.g. an invariant violation found only at verification time). The
+/// file name and cause follow from the point: a nested point dumps with
+/// cause `RecoveryCrashPoint` so the doctor attributes it to the recovery
+/// plane. Deliberately no `set_dump_path`: the crash trip would then
+/// auto-dump a tape for every point.
+fn dump_tape(
+    cfg: &UniverseConfig,
+    telemetry: &Telemetry,
+    k: u64,
+    j: Option<u64>,
+) -> Option<PathBuf> {
+    let (name, cause) = match j {
+        None => (
+            format!("FLIGHT_crashverse_op{k:06}.jsonl"),
+            FlightKind::CrashPoint,
+        ),
+        Some(j) => (
+            format!("FLIGHT_crashverse_op{k:06}_rec{j:04}.jsonl"),
+            FlightKind::RecoveryCrashPoint,
+        ),
+    };
+    let path = cfg.dump_dir.as_ref()?.join(name);
+    telemetry.recorder().dump_to(&path, cause).ok()?;
+    Some(path)
 }
 
 /// Check every recovery invariant against the oracle. Returns the first
@@ -688,17 +789,17 @@ fn verify(
     }
     // I2 (absence): a failing create leaves at most an empty file, and
     // every acknowledged unlink must stay unlinked.
-    if let Some(f) = failed {
-        if f.what == "create" {
-            let path = f.path.as_deref().expect("create names a path");
-            let fs = rt.rank_fs(f.rank).map_err(|e| format!("I2: {e:?}"))?;
-            if let Ok(s) = fs.stat(path) {
-                if s.size != 0 {
-                    return Err(format!(
-                        "I2: rank {} {path} has {} bytes although its create crashed",
-                        f.rank, s.size
-                    ));
-                }
+    if let Some(f) = failed.filter(|f| f.what == "create") {
+        let Some(path) = f.path.as_deref() else {
+            return Err(format!("I2: rank {} failing create names no path", f.rank));
+        };
+        let fs = rt.rank_fs(f.rank).map_err(|e| format!("I2: {e:?}"))?;
+        if let Ok(s) = fs.stat(path) {
+            if s.size != 0 {
+                return Err(format!(
+                    "I2: rank {} {path} has {} bytes although its create crashed",
+                    f.rank, s.size
+                ));
             }
         }
     }
@@ -776,342 +877,112 @@ fn fan_out<T: Sync, R: Send>(
         .collect()
 }
 
-/// Enumerate the universe and execute every crash point (stride-sampled
-/// down to `max_points` if the universe is larger), shrinking each
-/// failure to its minimal failing index. `telemetry` receives the
-/// `crashverse.points` / `crashverse.failures` / `crashverse.shrink_steps`
-/// counters.
+/// The indices `0..total` stride-sampled down to at most `cap` (0: all).
+fn sample(total: u64, cap: u64) -> impl Iterator<Item = u64> {
+    let stride = if cap == 0 {
+        1
+    } else {
+        total.div_ceil(cap).max(1)
+    };
+    (0..total).step_by(stride as usize)
+}
+
+/// One column of the grid: the head `(k, None)`, then — when the grid is
+/// nested — up to `recovery_points` points `(k, j)` stride-sampled from
+/// the head's recovery census, run serially in ascending `j`.
+fn run_column(cfg: &UniverseConfig, k: u64) -> Vec<Verdict> {
+    let head = run_point(cfg, k, None);
+    let m = match head.outer_fired {
+        Some(_) if cfg.recovery_points > 0 => head.recovery.total(Plane::Recovery),
+        _ => 0,
+    };
+    let nested = sample(m, cfg.recovery_points).map(|j| run_point(cfg, k, Some(j)));
+    std::iter::once(head).chain(nested).collect()
+}
+
+/// Enumerate the universe and run the grid: one column per outer index
+/// (stride-sampled down to `max_points`), each headed by its single-crash
+/// point and, when `recovery_points > 0`, followed by its recovery crash
+/// points. Each failure is shrunk to its minimal failing index along its
+/// sampled axis. `telemetry` receives the `crashverse.points` /
+/// `crashverse.failures` / `crashverse.restarts` /
+/// `crashverse.shrink_steps` counters.
 pub fn explore(cfg: &UniverseConfig, telemetry: &Telemetry) -> Result<UniverseReport, String> {
     let count = count_universe(cfg)?;
     let total = count.total(Plane::Durability);
-    let stride = match cfg.max_points {
-        Some(m) if m > 0 && total > m => total.div_ceil(m),
-        _ => 1,
-    };
+    let outer: Vec<u64> = sample(total, cfg.max_points.unwrap_or(0)).collect();
+    let nested_grid = cfg.recovery_points > 0;
     let points_counter = telemetry.counter("crashverse.points");
     let failures_counter = telemetry.counter("crashverse.failures");
+    let restarts_counter = telemetry.counter("crashverse.restarts");
     let shrink_counter = telemetry.counter("crashverse.shrink_steps");
     let mut report = UniverseReport {
         fingerprint: cfg.fingerprint(),
         total_ops: total,
         per_site: count.per_site,
+        recovery_per_site: [0; SITES],
+        outer_points: outer.len() as u64,
         points_run: 0,
+        double_fired: 0,
+        restarts: 0,
         verdicts: Vec::new(),
         failures: Vec::new(),
         shrink_steps: 0,
     };
-    // Points are fully independent — each builds its own stack from
-    // scratch — so the scan fans out across threads. Verdicts are
-    // per-point deterministic, and the report is assembled in ascending
-    // index order, so parallel execution changes nothing observable.
-    let indices: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    let points = fan_out(&indices, telemetry, |&k| run_point(cfg, k));
-    for (i, v) in points.iter().enumerate() {
-        report.points_run += 1;
-        points_counter.inc();
-        report.verdicts.push((v.op_index, v.passed));
-        if v.passed || report.failures.len() >= MAX_FAILURES {
-            continue;
-        }
-        // Minimal failing index: every sampled point below passed, so
-        // only the gap since the previous sample needs scanning —
-        // ascending, stopping at the first failure.
-        let mut min = v.clone();
-        let gap_lo = if i == 0 { 0 } else { indices[i - 1] + 1 };
-        for j in gap_lo..min.op_index {
-            report.shrink_steps += 1;
-            shrink_counter.inc();
-            let vj = run_point(cfg, j);
-            if !vj.passed {
-                min = vj;
-                break;
+    // Columns are fully independent — each run builds its own stack from
+    // scratch — so they fan out across threads. Verdicts are per-point
+    // deterministic and the report is assembled in column order, so
+    // parallel execution changes nothing observable.
+    let columns = fan_out(&outer, telemetry, |&k| run_column(cfg, k));
+    // First unsampled index on each axis since the previous sample.
+    let mut k_lo = 0;
+    for column in columns {
+        let mut j_lo = 0;
+        for v in column {
+            if v.nested.is_none() {
+                for (dst, n) in report.recovery_per_site.iter_mut().zip(v.recovery.per_site) {
+                    *dst += n;
+                }
             }
-        }
-        failures_counter.inc();
-        report.failures.push(Failure {
-            op_index: min.op_index,
-            fired_kind: min.fired_kind,
-            violation: min
-                .violation
-                .unwrap_or_else(|| "invariant violation".to_string()),
-            dump: min.dump,
-            replay: cfg.replay_command(min.op_index),
-        });
-    }
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------
-// Nested exploration: crash the recovery of a crashed universe
-// ---------------------------------------------------------------------
-
-/// The supervisor policy nested points recover under: exactly one
-/// re-attempt (the ISSUE's contract — *every* nested point must recover
-/// on the second attempt), no quarantine (a point that cannot come back
-/// must fail loudly, not get parked), and a negligible backoff so grids
-/// stay fast.
-fn nested_policy() -> RecoveryPolicy {
-    RecoveryPolicy {
-        max_attempts: 2,
-        base_backoff_ns: 1_000,
-        deadline_ns: 60_000_000_000,
-        quarantine_after: 0,
-    }
-}
-
-/// What the explorer decided about one nested crash point `(k, j)`.
-#[derive(Debug, Clone)]
-pub struct NestedVerdict {
-    /// Outer crash index `k` (a durability op).
-    pub outer: u64,
-    /// Nested crash index `j` (a recovery op inside the first attempt).
-    pub nested: u64,
-    /// Did every invariant hold?
-    pub passed: bool,
-    /// Outer index at which the crash actually fired.
-    pub outer_fired: Option<u64>,
-    /// Nested index at which recovery was killed (`None` when `j` lies
-    /// beyond that universe's recovery op count — a vacuous pass).
-    pub nested_fired: Option<u64>,
-    /// Kind of the recovery op that died.
-    pub nested_kind: Option<&'static str>,
-    /// Supervisor re-attempts taken (1 whenever the nested crash fired).
-    pub restarts: u64,
-    /// First invariant violation, when one was found.
-    pub violation: Option<String>,
-    /// Flight-recorder counterexample dump, when one was written.
-    pub dump: Option<PathBuf>,
-}
-
-/// A failing nested point.
-#[derive(Debug, Clone)]
-pub struct NestedFailure {
-    /// Outer crash index.
-    pub outer: u64,
-    /// Nested crash index.
-    pub nested: u64,
-    /// Kind of the recovery op that died there.
-    pub nested_kind: Option<&'static str>,
-    /// The invariant that broke.
-    pub violation: String,
-    /// `FLIGHT_*.jsonl` counterexample, when `dump_dir` was set.
-    pub dump: Option<PathBuf>,
-    /// Command line pinning (seed, both crash indices, fingerprint).
-    pub replay: String,
-}
-
-/// The explorer's summary of one nested `(k, j)` grid.
-#[derive(Debug, Clone)]
-pub struct NestedReport {
-    /// Config fingerprint the verdicts are bound to.
-    pub fingerprint: u64,
-    /// Size of the outer crash universe.
-    pub outer_total: u64,
-    /// Outer indices sampled into the grid.
-    pub outer_points: u64,
-    /// Nested points executed across all sampled outer indices.
-    pub points_run: u64,
-    /// Points where both crashes actually fired (non-vacuous grid mass).
-    pub double_fired: u64,
-    /// Ops seen per site across all recovery counting runs, indexed by
-    /// `chaos::Site as usize` — the recovery sites prove the nested grid
-    /// reaches every one of them.
-    pub per_site: [u64; SITES],
-    /// Supervisor re-attempts taken across the grid (the replay
-    /// re-entries the idempotence argument rests on).
-    pub restarts: u64,
-    /// `(outer, nested, passed)` for every executed point.
-    pub verdicts: Vec<(u64, u64, bool)>,
-    /// Failing points.
-    pub failures: Vec<NestedFailure>,
-}
-
-/// Size one outer point's *recovery* universe: run the workload to crash
-/// index `k`, kill the job, and recover it under the supervisor with the
-/// gate counting. Returns the outer fire index (None when `k` lies
-/// beyond the universe) and the recovery's op census.
-pub fn count_recovery_universe(
-    cfg: &UniverseConfig,
-    k: u64,
-) -> Result<(Option<u64>, Report), String> {
-    let telemetry = Telemetry::new();
-    let chaos = ChaosHandle::new();
-    let mut stack = build_stack(cfg, &telemetry, &chaos)?;
-    let mut st = RunState::new(cfg.ranks);
-    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
-    let Some((_, outer)) = fired else {
-        if let Some(f) = failed {
-            return Err(format!("workload failed at {f:?} with no crash fired"));
-        }
-        return Ok((None, Report::default()));
-    };
-    let handle = stack.rt.crash_job();
-    chaos.arm(FaultPlan::new(cfg.seed), &telemetry);
-    let recovered = RecoverySupervisor::new(nested_policy()).attach(handle);
-    chaos.disarm();
-    recovered.map_err(|e| format!("counting recovery of outer {k} failed: {e:?}"))?;
-    Ok((Some(outer), chaos.report()))
-}
-
-/// Execute one nested crash point: crash the workload at durability op
-/// `k`, then kill the *first recovery attempt* at recovery op `j`. The
-/// supervisor's second attempt must fully recover the job: all four
-/// outer invariants I1–I4 verified against the same oracle — recovery
-/// after a crashed recovery must be byte-identical to recovery after a
-/// crash, which the outer plane already proved byte-identical to no
-/// crash at all.
-pub fn run_nested_point(cfg: &UniverseConfig, k: u64, j: u64) -> NestedVerdict {
-    let telemetry = Telemetry::new();
-    let chaos = ChaosHandle::new();
-    let dump = cfg
-        .dump_dir
-        .as_ref()
-        .map(|d| d.join(format!("FLIGHT_crashverse_op{k:06}_rec{j:04}.jsonl")));
-    let mut verdict = NestedVerdict {
-        outer: k,
-        nested: j,
-        passed: false,
-        outer_fired: None,
-        nested_fired: None,
-        nested_kind: None,
-        restarts: 0,
-        violation: None,
-        dump: None,
-    };
-    let mut stack = match build_stack(cfg, &telemetry, &chaos) {
-        Ok(stack) => stack,
-        Err(e) => {
-            verdict.violation = Some(format!("stack build failed: {e}"));
-            return verdict;
-        }
-    };
-    let mut st = RunState::new(cfg.ranks);
-    let (fired, failed) = crash_drive(&mut stack, cfg, &mut st, &chaos, &telemetry, k);
-    verdict.outer_fired = fired.map(|(_, n)| n);
-    if fired.is_none() {
-        if let Some(f) = failed {
-            verdict.violation = Some(format!("workload failed at {f:?} with no crash fired"));
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::CrashPoint);
-            return verdict;
-        }
-        verdict.passed = true;
-        return verdict;
-    }
-    let handle = stack.rt.crash_job();
-    chaos.arm(FaultPlan::new(cfg.seed).crash_in_recovery(j), &telemetry);
-    let recovered = RecoverySupervisor::new(nested_policy()).attach(handle);
-    chaos.disarm();
-    let nested = chaos.report().fired;
-    verdict.nested_fired = nested.map(|(_, n)| n);
-    verdict.nested_kind = nested.map(|(site, _)| site.name());
-    let supervised = match recovered {
-        Ok(s) => s,
-        Err(e) => {
-            verdict.violation = Some(format!(
-                "I1: second recovery attempt failed after nested crash: {e:?}"
-            ));
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
-            return verdict;
-        }
-    };
-    verdict.restarts = supervised.outcome().restarts;
-    if nested.is_some() && verdict.restarts == 0 {
-        verdict.violation = Some(
-            "nested crash fired but the supervisor recorded no restart — \
-             the kill was absorbed without a re-attempt"
-                .to_string(),
-        );
-        verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
-        return verdict;
-    }
-    let mut rt2 = supervised.into_runtime();
-    match verify(&mut rt2, cfg, &st, failed.as_ref()) {
-        Ok(()) => verdict.passed = true,
-        Err(v) => {
-            verdict.violation = Some(v);
-            verdict.dump = dump_tape(&telemetry, &dump, FlightKind::RecoveryCrashPoint);
-        }
-    }
-    verdict
-}
-
-/// Explore a sampled `(k, j)` grid: `outer_points` outer crash indices
-/// stride-sampled from the universe, and for each the recovery universe
-/// is sized and up to `nested_per_outer` nested indices stride-sampled
-/// from it. Counters: `crashverse.nested_points`,
-/// `crashverse.nested_failures`, `crashverse.nested_restarts`.
-pub fn explore_nested(
-    cfg: &UniverseConfig,
-    outer_points: u64,
-    nested_per_outer: u64,
-    telemetry: &Telemetry,
-) -> Result<NestedReport, String> {
-    let count = count_universe(cfg)?;
-    let total = count.total(Plane::Durability);
-    let stride = total.div_ceil(outer_points.max(1)).max(1);
-    let outer_ks: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    let points_counter = telemetry.counter("crashverse.nested_points");
-    let failures_counter = telemetry.counter("crashverse.nested_failures");
-    let restarts_counter = telemetry.counter("crashverse.nested_restarts");
-    let mut report = NestedReport {
-        fingerprint: cfg.fingerprint(),
-        outer_total: total,
-        outer_points: outer_ks.len() as u64,
-        points_run: 0,
-        double_fired: 0,
-        per_site: [0; SITES],
-        restarts: 0,
-        verdicts: Vec::new(),
-        failures: Vec::new(),
-    };
-    // Outer points are independent (each nested run rebuilds the whole
-    // stack), so the grid fans out across threads per outer index; each
-    // inner scan stays serial for the deterministic nested op order.
-    type Column = (Option<String>, Report, Vec<NestedVerdict>);
-    let columns: Vec<Column> = fan_out(&outer_ks, telemetry, |&k| {
-        match count_recovery_universe(cfg, k) {
-            Err(e) => (Some(e), Report::default(), Vec::new()),
-            Ok((None, _)) => (None, Report::default(), Vec::new()),
-            Ok((Some(_), rec)) => {
-                let m = rec.total(Plane::Recovery);
-                let jstride = m.div_ceil(nested_per_outer.max(1)).max(1);
-                let verdicts = (0..m)
-                    .step_by(jstride as usize)
-                    .map(|j| run_nested_point(cfg, k, j))
-                    .collect();
-                (None, rec, verdicts)
-            }
-        }
-    });
-    for (i, (err, census, verdicts)) in columns.into_iter().enumerate() {
-        if let Some(e) = err {
-            return Err(format!("outer {} column failed: {e}", outer_ks[i]));
-        }
-        for (dst, n) in report.per_site.iter_mut().zip(census.per_site) {
-            *dst += n;
-        }
-        for v in verdicts {
-            report.points_run += 1;
-            points_counter.inc();
             report.restarts += v.restarts;
             restarts_counter.add(v.restarts);
-            if v.outer_fired.is_some() && v.nested_fired.is_some() {
-                report.double_fired += 1;
+            if v.nested.is_some() == nested_grid {
+                report.points_run += 1;
+                points_counter.inc();
+                // Recovery runs only after the outer crash fired.
+                report.double_fired += u64::from(v.recovery.fired.is_some());
+                report.verdicts.push((v.outer, v.nested, v.passed()));
             }
-            report.verdicts.push((v.outer, v.nested, v.passed));
-            if !v.passed && report.failures.len() < MAX_FAILURES {
-                failures_counter.inc();
-                report.failures.push(NestedFailure {
-                    outer: v.outer,
-                    nested: v.nested,
-                    nested_kind: v.nested_kind,
-                    violation: v
-                        .violation
-                        .unwrap_or_else(|| "invariant violation".to_string()),
-                    dump: v.dump,
-                    replay: cfg.replay_nested_command(v.outer, v.nested),
-                });
+            let (lo, at) = match v.nested {
+                Some(j) => (&mut j_lo, j),
+                None => (&mut k_lo, v.outer),
+            };
+            let gap = *lo..at;
+            *lo = at + 1;
+            if v.passed() || report.failures.len() >= MAX_FAILURES {
+                continue;
             }
+            // Minimal failing index: every sample below on this axis
+            // passed, so only the gap since the previous one needs
+            // scanning — ascending, stopping at the first failure.
+            let mut min = v;
+            for a in gap {
+                report.shrink_steps += 1;
+                shrink_counter.inc();
+                let va = match min.nested {
+                    Some(_) => run_point(cfg, min.outer, Some(a)),
+                    None => run_point(cfg, a, None),
+                };
+                if !va.passed() {
+                    min = va;
+                    break;
+                }
+            }
+            failures_counter.inc();
+            report.failures.push(Failure {
+                replay: cfg.replay_command(min.outer, min.nested),
+                verdict: min,
+            });
         }
     }
     Ok(report)
@@ -1225,7 +1096,6 @@ pub fn quarantine_cycle(cfg: &UniverseConfig) -> Result<QuarantineCycle, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaos::Site;
     use std::sync::OnceLock;
 
     /// Smallest universe that still contains every op kind: one epoch,
@@ -1246,6 +1116,11 @@ mod tests {
                 .expect("clean counting run")
                 .total(Plane::Durability)
         })
+    }
+
+    /// The op index a point's crash fired at, whatever its site.
+    fn at(fired: Option<(Site, u64)>) -> Option<u64> {
+        fired.map(|(_, n)| n)
     }
 
     #[test]
@@ -1288,25 +1163,33 @@ mod tests {
         assert_eq!(a.shrink_steps, 0);
         assert_eq!(t.snapshot().counter("crashverse.failures"), 0);
         assert!(t.snapshot().counter("crashverse.points") >= 20);
+        // A single-crash grid: its points are its column heads, none of
+        // which kills a recovery, so none takes a restart.
+        assert_eq!(a.outer_points, a.points_run);
+        assert_eq!((a.double_fired, a.restarts), (0, 0));
     }
 
     #[test]
     fn point_beyond_universe_passes_vacuously() {
-        let v = run_point(&tiny(), tiny_total() + 100);
-        assert!(v.passed, "vacuous point failed: {:?}", v.violation);
-        assert_eq!(v.fired, None);
+        let v = run_point(&tiny(), tiny_total() + 100, None);
+        assert!(v.passed(), "vacuous point failed: {:?}", v.violation);
+        assert_eq!(v.outer_fired, None);
     }
 
     #[test]
     fn first_and_last_points_hold_invariants() {
         for k in [0, tiny_total() - 1] {
-            let v = run_point(&tiny(), k);
+            let v = run_point(&tiny(), k, None);
             assert!(
-                v.passed,
+                v.passed(),
                 "crash at op {k} violated invariants: {:?}",
                 v.violation
             );
-            assert_eq!(v.fired, Some(k), "crash must fire at the armed index");
+            assert_eq!(
+                at(v.outer_fired),
+                Some(k),
+                "crash must fire at the armed index"
+            );
         }
     }
 
@@ -1315,8 +1198,14 @@ mod tests {
         // Crashing the very first durability op still leaves a full
         // recovery to count: mount (snapshot + log scan + replay),
         // manifest scan, and the replicated mirror rescan.
-        let (outer, rec) = count_recovery_universe(&tiny(), 0).expect("count at k=0");
-        assert_eq!(outer, Some(0), "outer crash must fire at the armed index");
+        let head = run_point(&tiny(), 0, None);
+        assert!(head.passed(), "head at k=0 failed: {:?}", head.violation);
+        assert_eq!(
+            at(head.outer_fired),
+            Some(0),
+            "outer crash must fire at the armed index"
+        );
+        let rec = head.recovery;
         let total = rec.total(Plane::Recovery);
         assert!(total >= 4, "nested universe too small: {total}");
         for site in [
@@ -1329,28 +1218,34 @@ mod tests {
         }
         // A late crash leaves committed records in the log, so the
         // mount's replay plane is part of the nested universe too.
-        let (outer, late) =
-            count_recovery_universe(&tiny(), tiny_total() - 1).expect("count at last k");
-        assert!(outer.is_some());
+        let late = run_point(&tiny(), tiny_total() - 1, None);
+        assert!(late.passed(), "head at last k failed: {:?}", late.violation);
+        assert!(late.outer_fired.is_some());
         assert!(
-            late.count(Site::ReplayApply) > 0,
+            late.recovery.count(Site::ReplayApply) > 0,
             "late-point recovery replayed nothing"
         );
         assert!(
-            late.total(Plane::Recovery) > total,
+            late.recovery.total(Plane::Recovery) > total,
             "later crash must mean more replay"
         );
     }
 
     #[test]
     fn nested_tiny_grid_recovers_every_point() {
+        let cfg = UniverseConfig {
+            max_points: Some(4),
+            recovery_points: 4,
+            ..tiny()
+        };
         let t = Telemetry::new();
-        let report = explore_nested(&tiny(), 4, 4, &t).expect("nested grid");
+        let report = explore(&cfg, &t).expect("nested grid");
         assert!(
             report.failures.is_empty(),
             "nested universe has violations: {:?}",
             report.failures
         );
+        assert_eq!(report.outer_points, 4);
         assert!(report.points_run >= 8, "grid too sparse: {report:?}");
         assert!(
             report.double_fired >= 8,
@@ -1361,9 +1256,47 @@ mod tests {
             report.restarts, report.double_fired,
             "every double-fire costs exactly one supervisor restart"
         );
+        assert!(
+            report.verdicts.iter().all(|&(_, j, _)| j.is_some()),
+            "a nested grid's points are its (k, j) points"
+        );
         let snap = t.snapshot();
-        assert_eq!(snap.counter("crashverse.nested_failures"), 0);
-        assert_eq!(snap.counter("crashverse.nested_points"), report.points_run);
+        assert_eq!(snap.counter("crashverse.failures"), 0);
+        assert_eq!(snap.counter("crashverse.points"), report.points_run);
+        assert_eq!(snap.counter("crashverse.restarts"), report.restarts);
+    }
+
+    #[test]
+    fn past_the_recovery_universe_is_the_single_point() {
+        // A recovery crash index past the recovery's last op never fires:
+        // the point is the single crash `(k, None)`, restart rule and all.
+        for k in [0, tiny_total() / 2, tiny_total() - 1] {
+            let single = run_point(&tiny(), k, None);
+            let m = single.recovery.total(Plane::Recovery);
+            let v = run_point(&tiny(), k, Some(m + 3));
+            assert_eq!(v.passed(), single.passed(), "k={k}: {:?}", v.violation);
+            assert_eq!(v.outer_fired, single.outer_fired, "k={k}");
+            assert_eq!(v.recovery.fired, None, "k={k}: recovery crash fired");
+            assert_eq!(v.restarts, 0, "k={k}");
+        }
+    }
+
+    #[test]
+    fn replay_lines_keep_both_formats() {
+        let cfg = tiny();
+        let fp = format!("# fingerprint {:#018x}", cfg.fingerprint());
+        let single = cfg.replay_command(7, None);
+        assert!(single.starts_with("nvmecr-crashverse --seed "), "{single}");
+        assert!(single.ends_with(&format!("--crash-at 7 {fp}")), "{single}");
+        let nested = cfg.replay_command(7, Some(3));
+        assert!(
+            nested.starts_with("nvmecr-crashverse --nested --seed "),
+            "{nested}"
+        );
+        assert!(
+            nested.ends_with(&format!("--crash-at 7 --crash-in-recovery 3 {fp}")),
+            "{nested}"
+        );
     }
 
     #[test]
@@ -1385,14 +1318,23 @@ mod tests {
         let chaos = ChaosHandle::new();
         let mut stack = build_stack(&cfg, &telemetry, &chaos).expect("stack");
         let mut st = RunState::new(cfg.ranks);
-        let (fired, failed) = crash_drive(&mut stack, &cfg, &mut st, &chaos, &telemetry, k);
-        assert!(fired.is_some(), "mid-universe point must fire");
-        let handle = stack.rt.crash_job();
-        chaos.arm(FaultPlan::new(cfg.seed).crash_in_recovery(0), &telemetry);
-        let supervised = RecoverySupervisor::new(nested_policy())
-            .attach(handle)
-            .expect("supervised recovery after nested crash");
-        chaos.disarm();
+        let plan = FaultPlan::new(cfg.seed);
+        let (outer, failed) = drive_under(
+            plan.clone().crash_at_op(k),
+            &mut stack,
+            &cfg,
+            &mut st,
+            &chaos,
+            &telemetry,
+        );
+        assert!(outer.fired.is_some(), "mid-universe point must fire");
+        let (_, recovered) = recover_under(
+            plan.crash_in_recovery(0),
+            stack.rt.crash_job(),
+            &chaos,
+            &telemetry,
+        );
+        let supervised = recovered.expect("supervised recovery after nested crash");
         assert!(
             supervised.outcome().restarts >= 1,
             "nested kill not absorbed"
@@ -1405,8 +1347,10 @@ mod tests {
             st.sealed[rank] += 1;
             st.started[rank] += 1;
         }
-        let handle2 = rt.crash_job();
-        let mut rt2 = NvmeCrRuntime::attach(handle2).expect("second mount");
+        let mut rt2 = RecoverySupervisor::default()
+            .attach(rt.crash_job())
+            .expect("second mount")
+            .into_runtime();
         verify(&mut rt2, &cfg, &st, failed.as_ref()).expect("double mount changed visible bytes");
     }
 
@@ -1421,9 +1365,9 @@ mod tests {
             #[test]
             fn random_crash_indices_recover(raw in 0u64..u64::MAX) {
                 let k = raw % tiny_total();
-                let v = run_point(&tiny(), k);
+                let v = run_point(&tiny(), k, None);
                 prop_assert!(
-                    v.passed,
+                    v.passed(),
                     "crash at op {} violated invariants: {:?}",
                     k,
                     v.violation
@@ -1440,22 +1384,24 @@ mod tests {
             #[test]
             fn random_nested_pairs_recover(kr in 0u64..u64::MAX, jr in 0u64..u64::MAX) {
                 let k = kr % tiny_total();
-                let (outer, rec) = count_recovery_universe(&tiny(), k)
-                    .map_err(TestCaseError::fail)?;
-                prop_assert_eq!(outer, Some(k));
-                let m = rec.total(Plane::Recovery);
+                let head = run_point(&tiny(), k, None);
+                prop_assert!(head.passed(), "head ({}, None): {:?}", k, head.violation);
+                prop_assert_eq!(at(head.outer_fired), Some(k));
+                let m = head.recovery.total(Plane::Recovery);
                 prop_assert!(m > 0, "empty recovery universe at k={}", k);
                 let j = jr % m;
-                let v = run_nested_point(&tiny(), k, j);
+                let v = run_point(&tiny(), k, Some(j));
                 prop_assert!(
-                    v.passed,
+                    v.passed(),
                     "nested crash ({}, {}) violated invariants: {:?}",
                     k,
                     j,
                     v.violation
                 );
-                prop_assert_eq!(v.nested_fired, Some(j));
+                prop_assert_eq!(at(v.recovery.fired), Some(j));
+                prop_assert_eq!(at(v.fired()), Some(j));
                 prop_assert!(v.restarts >= 1);
+                prop_assert_eq!(v.restarts, 1);
             }
         }
     }

@@ -89,9 +89,14 @@ impl BTree {
         Some(old)
     }
 
+    /// All `(key, value)` pairs in key order, keys borrowed.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.map.iter().map(|(k, v)| (&**k, *v))
+    }
+
     /// All `(key, value)` pairs in key order.
     pub fn entries(&self) -> Vec<(String, u64)> {
-        self.map.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        self.iter().map(|(k, v)| (k.to_string(), v)).collect()
     }
 
     /// Pairs whose key starts with `prefix`, in key order: keys with a

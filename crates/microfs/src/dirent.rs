@@ -8,6 +8,8 @@
 //! one hugeblock-resident append — which is why create throughput is
 //! "limited only by hardware bandwidth and not software latency".
 
+use std::collections::HashMap;
+
 use crate::error::FsError;
 use crate::inode::Ino;
 use crate::wire::Reader;
@@ -59,8 +61,9 @@ impl<N: AsRef<str>> Dirent<N> {
     }
 }
 
-impl Dirent {
-    /// Parse one record at the reader's position, advancing it.
+impl<'a> Dirent<&'a str> {
+    /// Parse one record at the reader's position, advancing it; the name
+    /// borrows the reader's bytes.
     #[deny(
         clippy::indexing_slicing,
         clippy::arithmetic_side_effects,
@@ -68,9 +71,9 @@ impl Dirent {
         clippy::expect_used,
         clippy::panic
     )]
-    pub fn decode(r: &mut Reader) -> Result<Dirent, FsError> {
+    pub fn decode_borrowed(r: &mut Reader<'a>) -> Result<Self, FsError> {
         let (tag, nlen) = (r.u8()?, r.u16()?);
-        let name = r.utf8(nlen.into())?.to_string();
+        let name = r.utf8(nlen.into())?;
         match tag {
             1 => Ok(Dirent::Add {
                 name,
@@ -80,21 +83,48 @@ impl Dirent {
             t => Err(FsError::Io(format!("bad dirent tag {t}"))),
         }
     }
+}
 
-    /// Replay a record stream of `len` bytes into the live entry map.
+impl Dirent {
+    /// Parse one record at the reader's position, advancing it.
+    pub fn decode(r: &mut Reader) -> Result<Dirent, FsError> {
+        Ok(match Dirent::decode_borrowed(r)? {
+            Dirent::Add { name, ino } => Dirent::Add {
+                name: name.to_string(),
+                ino,
+            },
+            Dirent::Remove { name } => Dirent::Remove {
+                name: name.to_string(),
+            },
+        })
+    }
+
+    /// Replay a record stream of `len` bytes into the live entries, in the
+    /// order of each name's last add. Each add takes the next slot, and a
+    /// later add or remove of the same name empties its earlier slot: one
+    /// map probe per record, and only the surviving names are copied out.
+    #[deny(clippy::indexing_slicing)]
     pub fn replay_stream(bytes: &[u8], len: usize) -> Result<Vec<(String, Ino)>, FsError> {
         let mut r = Reader::new(bytes.get(..len).unwrap_or(bytes));
-        let mut live: Vec<(String, Ino)> = Vec::new();
+        let mut adds: Vec<Option<(&str, Ino)>> = Vec::new();
+        let mut last_add: HashMap<&str, usize> = HashMap::new();
         while r.position() < len {
-            match Dirent::decode(&mut r)? {
+            let earlier = match Dirent::decode_borrowed(&mut r)? {
                 Dirent::Add { name, ino } => {
-                    live.retain(|(n, _)| *n != name);
-                    live.push((name, ino));
+                    adds.push(Some((name, ino)));
+                    last_add.insert(name, adds.len() - 1)
                 }
-                Dirent::Remove { name } => live.retain(|(n, _)| *n != name),
+                Dirent::Remove { name } => last_add.remove(name),
+            };
+            if let Some(slot) = earlier.and_then(|at| adds.get_mut(at)) {
+                *slot = None;
             }
         }
-        Ok(live)
+        Ok(adds
+            .into_iter()
+            .flatten()
+            .map(|(name, ino)| (name.to_string(), ino))
+            .collect())
     }
 }
 

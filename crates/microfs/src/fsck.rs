@@ -15,7 +15,7 @@
 //! The checker is how the test suite proves that crash schedules can't
 //! corrupt a partition silently — after any recovery, `fsck` must be clean.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::block::BlockDevice;
 use crate::dirent::Dirent;
@@ -169,72 +169,86 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
         });
     }
     // --- Namespace ---
-    let live_inos: BTreeSet<u64> = live.iter().map(|(i, _)| *i).collect();
-    let entries = state.btree.entries();
-    let path_set: BTreeSet<&str> = entries.iter().map(|(p, _)| p.as_str()).collect();
-    let mut reachable: BTreeSet<u64> = BTreeSet::new();
-    for (path, ino) in &entries {
-        if !live_inos.contains(ino) {
-            issues.push(FsckIssue::DanglingPath { path: path.clone() });
-            continue;
+    // One walk of the name index, in key order. Each lookup is a map
+    // probe (the index by path, the inode table by number), and each path
+    // is grouped under its parent's prefix (`/` or `dir/`); keys under
+    // one prefix sort by their last name, so every group is in name order.
+    let mut reachable = vec![false; live.last().map_or(0, |&(ino, _)| ino as usize + 1)];
+    let mut children: HashMap<&str, Vec<(&str, u64)>> = HashMap::new();
+    let mut dirs = Vec::new();
+    // The last parent looked up and whether it is a directory: siblings
+    // are adjacent in key order, so most paths reuse it.
+    let mut last_parent: Option<(&str, bool)> = None;
+    for (path, ino) in state.btree.iter() {
+        if let Some(slash) = path.rfind('/') {
+            let (prefix, name) = path.split_at(slash + 1);
+            if !name.is_empty() {
+                children.entry(prefix).or_default().push((name, ino));
+            }
         }
-        reachable.insert(*ino);
+        let Ok(node) = state.inodes.get(ino) else {
+            issues.push(FsckIssue::DanglingPath {
+                path: path.to_string(),
+            });
+            continue;
+        };
+        if let Some(seen) = reachable.get_mut(ino as usize) {
+            *seen = true;
+        }
+        if node.kind == InodeKind::Dir {
+            dirs.push((path, node));
+        }
         if path != "/" {
             let parent = split_path(path).map_or("", |(parent, _)| parent);
-            let parent_ok = path_set.contains(parent)
-                && entries
-                    .iter()
-                    .find(|(p, _)| p == parent)
-                    .map(|(_, pi)| {
-                        live.iter()
-                            .find(|(i, _)| i == pi)
-                            .map(|(_, n)| n.kind == InodeKind::Dir)
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or(false);
-            if !parent_ok {
-                issues.push(FsckIssue::BadParent { path: path.clone() });
+            let parent_is_dir = match last_parent {
+                Some((last, is_dir)) if last == parent => is_dir,
+                _ => {
+                    let is_dir = state.btree.get(parent).is_some_and(|pi| {
+                        state.inodes.get(pi).is_ok_and(|p| p.kind == InodeKind::Dir)
+                    });
+                    last_parent = Some((parent, is_dir));
+                    is_dir
+                }
+            };
+            if !parent_is_dir {
+                issues.push(FsckIssue::BadParent {
+                    path: path.to_string(),
+                });
             }
         }
     }
-    for &ino in &live_inos {
-        if !reachable.contains(&ino) && ino != ROOT_INO {
+    for &(ino, _) in &live {
+        if !reachable.get(ino as usize).is_some_and(|&seen| seen) && ino != ROOT_INO {
             issues.push(FsckIssue::OrphanInode { ino });
         }
     }
     // --- Directory files vs B+Tree ---
-    for (path, ino) in &entries {
-        let Some((_, node)) = live.iter().find(|(i, _)| i == ino) else {
-            continue;
-        };
-        if node.kind != InodeKind::Dir {
-            continue;
-        }
+    for (path, node) in dirs {
         let mut raw = vec![0u8; node.size as usize];
         read_file(dev, &layout, node, &mut raw)?;
         let mut on_device = Dirent::replay_stream(&raw, raw.len())?;
-        on_device.sort();
+        on_device.sort_unstable();
         let prefix = if path == "/" {
             "/".to_string()
         } else {
             format!("{path}/")
         };
-        let mut expected: Vec<(String, u64)> = entries
-            .iter()
-            .filter(|(p, _)| {
-                p.starts_with(&prefix) && p.len() > prefix.len() && !p[prefix.len()..].contains('/')
-            })
-            .map(|(p, i)| (p[prefix.len()..].to_string(), *i))
-            .collect();
-        expected.sort();
-        if on_device != expected {
-            issues.push(FsckIssue::DirentMismatch { dir: path.clone() });
+        let expected = children.get(prefix.as_str()).map_or(&[][..], Vec::as_slice);
+        let same = on_device.len() == expected.len()
+            && on_device
+                .iter()
+                .zip(expected)
+                .all(|((name, ino), (want, want_ino))| name == want && ino == want_ino);
+        if !same {
+            issues.push(FsckIssue::DirentMismatch {
+                dir: path.to_string(),
+            });
         }
     }
     Ok(FsckReport {
         issues,
         inodes: live.len() as u64,
-        paths: entries.len() as u64,
+        paths: state.btree.len() as u64,
         replayed,
     })
 }
