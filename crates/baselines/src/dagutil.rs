@@ -211,8 +211,9 @@ pub fn create_rate(s: &Scenario, spec: &DataPlaneSpec, creates_per_proc: u32) ->
                 }
             }
             stages.push(Stage::Delay(spec.create_client + per_io));
-            // The durable metadata append: a small device write (dirent +
-            // log record for NVMe-CR; journal for the others).
+            // The durable metadata append: a small device write (the
+            // paper's calibrated create append for NVMe-CR; journal for the
+            // others).
             stages.extend(
                 f.fabric
                     .message_stages(f.links[srv], spec.create_device_bytes, 4),

@@ -79,10 +79,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "POSIX call of the microfs surface, kept for a POSIX-semantics oracle to drive",
     ),
     (
-        "crates/microfs/src/fs.rs::readdir_from_device",
-        "tests/crash_recovery.rs compares the on-device directory file with the DRAM index",
-    ),
-    (
         "crates/microfs/src/fs.rs::statfs",
         "POSIX call of the microfs surface, kept for a POSIX-semantics oracle to drive",
     ),

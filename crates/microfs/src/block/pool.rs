@@ -77,6 +77,12 @@ impl BlockPool {
         self.total - self.free
     }
 
+    /// The free blocks as the ring's runs, head to tail, each a half-open
+    /// `(start, end)` range of block ids.
+    pub(crate) fn free_runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.runs.iter().map(|r| (u64::from(r.start), r.end()))
+    }
+
     /// Approximate DRAM the ring occupies: 8 bytes per run.
     pub fn approx_bytes(&self) -> usize {
         self.runs.len() * std::mem::size_of::<Run>()
@@ -224,6 +230,22 @@ impl BlockPool {
             return Err(corrupt("overlapping runs"));
         }
         Ok((BlockPool { runs, free, total }, r.position()))
+    }
+}
+
+#[cfg(test)]
+impl BlockPool {
+    /// A ring of the given `(start, len)` runs in order, overlaps allowed:
+    /// the shape a corrupt ring can take, which `decode` refuses.
+    pub(crate) fn from_runs(total: u64, runs: &[(u32, u32)]) -> Self {
+        BlockPool {
+            runs: runs
+                .iter()
+                .map(|&(start, len)| Run { start, len })
+                .collect(),
+            free: runs.iter().map(|&(_, len)| u64::from(len)).sum(),
+            total,
+        }
     }
 }
 

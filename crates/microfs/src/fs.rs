@@ -3,7 +3,8 @@
 //! One instance per application process, mounted on that process's device
 //! partition. All metadata lives in DRAM (inode table, block pool, B+Tree);
 //! the device sees only file data (in hugeblock units), compact operation-log
-//! records, directory-file appends, and periodic state snapshots.
+//! records and periodic state snapshots. Directories own no blocks: the
+//! name index is their only listing, rebuilt by replaying the log.
 //!
 //! Durability contract (§III-D/E): data writes go straight to the device
 //! (no buffering) and the operation log is flushed before an operation
@@ -17,7 +18,6 @@ use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 use crate::block::{BlockDevice, BlockPool};
 use crate::btree::BTree;
 use crate::cow::IntervalSet;
-use crate::dirent::Dirent;
 use crate::error::{FsError, OpenFlags};
 use crate::inode::{Ino, Inode, InodeKind, InodeTable, ROOT_INO};
 use crate::layout::{Layout, SUPERBLOCK_LEN};
@@ -123,8 +123,6 @@ pub struct FsStats {
     pub bytes_written: u64,
     /// File data bytes read.
     pub bytes_read: u64,
-    /// Directory-file bytes appended (device-resident metadata).
-    pub dirent_bytes: u64,
     /// Snapshots taken.
     pub snapshots: u64,
     /// Bytes written by snapshots.
@@ -136,10 +134,10 @@ pub struct FsStats {
 }
 
 impl FsStats {
-    /// Total device-resident metadata bytes (log + snapshots + directory
-    /// files) — the per-runtime number Table I reports.
+    /// Total device-resident metadata bytes (log + snapshots) — the
+    /// per-runtime number Table I reports.
     pub fn metadata_device_bytes(&self) -> u64 {
-        self.wal.bytes_written + self.snapshot_bytes + self.dirent_bytes
+        self.wal.bytes_written + self.snapshot_bytes
     }
 }
 
@@ -198,8 +196,6 @@ pub struct MicroFs<D: BlockDevice> {
     /// Reusable all-zero buffer for gap zeroing (grown on demand, never
     /// reallocated per block).
     zero_scratch: Vec<u8>,
-    /// Reusable encode buffer for dirent records.
-    enc_scratch: Vec<u8>,
     /// Copy-on-write dirty tracking, present iff `config.cow_epochs`.
     cow: Option<crate::cow::CowTracker>,
 }
@@ -247,7 +243,6 @@ impl<D: BlockDevice> MicroFs<D> {
             stats: FsStats::default(),
             metrics,
             zero_scratch: Vec::new(),
-            enc_scratch: Vec::new(),
             cow,
         };
         fs.stats.snapshots = 1;
@@ -315,7 +310,6 @@ impl<D: BlockDevice> MicroFs<D> {
             stats: FsStats::default(),
             metrics,
             zero_scratch: Vec::new(),
-            enc_scratch: Vec::new(),
             cow: config
                 .cow_epochs
                 .then(|| crate::cow::CowTracker::new(&config.telemetry)),
@@ -374,8 +368,8 @@ impl<D: BlockDevice> MicroFs<D> {
     /// sorted, merged `(offset, len)` spans: the superblock, the current
     /// log generation's prefix, each snapshot slot holding a snapshot
     /// this instance validated at mount or wrote since (header plus
-    /// payload), and every hugeblock an inode references, directory files
-    /// included. Built from in-memory state alone: no device IO. Every
+    /// payload), and every hugeblock a file references (directories own
+    /// none). Built from in-memory state alone: no device IO. Every
     /// other byte of the partition is dead, so a replicated rank rebuilds
     /// its mirror map from exactly these spans after recovery.
     pub fn live_spans(&self) -> Vec<(u64, u64)> {
@@ -443,16 +437,15 @@ impl<D: BlockDevice> MicroFs<D> {
         Ok(())
     }
 
-    /// Split a path into its parent directory and final component. A path
-    /// without `/` is malformed input and surfaces as a typed error — the
-    /// public entry points validate first, but a panic here would turn a
-    /// caller's bad string into a crashed rank.
-    fn parent_of(path: &str) -> Result<(&str, &str), FsError> {
+    /// The parent directory of a path. A path without `/` is malformed
+    /// input and surfaces as a typed error — the public entry points
+    /// validate first, but a panic here would turn a caller's bad string
+    /// into a crashed rank.
+    fn parent_of(path: &str) -> Result<&str, FsError> {
         let idx = path
             .rfind('/')
             .ok_or_else(|| FsError::Invalid(format!("path {path:?} lacks '/'")))?;
-        let parent = if idx == 0 { "/" } else { &path[..idx] };
-        Ok((parent, &path[idx + 1..]))
+        Ok(if idx == 0 { "/" } else { &path[..idx] })
     }
 
     /// Whether `path` names something strictly inside directory `dir`.
@@ -482,21 +475,16 @@ impl<D: BlockDevice> MicroFs<D> {
         self.state.btree.insert_new(path, ino)
     }
 
-    /// The inode of directory `dir`.
-    fn resolve_dir(&self, dir: &str, live: bool) -> Result<Ino, FsError> {
+    /// Fail unless the parent of `path` is a directory.
+    fn require_parent_dir(&self, path: &str, live: bool) -> Result<(), FsError> {
+        let dir = Self::parent_of(path)?;
         let ino = self
             .probe(dir, live)
             .ok_or_else(|| FsError::NotFound(dir.to_string()))?;
         if self.state.inodes.get(ino)?.kind != InodeKind::Dir {
             return Err(FsError::NotADirectory(dir.to_string()));
         }
-        Ok(ino)
-    }
-
-    /// The parent directory's inode and the final component of `path`.
-    fn resolve_parent_dir<'p>(&self, path: &'p str, live: bool) -> Result<(Ino, &'p str), FsError> {
-        let (parent, name) = Self::parent_of(path)?;
-        Ok((self.resolve_dir(parent, live)?, name))
+        Ok(())
     }
 
     fn check_access(&self, inode: &Inode, write: bool) -> Result<(), FsError> {
@@ -658,27 +646,6 @@ impl<D: BlockDevice> MicroFs<D> {
         }
     }
 
-    /// Append a dirent record to a directory file (allocating as needed).
-    /// Replay only grows the file by the record's length: the live run
-    /// already wrote its bytes.
-    fn append_dirent(&mut self, dir: Ino, rec: &Dirent<&str>, live: bool) -> Result<(), FsError> {
-        let offset = self.state.inodes.get(dir)?.size;
-        if !live {
-            return self.write_extent(dir, offset, rec.encoded_len() as u64, None);
-        }
-        // Encode into the reusable buffer (taken out of self so
-        // write_extent can borrow &mut self, put back after).
-        let mut bytes = std::mem::take(&mut self.enc_scratch);
-        bytes.clear();
-        rec.encode(&mut bytes);
-        let len = bytes.len() as u64;
-        let res = self.write_extent(dir, offset, len, Some(&bytes));
-        self.enc_scratch = bytes;
-        res?;
-        self.stats.dirent_bytes += len;
-        Ok(())
-    }
-
     /// Create the file or directory `path` (mkdir and create).
     fn do_make(
         &mut self,
@@ -688,7 +655,7 @@ impl<D: BlockDevice> MicroFs<D> {
         uid: u32,
         live: bool,
     ) -> Result<Ino, FsError> {
-        let (pino, name) = self.resolve_parent_dir(path, live)?;
+        self.require_parent_dir(path, live)?;
         // Index the path under the number `alloc` hands out next.
         let ino = self.state.inodes.next_ino();
         if !self.index_new(path, ino, live) {
@@ -702,7 +669,6 @@ impl<D: BlockDevice> MicroFs<D> {
         };
         let allocated = self.state.inodes.alloc(inode);
         debug_assert_eq!(allocated, ino);
-        self.append_dirent(pino, &Dirent::Add { name, ino }, live)?;
         Ok(ino)
     }
 
@@ -741,30 +707,12 @@ impl<D: BlockDevice> MicroFs<D> {
         let ino = self
             .probe(from, live)
             .ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        let (to_dir, to_name) = Self::parent_of(to)?;
-        let (from_dir, from_name) = Self::parent_of(from)?;
-        let to_parent = self.resolve_dir(to_dir, live)?;
-        // A rename within one directory resolves it once.
-        let from_parent = if from_dir == to_dir {
-            to_parent
-        } else {
-            self.resolve_dir(from_dir, live)?
-        };
-        // An existing `to` implies both parents resolve, so refusing it
-        // after them reports the same error as refusing it first.
+        // `from` exists, so its parent is a directory; only `to`'s needs
+        // resolving. An existing `to` implies its parent resolves, so
+        // refusing it after that reports the same error as refusing it first.
+        self.require_parent_dir(to, live)?;
         if !self.index_new(to, ino, live) {
             return Err(FsError::AlreadyExists(to.to_string()));
-        }
-        // Directory-file updates: tombstone in the old parent, entry in the
-        // new one (two device-resident appends, still zero coordination).
-        let appended = self
-            .append_dirent(from_parent, &Dirent::Remove { name: from_name }, live)
-            .and_then(|()| {
-                self.append_dirent(to_parent, &Dirent::Add { name: to_name, ino }, live)
-            });
-        if let Err(e) = appended {
-            self.state.btree.remove(to);
-            return Err(e);
         }
         // Re-key the B+Tree: the old path and, for directories, every
         // descendant path.
@@ -792,8 +740,6 @@ impl<D: BlockDevice> MicroFs<D> {
         if kind == InodeKind::Dir && self.state.btree.any_with_prefix(&format!("{path}/")) {
             return Err(FsError::NotEmpty(path.to_string()));
         }
-        let (pino, name) = self.resolve_parent_dir(path, live)?;
-        self.append_dirent(pino, &Dirent::Remove { name }, live)?;
         let node = self.state.inodes.remove(ino)?;
         self.state.pool.free_many(&node.blocks);
         self.discard_freed_blocks(&node.blocks, live);
@@ -1270,21 +1216,6 @@ impl<D: BlockDevice> MicroFs<D> {
         names.sort_unstable();
         Ok(names)
     }
-
-    /// Cross-check: parse the on-device directory file and return its live
-    /// entries. Test suites compare this against [`readdir`](Self::readdir)
-    /// to prove the device-resident metadata matches the DRAM index.
-    pub fn readdir_from_device(&mut self, path: &str) -> Result<Vec<(String, Ino)>, FsError> {
-        let ino = self
-            .lookup(path)
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        let size = self.state.inodes.get(ino)?.size;
-        let mut raw = vec![0u8; size as usize];
-        self.pread_ino(ino, 0, &mut raw)?;
-        let mut live = Dirent::replay_stream(&raw, raw.len())?;
-        live.sort();
-        Ok(live)
-    }
 }
 
 #[cfg(test)]
@@ -1301,14 +1232,24 @@ mod tests {
 
     #[test]
     fn a_version_1_partition_is_rejected_at_mount() {
-        let mut dev = fresh().into_device();
-        let mut sb = dev.read_vec(0, 72).unwrap();
-        sb[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crate::crc::crc32(&sb[..68]);
-        sb[68..72].copy_from_slice(&crc.to_le_bytes());
-        dev.write_at(0, &sb).unwrap();
-        let err = MicroFs::mount(dev, FsConfig::default()).err().unwrap();
-        assert!(err.to_string().contains("version 1"), "{err}");
+        // Version 1 snapshotted the pool block by block; version 2 kept a
+        // directory file per directory, whose blocks its log replays to.
+        for version in [1u32, 2] {
+            let mut dev = fresh().into_device();
+            let mut sb = dev.read_vec(0, 72).unwrap();
+            sb[8..12].copy_from_slice(&version.to_le_bytes());
+            let crc = crate::crc::crc32(&sb[..68]);
+            sb[68..72].copy_from_slice(&crc.to_le_bytes());
+            dev.write_at(0, &sb).unwrap();
+            let named = format!("version {version}");
+            let issues = crate::fsck::check(&mut dev).issues;
+            assert!(
+                matches!(&issues[..], [crate::fsck::FsckIssue::Unreadable(e)] if e.contains(&named)),
+                "{issues:?}"
+            );
+            let err = MicroFs::mount(dev, FsConfig::default()).err().unwrap();
+            assert!(err.to_string().contains(&named), "{err}");
+        }
     }
 
     #[test]
@@ -1364,10 +1305,11 @@ mod tests {
         assert_eq!(fs.readdir("/").unwrap(), vec!["a"]);
         assert_eq!(fs.readdir("/a").unwrap(), vec!["b"]);
         assert_eq!(fs.readdir("/a/b").unwrap(), vec!["f1", "f2"]);
-        // Device-resident directory file agrees with the DRAM index.
-        let dev_entries = fs.readdir_from_device("/a/b").unwrap();
-        assert_eq!(dev_entries.len(), 2);
-        assert_eq!(dev_entries[0].0, "f1");
+        // Replaying the log rebuilds the same listings.
+        let fs = MicroFs::mount(fs.into_device(), FsConfig::default()).unwrap();
+        assert_eq!(fs.readdir("/").unwrap(), vec!["a"]);
+        assert_eq!(fs.readdir("/a").unwrap(), vec!["b"]);
+        assert_eq!(fs.readdir("/a/b").unwrap(), vec!["f1", "f2"]);
     }
 
     #[test]
@@ -1879,12 +1821,11 @@ mod tests {
         fs.rename("/b", "/c").unwrap();
         assert_eq!(fs.readdir("/c").unwrap(), vec!["deep.dat", "final.dat"]);
         assert!(fs.stat("/b/final.dat").is_err());
-        // Device-resident directory files agree after the moves.
-        assert_eq!(fs.readdir_from_device("/c").unwrap().len(), 2);
-        assert_eq!(fs.readdir_from_device("/").unwrap().len(), 2); // a, c
-                                                                   // All of it survives crash + replay.
+        // All of it survives crash + replay.
         let dev = fs.into_device();
         let mut fs = MicroFs::mount(dev, FsConfig::default()).unwrap();
+        assert_eq!(fs.readdir("/").unwrap(), vec!["a", "c"]);
+        assert_eq!(fs.readdir("/a").unwrap(), Vec::<String>::new());
         assert_eq!(fs.readdir("/c").unwrap(), vec!["deep.dat", "final.dat"]);
         let fd = fs.open("/c/final.dat", OpenFlags::RDONLY, 0).unwrap();
         let mut buf = [0u8; 7];
@@ -2087,19 +2028,26 @@ mod tests {
         let s = fs.stats();
         assert_eq!(s.creates, 1);
         assert!(s.bytes_written == 100_000);
-        assert!(s.dirent_bytes > 0);
-        assert!(s.metadata_device_bytes() > 0);
+        // The log and the format-time snapshot; directories add nothing.
+        assert!(s.wal.bytes_written > 0 && s.snapshot_bytes > 0);
+        assert_eq!(
+            s.metadata_device_bytes(),
+            s.wal.bytes_written + s.snapshot_bytes
+        );
         assert!(fs.dram_footprint() > 0);
     }
 
-    /// A device that lists the reads it serves as `(offset, len)`.
-    struct ReadLog {
+    /// A device that lists the reads and writes it serves as
+    /// `(offset, len)`.
+    struct IoLog {
         dev: MemDevice,
         reads: Vec<(u64, usize)>,
+        writes: Vec<(u64, usize)>,
     }
 
-    impl BlockDevice for ReadLog {
+    impl BlockDevice for IoLog {
         fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), crate::block::DevError> {
+            self.writes.push((offset, data.len()));
             self.dev.write_at(offset, data)
         }
         fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), crate::block::DevError> {
@@ -2117,16 +2065,50 @@ mod tests {
         }
     }
 
+    impl IoLog {
+        fn new(dev: MemDevice) -> Self {
+            IoLog {
+                dev,
+                reads: Vec::new(),
+                writes: Vec::new(),
+            }
+        }
+    }
+
     /// The reads a mount of `dev` makes.
     fn mount_reads(dev: MemDevice) -> Vec<(u64, usize)> {
-        let log = ReadLog {
-            dev,
-            reads: Vec::new(),
-        };
-        MicroFs::mount(log, FsConfig::default())
+        MicroFs::mount(IoLog::new(dev), FsConfig::default())
             .unwrap()
             .into_device()
             .reads
+    }
+
+    #[test]
+    fn namespace_ops_write_only_the_log() {
+        let dev = IoLog::new(MemDevice::new(DEV_SIZE));
+        let mut fs = MicroFs::format(dev, FsConfig::default()).unwrap();
+        let l = *fs.layout();
+        fs.dev.writes.clear();
+        fs.mkdir("/d", 0o755).unwrap();
+        for name in ["/d/a", "/d/b", "/c"] {
+            let fd = fs.create(name, 0o644).unwrap();
+            fs.close(fd).unwrap();
+        }
+        fs.rename("/d/a", "/e").unwrap();
+        fs.rename("/d/b", "/d/f").unwrap();
+        fs.unlink("/c").unwrap();
+        fs.unlink("/d/f").unwrap();
+        fs.unlink("/d").unwrap();
+        let writes = std::mem::take(&mut fs.dev.writes);
+        // One log record per call, and nothing outside the log region.
+        assert_eq!(writes.len(), 9, "{writes:?}");
+        assert!(
+            writes
+                .iter()
+                .all(|&(off, n)| l.log_offset <= off && off + n as u64 <= l.log_offset + l.log_size),
+            "{writes:?}"
+        );
+        assert_eq!(fs.free_blocks(), l.data_blocks);
     }
 
     #[test]
@@ -2247,8 +2229,7 @@ mod tests {
         assert!(covered(0, SUPERBLOCK_LEN));
         assert!(covered(l.log_offset, log_end));
         assert!(covered(slot_off as u64, 32 + payload_len));
-        // Every referenced hugeblock, directory files included, and no
-        // other byte of the data region.
+        // Every referenced hugeblock, and no other byte of the data region.
         let (mut blocks, mut dir_blocks) = (0, 0);
         for (_, inode) in fs.state.inodes.iter() {
             for &b in &inode.blocks {
@@ -2259,7 +2240,7 @@ mod tests {
                 dir_blocks += inode.blocks.len();
             }
         }
-        assert!(dir_blocks >= 2, "root and /d hold dirent blocks");
+        assert_eq!(dir_blocks, 0, "directories own no blocks");
         let data_bytes: u64 = spans
             .iter()
             .filter(|&&(o, _)| o >= l.data_offset)
@@ -2335,6 +2316,10 @@ mod tests {
             );
             let mounted = MicroFs::mount(fs.into_device(), config).unwrap();
             let st = &mounted.state;
+            prop_assert!(st
+                .inodes
+                .iter()
+                .all(|(_, node)| node.kind == InodeKind::File || node.blocks.is_empty()));
             prop_assert_eq!(st.inodes.encode(), live.0);
             prop_assert_eq!(st.btree.encode(), live.1);
             prop_assert_eq!(st.pool.encode(), live.2);

@@ -8,17 +8,18 @@
 //!   exactly one inode, and absent from the free pool;
 //! * pool conservation: free + owned = data-region blocks;
 //! * namespace: every B+Tree path resolves to a live inode, every live
-//!   inode is reachable, parents of every path exist and are directories;
-//! * directory files: the device-resident dirent streams parse and agree
-//!   with the B+Tree's children.
+//!   inode is reachable, parents of every path exist and are directories.
+//!
+//! Directories own no blocks: the log is the namespace's only on-device
+//! record, so the checker's own replay of it is the witness.
 //!
 //! The checker is how the test suite proves that crash schedules can't
 //! corrupt a partition silently — after any recovery, `fsck` must be clean.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use crate::block::BlockDevice;
-use crate::dirent::Dirent;
+use crate::block::{BlockDevice, BlockPool};
+use crate::cow::IntervalSet;
 use crate::error::FsError;
 use crate::inode::{InodeKind, ROOT_INO};
 use crate::layout::Layout;
@@ -70,11 +71,6 @@ pub enum FsckIssue {
     BadParent {
         /// The path.
         path: String,
-    },
-    /// A directory file's on-device entries disagree with the B+Tree.
-    DirentMismatch {
-        /// The directory path.
-        dir: String,
     },
     /// The partition could not even be loaded.
     Unreadable(String),
@@ -148,58 +144,26 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
             }
         }
     }
-    // --- Pool conservation ---
-    let mut free = BTreeSet::new();
-    {
-        // Draining a copy of the ring enumerates the free blocks.
-        let mut p = state.pool.clone();
-        while let Ok(b) = p.alloc() {
-            free.insert(b);
-        }
-    }
-    for (&b, &ino) in &owner {
-        if free.contains(&b) {
-            issues.push(FsckIssue::OwnedAndFree { block: b, ino });
-        }
-    }
-    let covered = owner.len() as u64 + free.len() as u64;
-    if covered < layout.data_blocks {
-        issues.push(FsckIssue::PoolLeak {
-            missing: layout.data_blocks - covered,
-        });
-    }
+    check_pool(&state.pool, &owner, layout.data_blocks, &mut issues);
     // --- Namespace ---
     // One walk of the name index, in key order. Each lookup is a map
-    // probe (the index by path, the inode table by number), and each path
-    // is grouped under its parent's prefix (`/` or `dir/`); keys under
-    // one prefix sort by their last name, so every group is in name order.
+    // probe (the index by path, the inode table by number).
     let mut reachable = vec![false; live.last().map_or(0, |&(ino, _)| ino as usize + 1)];
-    let mut children: HashMap<&str, Vec<(&str, u64)>> = HashMap::new();
-    let mut dirs = Vec::new();
     // The last parent looked up and whether it is a directory: siblings
     // are adjacent in key order, so most paths reuse it.
     let mut last_parent: Option<(&str, bool)> = None;
     for (path, ino) in state.btree.iter() {
-        if let Some(slash) = path.rfind('/') {
-            let (prefix, name) = path.split_at(slash + 1);
-            if !name.is_empty() {
-                children.entry(prefix).or_default().push((name, ino));
-            }
-        }
-        let Ok(node) = state.inodes.get(ino) else {
+        if state.inodes.get(ino).is_err() {
             issues.push(FsckIssue::DanglingPath {
                 path: path.to_string(),
             });
             continue;
-        };
+        }
         if let Some(seen) = reachable.get_mut(ino as usize) {
             *seen = true;
         }
-        if node.kind == InodeKind::Dir {
-            dirs.push((path, node));
-        }
         if path != "/" {
-            let parent = split_path(path).map_or("", |(parent, _)| parent);
+            let parent = parent_of(path).unwrap_or("");
             let parent_is_dir = match last_parent {
                 Some((last, is_dir)) if last == parent => is_dir,
                 _ => {
@@ -222,35 +186,39 @@ fn check_inner<D: BlockDevice>(dev: &mut D) -> Result<FsckReport, FsError> {
             issues.push(FsckIssue::OrphanInode { ino });
         }
     }
-    // --- Directory files vs B+Tree ---
-    for (path, node) in dirs {
-        let mut raw = vec![0u8; node.size as usize];
-        read_file(dev, &layout, node, &mut raw)?;
-        let mut on_device = Dirent::replay_stream(&raw, raw.len())?;
-        on_device.sort_unstable();
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
-        let expected = children.get(prefix.as_str()).map_or(&[][..], Vec::as_slice);
-        let same = on_device.len() == expected.len()
-            && on_device
-                .iter()
-                .zip(expected)
-                .all(|((name, ino), (want, want_ino))| name == want && ino == want_ino);
-        if !same {
-            issues.push(FsckIssue::DirentMismatch {
-                dir: path.to_string(),
-            });
-        }
-    }
     Ok(FsckReport {
         issues,
         inodes: live.len() as u64,
         paths: state.btree.len() as u64,
         replayed,
     })
+}
+
+/// Pool conservation: no owned block is free, and owned plus free blocks
+/// cover the data region. The ring's runs are unioned first, so a block
+/// the ring lists twice counts once.
+fn check_pool(
+    pool: &BlockPool,
+    owner: &BTreeMap<u64, u64>,
+    data_blocks: u64,
+    issues: &mut Vec<FsckIssue>,
+) {
+    let mut free = IntervalSet::new();
+    let free_blocks: u64 = pool
+        .free_runs()
+        .map(|(start, end)| free.insert(start, end))
+        .sum();
+    for (&block, &ino) in owner {
+        if free.covers(block, block + 1) {
+            issues.push(FsckIssue::OwnedAndFree { block, ino });
+        }
+    }
+    let covered = owner.len() as u64 + free_blocks;
+    if covered < data_blocks {
+        issues.push(FsckIssue::PoolLeak {
+            missing: data_blocks - covered,
+        });
+    }
 }
 
 fn replay_into(
@@ -276,9 +244,6 @@ fn replay_into(
                 };
                 let ino = state.inodes.alloc(node);
                 state.btree.insert(path, ino);
-                if let Some((parent, name)) = split_path(path) {
-                    append_dirent(state, parent, Dirent::Add { name, ino }, bs)?;
-                }
             }
             LogRecord::Write { ino, offset, len } => {
                 let end = offset + len;
@@ -313,10 +278,6 @@ fn replay_into(
             }
             LogRecord::Unlink { path } => {
                 if let Some(ino) = state.btree.get(path) {
-                    let Some((parent, name)) = split_path(path) else {
-                        continue;
-                    };
-                    append_dirent(state, parent, Dirent::Remove { name }, bs)?;
                     let node = state.inodes.remove(ino)?;
                     state.pool.free_many(&node.blocks);
                     state.btree.remove(path);
@@ -324,13 +285,6 @@ fn replay_into(
             }
             LogRecord::Rename { from, to } => {
                 if let Some(ino) = state.btree.get(from) {
-                    // Remove-tombstone on from's parent, add on to's.
-                    if let Some((parent, name)) = split_path(from) {
-                        append_dirent(state, parent, Dirent::Remove { name }, bs)?;
-                    }
-                    if let Some((parent, name)) = split_path(to) {
-                        append_dirent(state, parent, Dirent::Add { name, ino }, bs)?;
-                    }
                     state.btree.remove(from);
                     state.btree.insert(to, ino);
                     let is_dir = state.inodes.get(ino)?.kind == InodeKind::Dir;
@@ -352,67 +306,10 @@ fn replay_into(
     Ok(())
 }
 
-/// A path's parent directory and final component; `None` for a path
-/// without `/`.
-fn split_path(path: &str) -> Option<(&str, &str)> {
-    let (parent, name) = path.rsplit_once('/')?;
-    Some((if parent.is_empty() { "/" } else { parent }, name))
-}
-
-/// Extend `parent`'s directory file by one dirent record, as the live
-/// file system's append does.
-fn append_dirent(
-    state: &mut snapshot::FsState,
-    parent: &str,
-    rec: Dirent<&str>,
-    bs: u64,
-) -> Result<(), FsError> {
-    match state.btree.get(parent) {
-        Some(pino) => extend(state, pino, rec.encoded_len() as u64, bs),
-        None => Ok(()),
-    }
-}
-
-fn extend(state: &mut snapshot::FsState, ino: u64, len: u64, bs: u64) -> Result<(), FsError> {
-    let offset = state.inodes.get(ino)?.size;
-    let end = offset + len;
-    let needed = end.div_ceil(bs);
-    let have = state.inodes.get(ino)?.blocks.len() as u64;
-    if needed > have {
-        let fresh = state.pool.alloc_many(needed - have)?;
-        state.inodes.get_mut(ino)?.blocks.extend_from_slice(&fresh);
-    }
-    let node = state.inodes.get_mut(ino)?;
-    node.size = node.size.max(end);
-    state.op_counter += 1;
-    Ok(())
-}
-
-fn read_file<D: BlockDevice>(
-    dev: &mut D,
-    layout: &Layout,
-    node: &crate::inode::Inode,
-    buf: &mut [u8],
-) -> Result<(), FsError> {
-    let bs = layout.block_size;
-    let mut pos = 0u64;
-    let n = buf.len() as u64;
-    while pos < n {
-        let bi = pos / bs;
-        let within = pos % bs;
-        let take = (bs - within).min(n - pos);
-        let blk = *node
-            .blocks
-            .get(bi as usize)
-            .ok_or_else(|| FsError::Io("unmapped block in dir file".into()))?;
-        dev.read_at(
-            layout.block_addr(blk) + within,
-            &mut buf[pos as usize..(pos + take) as usize],
-        )
-        .map_err(|e| FsError::Io(e.to_string()))?;
-        pos += take;
-    }
-    Ok(())
+/// A path's parent directory; `None` for a path without `/`.
+fn parent_of(path: &str) -> Option<&str> {
+    let (parent, _) = path.rsplit_once('/')?;
+    Some(if parent.is_empty() { "/" } else { parent })
 }
 
 #[cfg(test)]
@@ -469,26 +366,134 @@ mod tests {
         assert!(matches!(report.issues[0], FsckIssue::Unreadable(_)));
     }
 
-    #[test]
-    fn corrupted_dirent_stream_is_detected() {
-        let mut fs = busy_fs();
-        // Locate the root directory file's first block and clobber it.
-        fs.snapshot_now().unwrap(); // make state easily reloadable
+    /// The issues `check` reports once `corrupt` has edited a clean
+    /// state, written as a newer snapshot over an empty log.
+    fn issues_after(corrupt: impl FnOnce(&mut snapshot::FsState)) -> Vec<FsckIssue> {
+        let fs = busy_fs();
         let layout = *fs.layout();
         let mut dev = fs.into_device();
-        let (_, _, state) = snapshot::read_latest(&mut dev, &layout).unwrap();
-        let root = state.inodes.get(ROOT_INO).unwrap();
-        let addr = layout.block_addr(root.blocks[0]);
-        dev.write_at(addr, &[0xFF; 64]).unwrap();
-        let report = check(&mut dev);
-        assert!(
-            report.issues.iter().any(|i| matches!(
-                i,
-                FsckIssue::DirentMismatch { .. } | FsckIssue::Unreadable(_)
-            )),
-            "issues: {:?}",
-            report.issues
+        let (seq, generation, mut state) = snapshot::read_latest(&mut dev, &layout).unwrap();
+        replay_into(
+            &mut state,
+            &Wal::scan(&mut dev, layout.log_offset, layout.log_size, generation).unwrap(),
+            &layout,
+        )
+        .unwrap();
+        corrupt(&mut state);
+        snapshot::write_snapshot(&mut dev, &layout, &state, seq + 1, generation + 1).unwrap();
+        check(&mut dev).issues
+    }
+
+    /// Assert that `check` reports an issue `want` accepts once `corrupt`
+    /// has edited a clean state.
+    fn fires(want: fn(&FsckIssue) -> bool, corrupt: impl FnOnce(&mut snapshot::FsState)) {
+        let issues = issues_after(corrupt);
+        assert!(issues.iter().any(want), "issues: {issues:?}");
+    }
+
+    fn ino_of(state: &snapshot::FsState, path: &str) -> u64 {
+        state.btree.get(path).unwrap()
+    }
+
+    #[test]
+    fn every_issue_kind_fires() {
+        assert!(issues_after(|_| ()).is_empty());
+        fires(
+            |i| matches!(i, FsckIssue::BlockOutOfRange { .. }),
+            |st| {
+                let ino = ino_of(st, "/a/moved");
+                st.inodes.get_mut(ino).unwrap().blocks.push(1 << 40);
+            },
         );
+        fires(
+            |i| matches!(i, FsckIssue::DoubleOwnedBlock { .. }),
+            |st| {
+                let b = st.inodes.get(ino_of(st, "/a/b/f0")).unwrap().blocks[0];
+                let ino = ino_of(st, "/a/b/f1");
+                st.inodes.get_mut(ino).unwrap().blocks.push(b);
+            },
+        );
+        fires(
+            |i| matches!(i, FsckIssue::OwnedAndFree { .. }),
+            |st| {
+                let b = st.inodes.get(ino_of(st, "/a/b/f0")).unwrap().blocks[0];
+                st.pool.free(b);
+            },
+        );
+        fires(
+            |i| matches!(i, FsckIssue::PoolLeak { missing: 1 }),
+            |st| {
+                st.pool.alloc().unwrap();
+            },
+        );
+        fires(
+            |i| matches!(i, FsckIssue::DanglingPath { path } if path == "/ghost"),
+            |st| {
+                st.btree.insert("/ghost", 999);
+            },
+        );
+        fires(
+            |i| matches!(i, FsckIssue::OrphanInode { .. }),
+            |st| {
+                st.inodes
+                    .alloc(crate::inode::Inode::new_file(0o644, 1000, 0));
+            },
+        );
+        fires(
+            |i| matches!(i, FsckIssue::BadParent { path } if path == "/a/b/f0/x"),
+            |st| {
+                let ino = ino_of(st, "/a/b/f1");
+                st.btree.insert("/a/b/f0/x", ino);
+            },
+        );
+    }
+
+    /// `check_pool` as it was first written: drain a copy of the ring one
+    /// `alloc` at a time into a set.
+    fn pool_issues_by_drain(
+        pool: &BlockPool,
+        owner: &BTreeMap<u64, u64>,
+        data_blocks: u64,
+    ) -> Vec<FsckIssue> {
+        let mut free = std::collections::BTreeSet::new();
+        let mut p = pool.clone();
+        while let Ok(b) = p.alloc() {
+            free.insert(b);
+        }
+        let mut issues: Vec<FsckIssue> = owner
+            .iter()
+            .filter(|(b, _)| free.contains(*b))
+            .map(|(&block, &ino)| FsckIssue::OwnedAndFree { block, ino })
+            .collect();
+        let covered = owner.len() as u64 + free.len() as u64;
+        if covered < data_blocks {
+            issues.push(FsckIssue::PoolLeak {
+                missing: data_blocks - covered,
+            });
+        }
+        issues
+    }
+
+    proptest::proptest! {
+        /// The run-wise pool check agrees with draining the ring, also on
+        /// rings that list a block twice.
+        #[test]
+        fn pool_check_matches_the_drain(
+            total in 1u32..300,
+            runs in proptest::collection::vec((0u32..300, 1u32..80), 0..8),
+            owned in proptest::collection::vec((0u64..300, 1u64..50), 0..60),
+        ) {
+            let runs: Vec<(u32, u32)> = runs
+                .into_iter()
+                .map(|(start, len)| (start % total, len.min(total - start % total)))
+                .collect();
+            let pool = BlockPool::from_runs(u64::from(total), &runs);
+            let owner: BTreeMap<u64, u64> =
+                owned.into_iter().filter(|&(b, _)| b < u64::from(total)).collect();
+            let mut issues = Vec::new();
+            check_pool(&pool, &owner, u64::from(total), &mut issues);
+            proptest::prop_assert_eq!(issues, pool_issues_by_drain(&pool, &owner, u64::from(total)));
+        }
     }
 
     #[test]

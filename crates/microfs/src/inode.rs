@@ -3,7 +3,9 @@
 //! §III-E: microfs borrows "conventional filesystem concepts... such as
 //! *inodes* to store file metadata and *directory files* to store directory
 //! entries", but keeps them entirely in compute-node DRAM — only the
-//! operation log (and periodic snapshots) touch the device.
+//! operation log (and periodic snapshots) touch the device. A directory
+//! is an inode whose entries are the name index's paths under it; it
+//! owns no blocks.
 
 use crate::error::FsError;
 use crate::wire::Reader;
@@ -19,7 +21,8 @@ pub const ROOT_INO: Ino = 0;
 pub enum InodeKind {
     /// Regular file.
     File,
-    /// Directory (its data blocks hold dirent records).
+    /// Directory. It owns no blocks: its entries are the name index's
+    /// paths under it.
     Dir,
 }
 

@@ -17,7 +17,7 @@ use crate::error::FsError;
 use crate::wire::Reader;
 
 const SUPERBLOCK_MAGIC: u64 = 0x6D69_6372_6F66_7321; // "microfs!"
-const SUPERBLOCK_VERSION: u32 = 2;
+const SUPERBLOCK_VERSION: u32 = 3;
 /// Bytes the superblock CRC covers: magic, version and seven geometry fields.
 const SUPERBLOCK_BODY_LEN: usize = 8 + 4 + 7 * 8;
 /// Bytes of the encoded superblock: its body and CRC. The rest of its

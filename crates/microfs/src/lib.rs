@@ -12,7 +12,7 @@
 //! |---|---|
 //! | Hugeblocks + circular block pool, O(1) allocation (§III-E) | [`block::pool`] |
 //! | DRAM B+Tree of name → inode mappings (§III-E) | [`btree`] |
-//! | Inodes, directory files, POSIX-ish API (§III-E) | [`inode`], [`dirent`], [`fs`] |
+//! | Inodes and a POSIX-ish API; directories live in the B+Tree alone (§III-E) | [`inode`], [`fs`] |
 //! | Metadata provenance: compact operation log (§III-E) | [`wal`] |
 //! | Log record coalescing into the last record (§III-E, Fig. 5) | [`wal`] |
 //! | Atomic internal-state checkpoint to a reserved region (§III-E) | [`snapshot`] |
@@ -51,7 +51,6 @@ pub mod block;
 pub mod btree;
 pub mod cow;
 pub mod crc;
-pub mod dirent;
 pub mod error;
 pub mod fs;
 pub mod fsck;

@@ -1,7 +1,7 @@
 //! The one reader of untrusted bytes.
 //!
 //! Everything microfs reads back off a device — superblock, snapshot
-//! slots, operation log, directory files, epoch manifests — and every
+//! slots, operation log, epoch manifests — and every
 //! NVMf capsule header crossing the fabric is parsed through a
 //! [`Reader`]. The cursor owns the bounds: each getter checks that the
 //! field is present before touching it, advances with checked arithmetic

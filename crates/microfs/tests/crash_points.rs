@@ -66,7 +66,7 @@ fn run_workload() -> RecordingDevice {
     let dev = RecordingDevice::new(DEV_SIZE);
     let mut fs = MicroFs::format(dev, FsConfig::default()).unwrap();
     fs.mkdir("/ckpt", 0o755).unwrap();
-    for i in 0..3 {
+    for i in 0..4 {
         let path = format!("/ckpt/rank_{i}.dat");
         let fd = fs.create(&path, 0o644).unwrap();
         for chunk in 0..4 {

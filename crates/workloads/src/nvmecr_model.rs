@@ -104,8 +104,8 @@ impl NvmeCrModel {
     fn replay_records(&self, s: &Scenario) -> u64 {
         let writes_per_ckpt = s.bytes_per_proc.div_ceil(s.app_write_size);
         let per_ckpt = if self.coalescing {
-            // Sequential dumps coalesce to ~2 records per file (the dirent
-            // write plus the merged data record).
+            // Sequential dumps coalesce to ~2 records per file (the create
+            // record plus the merged data record).
             2
         } else {
             writes_per_ckpt
@@ -152,8 +152,10 @@ impl NvmeCrModel {
             } else {
                 SimTime::micros(1.1)
             },
-            // Create persists one hugeblock-unit dirent append plus the
-            // log record.
+            // Calibrated to the paper's create: one hugeblock-unit device
+            // append plus the log record. The functional stack's create
+            // writes the log record alone, since its directories own no
+            // blocks (ROADMAP item 5 lists the disagreement).
             create_device_bytes: block + 64,
             recovery_prologue: replay,
             ..DataPlaneSpec::base("NVMe-CR")
@@ -220,7 +222,9 @@ impl StorageModel for NvmeCrModel {
     fn metadata_overhead(&self, s: &Scenario) -> MetadataOverhead {
         // Per-runtime device-resident metadata: the microfs partition
         // reserves ~1% for the operation log and two 4% snapshot slots;
-        // add the dirent blocks. Partition = namespace / ranks sharing it.
+        // add one hugeblock, the calibrated create append's footprint (the
+        // functional stack's directories own none; ROADMAP item 5).
+        // Partition = namespace / ranks sharing it.
         let ranks_per_ssd = u64::from(s.procs.div_ceil(s.servers)).max(1);
         let partition = (8u64 << 30) / ranks_per_ssd;
         let reserved = partition / 100 + 2 * (partition / 25).max(1 << 20);

@@ -411,18 +411,18 @@ fn apply_op<D: BlockDevice>(fs: &mut MicroFs<D>, (kind, file, at, len, fill): Pr
 }
 
 /// Every path with its size and the CRC-32 of its bytes (files) or of its
-/// on-device dirent listing (directories).
+/// `readdir` listing (directories).
 fn tree<D: BlockDevice>(fs: &mut MicroFs<D>) -> Vec<(String, u64, u32)> {
     let mut out = Vec::new();
     let mut dirs = vec!["/".to_string()];
     while let Some(dir) = dirs.pop() {
-        let on_device = format!("{:?}", fs.readdir_from_device(&dir).unwrap());
+        let names = fs.readdir(&dir).unwrap();
         out.push((
             dir.clone(),
             fs.stat(&dir).unwrap().size,
-            crc32(on_device.as_bytes()),
+            crc32(names.join("/").as_bytes()),
         ));
-        for name in fs.readdir(&dir).unwrap() {
+        for name in names {
             let path = format!("{}/{name}", dir.trim_end_matches('/'));
             let st = fs.stat(&path).unwrap();
             if st.kind == InodeKind::Dir {

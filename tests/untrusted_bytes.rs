@@ -27,7 +27,6 @@ use microfs::block::pool::MAX_BLOCKS;
 use microfs::block::BlockPool;
 use microfs::btree::BTree;
 use microfs::crc::{crc32, crc32_update};
-use microfs::dirent::Dirent;
 use microfs::inode::{Inode, InodeTable};
 use microfs::manifest::{sealed_body_len, EpochManifest, ManifestExtent, COMMIT_RECORD_BYTES};
 use microfs::snapshot::{self, FsState};
@@ -571,29 +570,6 @@ fn btree_row() -> Row {
     }
 }
 
-fn dirent_row() -> Row {
-    let encode = |d: Dirent| {
-        let mut v = Vec::new();
-        d.encode(&mut v);
-        v
-    };
-    Row {
-        name: "dirent",
-        samples: vec![
-            encode(Dirent::Add {
-                name: "ckpt_0.dat".into(),
-                ino: 5,
-            }),
-            encode(Dirent::Remove { name: "é".into() }),
-        ],
-        seal: no_seal,
-        // The row decodes one record: an empty stream is a valid empty
-        // directory, not a record.
-        decode: Box::new(|b| !b.is_empty() && Dirent::replay_stream(b, b.len()).is_ok()),
-        pinned: Vec::new(),
-    }
-}
-
 fn log_payload_row() -> Row {
     Row {
         name: "log payload",
@@ -706,11 +682,6 @@ fn block_pool_rejects_hostile_rings() {
 #[test]
 fn btree_mutations_never_panic() {
     btree_row().mutate_all();
-}
-
-#[test]
-fn dirent_mutations_never_panic() {
-    dirent_row().mutate_all();
 }
 
 #[test]
@@ -836,22 +807,6 @@ proptest! {
         let (u, used) = BTree::decode(&v).unwrap();
         prop_assert_eq!(used, v.len());
         prop_assert_eq!(u.entries(), t.entries());
-    }
-
-    #[test]
-    fn dirent_stream_roundtrips(recs in proptest::collection::vec(("[a-z0-9é_.]{1,30}", any::<u64>(), any::<bool>()), 0..30)) {
-        let mut v = Vec::new();
-        let mut want: Vec<(String, u64)> = Vec::new();
-        for (name, ino, add) in recs {
-            want.retain(|(n, _)| *n != name);
-            if add {
-                want.push((name.clone(), ino));
-                Dirent::Add { name, ino }.encode(&mut v);
-            } else {
-                Dirent::Remove { name }.encode(&mut v);
-            }
-        }
-        prop_assert_eq!(Dirent::replay_stream(&v, v.len()).unwrap(), want);
     }
 
     #[test]
