@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use microfs::{FsConfig, MemDevice, MicroFs};
 use std::hint::black_box;
+use std::time::Instant;
 
 const DEV: u64 = 256 << 20;
 
@@ -176,7 +177,8 @@ fn bench_churn_replay(c: &mut Criterion) {
 fn bench_fsck_one_dir(c: &mut Criterion) {
     // `fsck::check` on one directory of `n` empty files: every lookup of
     // the check is a map probe, so 4x the files should cost about 4x the
-    // time, not 16x.
+    // time, not 16x. Each row also prints one check's ns per file, so the
+    // smoke run shows whether the cost per file stays flat.
     let mut g = c.benchmark_group("fsck_one_dir");
     g.sample_size(10);
     for n in [2000u64, 8000] {
@@ -187,6 +189,14 @@ fn bench_fsck_one_dir(c: &mut Criterion) {
             fs.close(fd).unwrap();
         }
         let mut dev = fs.into_device();
+        let started = Instant::now();
+        let report = microfs::fsck(&mut dev);
+        let ns = started.elapsed().as_nanos() as f64;
+        assert!(report.is_clean(), "{:?}", report.issues);
+        println!(
+            "fsck_one_dir/{n}: {:.0} ns per file in one check",
+            ns / n as f64
+        );
         g.throughput(Throughput::Elements(n));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {

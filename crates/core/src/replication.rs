@@ -27,10 +27,10 @@ use bytes::Bytes;
 use chaos::{ChaosHandle, Site};
 use fabric::{write_mirrored_bytes, InitiatorError, MirroredWrite, NvmfConnection};
 use microfs::cow::IntervalSet;
-use microfs::crc::{crc32, crc32_update};
+use microfs::crc::{crc32, crc32_concat};
 use microfs::manifest::{
     sealed_body_len, slot_offset, EpochManifest, ExtentMap, ManifestError, ManifestExtent,
-    CHAIN_SLOTS, COMMIT_RECORD_BYTES, MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
+    CHAIN_SLOTS, COMMIT_RECORD_BYTES, MAX_DELTA_CHAIN, SLOT_BYTES,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -401,8 +401,9 @@ impl Mirror {
     /// crash or restart where the in-memory map is gone but the on-device
     /// copies survive. `spans` are the partition-relative ranges the
     /// recovered filesystem depends on ([`microfs::MicroFs::live_spans`]);
-    /// each is re-read in pieces of at most 4 MiB (`COPY_CHUNK`) and
-    /// re-CRCed, and adjacent pieces merge back. Bytes outside the spans
+    /// each is re-read in pieces of at most 4 MiB (`COPY_CHUNK`), each
+    /// piece recorded under the checksum its read completion verified, and
+    /// adjacent pieces merge back. Bytes outside the spans
     /// are dead, so the map, and every manifest sealed from it, leaves
     /// them out.
     pub fn rescan(
@@ -420,8 +421,10 @@ impl Mirror {
                     ));
                 }
                 let chunk = COPY_CHUNK.min((len - done) as usize);
-                let data = primary.read_bytes(primary_base + offset + done, chunk)?;
-                self.map.record(offset + done, chunk as u64, crc32(&data));
+                let at = primary_base + offset + done;
+                for (_, crc) in primary.read_vectored_bytes_crc(&[(at, chunk)])? {
+                    self.map.record(offset + done, chunk as u64, crc);
+                }
                 done += chunk as u64;
             }
         }
@@ -445,7 +448,7 @@ impl Mirror {
         // Extents fragmented by overlapping writes lost their CRCs;
         // re-read them from the primary before sealing.
         for (offset, len) in self.map.dirty_fragments() {
-            let crc = stream_extent(primary, primary_base + offset, len, |_, _| Ok(()))?;
+            let crc = stream_extent(primary, primary_base + offset, len, |_, _, _| Ok(()))?;
             self.map.set_crc(offset, len, crc);
         }
         self.try_resync(primary, primary_base);
@@ -608,9 +611,9 @@ impl Mirror {
             };
             report.extents_checked += 1;
             let primary_ok =
-                stream_extent(primary, primary_base + offset, len, |_, _| Ok(()))? == crc;
-            let replica_ok =
-                stream_extent(&mut self.conn, offset, len, |_, _| Ok(())).is_ok_and(|c| c == crc);
+                stream_extent(primary, primary_base + offset, len, |_, _, _| Ok(()))? == crc;
+            let replica_ok = stream_extent(&mut self.conn, offset, len, |_, _, _| Ok(()))
+                .is_ok_and(|c| c == crc);
             match (primary_ok, replica_ok) {
                 (true, true) => {}
                 (false, true) => {
@@ -638,54 +641,62 @@ impl Mirror {
 
 /// Stream `[offset, offset + len)` off `conn` in bounded chunks — a merged
 /// multi-hundred-MiB extent never needs a single allocation — handing each
-/// chunk and its offset to `sink`, and return the CRC-32 of the whole
-/// span. Commit-time CRC resolution, scrub, verified restore and degraded
-/// serving all read extents through here.
+/// chunk, its offset and its `crc32` to `sink`, and return the CRC-32 of
+/// the whole span. Each chunk's checksum is the one its read completion
+/// already verified on the wire ([`NvmfConnection::read_vectored_bytes_crc`]),
+/// and the span's is folded from them with [`crc32_concat`], so no byte
+/// streamed here is scanned again on the host. Commit-time CRC resolution,
+/// scrub, verified restore, resync and degraded serving all read extents
+/// through here.
 pub fn stream_extent(
     conn: &mut NvmfConnection,
     offset: u64,
     len: u64,
-    mut sink: impl FnMut(u64, Bytes) -> Result<(), InitiatorError>,
+    mut sink: impl FnMut(u64, Bytes, u32) -> Result<(), InitiatorError>,
 ) -> Result<u32, InitiatorError> {
-    let mut state = 0xFFFF_FFFFu32;
+    // `crc32` of the empty prefix; concatenating onto it is the identity.
+    let mut span_crc = 0u32;
     let mut done = 0u64;
     while done < len {
         let chunk = COPY_CHUNK.min((len - done) as usize);
-        let data = conn.read_bytes(offset + done, chunk)?;
-        state = crc32_update(state, &data);
-        sink(offset + done, data)?;
+        let at = offset + done;
+        for (data, crc) in conn.read_vectored_bytes_crc(&[(at, chunk)])? {
+            span_crc = crc32_concat(span_crc, crc, data.len() as u64);
+            sink(at, data, crc)?;
+        }
         done += chunk as u64;
     }
-    Ok(state ^ 0xFFFF_FFFF)
+    Ok(span_crc)
 }
 
-/// Chunked copy of `[src_off, +len)` on `src` to `dst_off` on `dst`.
+/// Chunked copy of `[src_off, +len)` on `src` to `dst_off` on `dst`; each
+/// chunk is written under the checksum its read verified. Returns the
+/// span's CRC-32.
 fn copy_extent(
     src: &mut NvmfConnection,
     src_off: u64,
     dst: &mut NvmfConnection,
     dst_off: u64,
     len: u64,
-) -> Result<(), InitiatorError> {
-    let mut done = 0u64;
-    while done < len {
-        let chunk = COPY_CHUNK.min((len - done) as usize);
-        let data = src.read_bytes(src_off + done, chunk)?;
-        let crc = crc32(&data);
-        dst.write_vectored_bytes_precrc(vec![(dst_off + done, data, crc)])?;
-        done += chunk as u64;
-    }
-    Ok(())
+) -> Result<u32, InitiatorError> {
+    stream_extent(src, src_off, len, |at, data, crc| {
+        dst.write_vectored_bytes_precrc(vec![(dst_off + (at - src_off), data, crc)])
+    })
 }
 
-/// Read every decodable manifest in the ring at `region_base`. Torn or
-/// never-written slots are skipped. The eight commit records are read
-/// first, then only the bodies they seal, so the read follows the
-/// manifests' size rather than the ring's.
-pub fn read_manifests(
+/// One ring slot whose commit record seals a body: its offset in the
+/// ring, then the record and the body as read, each with its `crc32`.
+type SealedSlot = (u64, (Bytes, u32), (Bytes, u32));
+
+/// Read the ring at `region_base` by its commit records: the eight records
+/// in one vectored read, then only the bodies that intact records seal in
+/// a second, so the read follows the manifests' size rather than the
+/// ring's. Slots whose record seals nothing are left out. The bodies are
+/// returned as read: whether one decodes is the caller's question.
+fn read_sealed_slots(
     conn: &mut NvmfConnection,
     region_base: u64,
-) -> Result<Vec<EpochManifest>, InitiatorError> {
+) -> Result<Vec<SealedSlot>, InitiatorError> {
     let heads: Vec<(u64, usize)> = (0..CHAIN_SLOTS)
         .map(|slot| {
             (
@@ -694,23 +705,67 @@ pub fn read_manifests(
             )
         })
         .collect();
-    let records = conn.read_vectored_bytes(&heads)?;
-    let (records, bodies): (Vec<Bytes>, Vec<(u64, usize)>) = heads
+    let records = conn.read_vectored_bytes_crc(&heads)?;
+    let (records, bodies): (Vec<_>, Vec<(u64, usize)>) = heads
         .iter()
         .zip(records)
         .filter_map(|(&(at, _), record)| {
-            let body_len = sealed_body_len(&record)?;
-            Some((record, (at + COMMIT_RECORD_BYTES, body_len)))
+            let body_len = sealed_body_len(&record.0)?;
+            Some((
+                (at - region_base, record),
+                (at + COMMIT_RECORD_BYTES, body_len),
+            ))
         })
         .unzip();
-    let bodies = conn.read_vectored_bytes(&bodies)?;
+    let bodies = conn.read_vectored_bytes_crc(&bodies)?;
     Ok(records
-        .iter()
+        .into_iter()
         .zip(bodies)
-        .filter_map(|(record, body)| {
+        .map(|((at, record), body)| (at, record, body))
+        .collect())
+}
+
+/// Read every decodable manifest in the ring at `region_base`. Torn or
+/// never-written slots are skipped. The eight commit records are read
+/// first, then only the bodies they seal (`read_sealed_slots`).
+pub fn read_manifests(
+    conn: &mut NvmfConnection,
+    region_base: u64,
+) -> Result<Vec<EpochManifest>, InitiatorError> {
+    Ok(read_sealed_slots(conn, region_base)?
+        .into_iter()
+        .filter_map(|(_, (record, _), (body, _))| {
             EpochManifest::decode_slot(&[&record[..], &body].concat()).ok()
         })
         .collect())
+}
+
+/// Copy the manifest ring at `src_base` on `src` to `dst_base` on `dst` by
+/// its commit records: only the records that seal a body, and the bodies
+/// they seal ([`read_sealed_slots`]), each written under the checksum its
+/// read verified. Bodies land first and records second, so a restore torn
+/// between the two never leaves a record without its body. `dst`'s ring
+/// must read zeros (a fresh namespace): a slot left unwritten then holds
+/// no record there, which decodes exactly as a slot whose record seals
+/// nothing on `src` — no complete epoch.
+fn copy_ring(
+    src: &mut NvmfConnection,
+    src_base: u64,
+    dst: &mut NvmfConnection,
+    dst_base: u64,
+) -> Result<(), InitiatorError> {
+    let (records, bodies): (Vec<_>, Vec<_>) = read_sealed_slots(src, src_base)?
+        .into_iter()
+        .map(|(at, (record, record_crc), (body, body_crc))| {
+            (
+                (dst_base + at, record, record_crc),
+                (dst_base + at + COMMIT_RECORD_BYTES, body, body_crc),
+            )
+        })
+        .unzip();
+    let bodies = bodies.into_iter().filter(|b| !b.1.is_empty()).collect();
+    dst.write_vectored_bytes_precrc(bodies)?;
+    dst.write_vectored_bytes_precrc(records)
 }
 
 /// The newest complete lineage of a manifest ring, materialized.
@@ -836,9 +891,14 @@ pub struct RestoreOutcome {
 /// *complete* epoch: the newest complete lineage in its manifest ring,
 /// materialized newest-backward, with only manifest extents copied, each
 /// strictly verified. Committed slots newer than that epoch are
-/// invalidated on both copies. Each extent copied back (and each chain
-/// link resolved) fires a recovery-plane [`chaos::Site`] on `chaos`, so a
-/// `crash_in_recovery` rule can kill the restore mid-copy.
+/// invalidated on the replica before the ring is copied, so neither copy
+/// holds them. Either way the manifest ring follows the extents, copied
+/// by its commit records (`copy_ring`): the sealed slots' records and
+/// bodies, not the reserved ring, so `primary`'s ring must read zeros.
+/// Every byte moved is written under the checksum its read completion
+/// verified; no host pass re-scans it. Each extent copied back (and each
+/// chain link resolved) fires a recovery-plane [`chaos::Site`] on `chaos`,
+/// so a `crash_in_recovery` rule can kill the restore mid-copy.
 /// Epochs lost in the rollback are counted in `replication.lag_epochs`;
 /// any fallback counts a degraded restore.
 pub fn restore_from_replica(
@@ -855,16 +915,10 @@ pub fn restore_from_replica(
     if let Some((map, epoch)) = live {
         match restore_extents(replica, map.entries(), primary, primary_base, chaos) {
             Ok(()) => {
-                // Carry the whole manifest ring over so the new primary
+                // Carry the ring's sealed slots over so the new primary
                 // can serve future restores and scrubs without the old
                 // replica.
-                copy_extent(
-                    replica,
-                    fs_size,
-                    primary,
-                    primary_base + fs_size,
-                    REGION_BYTES,
-                )?;
+                copy_ring(replica, fs_size, primary, primary_base + fs_size)?;
                 return Ok(RestoreOutcome {
                     map,
                     epoch,
@@ -890,21 +944,14 @@ pub fn restore_from_replica(
     // Manifest extents always carry CRCs, so every one is verified — a
     // mismatch here means the data is gone on both copies.
     restore_extents(replica, map.entries(), primary, primary_base, chaos)?;
-    copy_extent(
-        replica,
-        fs_size,
-        primary,
-        primary_base + fs_size,
-        REGION_BYTES,
-    )?;
     if !chain.newer.is_empty() {
         // Slots newer than the restored epoch are stale heads of an
-        // abandoned lineage; neuter them on both copies (the primary's
-        // region is now a byte copy of the replica's) so they can never
-        // chain onto post-restore manifests.
-        invalidate_slots(primary, primary_base + fs_size, &chain.newer)?;
+        // abandoned lineage; neuter them on the replica before its ring
+        // is copied, so neither copy can chain them onto post-restore
+        // manifests.
         invalidate_slots(replica, fs_size, &chain.newer)?;
     }
+    copy_ring(replica, fs_size, primary, primary_base + fs_size)?;
     let lag = live_epoch.map_or(0, |le| le.saturating_sub(epoch));
     if live_epoch.is_some() {
         metrics.lag_epochs.add(lag);
@@ -921,9 +968,10 @@ pub fn restore_from_replica(
     })
 }
 
-/// Copy `entries` from the replica onto the new primary, verifying the
-/// streamed bytes against each recorded CRC. Extents without one
-/// (mid-epoch writes in a live map) are copied unverified.
+/// Copy `entries` from the replica onto the new primary, verifying each
+/// span's checksum, folded from its reads' ([`stream_extent`]), against
+/// its recorded CRC. Extents without one (mid-epoch writes in a live map)
+/// are copied unverified.
 fn restore_extents(
     replica: &mut NvmfConnection,
     entries: Vec<(u64, u64, Option<u32>)>,
@@ -937,17 +985,9 @@ fn restore_extents(
                 "crash point: recovery restore extent".into(),
             )));
         }
-        match crc {
-            Some(expected) => {
-                let got = stream_extent(replica, offset, len, |at, data| {
-                    let crc = crc32(&data);
-                    primary.write_vectored_bytes_precrc(vec![(primary_base + at, data, crc)])
-                })?;
-                if got != expected {
-                    return Err(ReplicationError::Unrecoverable { offset, len });
-                }
-            }
-            None => copy_extent(replica, offset, primary, primary_base + offset, len)?,
+        let got = copy_extent(replica, offset, primary, primary_base + offset, len)?;
+        if crc.is_some_and(|expected| expected != got) {
+            return Err(ReplicationError::Unrecoverable { offset, len });
         }
     }
     Ok(())
@@ -1481,71 +1521,90 @@ mod tests {
         }
     }
 
+    /// Seal one manifest per ring slot in `conn`'s ring, each slot of the
+    /// `(kind, extents, seed)` it is given: 0 and 1 a sealed full and
+    /// delta manifest, 2 torn (the body only in part), 3 zeroed (never
+    /// written), 4 a bad seal, 5 a resealed record naming more than a slot
+    /// holds, 6 one naming an empty body, 7 stale (the body since
+    /// overwritten). Every extent is 4 KiB of the zeros the namespace
+    /// reads, under its true CRC, so any lineage that materializes also
+    /// restores. Returns the body bytes that intact records name.
+    fn write_ring(conn: &mut NvmfConnection, slots: &[(u8, usize, u8)]) -> u64 {
+        let zeros_crc = crc32(&[0u8; 4096]);
+        let mut sealed_bytes = 0u64;
+        for (slot, &(kind, extents, seed)) in slots.iter().enumerate() {
+            let epoch = slot as u64 + CHAIN_SLOTS * u64::from(seed % 3) + 1;
+            let m = EpochManifest {
+                epoch,
+                parent_epoch: if kind == 1 { epoch - 1 } else { 0 },
+                extents: (0..extents as u64)
+                    .map(|i| ManifestExtent {
+                        offset: i << 16,
+                        len: 4096,
+                        crc: zeros_crc,
+                    })
+                    .collect(),
+                whiteouts: if kind == 1 {
+                    vec![(1 << 30, 4096)]
+                } else {
+                    Vec::new()
+                },
+            };
+            let at = FS + slot_offset(epoch);
+            let mut body = m.encode_body().unwrap();
+            let mut record = m.encode_commit(&body);
+            match kind {
+                0 | 1 => {}
+                2 => body.truncate(body.len() / 2),
+                3 => continue,
+                4 => record[5] ^= 1 << (seed % 8),
+                5 => {
+                    let oversized = SLOT_BYTES - COMMIT_RECORD_BYTES + 1 + u64::from(seed);
+                    record[12..16].copy_from_slice(&(oversized as u32).to_le_bytes());
+                    let seal = crc32(&record[0..20]);
+                    record[20..24].copy_from_slice(&seal.to_le_bytes());
+                }
+                6 => {
+                    record[12..16].fill(0);
+                    let seal = crc32(&record[0..20]);
+                    record[20..24].copy_from_slice(&seal.to_le_bytes());
+                }
+                _ => {
+                    let flip = usize::from(seed) % body.len();
+                    body[flip] ^= 0x40;
+                }
+            }
+            if matches!(kind, 0 | 1 | 2 | 7) {
+                sealed_bytes += m.encode_body().unwrap().len() as u64;
+            }
+            conn.write_bytes(at + COMMIT_RECORD_BYTES, Bytes::from(body))
+                .unwrap();
+            conn.write_bytes(at, Bytes::copy_from_slice(&record))
+                .unwrap();
+        }
+        sealed_bytes
+    }
+
+    /// `materialize_chain` of `conn`'s ring as comparable parts.
+    fn chain_parts(conn: &mut NvmfConnection) -> Option<(Vec<ManifestExtent>, u64, Vec<u64>)> {
+        materialize_chain(conn, FS, &ChaosHandle::default())
+            .unwrap()
+            .map(|c| (c.extents, c.epoch, c.newer))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Reading the ring by its commit records returns exactly what
-        /// decoding each whole slot returns, over rings of sealed, torn,
-        /// zeroed, bad-seal and oversized-`body_len` slots, and reads only
-        /// the records plus the bodies that sealed records name.
+        /// decoding each whole slot returns, over rings of every
+        /// [`write_ring`] slot kind, and reads only the records plus the
+        /// bodies that sealed records name.
         #[test]
         fn prop_ring_read_by_commit_records_equals_whole_slot_decode(
             slots in proptest::collection::vec((0u8..8, 0usize..400, any::<u8>()), 8..9),
         ) {
             let (mut p, _, _) = conn_pair();
-            let mut sealed_bytes = 0u64;
-            for (slot, &(kind, extents, seed)) in slots.iter().enumerate() {
-                let epoch = slot as u64 + CHAIN_SLOTS * u64::from(seed % 3) + 1;
-                let m = EpochManifest {
-                    epoch,
-                    parent_epoch: if kind == 1 { epoch - 1 } else { 0 },
-                    extents: (0..extents as u64)
-                        .map(|i| ManifestExtent {
-                            offset: i << 16,
-                            len: 4096 + u64::from(seed),
-                            crc: (i as u32).wrapping_mul(0x9E37_79B9) ^ u32::from(seed),
-                        })
-                        .collect(),
-                    whiteouts: if kind == 1 { vec![(1 << 30, 4096)] } else { Vec::new() },
-                };
-                let at = FS + slot_offset(epoch);
-                let mut body = m.encode_body().unwrap();
-                let mut record = m.encode_commit(&body);
-                match kind {
-                    // Sealed full and delta manifests.
-                    0 | 1 => {}
-                    // Torn: the record landed, the body only in part.
-                    2 => body.truncate(body.len() / 2),
-                    // Zeroed: never written.
-                    3 => continue,
-                    // Bad seal: a bit of the sealed fields flipped.
-                    4 => record[5] ^= 1 << (seed % 8),
-                    // A resealed record naming more than a slot can hold.
-                    5 => {
-                        let oversized = SLOT_BYTES - COMMIT_RECORD_BYTES + 1 + u64::from(seed);
-                        record[12..16].copy_from_slice(&(oversized as u32).to_le_bytes());
-                        let seal = crc32(&record[0..20]);
-                        record[20..24].copy_from_slice(&seal.to_le_bytes());
-                    }
-                    // A resealed record naming an empty body.
-                    6 => {
-                        record[12..16].fill(0);
-                        let seal = crc32(&record[0..20]);
-                        record[20..24].copy_from_slice(&seal.to_le_bytes());
-                    }
-                    // Stale: the record seals a body since overwritten.
-                    _ => {
-                        let flip = usize::from(seed) % body.len();
-                        body[flip] ^= 0x40;
-                    }
-                }
-                if matches!(kind, 0 | 1 | 2 | 7) {
-                    sealed_bytes += m.encode_body().unwrap().len() as u64;
-                }
-                p.write_bytes(at + COMMIT_RECORD_BYTES, Bytes::from(body))
-                    .unwrap();
-                p.write_bytes(at, Bytes::copy_from_slice(&record)).unwrap();
-            }
+            let sealed_bytes = write_ring(&mut p, &slots);
             let mut whole = Vec::new();
             for slot in 0..CHAIN_SLOTS {
                 let bytes = p.read_bytes(FS + slot * SLOT_BYTES, SLOT_BYTES as usize).unwrap();
@@ -1559,6 +1618,44 @@ mod tests {
                 read <= CHAIN_SLOTS * COMMIT_RECORD_BYTES + sealed_bytes,
                 "read {} bytes, sealed bodies hold {}", read, sealed_bytes
             );
+        }
+
+        /// A restore onto a fresh primary, by the live path and by the
+        /// rollback path, leaves a ring that decodes and materializes
+        /// exactly as the replica's does afterwards, over rings of every
+        /// [`write_ring`] slot kind, and writes no more ring bytes than the
+        /// commit records plus the bodies that sealed records name.
+        #[test]
+        fn prop_restored_ring_decodes_like_the_replicas(
+            slots in proptest::collection::vec((0u8..8, 0usize..400, any::<u8>()), 8..9),
+        ) {
+            for live in [true, false] {
+                let (mut replica, _, t) = conn_pair();
+                let sealed_bytes = write_ring(&mut replica, &slots);
+                let before = chain_parts(&mut replica);
+                let state = live.then(|| (ExtentMap::new(), 0));
+                let (out, mut fresh) = restore(&mut replica, state, &t);
+                let out = match out {
+                    Ok(out) => out,
+                    Err(ReplicationError::NoCompleteEpoch) if !live => {
+                        prop_assert!(before.is_none());
+                        continue;
+                    }
+                    Err(e) => return Err(TestCaseError::fail(e.to_string())),
+                };
+                let extent_bytes: u64 = out.map.entries().iter().map(|e| e.1).sum();
+                let ring_bytes = fresh.io_counters().1 - extent_bytes;
+                prop_assert!(
+                    ring_bytes <= CHAIN_SLOTS * COMMIT_RECORD_BYTES + sealed_bytes,
+                    "wrote {} ring bytes, sealed bodies hold {}", ring_bytes, sealed_bytes
+                );
+                prop_assert_eq!(read_manifests(&mut fresh, FS).unwrap(), read_manifests(&mut replica, FS).unwrap());
+                let restored = chain_parts(&mut fresh);
+                prop_assert_eq!(&restored, &chain_parts(&mut replica));
+                if !live {
+                    prop_assert_eq!(restored.map(|c| c.1), before.map(|c| c.1));
+                }
+            }
         }
     }
 }

@@ -345,7 +345,7 @@ fn degraded_serve(rt: &NvmeCrRuntime, rank: u32) -> Result<DegradedRank, Runtime
             .is_some_and(|end| end <= fs_size);
         let crc = fits
             .then(|| {
-                replication::stream_extent(&mut conn, e.offset, e.len, |at, data| {
+                replication::stream_extent(&mut conn, e.offset, e.len, |at, data, _| {
                     image[at as usize..][..data.len()].copy_from_slice(&data);
                     Ok(())
                 })

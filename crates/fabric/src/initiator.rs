@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use chaos::{ChaosHandle, FaultAction, Site};
+use microfs::crc::crc32;
 use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 
 use ssd::NsId;
@@ -91,6 +92,10 @@ pub enum InitiatorError {
     Transport(String),
     /// All retry attempts were consumed without a successful completion.
     Exhausted { attempts: u32, last: String },
+    /// A drained submission window holds no completion for command `cid`.
+    /// The window retires every command before returning, so this reports
+    /// a broken invariant as an error instead of a panic.
+    Undrained { cid: u16 },
 }
 
 impl fmt::Display for InitiatorError {
@@ -100,6 +105,12 @@ impl fmt::Display for InitiatorError {
             InitiatorError::Transport(e) => write!(f, "transport error: {e}"),
             InitiatorError::Exhausted { attempts, last } => {
                 write!(f, "command failed after {attempts} attempts (last: {last})")
+            }
+            InitiatorError::Undrained { cid } => {
+                write!(
+                    f,
+                    "command {cid} left the submission window without a completion"
+                )
             }
         }
     }
@@ -294,8 +305,10 @@ impl NvmfConnection {
     /// [`NvmfConnection::submit_window`]; a lone command is simply the
     /// degenerate QD=1 case.
     fn submit(&mut self, capsule: Capsule) -> Result<Completion, InitiatorError> {
-        self.submit_window(vec![capsule])
-            .map(|mut v| v.pop().expect("one completion per capsule"))
+        let cid = capsule.cid;
+        self.submit_window(vec![capsule])?
+            .pop()
+            .ok_or(InitiatorError::Undrained { cid })
     }
 
     /// Submit a batch of commands through the pipelined window.
@@ -320,10 +333,13 @@ impl NvmfConnection {
         let result = self.drive_window(&mut pending);
         self.observe_window(&mut pending);
         result?;
-        Ok(pending
+        pending
             .into_iter()
-            .map(|p| p.done.expect("window drained"))
-            .collect())
+            .map(|p| {
+                let cid = p.capsule.cid;
+                p.done.ok_or(InitiatorError::Undrained { cid })
+            })
+            .collect()
     }
 
     /// Meter a batch of capsules into the window's pending table. Paired
@@ -768,6 +784,36 @@ impl NvmfConnection {
         &mut self,
         reads: &[(u64, usize)],
     ) -> Result<Vec<Bytes>, InitiatorError> {
+        self.read_window(reads)
+            .map(|comps| comps.into_iter().map(|c| c.data).collect())
+    }
+
+    /// [`NvmfConnection::read_vectored_bytes`], each buffer paired with its
+    /// `crc32`, which the completion derives from the wire CRC it already
+    /// verified ([`Completion::payload_crc`]) instead of re-scanning the
+    /// bytes. A caller that writes the buffers on through
+    /// [`NvmfConnection::write_vectored_bytes_precrc`], or checks them
+    /// against a recorded checksum, pays no host pass over the payload.
+    pub fn read_vectored_bytes_crc(
+        &mut self,
+        reads: &[(u64, usize)],
+    ) -> Result<Vec<(Bytes, u32)>, InitiatorError> {
+        self.read_window(reads).map(|comps| {
+            comps
+                .into_iter()
+                .map(|c| {
+                    // Every completion a window returns was decoded, so the
+                    // fallback pass never runs.
+                    let crc = c.payload_crc().unwrap_or_else(|| crc32(&c.data));
+                    (c.data, crc)
+                })
+                .collect()
+        })
+    }
+
+    /// Meter and submit one read capsule per `(offset, len)` through the
+    /// pipelined window; completions come back in submission order.
+    fn read_window(&mut self, reads: &[(u64, usize)]) -> Result<Vec<Completion>, InitiatorError> {
         if reads.is_empty() {
             return Ok(Vec::new());
         }
@@ -780,7 +826,6 @@ impl NvmfConnection {
             capsules.push(Capsule::read(cid, self.ns.0, offset, len as u64));
         }
         self.submit_window(capsules)
-            .map(|comps| comps.into_iter().map(|c| c.data).collect())
     }
 
     /// Vectored read into caller-provided buffers (one copy per extent,

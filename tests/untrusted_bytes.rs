@@ -22,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use fabric::{Capsule, Completion, SgList, Status};
+use fabric::{Capsule, CapsuleError, Completion, SgList, Status};
 use microfs::block::pool::MAX_BLOCKS;
 use microfs::block::BlockPool;
 use microfs::btree::BTree;
@@ -873,5 +873,33 @@ proptest! {
         };
         prop_assert_eq!(&Completion::decode_sg(c.encode_sg().into_contiguous().into()).unwrap(), &c);
         prop_assert_eq!(Completion::decode_sg(c.encode_sg()).unwrap(), c);
+    }
+
+    /// A decoded completion hands back `crc32` of its payload, derived from
+    /// the wire CRC it passed, empty payloads included, in both delivery
+    /// shapes; one built locally has none. A completion whose payload bit
+    /// flipped in flight fails with `CrcMismatch`, so it yields no CRC.
+    #[test]
+    fn completion_crc_is_the_payloads(
+        cid in any::<u16>(),
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+        flip in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let c = Completion::ok(cid, Bytes::from(data.clone()));
+        prop_assert_eq!(c.payload_crc(), None);
+        let split = Completion::decode_sg(c.encode_sg()).unwrap();
+        prop_assert_eq!(split.payload_crc(), Some(crc32(&data)));
+        let gathered = Completion::decode_sg(c.encode_sg().into_contiguous().into()).unwrap();
+        prop_assert_eq!(gathered.payload_crc(), Some(crc32(&data)));
+        if !data.is_empty() {
+            let mut wire = c.encode_sg().into_contiguous().to_vec();
+            wire[19 + flip % data.len()] ^= 1 << bit;
+            let corrupt = Completion::decode_sg(SgList::from(Bytes::from(wire)));
+            prop_assert!(
+                matches!(corrupt, Err(CapsuleError::CrcMismatch { .. })),
+                "{:?}", corrupt
+            );
+        }
     }
 }
