@@ -2,8 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the exact API surface it uses: a cheaply cloneable, reference-
-//! counted immutable byte buffer ([`Bytes`]), a growable builder
-//! ([`BytesMut`]), and the little-endian write cursor [`BufMut`].
+//! counted immutable byte buffer ([`Bytes`]) and the little-endian write
+//! cursor [`BufMut`], which fills a `Vec` or a stack array.
 //! Clones and sub-slices of `Bytes` never copy payload bytes — the property
 //! the NVMf zero-copy data plane is built on.
 
@@ -11,27 +11,38 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 ///
 /// Internally an `Arc<[u8]>` plus a window; `clone` and `slice` are
-/// reference-count operations and never copy the payload.
+/// reference-count operations and never copy the payload. An empty buffer
+/// holds no `Arc` at all, so making one allocates nothing.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Option<Arc<[u8]>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
+    /// An empty buffer (allocates nothing).
+    pub const fn new() -> Self {
         Bytes {
-            data: Arc::from(&[][..]),
+            data: None,
             start: 0,
             end: 0,
+        }
+    }
+
+    /// A buffer over `data` itself; an empty one keeps no allocation.
+    fn from_arc(data: Arc<[u8]>) -> Self {
+        let end = data.len();
+        Bytes {
+            data: (end > 0).then_some(data),
+            start: 0,
+            end,
         }
     }
 
@@ -76,7 +87,7 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -94,7 +105,10 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(d) => &d[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -106,12 +120,18 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-            start: 0,
-            end,
+        if v.is_empty() {
+            return Bytes::new();
         }
+        Bytes::from_arc(Arc::from(v.into_boxed_slice()))
+    }
+}
+
+/// A fixed-size buffer built on the stack (a wire header) becomes a
+/// `Bytes` in one allocation.
+impl<const N: usize> From<[u8; N]> for Bytes {
+    fn from(a: [u8; N]) -> Self {
+        Bytes::from_arc(Arc::from(&a[..]))
     }
 }
 
@@ -152,65 +172,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// An empty buffer with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Shorten to `len` bytes (no-op if already shorter).
-    pub fn truncate(&mut self, len: usize) {
-        self.buf.truncate(len);
-    }
-
-    /// Convert into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(v: &[u8]) -> Self {
-        BytesMut { buf: v.to_vec() }
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
 /// Write cursor (little-endian appenders used by the capsule codec).
 pub trait BufMut {
     /// Append raw bytes.
@@ -237,15 +198,19 @@ pub trait BufMut {
     }
 }
 
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+/// Fills the slice front to back, advancing past what it wrote. Panics
+/// when `src` does not fit, like the real crate.
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, tail) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = tail;
     }
 }
 
@@ -260,12 +225,36 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(c, b);
-        assert!(Arc::ptr_eq(&b.data, &s.data), "slice must not copy");
+        assert!(
+            Arc::ptr_eq(b.data.as_ref().unwrap(), s.data.as_ref().unwrap()),
+            "slice must not copy"
+        );
+    }
+
+    #[test]
+    fn empty_buffers_hold_no_allocation() {
+        assert!(Bytes::new().data.is_none());
+        assert!(Bytes::from(Vec::new()).data.is_none());
+        assert!(Bytes::from([0u8; 0]).data.is_none());
+        let b = Bytes::from(vec![1u8, 2]);
+        assert!(b.slice(1..1).is_empty());
+        assert_eq!(&b.slice(2..)[..], b"");
+    }
+
+    #[test]
+    fn stack_arrays_fill_through_a_slice_cursor() {
+        let mut a = [0u8; 7];
+        let mut w = &mut a[..];
+        w.put_u32_le(0x0403_0201);
+        w.put_u16_le(0x0605);
+        w.put_u8(7);
+        assert!(w.is_empty());
+        assert_eq!(&Bytes::from(a)[..], &[1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn cursor_roundtrip() {
-        let mut m = BytesMut::with_capacity(16);
+        let mut m = Vec::with_capacity(16);
         m.put_u32_le(0xDEAD_BEEF);
         m.put_u8(7);
         m.put_u16_le(513);
@@ -276,7 +265,7 @@ mod tests {
         want.extend_from_slice(&513u16.to_le_bytes());
         want.extend_from_slice(&(u64::MAX - 1).to_le_bytes());
         want.extend_from_slice(b"xy");
-        assert_eq!(&m.freeze()[..], &want[..]);
+        assert_eq!(&Bytes::from(m)[..], &want[..]);
     }
 
     #[test]

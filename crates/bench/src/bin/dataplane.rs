@@ -250,11 +250,13 @@ fn gate_parity(
 }
 
 /// Real time the fabric spent in command submission paths over one run —
-/// the sum of the measured `fabric.submit_ns` histogram. The flight
+/// the sum of the measured `fabric.command_ns` histogram, each window's
+/// duration split among its commands (`fabric.submit_ns` would count a
+/// QD=32 window's time once per command still waiting in it). The flight
 /// recorder's `record()` calls sit on exactly these paths, so the
 /// enabled-vs-disabled delta of this sum is the recorder's dataplane
 /// overhead.
-fn submit_ns_sum(
+fn command_ns_sum(
     qd: usize,
     ssd_config: &SsdConfig,
     bytes_per_rank: u64,
@@ -270,8 +272,8 @@ fn submit_ns_sum(
         ReactorMode::Threaded,
     )?;
     Ok(snap
-        .histogram("fabric.submit_ns")
-        .ok_or("no fabric.submit_ns histogram in run telemetry")?
+        .histogram("fabric.command_ns")
+        .ok_or("no fabric.command_ns histogram in run telemetry")?
         .sum)
 }
 
@@ -288,13 +290,13 @@ fn recorder_overhead_pct(
     ssd_config: &SsdConfig,
     bytes_per_rank: u64,
 ) -> Result<f64, Box<dyn std::error::Error>> {
-    submit_ns_sum(qd, ssd_config, bytes_per_rank, true)?;
-    submit_ns_sum(qd, ssd_config, bytes_per_rank, false)?;
+    command_ns_sum(qd, ssd_config, bytes_per_rank, true)?;
+    command_ns_sum(qd, ssd_config, bytes_per_rank, false)?;
     let mut on = u64::MAX;
     let mut off = u64::MAX;
     for _ in 0..7 {
-        on = on.min(submit_ns_sum(qd, ssd_config, bytes_per_rank, true)?);
-        off = off.min(submit_ns_sum(qd, ssd_config, bytes_per_rank, false)?);
+        on = on.min(command_ns_sum(qd, ssd_config, bytes_per_rank, true)?);
+        off = off.min(command_ns_sum(qd, ssd_config, bytes_per_rank, false)?);
     }
     if off == 0 {
         return Err("recorder-off run recorded zero submit time".into());

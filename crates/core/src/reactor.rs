@@ -38,7 +38,6 @@
 //! `qos.{throttled,admitted}` (see METRICS.md).
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use telemetry::Telemetry;
 
@@ -368,9 +367,9 @@ impl<'a, F: Send, R: Send> Shard<'a, F, R> {
             if !self.run_round(qos, reactors, round) {
                 // Everything resident is throttled: the shard is idle
                 // until the next refill.
-                let t = Instant::now();
+                let t = telemetry::now();
                 std::thread::yield_now();
-                self.stats.idle_ns += t.elapsed().as_nanos() as u64;
+                self.stats.idle_ns += telemetry::ns_since(t);
             }
         }
     }
@@ -504,13 +503,13 @@ impl ReactorPool {
             else {
                 continue;
             };
-            let t = Instant::now();
+            let t = telemetry::now();
             let Some(task) = shards[donor].active.pop_back() else {
                 continue;
             };
             shards[thief].active.push_back(task);
             shards[thief].stats.steals += 1;
-            shards[thief].stats.steal_ns += t.elapsed().as_nanos() as u64;
+            shards[thief].stats.steal_ns += telemetry::ns_since(t);
         }
     }
 

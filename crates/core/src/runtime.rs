@@ -769,12 +769,47 @@ impl NvmeCrRuntime {
                 rank,
             }))?;
         let ns = target.device().create_namespace(size)?;
+        let fs = match self.mount_replacement(rank, &route, &target, ns, size) {
+            Ok(fs) => fs,
+            Err(e) => {
+                // The replacement never served: return its capacity, or
+                // `finalize`, which knows only recorded namespaces, never
+                // would. A failed delete cannot hide the cause.
+                let _ = target.device().delete_namespace(ns);
+                return Err(e);
+            }
+        };
+        self.ranks[rank as usize] = Some(fs);
+        self.extra_ns.push((Arc::clone(&target), ns));
+        self.routes[rank as usize] = RankRoute {
+            target,
+            ns,
+            base: 0,
+            size,
+            node: new_node,
+            replica: route.replica,
+        };
+        self.config.telemetry.counter("driver.failovers").inc();
+        Ok(())
+    }
+
+    /// Bring up `rank`'s filesystem on its fresh replacement namespace
+    /// `ns` of `size` bytes: restored from the replica and remounted when
+    /// `route` has one, else formatted.
+    fn mount_replacement(
+        &mut self,
+        rank: u32,
+        route: &RankRoute,
+        target: &Arc<NvmfTarget>,
+        ns: NsId,
+        size: u64,
+    ) -> Result<MicroFs<NvmfBlockDevice>, RuntimeError> {
         let mut conn = self.config.connect(
             format!("nqn.2026-07.io.nvmecr:rank{rank}-failover"),
-            &target,
+            target,
             ns,
         );
-        let fs = if let Some(rr) = &route.replica {
+        if let Some(rr) = &route.replica {
             let fs_size = size - REGION_BYTES;
             // Reuse the live mirror (replica connection + extent map) if
             // the rank was still mounted; a crashed rank reconnects to
@@ -806,27 +841,17 @@ impl NvmeCrRuntime {
             // filesystem, byte-verified against the manifest. The mirror
             // state came from the restore itself, so only the microfs-level
             // typestate chain runs here (replay is purely in-memory).
-            microfs::recovery::Crashed::new(dev, self.config.fs_config())
-                .begin_replay()?
-                .replay_all()?
-                .serve()
+            Ok(
+                microfs::recovery::Crashed::new(dev, self.config.fs_config())
+                    .begin_replay()?
+                    .replay_all()?
+                    .serve(),
+            )
         } else {
             let mut dev = NvmfBlockDevice::new(conn, 0, size);
             dev.set_chaos(self.config.chaos.clone());
-            MicroFs::format(dev, self.config.fs_config())?
-        };
-        self.ranks[rank as usize] = Some(fs);
-        self.extra_ns.push((Arc::clone(&target), ns));
-        self.routes[rank as usize] = RankRoute {
-            target,
-            ns,
-            base: 0,
-            size,
-            node: new_node,
-            replica: route.replica,
-        };
-        self.config.telemetry.counter("driver.failovers").inc();
-        Ok(())
+            Ok(MicroFs::format(dev, self.config.fs_config())?)
+        }
     }
 
     /// Aggregate per-rank filesystem statistics (Table I accounting).

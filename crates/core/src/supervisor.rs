@@ -44,7 +44,7 @@
 //! idempotent by chaos).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use chaos::ChaosHandle;
 use cluster::Topology;
@@ -135,7 +135,7 @@ impl RecoverySupervisor {
         let mut outcome = RecoveryOutcome::default();
         let mut degraded = BTreeMap::new();
         for rank in 0..rt.rank_count() {
-            let started = Instant::now();
+            let started = telemetry::now();
             let mut failures = 0u32;
             let mut last_err: Option<RuntimeError> = None;
             while failures < self.policy.max_attempts.max(1) {
@@ -145,7 +145,7 @@ impl RecoverySupervisor {
                     let left = self
                         .policy
                         .deadline_ns
-                        .saturating_sub(started.elapsed().as_nanos() as u64);
+                        .saturating_sub(telemetry::ns_since(started));
                     if left == 0 {
                         break;
                     }

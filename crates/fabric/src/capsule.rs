@@ -6,7 +6,7 @@
 //! same fields): magic, opcode, CID, NSID, SLBA-as-byte-offset, length, and
 //! an optional inline data payload for writes.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use microfs::crc::{crc32, crc32_shift, crc32_update};
 use microfs::wire::{Reader, Short};
 use std::fmt;
@@ -276,15 +276,19 @@ impl Capsule {
         }
     }
 
+    /// The header, built on the stack and then moved into one `Bytes`
+    /// allocation.
     fn encode_header(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN);
+        let mut header = [0u8; HEADER_LEN];
+        let (prefix, mut tail) = header.split_at_mut(HEADER_LEN - 4);
+        let mut buf = &mut *prefix;
         buf.put_u32_le(CAPSULE_MAGIC);
         buf.put_u8(self.opcode.to_u8());
         buf.put_u16_le(self.cid);
         buf.put_u32_le(self.nsid);
         buf.put_u64_le(self.offset);
         buf.put_u64_le(self.len);
-        let prefix = crc32(&buf);
+        let prefix = crc32(prefix);
         // The CRC update is affine over GF(2):
         // `crc32_update(S, data) = crc32_shift(S ^ !0, len) ^ crc32(data) ^ !0`,
         // so a caller-supplied payload checksum substitutes for re-scanning
@@ -295,8 +299,8 @@ impl Capsule {
             }
             None => crc32_update(prefix, &self.data),
         };
-        buf.put_u32_le(crc);
-        buf.freeze()
+        tail.put_u32_le(crc);
+        Bytes::from(header)
     }
 
     /// Serialize as a scatter-gather list: `[header, payload]`. The
@@ -427,20 +431,25 @@ impl Completion {
     }
 
     /// The header bytes the wire CRC covers ahead of the payload.
-    fn header_prefix(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(COMPLETION_HEADER_LEN);
+    fn header_prefix(&self) -> [u8; COMPLETION_HEADER_LEN - 4] {
+        let mut prefix = [0u8; COMPLETION_HEADER_LEN - 4];
+        let mut buf = &mut prefix[..];
         buf.put_u32_le(CAPSULE_MAGIC);
         buf.put_u16_le(self.cid);
         buf.put_u8(self.status.to_u8());
         buf.put_u64_le(self.data.len() as u64);
-        buf
+        prefix
     }
 
+    /// The header, built on the stack and then moved into one `Bytes`
+    /// allocation.
     fn encode_header(&self) -> Bytes {
-        let mut buf = self.header_prefix();
-        let crc = crc32_update(crc32(&buf), &self.data);
-        buf.put_u32_le(crc);
-        buf.freeze()
+        let prefix = self.header_prefix();
+        let mut header = [0u8; COMPLETION_HEADER_LEN];
+        let (head, mut tail) = header.split_at_mut(prefix.len());
+        head.copy_from_slice(&prefix);
+        tail.put_u32_le(crc32_update(crc32(&prefix), &self.data));
+        Bytes::from(header)
     }
 
     /// Serialize as a scatter-gather list: `[header, data]`. A read
@@ -552,8 +561,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// A frame flattened into one mutable buffer.
-    fn flat(sg: SgList) -> BytesMut {
-        BytesMut::from(&sg.into_contiguous()[..])
+    fn flat(sg: SgList) -> Vec<u8> {
+        sg.into_contiguous().to_vec()
     }
 
     /// Decode a one-segment delivery, so `split_frame` gathers.

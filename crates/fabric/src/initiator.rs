@@ -28,11 +28,16 @@ use crate::target::{ConnId, NvmfTarget, TargetError};
 /// Resolved telemetry handles for the initiator hot path, shared by every
 /// connection an [`Initiator`] opens.
 struct FabricMetrics {
-    /// Full QP submit→complete latency of one capsule exchange.
+    /// Full QP submit→complete latency of one capsule exchange, from the
+    /// window's open stamp to the command's completion stamp.
     submit_ns: Arc<Histogram>,
-    /// Command-capsule scatter-gather encode latency.
+    /// Per-command share of the window: from the window's previous
+    /// boundary stamp (its open stamp or the last completion) to this
+    /// command's completion stamp. A window's values sum to its duration.
+    command_ns: Arc<Histogram>,
+    /// Command-capsule scatter-gather encode latency (sampled).
     capsule_encode_ns: Arc<Histogram>,
-    /// Response-capsule decode latency.
+    /// Response-capsule decode latency (sampled).
     capsule_decode_ns: Arc<Histogram>,
     /// Capsule exchanges issued (writes, reads, flushes).
     io_ops: Arc<Counter>,
@@ -67,8 +72,9 @@ impl FabricMetrics {
     fn new(t: &Telemetry) -> Self {
         FabricMetrics {
             submit_ns: t.histogram("fabric.submit_ns"),
-            capsule_encode_ns: t.histogram("fabric.capsule_encode_ns"),
-            capsule_decode_ns: t.histogram("fabric.capsule_decode_ns"),
+            command_ns: t.histogram("fabric.command_ns"),
+            capsule_encode_ns: t.sampled_histogram("fabric.capsule_encode_ns"),
+            capsule_decode_ns: t.sampled_histogram("fabric.capsule_decode_ns"),
             io_ops: t.counter("fabric.io_ops"),
             io_bytes: t.counter("fabric.io_bytes"),
             bytes_copied: t.counter("fabric.bytes_copied"),
@@ -153,7 +159,7 @@ impl AttemptError {
 /// posted copy is currently awaiting a response, and its completion once
 /// retired. Slots are kept in submission order so the window's results come
 /// back in the order the caller issued them, even though completions are
-/// matched out of order.
+/// matched out of order. `started` is the window's one open stamp.
 struct Pending {
     capsule: Capsule,
     attempts: u32,
@@ -253,6 +259,7 @@ impl Initiator {
             qp_target,
             next_cid: 0,
             next_wr: 0,
+            mark: telemetry::now(),
             ios: 0,
             bytes: 0,
             metrics: Arc::clone(&self.metrics),
@@ -280,6 +287,8 @@ pub struct NvmfConnection {
     qp_target: QueuePair,
     next_cid: u16,
     next_wr: u64,
+    /// The open window's last boundary stamp (see `fabric.command_ns`).
+    mark: Instant,
     ios: u64,
     bytes: u64,
     metrics: Arc<FabricMetrics>,
@@ -342,12 +351,15 @@ impl NvmfConnection {
             .collect()
     }
 
-    /// Meter a batch of capsules into the window's pending table. Paired
-    /// with [`NvmfConnection::window_pass`] /
+    /// Meter a batch of capsules into the window's pending table, all
+    /// stamped with one read of the clock. Paired with
+    /// [`NvmfConnection::window_pass`] /
     /// [`NvmfConnection::observe_window`] by callers that interleave this
     /// window with another connection's (mirrored writes).
     fn begin_window(&mut self, capsules: Vec<Capsule>) -> Vec<Pending> {
         self.metrics.io_ops.add(capsules.len() as u64);
+        let started = telemetry::now();
+        self.mark = started;
         capsules
             .into_iter()
             .map(|capsule| Pending {
@@ -355,7 +367,7 @@ impl NvmfConnection {
                 attempts: 0,
                 in_flight: false,
                 done: None,
-                started: Instant::now(),
+                started,
                 timed: false,
             })
             .collect()
@@ -363,18 +375,25 @@ impl NvmfConnection {
 
     /// Exactly one submit_ns observation per command that entered the
     /// window, success or failure — `submit_ns.count` stays equal to
-    /// `io_ops` so percentiles are per-command latencies.
+    /// `io_ops` so percentiles are per-command latencies. Commands that
+    /// completed were observed at their completion stamp; the rest (a
+    /// failed window) share one read here.
     fn observe_window(&self, pending: &mut [Pending]) {
+        if pending.iter().all(|p| p.timed) {
+            return;
+        }
+        let stamp = telemetry::now();
         for p in pending.iter_mut().filter(|p| !p.timed) {
-            Self::observe_latency(&self.metrics, p);
+            Self::observe_latency(&self.metrics, p, stamp);
         }
     }
 
-    fn observe_latency(metrics: &FabricMetrics, p: &mut Pending) {
+    /// Record `p`'s submit latency at `stamp`; returns it.
+    fn observe_latency(metrics: &FabricMetrics, p: &mut Pending, stamp: Instant) -> u64 {
         p.timed = true;
-        metrics
-            .submit_ns
-            .record(p.started.elapsed().as_nanos() as u64);
+        let ns = telemetry::ns_between(p.started, stamp);
+        metrics.submit_ns.record(ns);
+        ns
     }
 
     /// Run the window until every pending command has retired.
@@ -409,7 +428,8 @@ impl NvmfConnection {
                 match self.post_one(&pending[i].capsule)? {
                     PostOutcome::Posted => {
                         let p = &mut pending[i];
-                        self.metrics.flight.record(
+                        self.metrics.flight.record_at(
+                            p.started,
                             FlightKind::Submit,
                             p.capsule.cid as u64,
                             p.attempts as u64,
@@ -513,13 +533,21 @@ impl NvmfConnection {
                             p.in_flight = false;
                             match comp.status {
                                 Status::Success => {
+                                    // The command's one completion stamp
+                                    // feeds its latency and its event.
                                     p.done = Some(comp);
-                                    Self::observe_latency(&self.metrics, p);
-                                    self.metrics.flight.record(
+                                    let stamp = telemetry::now();
+                                    let ns = Self::observe_latency(&self.metrics, p, stamp);
+                                    self.metrics
+                                        .command_ns
+                                        .record(telemetry::ns_between(self.mark, stamp));
+                                    self.mark = stamp;
+                                    self.metrics.flight.record_at(
+                                        stamp,
                                         FlightKind::Complete,
                                         p.capsule.cid as u64,
                                         p.attempts as u64,
-                                        p.started.elapsed().as_nanos() as u64,
+                                        ns,
                                         0,
                                     );
                                 }
@@ -641,9 +669,15 @@ impl NvmfConnection {
             let irecv = self.wr();
             self.qp_initiator.post_recv(irecv);
         }
-        for _ in 0..copies {
+        for copy in 1..=copies {
             let send = self.wr();
-            match self.qp_initiator.post_send(send, wire.clone()) {
+            // The last copy posts the list itself; only a duplicate clones.
+            let wire = if copy == copies {
+                std::mem::take(&mut wire)
+            } else {
+                wire.clone()
+            };
+            match self.qp_initiator.post_send(send, wire) {
                 Ok(()) => {}
                 Err(QpError::NotConnected) => return Ok(PostOutcome::Reset),
                 Err(QpError::SendQueueFull) => return Ok(PostOutcome::Backpressure),

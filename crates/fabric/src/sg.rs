@@ -74,13 +74,11 @@ impl From<Bytes> for SgList {
     }
 }
 
+/// Adopts the vector itself, dropping empty segments in place.
 impl From<Vec<Bytes>> for SgList {
-    fn from(segs: Vec<Bytes>) -> Self {
-        let mut sg = SgList::new();
-        for s in segs {
-            sg.push(s);
-        }
-        sg
+    fn from(mut segs: Vec<Bytes>) -> Self {
+        segs.retain(|s| !s.is_empty());
+        SgList { segs }
     }
 }
 

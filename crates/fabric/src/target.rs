@@ -87,19 +87,21 @@ struct ReplayCache {
 
 impl ReplayCache {
     /// The sequence number of `cid`: the newest one moved by the signed
-    /// 16-bit distance from its CID. Advances the newest when `cid` is
-    /// ahead of it.
-    fn sequence(&mut self, cid: u16) -> u64 {
+    /// 16-bit distance from its CID, and whether it is fresh. A fresh
+    /// sequence is ahead of the newest, which it becomes; every cached
+    /// sequence is at most the newest, so a fresh one is never cached.
+    fn sequence(&mut self, cid: u16) -> (u64, bool) {
         let seq = match self.newest {
             // One CID space up, so a retry behind the first command cannot
             // wrap below zero.
             None => (1 << 16) + u64::from(cid),
             Some(n) => n.wrapping_add_signed(i64::from(cid.wrapping_sub(n as u16) as i16)),
         };
-        if self.newest.is_none_or(|n| seq > n) {
+        let fresh = self.newest.is_none_or(|n| seq > n);
+        if fresh {
             self.newest = Some(seq);
         }
-        seq
+        (seq, fresh)
     }
 
     fn get(&self, seq: u64) -> Option<&Completion> {
@@ -140,8 +142,8 @@ impl NvmfTarget {
     /// the device's telemetry registry.
     pub fn new(ssd: Arc<Ssd>) -> Self {
         let t = ssd.telemetry();
-        let decode_ns = t.histogram("fabric.target_decode_ns");
-        let handle_ns = t.histogram("fabric.target_handle_ns");
+        let decode_ns = t.sampled_histogram("fabric.target_decode_ns");
+        let handle_ns = t.sampled_histogram("fabric.target_handle_ns");
         let crc_errors = t.counter("fabric.crc_errors");
         let duplicates_suppressed = t.counter("fabric.duplicates_suppressed");
         NvmfTarget {
@@ -243,12 +245,13 @@ impl NvmfTarget {
         // Idempotent replay: a mutating command we already completed
         // successfully (duplicate delivery, or a retry after its response
         // was lost) is answered from cache, never re-executed. Every
-        // command, reads included, moves the connection's CID sequence.
+        // command, reads included, moves the connection's CID sequence;
+        // only a repeated one can be in the cache.
         let mutating = matches!(c.opcode, Opcode::Write | Opcode::Flush);
         let seq = {
             let mut replay = cstate.replay.lock();
-            let seq = replay.sequence(c.cid);
-            if let Some(cached) = mutating.then(|| replay.get(seq)).flatten() {
+            let (seq, fresh) = replay.sequence(c.cid);
+            if let Some(cached) = (mutating && !fresh).then(|| replay.get(seq)).flatten() {
                 self.duplicates_suppressed.inc();
                 return cached.clone();
             }
@@ -532,6 +535,45 @@ mod tests {
                 .snapshot()
                 .counter("fabric.duplicates_suppressed"),
             1
+        );
+    }
+
+    #[test]
+    fn repeats_behind_a_full_cache_are_still_replayed() {
+        // Fresh commands skip the cache scan; a duplicate of the newest and
+        // a retry of an older command still inside the cache do not.
+        let (t, a, _) = target_with_two_ns();
+        let conn = t.connect("nqn.host0", &[a]);
+        let write = |cid: u16| {
+            Capsule::write(
+                cid,
+                a.0,
+                u64::from(cid) * 8,
+                Bytes::from(vec![cid as u8; 8]),
+            )
+        };
+        for cid in 0..200u16 {
+            assert_eq!(
+                exchange(&t, conn, &write(cid)).unwrap().status,
+                Status::Success
+            );
+        }
+        let (writes_before, ..) = t.device().ns_io_counters(a);
+        assert_eq!(writes_before, 200);
+        for cid in [199u16, 150] {
+            assert_eq!(
+                exchange(&t, conn, &write(cid)).unwrap().status,
+                Status::Success
+            );
+        }
+        let (writes_after, ..) = t.device().ns_io_counters(a);
+        assert_eq!(writes_after, writes_before, "no write executed twice");
+        assert_eq!(
+            t.device()
+                .telemetry()
+                .snapshot()
+                .counter("fabric.duplicates_suppressed"),
+            2
         );
     }
 

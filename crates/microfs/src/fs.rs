@@ -92,12 +92,12 @@ struct FsMetrics {
 impl FsMetrics {
     fn new(t: &Telemetry) -> Self {
         FsMetrics {
-            wal_append_ns: t.histogram("microfs.wal_append_ns"),
+            wal_append_ns: t.sampled_histogram("microfs.wal_append_ns"),
             wal_appended: t.counter("microfs.wal_appended"),
             wal_coalesced: t.counter("microfs.wal_coalesced"),
-            btree_op_ns: t.histogram("microfs.btree_op_ns"),
-            write_ns: t.histogram("microfs.write_ns"),
-            read_ns: t.histogram("microfs.read_ns"),
+            btree_op_ns: t.sampled_histogram("microfs.btree_op_ns"),
+            write_ns: t.sampled_histogram("microfs.write_ns"),
+            read_ns: t.sampled_histogram("microfs.read_ns"),
             snapshot_ns: t.histogram("microfs.snapshot_ns"),
             replay_ns: t.histogram("microfs.replay_ns"),
             replay_records: t.counter("microfs.replay_records"),

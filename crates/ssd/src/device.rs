@@ -23,7 +23,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use chaos::{ChaosHandle, FaultAction, Site};
@@ -67,9 +66,9 @@ impl SsdMetrics {
             bytes_copied: t.counter("ssd.bytes_copied"),
             lock_wait_ns: t.counter("ssd.lock_wait_ns"),
             capacitor_flush_bytes: t.counter("ssd.capacitor_flush_bytes"),
-            drain_ns: t.histogram("ssd.drain_ns"),
-            write_ns: t.histogram("ssd.write_ns"),
-            read_ns: t.histogram("ssd.read_ns"),
+            drain_ns: t.sampled_histogram("ssd.drain_ns"),
+            write_ns: t.sampled_histogram("ssd.write_ns"),
+            read_ns: t.sampled_histogram("ssd.read_ns"),
             queue_depth: t.gauge("ssd.queue_depth"),
             ram_occupancy: t.gauge("ssd.ram_occupancy_bytes"),
             flight: t.recorder(),
@@ -226,9 +225,9 @@ impl NsShard {
         if let Some(g) = self.data.try_lock() {
             return g;
         }
-        let t = Instant::now();
+        let t = telemetry::now();
         let g = self.data.lock();
-        self.metrics.lock_wait_ns.add(t.elapsed().as_nanos() as u64);
+        self.metrics.lock_wait_ns.add(telemetry::ns_since(t));
         g
     }
 

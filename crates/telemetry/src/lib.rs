@@ -18,6 +18,8 @@
 //!   (trace-identified by rank/epoch/CID/retry-generation), auto-dumped
 //!   to JSONL when a fault, CRC error, retry exhaustion, or rollback
 //!   trips it.
+//! - [`clock`] — the one wall clock: [`now`] is the only clock read in
+//!   library code, counted per thread in debug builds.
 //! - [`context`] — thread-local (rank, epoch) trace context propagated
 //!   from the driver's rank fan-out into every event recorded below it.
 //! - [`json`] — a minimal parser so emitted reports can self-validate in
@@ -32,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod context;
 pub mod json;
 pub mod metrics;
@@ -39,6 +42,9 @@ pub mod recorder;
 pub mod registry;
 pub mod trace;
 
+#[cfg(debug_assertions)]
+pub use clock::clock_reads;
+pub use clock::{now, ns_between, ns_since};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
 pub use registry::{GaugeSnapshot, MetricsSnapshot, Registry};
@@ -95,6 +101,12 @@ impl Telemetry {
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.registry.histogram(name)
+    }
+
+    /// Get or create the [sampled](Histogram::sampled) histogram named
+    /// `name`.
+    pub fn sampled_histogram(&self, name: &str) -> Arc<Histogram> {
+        self.registry.sampled_histogram(name)
     }
 
     /// Snapshot every metric.

@@ -11,6 +11,8 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use crate::clock::{now, ns_since};
+
 /// Number of independent shards per metric. Threads hash onto shards via a
 /// process-wide round-robin slot, so up to this many writers proceed with
 /// zero line sharing.
@@ -160,8 +162,14 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
     }
 }
 
+/// A sampled histogram keeps the value of one call in this many per
+/// thread (see [`Histogram::sampled`]).
+pub const SAMPLE_PERIOD: u64 = 16;
+
 /// One shard of histogram state. Buckets are plain (unpadded) atomics —
-/// the shard itself is what isolates writer threads.
+/// the shard itself is what isolates writer threads. `count` is every
+/// call; the buckets hold the values kept, which for a sampled histogram
+/// is one call in [`SAMPLE_PERIOD`].
 struct HistShard {
     count: AtomicU64,
     sum: AtomicU64,
@@ -180,6 +188,15 @@ impl HistShard {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
+
+    /// Keep one value: sum, extremes and its bucket, but not `count`.
+    #[inline]
+    fn fill(&self, v: u64) {
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A log2-bucketed histogram of u64 samples (typically nanoseconds).
@@ -187,8 +204,13 @@ impl HistShard {
 /// Recording is lock-free and sharded; querying percentiles goes through
 /// [`Histogram::snapshot`], which merges shards into an immutable
 /// [`HistogramSnapshot`].
+///
+/// A histogram is exact or [sampled](Histogram::sampled). Both count
+/// every call; a sampled one keeps one value in [`SAMPLE_PERIOD`] per
+/// thread, so its timer reads the clock only on those calls.
 pub struct Histogram {
     shards: Vec<HistShard>,
+    sampled: bool,
 }
 
 impl Default for Histogram {
@@ -198,31 +220,53 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Create an empty histogram.
+    /// Create an empty exact histogram: it keeps every value.
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| HistShard::new()).collect(),
+            sampled: false,
         }
     }
 
-    /// Record one sample.
+    /// Create an empty sampled histogram, for stage timers nested inside a
+    /// timed command or op. `count` stays exact (one relaxed add per
+    /// call, which doubles as the sample tick); the buckets, `min` and
+    /// `max` come from the first call of every [`SAMPLE_PERIOD`] on each
+    /// thread, and the snapshot scales `sum` by calls per kept value.
+    pub fn sampled() -> Self {
+        Self {
+            sampled: true,
+            ..Self::new()
+        }
+    }
+
+    /// Count one call; true when its value is to be kept.
+    #[inline]
+    fn tick(&self, sh: &HistShard) -> bool {
+        let n = sh.count.fetch_add(1, Ordering::Relaxed);
+        !self.sampled || n.is_multiple_of(SAMPLE_PERIOD)
+    }
+
+    /// Record one call's value (kept on the sample tick when sampled).
     #[inline]
     pub fn record(&self, v: u64) {
         let sh = &self.shards[slot()];
-        sh.count.fetch_add(1, Ordering::Relaxed);
-        sh.sum.fetch_add(v, Ordering::Relaxed);
-        sh.min.fetch_min(v, Ordering::Relaxed);
-        sh.max.fetch_max(v, Ordering::Relaxed);
-        sh.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        if self.tick(sh) {
+            sh.fill(v);
+        }
     }
 
-    /// Start a timer whose elapsed nanoseconds are recorded on drop.
+    /// Start a timer whose elapsed nanoseconds are recorded on drop. A
+    /// sampled histogram's timer counts the call at once and reads the
+    /// clock only when the call is its thread's sample.
     #[inline]
     pub fn time(&self) -> HistTimer<'_> {
-        HistTimer {
-            hist: self,
-            start: Instant::now(),
-        }
+        let start = if self.sampled {
+            self.tick(&self.shards[slot()]).then(now)
+        } else {
+            Some(now())
+        };
+        HistTimer { hist: self, start }
     }
 
     /// Merge all shards into an immutable snapshot.
@@ -233,15 +277,27 @@ impl Histogram {
             if count == 0 {
                 continue;
             }
+            let mut kept = 0;
+            for (i, b) in sh.buckets.iter().enumerate() {
+                let n = b.load(Ordering::Relaxed);
+                out.buckets[i] += n;
+                kept += n;
+            }
+            // A sampled shard's sum stands for `count` calls: scale it by
+            // calls per kept value. Exact shards have `kept == count`.
+            let sum = sh.sum.load(Ordering::Relaxed);
+            let sum = match kept {
+                0 => 0,
+                k if k == count => sum,
+                k => (u128::from(sum) * u128::from(count) / u128::from(k)) as u64,
+            };
             out.count += count;
+            out.samples += kept;
             // Sums wrap like the atomics they mirror; ns-scale workloads
             // never get near the edge, but extreme samples must not panic.
-            out.sum = out.sum.wrapping_add(sh.sum.load(Ordering::Relaxed));
+            out.sum = out.sum.wrapping_add(sum);
             out.min = out.min.min(sh.min.load(Ordering::Relaxed));
             out.max = out.max.max(sh.max.load(Ordering::Relaxed));
-            for (i, b) in sh.buckets.iter().enumerate() {
-                out.buckets[i] += b.load(Ordering::Relaxed);
-            }
         }
         out
     }
@@ -258,24 +314,36 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// RAII timer: records elapsed ns into its histogram on drop.
+/// RAII timer: records elapsed ns into its histogram on drop. `start` is
+/// `None` for a sampled call that keeps no value.
 pub struct HistTimer<'a> {
     hist: &'a Histogram,
-    start: Instant,
+    start: Option<Instant>,
 }
 
 impl Drop for HistTimer<'_> {
     fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_nanos() as u64);
+        let Some(start) = self.start else { return };
+        let v = ns_since(start);
+        if self.hist.sampled {
+            // `time` already counted the call.
+            self.hist.shards[slot()].fill(v);
+        } else {
+            self.hist.record(v);
+        }
     }
 }
 
 /// An immutable, mergeable view of a histogram's samples.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Number of samples.
+    /// Number of calls recorded.
     pub count: u64,
-    /// Sum of all samples.
+    /// Number of values the buckets hold: `count` for an exact histogram,
+    /// about one in [`SAMPLE_PERIOD`] of it for a sampled one.
+    pub samples: u64,
+    /// Sum of all values; for a sampled histogram, the kept values' sum
+    /// scaled by calls per kept value, an unbiased estimate.
     pub sum: u64,
     /// Smallest sample (u64::MAX when empty).
     pub min: u64,
@@ -290,6 +358,7 @@ impl HistogramSnapshot {
     pub fn empty() -> Self {
         Self {
             count: 0,
+            samples: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
@@ -315,14 +384,14 @@ impl HistogramSnapshot {
     /// The `p`-th percentile (0 < p <= 100), reported as the upper bound of
     /// the bucket containing that rank — so the true value is never above
     /// the report by more than the bucket's width (<= 12.5% relative).
-    /// Returns 0 for an empty snapshot.
+    /// Ranks run over the kept values. Returns 0 for an empty snapshot.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
+        if self.samples == 0 {
             return 0;
         }
         // Rank of the sample we want, 1-based, clamped into range.
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let rank = rank.min(self.count);
+        let rank = ((p / 100.0) * self.samples as f64).ceil().max(1.0) as u64;
+        let rank = rank.min(self.samples);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
@@ -392,6 +461,42 @@ mod tests {
         assert_eq!(s.percentile(100.0), 10_000);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 10_000);
+    }
+
+    #[test]
+    fn a_sampled_histogram_tracks_the_exact_one() {
+        // One seeded, log-uniform stream (1 us .. 256 us) into both kinds.
+        let (exact, sampled) = (Histogram::new(), Histogram::sampled());
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let v = (1_000.0 * (u * 8.0).exp2()) as u64;
+            exact.record(v);
+            sampled.record(v);
+        }
+        let (e, s) = (exact.snapshot(), sampled.snapshot());
+        assert_eq!(s.count, e.count);
+        assert_eq!(e.samples, 100_000);
+        assert_eq!(s.samples, 100_000 / SAMPLE_PERIOD);
+        for p in [50.0, 99.0] {
+            let (ei, si) = (bucket_index(e.percentile(p)), bucket_index(s.percentile(p)));
+            assert!(ei.abs_diff(si) <= 1, "p{p}: bucket {si} vs {ei}");
+        }
+        let err = (s.sum as f64 - e.sum as f64).abs() / e.sum as f64;
+        assert!(err < 0.05, "sum {} vs {} ({err})", s.sum, e.sum);
+    }
+
+    #[test]
+    fn a_sampled_timer_counts_every_call_and_times_one_in_the_period() {
+        let h = Histogram::sampled();
+        for _ in 0..2 * SAMPLE_PERIOD {
+            let _t = h.time();
+        }
+        let s = h.snapshot();
+        assert_eq!((s.count, s.samples), (2 * SAMPLE_PERIOD, 2));
     }
 
     #[test]

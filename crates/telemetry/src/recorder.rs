@@ -258,7 +258,7 @@ impl FlightRecorder {
         let capacity = capacity.max(8).next_power_of_two();
         FlightRecorder {
             shards: (0..SHARDS).map(|_| Shard::new(capacity)).collect(),
-            origin: Instant::now(),
+            origin: crate::now(),
             enabled: AtomicBool::new(true),
             trips: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
@@ -295,10 +295,19 @@ impl FlightRecorder {
     /// Record one event, stamping the thread's (rank, epoch) context.
     #[inline]
     pub fn record(&self, kind: FlightKind, cid: u64, gen: u64, a: u64, b: u64) {
+        if self.enabled.load(Ordering::Relaxed) {
+            self.record_at(crate::now(), kind, cid, gen, a, b);
+        }
+    }
+
+    /// [`FlightRecorder::record`] at a `stamp` the caller already read, so
+    /// a command boundary's histogram and event share one clock read.
+    #[inline]
+    pub fn record_at(&self, stamp: Instant, kind: FlightKind, cid: u64, gen: u64, a: u64, b: u64) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let ts = self.origin.elapsed().as_nanos() as u64;
+        let ts = crate::ns_between(self.origin, stamp);
         let shard = &self.shards[slot()];
         let seq = shard.seq.fetch_add(1, Ordering::Relaxed);
         let s = &shard.slots[(seq as usize) & (shard.slots.len() - 1)];

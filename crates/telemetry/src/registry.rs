@@ -24,14 +24,14 @@ pub struct Registry {
 }
 
 macro_rules! get_or_create {
-    ($map:expr, $name:expr, $ty:ty) => {{
+    ($map:expr, $name:expr, $make:expr) => {{
         if let Some(m) = $map.read().get($name) {
             return Arc::clone(m);
         }
         let mut w = $map.write();
         Arc::clone(
             w.entry($name.to_string())
-                .or_insert_with(|| Arc::new(<$ty>::new())),
+                .or_insert_with(|| Arc::new($make())),
         )
     }};
 }
@@ -44,17 +44,23 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create!(self.counters, name, Counter)
+        get_or_create!(self.counters, name, Counter::new)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create!(self.gauges, name, Gauge)
+        get_or_create!(self.gauges, name, Gauge::new)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_create!(self.histograms, name, Histogram)
+        get_or_create!(self.histograms, name, Histogram::new)
+    }
+
+    /// Get or create the [sampled](Histogram::sampled) histogram named
+    /// `name`. A name keeps the kind it was first created with.
+    pub fn sampled_histogram(&self, name: &str) -> Arc<Histogram> {
+        get_or_create!(self.histograms, name, Histogram::sampled)
     }
 
     /// This registry's flight recorder.

@@ -79,7 +79,7 @@ pub struct TraceEvent {
 fn now_ns() -> u64 {
     let epoch = EPOCH.lock();
     match *epoch {
-        Some(e) => e.elapsed().as_nanos() as u64,
+        Some(e) => crate::ns_since(e),
         None => 0,
     }
 }
@@ -198,7 +198,7 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Trace) {
     for buf in BUFFERS.lock().iter() {
         buf.lock().clear();
     }
-    *EPOCH.lock() = Some(Instant::now());
+    *EPOCH.lock() = Some(crate::now());
     ENABLED.store(true, Ordering::SeqCst);
     let out = f();
     ENABLED.store(false, Ordering::SeqCst);

@@ -204,7 +204,7 @@ impl RankMachine<MicroFs<NvmfBlockDevice>> for CkptMachine<'_> {
             .arg("ckpt", u64::from(self.ckpt));
         match &mut self.state {
             CkptState::Start => {
-                let started = std::time::Instant::now();
+                let started = telemetry::now();
                 if self.ckpt == 0 {
                     // Per-rank private namespaces: same paths, no
                     // coordination.
@@ -237,8 +237,7 @@ impl RankMachine<MicroFs<NvmfBlockDevice>> for CkptMachine<'_> {
                 }
                 fs.fsync(*fd)?;
                 fs.close(*fd)?;
-                self.ckpt_rank_ns
-                    .record(started.elapsed().as_nanos() as u64);
+                self.ckpt_rank_ns.record(telemetry::ns_since(*started));
                 Ok(MachineStep::Done(()))
             }
         }

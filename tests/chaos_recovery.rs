@@ -731,6 +731,40 @@ fn failover_restore_reattempts_after_nested_kill() {
     assert_eq!(report.unrecoverable, 0);
 }
 
+/// Every SSD's free bytes, in rack order.
+fn free_bytes(rack: &StorageRack, topo: &Topology) -> Vec<u64> {
+    topo.storage_nodes()
+        .into_iter()
+        .flat_map(|node| rack.targets_on(node))
+        .map(|(_, t)| t.device().free_bytes())
+        .collect()
+}
+
+#[test]
+fn failed_failover_restore_returns_its_replacement_namespace() {
+    // A nested kill fails the first restore after the replacement
+    // namespace exists; that namespace must go back to its SSD, so the
+    // finalized job leaves every SSD as free as it found it.
+    let (rack, topo, alloc, config, _ssd_chaos, chaos, telemetry) = replicated_chaos_testbed();
+    let before = free_bytes(&rack, &topo);
+    let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+    checkpoint(&mut rt, 3, "/base.dat", &pattern(3, 96 << 10));
+    rt.commit_epochs().unwrap();
+    rt.crash_rank(3).unwrap();
+    // Recovery op 0 of the failover is the first chain-materialize link.
+    chaos.arm(FaultPlan::new(0).crash_in_recovery(0), &telemetry);
+    assert!(rt.fail_over_rank(3, &rack, &topo).is_err());
+    chaos.begin_attempt();
+    rt.fail_over_rank(3, &rack, &topo).unwrap();
+    chaos.disarm();
+    assert_eq!(
+        read_back(&mut rt, 3, "/base.dat", 96 << 10),
+        pattern(3, 96 << 10)
+    );
+    rt.finalize().unwrap();
+    assert_eq!(free_bytes(&rack, &topo), before);
+}
+
 #[test]
 fn delta_chain_failover_restores_newest_complete_epoch() {
     // Same shard-kill scenario as the rollback test above, but with
