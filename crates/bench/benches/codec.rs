@@ -4,12 +4,16 @@
 //! `decode_sg`: the payload crosses by refcount). The `capsule_encode`
 //! group sets a precomputed payload CRC (`write_precrc`, one
 //! `crc32_shift`) against a rescan of the payload (`write`).
+//! `flight_recorder/record_at` prices one flight-recorder event at a
+//! stamp the caller already read, as the submission window records two
+//! per command (`Submit` and `Complete`); it prints ns per event.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fabric::Capsule;
 use microfs::crc::{crc32, crc32_shift};
 use std::hint::black_box;
+use telemetry::{FlightKind, FlightRecorder};
 
 fn bench_capsule(c: &mut Criterion) {
     let mut g = c.benchmark_group("capsule_roundtrip");
@@ -65,11 +69,27 @@ fn bench_crc_shift(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_flight_recorder(c: &mut Criterion) {
+    let mut g = c.benchmark_group("flight_recorder");
+    g.throughput(Throughput::Elements(1));
+    let rec = FlightRecorder::new();
+    let stamp = telemetry::now();
+    let mut cid = 0u64;
+    g.bench_function("record_at", |b| {
+        b.iter(|| {
+            cid += 1;
+            rec.record_at(stamp, FlightKind::Complete, cid, 0, 4096, 0)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_capsule,
     bench_capsule_encode,
     bench_crc,
-    bench_crc_shift
+    bench_crc_shift,
+    bench_flight_recorder
 );
 criterion_main!(benches);

@@ -51,12 +51,8 @@ const ALLOWED: &[(&str, &str)] = &[
         "the only producer of Opcode::Connect; dropping it changes the wire format",
     ),
     (
-        "crates/fabric/src/initiator.rs::qp_counters",
-        "initiator tests observe queue-pair send and receive counts",
-    ),
-    (
         "crates/fabric/src/sg.rs::segment_count",
-        "capsule and queue-pair tests check how many segments a capsule travels in",
+        "capsule tests check how many segments a capsule travels in",
     ),
     (
         "crates/microfs/src/error.rs::APPEND",

@@ -93,9 +93,9 @@ macro_rules! sites {
 }
 
 sites! {
-    /// Command capsule leaving the initiator (before `post_send`).
+    /// Command capsule leaving the initiator (before it is queued).
     CapsuleTx = Fault 0x01 "capsule_tx" [DropCapsule, DuplicateCapsule, CorruptPayload];
-    /// Response capsule arriving at the initiator (after `poll_cq`).
+    /// Response capsule arriving at the initiator (as the window drains it).
     CapsuleRx = Fault 0x02 "capsule_rx" [DropCapsule, CorruptPayload];
     /// Connection-level failure observed by the initiator for one command.
     ConnReset = Fault 0x03 "conn_reset" [ResetConnection];

@@ -23,8 +23,8 @@ pub struct RuntimeConfig {
     /// Fault-injection hook threaded into every initiator and per-rank
     /// filesystem. Disarmed (the default) it is a no-op.
     pub chaos: ChaosHandle,
-    /// Data-plane tuning for the rank initiators: submission-window depth
-    /// (QD), CQ poll batches, and per-command reliability parameters.
+    /// Data-plane tuning for the rank initiators: the submission-window
+    /// depth (QD).
     pub fabric: FabricConfig,
     /// Synchronous copies of each rank's checkpoint data. `1` (the
     /// default) is unreplicated — bit-for-bit today's behavior. `2`

@@ -476,7 +476,10 @@ impl Mirror {
             _ => None,
         };
         let full = delta.is_none();
-        let compaction_timer = (chained && full).then(|| self.metrics.compaction_ns.time());
+        // The timer holds its own handle: the seal writes below borrow
+        // the mirror mutably.
+        let compaction_ns = Arc::clone(&self.metrics.compaction_ns);
+        let compaction_timer = (chained && full).then(|| compaction_ns.time());
         let (manifest, body) = match delta {
             Some(pair) => pair,
             None => {
@@ -496,68 +499,24 @@ impl Mirror {
         // Crash-universe gate for the body phase: the body reaches the
         // primary but the crash lands before the replica copy or either
         // commit record — a torn slot restore must treat as invisible.
-        if self.chaos.fire(Site::ManifestBody).is_some() {
-            primary.write_vectored_bytes_precrc(vec![(primary_base + body_off, body, body_crc)])?;
-            let _ = primary.flush();
-            return Err(ReplicationError::Fabric(InitiatorError::Transport(
-                "crash point: manifest body".into(),
-            )));
-        }
-        if self.degraded {
-            // Primary-only commit: the replica stays at its last complete
-            // epoch and a replica-based restore will lag.
-            primary.write_vectored_bytes_precrc(vec![(primary_base + body_off, body, body_crc)])?;
-        } else {
-            let out = write_mirrored_bytes(
-                primary,
-                &mut self.conn,
-                vec![MirroredWrite {
-                    primary_offset: primary_base + body_off,
-                    replica_offset: body_off,
-                    data: body,
-                    crc: body_crc,
-                }],
-            )?;
-            if out.replica_error.is_some() {
-                self.degraded = true;
-            }
-        }
+        self.seal_write(
+            primary,
+            primary_base,
+            Site::ManifestBody,
+            (body_off, body, body_crc),
+            "manifest body",
+        )?;
         // Crash-universe gate for the record phase: the body is durable
         // on both copies but only the primary's commit record lands —
         // the replica must fall back to an older complete head while the
         // primary legitimately serves the new epoch.
-        if self.chaos.fire(Site::CommitRecord).is_some() {
-            primary.write_vectored_bytes_precrc(vec![(
-                primary_base + record_off,
-                record,
-                record_crc,
-            )])?;
-            let _ = primary.flush();
-            return Err(ReplicationError::Fabric(InitiatorError::Transport(
-                "crash point: commit record".into(),
-            )));
-        }
-        if self.degraded {
-            primary.write_vectored_bytes_precrc(vec![(
-                primary_base + record_off,
-                record,
-                record_crc,
-            )])?;
-        } else {
-            let out = write_mirrored_bytes(
-                primary,
-                &mut self.conn,
-                vec![MirroredWrite {
-                    primary_offset: primary_base + record_off,
-                    replica_offset: record_off,
-                    data: record,
-                    crc: record_crc,
-                }],
-            )?;
-            if out.replica_error.is_some() {
-                self.degraded = true;
-            }
-        }
+        self.seal_write(
+            primary,
+            primary_base,
+            Site::CommitRecord,
+            (record_off, record, record_crc),
+            "commit record",
+        )?;
         // The epoch is only real once it is durable.
         primary.flush()?;
         if !self.degraded && self.conn.flush().is_err() {
@@ -591,6 +550,48 @@ impl Mirror {
         }
         drop(compaction_timer);
         Ok(epoch)
+    }
+
+    /// Write one part of an epoch seal, `(ring offset, bytes, crc)`,
+    /// behind `site`'s crash gate. A firing gate lands the primary copy
+    /// alone, flushes it and reports the crash as `what`. Otherwise the
+    /// part goes to the primary alone when the mirror is degraded, and to
+    /// both copies when it is not; a replica error degrades the mirror.
+    fn seal_write(
+        &mut self,
+        primary: &mut NvmfConnection,
+        primary_base: u64,
+        site: Site,
+        (offset, data, crc): (u64, Bytes, u32),
+        what: &str,
+    ) -> Result<(), ReplicationError> {
+        let crashed = self.chaos.fire(site).is_some();
+        if crashed || self.degraded {
+            // Primary-only: the replica stays at its last complete epoch
+            // and a replica-based restore will lag.
+            primary.write_vectored_bytes_precrc(vec![(primary_base + offset, data, crc)])?;
+            if crashed {
+                let _ = primary.flush();
+                return Err(ReplicationError::Fabric(InitiatorError::Transport(
+                    format!("crash point: {what}"),
+                )));
+            }
+            return Ok(());
+        }
+        let out = write_mirrored_bytes(
+            primary,
+            &mut self.conn,
+            vec![MirroredWrite {
+                primary_offset: primary_base + offset,
+                replica_offset: offset,
+                data,
+                crc,
+            }],
+        )?;
+        if out.replica_error.is_some() {
+            self.degraded = true;
+        }
+        Ok(())
     }
 
     /// Walk every committed extent, verify both copies against the

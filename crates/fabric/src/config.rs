@@ -45,7 +45,7 @@ pub(crate) const MAX_BACKOFF_NS: u64 = 10_000_000; // 10 ms
 /// from [`BASE_BACKOFF_NS`] and clamped to [`MAX_BACKOFF_NS`]. Backoff is
 /// *modeled* time: it is charged to `fabric.backoff_ns` rather than slept,
 /// matching how the rest of the workspace accounts simulated latency. A
-/// lost command is detected when both completion queues are dry, not by a
+/// lost command is detected when both capsule queues are empty, not by a
 /// clock, and is counted in `fabric.timeouts`.
 pub(crate) fn backoff_ns(attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1);
@@ -57,8 +57,6 @@ pub(crate) fn backoff_ns(attempt: u32) -> u64 {
     backed.min(MAX_BACKOFF_NS)
 }
 
-/// Completions drained per initiator-side `poll_cq` call.
-pub(crate) const INITIATOR_POLL_BATCH: usize = 16;
 /// Command capsules drained per target-daemon poll iteration; the whole
 /// batch is decoded, executed, and responded to before the next poll (the
 /// batched reactor iteration).
@@ -71,14 +69,10 @@ pub(crate) const TARGET_POLL_BATCH: usize = 8;
 /// the initiator posts up to [`FabricConfig::queue_depth`] command capsules
 /// before polling for completions instead of running lock-step.
 ///
-/// The poll batches (`INITIATOR_POLL_BATCH`, `TARGET_POLL_BATCH`) bound
-/// how many completions one `poll_cq` call drains. Each poll iteration
-/// costs one [`NetConfig::per_message_cpu`]-scale CPU charge (~0.3 µs on
-/// EDR) regardless of how many completions it returns, so draining in
-/// batches amortises that cost: a batch of 16 cuts the per-completion poll
-/// overhead ~16× versus polling one at a time, while keeping the drain
-/// loop's working set (decoded capsules held live) small enough to stay
-/// cache-resident.
+/// The target daemon polls a connection's command queue in batches of
+/// `TARGET_POLL_BATCH`: each batch takes the connection table's lock once
+/// and is decoded, executed and answered before the next poll. The
+/// initiator then drains every response the pass produced in one sweep.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Command capsules the initiator keeps in flight per connection

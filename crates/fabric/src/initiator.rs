@@ -6,6 +6,7 @@
 //! and moves real bytes through the capsule codec, exactly as the runtime's
 //! data plane will use it.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,17 +19,14 @@ use telemetry::{Counter, FlightKind, FlightRecorder, Histogram, Telemetry};
 use ssd::NsId;
 
 use crate::capsule::{Capsule, CapsuleError, Completion, Status};
-use crate::config::{
-    backoff_ns, FabricConfig, INITIATOR_POLL_BATCH, MAX_RETRIES, TARGET_POLL_BATCH,
-};
-use crate::qp::{CompletionOp, QpError, QueuePair};
+use crate::config::{backoff_ns, FabricConfig, MAX_RETRIES, TARGET_POLL_BATCH};
 use crate::sg::SgList;
 use crate::target::{ConnId, NvmfTarget, TargetError};
 
 /// Resolved telemetry handles for the initiator hot path, shared by every
 /// connection an [`Initiator`] opens.
 struct FabricMetrics {
-    /// Full QP submit→complete latency of one capsule exchange, from the
+    /// Full submit→complete latency of one capsule exchange, from the
     /// window's open stamp to the command's completion stamp.
     submit_ns: Arc<Histogram>,
     /// Per-command share of the window: from the window's previous
@@ -59,7 +57,7 @@ struct FabricMetrics {
     reconnects: Arc<Counter>,
     /// Modeled backoff nanoseconds charged before retries (not slept).
     backoff_ns: Arc<Counter>,
-    /// Wall-clock latency of one reconnect (teardown + re-admission + QP).
+    /// Wall-clock latency of one reconnect (teardown + re-admission).
     reconnect_ns: Arc<Histogram>,
     /// Black-box flight recorder: every command lifecycle event (submit,
     /// completion, retry, timeout, CRC reject, exhaustion, reconnect) is
@@ -177,10 +175,8 @@ enum PostOutcome {
     /// command timeout fires immediately (no response can exist).
     LostTx,
     /// The connection died under this command; every in-flight command on
-    /// the old queue pair is collateral.
+    /// it is collateral.
     Reset,
-    /// The send queue is full: stop posting and drain completions first.
-    Backpressure,
 }
 
 /// Flip one bit in the last byte of the last wire segment — the injected
@@ -241,24 +237,18 @@ impl Initiator {
 
     /// Connect to `target`, binding the connection to namespace `ns`.
     /// The target admits the connection with access to exactly that
-    /// namespace, and an RDMA queue pair is established for the capsule
-    /// traffic. Queue depths are sized from the submission window — at
-    /// least the SPDK-default ballpark of 128, and 4× `queue_depth` when
-    /// the window is deeper (each windowed command can briefly hold a send
-    /// slot plus a duplicate under fault injection).
+    /// namespace; the connection's two capsule queues start empty.
     pub fn connect(&self, target: Arc<NvmfTarget>, ns: NsId) -> NvmfConnection {
         let conn = target.connect(&self.host_nqn, &[ns]);
-        let qp_depth = qp_depth_for(&self.config);
-        let (qp_initiator, qp_target) = QueuePair::connected_pair(qp_depth, qp_depth);
         NvmfConnection {
             target,
             conn,
             ns,
             host_nqn: self.host_nqn.clone(),
-            qp_initiator,
-            qp_target,
+            connected: true,
+            to_target: VecDeque::new(),
+            to_host: VecDeque::new(),
             next_cid: 0,
-            next_wr: 0,
             mark: telemetry::now(),
             ios: 0,
             bytes: 0,
@@ -269,24 +259,25 @@ impl Initiator {
     }
 }
 
-/// QP send/receive depth backing a submission window of `queue_depth`.
-fn qp_depth_for(config: &FabricConfig) -> usize {
-    config.queue_depth.saturating_mul(4).max(128)
-}
-
 /// An established initiator→target connection bound to one namespace.
-/// Capsules travel over a real [`QueuePair`]; the target daemon's polling
-/// loop runs inline when a command is submitted (the functional stand-in
-/// for the SPDK reactor).
+/// Capsules travel as scatter-gather lists over two in-order queues, one
+/// per direction. The target daemon's poll loop runs inline on the
+/// submitting thread (the functional stand-in for the SPDK reactor), so
+/// the queues are plain FIFOs that are polled, never waited on.
 pub struct NvmfConnection {
     target: Arc<NvmfTarget>,
     conn: ConnId,
     ns: NsId,
     host_nqn: String,
-    qp_initiator: QueuePair,
-    qp_target: QueuePair,
+    /// False once a reset drops the connection; the next post finds it
+    /// down and reconnects.
+    connected: bool,
+    /// Command capsules posted and not yet polled by the target.
+    to_target: VecDeque<SgList>,
+    /// Response capsules the target sent and the window has not drained.
+    /// Both queues keep their contents across windows until a reconnect.
+    to_host: VecDeque<SgList>,
     next_cid: u16,
-    next_wr: u64,
     /// The open window's last boundary stamp (see `fabric.command_ns`).
     mark: Instant,
     ios: u64,
@@ -303,24 +294,17 @@ impl NvmfConnection {
         c
     }
 
-    fn wr(&mut self) -> u64 {
-        let w = self.next_wr;
-        self.next_wr += 1;
-        w
+    /// Charge one data command of `len` payload bytes to this
+    /// connection's counters and hand out its CID.
+    fn meter(&mut self, len: u64) -> u16 {
+        self.ios += 1;
+        self.bytes += len;
+        self.metrics.io_bytes.add(len);
+        self.cid()
     }
 
-    /// Submit one command through a single-slot window. All retry,
-    /// reconnect, and replay-cache semantics live in
-    /// [`NvmfConnection::submit_window`]; a lone command is simply the
-    /// degenerate QD=1 case.
-    fn submit(&mut self, capsule: Capsule) -> Result<Completion, InitiatorError> {
-        let cid = capsule.cid;
-        self.submit_window(vec![capsule])?
-            .pop()
-            .ok_or(InitiatorError::Undrained { cid })
-    }
-
-    /// Submit a batch of commands through the pipelined window.
+    /// Submit a batch of commands through the pipelined window; every
+    /// command of the connection, a lone one included, goes through here.
     ///
     /// Up to `queue_depth` command capsules are posted before any polling;
     /// in-flight commands are tracked by CID in a pending table and their
@@ -331,10 +315,13 @@ impl NvmfConnection {
     /// direction, `Busy` backpressure, connection resets — are retried up
     /// to [`MAX_RETRIES`] times, reusing the **same CID** so the
     /// target's replay cache keeps re-execution idempotent. Resets trigger
-    /// a full reconnect (re-admission + fresh queue pair) first. Backoff is
+    /// a full reconnect (re-admission + empty queues) first. Backoff is
     /// modeled time, charged to `fabric.backoff_ns`. A fatal failure on
     /// any command fails the whole window.
     fn submit_window(&mut self, capsules: Vec<Capsule>) -> Result<Vec<Completion>, InitiatorError> {
+        if capsules.is_empty() {
+            return Ok(Vec::new());
+        }
         let _span = telemetry::span("fabric", "submit")
             .arg("ns", self.ns.0 as u64)
             .arg("window", capsules.len() as u64);
@@ -405,7 +392,7 @@ impl NvmfConnection {
     }
 
     /// One pass of the submission window. Each pass makes three sweeps —
-    /// post, target-daemon batch iteration, CQ drain — followed by a
+    /// post, target-daemon batch iteration, response drain — followed by a
     /// timeout sweep for commands whose responses are provably gone. No
     /// blocking waits anywhere (Principle 1). A pass retires at least one
     /// attempt, so [`NvmfConnection::drive_window`] loops it to completion;
@@ -414,188 +401,153 @@ impl NvmfConnection {
     /// concurrently.
     fn window_pass(&mut self, pending: &mut [Pending]) -> Result<(), InitiatorError> {
         let qd = self.config.queue_depth.max(1);
-        {
-            // Phase 1: fill the window — post command capsules until
-            // `queue_depth` are in flight or the send queue pushes back.
-            let mut in_flight = pending.iter().filter(|p| p.in_flight).count();
-            'post: for i in 0..pending.len() {
-                if in_flight >= qd {
+        // Phase 1: fill the window — post command capsules until
+        // `queue_depth` are in flight.
+        let mut in_flight = pending.iter().filter(|p| p.in_flight).count();
+        for i in 0..pending.len() {
+            if in_flight >= qd {
+                break;
+            }
+            if pending[i].done.is_some() || pending[i].in_flight {
+                continue;
+            }
+            match self.post_one(&pending[i].capsule) {
+                PostOutcome::Posted => {
+                    let p = &mut pending[i];
+                    self.metrics.flight.record_at(
+                        p.started,
+                        FlightKind::Submit,
+                        p.capsule.cid as u64,
+                        p.attempts as u64,
+                        p.capsule.len,
+                        p.capsule.offset,
+                    );
+                    p.in_flight = true;
+                    in_flight += 1;
+                }
+                PostOutcome::LostTx => {
+                    self.metrics.timeouts.inc();
+                    self.metrics.flight.record(
+                        FlightKind::Timeout,
+                        pending[i].capsule.cid as u64,
+                        pending[i].attempts as u64,
+                        0,
+                        0,
+                    );
+                    self.note_failure(
+                        &mut pending[i],
+                        &AttemptError::Lost("command capsule dropped"),
+                    )?;
+                }
+                PostOutcome::Reset => {
+                    // Charge the command that saw the reset one attempt
+                    // and reconnect. Every other in-flight command died
+                    // with the old connection through no fault of its
+                    // own: it is re-posted on the fresh one without
+                    // consuming one of its attempts (the replay cache /
+                    // idempotent re-execution absorbs any duplicate
+                    // effect of a command that had already executed).
+                    self.note_failure(&mut pending[i], &AttemptError::Reset)?;
+                    self.reconnect();
+                    for p in pending.iter_mut() {
+                        p.in_flight = false;
+                    }
                     break;
-                }
-                if pending[i].done.is_some() || pending[i].in_flight {
-                    continue;
-                }
-                match self.post_one(&pending[i].capsule)? {
-                    PostOutcome::Posted => {
-                        let p = &mut pending[i];
-                        self.metrics.flight.record_at(
-                            p.started,
-                            FlightKind::Submit,
-                            p.capsule.cid as u64,
-                            p.attempts as u64,
-                            p.capsule.len,
-                            p.capsule.offset,
-                        );
-                        p.in_flight = true;
-                        in_flight += 1;
-                    }
-                    PostOutcome::LostTx => {
-                        self.metrics.timeouts.inc();
-                        self.metrics.flight.record(
-                            FlightKind::Timeout,
-                            pending[i].capsule.cid as u64,
-                            pending[i].attempts as u64,
-                            0,
-                            0,
-                        );
-                        self.note_failure(
-                            &mut pending[i],
-                            &AttemptError::Lost("command capsule dropped"),
-                        )?;
-                    }
-                    PostOutcome::Reset => {
-                        // Charge the command that saw the reset one attempt
-                        // and reconnect. Every other in-flight command died
-                        // with the old queue pair through no fault of its
-                        // own: it is re-posted on the fresh QP without
-                        // consuming one of its attempts (the replay cache /
-                        // idempotent re-execution absorbs any duplicate
-                        // effect of a command that had already executed).
-                        self.note_failure(&mut pending[i], &AttemptError::Reset)?;
-                        self.reconnect();
-                        for p in pending.iter_mut() {
-                            p.in_flight = false;
-                        }
-                        break 'post;
-                    }
-                    PostOutcome::Backpressure => break 'post,
                 }
             }
-            // Phase 2: batched target-daemon iterations — decode, execute,
-            // and respond for a whole CQ batch per poll, until the target's
-            // CQ is dry. With an injected duplicate both deliveries execute
-            // here and the replay cache answers the second from memory.
-            loop {
-                let polled = self.qp_target.poll_cq(TARGET_POLL_BATCH);
-                if polled.is_empty() {
-                    break;
-                }
-                let cmds: Vec<SgList> = polled
-                    .into_iter()
-                    .filter(|c| c.opcode == CompletionOp::Recv)
-                    .filter_map(|c| c.payload)
-                    .collect();
-                if cmds.is_empty() {
-                    continue; // the poll drained only send completions
-                }
-                let resps = self
-                    .target
-                    .handle_wire_sg_batch(self.conn, cmds)
-                    .map_err(InitiatorError::from)?;
-                for resp in resps {
-                    let send = self.wr();
-                    self.qp_target
-                        .post_send(send, resp)
-                        .map_err(|e| InitiatorError::Transport(e.to_string()))?;
-                }
+        }
+        // Phase 2: batched target-daemon iterations — decode, execute,
+        // and respond for up to `TARGET_POLL_BATCH` commands per poll,
+        // until none is queued. With an injected duplicate both deliveries
+        // execute here and the replay cache answers the second from memory.
+        while !self.to_target.is_empty() {
+            let n = self.to_target.len().min(TARGET_POLL_BATCH);
+            let cmds: Vec<SgList> = self.to_target.drain(..n).collect();
+            let resps = self.target.handle_wire_sg_batch(self.conn, cmds)?;
+            self.to_host.extend(resps);
+        }
+        // Phase 3: drain the responses, matching them to pending commands
+        // by CID — arrival order does not matter.
+        while let Some(mut resp_wire) = self.to_host.pop_front() {
+            // Site 3: the response capsule in flight.
+            match self.chaos.fire(Site::CapsuleRx) {
+                Some(FaultAction::DropCapsule) => continue,
+                Some(FaultAction::CorruptPayload) => resp_wire = corrupt_sg(resp_wire),
+                _ => {}
             }
-            // Phase 3: drain our own CQ, matching completions to pending
-            // commands by CID — arrival order does not matter.
-            loop {
-                let comps = self.qp_initiator.poll_cq(INITIATOR_POLL_BATCH);
-                if comps.is_empty() {
-                    break;
-                }
-                for c in comps {
-                    if c.opcode != CompletionOp::Recv {
-                        continue;
-                    }
-                    let Some(mut resp_wire) = c.payload else {
-                        continue;
+            let decoded = {
+                let _t = self.metrics.capsule_decode_ns.time();
+                Completion::decode_sg(resp_wire)
+            };
+            match decoded {
+                Ok(comp) => {
+                    let Some(p) = pending
+                        .iter_mut()
+                        .find(|p| p.in_flight && p.done.is_none() && p.capsule.cid == comp.cid)
+                    else {
+                        continue; // stale response from a faulted attempt
                     };
-                    // Site 3: the response capsule in flight.
-                    match self.chaos.fire(Site::CapsuleRx) {
-                        Some(FaultAction::DropCapsule) => continue,
-                        Some(FaultAction::CorruptPayload) => resp_wire = corrupt_sg(resp_wire),
-                        _ => {}
-                    }
-                    let decoded = {
-                        let _t = self.metrics.capsule_decode_ns.time();
-                        Completion::decode_sg(resp_wire)
-                    };
-                    match decoded {
-                        Ok(comp) => {
-                            let Some(p) = pending.iter_mut().find(|p| {
-                                p.in_flight && p.done.is_none() && p.capsule.cid == comp.cid
-                            }) else {
-                                continue; // stale response from a faulted attempt
-                            };
-                            p.in_flight = false;
-                            match comp.status {
-                                Status::Success => {
-                                    // The command's one completion stamp
-                                    // feeds its latency and its event.
-                                    p.done = Some(comp);
-                                    let stamp = telemetry::now();
-                                    let ns = Self::observe_latency(&self.metrics, p, stamp);
-                                    self.metrics
-                                        .command_ns
-                                        .record(telemetry::ns_between(self.mark, stamp));
-                                    self.mark = stamp;
-                                    self.metrics.flight.record_at(
-                                        stamp,
-                                        FlightKind::Complete,
-                                        p.capsule.cid as u64,
-                                        p.attempts as u64,
-                                        ns,
-                                        0,
-                                    );
-                                }
-                                s if s.is_retryable() => {
-                                    self.note_failure(p, &AttemptError::Transient(s))?;
-                                }
-                                s => return Err(InitiatorError::Remote(s)),
-                            }
-                        }
-                        Err(CapsuleError::CrcMismatch { cid, .. }) => {
-                            // The response header still carries the CID, so
-                            // the mangled response charges its own command.
-                            self.metrics.crc_errors.inc();
+                    p.in_flight = false;
+                    match comp.status {
+                        Status::Success => {
+                            // The command's one completion stamp feeds its
+                            // latency and its event.
+                            p.done = Some(comp);
+                            let stamp = telemetry::now();
+                            let ns = Self::observe_latency(&self.metrics, p, stamp);
                             self.metrics
-                                .flight
-                                .record(FlightKind::CrcError, cid as u64, 0, 0, 0);
-                            self.metrics.flight.trip(FlightKind::CrcError, cid as u64);
-                            if let Some(p) = pending
-                                .iter_mut()
-                                .find(|p| p.in_flight && p.done.is_none() && p.capsule.cid == cid)
-                            {
-                                p.in_flight = false;
-                                self.note_failure(
-                                    p,
-                                    &AttemptError::Transient(Status::DataCorrupt),
-                                )?;
-                            }
+                                .command_ns
+                                .record(telemetry::ns_between(self.mark, stamp));
+                            self.mark = stamp;
+                            self.metrics.flight.record_at(
+                                stamp,
+                                FlightKind::Complete,
+                                p.capsule.cid as u64,
+                                p.attempts as u64,
+                                ns,
+                                0,
+                            );
                         }
-                        Err(e) => return Err(InitiatorError::Transport(e.to_string())),
+                        s if s.is_retryable() => {
+                            self.note_failure(p, &AttemptError::Transient(s))?;
+                        }
+                        s => return Err(InitiatorError::Remote(s)),
                     }
                 }
+                Err(CapsuleError::CrcMismatch { cid, .. }) => {
+                    // The response header still carries the CID, so the
+                    // mangled response charges its own command.
+                    self.metrics.crc_errors.inc();
+                    self.metrics
+                        .flight
+                        .record(FlightKind::CrcError, cid as u64, 0, 0, 0);
+                    self.metrics.flight.trip(FlightKind::CrcError, cid as u64);
+                    if let Some(p) = pending
+                        .iter_mut()
+                        .find(|p| p.in_flight && p.done.is_none() && p.capsule.cid == cid)
+                    {
+                        p.in_flight = false;
+                        self.note_failure(p, &AttemptError::Transient(Status::DataCorrupt))?;
+                    }
+                }
+                Err(e) => return Err(InitiatorError::Transport(e.to_string())),
             }
-            // Phase 4: both CQs are now dry, so a command still marked
-            // in-flight can never receive a response — its response was
-            // dropped on the wire. The modeled command timeout fires and
-            // the command re-posts on the next pass.
-            for p in pending.iter_mut().filter(|p| p.in_flight) {
-                p.in_flight = false;
-                self.metrics.timeouts.inc();
-                self.metrics.flight.record(
-                    FlightKind::Timeout,
-                    p.capsule.cid as u64,
-                    p.attempts as u64,
-                    1,
-                    0,
-                );
-                self.note_failure(p, &AttemptError::Lost("response capsule lost"))?;
-            }
+        }
+        // Phase 4: both queues are now empty, so a command still marked
+        // in-flight can never receive a response — its response was
+        // dropped on the wire. The modeled command timeout fires and the
+        // command re-posts on the next pass.
+        for p in pending.iter_mut().filter(|p| p.in_flight) {
+            p.in_flight = false;
+            self.metrics.timeouts.inc();
+            self.metrics.flight.record(
+                FlightKind::Timeout,
+                p.capsule.cid as u64,
+                p.attempts as u64,
+                1,
+                0,
+            );
+            self.note_failure(p, &AttemptError::Lost("response capsule lost"))?;
         }
         Ok(())
     }
@@ -629,15 +581,15 @@ impl NvmfConnection {
         Ok(())
     }
 
-    /// Put one command on the wire: post receive buffers on both ends,
-    /// then send the command capsule. Chaos hooks sit at the two fault
-    /// sites a post can hit: the connection and the command capsule in
-    /// flight. Disarmed, each hook is one relaxed atomic load.
-    fn post_one(&mut self, capsule: &Capsule) -> Result<PostOutcome, InitiatorError> {
+    /// Put one command on the wire: queue its capsule for the target.
+    /// Chaos hooks sit at the two fault sites a post can hit: the
+    /// connection and the command capsule in flight. Disarmed, each hook
+    /// is one relaxed atomic load.
+    fn post_one(&mut self, capsule: &Capsule) -> PostOutcome {
         // Site 1: the connection dies under this command.
         if let Some(FaultAction::ResetConnection) = self.chaos.fire(Site::ConnReset) {
-            self.qp_initiator.disconnect();
-            return Ok(PostOutcome::Reset);
+            self.connected = false;
+            return PostOutcome::Reset;
         }
         // The capsule travels as scatter-gather segments: header in one
         // SGE, write payload (the caller's refcounted buffer) in another.
@@ -647,49 +599,33 @@ impl NvmfConnection {
             capsule.encode_sg()
         };
         // Site 2: the command capsule in flight.
-        let mut copies = 1usize;
+        let mut duplicate = false;
         match self.chaos.fire(Site::CapsuleTx) {
             Some(FaultAction::DropCapsule) => {
                 // Vanished on the wire: the initiator only learns via its
                 // modeled command timeout.
-                return Ok(PostOutcome::LostTx);
+                return PostOutcome::LostTx;
             }
-            Some(FaultAction::DuplicateCapsule) => copies = 2,
+            Some(FaultAction::DuplicateCapsule) => duplicate = true,
             Some(FaultAction::CorruptPayload) => wire = corrupt_sg(wire),
             _ => {}
         }
-        // Check send-queue room up front so a partially posted command
-        // never leaves dangling receive buffers behind.
-        if self.qp_initiator.send_slots_free() < copies {
-            return Ok(PostOutcome::Backpressure);
+        // A reset whose window gave up before reconnecting left the
+        // connection down: this command is the one that finds out.
+        if !self.connected {
+            return PostOutcome::Reset;
         }
-        for _ in 0..copies {
-            let trecv = self.wr();
-            self.qp_target.post_recv(trecv);
-            let irecv = self.wr();
-            self.qp_initiator.post_recv(irecv);
+        if duplicate {
+            self.to_target.push_back(wire.clone());
         }
-        for copy in 1..=copies {
-            let send = self.wr();
-            // The last copy posts the list itself; only a duplicate clones.
-            let wire = if copy == copies {
-                std::mem::take(&mut wire)
-            } else {
-                wire.clone()
-            };
-            match self.qp_initiator.post_send(send, wire) {
-                Ok(()) => {}
-                Err(QpError::NotConnected) => return Ok(PostOutcome::Reset),
-                Err(QpError::SendQueueFull) => return Ok(PostOutcome::Backpressure),
-                Err(e) => return Err(InitiatorError::Transport(e.to_string())),
-            }
-        }
-        Ok(PostOutcome::Posted)
+        self.to_target.push_back(wire);
+        PostOutcome::Posted
     }
 
     /// Tear down and re-establish the connection: re-admission at the
-    /// target (fresh grant for the same namespace) and a fresh queue pair.
-    /// Latency is observed on `fabric.reconnect_ns`.
+    /// target (fresh grant for the same namespace) and empty queues, so
+    /// every capsule still on the old connection is lost. Latency is
+    /// observed on `fabric.reconnect_ns`.
     fn reconnect(&mut self) {
         let _t = self.metrics.reconnect_ns.time();
         self.metrics.reconnects.inc();
@@ -698,18 +634,18 @@ impl NvmfConnection {
             .record(FlightKind::Reconnect, 0, 0, self.ns.0 as u64, 0);
         self.target.disconnect(self.conn);
         self.conn = self.target.connect(&self.host_nqn, &[self.ns]);
-        let qp_depth = qp_depth_for(&self.config);
-        let (qi, qt) = QueuePair::connected_pair(qp_depth, qp_depth);
-        self.qp_initiator = qi;
-        self.qp_target = qt;
+        self.connected = true;
+        self.to_target.clear();
+        self.to_host.clear();
     }
 
-    /// NVMf keep-alive: a Connect (admin) capsule over the live queue
-    /// pair. Rides the same retry/reconnect machinery as data commands, so
-    /// a dead connection heals here instead of on the next data IO.
+    /// NVMf keep-alive: a Connect (admin) capsule over the connection.
+    /// Rides the same retry/reconnect machinery as data commands, so a
+    /// dead connection heals here instead of on the next data IO.
     pub fn keep_alive(&mut self) -> Result<(), InitiatorError> {
         let cid = self.cid();
-        self.submit(Capsule::connect(cid, self.ns.0)).map(|_| ())
+        self.submit_window(vec![Capsule::connect(cid, self.ns.0)])
+            .map(|_| ())
     }
 
     /// The namespace this connection is bound to.
@@ -722,12 +658,7 @@ impl NvmfConnection {
     /// wire → target → device RAM; its only copy is the device's
     /// drain-to-media.
     pub fn write_bytes(&mut self, offset: u64, data: Bytes) -> Result<(), InitiatorError> {
-        let cid = self.cid();
-        self.ios += 1;
-        self.bytes += data.len() as u64;
-        self.metrics.io_bytes.add(data.len() as u64);
-        self.submit(Capsule::write(cid, self.ns.0, offset, data))
-            .map(|_| ())
+        self.write_vectored_bytes(vec![(offset, data)])
     }
 
     /// Stage a borrowed payload as an owned, refcounted buffer for the
@@ -742,12 +673,11 @@ impl NvmfConnection {
     /// payload — the zero-copy path: the returned buffer is the target's
     /// read buffer, delivered by refcount.
     pub fn read_bytes(&mut self, offset: u64, len: usize) -> Result<Bytes, InitiatorError> {
-        let cid = self.cid();
-        let c = Capsule::read(cid, self.ns.0, offset, len as u64);
-        self.ios += 1;
-        self.bytes += len as u64;
-        self.metrics.io_bytes.add(len as u64);
-        self.submit(c).map(|r| r.data)
+        let cid = self.next_cid;
+        self.read_window(&[(offset, len)])?
+            .pop()
+            .map(|c| c.data)
+            .ok_or(InitiatorError::Undrained { cid })
     }
 
     /// Read into a caller-provided buffer (one copy, wire → `buf`).
@@ -766,17 +696,11 @@ impl NvmfConnection {
         &mut self,
         writes: Vec<(u64, Bytes)>,
     ) -> Result<(), InitiatorError> {
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let mut capsules = Vec::with_capacity(writes.len());
-        for (offset, data) in writes {
-            let cid = self.cid();
-            self.ios += 1;
-            self.bytes += data.len() as u64;
-            self.metrics.io_bytes.add(data.len() as u64);
-            capsules.push(Capsule::write(cid, self.ns.0, offset, data));
-        }
+        let ns = self.ns.0;
+        let capsules = writes
+            .into_iter()
+            .map(|(offset, data)| Capsule::write(self.meter(data.len() as u64), ns, offset, data))
+            .collect();
         self.submit_window(capsules).map(|_| ())
     }
 
@@ -789,9 +713,6 @@ impl NvmfConnection {
         &mut self,
         writes: Vec<(u64, Bytes, u32)>,
     ) -> Result<(), InitiatorError> {
-        if writes.is_empty() {
-            return Ok(());
-        }
         let capsules = self.precrc_capsules(writes);
         self.submit_window(capsules).map(|_| ())
     }
@@ -799,15 +720,13 @@ impl NvmfConnection {
     /// Meter and build write capsules carrying caller-computed payload
     /// checksums.
     fn precrc_capsules(&mut self, writes: Vec<(u64, Bytes, u32)>) -> Vec<Capsule> {
-        let mut capsules = Vec::with_capacity(writes.len());
-        for (offset, data, crc) in writes {
-            let cid = self.cid();
-            self.ios += 1;
-            self.bytes += data.len() as u64;
-            self.metrics.io_bytes.add(data.len() as u64);
-            capsules.push(Capsule::write_precrc(cid, self.ns.0, offset, data, crc));
-        }
-        capsules
+        let ns = self.ns.0;
+        writes
+            .into_iter()
+            .map(|(offset, data, crc)| {
+                Capsule::write_precrc(self.meter(data.len() as u64), ns, offset, data, crc)
+            })
+            .collect()
     }
 
     /// Read a batch of `(offset, len)` extents through the pipelined
@@ -848,17 +767,11 @@ impl NvmfConnection {
     /// Meter and submit one read capsule per `(offset, len)` through the
     /// pipelined window; completions come back in submission order.
     fn read_window(&mut self, reads: &[(u64, usize)]) -> Result<Vec<Completion>, InitiatorError> {
-        if reads.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut capsules = Vec::with_capacity(reads.len());
-        for &(offset, len) in reads {
-            let cid = self.cid();
-            self.ios += 1;
-            self.bytes += len as u64;
-            self.metrics.io_bytes.add(len as u64);
-            capsules.push(Capsule::read(cid, self.ns.0, offset, len as u64));
-        }
+        let ns = self.ns.0;
+        let capsules = reads
+            .iter()
+            .map(|&(offset, len)| Capsule::read(self.meter(len as u64), ns, offset, len as u64))
+            .collect();
         self.submit_window(capsules)
     }
 
@@ -887,19 +800,13 @@ impl NvmfConnection {
     /// Flush the device write buffer.
     pub fn flush(&mut self) -> Result<(), InitiatorError> {
         let cid = self.cid();
-        let c = Capsule::flush(cid, self.ns.0);
-        self.submit(c).map(|_| ())
+        self.submit_window(vec![Capsule::flush(cid, self.ns.0)])
+            .map(|_| ())
     }
 
     /// Lifetime `(ios, bytes)` issued on this connection.
     pub fn io_counters(&self) -> (u64, u64) {
         (self.ios, self.bytes)
-    }
-
-    /// Work requests posted on the initiator-side queue pair
-    /// `(sends, recvs)` — evidence the wire discipline is in use.
-    pub fn qp_counters(&self) -> (u64, u64) {
-        self.qp_initiator.counters()
     }
 }
 
@@ -1097,14 +1004,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_traffic_flows_over_queue_pairs() {
-        let (target, a, _) = setup();
-        let mut conn = Initiator::new("nqn.host").connect(target, a);
+    fn each_io_is_one_capsule_exchange() {
+        let (target, a, _, t) = setup_with_telemetry();
+        let mut conn = Initiator::with_telemetry("nqn.host", t.clone()).connect(target, a);
         conn.write_bytes(0, Bytes::from_static(b"abc")).unwrap();
         conn.read_bytes(0, 3).unwrap();
-        let (sends, recvs) = conn.qp_counters();
-        assert_eq!(sends, 2, "one capsule send per IO");
-        assert_eq!(recvs, 2, "one posted response buffer per IO");
+        assert_eq!(conn.io_counters(), (2, 6), "a 3-byte write and read");
+        assert_eq!(
+            t.snapshot().counter("fabric.io_ops"),
+            2,
+            "one capsule exchange per IO"
+        );
     }
 
     fn chaos_initiator(t: &Telemetry) -> (Initiator, ChaosHandle) {
@@ -1306,9 +1216,11 @@ mod tests {
             0,
             "the vectored Bytes paths stay zero-copy"
         );
-        let (sends, recvs) = conn.qp_counters();
-        assert_eq!(sends, 200, "one capsule send per windowed command");
-        assert_eq!(recvs, 200);
+        assert_eq!(
+            conn.io_counters(),
+            (200, 200 * 512),
+            "one capsule exchange per windowed command"
+        );
     }
 
     #[test]
@@ -1430,8 +1342,8 @@ mod tests {
     fn mirrored_write_overlaps_both_windows() {
         // Both connections must genuinely pipeline: with QD=32 and 64
         // extents each, the shared window drives well over 32 commands
-        // before either side serializes — observable as posted sends on
-        // both QPs exceeding one-window-at-a-time lockstep. Interleaving
+        // before either side serializes — observable as commands on both
+        // connections exceeding one-window-at-a-time lockstep. Interleaving
         // the two windows on one thread still records exactly one latency
         // per command.
         let (target, a, b, t) = setup_with_telemetry();
@@ -1440,8 +1352,8 @@ mod tests {
         let mut repl = init.connect(Arc::clone(&target), b);
         let writes: Vec<(u64, Vec<u8>)> = (0..64u64).map(|i| (i * 128, vec![1u8; 128])).collect();
         write_mirrored_bytes(&mut prim, &mut repl, mirrored(&writes)).unwrap();
-        assert_eq!(prim.qp_counters().0, 64);
-        assert_eq!(repl.qp_counters().0, 64);
+        assert_eq!(prim.io_counters().0, 64);
+        assert_eq!(repl.io_counters().0, 64);
         let snap = t.snapshot();
         assert_eq!(snap.counter("fabric.io_ops"), 128);
         assert_eq!(
@@ -1563,5 +1475,104 @@ mod tests {
         }
         conn.write_bytes(0, Bytes::from(vec![9u8; 1])).unwrap();
         assert_eq!(&conn.read_bytes(0, 1).unwrap()[..], vec![9u8]);
+    }
+
+    /// Every fault the wire hooks apply, on one QD=32 connection driven
+    /// from this thread: the counters are a pure function of the seeded
+    /// plan and the order in which the window posts, executes and drains
+    /// capsules, so any change to that order moves a digit below.
+    #[test]
+    fn fault_path_counts_are_pinned_to_the_digit() {
+        use chaos::FaultPlan;
+        let t = Telemetry::new();
+        let chaos = ChaosHandle::new();
+        let ssd = Ssd::with_telemetry(
+            SsdConfig {
+                capacity: 1 << 20,
+                chaos: chaos.clone(),
+                ..SsdConfig::default()
+            },
+            t.clone(),
+        );
+        let ns = ssd.create_namespace(512 << 10).unwrap();
+        let target = Arc::new(NvmfTarget::new(Arc::new(ssd)));
+        let init = Initiator::with_config(
+            "nqn.host",
+            t.clone(),
+            chaos.clone(),
+            FabricConfig::default(),
+        );
+        let mut conn = init.connect(target, ns);
+        chaos.arm(
+            FaultPlan::new(40)
+                .with_rate(Site::CapsuleTx, FaultAction::DropCapsule, 0.02)
+                .with_rate(Site::CapsuleTx, FaultAction::DuplicateCapsule, 0.02)
+                .with_rate(Site::CapsuleTx, FaultAction::CorruptPayload, 0.02)
+                .with_rate(Site::CapsuleRx, FaultAction::DropCapsule, 0.02)
+                .with_rate(Site::CapsuleRx, FaultAction::CorruptPayload, 0.02)
+                .with_rate(Site::ConnReset, FaultAction::ResetConnection, 0.01)
+                .with_rate(Site::ShardIo, FaultAction::ShardBusy, 0.02),
+            &t,
+        );
+        // 320 distinct 1 KiB extents in five windows of 64 (twice the QD,
+        // so each window refills), read back in windows of 64.
+        let extent = |i: u64| vec![(i * 7 + i / 256) as u8; 1024];
+        for w in 0..5u64 {
+            let writes = (w * 64..(w + 1) * 64)
+                .map(|i| (i * 1024, Bytes::from(extent(i))))
+                .collect();
+            conn.write_vectored_bytes(writes).unwrap();
+        }
+        for w in 0..5u64 {
+            let spec: Vec<(u64, usize)> =
+                (w * 64..(w + 1) * 64).map(|i| (i * 1024, 1024)).collect();
+            let got = conn.read_vectored_bytes(&spec).unwrap();
+            for (i, data) in (w * 64..).zip(got) {
+                assert_eq!(&data[..], &extent(i)[..], "extent {i}");
+            }
+        }
+        chaos.disarm();
+        let snap = t.snapshot();
+        let tuple = (
+            snap.counter("fabric.retries"),
+            snap.counter("fabric.timeouts"),
+            snap.counter("fabric.crc_errors"),
+            snap.counter("fabric.reconnects"),
+            snap.counter("fabric.duplicates_suppressed"),
+            snap.counter("chaos.injected"),
+            snap.counter("fabric.io_ops"),
+            snap.histogram("fabric.submit_ns").unwrap().count,
+        );
+        assert_eq!(tuple, (70, 31, 18, 10, 11, 86, 640, 640));
+    }
+
+    /// A window that exhausts its retries on connection resets returns
+    /// with the connection still down; the next command to post finds it
+    /// down, is charged one attempt for it and reconnects.
+    #[test]
+    fn an_exhausted_reset_is_healed_by_the_next_post() {
+        let (target, a, _, t) = setup_with_telemetry();
+        let (init, chaos) = chaos_initiator(&t);
+        let mut conn = init.connect(Arc::clone(&target), a);
+        chaos.arm(
+            chaos::FaultPlan::new(8).with_rate(Site::ConnReset, FaultAction::ResetConnection, 1.0),
+            &t,
+        );
+        let err = conn
+            .write_bytes(0, Bytes::from_static(b"lost"))
+            .unwrap_err();
+        assert!(matches!(err, InitiatorError::Exhausted { attempts: 9, .. }));
+        chaos.disarm();
+        let snap = t.snapshot();
+        assert_eq!(
+            snap.counter("fabric.reconnects"),
+            8,
+            "the ninth reset ends the window"
+        );
+        conn.write_bytes(0, Bytes::from_static(b"back")).unwrap();
+        assert_eq!(&conn.read_bytes(0, 4).unwrap()[..], b"back");
+        let snap = t.snapshot();
+        assert_eq!(snap.counter("fabric.reconnects"), 9);
+        assert_eq!(snap.counter("fabric.retries"), 9);
     }
 }

@@ -8,12 +8,12 @@
 //!   (opcode, NSID, SLBA, length, CID), round-trip tested. Every functional
 //!   IO in the workspace is serialized through this codec, standing in for
 //!   the wire format.
-//! * [`qp`] — the verbs layer: bounded queue pairs with polled completion
-//!   queues, the Principle-1 "polling instead of interrupts" discipline;
 //! * [`target`] / [`initiator`] — a functional multi-tenant NVMf target
 //!   (per-connection namespace access control, §III-F) and the client side
-//!   that NVMe-CR's data plane drives. These move *real bytes* into
-//!   [`ssd::Ssd`] devices.
+//!   that NVMe-CR's data plane drives. Each connection carries capsules
+//!   over two in-order queues, one per direction, that the initiator
+//!   polls instead of waiting on (Principle 1). These move *real bytes*
+//!   into [`ssd::Ssd`] devices.
 //! * [`path`] and [`transport`] — timing models. [`path::IoPath`] prices the
 //!   two software stacks the paper contrasts: the kernel path of Figure 2
 //!   (syscall trap + VFS + block layer + interrupt completion) versus the
@@ -27,7 +27,6 @@ pub mod capsule;
 pub mod config;
 pub mod initiator;
 pub mod path;
-pub mod qp;
 pub mod sg;
 pub mod target;
 pub mod transport;
@@ -38,7 +37,6 @@ pub use initiator::{
     write_mirrored_bytes, Initiator, InitiatorError, MirrorOutcome, MirroredWrite, NvmfConnection,
 };
 pub use path::{IoPath, PathCosts, TimeSplit};
-pub use qp::{CompletionOp, QpError, QueuePair, WrId};
 pub use sg::SgList;
 pub use target::{NvmfTarget, TargetError};
 pub use transport::FabricFacility;

@@ -190,10 +190,10 @@ impl NvmfTarget {
     }
 
     /// One batched target-daemon poll iteration: decode, execute, and
-    /// build the response for a whole CQ batch of wire capsules. The
+    /// build the response for a whole poll batch of wire capsules. The
     /// connection table lock is taken **once per batch** rather than once
-    /// per capsule; execution order within the batch is the CQ's FIFO
-    /// delivery order, so per-queue command ordering is preserved.
+    /// per capsule; execution order within the batch is the command
+    /// queue's FIFO order, so per-queue command ordering is preserved.
     pub fn handle_wire_sg_batch(
         &self,
         conn: ConnId,
@@ -257,15 +257,10 @@ impl NvmfTarget {
             }
             seq
         };
-        if c.opcode == Opcode::Connect {
-            return Completion::ok(c.cid, Bytes::new());
-        }
-        let Some(shard) = cstate.shards.get(&ns) else {
-            return Completion::error(c.cid, Status::InvalidNamespace);
-        };
-        let completion = match c.opcode {
-            Opcode::Connect => unreachable!("handled above"),
-            Opcode::Flush => {
+        let completion = match (c.opcode, cstate.shards.get(&ns)) {
+            (Opcode::Connect, _) => Completion::ok(c.cid, Bytes::new()),
+            (_, None) => Completion::error(c.cid, Status::InvalidNamespace),
+            (Opcode::Flush, Some(shard)) => {
                 if shard.is_dead() {
                     Completion::error(c.cid, Status::ShardOffline)
                 } else {
@@ -273,11 +268,11 @@ impl NvmfTarget {
                     Completion::ok(c.cid, Bytes::new())
                 }
             }
-            Opcode::Write => match shard.write_bytes(c.offset, c.data.clone()) {
+            (Opcode::Write, Some(shard)) => match shard.write_bytes(c.offset, c.data.clone()) {
                 Ok(()) => Completion::ok(c.cid, Bytes::new()),
                 Err(e) => Completion::error(c.cid, Self::status_for(&e)),
             },
-            Opcode::Read => {
+            (Opcode::Read, Some(shard)) => {
                 if c.len > (1 << 30) {
                     // Refuse absurd reads rather than allocating gigabytes.
                     Completion::error(c.cid, Status::InvalidField)
@@ -389,7 +384,7 @@ mod tests {
     fn batched_poll_iteration_preserves_command_order() {
         let (t, a, _) = target_with_two_ns();
         let conn = t.connect("nqn.host0", &[a]);
-        // A whole CQ batch in one daemon iteration: two writes then a read
+        // A whole poll batch in one daemon iteration: two writes then a read
         // of the second write's data — order matters.
         let batch = vec![
             Capsule::write(1, a.0, 0, Bytes::from(vec![0x11u8; 512])).encode_sg(),

@@ -208,6 +208,11 @@ const SLOT_WORDS: usize = 8;
 /// CID occupies the low 48 bits of word 5; the generation the high 16.
 const GEN_SHIFT: u32 = 48;
 
+/// One thread's ring. Aligned to a cache line: threads take round-robin
+/// neighbouring shards, and every event claims its slot with a
+/// `fetch_add` on `seq`, so two shards sharing a line would bounce it
+/// between their threads' cores on every event.
+#[repr(align(64))]
 struct Shard {
     /// Next sequence number to claim; slot = seq % capacity. Starts at 1
     /// so stamp 0 always means "never written".
@@ -444,6 +449,17 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_shard_claims_sequence_numbers_on_its_own_cache_line() {
+        let r = FlightRecorder::with_capacity(8);
+        let lines: std::collections::HashSet<usize> = r
+            .shards
+            .iter()
+            .map(|s| std::ptr::from_ref(&s.seq) as usize / 64)
+            .collect();
+        assert_eq!(lines.len(), SHARDS);
+    }
 
     #[test]
     fn records_and_reads_back_in_order() {
