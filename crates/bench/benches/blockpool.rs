@@ -11,9 +11,9 @@ use std::hint::black_box;
 /// a seeded shuffled order, so no two neighbouring blocks are contiguous
 /// and the ring holds about one run per block: where a long run of
 /// creates and unlinks leaves it.
-fn shuffled(total: u64) -> BlockPool {
+fn shuffled(total: u32) -> BlockPool {
     let mut pool = BlockPool::new(total);
-    let mut blocks = pool.alloc_many(total).unwrap();
+    let mut blocks = pool.alloc_many(u64::from(total)).unwrap();
     let mut seed = 0x2545_F491_4F6C_DD1Du64;
     for i in (1..blocks.len()).rev() {
         seed ^= seed << 13;
@@ -30,7 +30,7 @@ fn bench_alloc_free_cycle(c: &mut Criterion) {
     g.sample_size(30);
     // O(1): the per-op cost must not grow with pool size or with the
     // number of runs in the ring.
-    for &total in &[1_000u64, 100_000, 1_000_000] {
+    for &total in &[1_000u32, 100_000, 1_000_000] {
         g.bench_with_input(BenchmarkId::from_parameter(total), &total, |b, &total| {
             let mut pool = BlockPool::new(total);
             b.iter(|| {

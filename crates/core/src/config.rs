@@ -15,8 +15,6 @@ pub struct RuntimeConfig {
     pub block_size: u64,
     /// Bytes of namespace each job requests per granted SSD.
     pub namespace_bytes: u64,
-    /// Acting uid for permission checks.
-    pub uid: u32,
     /// Where the job's components (initiators, per-rank filesystems)
     /// report their metrics.
     pub telemetry: Telemetry,
@@ -57,7 +55,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             block_size: 32 << 10,
             namespace_bytes: 8 << 30,
-            uid: 1000,
             telemetry: Telemetry::default(),
             chaos: ChaosHandle::default(),
             fabric: FabricConfig::default(),
@@ -73,11 +70,20 @@ impl RuntimeConfig {
     pub fn fs_config(&self) -> FsConfig {
         FsConfig {
             block_size: self.block_size,
-            uid: self.uid,
             telemetry: self.telemetry.clone(),
             chaos: self.chaos.clone(),
             cow_epochs: self.delta_chain_max > 0 && self.replication_factor > 1,
             ..FsConfig::default()
+        }
+    }
+
+    /// This configuration on a disarmed chaos handle: offline checks and
+    /// degraded serving open under it, so they consume no op index of the
+    /// job's fault plan.
+    pub(crate) fn disarmed(&self) -> RuntimeConfig {
+        RuntimeConfig {
+            chaos: ChaosHandle::default(),
+            ..self.clone()
         }
     }
 

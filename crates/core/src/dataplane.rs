@@ -43,7 +43,7 @@ impl NvmfBlockDevice {
 
     /// Thread the runtime's chaos handle through, so the crash-universe
     /// mode can count and kill block-level writes.
-    pub fn set_chaos(&mut self, chaos: ChaosHandle) {
+    pub(crate) fn set_chaos(&mut self, chaos: ChaosHandle) {
         self.chaos = chaos;
     }
 

@@ -56,43 +56,41 @@ impl<D: BlockDevice> PosixLayer<D> {
     /// Routing decision for a path (the check the interposed symbol makes
     /// first).
     pub fn route(&self, path: &str) -> Route {
-        if path == self.mount_prefix || path.starts_with(&format!("{}/", self.mount_prefix)) {
-            Route::Runtime
-        } else {
-            Route::Passthrough
+        match self.under_mount(path) {
+            Some(_) => Route::Runtime,
+            None => Route::Passthrough,
         }
     }
 
-    fn strip(&self, path: &str) -> Result<String, FsError> {
-        match self.route(path) {
-            Route::Passthrough => Err(FsError::Invalid(format!(
-                "{path} is outside the {} mount (kernel passthrough)",
-                self.mount_prefix
-            ))),
-            Route::Runtime => {
-                let rest = &path[self.mount_prefix.len()..];
-                Ok(if rest.is_empty() {
-                    "/".to_string()
-                } else {
-                    rest.to_string()
-                })
+    /// `path` as a path of the wrapped filesystem, or `None` when it lies
+    /// outside the mount.
+    fn under_mount<'p>(&self, path: &'p str) -> Option<&'p str> {
+        match path.strip_prefix(self.mount_prefix.as_str())? {
+            "" => Some("/"),
+            rest if rest.starts_with('/') => Some(rest),
+            _ => None,
+        }
+    }
+
+    /// Route one path-taking call: count it, and hand back its path in
+    /// the wrapped filesystem, or refuse it as kernel passthrough.
+    fn claim<'p>(&mut self, path: &'p str) -> Result<&'p str, FsError> {
+        match self.under_mount(path) {
+            Some(p) => {
+                self.stats.runtime_calls += 1;
+                Ok(p)
+            }
+            None => {
+                self.stats.passthrough_calls += 1;
+                Err(FsError::Invalid(format!("passthrough: {path}")))
             }
         }
     }
 
     /// Interposed `open`.
     pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u32) -> Result<u32, FsError> {
-        match self.route(path) {
-            Route::Runtime => {
-                self.stats.runtime_calls += 1;
-                let p = self.strip(path)?;
-                self.fs.open(&p, flags, mode)
-            }
-            Route::Passthrough => {
-                self.stats.passthrough_calls += 1;
-                Err(FsError::Invalid(format!("passthrough: {path}")))
-            }
-        }
+        let p = self.claim(path)?;
+        self.fs.open(p, flags, mode)
     }
 
     /// Interposed `creat`.
@@ -102,32 +100,14 @@ impl<D: BlockDevice> PosixLayer<D> {
 
     /// Interposed `mkdir`.
     pub fn mkdir(&mut self, path: &str, mode: u32) -> Result<(), FsError> {
-        match self.route(path) {
-            Route::Runtime => {
-                self.stats.runtime_calls += 1;
-                let p = self.strip(path)?;
-                self.fs.mkdir(&p, mode)
-            }
-            Route::Passthrough => {
-                self.stats.passthrough_calls += 1;
-                Err(FsError::Invalid(format!("passthrough: {path}")))
-            }
-        }
+        let p = self.claim(path)?;
+        self.fs.mkdir(p, mode)
     }
 
     /// Interposed `unlink`.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        match self.route(path) {
-            Route::Runtime => {
-                self.stats.runtime_calls += 1;
-                let p = self.strip(path)?;
-                self.fs.unlink(&p)
-            }
-            Route::Passthrough => {
-                self.stats.passthrough_calls += 1;
-                Err(FsError::Invalid(format!("passthrough: {path}")))
-            }
-        }
+        let p = self.claim(path)?;
+        self.fs.unlink(p)
     }
 
     /// Interposed `write` (fds are always runtime fds here).
@@ -156,17 +136,8 @@ impl<D: BlockDevice> PosixLayer<D> {
 
     /// Interposed `stat`.
     pub fn stat(&mut self, path: &str) -> Result<microfs::fs::FileStat, FsError> {
-        match self.route(path) {
-            Route::Runtime => {
-                self.stats.runtime_calls += 1;
-                let p = self.strip(path)?;
-                self.fs.stat(&p)
-            }
-            Route::Passthrough => {
-                self.stats.passthrough_calls += 1;
-                Err(FsError::Invalid(format!("passthrough: {path}")))
-            }
-        }
+        let p = self.claim(path)?;
+        self.fs.stat(p)
     }
 
     /// Interposed `lseek` (absolute).
@@ -177,12 +148,10 @@ impl<D: BlockDevice> PosixLayer<D> {
 
     /// Interposed `rename` — both paths must be under the mount.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), FsError> {
-        match (self.route(from), self.route(to)) {
-            (Route::Runtime, Route::Runtime) => {
+        match (self.under_mount(from), self.under_mount(to)) {
+            (Some(from), Some(to)) => {
                 self.stats.runtime_calls += 1;
-                let f = self.strip(from)?;
-                let t = self.strip(to)?;
-                self.fs.rename(&f, &t)
+                self.fs.rename(from, to)
             }
             _ => {
                 self.stats.passthrough_calls += 1;
@@ -195,17 +164,8 @@ impl<D: BlockDevice> PosixLayer<D> {
 
     /// Interposed `truncate`.
     pub fn truncate(&mut self, path: &str, size: u64) -> Result<(), FsError> {
-        match self.route(path) {
-            Route::Runtime => {
-                self.stats.runtime_calls += 1;
-                let p = self.strip(path)?;
-                self.fs.truncate(&p, size)
-            }
-            Route::Passthrough => {
-                self.stats.passthrough_calls += 1;
-                Err(FsError::Invalid(format!("passthrough: {path}")))
-            }
-        }
+        let p = self.claim(path)?;
+        self.fs.truncate(p, size)
     }
 
     /// Interception statistics.

@@ -96,7 +96,11 @@ where
     type Out = R;
 
     fn step(&mut self, rank: u32, fs: &mut F) -> Result<MachineStep<R>, RuntimeError> {
-        let g = self.0.take().expect("one-shot machine stepped twice");
+        // A one-shot machine is retired by its only step; a second step
+        // has no closure left to run.
+        let Some(g) = self.0.take() else {
+            return Err(RuntimeError::BadRank(rank));
+        };
         g(rank, fs).map(MachineStep::Done)
     }
 }
@@ -286,17 +290,17 @@ impl<'a, F: Send, R: Send> Shard<'a, F, R> {
     }
 
     fn admit(&mut self, tenant: u32, cost: u64, qos: &QosConfig, reactors: usize) -> bool {
-        let bucket = match self.buckets.iter_mut().find(|(t, _)| *t == tenant) {
-            Some((_, b)) => b,
+        let at = match self.buckets.iter().position(|(t, _)| *t == tenant) {
+            Some(at) => at,
             None => {
                 self.buckets.push((
                     tenant,
                     TokenBucket::sharded(qos.quota_of(tenant), qos.burst, reactors),
                 ));
-                &mut self.buckets.last_mut().expect("just pushed").1
+                self.buckets.len() - 1
             }
         };
-        bucket.admit(cost)
+        self.buckets[at].1.admit(cost)
     }
 
     fn retire(&mut self, a: RankTask<'a, F, R>, result: Option<R>, round: u64) {
@@ -341,19 +345,19 @@ impl<'a, F: Send, R: Send> Shard<'a, F, R> {
                 let _rank = telemetry::context::with_rank(u64::from(a.rank));
                 a.machine.step(a.rank, &mut a.fs)
             };
-            match step {
-                Ok(MachineStep::Yield) => i += 1,
-                Ok(MachineStep::Done(r)) => {
-                    let a = self.active.remove(i).expect("index in bounds");
-                    self.retire(a, Some(r), round);
+            let result = match step {
+                Ok(MachineStep::Yield) => {
+                    i += 1;
+                    continue;
                 }
+                Ok(MachineStep::Done(r)) => Some(r),
                 Err(e) => {
-                    let a = self.active.remove(i).expect("index in bounds");
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                    self.retire(a, None, round);
+                    self.error.get_or_insert(e);
+                    None
                 }
+            };
+            if let Some(a) = self.active.remove(i) {
+                self.retire(a, result, round);
             }
         }
         progressed

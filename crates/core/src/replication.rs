@@ -913,8 +913,13 @@ pub fn restore_from_replica(
 ) -> Result<RestoreOutcome, ReplicationError> {
     let metrics = ReplicationMetrics::new(t);
     let live_epoch = live.as_ref().map(|(_, e)| *e);
+    // Each chunk lands on the new primary under the checksum its read
+    // verified.
+    let mut to_primary = |at: u64, data: Bytes, crc: u32| {
+        primary.write_vectored_bytes_precrc(vec![(primary_base + at, data, crc)])
+    };
     if let Some((map, epoch)) = live {
-        match restore_extents(replica, map.entries(), primary, primary_base, chaos) {
+        match restore_extents(replica, map.entries(), fs_size, chaos, &mut to_primary) {
             Ok(()) => {
                 // Carry the ring's sealed slots over so the new primary
                 // can serve future restores and scrubs without the old
@@ -944,7 +949,7 @@ pub fn restore_from_replica(
     let epoch = chain.epoch;
     // Manifest extents always carry CRCs, so every one is verified — a
     // mismatch here means the data is gone on both copies.
-    restore_extents(replica, map.entries(), primary, primary_base, chaos)?;
+    restore_extents(replica, map.entries(), fs_size, chaos, &mut to_primary)?;
     if !chain.newer.is_empty() {
         // Slots newer than the restored epoch are stale heads of an
         // abandoned lineage; neuter them on the replica before its ring
@@ -969,16 +974,19 @@ pub fn restore_from_replica(
     })
 }
 
-/// Copy `entries` from the replica onto the new primary, verifying each
-/// span's checksum, folded from its reads' ([`stream_extent`]), against
-/// its recorded CRC. Extents without one (mid-epoch writes in a live map)
-/// are copied unverified.
-fn restore_extents(
+/// Stream `entries` of the image off the replica into `sink` (see
+/// [`stream_extent`]), verifying each span's checksum, folded from its
+/// reads', against its recorded CRC. Extents without one (mid-epoch
+/// writes in a live map) pass unverified. An extent that reaches past the
+/// `fs_size`-byte image is a corrupt map and is rejected before any byte
+/// of it is read. Failover sinks into the new primary, degraded serving
+/// into an in-memory image.
+pub(crate) fn restore_extents(
     replica: &mut NvmfConnection,
     entries: Vec<(u64, u64, Option<u32>)>,
-    primary: &mut NvmfConnection,
-    primary_base: u64,
+    fs_size: u64,
     chaos: &ChaosHandle,
+    mut sink: impl FnMut(u64, Bytes, u32) -> Result<(), InitiatorError>,
 ) -> Result<(), ReplicationError> {
     for (offset, len, crc) in entries {
         if chaos.fire(Site::RestoreExtent).is_some() {
@@ -986,7 +994,10 @@ fn restore_extents(
                 "crash point: recovery restore extent".into(),
             )));
         }
-        let got = copy_extent(replica, offset, primary, primary_base + offset, len)?;
+        if offset.checked_add(len).is_none_or(|end| end > fs_size) {
+            return Err(ReplicationError::Unrecoverable { offset, len });
+        }
+        let got = stream_extent(replica, offset, len, &mut sink)?;
         if crc.is_some_and(|expected| expected != got) {
             return Err(ReplicationError::Unrecoverable { offset, len });
         }

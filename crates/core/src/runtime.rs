@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use cluster::{FailureDomains, JobAllocation, NodeId, NodeKind, Topology};
-use fabric::{Initiator, NvmfTarget};
+use fabric::NvmfTarget;
 use microfs::manifest::REGION_BYTES;
 use microfs::{ExtentMap, FsError, FsStats, MicroFs};
 use ssd::{NsId, Ssd, SsdConfig, SsdError};
@@ -216,26 +216,33 @@ impl RankRoute {
             self.size
         }
     }
-}
 
-/// Connect a rank's primary — and, when the route carries a replica, its
-/// fresh mirror (empty extent map, epoch 0) — and wrap both in the rank's
-/// block device. This is the format-time path; reconnecting after a crash
-/// or restart goes through the [`crate::recovery`] typestate chain, which
-/// rebuilds the mirror from the on-device manifests instead.
-fn rank_device(
-    route: &RankRoute,
-    nqn: &str,
-    config: &RuntimeConfig,
-) -> Result<NvmfBlockDevice, RuntimeError> {
-    let conn = config.connect(nqn.to_string(), &route.target, route.ns);
-    let mut dev = NvmfBlockDevice::new(conn, route.base, route.fs_size());
-    dev.set_chaos(config.chaos.clone());
-    if let Some(rr) = &route.replica {
-        let rconn = config.connect(format!("{nqn}-mirror"), &rr.target, rr.ns);
-        dev.attach_mirror(Mirror::new(rconn, ExtentMap::new(), 0, config));
+    /// The replica's partition image as a route of its own: the replica
+    /// namespace is laid out like the primary segment, image at 0 and
+    /// manifest region right after it. `None` when unreplicated.
+    pub(crate) fn replica_image(&self) -> Option<RankRoute> {
+        let rr = self.replica.as_ref()?;
+        Some(RankRoute {
+            target: Arc::clone(&rr.target),
+            ns: rr.ns,
+            base: 0,
+            size: self.fs_size(),
+            node: rr.node,
+            replica: None,
+        })
     }
-    Ok(dev)
+
+    /// Connect an initiator named `nqn` to the route's namespace and wrap
+    /// the partition `[base, base + fs_size())` as a block device under
+    /// `config`'s chaos hook. Every rank bring-up opens its device here:
+    /// format, recovery, failover, fsck and degraded serving. The caller
+    /// attaches the mirror, if any.
+    pub(crate) fn open(&self, nqn: String, config: &RuntimeConfig) -> NvmfBlockDevice {
+        let conn = config.connect(nqn, &self.target, self.ns);
+        let mut dev = NvmfBlockDevice::new(conn, self.base, self.fs_size());
+        dev.set_chaos(config.chaos.clone());
+        dev
+    }
 }
 
 /// Pick a partner-domain home for a rank's replica: a storage node other
@@ -412,11 +419,13 @@ impl NvmeCrRuntime {
             |rank| {
                 let _span = telemetry::span("driver", "init_rank").arg("rank", u64::from(rank));
                 let _t = init_rank_ns.time();
-                let dev = rank_device(
-                    &routes[rank as usize],
-                    &format!("nqn.2026-07.io.nvmecr:rank{rank}"),
-                    &config,
-                )?;
+                let route = &routes[rank as usize];
+                let nqn = format!("nqn.2026-07.io.nvmecr:rank{rank}");
+                let mut dev = route.open(nqn.clone(), &config);
+                if let Some(rr) = &route.replica {
+                    let rconn = config.connect(format!("{nqn}-mirror"), &rr.target, rr.ns);
+                    dev.attach_mirror(Mirror::new(rconn, ExtentMap::new(), 0, &config));
+                }
                 MicroFs::format(dev, config.fs_config()).map_err(RuntimeError::from)
             },
         );
@@ -616,7 +625,7 @@ impl NvmeCrRuntime {
                     config.clone(),
                 )
                 .begin_replay()
-                .and_then(crate::recovery::Replaying::replay_all)
+                .replay_all()
                 .map(crate::recovery::Verified::serve)
             },
         );
@@ -633,6 +642,8 @@ impl NvmeCrRuntime {
 
     /// Run the offline consistency checker against a crashed rank's
     /// partition (the rank must currently be crashed; fsck mounts nothing).
+    /// The check opens on a disarmed chaos handle, so it consumes no
+    /// fault-plane index.
     pub fn fsck_rank(&mut self, rank: u32) -> Result<microfs::FsckReport, RuntimeError> {
         let route = self
             .routes
@@ -642,13 +653,10 @@ impl NvmeCrRuntime {
         if self.ranks[rank as usize].is_some() {
             return Err(RuntimeError::BadRank(rank));
         }
-        let initiator = Initiator::with_telemetry(
+        let mut dev = route.open(
             format!("nqn.2026-07.io.nvmecr:fsck{rank}"),
-            self.config.telemetry.clone(),
+            &self.config.disarmed(),
         );
-        let fs_size = route.fs_size();
-        let conn = initiator.connect(route.target, route.ns);
-        let mut dev = NvmfBlockDevice::new(conn, route.base, fs_size);
         Ok(microfs::fsck(&mut dev))
     }
 
@@ -768,90 +776,75 @@ impl NvmeCrRuntime {
             .ok_or(RuntimeError::Balance(BalanceError::NoFailoverTarget {
                 rank,
             }))?;
-        let ns = target.device().create_namespace(size)?;
-        let fs = match self.mount_replacement(rank, &route, &target, ns, size) {
-            Ok(fs) => fs,
-            Err(e) => {
-                // The replacement never served: return its capacity, or
-                // `finalize`, which knows only recorded namespaces, never
-                // would. A failed delete cannot hide the cause.
-                let _ = target.device().delete_namespace(ns);
-                return Err(e);
-            }
-        };
-        self.ranks[rank as usize] = Some(fs);
-        self.extra_ns.push((Arc::clone(&target), ns));
-        self.routes[rank as usize] = RankRoute {
+        let replacement = RankRoute {
+            ns: target.device().create_namespace(size)?,
             target,
-            ns,
             base: 0,
             size,
             node: new_node,
             replica: route.replica,
         };
+        let fs = match self.mount_replacement(rank, &replacement) {
+            Ok(fs) => fs,
+            Err(e) => {
+                // The replacement never served: return its capacity, or
+                // `finalize`, which knows only recorded namespaces, never
+                // would. A failed delete cannot hide the cause.
+                let _ = replacement.target.device().delete_namespace(replacement.ns);
+                return Err(e);
+            }
+        };
+        self.ranks[rank as usize] = Some(fs);
+        self.extra_ns
+            .push((Arc::clone(&replacement.target), replacement.ns));
+        self.routes[rank as usize] = replacement;
         self.config.telemetry.counter("driver.failovers").inc();
         Ok(())
     }
 
-    /// Bring up `rank`'s filesystem on its fresh replacement namespace
-    /// `ns` of `size` bytes: restored from the replica and remounted when
-    /// `route` has one, else formatted.
+    /// Bring up `rank`'s filesystem on `route`, its fresh replacement
+    /// namespace: restored from the replica and mounted when the route
+    /// has one, else formatted.
     fn mount_replacement(
         &mut self,
         rank: u32,
         route: &RankRoute,
-        target: &Arc<NvmfTarget>,
-        ns: NsId,
-        size: u64,
     ) -> Result<MicroFs<NvmfBlockDevice>, RuntimeError> {
-        let mut conn = self.config.connect(
+        let mut dev = route.open(
             format!("nqn.2026-07.io.nvmecr:rank{rank}-failover"),
-            target,
-            ns,
+            &self.config,
         );
-        if let Some(rr) = &route.replica {
-            let fs_size = size - REGION_BYTES;
-            // Reuse the live mirror (replica connection + extent map) if
-            // the rank was still mounted; a crashed rank reconnects to
-            // the replica namespace and restores from its manifest.
-            let live = self.ranks[rank as usize]
-                .take()
-                .and_then(|fs| fs.into_device().take_mirror())
-                .map(Mirror::into_parts);
-            let (mut rconn, state) = match live {
-                Some((rconn, map, epoch, _degraded)) => (rconn, Some((map, epoch))),
-                None => {
-                    let nqn = format!("nqn.2026-07.io.nvmecr:rank{rank}-restore");
-                    (self.config.connect(nqn, &rr.target, rr.ns), None)
-                }
-            };
-            let outcome = replication::restore_from_replica(
-                &mut rconn,
-                state,
-                &mut conn,
-                0,
-                fs_size,
-                &self.config.telemetry,
-                &self.config.chaos,
-            )?;
-            let mut dev = NvmfBlockDevice::new(conn, 0, fs_size);
-            dev.set_chaos(self.config.chaos.clone());
-            dev.attach_mirror(Mirror::new(rconn, outcome.map, outcome.epoch, &self.config));
-            // Mount, not format: the restored image is the rank's own
-            // filesystem, byte-verified against the manifest. The mirror
-            // state came from the restore itself, so only the microfs-level
-            // typestate chain runs here (replay is purely in-memory).
-            Ok(
-                microfs::recovery::Crashed::new(dev, self.config.fs_config())
-                    .begin_replay()?
-                    .replay_all()?
-                    .serve(),
-            )
-        } else {
-            let mut dev = NvmfBlockDevice::new(conn, 0, size);
-            dev.set_chaos(self.config.chaos.clone());
-            Ok(MicroFs::format(dev, self.config.fs_config())?)
-        }
+        let Some(rr) = &route.replica else {
+            return Ok(MicroFs::format(dev, self.config.fs_config())?);
+        };
+        // Reuse the live mirror (replica connection + extent map) if the
+        // rank was still mounted; a crashed rank reconnects to the replica
+        // namespace and restores from its manifest.
+        let live = self.ranks[rank as usize]
+            .take()
+            .and_then(|fs| fs.into_device().take_mirror())
+            .map(Mirror::into_parts);
+        let (mut rconn, state) = match live {
+            Some((rconn, map, epoch, _degraded)) => (rconn, Some((map, epoch))),
+            None => {
+                let nqn = format!("nqn.2026-07.io.nvmecr:rank{rank}-restore");
+                (self.config.connect(nqn, &rr.target, rr.ns), None)
+            }
+        };
+        let outcome = replication::restore_from_replica(
+            &mut rconn,
+            state,
+            dev.conn_mut(),
+            route.base,
+            route.fs_size(),
+            &self.config.telemetry,
+            &self.config.chaos,
+        )?;
+        dev.attach_mirror(Mirror::new(rconn, outcome.map, outcome.epoch, &self.config));
+        // Mount, not format: the restored image is the rank's own
+        // filesystem, byte-verified against the manifest, and the mirror
+        // state came from the restore itself (replay is purely in-memory).
+        Ok(MicroFs::mount(dev, self.config.fs_config())?)
     }
 
     /// Aggregate per-rank filesystem statistics (Table I accounting).

@@ -10,10 +10,11 @@
 //! cannot come back:
 //!
 //! * **Bounded retries** — each rank gets [`RecoveryPolicy::max_attempts`]
-//!   runs through the typestate chain, with exponential backoff between
-//!   attempts and a per-rank wall-clock deadline. Every re-attempt calls
-//!   [`chaos::ChaosHandle::begin_attempt`], which is what makes a
-//!   first-attempt-only rule's "second attempt runs clean" contract hold.
+//!   runs through the typestate chain, with exponential backoff from 1 µs
+//!   between attempts and a 60 s per-rank wall-clock deadline. Every
+//!   re-attempt calls [`chaos::ChaosHandle::begin_attempt`], which is what
+//!   makes a first-attempt-only rule's "second attempt runs clean"
+//!   contract hold.
 //! * **Quarantine** — a rank that exhausts its budget with at least
 //!   [`RecoveryPolicy::quarantine_after`] failures is quarantined instead
 //!   of failing the attach: the supervisor records a
@@ -46,7 +47,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use chaos::ChaosHandle;
 use cluster::Topology;
 use microfs::fs::FileStat;
 use microfs::{FsError, MemDevice, MicroFs, OpenFlags};
@@ -55,15 +55,16 @@ use telemetry::FlightKind;
 use crate::replication::{self, ReplicationError};
 use crate::runtime::{JobHandle, NvmeCrRuntime, RuntimeError, StorageRack};
 
+/// Backoff before re-attempt `n` is `BASE_BACKOFF_NS << (n - 1)`.
+const BASE_BACKOFF_NS: u64 = 1_000;
+/// Per-rank wall-clock budget across all attempts and backoffs.
+const DEADLINE_NS: u64 = 60_000_000_000;
+
 /// How hard the supervisor tries before giving a rank up for quarantined.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryPolicy {
     /// Runs through the typestate chain each rank may consume (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before re-attempt `n` is `base_backoff_ns << (n - 1)`.
-    pub base_backoff_ns: u64,
-    /// Per-rank wall-clock budget across all attempts and backoffs.
-    pub deadline_ns: u64,
     /// Quarantine a rank after this many failed attempts instead of
     /// failing the whole attach; `0` disables quarantine (any exhausted
     /// rank fails the attach — the pre-supervisor behavior).
@@ -74,8 +75,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_attempts: 2,
-            base_backoff_ns: 100_000,
-            deadline_ns: 30_000_000_000,
             quarantine_after: 2,
         }
     }
@@ -141,11 +140,8 @@ impl RecoverySupervisor {
             while failures < self.policy.max_attempts.max(1) {
                 if failures > 0 {
                     let shift = (failures - 1).min(20);
-                    let backoff = self.policy.base_backoff_ns.saturating_mul(1 << shift);
-                    let left = self
-                        .policy
-                        .deadline_ns
-                        .saturating_sub(telemetry::ns_since(started));
+                    let backoff = BASE_BACKOFF_NS.saturating_mul(1 << shift);
+                    let left = DEADLINE_NS.saturating_sub(telemetry::ns_since(started));
                     if left == 0 {
                         break;
                     }
@@ -318,51 +314,39 @@ impl DegradedRank {
 /// CRC verification against its manifest entry — a degraded serve must
 /// never hand out silently-rotten bytes.
 fn degraded_serve(rt: &NvmeCrRuntime, rank: u32) -> Result<DegradedRank, RuntimeError> {
-    let route = rt.route(rank).ok_or(RuntimeError::BadRank(rank))?;
-    let rr = route
-        .replica
-        .as_ref()
+    let image_route = rt
+        .route(rank)
+        .ok_or(RuntimeError::BadRank(rank))?
+        .replica_image()
         .ok_or(RuntimeError::Replication(ReplicationError::NoCompleteEpoch))?;
-    let config = rt.runtime_config();
-    let fs_size = route.fs_size();
-    let mut conn = config.connect(
-        format!("nqn.2026-07.io.nvmecr:rank{rank}-degraded"),
-        &rr.target,
-        rr.ns,
-    );
     // The degraded image is a volatile reconstruction, not the supervised
     // recovery path: it is read and mounted on a disarmed chaos handle so
     // nested crash points aim only at real recovery.
-    let disarmed = ChaosHandle::default();
-    let chain = replication::materialize_chain(&mut conn, fs_size, &disarmed)?
+    let config = rt.runtime_config().disarmed();
+    let fs_size = image_route.fs_size();
+    let mut dev = image_route.open(
+        format!("nqn.2026-07.io.nvmecr:rank{rank}-degraded"),
+        &config,
+    );
+    let conn = dev.conn_mut();
+    let chain = replication::materialize_chain(conn, fs_size, &config.chaos)?
         .ok_or(ReplicationError::NoCompleteEpoch)?;
     let mut image = vec![0u8; fs_size as usize];
-    for e in &chain.extents {
-        // An extent outside the image it describes is a corrupt manifest.
-        let fits = e
-            .offset
-            .checked_add(e.len)
-            .is_some_and(|end| end <= fs_size);
-        let crc = fits
-            .then(|| {
-                replication::stream_extent(&mut conn, e.offset, e.len, |at, data, _| {
-                    image[at as usize..][..data.len()].copy_from_slice(&data);
-                    Ok(())
-                })
-            })
-            .transpose()
-            .map_err(ReplicationError::from)?;
-        if crc != Some(e.crc) {
-            return Err(ReplicationError::Unrecoverable {
-                offset: e.offset,
-                len: e.len,
-            }
-            .into());
-        }
-    }
-    let mut fs_config = config.fs_config();
-    fs_config.chaos = disarmed;
-    let fs = MicroFs::mount(MemDevice::from_raw(image), fs_config).map_err(RuntimeError::Fs)?;
+    replication::restore_extents(
+        conn,
+        chain
+            .extents
+            .iter()
+            .map(|e| (e.offset, e.len, Some(e.crc)))
+            .collect(),
+        fs_size,
+        &config.chaos,
+        |at, data, _| {
+            image[at as usize..][..data.len()].copy_from_slice(&data);
+            Ok(())
+        },
+    )?;
+    let fs = MicroFs::mount(MemDevice::from_raw(image), config.fs_config())?;
     Ok(DegradedRank {
         rank,
         epoch: chain.epoch,

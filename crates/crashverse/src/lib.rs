@@ -571,12 +571,10 @@ fn drive_under(
 /// The supervisor policy every point recovers under: exactly one
 /// re-attempt (a killed first attempt must come back on the second), no
 /// quarantine (a point that cannot come back must fail loudly, not get
-/// parked), and a negligible backoff so grids stay fast.
+/// parked).
 fn recovery_policy() -> RecoveryPolicy {
     RecoveryPolicy {
         max_attempts: 2,
-        base_backoff_ns: 1_000,
-        deadline_ns: 60_000_000_000,
         quarantine_after: 0,
     }
 }
@@ -1038,8 +1036,6 @@ pub fn quarantine_cycle(cfg: &UniverseConfig) -> Result<QuarantineCycle, String>
     let handle = stack.rt.crash_job();
     let policy = RecoveryPolicy {
         max_attempts: 2,
-        base_backoff_ns: 1_000,
-        deadline_ns: 60_000_000_000,
         quarantine_after: 2,
     };
     let mut supervised = RecoverySupervisor::new(policy)

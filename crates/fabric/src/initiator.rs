@@ -275,7 +275,7 @@ pub struct NvmfConnection {
     /// Command capsules posted and not yet polled by the target.
     to_target: VecDeque<SgList>,
     /// Response capsules the target sent and the window has not drained.
-    /// Both queues keep their contents across windows until a reconnect.
+    /// A window that fails, and a reconnect, empty both queues.
     to_host: VecDeque<SgList>,
     next_cid: u16,
     /// The open window's last boundary stamp (see `fabric.command_ns`).
@@ -386,9 +386,19 @@ impl NvmfConnection {
     /// Run the window until every pending command has retired.
     fn drive_window(&mut self, pending: &mut [Pending]) -> Result<(), InitiatorError> {
         while !window_done(pending) {
-            self.window_pass(pending)?;
+            self.window_pass(pending)
+                .inspect_err(|_| self.clear_wire())?;
         }
         Ok(())
+    }
+
+    /// Drop every capsule a failed window left on the connection: commands
+    /// it posted and the target has not run, and responses it did not
+    /// read. The caller has seen the window's error, so none of them may
+    /// execute or be decoded by a later window.
+    fn clear_wire(&mut self) {
+        self.to_target.clear();
+        self.to_host.clear();
     }
 
     /// One pass of the submission window. Each pass makes three sweeps —
@@ -874,6 +884,8 @@ pub fn write_mirrored_bytes(
     while !window_done(&p_pending) || (replica_error.is_none() && !window_done(&r_pending)) {
         if !window_done(&p_pending) {
             if let Err(e) = primary.window_pass(&mut p_pending) {
+                primary.clear_wire();
+                replica.clear_wire();
                 primary.observe_window(&mut p_pending);
                 replica.observe_window(&mut r_pending);
                 return Err(e);
@@ -881,6 +893,7 @@ pub fn write_mirrored_bytes(
         }
         if replica_error.is_none() && !window_done(&r_pending) {
             if let Err(e) = replica.window_pass(&mut r_pending) {
+                replica.clear_wire();
                 replica_error = Some(e);
             }
         }
@@ -1186,6 +1199,44 @@ mod tests {
             0,
             "a dead shard must fail fast so the runtime can fail over"
         );
+    }
+
+    /// A window that fails leaves nothing on the wire: the next command
+    /// on the connection decodes its own response and no stale one.
+    #[test]
+    fn a_failed_window_leaves_nothing_on_the_wire() {
+        let (target, a, b, t) = setup_with_telemetry();
+        let init = Initiator::with_telemetry("nqn.host", t.clone());
+        let mut conn = init.connect(Arc::clone(&target), a);
+        let mut replica = init.connect(Arc::clone(&target), b);
+        let decodes = || {
+            t.snapshot()
+                .histogram("fabric.capsule_decode_ns")
+                .map_or(0, |h| h.count)
+        };
+        let writes: Vec<(u64, Vec<u8>)> =
+            (0..32u64).map(|i| (i * 512, vec![i as u8; 512])).collect();
+        let shard_a = target.device().shard(a).unwrap();
+        shard_a.kill();
+        let window = writes.iter().map(|(o, d)| (*o, Bytes::from(d.clone())));
+        assert!(conn.write_vectored_bytes(window.collect()).is_err());
+        shard_a.revive();
+        let before = decodes();
+        conn.write_bytes(0, Bytes::from_static(b"fresh")).unwrap();
+        assert_eq!(decodes() - before, 1, "one write, one response");
+
+        // The same holds for the replica window of a mirrored write, which
+        // fails without failing the write.
+        let shard_b = target.device().shard(b).unwrap();
+        shard_b.kill();
+        let outcome = write_mirrored_bytes(&mut conn, &mut replica, mirrored(&writes)).unwrap();
+        assert!(outcome.replica_error.is_some());
+        shard_b.revive();
+        let before = decodes();
+        replica
+            .write_bytes(0, Bytes::from_static(b"fresh"))
+            .unwrap();
+        assert_eq!(decodes() - before, 1, "one write, one response");
     }
 
     #[test]

@@ -52,17 +52,14 @@ impl SgList {
     /// most one segment; otherwise this is the gather copy that the
     /// two-segment capsule path exists to avoid.
     pub fn into_contiguous(mut self) -> Bytes {
-        match self.segs.len() {
-            0 => Bytes::new(),
-            1 => self.segs.pop().expect("len checked"),
-            _ => {
-                let mut v = Vec::with_capacity(self.len());
-                for s in &self.segs {
-                    v.extend_from_slice(s);
-                }
-                Bytes::from(v)
+        if self.segs.len() > 1 {
+            let mut v = Vec::with_capacity(self.len());
+            for s in &self.segs {
+                v.extend_from_slice(s);
             }
+            return Bytes::from(v);
         }
+        self.segs.pop().unwrap_or_default()
     }
 }
 
@@ -96,21 +93,6 @@ impl PartialEq for SgList {
 }
 
 impl Eq for SgList {}
-
-/// Contiguous view. Only lists with at most one segment have one; callers
-/// that may hold a multi-segment list must use [`SgList::into_segments`] or
-/// [`SgList::into_contiguous`] instead.
-impl std::ops::Deref for SgList {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self.segs.len() {
-            0 => &[],
-            1 => &self.segs[0],
-            n => panic!("contiguous view of a {n}-segment SgList; gather it first"),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -148,8 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn deref_works_up_to_one_segment() {
-        assert_eq!(&SgList::new()[..], b"");
-        assert_eq!(&SgList::from(Bytes::from_static(b"x"))[..], b"x");
+    fn empty_list_is_empty_contiguous() {
+        assert!(SgList::new().into_contiguous().is_empty());
     }
 }

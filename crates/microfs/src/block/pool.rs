@@ -44,21 +44,19 @@ pub struct BlockPool {
 }
 
 impl BlockPool {
-    /// A pool over blocks `0..total`, all free, in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// If `total` exceeds [`MAX_BLOCKS`]; `Layout::compute` rejects such a
-    /// partition first.
-    pub fn new(total: u64) -> Self {
-        let len = u32::try_from(total).expect("pool larger than MAX_BLOCKS");
+    /// A pool over blocks `0..total`, all free, in ascending order. Block
+    /// ids are `u32`, so no pool exceeds [`MAX_BLOCKS`].
+    pub fn new(total: u32) -> Self {
         BlockPool {
-            runs: (len > 0)
-                .then_some(Run { start: 0, len })
+            runs: (total > 0)
+                .then_some(Run {
+                    start: 0,
+                    len: total,
+                })
                 .into_iter()
                 .collect(),
-            free: total,
-            total,
+            free: u64::from(total),
+            total: u64::from(total),
         }
     }
 
@@ -107,19 +105,17 @@ impl BlockPool {
             return Err(FsError::NoSpace);
         }
         let mut out = Vec::with_capacity(n as usize);
-        let mut left = n;
-        while left > 0 {
-            let head = self.runs.front_mut().expect("free count covers n");
-            let take = left.min(u64::from(head.len)) as u32;
+        // The free count covers `n`, so the runs do too.
+        while let Some(head) = self.runs.front_mut().filter(|_| (out.len() as u64) < n) {
+            let take = (n - out.len() as u64).min(u64::from(head.len)) as u32;
             out.extend(u64::from(head.start)..u64::from(head.start) + u64::from(take));
             head.start += take;
             head.len -= take;
             if head.len == 0 {
                 self.runs.pop_front();
             }
-            left -= u64::from(take);
         }
-        self.free -= n;
+        self.free -= out.len() as u64;
         Ok(out)
     }
 
@@ -351,7 +347,7 @@ mod tests {
             total in 1u64..200,
             ops in proptest::collection::vec((0u8..3, 0u64..40, any::<u64>()), 1..150),
         ) {
-            let mut p = BlockPool::new(total);
+            let mut p = BlockPool::new(total as u32);
             let mut oracle = BlockRing((0..total).collect());
             let mut held: Vec<u64> = Vec::new();
             for (op, n, pick) in ops {

@@ -22,7 +22,7 @@ use crate::error::{FsError, OpenFlags};
 use crate::inode::{Ino, Inode, InodeKind, InodeTable, ROOT_INO};
 use crate::layout::{Layout, SUPERBLOCK_LEN};
 use crate::snapshot::{self, FsState};
-use crate::wal::{LogRecord, LogScan, Wal, WalStats};
+use crate::wal::{LogRecord, Wal, WalStats};
 
 /// Tunables for one microfs instance.
 #[derive(Debug, Clone)]
@@ -208,6 +208,9 @@ impl<D: BlockDevice> MicroFs<D> {
     /// Format `dev` as a fresh microfs partition and mount it.
     pub fn format(mut dev: D, config: FsConfig) -> Result<Self, FsError> {
         let layout = Layout::compute(dev.size(), config.block_size)?;
+        // `Layout::compute` caps the data region at the pool's `MAX_BLOCKS`.
+        let blocks = u32::try_from(layout.data_blocks)
+            .map_err(|_| FsError::Invalid("data region exceeds the block pool".into()))?;
         dev.write_at(0, &layout.encode_superblock())
             .map_err(|e| FsError::Io(e.to_string()))?;
         let mut inodes = InodeTable::new();
@@ -217,7 +220,7 @@ impl<D: BlockDevice> MicroFs<D> {
         btree.insert("/", ROOT_INO);
         let state = FsState {
             inodes,
-            pool: BlockPool::new(layout.data_blocks),
+            pool: BlockPool::new(blocks),
             btree,
             op_counter: 1,
         };
@@ -250,25 +253,15 @@ impl<D: BlockDevice> MicroFs<D> {
         Ok(fs)
     }
 
-    /// Mount an existing partition: load the newest snapshot and replay the
-    /// operation log — the recovery path of §III-E.
-    ///
-    /// Equivalent to driving the [typestate recovery
-    /// API](crate::recovery::Crashed) end to end; use that instead when the
-    /// caller needs the replay boundary to be visible in the types (e.g. to
-    /// interpose replica verification before the instance serves reads).
-    pub fn mount(dev: D, config: FsConfig) -> Result<Self, FsError> {
-        let (mut fs, log) = Self::mount_prepare(dev, config)?;
-        fs.replay_records(&log)?;
-        Ok(fs)
-    }
-
-    /// First half of `mount`: read the superblock, load the newest
-    /// snapshot, scan the log. The returned instance holds the snapshot
-    /// state only — the scanned records are *not yet applied*, so the
-    /// instance must not serve reads until [`replay_records`]
-    /// (`Self::replay_records`) runs.
-    pub(crate) fn mount_prepare(mut dev: D, config: FsConfig) -> Result<(Self, LogScan), FsError> {
+    /// Mount an existing partition: read the superblock, load the newest
+    /// snapshot, scan the operation log past it and replay every record —
+    /// the recovery path of §III-E, and the only way to a recovered
+    /// instance. Each record is decoded in place from the bytes the scan
+    /// read. Replay is purely in-memory (every device write in the shared
+    /// mutation helpers is gated on `live`), so file data already on the
+    /// device re-attaches without being rewritten, and a caller may attach
+    /// a mirror to the device only after this returns.
+    pub fn mount(mut dev: D, config: FsConfig) -> Result<Self, FsError> {
         let layout = Layout::read_superblock(&mut dev)?;
         if layout.block_size != config.block_size {
             return Err(FsError::Invalid(format!(
@@ -286,23 +279,24 @@ impl<D: BlockDevice> MicroFs<D> {
             return Err(FsError::Io("crash point: recovery log scan".into()));
         }
         let log = Wal::scan(&mut dev, layout.log_offset, layout.log_size, generation)?;
+        let mut wal = Wal::resume(
+            layout.log_offset,
+            layout.log_size,
+            config.coalescing,
+            generation,
+            log.end(),
+        );
+        wal.set_chaos(config.chaos.clone());
         let metrics = FsMetrics::new(&config.telemetry);
-        let fs = MicroFs {
+        let cow = config
+            .cow_epochs
+            .then(|| crate::cow::CowTracker::new(&config.telemetry));
+        let mut fs = MicroFs {
             dev,
             layout,
-            config: config.clone(),
+            config,
             state,
-            wal: {
-                let mut wal = Wal::resume(
-                    layout.log_offset,
-                    layout.log_size,
-                    config.coalescing,
-                    generation,
-                    log.end(),
-                );
-                wal.set_chaos(config.chaos.clone());
-                wal
-            },
+            wal,
             fds: Vec::new(),
             open_count: 0,
             snapshot_seq: seq,
@@ -310,34 +304,23 @@ impl<D: BlockDevice> MicroFs<D> {
             stats: FsStats::default(),
             metrics,
             zero_scratch: Vec::new(),
-            cow: config
-                .cow_epochs
-                .then(|| crate::cow::CowTracker::new(&config.telemetry)),
+            cow,
         };
-        Ok((fs, log))
-    }
-
-    /// Second half of `mount`: apply the scanned log records to the
-    /// snapshot state, each decoded in place from the bytes the scan read.
-    /// Replay is purely in-memory (every device write in the shared
-    /// mutation helpers is gated on `live`), so it is safe to run before
-    /// any mirror is attached to the device.
-    pub(crate) fn replay_records(&mut self, log: &LogScan) -> Result<(), FsError> {
         let replayed = log.len() as u64;
         {
             let _span = telemetry::span("microfs", "replay").arg("records", replayed);
-            let replay_ns = Arc::clone(&self.metrics.replay_ns);
+            let replay_ns = Arc::clone(&fs.metrics.replay_ns);
             let _t = replay_ns.time();
             for rec in log.records() {
-                if self.config.chaos.fire(chaos::Site::ReplayApply).is_some() {
+                if fs.config.chaos.fire(chaos::Site::ReplayApply).is_some() {
                     return Err(FsError::Io("crash point: recovery replay".into()));
                 }
-                self.replay(rec?)?;
+                fs.replay(rec?)?;
             }
         }
-        self.metrics.replay_records.add(replayed);
-        self.stats.replayed_records = replayed;
-        Ok(())
+        fs.metrics.replay_records.add(replayed);
+        fs.stats.replayed_records = replayed;
+        Ok(fs)
     }
 
     /// The device (for inspection in tests; consumes nothing).
@@ -1250,6 +1233,12 @@ mod tests {
             let err = MicroFs::mount(dev, FsConfig::default()).err().unwrap();
             assert!(err.to_string().contains(&named), "{err}");
         }
+    }
+
+    #[test]
+    fn mounting_a_never_formatted_device_is_an_err() {
+        let dev = MemDevice::new(1 << 20);
+        assert!(MicroFs::mount(dev, FsConfig::default()).is_err());
     }
 
     #[test]

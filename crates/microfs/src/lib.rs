@@ -57,7 +57,6 @@ pub mod fsck;
 pub mod inode;
 pub mod layout;
 pub mod manifest;
-pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 pub mod wire;

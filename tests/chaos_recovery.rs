@@ -6,7 +6,7 @@
 //! fault was by design unabsorbable at the fast tier).
 
 use bytes::Bytes;
-use chaos::{ChaosHandle, FaultAction, FaultPlan, Site};
+use chaos::{ChaosHandle, FaultAction, FaultPlan, Plane, Site};
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::{FsConfig, FsError, MemDevice, MicroFs, OpenFlags};
 use nvmecr::multilevel::MultiLevelPolicy;
@@ -541,13 +541,11 @@ fn scrub_repairs_bit_rot_and_reports_double_corruption() {
     assert!(snap.counter("chaos.injected") >= 3);
 }
 
-/// A fast-failing supervisor policy for tests: tiny backoff, generous
-/// deadline, quarantine threshold as given.
+/// A supervisor policy with the given attempt budget and quarantine
+/// threshold.
 fn test_policy(max_attempts: u32, quarantine_after: u32) -> RecoveryPolicy {
     RecoveryPolicy {
         max_attempts,
-        base_backoff_ns: 1_000,
-        deadline_ns: 30_000_000_000,
         quarantine_after,
     }
 }
@@ -838,4 +836,133 @@ fn delta_chain_failover_restores_newest_complete_epoch() {
     assert_eq!(rt.commit_epoch_rank(3).unwrap(), Some(5));
     let report = rt.scrub_rank(3).unwrap().unwrap();
     assert_eq!(report.unrecoverable, 0);
+}
+
+/// The recovery-plane ops `chaos` counted since it was armed, by site
+/// name, in site-table order.
+fn recovery_census(chaos: &ChaosHandle) -> Vec<(&'static str, u64)> {
+    let report = chaos.report();
+    Site::in_plane(Plane::Recovery)
+        .map(|s| (s.name(), report.count(s)))
+        .collect()
+}
+
+/// Each way a rank comes up consumes a fixed number of recovery-plane
+/// ops, counted under a plan with no rules: a crash recovery (snapshot
+/// load, log scan, one replay per record, manifest scan, rescan chunks),
+/// a failover of a crashed rank (chain links and restored extents, then
+/// the mount) and of a mounted one (the live map's extents, no chain),
+/// and a degraded serve, which opens on a disarmed handle and adds
+/// nothing. The literals pin every site's count to the digit, so moving
+/// a gate or opening a path on the job's live handle shows here.
+#[test]
+fn recovery_plane_census_is_pinned_per_bring_up_path() {
+    let (rack, topo, alloc, mut config, _ssd_chaos, chaos, telemetry) = replicated_chaos_testbed();
+    config.delta_chain_max = 4;
+    let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
+    let len = 64 << 10;
+    // A full epoch, two deltas on top of it, then an unsealed tail.
+    for epoch in 0..3u32 {
+        for rank in 0..8u32 {
+            checkpoint(
+                &mut rt,
+                rank,
+                &format!("/e{epoch}.dat"),
+                &pattern(rank + epoch, len),
+            );
+        }
+        rt.commit_epochs().unwrap();
+    }
+    checkpoint(&mut rt, 1, "/tail.dat", &pattern(9, 16 << 10));
+    let counted = || {
+        chaos.arm(FaultPlan::new(0), &telemetry);
+    };
+    let census = |names: [(&'static str, u64); 7]| names.to_vec();
+
+    // Crash recovery of one rank.
+    rt.crash_rank(0).unwrap();
+    counted();
+    rt.recover_ranks(&[0]).unwrap();
+    let recovered = recovery_census(&chaos);
+    chaos.disarm();
+    assert_eq!(
+        recovered,
+        census([
+            ("snapshot_load", 1),
+            ("log_scan", 1),
+            ("replay_apply", 6),
+            ("manifest_scan", 1),
+            ("rescan_chunk", 3),
+            ("chain_materialize", 0),
+            ("restore_extent", 0),
+        ])
+    );
+
+    // The shared grant shard dies under every rank: a supervised attach
+    // quarantines all eight and serves each degraded from its replica.
+    rt.kill_primary_shard(1).unwrap();
+    let handle = rt.crash_job();
+    counted();
+    let mut supervised = RecoverySupervisor::new(test_policy(1, 1))
+        .attach(handle)
+        .unwrap();
+    let degraded = recovery_census(&chaos);
+    chaos.disarm();
+    assert_eq!(supervised.outcome().degraded_serves, 8);
+    assert_eq!(
+        degraded,
+        census([
+            ("snapshot_load", 0),
+            ("log_scan", 0),
+            ("replay_apply", 0),
+            ("manifest_scan", 0),
+            ("rescan_chunk", 0),
+            ("chain_materialize", 0),
+            ("restore_extent", 0),
+        ])
+    );
+
+    // Failover of a crashed rank: its chain comes off the replica's ring.
+    counted();
+    supervised.rejoin(1, &rack, &topo).unwrap();
+    let from_chain = recovery_census(&chaos);
+    chaos.disarm();
+    assert_eq!(
+        from_chain,
+        census([
+            ("snapshot_load", 1),
+            ("log_scan", 1),
+            ("replay_apply", 6),
+            ("manifest_scan", 0),
+            ("rescan_chunk", 0),
+            ("chain_materialize", 3),
+            ("restore_extent", 5),
+        ])
+    );
+
+    // Failover of a mounted rank: its live map is copied, no chain.
+    let rt = supervised.runtime_mut();
+    rt.kill_primary_shard(1).unwrap();
+    counted();
+    rt.fail_over_rank(1, &rack, &topo).unwrap();
+    let from_live = recovery_census(&chaos);
+    chaos.disarm();
+    assert_eq!(
+        from_live,
+        census([
+            ("snapshot_load", 1),
+            ("log_scan", 1),
+            ("replay_apply", 6),
+            ("manifest_scan", 0),
+            ("rescan_chunk", 0),
+            ("chain_materialize", 0),
+            ("restore_extent", 5),
+        ])
+    );
+    for epoch in 0..3u32 {
+        assert_eq!(
+            read_back(rt, 1, &format!("/e{epoch}.dat"), len),
+            pattern(1 + epoch, len)
+        );
+    }
 }

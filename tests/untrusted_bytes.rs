@@ -23,7 +23,6 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use fabric::{Capsule, CapsuleError, Completion, SgList, Status};
-use microfs::block::pool::MAX_BLOCKS;
 use microfs::block::BlockPool;
 use microfs::btree::BTree;
 use microfs::crc::{crc32, crc32_update};
@@ -548,7 +547,7 @@ fn block_pool_row() -> Row {
     Row {
         name: "block pool",
         samples: vec![
-            BlockPool::new(MAX_BLOCKS).encode(),
+            BlockPool::new(u32::MAX).encode(),
             block_pool().encode(),
             empty.encode(),
         ],
